@@ -134,11 +134,8 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
             inits.append(mmse_beamformer(h0, hs, params.sigma_s2,
                                          params.sigma_w2))
 
-    trace = []
-    vbar = None
-    converged = False
-    for init in inits:
-        vbar = init / np.linalg.norm(init)
+    def solve_around(vbar):
+        """The subproblem linearized at vbar, solved; and vbar^H H1 vbar."""
         c1 = float(np.vdot(vbar, H1 @ vbar).real)
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
@@ -146,30 +143,27 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
              -(f_with - 1.0) - gamma * c1),
             (None, -gamma * (Hs @ vbar), -(f_without - 1.0) - gamma * cs1),
         ]
-        first = solve_ball_qcqp(QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
-                                            quad_constraints=cons),
-                                v0=vbar)
+        return solve_ball_qcqp(QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
+                                           quad_constraints=cons),
+                               v0=vbar), c1
+
+    trace = []
+    vbar = None
+    converged = False
+    for init in inits:
+        vbar = init / np.linalg.norm(init)
+        first, c1 = solve_around(vbar)
         if first.status == OPTIMAL:
             break
     else:
         return _infeasible()
 
     v = first.v / np.linalg.norm(first.v)
-    mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - float(
-        np.vdot(vbar, H1 @ vbar).real)
+    mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - c1
     trace.append(gamma * mu)
     vbar = v
     for _ in range(1, params.L):
-        c1 = float(np.vdot(vbar, H1 @ vbar).real)
-        cs1 = float(np.vdot(vbar, Hs @ vbar).real)
-        cons = [
-            (None if h0_zero else f_with * gamma * H0, -gamma * (H1 @ vbar),
-             -(f_with - 1.0) - gamma * c1),
-            (None, -gamma * (Hs @ vbar), -(f_without - 1.0) - gamma * cs1),
-        ]
-        res = solve_ball_qcqp(QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
-                                          quad_constraints=cons),
-                              v0=vbar)
+        res, c1 = solve_around(vbar)
         if res.status != OPTIMAL:
             break   # boundary case: keep the incumbent
         v = res.v / np.linalg.norm(res.v)
@@ -402,6 +396,7 @@ def mmse_beamformer(h_sr: np.ndarray, h_str: np.ndarray, sigma_s2: float,
 
 
 def _solver_for(mode):
+    """The single-transmit solver for a mode, looked up when called."""
     if mode == "consensual":
         return consensual_sca
     if mode == "evolved":

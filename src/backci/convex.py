@@ -1,19 +1,33 @@
 """Small dense convex kernels: a ball-constrained QCQP and a small SDP.
 
-Both solvers are textbook logarithmic-barrier interior-point methods with
-damped Newton centering, specialized to the problem sizes of this package
-(vector dimension <= 8, matrix dimension <= 8).  Complex decision variables
-are embedded into real coordinates: a complex vector v becomes
-z = [Re v; Im v], and a Hermitian matrix W becomes its coefficient vector in
-an orthonormal Hermitian basis (dimension M^2).
+Both kernels run one textbook log-barrier interior-point routine,
+`_barrier` (Boyd & Vandenberghe, Convex Optimization, sections 11.3-11.4),
+sized for this package (vector dimension <= 8, matrix dimension <= 8).  It
+works on an oracle for
+
+    minimize c . x  subject to  x^T P_i x + q_i . x < b_i,  x inside a cone,
+
+and centres c . x + mu * phi(x), phi the log barrier of the rows and the
+cone, by damped Newton steps with a backtracking line search, for mu = 1,
+0.1, 0.01, ... until the gap bound n_par * mu meets the tolerance.  n_par is
+the total barrier parameter: the row count plus 1 for the QCQP's norm ball,
+plus the matrix dimension for the SDP's PSD cone.
+
+There is one oracle per kernel.  The QCQP oracle works in the real embedding
+z = [Re v; Im v] of the complex vector v.  The SDP oracle works in nullspace
+coordinates y of the equality constraints: the Hermitian matrix W has the
+coefficient vector w = w_p + Z y in an orthonormal Hermitian basis
+(dimension M^2).  Besides the cone, the two differ only in how tightly a
+stage centres (half the squared Newton decrement down to 0.01 mu for the
+QCQP, 0.125 mu for the SDP) and in the SDP's extra stop on the gap relative
+to its objective.  Phase one is the same routine on a wrapper that adds a
+slack s, minimizing s subject to row_i(x) <= s and keeping the cone barrier.
+It stops as soon as every row holds strictly, or once its gap bound shows
+that none can, which certifies infeasibility.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
-schedule meaningful across the wide dynamic range of channel realizations:
-mu starts at 1, divides by 10, and stops once m * mu <= tol, where m is the
-total barrier parameter (constraint count for the QCQP ball and quadratics,
-matrix dimension plus inequality count for the SDP).  Infeasibility is
-detected by a phase-one problem minimizing the maximum constraint violation.
+schedule meaningful across the wide dynamic range of channel realizations.
 """
 
 from __future__ import annotations
@@ -29,9 +43,11 @@ INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
 
 _MU_FACTOR = 0.1
-_MAX_NEWTON = 200
+_MAX_NEWTON = 200       # Newton steps per barrier stage
+_MAX_STEPS = 25 * _MAX_NEWTON
 _ARMIJO = 1e-4
 _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
+_PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +77,172 @@ def _solve_newton(H, g):
     except np.linalg.LinAlgError:
         reg = 1e-12 * (np.abs(np.trace(H)) / H.shape[0] + 1.0)
         return np.linalg.solve(H + reg * np.eye(H.shape[0]), -g)
+
+
+# ---------------------------------------------------------------------------
+# Barrier method
+# ---------------------------------------------------------------------------
+
+class _Oracle:
+    """minimize c . x subject to x^T P_i x + Q_i . x < b_i, x inside a cone.
+
+    The rows are the stacked arrays P (k, n, n), Q (k, n) and b (k,).  The
+    duality gap at a mu-centre is at most n_par * mu.  A barrier stage stops
+    centring once half the squared Newton decrement is at most
+    max(center_tol * mu, center_floor); count_final is 1 where the Newton
+    system that ends a stage counts as a step.  Subclasses supply the cone's
+    barrier: cone(x) gives its value (inf outside the cone), cone_derivs(x)
+    its value, gradient and Hessian.
+    """
+
+    center_floor = 0.0
+    count_final = 0
+
+    def __init__(self, c, P, Q, b, n_par):
+        k, n = Q.shape
+        self.c, self.P, self.Q, self.b = c, P, Q, b
+        self.n_par = n_par
+        self._P_rows = P.reshape(k * n, n)
+        self._P_flat = P.reshape(k, n * n)
+
+    def rows(self, x):
+        """Row values minus b (all < 0 inside) and their gradients."""
+        Px = (self._P_rows @ x).reshape(self.Q.shape)
+        return Px @ x + self.Q @ x - self.b, self.Q + 2.0 * Px
+
+    def value(self, x, mu):
+        """c . x + mu * phi(x), or inf outside the strict domain."""
+        g = self.rows(x)[0]
+        if not (g < 0.0).all():
+            return np.inf
+        return self.c @ x + mu * (self.cone(x) - np.log(-g).sum())
+
+    def derivs(self, x, mu):
+        """Value, gradient and Hessian of c . x + mu * phi(x) at x inside."""
+        g, G = self.rows(x)
+        cv, cg, cH = self.cone_derivs(x)
+        w = -1.0 / g
+        val = self.c @ x + mu * (cv - np.log(-g).sum())
+        grad = self.c + mu * (cg + G.T @ w)
+        H = mu * (cH + (G.T * w ** 2) @ G
+                  + 2.0 * (w @ self._P_flat).reshape(x.size, x.size))
+        return val, grad, H
+
+    def found(self, x):
+        """Whether to end at once; only phase one ends before centring."""
+        return False
+
+    def stop(self, x, mu, tol):
+        """Status to end with at the mu-centre x, None to go on."""
+        return OPTIMAL if self.n_par * mu <= tol else None
+
+
+def _barrier(f, x, tol):
+    """Barrier method on oracle f from a strictly feasible x.
+
+    Each stage centres f.value(., mu) by damped Newton steps with an Armijo
+    backtracking line search, then asks f.stop whether to end; mu then
+    shrinks by _MU_FACTOR.  The last stage, where n_par * mu reaches tol,
+    centres to a decrement of 1e-16 (but not below f.center_floor) or a
+    gradient norm of tol.
+
+    Returns (x, status, mu, steps, first): first is the centre of the first
+    stage, and status MAX_ITER once _MAX_STEPS Newton steps are spent.
+    """
+    mu, steps, first = 1.0, 0, None
+    while True:
+        last = f.n_par * mu * _MU_FACTOR <= tol
+        for _ in range(_MAX_NEWTON):
+            if f.found(x):
+                return x, OPTIMAL, mu, steps, first
+            val, grad, H = f.derivs(x, mu)
+            if last and np.linalg.norm(grad) <= tol:
+                break
+            step = _solve_newton(H, grad)
+            dec = -grad @ step
+            if dec / 2.0 <= max(1e-16 if last else f.center_tol * mu,
+                                f.center_floor):
+                steps += f.count_final
+                break
+            steps += 1
+            t = 1.0
+            while t > 1e-14:
+                xn = x + t * step
+                if f.value(xn, mu) <= val - _ARMIJO * t * dec:
+                    break
+                t *= 0.5
+            else:
+                break
+            x = xn
+        if first is None:
+            first = x
+        status = f.stop(x, mu, tol)
+        if status is None and steps >= _MAX_STEPS:
+            status = MAX_ITER
+        if status is not None:
+            return x, status, mu, steps, first
+        mu *= _MU_FACTOR
+
+
+class _PhaseOne(_Oracle):
+    """Phase one of oracle f on (x, s): minimize s subject to row_i(x) <= s.
+
+    Keeps f's cone barrier.  It ends as soon as every row of f holds by
+    _FEAS_MARGIN, and reports INFEASIBLE once a centre's gap bound keeps the
+    least achievable s above 1e-9 or the gap falls to the tolerance.  Every
+    stage centres to an absolute decrement of 1e-12, and every Newton system
+    solved counts as a step.
+    """
+
+    center_tol = 0.0
+    center_floor = 1e-12
+    count_final = 1
+
+    def __init__(self, f):
+        k = f.b.size
+        super().__init__(np.append(np.zeros(f.c.size), 1.0),
+                         np.pad(f.P, ((0, 0), (0, 1), (0, 1))),
+                         np.hstack([f.Q, -np.ones((k, 1))]), f.b, f.n_par)
+        self.f = f
+
+    def cone(self, xs):
+        return self.f.cone(xs[:-1])
+
+    def cone_derivs(self, xs):
+        val, grad, H = self.f.cone_derivs(xs[:-1])
+        Hs = np.zeros((xs.size, xs.size))
+        Hs[:-1, :-1] = H
+        return val, np.append(grad, 0.0), Hs
+
+    def found(self, xs):
+        return (self.f.rows(xs[:-1])[0] < -_FEAS_MARGIN).all()
+
+    def stop(self, xs, mu, tol):
+        if self.found(xs):
+            return OPTIMAL
+        if xs[-1] - self.n_par * mu > 1e-9 or self.n_par * mu <= tol:
+            return INFEASIBLE
+        return None
+
+
+def _phase_one(f, x):
+    """A start meeting every row of oracle f by _FEAS_MARGIN, found near x.
+
+    f.into_cone(x) first moves x well inside the cone (None if it cannot).
+    Returns (x, status, certificate, steps): status OPTIMAL when a start was
+    found, else INFEASIBLE (or MAX_ITER) with the certificate holding the
+    largest normalized row violation left at the phase-one optimum.
+    """
+    x = f.into_cone(x)
+    if x is None:
+        return None, INFEASIBLE, np.inf, 0
+    g = f.rows(x)[0]
+    if np.all(g < -_FEAS_MARGIN):
+        return x, OPTIMAL, np.nan, 0
+    xs, status, _mu, steps, _first = _barrier(
+        _PhaseOne(f), np.append(x, np.max(g) + 0.5), _PHASE_ONE_TOL)
+    x = xs[:-1]
+    return x, status, float(np.max(f.rows(x)[0])), steps
 
 
 # ---------------------------------------------------------------------------
@@ -97,119 +279,64 @@ class QcqpResult:
     newton_steps: int = 0
 
 
-def _qcqp_normalize(p: QcqpProblem):
-    """Real-embedded, per-constraint-scaled problem data.
+class _BallQcqp(_Oracle):
+    """The QCQP in z = [Re v; Im v], normalized: minimize -c_hat . z.
 
-    Returns (c_hat, c_norm, cons) where cons holds (At, qr, b, s) with the
-    normalized constraint z^T At z + qr . z <= b and s the original scale.
+    Row i is z^T At z + qr . z <= b divided by its scale s_i, and the ball
+    (z . z - r) / max(1, r) < 0 is the cone.
     """
-    m = p.dim()
-    r = float(p.ball_radius)
-    cr = embed_vector(p.c)
-    c_norm = float(np.linalg.norm(cr))
-    c_hat = cr / c_norm if c_norm > 0 else cr
-    cons = []
-    for A, q, b in p.quad_constraints:
-        At = embed_hermitian(A) if A is not None else None
-        qr = 2.0 * embed_vector(q) if q is not None else np.zeros(2 * m)
-        # A constant row (no quadratic or linear part) reads 0 <= b.  When
-        # b >= 0 it is vacuous but blocks *strict* feasibility in phase
-        # one, so drop it; when b < 0 keep it and let phase one certify.
-        if ((At is None or float(np.linalg.norm(At)) <= 1e-14)
-                and float(np.linalg.norm(qr)) <= 1e-14
-                and float(b) >= -1e-12):
-            continue
-        s = abs(float(b))
-        if A is not None:
-            s = max(s, float(np.trace(np.asarray(A)).real) * r)
-        s = max(s, float(np.linalg.norm(qr)) * np.sqrt(r), 1e-12)
-        cons.append((At / s if At is not None else None, qr / s,
-                     float(b) / s, s))
-    return c_hat, c_norm, cons
 
+    center_tol = 1e-2
 
-def _qcqp_eval(cons, r, z):
-    """Normalized constraint values g_i(z) (<= 0 feasible) and ball value."""
-    vals = np.empty(len(cons))
-    for i, (At, qr, b, _s) in enumerate(cons):
-        g = qr @ z - b
-        if At is not None:
-            g += z @ (At @ z)
-        vals[i] = g
-    return vals, (z @ z - r) / max(1.0, r)
+    def __init__(self, p: QcqpProblem):
+        n = 2 * p.dim()
+        self.r = r = float(p.ball_radius)
+        self.R = max(1.0, r)
+        cr = embed_vector(p.c)
+        self.c_norm = float(np.linalg.norm(cr))
+        self.c_hat = cr / self.c_norm if self.c_norm > 0 else cr
+        P, Q, b = [], [], []
+        for A, q, bb in p.quad_constraints:
+            At = embed_hermitian(A) if A is not None else np.zeros((n, n))
+            qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
+            # A constant row (no quadratic or linear part) reads 0 <= b.
+            # When b >= 0 it is vacuous but blocks *strict* feasibility in
+            # phase one, so drop it; when b < 0 keep it and let phase one
+            # certify.
+            if (float(np.linalg.norm(At)) <= 1e-14
+                    and float(np.linalg.norm(qr)) <= 1e-14
+                    and float(bb) >= -1e-12):
+                continue
+            s = abs(float(bb))
+            if A is not None:
+                s = max(s, float(np.trace(np.asarray(A)).real) * r)
+            s = max(s, float(np.linalg.norm(qr)) * np.sqrt(r), 1e-12)
+            P.append(At / s)
+            Q.append(qr / s)
+            b.append(float(bb) / s)
+        super().__init__(-self.c_hat, np.reshape(P, (-1, n, n)),
+                         np.reshape(Q, (-1, n)), np.array(b), len(b) + 1)
+        self.eye = np.eye(n)
 
+    def ball(self, z):
+        """Normalized ball value (< 0 strictly inside)."""
+        return (z @ z - self.r) / self.R
 
-def _qcqp_phase_one(cons, r, z0):
-    """Minimize the max violation s over the ball; exit once s < 0 strictly.
+    def cone(self, z):
+        sb = -self.ball(z)
+        return -np.log(sb) if sb > 0 else np.inf
 
-    Returns (z, feasible, max_violation, steps); violations are in
-    normalized units.
-    """
-    m2 = z0.size
-    z = z0.copy()
-    if z @ z >= 0.9 * r:
-        z *= np.sqrt(0.5 * r / (z @ z))
-    if not cons:
-        return z, True, -1.0, 0
-    gs, _ = _qcqp_eval(cons, r, z)
-    s = float(np.max(gs)) + 0.5
-    steps = 0
-    mu = 1.0
-    n_par = len(cons) + 1
-    while True:
-        for _ in range(_MAX_NEWTON):
-            gs, gb = _qcqp_eval(cons, r, z)
-            if np.max(gs) < -_FEAS_MARGIN:
-                return z, True, float(np.max(gs)), steps
-            slack = s - gs
-            sball = -gb
-            grad_z = np.zeros(m2)
-            H_zz = np.zeros((m2, m2))
-            grad_s = 1.0
-            H_ss = 0.0
-            H_zs = np.zeros(m2)
-            for (At, qr, _b, _sc), si in zip(cons, slack):
-                gp = qr.copy()
-                if At is not None:
-                    gp += 2.0 * At @ z
-                grad_z += mu * gp / si
-                H_zz += mu * np.outer(gp, gp) / si ** 2
-                if At is not None:
-                    H_zz += mu * 2.0 * At / si
-                grad_s -= mu / si
-                H_ss += mu / si ** 2
-                H_zs -= mu * gp / si ** 2
-            grad_z += mu * 2.0 * z / (sball * max(1.0, r))
-            H_zz += mu * (2.0 * np.eye(m2) / (sball * max(1.0, r))
-                          + 4.0 * np.outer(z, z)
-                          / (sball * max(1.0, r)) ** 2)
-            H = np.block([[H_zz, H_zs[:, None]],
-                          [H_zs[None, :], np.array([[H_ss]])]])
-            g_full = np.concatenate([grad_z, [grad_s]])
-            step = _solve_newton(H, g_full)
-            dec = -g_full @ step
-            steps += 1
-            if dec / 2.0 <= 1e-12:
-                break
-            t = 1.0
-            while t > 1e-14:
-                zn = z + t * step[:m2]
-                sn = s + t * step[m2]
-                gsn, gbn = _qcqp_eval(cons, r, zn)
-                if gbn < 0 and np.all(sn - gsn > 0):
-                    break
-                t *= 0.5
-            else:
-                break
-            z, s = zn, sn
-        gs, _ = _qcqp_eval(cons, r, z)
-        worst = float(np.max(gs))
-        if worst < -_FEAS_MARGIN:
-            return z, True, worst, steps
-        # Barrier gap bound: the true min-max violation is >= s - mu*n_par.
-        if s - mu * n_par > 1e-9 or mu * n_par <= 1e-10:
-            return z, False, worst, steps
-        mu *= _MU_FACTOR
+    def cone_derivs(self, z):
+        sb = -self.ball(z)
+        u = 1.0 / (sb * self.R)
+        return (-np.log(sb), 2.0 * u * z,
+                2.0 * u * self.eye + 4.0 * u * u * (z[:, None] * z))
+
+    def into_cone(self, z):
+        """z, pulled in to half the ball's radius when near its boundary."""
+        if z @ z >= 0.9 * self.r:
+            z = z * np.sqrt(0.5 * self.r / (z @ z))
+        return z
 
 
 def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
@@ -230,84 +357,24 @@ def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
     """
     if p.ball_radius <= 0:
         raise ValueError("ball_radius must be positive")
-    c_hat, c_norm, cons = _qcqp_normalize(p)
-    m2 = c_hat.size
-    r = float(p.ball_radius)
-    steps = 0
-
-    z = np.zeros(m2) if v0 is None else embed_vector(v0)
-    gs, gb = _qcqp_eval(cons, r, z)
-    strictly_ok = gb < -_FEAS_MARGIN and (len(gs) == 0
-                                          or np.max(gs) < -_FEAS_MARGIN)
-    if not strictly_ok:
-        z, ok, cert, ph_steps = _qcqp_phase_one(cons, r, z)
-        steps += ph_steps
-        if not ok:
-            return QcqpResult(v=None, status=INFEASIBLE, certificate=cert,
-                              newton_steps=steps)
-
-    n_par = len(cons) + 1
-    mu = 1.0
-    status = OPTIMAL
-    while True:
-        last_stage = n_par * mu * _MU_FACTOR <= tol
-        for _ in range(_MAX_NEWTON):
-            gs, gb = _qcqp_eval(cons, r, z)
-            slack = -gs
-            sball = -gb
-            grad = -c_hat + mu * 2.0 * z / (sball * max(1.0, r))
-            H = mu * (2.0 * np.eye(m2) / (sball * max(1.0, r))
-                      + 4.0 * np.outer(z, z) / (sball * max(1.0, r)) ** 2)
-            for (At, qr, _b, _sc), si in zip(cons, slack):
-                gp = qr.copy()
-                if At is not None:
-                    gp += 2.0 * At @ z
-                grad += mu * gp / si
-                H += mu * np.outer(gp, gp) / si ** 2
-                if At is not None:
-                    H += mu * 2.0 * At / si
-            if last_stage and np.linalg.norm(grad) <= tol:
-                break
-            step = _solve_newton(H, grad)
-            dec = -grad @ step
-            if dec / 2.0 <= (1e-16 if last_stage else 1e-2 * mu):
-                break
-            steps += 1
-            merit_old = (-c_hat @ z
-                         - mu * (np.sum(np.log(slack)) + np.log(sball)))
-            t = 1.0
-            while t > 1e-14:
-                zn = z + t * step
-                gsn, gbn = _qcqp_eval(cons, r, zn)
-                if gbn < 0 and np.all(gsn < 0):
-                    merit_new = (-c_hat @ zn
-                                 - mu * (np.sum(np.log(-gsn))
-                                         + np.log(-gbn)))
-                    if merit_new <= merit_old - _ARMIJO * t * dec:
-                        break
-                t *= 0.5
-            else:
-                break
-            z = zn
-        if n_par * mu <= tol:
-            break
-        if steps >= _MAX_NEWTON * 20:
-            status = MAX_ITER
-            break
-        mu *= _MU_FACTOR
-
-    v = unembed_vector(z)
-    return QcqpResult(v=v, status=status,
-                      objective=float(c_norm * (c_hat @ z)),
-                      newton_steps=steps)
+    f = _BallQcqp(p)
+    z = np.zeros(f.c.size) if v0 is None else embed_vector(v0)
+    z, status, cert, steps = _phase_one(f, z)
+    if status != OPTIMAL:
+        return QcqpResult(v=None, status=status, certificate=cert,
+                          newton_steps=steps)
+    z, status, _mu, main_steps, _first = _barrier(f, z, tol)
+    return QcqpResult(v=unembed_vector(z), status=status,
+                      objective=float(f.c_norm * (f.c_hat @ z)),
+                      newton_steps=steps + main_steps)
 
 
 def qcqp_max_violation(p: QcqpProblem, v: np.ndarray) -> float:
     """Largest normalized constraint violation of v (negative if interior)."""
-    _c_hat, _c_norm, cons = _qcqp_normalize(p)
+    f = _BallQcqp(p)
     z = embed_vector(v)
-    gs, gb = _qcqp_eval(cons, p.ball_radius, z)
-    return float(max(gb, np.max(gs) if len(gs) else -np.inf))
+    g = f.rows(z)[0]
+    return float(max(f.ball(z), np.max(g) if g.size else -np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +411,11 @@ class SdpResult:
 
 @lru_cache(maxsize=16)
 def _herm_basis(m: int) -> np.ndarray:
-    """Orthonormal basis of m x m Hermitian matrices, stacked (m^2, m, m)."""
+    """Orthonormal basis of m x m Hermitian matrices as an (m^2, m^2) matrix.
+
+    Row a is basis matrix B_a flattened row-major, so svec(A) = Re Tr(B_a A)
+    and smat(w) = sum_a w_a B_a are products with it.
+    """
     mats = []
     for i in range(m):
         E = np.zeros((m, m), dtype=complex)
@@ -361,20 +432,20 @@ def _herm_basis(m: int) -> np.ndarray:
             E[i, j] = 1j * s
             E[j, i] = -1j * s
             mats.append(E)
-    return np.stack(mats)
+    U = np.stack(mats).reshape(m * m, m * m)
+    U.setflags(write=False)
+    return U
 
 
 def svec(A: np.ndarray) -> np.ndarray:
     """Coefficients of Hermitian A in the orthonormal basis (real vector)."""
     A = np.asarray(A, dtype=complex)
-    B = _herm_basis(A.shape[0])
-    return np.einsum("aij,ji->a", B, A).real
+    return (_herm_basis(A.shape[0]) @ A.T.ravel()).real
 
 
 def smat(w: np.ndarray, m: int) -> np.ndarray:
     """Inverse of svec."""
-    B = _herm_basis(m)
-    return np.einsum("a,aij->ij", np.asarray(w, dtype=float), B)
+    return (np.asarray(w, dtype=float) @ _herm_basis(m)).reshape(m, m)
 
 
 def _chol_pd(W: np.ndarray) -> bool:
@@ -402,76 +473,77 @@ def _sdp_affine(p: SdpProblem):
     return wp, Z
 
 
-def _sdp_phase_one(m, wp, Z, a_mat, b_vec, w_start):
-    """Find a strictly feasible point or certify infeasibility.
+class _Sdp(_Oracle):
+    """The SDP in nullspace coordinates y, w = w_p + Z y: min -c_hat . w.
 
-    Inequalities arrive in normalized units.  Returns (w, ok, cert, steps).
+    Rows are the inequalities a . w <= b divided by their scales, and the
+    PSD cone's barrier is -log det W.  Its Hessian
+    H_ab = Re Tr(W^-1 B_a W^-1 B_b) is U K U^H in closed form, with U the
+    basis matrix and K[(j,k),(p,q)] = (W^-1)_pj (W^-1)_kq; Z is folded into U.
     """
-    nfree = Z.shape[1]
-    Bs = _herm_basis(m)
-    y = Z.T @ (w_start - wp)
-    w = wp + Z @ y
-    W = smat(w, m)
-    if not _chol_pd(W - 1e-12 * np.eye(m)):
-        y = Z.T @ (svec(np.eye(m) / m) - wp)
-        w = wp + Z @ y
-        W = smat(w, m)
-        if not _chol_pd(W - 1e-14 * np.eye(m)):
-            return w, False, np.inf, 0
-    n_con = len(b_vec)
-    viol = a_mat @ w - b_vec if n_con else np.zeros(0)
-    if n_con == 0 or np.max(viol) < -_FEAS_MARGIN:
-        return w, True, float(np.max(viol)) if n_con else -1.0, 0
-    s = float(np.max(viol)) + 0.5
-    steps = 0
-    mu = 1.0
-    n_par = n_con + m
-    while True:
-        for _ in range(_MAX_NEWTON):
-            viol = a_mat @ w - b_vec
-            if np.max(viol) < -_FEAS_MARGIN:
-                return w, True, float(np.max(viol)), steps
-            slack = s - viol
-            W = smat(w, m)
-            Winv = np.linalg.inv(W)
-            P = np.einsum("ij,ajk->aik", Winv, Bs)
-            grad_w = -mu * svec(Winv) + mu * (a_mat.T @ (1.0 / slack))
-            H_w = (mu * np.einsum("aij,bji->ab", P, P).real
-                   + mu * (a_mat.T * (1.0 / slack ** 2)) @ a_mat)
-            grad_s = 1.0 - mu * np.sum(1.0 / slack)
-            H_ss = mu * np.sum(1.0 / slack ** 2)
-            H_ws = -mu * (a_mat.T @ (1.0 / slack ** 2))
-            gy = Z.T @ grad_w
-            Hy = Z.T @ H_w @ Z
-            Hys = Z.T @ H_ws
-            H = np.block([[Hy, Hys[:, None]],
-                          [Hys[None, :], np.array([[H_ss]])]])
-            g_full = np.concatenate([gy, [grad_s]])
-            step = _solve_newton(H, g_full)
-            dec = -g_full @ step
-            steps += 1
-            if dec / 2.0 <= 1e-12:
-                break
-            t = 1.0
-            while t > 1e-14:
-                yn = y + t * step[:nfree]
-                sn = s + t * step[nfree]
-                wn = wp + Z @ yn
-                if _chol_pd(smat(wn, m)) and np.all(
-                        sn - (a_mat @ wn - b_vec) > 0):
-                    break
-                t *= 0.5
-            else:
-                break
-            y, s = yn, sn
-            w = wp + Z @ y
-        viol = a_mat @ w - b_vec
-        worst = float(np.max(viol))
-        if worst < -_FEAS_MARGIN:
-            return w, True, worst, steps
-        if s - mu * n_par > 1e-9 or mu * n_par <= 1e-10:
-            return w, False, worst, steps
-        mu *= _MU_FACTOR
+
+    center_tol = 0.125
+
+    def __init__(self, p: SdpProblem, wp, Z, ineqs):
+        """ineqs holds (svec(A), b) for the rows Tr(A W) <= b."""
+        m, n = p.dim, Z.shape[1]
+        c_w = svec(np.asarray(p.C, dtype=complex))
+        self.c_norm = float(np.linalg.norm(c_w))
+        self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
+        scales = [max(abs(b), float(np.linalg.norm(a)), 1e-12)
+                  for a, b in ineqs]
+        a_mat = np.reshape([a / s for (a, _b), s in zip(ineqs, scales)],
+                           (-1, m * m))
+        b_vec = np.array([b / s for (_a, b), s in zip(ineqs, scales)])
+        super().__init__(-(Z.T @ self.c_hat), np.zeros((len(ineqs), n, n)),
+                         a_mat @ Z, b_vec - a_mat @ wp, len(ineqs) + m)
+        self.m, self.wp, self.Z = m, wp, Z
+        self.UZ = Z.T @ _herm_basis(m)
+        self.UZh = self.UZ.conj().T
+        self.Wp = wp @ _herm_basis(m)
+        self.y_eye = Z.T @ (svec(np.eye(m) / m) - wp)   # W = I / m
+
+    def objective(self, y):
+        """Tr(C W) in original units."""
+        return float(self.c_norm * (self.c_hat @ (self.wp + self.Z @ y)))
+
+    def matrix(self, y):
+        """W = smat(w_p + Z y), with w_p and Z folded into the basis."""
+        return (self.Wp + y @ self.UZ).reshape(self.m, self.m)
+
+    def cone(self, y):
+        try:
+            L = np.linalg.cholesky(self.matrix(y))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -2.0 * np.sum(np.log(L.diagonal().real))
+
+    def cone_derivs(self, y):
+        W = self.matrix(y)
+        L = np.linalg.cholesky(W)
+        Winv = np.linalg.inv(W)
+        m2 = self.m * self.m
+        K = (Winv.T[:, None, :, None] * Winv[None, :, None, :]).reshape(m2,
+                                                                         m2)
+        return (-2.0 * np.sum(np.log(L.diagonal().real)),
+                -(self.UZ @ Winv.T.ravel()).real,
+                (self.UZ @ K @ self.UZh).real)
+
+    def into_cone(self, y):
+        """y if W is safely positive definite, else the point W = I / m."""
+        eye = np.eye(self.m)
+        if _chol_pd(self.matrix(y) - 1e-12 * eye):
+            return y
+        y = self.y_eye
+        return y if _chol_pd(self.matrix(y) - 1e-14 * eye) else None
+
+    def stop(self, y, mu, tol):
+        """Also meets tol relative to the objective, in original units."""
+        gap = self.n_par * mu * max(self.c_norm, 1.0)
+        if self.n_par * mu <= tol and (
+                gap <= tol * max(1.0, abs(self.objective(y))) or mu <= 1e-13):
+            return OPTIMAL
+        return None
 
 
 def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
@@ -489,132 +561,54 @@ def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
         certificate the phase-one max violation (normalized) when
         infeasible.
     """
-    m = p.dim
-    C = np.asarray(p.C, dtype=complex)
     wp, Z = _sdp_affine(p)
     if wp is None:
         return SdpResult(W=None, status=INFEASIBLE, certificate=np.inf)
-    c_w = svec(C)
-    c_norm = float(np.linalg.norm(c_w))
-    c_hat = c_w / c_norm if c_norm > 0 else c_w
     # A row with A ~ 0 reads 0 <= b: vacuous when b >= 0, impossible when
     # b < 0.  Either way phase one could never reach *strict* feasibility
     # on it, so settle such rows here instead of handing them to the
     # barrier.
     ineqs = []
     for A, b in p.ineq_constraints:
-        na = float(np.linalg.norm(svec(A)))
-        if na <= 1e-14 * max(1.0, abs(float(b))):
-            if float(b) < -1e-12:
+        a, b = svec(A), float(b)
+        if float(np.linalg.norm(a)) <= 1e-14 * max(1.0, abs(b)):
+            if b < -1e-12:
                 return SdpResult(W=None, status=INFEASIBLE,
-                                 certificate=-float(b) / max(abs(float(b)),
-                                                             1e-12))
+                                 certificate=-b / max(abs(b), 1e-12))
             continue
-        ineqs.append((A, b))
-    scales = np.array([max(abs(float(b)), float(np.linalg.norm(svec(A))),
-                           1e-12) for A, b in ineqs])
-    a_mat = (np.stack([svec(A) / s for (A, _b), s
-                       in zip(ineqs, scales)])
-             if ineqs else np.zeros((0, m * m)))
-    b_vec = np.array([float(b) / s for (_A, b), s
-                      in zip(ineqs, scales)])
-    Bs = _herm_basis(m)
-    nfree = Z.shape[1]
+        ineqs.append((a, b))
+    f = _Sdp(p, wp, Z, ineqs)
 
-    if nfree == 0:
+    if Z.shape[1] == 0:
         # Fully determined by the equalities (e.g. M = 1 with Tr W = 1).
-        w = wp
-        W = smat(w, m)
-        lam_min = float(np.linalg.eigvalsh(W)[0])
-        viol = a_mat @ w - b_vec if len(b_vec) else np.zeros(0)
-        worst = max(float(np.max(viol)) if len(viol) else -np.inf, -lam_min)
+        y = np.zeros(0)
+        W = f.matrix(y)
+        worst = max(float(np.max(f.rows(y)[0], initial=-np.inf)),
+                    -float(np.linalg.eigvalsh(W)[0]))
         if worst > 1e-9:
             return SdpResult(W=None, status=INFEASIBLE, certificate=worst)
-        return SdpResult(W=W, status=OPTIMAL, objective=float(c_w @ w),
+        return SdpResult(W=W, status=OPTIMAL, objective=f.objective(y),
                          gap=0.0, center=W)
 
+    y = f.y_eye
     if W0 is not None:
         # Prefer the caller's point as-is; blends toward the identity can
         # cross a binding inequality and force a fresh phase-one run.
-        raw = svec(W0)
-        w_start = raw
-        proj = wp + Z @ (Z.T @ (raw - wp))
-        sl = b_vec - a_mat @ proj if len(b_vec) else np.zeros(0)
-        if not (_chol_pd(smat(proj, m))
-                and (not len(sl) or np.min(sl) > _FEAS_MARGIN)):
-            w_start = 0.98 * raw + 0.02 * svec(np.eye(m) / m)
-    else:
-        w_start = svec(np.eye(m) / m)
-    w, ok, cert, steps = _sdp_phase_one(m, wp, Z, a_mat, b_vec, w_start)
-    if not ok:
-        return SdpResult(W=None, status=INFEASIBLE, certificate=cert,
+        y0 = Z.T @ (svec(W0) - wp)
+        inside = (np.isfinite(f.cone(y0))
+                  and np.all(f.rows(y0)[0] < -_FEAS_MARGIN))
+        y = y0 if inside else 0.98 * y0 + 0.02 * y
+    y, status, cert, steps = _phase_one(f, y)
+    if status != OPTIMAL:
+        return SdpResult(W=None, status=status, certificate=cert,
                          newton_steps=steps)
-    y = Z.T @ (w - wp)
-
-    n_par = m + len(b_vec)
-    mu = 1.0
-    status = OPTIMAL
-    center = None
-    while True:
-        last_stage = n_par * mu * _MU_FACTOR <= tol
-        for _ in range(_MAX_NEWTON):
-            w = wp + Z @ y
-            W = smat(w, m)
-            slack = b_vec - a_mat @ w if len(b_vec) else np.zeros(0)
-            Winv = np.linalg.inv(W)
-            P = np.einsum("ij,ajk->aik", Winv, Bs)
-            grad_w = -c_hat - mu * svec(Winv)
-            H_w = mu * np.einsum("aij,bji->ab", P, P).real
-            if len(b_vec):
-                grad_w += mu * (a_mat.T @ (1.0 / slack))
-                H_w += mu * (a_mat.T * (1.0 / slack ** 2)) @ a_mat
-            gy = Z.T @ grad_w
-            if last_stage and np.linalg.norm(gy) <= tol:
-                break
-            Hy = Z.T @ H_w @ Z
-            step = _solve_newton(Hy, gy)
-            dec = -gy @ step
-            if dec / 2.0 <= (1e-16 if last_stage else 0.125 * mu):
-                break
-            steps += 1
-            merit_old = (-c_hat @ w - mu * (np.linalg.slogdet(W)[1]
-                         + (np.sum(np.log(slack)) if len(b_vec) else 0.0)))
-            t = 1.0
-            while t > 1e-14:
-                yn = y + t * step
-                wn = wp + Z @ yn
-                Wn = smat(wn, m)
-                sn = b_vec - a_mat @ wn if len(b_vec) else np.zeros(0)
-                if _chol_pd(Wn) and (not len(sn) or np.all(sn > 0)):
-                    merit_new = (-c_hat @ wn
-                                 - mu * (np.linalg.slogdet(Wn)[1]
-                                 + (np.sum(np.log(sn)) if len(sn) else 0.0)))
-                    if merit_new <= merit_old - _ARMIJO * t * dec:
-                        break
-                t *= 0.5
-            else:
-                break
-            y = yn
-        w = wp + Z @ y
-        if center is None:
-            Wc = smat(w, m)
-            center = 0.5 * (Wc + Wc.conj().T)
-        obj = c_norm * (c_hat @ w)
-        gap_ok = (n_par * mu * max(c_norm, 1.0) <= tol * max(1.0, abs(obj))
-                  or mu <= 1e-13)
-        if n_par * mu <= tol and gap_ok:
-            break
-        if steps >= _MAX_NEWTON * 25:
-            status = MAX_ITER
-            break
-        mu *= _MU_FACTOR
-
-    W = smat(w, m)
-    W = 0.5 * (W + W.conj().T)   # clear embedding round-off
-    return SdpResult(W=W, status=status,
-                     objective=float(c_norm * (c_hat @ w)),
-                     gap=float(n_par * mu * max(c_norm, 1.0)),
-                     newton_steps=steps, center=center)
+    y, status, mu, main_steps, first = _barrier(f, y, tol)
+    W, Wc = f.matrix(y), f.matrix(first)
+    return SdpResult(W=0.5 * (W + W.conj().T),   # clear embedding round-off
+                     status=status, objective=f.objective(y),
+                     gap=float(f.n_par * mu * max(f.c_norm, 1.0)),
+                     newton_steps=steps + main_steps,
+                     center=0.5 * (Wc + Wc.conj().T))
 
 
 def sdp_max_violation(p: SdpProblem, W: np.ndarray) -> float:

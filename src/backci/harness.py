@@ -20,7 +20,8 @@ from .beamforming import BeamformerSolution, divergence_floors, \
 from .channel import SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
 from .numerics import big_f
-from .selection import SelectionResult, greedy_select, random_select
+from .selection import SelectionResult, _best_of, greedy_select, \
+    random_select
 from .siso import theta_max_at_min_snr
 
 SWEEP_VARS = ("sigma_s2", "rho", "M", "Q", "zeta_max")
@@ -226,14 +227,7 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
         per_tag.append(BeamformerSolution(v=v, snr=float(objective),
                                           feasible=bool(feasible),
                                           iterations=0, stats=stats))
-    best_idx = 0
-    for k, sol in enumerate(per_tag):
-        if not sol.feasible:
-            continue
-        if best_idx == 0 or sol.snr > per_tag[best_idx - 1].snr:
-            best_idx = k + 1
-    return SelectionResult(selected_tag=best_idx, per_tag=per_tag,
-                           best=per_tag[best_idx - 1] if best_idx else None)
+    return _best_of(per_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .beamforming import (
+# consensual_sca and evolved_sdp stay importable from this module.
+from .beamforming import (  # noqa: F401
     BeamformerSolution,
+    _solver_for,
     alternating_mimo,
     consensual_sca,
     evolved_sdp,
@@ -39,11 +41,19 @@ def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
     tri = chans.tag_channels(k)
     if params.Q > 1:
         return alternating_mimo(tri, params, mode)
-    if mode == "consensual":
-        return consensual_sca(tri, params)
-    if mode == "evolved":
-        return evolved_sdp(tri, params)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _solver_for(mode)(tri, params)
+
+
+def _best_of(per_tag: list) -> SelectionResult:
+    """Keep the feasible tag of highest snr, the smallest index on ties."""
+    best_idx = 0
+    for k, sol in enumerate(per_tag):
+        if not sol.feasible:
+            continue
+        if best_idx == 0 or sol.snr > per_tag[best_idx - 1].snr:
+            best_idx = k + 1
+    return SelectionResult(selected_tag=best_idx, per_tag=per_tag,
+                           best=per_tag[best_idx - 1] if best_idx else None)
 
 
 def greedy_select(chans, params, mode: str) -> SelectionResult:
@@ -59,15 +69,8 @@ def greedy_select(chans, params, mode: str) -> SelectionResult:
         the smallest tag index, and selected_tag = 0 if every tag is
         infeasible.
     """
-    per_tag = [_solve_tag(chans, params, mode, k) for k in range(params.K)]
-    best_idx = 0
-    for k, sol in enumerate(per_tag):
-        if not sol.feasible:
-            continue
-        if best_idx == 0 or sol.snr > per_tag[best_idx - 1].snr:
-            best_idx = k + 1
-    return SelectionResult(selected_tag=best_idx, per_tag=per_tag,
-                           best=per_tag[best_idx - 1] if best_idx else None)
+    return _best_of([_solve_tag(chans, params, mode, k)
+                     for k in range(params.K)])
 
 
 def random_select(chans, params, mode: str, rng) -> SelectionResult:

@@ -13,11 +13,17 @@ import math
 import numpy as np
 import pytest
 
+from backci.beamforming import divergence_floors
+from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
+    _BallQcqp,
+    _PhaseOne,
+    _Sdp,
+    _sdp_affine,
     embed_hermitian,
     embed_vector,
     qcqp_max_violation,
@@ -167,6 +173,33 @@ class TestQcqpAgainstSlsqp:
         warm = solve_ball_qcqp(p, v0=cold.v)
         assert warm.status == OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
+
+
+class TestQcqpWarmStartInfeasible:
+    def test_v0_breaking_a_tightened_row(self):
+        # v0 is the optimum of the same problem with a looser row, so it
+        # violates the row here and phase one has to pull it back inside.
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(10):
+            m = int(rng.integers(1, 5))
+            c = rand_vec(rng, m)
+            A = rand_herm_psd(rng, m)
+            q = rand_vec(rng, m, 0.3)
+            vt = rand_vec(rng, m, 0.3)
+            b = float(np.vdot(vt, A @ vt).real + 2 * np.vdot(q, vt).real)
+            loose = solve_ball_qcqp(QcqpProblem(
+                c=c, quad_constraints=[(A, q, b + 0.5)]))
+            assert loose.status == OPTIMAL
+            p = QcqpProblem(c=c, quad_constraints=[(A, q, b + 0.05)])
+            if qcqp_max_violation(p, loose.v) <= 0.0:
+                continue
+            cold = solve_ball_qcqp(p)
+            warm = solve_ball_qcqp(p, v0=loose.v)
+            assert cold.status == OPTIMAL and warm.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
+            checked += 1
+        assert checked >= 5
 
 
 class TestQcqpInfeasible:
@@ -324,6 +357,121 @@ class TestSdpDegenerate:
         warm = solve_small_sdp(p, W0=cold.W)
         assert warm.status == OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
+
+
+class TestSdpWarmStartInfeasible:
+    def test_relaxation_rows_at_smaller_t(self):
+        # The evolved relaxation rows at two values of t.  The optimum at the
+        # larger t breaks the row Tr(H0 W) <= t of the smaller one, so the
+        # warm start has to go through phase one.
+        params = SystemParams(K=1, M=4)
+        gamma = params.gamma
+        f_without = divergence_floors(params)[3]
+        eye = np.eye(params.M, dtype=complex)
+        checked = 0
+        for seed in range(40):
+            h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
+            H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
+
+            def relaxation(t):
+                return SdpProblem(
+                    C=gamma * H1, dim=params.M, eq_constraints=[(eye, 1.0)],
+                    ineq_constraints=[
+                        (-H1 + (1.0 + gamma * t) * Hs, -t),
+                        (-gamma * Hs, -(f_without - 1.0)),
+                        (H0, t)])
+
+            t_hi = float(np.linalg.eigvalsh(H0)[-1])
+            big = solve_small_sdp(relaxation(0.6 * t_hi))
+            if big.status != OPTIMAL:
+                continue
+            t = 0.5 * t_hi
+            if np.trace(H0 @ big.W).real <= t:
+                continue
+            cold = solve_small_sdp(relaxation(t))
+            warm = solve_small_sdp(relaxation(t), W0=big.W)
+            assert cold.status == OPTIMAL and warm.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
+            checked += 1
+        assert checked >= 1
+
+
+def _random_qcqp_oracle(rng, m):
+    """A QCQP oracle and a point strictly inside its domain."""
+    c = rand_vec(rng, m)
+    vt = rand_vec(rng, m, 0.3)
+    cons = []
+    for with_a in (True, False, True):
+        A = rand_herm_psd(rng, m) if with_a else None
+        q = rand_vec(rng, m, 0.5)
+        val = 2.0 * np.vdot(q, vt).real
+        if A is not None:
+            val += np.vdot(vt, A @ vt).real
+        cons.append((A, q, float(val + 0.3)))
+    f = _BallQcqp(QcqpProblem(c=c, quad_constraints=cons))
+    return f, embed_vector(vt)
+
+
+def _random_sdp_oracle(rng, m):
+    """An SDP oracle and a point inside its domain.
+
+    A trace-one equality leaves no free coordinate at m = 1, so it is
+    imposed only for m > 1.
+    """
+    eye = np.eye(m, dtype=complex)
+    ineqs = [(rand_herm_psd(rng, m), 0.0) for _ in range(2)]
+    ineqs = [(A, float(np.trace(A).real / m + 0.2)) for A, _ in ineqs]
+    p = SdpProblem(C=rand_herm_psd(rng, m), dim=m,
+                   eq_constraints=[(eye, 1.0)] if m > 1 else [],
+                   ineq_constraints=ineqs)
+    wp, Z = _sdp_affine(p)
+    f = _Sdp(p, wp, Z, [(svec(A), b) for A, b in ineqs])
+    return f, f.y_eye + 0.02 * rng.normal(size=Z.shape[1])
+
+
+class TestOracleDerivatives:
+    """Oracle gradients and Hessians against central differences of value."""
+
+    @staticmethod
+    def _check(f, x, mu):
+        val, grad, H = f.derivs(x, mu)
+        assert np.isfinite(val)
+        assert val == pytest.approx(f.value(x, mu), rel=1e-12, abs=1e-12)
+        n = x.size
+        h = 1e-5
+        E = np.eye(n) * h
+        fd_grad = np.array([(f.value(x + E[i], mu) - f.value(x - E[i], mu))
+                            / (2 * h) for i in range(n)])
+        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
+        h = 1e-4
+        E = np.eye(n) * h
+        fd_hess = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                fd_hess[i, j] = (f.value(x + E[i] + E[j], mu)
+                                 - f.value(x + E[i] - E[j], mu)
+                                 - f.value(x - E[i] + E[j], mu)
+                                 + f.value(x - E[i] - E[j], mu)) / (4 * h * h)
+        scale = max(1.0, float(np.max(np.abs(H))))
+        assert np.allclose(H, fd_hess, rtol=1e-4, atol=1e-4 * scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_qcqp_oracle(self, m):
+        rng = np.random.default_rng(70 + m)
+        for _ in range(3):
+            f, z = _random_qcqp_oracle(rng, m)
+            assert np.all(f.rows(z)[0] < 0) and f.ball(z) < 0
+            self._check(f, z, 0.3)
+            self._check(_PhaseOne(f), np.append(z, 0.1), 0.3)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_sdp_oracle(self, m):
+        rng = np.random.default_rng(80 + m)
+        for _ in range(3):
+            f, y = _random_sdp_oracle(rng, m)
+            assert np.all(f.rows(y)[0] < 0) and np.isfinite(f.cone(y))
+            self._check(f, y, 0.3)
+            self._check(_PhaseOne(f), np.append(y, 0.1), 0.3)
 
 
 class TestSdpAgainstCvxpy:
