@@ -23,10 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .convex import (
+    MAX_ITER,
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
     solve_ball_qcqp,
+    solve_sdp_batch,
     solve_small_sdp,
 )
 from .detection import DetectionStats, detection_stats, kld_threshold
@@ -78,9 +80,9 @@ def _unpack(chan):
             np.asarray(hs, dtype=complex))
 
 
-def _infeasible(iterations=0) -> BeamformerSolution:
+def _infeasible(iterations=0, converged=True) -> BeamformerSolution:
     return BeamformerSolution(v=None, snr=0.0, feasible=False,
-                              iterations=iterations)
+                              iterations=iterations, converged=converged)
 
 
 def _finalize(v, h0, h1, hs, params, d_min, e_min, mode) -> tuple:
@@ -277,10 +279,12 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     the dominant eigenvector), with the penalty weight chi doubled up to six
     times whenever the recovered solution is not close enough to rank one.
     Each grid point is first bounded by its unpenalized relaxation, whose
-    solution also seeds the penalty iteration.  The best t by recovered
-    objective wins, smallest t on ties.  v_init is accepted for interface
-    symmetry with consensual_sca but the lifted iteration starts from the
-    relaxation solution.
+    solution also seeds the penalty iteration; the relaxations of all grid
+    points are solved as one batch.  A relaxation that hits the iteration
+    cap drops its grid point and marks the result not converged.  The best
+    t by recovered objective wins, smallest t on ties.  v_init is accepted
+    for interface symmetry with consensual_sca but the lifted iteration
+    starts from the relaxation solution.
     """
     del v_init
     h0, h1, hs = _unpack(chan)
@@ -307,28 +311,28 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever the penalty iteration can recover
-    # there, and its solution is the natural warm start.  Points whose bound
+    # there, and its solution seeds the penalty stage.  Points whose bound
     # cannot beat the incumbent are skipped outright, which is where most of
     # the grid's budget would otherwise go.
+    C, eqs = gamma * H1, [(eye, 1.0)]
+    problems = [SdpProblem(C=C, dim=m, eq_constraints=eqs, ineq_constraints=[
+        (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
+        (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
+        (H0, t),                                  # t dominates the DLI
+    ]) for t in grid]
+    total_iter += len(problems)
     relax = []
-    W_carry = None
-    for idx, t in enumerate(grid):
-        ineqs = [
-            (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
-            (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
-            (H0, t),                                  # t dominates the DLI
-        ]
-        prob = SdpProblem(C=gamma * H1, dim=m, eq_constraints=[(eye, 1.0)],
-                          ineq_constraints=ineqs)
-        res = solve_small_sdp(prob, W0=W_carry)
-        total_iter += 1
+    for idx, (t, prob, res) in enumerate(zip(grid, problems,
+                                             solve_sdp_batch(problems))):
+        if res.status == MAX_ITER:
+            any_nonconverged = True
         if res.status != OPTIMAL:
             continue
-        W_carry = res.center
         relax.append((float(res.objective), idx, float(t), res.W,
-                      res.center, ineqs))
+                      res.center, prob.ineq_constraints))
     if not relax:
-        return _infeasible(iterations=total_iter)
+        return _infeasible(iterations=total_iter,
+                           converged=not any_nonconverged)
 
     relax.sort(key=lambda e: -e[0])
     achieved = []        # (snr, t, v, residual, trace, converged, stats)

@@ -3,27 +3,37 @@
 Both kernels run one textbook log-barrier interior-point routine,
 `_barrier` (Boyd & Vandenberghe, Convex Optimization, sections 11.3-11.4),
 sized for this package (vector dimension <= 8, matrix dimension <= 8).  It
-works on an oracle for
+works on an oracle for a batch of B independent problems
 
-    minimize c . x  subject to  x^T P_i x + q_i . x < b_i,  x inside a cone,
+    minimize c_j . x  subject to  x^T P_ji x + q_ji . x < b_ji,  x in a cone,
 
-and centres c . x + mu * phi(x), phi the log barrier of the rows and the
-cone, by damped Newton steps with a backtracking line search, for mu = 1,
-0.1, 0.01, ... until the gap bound n_par * mu meets the tolerance.  n_par is
-the total barrier parameter: the row count plus 1 for the QCQP's norm ball,
-plus the matrix dimension for the SDP's PSD cone.
+and centres c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows
+and the cone, by damped Newton steps with a backtracking line search, for
+mu = 1, 0.1, 0.01, ... until the gap bound n_par * mu meets the tolerance.
+n_par is the total barrier parameter: the row count plus 1 for the QCQP's
+norm ball, plus the matrix dimension for the SDP's PSD cone.  Every array
+carries the batch on its leading axis.  All entries follow the same mu
+schedule, and each stage steps only the entries still centring; an entry
+that has finished leaves the stacked arrays.  Entries with fewer rows are
+padded with rows 0 . x < 1, whose barrier terms are exactly zero.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
-z = [Re v; Im v] of the complex vector v.  The SDP oracle works in nullspace
-coordinates y of the equality constraints: the Hermitian matrix W has the
-coefficient vector w = w_p + Z y in an orthonormal Hermitian basis
-(dimension M^2).  Besides the cone, the two differ only in how tightly a
-stage centres (half the squared Newton decrement down to 0.01 mu for the
-QCQP, 0.125 mu for the SDP) and in the SDP's extra stop on the gap relative
-to its objective.  Phase one is the same routine on a wrapper that adds a
-slack s, minimizing s subject to row_i(x) <= s and keeping the cone barrier.
-It stops as soon as every row holds strictly, or once its gap bound shows
-that none can, which certifies infeasibility.
+z = [Re v; Im v] of the complex vector v, with its norm ball as row 0.  The
+SDP oracle works in nullspace coordinates y of the equality constraints: the
+Hermitian matrix W has the coefficient vector w = w_p + Z y in an
+orthonormal Hermitian basis (dimension M^2), and -log det W is its cone
+barrier.  Besides the cone, the two differ only in how tightly a stage
+centres (half the squared Newton decrement down to 0.01 mu for the QCQP,
+0.125 mu for the SDP) and in the SDP's extra stop on the gap relative to its
+objective.  Phase one is the same routine on a wrapper that adds a slack s,
+minimizing s subject to row_i(x) <= s and keeping the cone barrier.  It
+stops as soon as every row holds strictly, or once its gap bound shows that
+none can, which certifies infeasibility.
+
+`solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
+one.  `solve_sdp_batch` solves many SDPs that share the objective, the
+dimension and the equalities but have their own inequality rows, all from
+W = I / m, in one stacked barrier run.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -32,6 +42,7 @@ schedule meaningful across the wide dynamic range of channel realizations.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -48,6 +59,8 @@ _MAX_STEPS = 25 * _MAX_NEWTON
 _ARMIJO = 1e-4
 _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
 _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
+_STALL = 1e-14          # last stage: a decrement this small that no longer
+                        # falls is at the round-off floor
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +85,64 @@ def unembed_vector(z: np.ndarray) -> np.ndarray:
 
 
 def _solve_newton(H, g):
+    """H^-1 g, one per entry: minus the Newton step.
+
+    If any H is singular, every entry gets a ridge of 1e-12 of its mean
+    diagonal.
+    """
     try:
-        return np.linalg.solve(H, -g)
+        return np.linalg.solve(H, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        reg = 1e-12 * (np.abs(np.trace(H)) / H.shape[0] + 1.0)
-        return np.linalg.solve(H + reg * np.eye(H.shape[0]), -g)
+        n = H.shape[-1]
+        reg = 1e-12 * (np.abs(np.trace(H, axis1=1, axis2=2)) / n + 1.0)
+        return np.linalg.solve(H + reg[:, None, None] * np.eye(n),
+                               g[..., None])[..., 0]
+
+
+def _logdet(W):
+    """log det of each Hermitian matrix in the stack W, nan where one is not
+    positive definite.
+
+    Every value comes from the matrix's own Cholesky factor, whatever else
+    is in the stack.  When one matrix refuses, the others are found by
+    their eigenvalues and factored apart.
+    """
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        L = np.full_like(W, np.nan)
+        if len(W) > 1:
+            pd = np.flatnonzero(np.linalg.eigvalsh(W)[:, 0] > 0.0)
+            try:
+                L[pd] = np.linalg.cholesky(W[pd])
+            except np.linalg.LinAlgError:    # a borderline one refuses too
+                for i in pd:
+                    try:
+                        L[i] = np.linalg.cholesky(W[i])
+                    except np.linalg.LinAlgError:
+                        pass
+    return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
+
+
+def _pad_rows(rows, n, quadratic):
+    """Stack per-entry rows [(P, q, b), ...] into padded arrays.
+
+    Returns (P, Q, b, real): P (B, k, n, n) or None when not quadratic, Q
+    (B, k, n), b (B, k), and real (B, k) marking the rows that are not
+    padding.  A padding row reads 0 . x < 1.
+    """
+    k = max((len(r) for r in rows), default=0)
+    B = len(rows)
+    P = np.zeros((B, k, n, n)) if quadratic else None
+    Q = np.zeros((B, k, n))
+    b = np.ones((B, k))
+    real = np.zeros((B, k), dtype=bool)
+    for j, entry in enumerate(rows):
+        for i, (Pi, qi, bi) in enumerate(entry):
+            if quadratic:
+                P[j, i] = Pi
+            Q[j, i], b[j, i], real[j, i] = qi, bi, True
+    return P, Q, b, real
 
 
 # ---------------------------------------------------------------------------
@@ -86,112 +152,238 @@ def _solve_newton(H, g):
 class _Oracle:
     """minimize c . x subject to x^T P_i x + Q_i . x < b_i, x inside a cone.
 
-    The rows are the stacked arrays P (k, n, n), Q (k, n) and b (k,).  The
-    duality gap at a mu-centre is at most n_par * mu.  A barrier stage stops
-    centring once half the squared Newton decrement is at most
+    A batch of B problems over x of one size n: c (B, n), the rows P
+    (B, k, n, n) (None for linear rows), Q (B, k, n) and b (B, k), with
+    slack (B, k) marking the rows phase one relaxes: every row that is
+    neither padding nor a cone written as a row.  The duality gap at a
+    mu-centre is at most n_par (B,) * mu.  A barrier stage stops centring
+    once half the squared Newton decrement is at most
     max(center_tol * mu, center_floor); count_final is 1 where the Newton
-    system that ends a stage counts as a step.  Subclasses supply the cone's
-    barrier: cone(x) gives its value (inf outside the cone), cone_derivs(x)
-    its value, gradient and Hessian.
+    system that ends a stage counts as a step.  A subclass with a cone that
+    is not a row supplies its barrier: cone(x) gives its value (nan outside
+    the cone), cone_derivs(x) its value, gradient and Hessian.  take(idx)
+    gives the oracle of the entries idx; _batched names the per-entry
+    arrays it selects.
     """
 
     center_floor = 0.0
     count_final = 0
+    cone = None       # no cone barrier beyond the rows
+    _batched = ("c", "P", "Q", "b", "slack", "n_par")
 
-    def __init__(self, c, P, Q, b, n_par):
-        k, n = Q.shape
+    def __init__(self, c, P, Q, b, slack, n_par):
         self.c, self.P, self.Q, self.b = c, P, Q, b
-        self.n_par = n_par
-        self._P_rows = P.reshape(k * n, n)
-        self._P_flat = P.reshape(k, n * n)
+        self.slack, self.n_par = slack, n_par
+        self._views()
+
+    def _views(self):
+        """P as (B, k n, n) and as (B, k, n n), for the row products."""
+        if self.P is not None:
+            B, k, n = self.Q.shape
+            self._P_rows = self.P.reshape(B, k * n, n)
+            self._P_flat = self.P.reshape(B, k, n * n)
+
+    def take(self, idx):
+        f = copy.copy(self)
+        for name in self._batched:
+            a = getattr(self, name)
+            if a is not None:
+                setattr(f, name, a[idx])
+        f._views()
+        return f
 
     def rows(self, x):
-        """Row values minus b (all < 0 inside) and their gradients."""
-        Px = (self._P_rows @ x).reshape(self.Q.shape)
-        return Px @ x + self.Q @ x - self.b, self.Q + 2.0 * Px
+        """Row values minus b (all < 0 inside), and P_i x (None if linear)."""
+        if self.P is None:
+            return np.matvec(self.Q, x) - self.b, None
+        Px = np.matvec(self._P_rows, x).reshape(self.Q.shape)
+        return np.matvec(Px, x) + np.matvec(self.Q, x) - self.b, Px
 
     def value(self, x, mu):
-        """c . x + mu * phi(x), or inf outside the strict domain."""
-        g = self.rows(x)[0]
-        if not (g < 0.0).all():
-            return np.inf
-        return self.c @ x + mu * (self.cone(x) - np.log(-g).sum())
+        """c . x + mu * phi(x); inf or nan outside the strict domain.
+
+        Either way no comparison with it holds.  Outside the domain the
+        logarithms warn unless the caller silences it, as _barrier does.
+        """
+        phi = -np.add.reduce(np.log(-self.rows(x)[0]), axis=1)
+        if self.cone is not None and np.isfinite(phi).any():
+            phi = phi + self.cone(x)
+        return np.vecdot(self.c, x) + mu * phi
 
     def derivs(self, x, mu):
         """Value, gradient and Hessian of c . x + mu * phi(x) at x inside."""
-        g, G = self.rows(x)
-        cv, cg, cH = self.cone_derivs(x)
+        g, Px = self.rows(x)
+        G = self.Q if Px is None else self.Q + 2.0 * Px   # row gradients
         w = -1.0 / g
-        val = self.c @ x + mu * (cv - np.log(-g).sum())
-        grad = self.c + mu * (cg + G.T @ w)
-        H = mu * (cH + (G.T * w ** 2) @ G
-                  + 2.0 * (w @ self._P_flat).reshape(x.size, x.size))
-        return val, grad, H
+        GT = G.swapaxes(1, 2)
+        phi = -np.add.reduce(np.log(-g), axis=1)
+        grad = np.matvec(GT, w)
+        H = (GT * (w ** 2)[:, None, :]) @ G
+        if self.P is not None:
+            H = H + 2.0 * np.vecmat(w, self._P_flat).reshape(H.shape)
+        if self.cone is not None:
+            cv, cg, cH = self.cone_derivs(x)
+            phi, grad = phi + cv, grad + cg
+            H += cH
+        H *= mu
+        return np.vecdot(self.c, x) + mu * phi, self.c + mu * grad, H
 
     def found(self, x):
-        """Whether to end at once; only phase one ends before centring."""
-        return False
+        """Where to end at once (None: nowhere); only phase one does."""
+        return None
 
     def stop(self, x, mu, tol):
         """Status to end with at the mu-centre x, None to go on."""
-        return OPTIMAL if self.n_par * mu <= tol else None
+        return np.where(self.n_par * mu <= tol, OPTIMAL, None)
 
 
 def _barrier(f, x, tol):
-    """Barrier method on oracle f from a strictly feasible x.
+    """Barrier method on batch oracle f from strictly feasible starts x.
 
-    Each stage centres f.value(., mu) by damped Newton steps with an Armijo
-    backtracking line search, then asks f.stop whether to end; mu then
-    shrinks by _MU_FACTOR.  The last stage, where n_par * mu reaches tol,
-    centres to a decrement of 1e-16 (but not below f.center_floor) or a
-    gradient norm of tol.
+    Each stage centres f.value(., mu) by damped Newton steps with a masked
+    Armijo backtracking line search, then asks f.stop which entries end;
+    mu then shrinks by _MU_FACTOR for the rest.  An entry leaves the stage's
+    stacked arrays once it is centred or its line search fails.  The last
+    stage, where an entry's n_par * mu reaches tol, centres to a decrement
+    of 1e-16 (but not below f.center_floor), to a gradient norm of tol, or
+    until a decrement below _STALL stops falling.
 
-    Returns (x, status, mu, steps, first): first is the centre of the first
-    stage, and status MAX_ITER once _MAX_STEPS Newton steps are spent.
+    Returns (x, status, mu, steps, first), one row or value per entry:
+    first is the centre of the first stage, and status MAX_ITER once
+    _MAX_STEPS Newton steps are spent.  f.found ends an entry's stage at
+    once; f.stop must then end it.
     """
-    mu, steps, first = 1.0, 0, None
-    while True:
-        last = f.n_par * mu * _MU_FACTOR <= tol
-        for _ in range(_MAX_NEWTON):
-            if f.found(x):
-                return x, OPTIMAL, mu, steps, first
-            val, grad, H = f.derivs(x, mu)
-            if last and np.linalg.norm(grad) <= tol:
-                break
-            step = _solve_newton(H, grad)
-            dec = -grad @ step
-            if dec / 2.0 <= max(1e-16 if last else f.center_tol * mu,
-                                f.center_floor):
-                steps += f.count_final
-                break
-            steps += 1
-            t = 1.0
-            while t > 1e-14:
-                xn = x + t * step
-                if f.value(xn, mu) <= val - _ARMIJO * t * dec:
-                    break
-                t *= 0.5
+    # Trial points outside the domain make value() take logs of
+    # non-positive numbers; its nan or inf then fails the Armijo test.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        B = len(x)
+        x, steps = np.array(x, dtype=float), np.zeros(B, dtype=int)
+        status = np.full(B, None, dtype=object)
+        mu_end = np.zeros(B)
+        first = None
+        # live: the entries not finished, with their points xl, step counts
+        # sl and oracle fl.  act: the positions in live still centring in
+        # this stage (None: all), at xr.
+        live, xl, sl, fl = np.arange(B), x.copy(), steps.copy(), f
+        mu = 1.0
+        while True:
+            act, fr, xr = None, fl, xl
+            last = fr.n_par * mu * _MU_FACTOR <= tol
+            floor2 = np.where(last, 2.0 * max(1e-16, fr.center_floor),
+                              2.0 * max(fr.center_tol * mu, fr.center_floor))
+            prev = np.inf
+            any_last = last.any()
+            for k in range(_MAX_NEWTON):
+                hit = fr.found(xr)
+                val, grad, H = fr.derivs(xr, mu)
+                d = _solve_newton(H, grad)        # the Newton step is -d
+                dec = np.vecdot(grad, d)
+                leave = centred = dec <= floor2
+                if any_last:
+                    halt = last & (np.sqrt(np.vecdot(grad, grad)) <= tol)
+                    centred = ~halt & (centred | (last & (dec >= prev)
+                                                  & (dec <= 2.0 * _STALL)))
+                    leave = centred | halt
+                if hit is not None:     # phase one's stop then ends them
+                    centred = centred & ~hit
+                    leave = leave | hit
+                n, n_leave = len(xr), np.count_nonzero(leave)
+                failed = False
+                if n_leave < n:
+                    xr, failed = _line_search(fr, xr, d, val, dec, mu,
+                                              None if not n_leave
+                                              else np.flatnonzero(~leave))
+                    if failed is not False:    # the stage ends for them
+                        leave, n_leave = leave | failed, n
+                if n_leave:
+                    # An entry leaving at Newton iteration k has taken k
+                    # steps, plus the one that failed or the system that
+                    # centred it when those count.
+                    idx = np.arange(n) if act is None else act
+                    sl[idx[leave]] += (k + failed
+                                       + fr.count_final * centred)[leave]
+                    if act is None:
+                        xl = xr
+                    else:
+                        xl[act] = xr
+                    if n_leave == n:
+                        break
+                    keep = ~leave
+                    act, xr, last, floor2, dec = (idx[keep], xr[keep],
+                                                  last[keep], floor2[keep],
+                                                  dec[keep])
+                    fr = fr.take(keep)
+                prev = dec
             else:
-                break
-            x = xn
-        if first is None:
-            first = x
-        status = f.stop(x, mu, tol)
-        if status is None and steps >= _MAX_STEPS:
-            status = MAX_ITER
-        if status is not None:
-            return x, status, mu, steps, first
-        mu *= _MU_FACTOR
+                sl[slice(None) if act is None else act] += _MAX_NEWTON
+                if act is None:
+                    xl = xr
+                else:
+                    xl[act] = xr
+            if first is None:
+                first = xl.copy()
+            st = fl.stop(xl, mu, tol)
+            go = np.equal(st, None)
+            over = sl >= _MAX_STEPS
+            if not go.all() or over.any():
+                st[go & over] = MAX_ITER
+                end = ~go | over
+                out = live[end]
+                x[out], steps[out], status[out], mu_end[out] = (
+                    xl[end], sl[end], st[end], mu)
+                if end.all():
+                    return x, status, mu_end, steps, first
+                keep = ~end
+                live, xl, sl = live[keep], xl[keep], sl[keep]
+                fl = fl.take(keep)
+            mu *= _MU_FACTOR
+
+
+def _line_search(f, x, d, val, dec, mu, pend):
+    """Masked Armijo backtracking from x along -d for the entries in pend.
+
+    pend holds the positions to step (None: all).  They try t = 1, 1/2, ...
+    until each accepts a step; dp and ap hold t d and t _ARMIJO dec.
+    Returns x with the accepted steps, and False, or a mask of the entries
+    that found no step.
+    """
+    fp, xp, dp, vp, ap = f, x, d, val, _ARMIJO * dec
+    if pend is not None:
+        fp, xp, dp, vp, ap = (f.take(pend), x[pend], d[pend], val[pend],
+                              ap[pend])
+    t = 1.0
+    while True:
+        xn = xp - dp
+        ok = fp.value(xn, mu) <= vp - ap
+        n_ok = np.count_nonzero(ok)
+        if n_ok == ok.size:
+            if pend is None:
+                return xn, False
+            x[pend] = xn
+            return x, False
+        if n_ok:
+            if pend is None:
+                pend = np.arange(len(x))
+            x[pend[ok]] = xn[ok]
+            rest = ~ok
+            pend, fp = pend[rest], fp.take(rest)
+            xp, dp, vp, ap = xp[rest], dp[rest], vp[rest], ap[rest]
+        t, dp, ap = 0.5 * t, 0.5 * dp, 0.5 * ap
+        if t <= 1e-14:
+            failed = np.zeros(len(x), dtype=bool)
+            failed[slice(None) if pend is None else pend] = True
+            return x, failed
 
 
 class _PhaseOne(_Oracle):
     """Phase one of oracle f on (x, s): minimize s subject to row_i(x) <= s.
 
-    Keeps f's cone barrier.  It ends as soon as every row of f holds by
-    _FEAS_MARGIN, and reports INFEASIBLE once a centre's gap bound keeps the
-    least achievable s above 1e-9 or the gap falls to the tolerance.  Every
-    stage centres to an absolute decrement of 1e-12, and every Newton system
-    solved counts as a step.
+    Only f's slack rows get the slack s: padding rows keep reading 0 < 1,
+    and f's cone, as a row or not, keeps its barrier.  An entry ends as soon
+    as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
+    once a centre's gap bound keeps the least achievable s above 1e-9 or
+    the gap falls to the tolerance.  Every stage centres to an absolute
+    decrement of 1e-12, and every Newton system solved counts as a step.
     """
 
     center_tol = 0.0
@@ -199,50 +391,76 @@ class _PhaseOne(_Oracle):
     count_final = 1
 
     def __init__(self, f):
-        k = f.b.size
-        super().__init__(np.append(np.zeros(f.c.size), 1.0),
-                         np.pad(f.P, ((0, 0), (0, 1), (0, 1))),
-                         np.hstack([f.Q, -np.ones((k, 1))]), f.b, f.n_par)
+        B, k, n = f.Q.shape
+        c = np.zeros((B, n + 1))
+        c[:, -1] = 1.0
+        P = None
+        if f.P is not None:
+            P = np.zeros((B, k, n + 1, n + 1))
+            P[:, :, :-1, :-1] = f.P
+        s_col = -f.slack[..., None].astype(float)
+        super().__init__(c, P, np.concatenate([f.Q, s_col], axis=2), f.b,
+                         f.slack, f.n_par)
         self.f = f
+        if f.cone is None:
+            self.cone = None
+
+    def take(self, idx):
+        g = super().take(idx)
+        g.f = self.f.take(idx)
+        return g
 
     def cone(self, xs):
-        return self.f.cone(xs[:-1])
+        return self.f.cone(xs[:, :-1])
 
     def cone_derivs(self, xs):
-        val, grad, H = self.f.cone_derivs(xs[:-1])
-        Hs = np.zeros((xs.size, xs.size))
-        Hs[:-1, :-1] = H
-        return val, np.append(grad, 0.0), Hs
+        val, grad, H = self.f.cone_derivs(xs[:, :-1])
+        B, n = xs.shape
+        g = np.zeros((B, n))
+        g[:, :-1] = grad
+        Hs = np.zeros((B, n, n))
+        Hs[:, :-1, :-1] = H
+        return val, g, Hs
 
     def found(self, xs):
-        return (self.f.rows(xs[:-1])[0] < -_FEAS_MARGIN).all()
+        return np.logical_and.reduce(
+            (self.f.rows(xs[:, :-1])[0] < -_FEAS_MARGIN) | ~self.slack,
+            axis=1)
 
     def stop(self, xs, mu, tol):
-        if self.found(xs):
-            return OPTIMAL
-        if xs[-1] - self.n_par * mu > 1e-9 or self.n_par * mu <= tol:
-            return INFEASIBLE
-        return None
+        gap = self.n_par * mu
+        return np.where(self.found(xs), OPTIMAL,
+                        np.where((xs[:, -1] - gap > 1e-9) | (gap <= tol),
+                                 INFEASIBLE, None))
 
 
 def _phase_one(f, x):
-    """A start meeting every row of oracle f by _FEAS_MARGIN, found near x.
+    """Starts meeting every row of oracle f by _FEAS_MARGIN, found near x.
 
-    f.into_cone(x) first moves x well inside the cone (None if it cannot).
-    Returns (x, status, certificate, steps): status OPTIMAL when a start was
-    found, else INFEASIBLE (or MAX_ITER) with the certificate holding the
-    largest normalized row violation left at the phase-one optimum.
+    f.into_cone(x) first moves each x well inside the cone, and says where
+    it cannot.  Returns (x, status, certificate, steps) per entry: status
+    OPTIMAL when a start was found, else INFEASIBLE (or MAX_ITER) with the
+    certificate holding the largest normalized row violation left at the
+    phase-one optimum (inf where no point of the cone was found).
     """
-    x = f.into_cone(x)
-    if x is None:
-        return None, INFEASIBLE, np.inf, 0
-    g = f.rows(x)[0]
-    if np.all(g < -_FEAS_MARGIN):
-        return x, OPTIMAL, np.nan, 0
-    xs, status, _mu, steps, _first = _barrier(
-        _PhaseOne(f), np.append(x, np.max(g) + 0.5), _PHASE_ONE_TOL)
-    x = xs[:-1]
-    return x, status, float(np.max(f.rows(x)[0])), steps
+    x, ok = f.into_cone(x)
+    B = len(x)
+    status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
+    cert = np.where(ok, np.nan, np.inf)
+    steps = np.zeros(B, dtype=int)
+    g = np.where(f.slack, f.rows(x)[0], -np.inf)
+    need = np.flatnonzero(ok & (g.max(axis=1, initial=-np.inf)
+                                >= -_FEAS_MARGIN))
+    if need.size:
+        fn = f if need.size == B else f.take(need)
+        xs = np.concatenate([x[need], g[need].max(axis=1)[:, None] + 0.5],
+                            axis=1)
+        xs, status[need], _mu, steps[need], _first = _barrier(
+            _PhaseOne(fn), xs, _PHASE_ONE_TOL)
+        x[need] = xs[:, :-1]
+        cert[need] = np.where(fn.slack, fn.rows(x[need])[0], -np.inf).max(
+            axis=1)
+    return x, status, cert, steps
 
 
 # ---------------------------------------------------------------------------
@@ -280,63 +498,59 @@ class QcqpResult:
 
 
 class _BallQcqp(_Oracle):
-    """The QCQP in z = [Re v; Im v], normalized: minimize -c_hat . z.
+    """QCQPs of one dimension in z = [Re v; Im v], normalized: min -c_hat . z.
 
-    Row i is z^T At z + qr . z <= b divided by its scale s_i, and the ball
-    (z . z - r) / max(1, r) < 0 is the cone.
+    Row 0 of each entry is the ball (z . z - r) / max(1, r) < 0, which
+    phase one keeps as a barrier; row i > 0 is constraint i,
+    z^T At z + qr . z <= b, divided by its scale s_i.
     """
 
     center_tol = 1e-2
+    _batched = _Oracle._batched + ("r",)
 
-    def __init__(self, p: QcqpProblem):
-        n = 2 * p.dim()
-        self.r = r = float(p.ball_radius)
-        self.R = max(1.0, r)
-        cr = embed_vector(p.c)
-        self.c_norm = float(np.linalg.norm(cr))
-        self.c_hat = cr / self.c_norm if self.c_norm > 0 else cr
-        P, Q, b = [], [], []
-        for A, q, bb in p.quad_constraints:
-            At = embed_hermitian(A) if A is not None else np.zeros((n, n))
-            qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
-            # A constant row (no quadratic or linear part) reads 0 <= b.
-            # When b >= 0 it is vacuous but blocks *strict* feasibility in
-            # phase one, so drop it; when b < 0 keep it and let phase one
-            # certify.
-            if (float(np.linalg.norm(At)) <= 1e-14
-                    and float(np.linalg.norm(qr)) <= 1e-14
-                    and float(bb) >= -1e-12):
-                continue
-            s = abs(float(bb))
-            if A is not None:
-                s = max(s, float(np.trace(np.asarray(A)).real) * r)
-            s = max(s, float(np.linalg.norm(qr)) * np.sqrt(r), 1e-12)
-            P.append(At / s)
-            Q.append(qr / s)
-            b.append(float(bb) / s)
-        super().__init__(-self.c_hat, np.reshape(P, (-1, n, n)),
-                         np.reshape(Q, (-1, n)), np.array(b), len(b) + 1)
-        self.eye = np.eye(n)
-
-    def ball(self, z):
-        """Normalized ball value (< 0 strictly inside)."""
-        return (z @ z - self.r) / self.R
-
-    def cone(self, z):
-        sb = -self.ball(z)
-        return -np.log(sb) if sb > 0 else np.inf
-
-    def cone_derivs(self, z):
-        sb = -self.ball(z)
-        u = 1.0 / (sb * self.R)
-        return (-np.log(sb), 2.0 * u * z,
-                2.0 * u * self.eye + 4.0 * u * u * (z[:, None] * z))
+    def __init__(self, problems):
+        n = 2 * problems[0].dim()
+        self.r = np.array([float(p.ball_radius) for p in problems])
+        self.c_norm, self.c_hat, rows = [], [], []
+        for p in problems:
+            r = float(p.ball_radius)
+            R = max(1.0, r)
+            cr = embed_vector(p.c)
+            c_norm = float(np.linalg.norm(cr))
+            self.c_norm.append(c_norm)
+            self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
+            entry = [(np.eye(n) / R, np.zeros(n), r / R)]
+            for A, q, bb in p.quad_constraints:
+                At = embed_hermitian(A) if A is not None else np.zeros((n, n))
+                qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
+                # A constant row (no quadratic or linear part) reads 0 <= b.
+                # When b >= 0 it is vacuous but blocks *strict* feasibility
+                # in phase one, so drop it; when b < 0 keep it and let phase
+                # one certify.
+                if (float(np.linalg.norm(At)) <= 1e-14
+                        and float(np.linalg.norm(qr)) <= 1e-14
+                        and float(bb) >= -1e-12):
+                    continue
+                s = abs(float(bb))
+                if A is not None:
+                    s = max(s, float(np.trace(np.asarray(A)).real) * r)
+                s = max(s, float(np.linalg.norm(qr)) * np.sqrt(r), 1e-12)
+                entry.append((At / s, qr / s, float(bb) / s))
+            rows.append(entry)
+        self.c_hat = np.array(self.c_hat)
+        P, Q, b, real = _pad_rows(rows, n, True)
+        slack = real.copy()
+        slack[:, 0] = False
+        super().__init__(-self.c_hat, P, Q, b, slack, real.sum(axis=1))
 
     def into_cone(self, z):
         """z, pulled in to half the ball's radius when near its boundary."""
-        if z @ z >= 0.9 * self.r:
-            z = z * np.sqrt(0.5 * self.r / (z @ z))
-        return z
+        zz = np.vecdot(z, z)
+        near = zz >= 0.9 * self.r
+        z = np.where(near[:, None],
+                     z * np.sqrt(0.5 * self.r / np.where(near, zz, 1.0)
+                                 )[:, None], z)
+        return z, np.ones(len(z), dtype=bool)
 
 
 def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
@@ -357,24 +571,22 @@ def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
     """
     if p.ball_radius <= 0:
         raise ValueError("ball_radius must be positive")
-    f = _BallQcqp(p)
-    z = np.zeros(f.c.size) if v0 is None else embed_vector(v0)
+    f = _BallQcqp([p])
+    z = np.zeros(f.c.shape) if v0 is None else embed_vector(v0)[None]
     z, status, cert, steps = _phase_one(f, z)
-    if status != OPTIMAL:
-        return QcqpResult(v=None, status=status, certificate=cert,
-                          newton_steps=steps)
+    if status[0] != OPTIMAL:
+        return QcqpResult(v=None, status=status[0],
+                          certificate=float(cert[0]),
+                          newton_steps=int(steps[0]))
     z, status, _mu, main_steps, _first = _barrier(f, z, tol)
-    return QcqpResult(v=unembed_vector(z), status=status,
-                      objective=float(f.c_norm * (f.c_hat @ z)),
-                      newton_steps=steps + main_steps)
+    return QcqpResult(v=unembed_vector(z[0]), status=status[0],
+                      objective=float(f.c_norm[0] * (f.c_hat[0] @ z[0])),
+                      newton_steps=int(steps[0] + main_steps[0]))
 
 
 def qcqp_max_violation(p: QcqpProblem, v: np.ndarray) -> float:
     """Largest normalized constraint violation of v (negative if interior)."""
-    f = _BallQcqp(p)
-    z = embed_vector(v)
-    g = f.rows(z)[0]
-    return float(max(f.ball(z), np.max(g) if g.size else -np.inf))
+    return float(np.max(_BallQcqp([p]).rows(embed_vector(v)[None])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +660,6 @@ def smat(w: np.ndarray, m: int) -> np.ndarray:
     return (np.asarray(w, dtype=float) @ _herm_basis(m)).reshape(m, m)
 
 
-def _chol_pd(W: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(W)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _sdp_affine(p: SdpProblem):
     """Particular solution w_p and nullspace Z of the equality constraints."""
     m = p.dim
@@ -474,29 +678,34 @@ def _sdp_affine(p: SdpProblem):
 
 
 class _Sdp(_Oracle):
-    """The SDP in nullspace coordinates y, w = w_p + Z y: min -c_hat . w.
+    """SDPs in nullspace coordinates y, w = w_p + Z y: min -c_hat . w.
 
-    Rows are the inequalities a . w <= b divided by their scales, and the
-    PSD cone's barrier is -log det W.  Its Hessian
+    The entries share C, the dimension and the equalities, so c_hat, w_p
+    and Z, and the basis products below, are built once.  Rows are each
+    entry's inequalities a . w <= b divided by their scales, and the PSD
+    cone's barrier is -log det W.  Its Hessian
     H_ab = Re Tr(W^-1 B_a W^-1 B_b) is U K U^H in closed form, with U the
     basis matrix and K[(j,k),(p,q)] = (W^-1)_pj (W^-1)_kq; Z is folded into U.
     """
 
     center_tol = 0.125
 
-    def __init__(self, p: SdpProblem, wp, Z, ineqs):
-        """ineqs holds (svec(A), b) for the rows Tr(A W) <= b."""
-        m, n = p.dim, Z.shape[1]
-        c_w = svec(np.asarray(p.C, dtype=complex))
+    def __init__(self, C, m, wp, Z, ineqs):
+        """ineqs holds, per entry, (svec(A), b) for its rows Tr(A W) <= b."""
+        n = Z.shape[1]
+        c_w = svec(np.asarray(C, dtype=complex))
         self.c_norm = float(np.linalg.norm(c_w))
         self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
-        scales = [max(abs(b), float(np.linalg.norm(a)), 1e-12)
-                  for a, b in ineqs]
-        a_mat = np.reshape([a / s for (a, _b), s in zip(ineqs, scales)],
-                           (-1, m * m))
-        b_vec = np.array([b / s for (_a, b), s in zip(ineqs, scales)])
-        super().__init__(-(Z.T @ self.c_hat), np.zeros((len(ineqs), n, n)),
-                         a_mat @ Z, b_vec - a_mat @ wp, len(ineqs) + m)
+        rows = []
+        for entry in ineqs:
+            scales = [max(abs(b), float(np.linalg.norm(a)), 1e-12)
+                      for a, b in entry]
+            rows.append([(None, a / s, b / s)
+                         for (a, b), s in zip(entry, scales)])
+        _P, A, b, real = _pad_rows(rows, m * m, False)
+        b = np.where(real, b - A @ wp, 1.0)
+        c = np.broadcast_to(-(Z.T @ self.c_hat), (len(ineqs), n))
+        super().__init__(c, None, A @ Z, b, real, real.sum(axis=1) + m)
         self.m, self.wp, self.Z = m, wp, Z
         self.UZ = Z.T @ _herm_basis(m)
         self.UZh = self.UZ.conj().T
@@ -504,46 +713,135 @@ class _Sdp(_Oracle):
         self.y_eye = Z.T @ (svec(np.eye(m) / m) - wp)   # W = I / m
 
     def objective(self, y):
-        """Tr(C W) in original units."""
-        return float(self.c_norm * (self.c_hat @ (self.wp + self.Z @ y)))
+        """Tr(C W) in original units, per entry."""
+        return self.c_norm * ((self.wp + y @ self.Z.T) @ self.c_hat)
 
     def matrix(self, y):
         """W = smat(w_p + Z y), with w_p and Z folded into the basis."""
-        return (self.Wp + y @ self.UZ).reshape(self.m, self.m)
+        return (self.Wp + y @ self.UZ).reshape(-1, self.m, self.m)
 
     def cone(self, y):
-        try:
-            L = np.linalg.cholesky(self.matrix(y))
-        except np.linalg.LinAlgError:
-            return np.inf
-        return -2.0 * np.sum(np.log(L.diagonal().real))
+        """-log det W, nan where W is not positive definite."""
+        return -_logdet(self.matrix(y))
 
     def cone_derivs(self, y):
         W = self.matrix(y)
-        L = np.linalg.cholesky(W)
         Winv = np.linalg.inv(W)
-        m2 = self.m * self.m
-        K = (Winv.T[:, None, :, None] * Winv[None, :, None, :]).reshape(m2,
-                                                                         m2)
-        return (-2.0 * np.sum(np.log(L.diagonal().real)),
-                -(self.UZ @ Winv.T.ravel()).real,
-                (self.UZ @ K @ self.UZh).real)
+        B, m = len(W), self.m
+        WiT = Winv.swapaxes(1, 2)
+        H = np.empty((B, len(self.UZ), len(self.UZ)))
+        for i in range(0, B, 25):     # in chunks, to bound the temporaries
+            c = slice(i, i + 25)
+            K = (WiT[c, :, None, :, None] * Winv[c, None, :, None, :]
+                 ).reshape(-1, m * m, m * m)
+            H[c] = (self.UZ @ K @ self.UZh).real
+        return (-_logdet(W),
+                -(self.UZ @ WiT.reshape(B, m * m, 1))[..., 0].real, H)
 
     def into_cone(self, y):
-        """y if W is safely positive definite, else the point W = I / m."""
+        """y where W is safely positive definite, else the point W = I / m.
+
+        The second value says where that point is positive definite.
+        """
         eye = np.eye(self.m)
-        if _chol_pd(self.matrix(y) - 1e-12 * eye):
-            return y
-        y = self.y_eye
-        return y if _chol_pd(self.matrix(y) - 1e-14 * eye) else None
+        inside = ~np.isnan(_logdet(self.matrix(y) - 1e-12 * eye))
+        eye_pd = not np.isnan(_logdet(self.matrix(self.y_eye[None])
+                                      - 1e-14 * eye)[0])
+        return (np.where(inside[:, None], y, self.y_eye),
+                inside | eye_pd)
 
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""
         gap = self.n_par * mu * max(self.c_norm, 1.0)
-        if self.n_par * mu <= tol and (
-                gap <= tol * max(1.0, abs(self.objective(y))) or mu <= 1e-13):
-            return OPTIMAL
-        return None
+        done = (self.n_par * mu <= tol) & (
+            (gap <= tol * np.maximum(1.0, np.abs(self.objective(y))))
+            | (mu <= 1e-13))
+        return np.where(done, OPTIMAL, None)
+
+
+def _solve_sdps(problems, tol, W0=None):
+    """The SdpResult of each problem; W0 is a warm start for a single one."""
+    p0 = problems[0]
+    for p in problems[1:]:
+        if (p.dim != p0.dim or not np.array_equal(p.C, p0.C)
+                or len(p.eq_constraints) != len(p0.eq_constraints)
+                or not all(b == b0 and np.array_equal(A, A0)
+                           for (A, b), (A0, b0) in zip(p.eq_constraints,
+                                                       p0.eq_constraints))):
+            raise ValueError("a batch of SDPs must share C, dim and the "
+                             "equality constraints")
+    results = [None] * len(problems)
+    wp, Z = _sdp_affine(p0)
+    if wp is None:
+        return [SdpResult(W=None, status=INFEASIBLE, certificate=np.inf)
+                for _ in problems]
+    # A row with A ~ 0 reads 0 <= b: vacuous when b >= 0, impossible when
+    # b < 0.  Either way phase one could never reach *strict* feasibility
+    # on it, so settle such rows here instead of handing them to the
+    # barrier.
+    todo, ineqs = [], []
+    for j, p in enumerate(problems):
+        entry = []
+        for A, b in p.ineq_constraints:
+            a, b = svec(A), float(b)
+            if float(np.linalg.norm(a)) <= 1e-14 * max(1.0, abs(b)):
+                if b < -1e-12:
+                    results[j] = SdpResult(
+                        W=None, status=INFEASIBLE,
+                        certificate=-b / max(abs(b), 1e-12))
+                    break
+                continue
+            entry.append((a, b))
+        else:
+            todo.append(j)
+            ineqs.append(entry)
+    if not todo:
+        return results
+    f = _Sdp(p0.C, p0.dim, wp, Z, ineqs)
+
+    if Z.shape[1] == 0:
+        # Fully determined by the equalities (e.g. M = 1 with Tr W = 1).
+        y = np.zeros((len(todo), 0))
+        W = f.matrix(y)
+        worst = np.maximum(np.where(f.slack, f.rows(y)[0], -np.inf).max(
+            axis=1, initial=-np.inf), -np.linalg.eigvalsh(W)[:, 0])
+        obj = f.objective(y)
+        for i, j in enumerate(todo):
+            results[j] = (
+                SdpResult(W=None, status=INFEASIBLE,
+                          certificate=float(worst[i])) if worst[i] > 1e-9
+                else SdpResult(W=W[i], status=OPTIMAL,
+                               objective=float(obj[i]), gap=0.0,
+                               center=W[i]))
+        return results
+
+    y = np.tile(f.y_eye, (len(todo), 1))
+    if W0 is not None:
+        # Prefer the caller's point as-is; blends toward the identity can
+        # cross a binding inequality and force a fresh phase-one run.
+        y0 = (Z.T @ (svec(W0) - wp))[None]
+        inside = (np.isfinite(f.cone(y0)[0])
+                  and np.all(f.rows(y0)[0] < -_FEAS_MARGIN))
+        y = y0 if inside else 0.98 * y0 + 0.02 * y
+    y, status, cert, steps = _phase_one(f, y)
+    for i in np.flatnonzero(status != OPTIMAL):
+        results[todo[i]] = SdpResult(W=None, status=status[i],
+                                     certificate=float(cert[i]),
+                                     newton_steps=int(steps[i]))
+    ok = np.flatnonzero(status == OPTIMAL)
+    if ok.size:
+        fo = f if ok.size == len(todo) else f.take(ok)
+        y, status, mu, main_steps, first = _barrier(fo, y[ok], tol)
+        W, Wc = f.matrix(y), f.matrix(first)
+        obj = fo.objective(y)
+        gap = fo.n_par * mu * max(f.c_norm, 1.0)
+        for i, j in enumerate(ok):
+            results[todo[j]] = SdpResult(
+                W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off
+                status=status[i], objective=float(obj[i]),
+                gap=float(gap[i]), newton_steps=int(steps[j] + main_steps[i]),
+                center=0.5 * (Wc[i] + Wc[i].conj().T))
+    return results
 
 
 def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
@@ -561,54 +859,27 @@ def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
         certificate the phase-one max violation (normalized) when
         infeasible.
     """
-    wp, Z = _sdp_affine(p)
-    if wp is None:
-        return SdpResult(W=None, status=INFEASIBLE, certificate=np.inf)
-    # A row with A ~ 0 reads 0 <= b: vacuous when b >= 0, impossible when
-    # b < 0.  Either way phase one could never reach *strict* feasibility
-    # on it, so settle such rows here instead of handing them to the
-    # barrier.
-    ineqs = []
-    for A, b in p.ineq_constraints:
-        a, b = svec(A), float(b)
-        if float(np.linalg.norm(a)) <= 1e-14 * max(1.0, abs(b)):
-            if b < -1e-12:
-                return SdpResult(W=None, status=INFEASIBLE,
-                                 certificate=-b / max(abs(b), 1e-12))
-            continue
-        ineqs.append((a, b))
-    f = _Sdp(p, wp, Z, ineqs)
+    return _solve_sdps([p], tol, W0)[0]
 
-    if Z.shape[1] == 0:
-        # Fully determined by the equalities (e.g. M = 1 with Tr W = 1).
-        y = np.zeros(0)
-        W = f.matrix(y)
-        worst = max(float(np.max(f.rows(y)[0], initial=-np.inf)),
-                    -float(np.linalg.eigvalsh(W)[0]))
-        if worst > 1e-9:
-            return SdpResult(W=None, status=INFEASIBLE, certificate=worst)
-        return SdpResult(W=W, status=OPTIMAL, objective=f.objective(y),
-                         gap=0.0, center=W)
 
-    y = f.y_eye
-    if W0 is not None:
-        # Prefer the caller's point as-is; blends toward the identity can
-        # cross a binding inequality and force a fresh phase-one run.
-        y0 = Z.T @ (svec(W0) - wp)
-        inside = (np.isfinite(f.cone(y0))
-                  and np.all(f.rows(y0)[0] < -_FEAS_MARGIN))
-        y = y0 if inside else 0.98 * y0 + 0.02 * y
-    y, status, cert, steps = _phase_one(f, y)
-    if status != OPTIMAL:
-        return SdpResult(W=None, status=status, certificate=cert,
-                         newton_steps=steps)
-    y, status, mu, main_steps, first = _barrier(f, y, tol)
-    W, Wc = f.matrix(y), f.matrix(first)
-    return SdpResult(W=0.5 * (W + W.conj().T),   # clear embedding round-off
-                     status=status, objective=f.objective(y),
-                     gap=float(f.n_par * mu * max(f.c_norm, 1.0)),
-                     newton_steps=steps + main_steps,
-                     center=0.5 * (Wc + Wc.conj().T))
+def solve_sdp_batch(problems: list, tol: float = 1e-8) -> list:
+    """Solve SDPs that share C, dim and the equalities, in one stacked run.
+
+    Each problem has its own inequality rows.  Every entry starts from
+    W = I / m, and its SdpResult is what solve_small_sdp gives for it (up
+    to round-off).
+
+    Args:
+        problems: SdpProblem list; all share C, dim and eq_constraints.
+        tol: Relative duality-gap target.
+
+    Returns:
+        The SdpResult of each problem, in input order.
+
+    Raises:
+        ValueError: if the problems do not share C, dim and the equalities.
+    """
+    return _solve_sdps(problems, tol) if problems else []
 
 
 def sdp_max_violation(p: SdpProblem, W: np.ndarray) -> float:

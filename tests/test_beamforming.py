@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from backci import beamforming, convex
 from backci.beamforming import (
     alternating_mimo,
     consensual_sca,
@@ -21,6 +22,7 @@ from backci.beamforming import (
     recover_rank_one,
 )
 from backci.channel import SystemParams, gen_channel_set
+from backci.convex import solve_sdp_batch, solve_small_sdp
 from backci.detection import ci_inequality_margin, detection_stats, \
     kld_threshold
 from backci.siso import snr_interval
@@ -150,6 +152,53 @@ class TestEvolvedSdp:
         scale = float(np.vdot(h1, h1).real)
         assert ci_inequality_margin(sol.v, h0, hs, params.gamma) \
             >= -1e-6 * scale
+
+    # SNR of evolved_sdp on tag 0 of these M = 4, T = 100 realizations,
+    # frozen from the version that solved the relaxation pass point by
+    # point, warm-starting each point from the previous one.  Seed 1 has a
+    # degenerate relaxation optimum (equal objectives on a face of optimal
+    # W): which W the kernel returns there depends on where it starts, and
+    # the rank-one penalty stage seeded from it ends 3.9e-5 lower.
+    FROZEN_M4_T100 = {1: (18.310265193489087, 1e-4),
+                      5: (1.1840014336674283, 1e-6),
+                      9: (10.701020875120339, 1e-6),
+                      10: (18.299232377800717, 1e-6),
+                      17: (8.749842807622748, 1e-6)}
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_M4_T100))
+    def test_snr_matches_frozen(self, seed):
+        params = SystemParams(M=4, K=1)
+        snr, rel = self.FROZEN_M4_T100[seed]
+        sol = evolved_sdp(tag0(params, seed), params)
+        assert sol.feasible and sol.converged
+        assert sol.snr == pytest.approx(snr, rel=rel)
+
+    def test_relaxation_pass_is_one_batched_call(self, monkeypatch):
+        params = SystemParams(M=4, K=1)
+        calls = {"batch": 0, "entries": 0, "single": 0}
+
+        def batch(problems, tol=1e-8):
+            calls["batch"] += 1
+            calls["entries"] += len(problems)
+            return solve_sdp_batch(problems, tol)
+
+        def single(*args, **kwargs):
+            calls["single"] += 1
+            return solve_small_sdp(*args, **kwargs)
+
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
+        monkeypatch.setattr(beamforming, "solve_small_sdp", single)
+        sol = evolved_sdp(tag0(params, 9), params)
+        assert sol.feasible
+        assert calls["batch"] == 1 and calls["entries"] == params.T
+        # iterations: the T relaxation solves plus the penalty solves
+        assert sol.iterations == params.T + calls["single"]
+
+    def test_relaxation_iteration_cap_reported(self, monkeypatch):
+        params = SystemParams(M=4, K=1, T=20)
+        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        sol = evolved_sdp(tag0(params, 9), params)
+        assert not sol.converged
 
     def test_scalar_feasibility_matches_interval(self):
         # M = 1 leaves no beamforming freedom: feasible exactly when the

@@ -13,10 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from backci import convex
 from backci.beamforming import divergence_floors
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
+    MAX_ITER,
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
@@ -30,6 +32,7 @@ from backci.convex import (
     sdp_max_violation,
     smat,
     solve_ball_qcqp,
+    solve_sdp_batch,
     solve_small_sdp,
     svec,
     unembed_vector,
@@ -396,82 +399,197 @@ class TestSdpWarmStartInfeasible:
         assert checked >= 1
 
 
+def _relaxation_family(M, B):
+    """The evolved relaxation SDPs of one tag at B values of t, and their
+    solve_small_sdp results.
+
+    t runs over [0, 1.5 lambda_max(H0)], so small t, where Tr(H0 W) <= t
+    cannot hold, gives infeasible entries.  The tag is the first whose
+    family mixes feasible and infeasible entries (for B > 1).
+    """
+    params = SystemParams(K=1, M=M)
+    gamma = params.gamma
+    f_without = divergence_floors(params)[3]
+    eye = np.eye(M, dtype=complex)
+    for seed in range(100):
+        h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
+        H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
+        t_hi = float(np.linalg.eigvalsh(H0)[-1])
+        ts = (np.linspace(0.0, 1.5 * t_hi, B) if B > 1
+              else np.array([0.8 * t_hi]))
+        C, eqs = gamma * H1, [(eye, 1.0)]
+        problems = [SdpProblem(C=C, dim=M, eq_constraints=eqs,
+                               ineq_constraints=[
+                                   (-H1 + (1.0 + gamma * t) * Hs, -t),
+                                   (-gamma * Hs, -(f_without - 1.0)),
+                                   (H0, t)])
+                    for t in ts]
+        singles = [solve_small_sdp(p) for p in problems]
+        statuses = {r.status for r in singles}
+        if B == 1 or {OPTIMAL, INFEASIBLE} <= statuses:
+            return problems, singles
+    raise AssertionError("no mixed relaxation family")
+
+
+class TestSdpBatch:
+    """solve_sdp_batch against solve_small_sdp, entry by entry."""
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("B", [1, 7, 100])
+    def test_matches_single_solves(self, M, B):
+        problems, singles = _relaxation_family(M, B)
+        batch = solve_sdp_batch(problems)
+        assert len(batch) == B
+        for one, res in zip(singles, batch):
+            assert res.status == one.status
+            if res.status == OPTIMAL:
+                assert res.objective == pytest.approx(one.objective,
+                                                      rel=1e-7, abs=1e-12)
+            else:
+                assert res.W is None
+                assert res.certificate > 0.0
+
+    def test_order_follows_input(self):
+        problems, _singles = _relaxation_family(4, 7)
+        fwd = solve_sdp_batch(problems)
+        rev = solve_sdp_batch(problems[::-1])[::-1]
+        assert [r.status for r in fwd] == [r.status for r in rev]
+        for a, b in zip(fwd, rev):
+            if a.status == OPTIMAL:
+                assert b.objective == pytest.approx(a.objective, rel=1e-7)
+
+    def test_rows_of_different_counts(self):
+        # A vacuous row (A = 0, b >= 0) is dropped from one entry only, and
+        # an impossible one (A = 0, b < 0) settles another before the
+        # barrier; the rest still match their single solves.
+        problems, _singles = _relaxation_family(2, 7)
+        zero = np.zeros((2, 2), dtype=complex)
+        problems[3].ineq_constraints = problems[3].ineq_constraints + [
+            (zero, 1.0)]
+        problems[4].ineq_constraints = problems[4].ineq_constraints + [
+            (zero, -1.0)]
+        batch = solve_sdp_batch(problems)
+        for p, res in zip(problems, batch):
+            one = solve_small_sdp(p)
+            assert res.status == one.status
+            if res.status == OPTIMAL:
+                assert res.objective == pytest.approx(one.objective,
+                                                      rel=1e-7)
+        assert batch[4].status == INFEASIBLE
+        assert batch[4].certificate == pytest.approx(1.0)
+
+    def test_iteration_cap_reported(self, monkeypatch):
+        problems, _singles = _relaxation_family(4, 7)
+        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        batch = solve_sdp_batch(problems)
+        assert MAX_ITER in {r.status for r in batch}
+        assert OPTIMAL not in {r.status for r in batch}
+
+    def test_refuses_unshared_objective(self):
+        problems, _singles = _relaxation_family(2, 7)
+        problems[1] = SdpProblem(C=2.0 * problems[1].C, dim=2,
+                                 eq_constraints=problems[1].eq_constraints,
+                                 ineq_constraints=problems[1].ineq_constraints)
+        with pytest.raises(ValueError):
+            solve_sdp_batch(problems)
+
+    def test_empty_batch(self):
+        assert solve_sdp_batch([]) == []
+
+
 def _random_qcqp_oracle(rng, m):
-    """A QCQP oracle and a point strictly inside its domain."""
-    c = rand_vec(rng, m)
-    vt = rand_vec(rng, m, 0.3)
-    cons = []
-    for with_a in (True, False, True):
-        A = rand_herm_psd(rng, m) if with_a else None
-        q = rand_vec(rng, m, 0.5)
-        val = 2.0 * np.vdot(q, vt).real
-        if A is not None:
-            val += np.vdot(vt, A @ vt).real
-        cons.append((A, q, float(val + 0.3)))
-    f = _BallQcqp(QcqpProblem(c=c, quad_constraints=cons))
-    return f, embed_vector(vt)
+    """A batch of three QCQP oracles and a point strictly inside each.
+
+    The entries have 3, 2 and 1 rows, so the last two carry padding rows.
+    """
+    problems, points = [], []
+    for n_rows in (3, 2, 1):
+        c = rand_vec(rng, m)
+        vt = rand_vec(rng, m, 0.3)
+        vt *= min(1.0, 0.7 / np.linalg.norm(vt))   # strictly inside the ball
+        cons = []
+        for with_a in (True, False, True)[:n_rows]:
+            A = rand_herm_psd(rng, m) if with_a else None
+            q = rand_vec(rng, m, 0.5)
+            val = 2.0 * np.vdot(q, vt).real
+            if A is not None:
+                val += np.vdot(vt, A @ vt).real
+            cons.append((A, q, float(val + 0.3)))
+        problems.append(QcqpProblem(c=c, quad_constraints=cons))
+        points.append(embed_vector(vt))
+    return _BallQcqp(problems), np.array(points)
 
 
 def _random_sdp_oracle(rng, m):
-    """An SDP oracle and a point inside its domain.
+    """A batch of three SDP oracles and a point inside each one's domain.
 
-    A trace-one equality leaves no free coordinate at m = 1, so it is
-    imposed only for m > 1.
+    The entries share C and the equalities and have 2, 1 and 3 rows.  A
+    trace-one equality leaves no free coordinate at m = 1, so it is imposed
+    only for m > 1.
     """
     eye = np.eye(m, dtype=complex)
-    ineqs = [(rand_herm_psd(rng, m), 0.0) for _ in range(2)]
-    ineqs = [(A, float(np.trace(A).real / m + 0.2)) for A, _ in ineqs]
     p = SdpProblem(C=rand_herm_psd(rng, m), dim=m,
-                   eq_constraints=[(eye, 1.0)] if m > 1 else [],
-                   ineq_constraints=ineqs)
+                   eq_constraints=[(eye, 1.0)] if m > 1 else [])
     wp, Z = _sdp_affine(p)
-    f = _Sdp(p, wp, Z, [(svec(A), b) for A, b in ineqs])
-    return f, f.y_eye + 0.02 * rng.normal(size=Z.shape[1])
+    rows = []
+    for n_rows in (2, 1, 3):
+        mats = [rand_herm_psd(rng, m) for _ in range(n_rows)]
+        rows.append([(svec(A), float(np.trace(A).real / m + 0.2))
+                     for A in mats])
+    f = _Sdp(p.C, m, wp, Z, rows)
+    return f, f.y_eye + 0.02 * rng.normal(size=(3, Z.shape[1]))
 
 
 class TestOracleDerivatives:
-    """Oracle gradients and Hessians against central differences of value."""
+    """Oracle gradients and Hessians against central differences of value.
+
+    Each oracle holds a batch of three entries with different rows.
+    """
 
     @staticmethod
     def _check(f, x, mu):
         val, grad, H = f.derivs(x, mu)
-        assert np.isfinite(val)
+        assert np.all(np.isfinite(val))
         assert val == pytest.approx(f.value(x, mu), rel=1e-12, abs=1e-12)
-        n = x.size
+        n = x.shape[1]
         h = 1e-5
         E = np.eye(n) * h
-        fd_grad = np.array([(f.value(x + E[i], mu) - f.value(x - E[i], mu))
-                            / (2 * h) for i in range(n)])
+        fd_grad = np.stack([(f.value(x + E[i], mu) - f.value(x - E[i], mu))
+                            / (2 * h) for i in range(n)], axis=1)
         assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
         h = 1e-4
         E = np.eye(n) * h
-        fd_hess = np.empty((n, n))
+        fd_hess = np.empty(H.shape)
         for i in range(n):
             for j in range(n):
-                fd_hess[i, j] = (f.value(x + E[i] + E[j], mu)
-                                 - f.value(x + E[i] - E[j], mu)
-                                 - f.value(x - E[i] + E[j], mu)
-                                 + f.value(x - E[i] - E[j], mu)) / (4 * h * h)
-        scale = max(1.0, float(np.max(np.abs(H))))
-        assert np.allclose(H, fd_hess, rtol=1e-4, atol=1e-4 * scale)
+                fd_hess[:, i, j] = (f.value(x + E[i] + E[j], mu)
+                                    - f.value(x + E[i] - E[j], mu)
+                                    - f.value(x - E[i] + E[j], mu)
+                                    + f.value(x - E[i] - E[j], mu)
+                                    ) / (4 * h * h)
+        for Hb, fd in zip(H, fd_hess):
+            scale = max(1.0, float(np.max(np.abs(Hb))))
+            assert np.allclose(Hb, fd, rtol=1e-4, atol=1e-4 * scale)
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_qcqp_oracle(self, m):
         rng = np.random.default_rng(70 + m)
         for _ in range(3):
             f, z = _random_qcqp_oracle(rng, m)
-            assert np.all(f.rows(z)[0] < 0) and f.ball(z) < 0
+            assert np.all(f.rows(z)[0] < 0)   # row 0 is the ball
             self._check(f, z, 0.3)
-            self._check(_PhaseOne(f), np.append(z, 0.1), 0.3)
+            self._check(_PhaseOne(f), np.column_stack([z, np.full(3, 0.1)]),
+                        0.3)
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_sdp_oracle(self, m):
         rng = np.random.default_rng(80 + m)
         for _ in range(3):
             f, y = _random_sdp_oracle(rng, m)
-            assert np.all(f.rows(y)[0] < 0) and np.isfinite(f.cone(y))
+            assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
             self._check(f, y, 0.3)
-            self._check(_PhaseOne(f), np.append(y, 0.1), 0.3)
+            self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
+                        0.3)
 
 
 class TestSdpAgainstCvxpy:
