@@ -152,13 +152,15 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
     trace = []
     vbar = None
     converged = False
+    capped = False
     for init in inits:
         vbar = init / np.linalg.norm(init)
         first, c1 = solve_around(vbar)
         if first.status == OPTIMAL:
             break
+        capped |= first.status == MAX_ITER
     else:
-        return _infeasible()
+        return _infeasible(converged=not capped)
 
     v = first.v / np.linalg.norm(first.v)
     mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - c1
@@ -369,7 +371,8 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
         best_snr = max(best_snr, snr)
 
     if not achieved:
-        return _infeasible(iterations=total_iter)
+        return _infeasible(iterations=total_iter,
+                           converged=not any_nonconverged)
     # smallest t wins among the grid points tying for the best objective
     best = min((a for a in achieved if a[0] >= best_snr - 1e-9),
                key=lambda a: a[1])
@@ -435,7 +438,7 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
         sol_v = solver((G0 @ xt, G1 @ xt, Gs @ xt), params, v_init=v)
         if not sol_v.feasible:
             if v is None:
-                return _infeasible()
+                return _infeasible(converged=sol_v.converged)
             break
         v_new = sol_v.v
         snr_v = gamma * abs(np.vdot(v_new, G1 @ xt)) ** 2
@@ -447,7 +450,7 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
                        params, v_init=xt)
         if not sol_x.feasible:
             if s_round == 1:
-                return _infeasible()
+                return _infeasible(converged=sol_x.converged)
             break
         xt_new = sol_x.v
         snr_x = gamma * abs(np.vdot(v, G1 @ xt_new)) ** 2
@@ -465,9 +468,7 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
     if v is None:
         return _infeasible()
     v, stats, ok, _snr = _finalize(v, G0 @ xt, G1 @ xt, Gs @ xt, params,
-                                   d_min, e_min,
-                                   "consensual" if mode == "consensual"
-                                   else "evolved")
+                                   d_min, e_min, mode)
     snr = gamma * abs(np.vdot(v, G1 @ xt)) ** 2
     return BeamformerSolution(v=v, snr=snr, feasible=ok, iterations=rounds,
                               x=np.sqrt(params.sigma_s2) * xt,

@@ -251,14 +251,10 @@ def gen_channel_set(params: SystemParams, rng) -> ChannelRealization:
 
 def _assemble(h_sr, h_st, h_tr, alpha, dists=None) -> ChannelRealization:
     K, M = h_tr.shape
-    if h_st.ndim == 1:
-        h_str = np.stack([cascade(h_st[k], h_tr[k], alpha) for k in range(K)])
-        h0 = h_sr
-        h1 = h_str + h_sr[None, :]
-    else:
-        h_str = np.stack([cascade(h_st[k], h_tr[k], alpha) for k in range(K)])
-        h0 = h_sr.conj().T  # (M, Q) source-side composite
-        h1 = h_str + h0[None, :, :]
+    h_str = np.stack([cascade(h_st[k], h_tr[k], alpha) for k in range(K)])
+    # MIMO: h0 is the (M, Q) source-side composite
+    h0 = h_sr if h_st.ndim == 1 else h_sr.conj().T
+    h1 = h_str + h0[None]
     return ChannelRealization(h_sr=h_sr, h_st=h_st, h_tr=h_tr, h_str=h_str,
                               h0=h0, h1=h1, alpha=alpha,
                               distances=dists or {})

@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep, ci-region, selftest.
 
 Exit codes: 0 success, 1 configuration error, 2 nothing feasible,
-3 an iterative solver returned without meeting its tolerance.
+3 an iterative solver returned without meeting its tolerance (on a selected
+tag, or on any tag of a result with none feasible).
 """
 
 from __future__ import annotations
@@ -96,22 +97,22 @@ def cmd_solve(args) -> int:
     nonconverged = False
     for mode in ("consensual", "evolved"):
         res = greedy_select(chans, params, mode)
+        nonconverged |= not res.converged
         if res.best is None:
-            print(f"{mode:10s}  infeasible on all {params.K} tags")
+            print(f"{mode:10s}  infeasible on all {params.K} tags"
+                  + ("" if res.converged else "  [not converged]"))
             continue
         any_feasible = True
         st = res.best.stats
-        if not res.best.converged:
-            nonconverged = True
         print(f"{mode:10s}  tag {res.selected_tag}  "
               f"snr {_fmt_db(res.best.snr)}  "
               f"kld {st.kld_with:.6g}/{st.kld_without:.6g}  "
               f"dep>= {st.dep_bound_with:.4g}/{st.dep_bound_without:.4g}  "
               f"iters {res.best.iterations}"
-              + ("" if res.best.converged else "  [not converged]"))
-    if not any_feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_NONCONVERGED if nonconverged else EXIT_OK
+              + ("" if res.converged else "  [not converged]"))
+    if nonconverged:
+        return EXIT_NONCONVERGED
+    return EXIT_OK if any_feasible else EXIT_INFEASIBLE
 
 
 def cmd_sweep(args) -> int:
@@ -127,11 +128,9 @@ def cmd_sweep(args) -> int:
     n_feas = sum(r.feasible for r in records)
     dest = sweep_cfg.out_path or "(not written)"
     print(f"{len(records)} records, {n_feas} feasible -> {dest}")
-    if n_feas == 0:
-        return EXIT_INFEASIBLE
-    if any(r.feasible and not r.converged for r in records):
+    if not all(r.converged for r in records):
         return EXIT_NONCONVERGED
-    return EXIT_OK
+    return EXIT_OK if n_feas else EXIT_INFEASIBLE
 
 
 def cmd_region(args) -> int:

@@ -1,4 +1,4 @@
-"""Small dense convex kernels: a ball-constrained QCQP and a small SDP.
+"""Small dense convex kernels: a unit-ball QCQP and a small SDP.
 
 Both kernels run one textbook log-barrier interior-point routine,
 `_barrier` (Boyd & Vandenberghe, Convex Optimization, sections 11.3-11.4),
@@ -9,16 +9,16 @@ works on an oracle for a batch of B independent problems
 
 and centres c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows
 and the cone, by damped Newton steps with a backtracking line search, for
-mu = 1, 0.1, 0.01, ... until the gap bound n_par * mu meets the tolerance.
-n_par is the total barrier parameter: the row count plus 1 for the QCQP's
-norm ball, plus the matrix dimension for the SDP's PSD cone.  Every array
-carries the batch on its leading axis.  All entries follow the same mu
-schedule, and each stage steps only the entries still centring; an entry
-that has finished leaves the stacked arrays.  Entries with fewer rows are
-padded with rows 0 . x < 1, whose barrier terms are exactly zero.
+mu = 1, 0.1, 0.01, ... until the gap bound n_par * mu meets the fixed
+tolerance _TOL.  n_par is the total barrier parameter: the row count plus 1
+for the QCQP's unit ball, plus the matrix dimension for the SDP's PSD cone.
+Every array carries the batch on its leading axis.  All entries follow the
+same mu schedule, and each stage steps only the entries still centring; an
+entry that has finished leaves the stacked arrays.  Entries with fewer rows
+are padded with rows 0 . x < 1, whose barrier terms are exactly zero.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
-z = [Re v; Im v] of the complex vector v, with its norm ball as row 0.  The
+z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
 SDP oracle works in nullspace coordinates y of the equality constraints: the
 Hermitian matrix W has the coefficient vector w = w_p + Z y in an
 orthonormal Hermitian basis (dimension M^2), and -log det W is its cone
@@ -59,6 +59,7 @@ _MAX_STEPS = 25 * _MAX_NEWTON
 _ARMIJO = 1e-4
 _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
 _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
+_TOL = 1e-8             # duality-gap target, on the normalized problem
 _STALL = 1e-14          # last stage: a decrement this small that no longer
                         # falls is at the round-off floor
 
@@ -476,13 +477,12 @@ class QcqpProblem:
         v^H A v + 2 Re(q^H v) <= b,
 
     with A Hermitian PSD or None (no quadratic part) and q a complex vector
-    or None (no linear part).  The ball ||v||^2 <= ball_radius is always
-    present and makes the problem compact.
+    or None (no linear part).  The unit ball ||v||^2 <= 1 is always present
+    and makes the problem compact.
     """
 
     c: np.ndarray
     quad_constraints: list
-    ball_radius: float = 1.0
 
     def dim(self) -> int:
         return np.asarray(self.c).size
@@ -500,26 +500,22 @@ class QcqpResult:
 class _BallQcqp(_Oracle):
     """QCQPs of one dimension in z = [Re v; Im v], normalized: min -c_hat . z.
 
-    Row 0 of each entry is the ball (z . z - r) / max(1, r) < 0, which
-    phase one keeps as a barrier; row i > 0 is constraint i,
-    z^T At z + qr . z <= b, divided by its scale s_i.
+    Row 0 of each entry is the unit ball z . z < 1, which phase one keeps
+    as a barrier; row i > 0 is constraint i, z^T At z + qr . z <= b,
+    divided by its scale s_i.
     """
 
     center_tol = 1e-2
-    _batched = _Oracle._batched + ("r",)
 
     def __init__(self, problems):
         n = 2 * problems[0].dim()
-        self.r = np.array([float(p.ball_radius) for p in problems])
         self.c_norm, self.c_hat, rows = [], [], []
         for p in problems:
-            r = float(p.ball_radius)
-            R = max(1.0, r)
             cr = embed_vector(p.c)
             c_norm = float(np.linalg.norm(cr))
             self.c_norm.append(c_norm)
             self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
-            entry = [(np.eye(n) / R, np.zeros(n), r / R)]
+            entry = [(np.eye(n), np.zeros(n), 1.0)]
             for A, q, bb in p.quad_constraints:
                 At = embed_hermitian(A) if A is not None else np.zeros((n, n))
                 qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
@@ -533,8 +529,8 @@ class _BallQcqp(_Oracle):
                     continue
                 s = abs(float(bb))
                 if A is not None:
-                    s = max(s, float(np.trace(np.asarray(A)).real) * r)
-                s = max(s, float(np.linalg.norm(qr)) * np.sqrt(r), 1e-12)
+                    s = max(s, float(np.trace(np.asarray(A)).real))
+                s = max(s, float(np.linalg.norm(qr)), 1e-12)
                 entry.append((At / s, qr / s, float(bb) / s))
             rows.append(entry)
         self.c_hat = np.array(self.c_hat)
@@ -544,23 +540,20 @@ class _BallQcqp(_Oracle):
         super().__init__(-self.c_hat, P, Q, b, slack, real.sum(axis=1))
 
     def into_cone(self, z):
-        """z, pulled in to half the ball's radius when near its boundary."""
+        """z, pulled in to half the ball's squared radius when near it."""
         zz = np.vecdot(z, z)
-        near = zz >= 0.9 * self.r
+        near = zz >= 0.9
         z = np.where(near[:, None],
-                     z * np.sqrt(0.5 * self.r / np.where(near, zz, 1.0)
-                                 )[:, None], z)
+                     z * np.sqrt(0.5 / np.where(near, zz, 1.0))[:, None], z)
         return z, np.ones(len(z), dtype=bool)
 
 
-def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
+def solve_ball_qcqp(p: QcqpProblem,
                     v0: Optional[np.ndarray] = None) -> QcqpResult:
-    """Solve the ball-constrained QCQP by a log-barrier interior method.
+    """Solve the unit-ball QCQP by a log-barrier interior method.
 
     Args:
         p: Problem data.
-        tol: Duality-gap and stationarity target on the internally
-            normalized problem (so effectively relative for the original).
         v0: Optional warm-start vector (complex); pulled into the strictly
             feasible region by phase one if necessary.
 
@@ -569,8 +562,6 @@ def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
         the max violation, in normalized units, at the phase-one optimum)
         or "max_iter".
     """
-    if p.ball_radius <= 0:
-        raise ValueError("ball_radius must be positive")
     f = _BallQcqp([p])
     z = np.zeros(f.c.shape) if v0 is None else embed_vector(v0)[None]
     z, status, cert, steps = _phase_one(f, z)
@@ -578,15 +569,10 @@ def solve_ball_qcqp(p: QcqpProblem, tol: float = 1e-8,
         return QcqpResult(v=None, status=status[0],
                           certificate=float(cert[0]),
                           newton_steps=int(steps[0]))
-    z, status, _mu, main_steps, _first = _barrier(f, z, tol)
+    z, status, _mu, main_steps, _first = _barrier(f, z, _TOL)
     return QcqpResult(v=unembed_vector(z[0]), status=status[0],
                       objective=float(f.c_norm[0] * (f.c_hat[0] @ z[0])),
                       newton_steps=int(steps[0] + main_steps[0]))
-
-
-def qcqp_max_violation(p: QcqpProblem, v: np.ndarray) -> float:
-    """Largest normalized constraint violation of v (negative if interior)."""
-    return float(np.max(_BallQcqp([p]).rows(embed_vector(v)[None])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +745,7 @@ class _Sdp(_Oracle):
         return np.where(done, OPTIMAL, None)
 
 
-def _solve_sdps(problems, tol, W0=None):
+def _solve_sdps(problems, W0=None):
     """The SdpResult of each problem; W0 is a warm start for a single one."""
     p0 = problems[0]
     for p in problems[1:]:
@@ -831,7 +817,7 @@ def _solve_sdps(problems, tol, W0=None):
     ok = np.flatnonzero(status == OPTIMAL)
     if ok.size:
         fo = f if ok.size == len(todo) else f.take(ok)
-        y, status, mu, main_steps, first = _barrier(fo, y[ok], tol)
+        y, status, mu, main_steps, first = _barrier(fo, y[ok], _TOL)
         W, Wc = f.matrix(y), f.matrix(first)
         obj = fo.objective(y)
         gap = fo.n_par * mu * max(f.c_norm, 1.0)
@@ -844,13 +830,12 @@ def _solve_sdps(problems, tol, W0=None):
     return results
 
 
-def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
+def solve_small_sdp(p: SdpProblem,
                     W0: Optional[np.ndarray] = None) -> SdpResult:
     """Solve the small SDP by a log-barrier interior method.
 
     Args:
         p: Problem data (objective maximized).
-        tol: Relative duality-gap target.
         W0: Optional warm-start matrix; nudged toward the identity to regain
             strict feasibility.
 
@@ -859,10 +844,10 @@ def solve_small_sdp(p: SdpProblem, tol: float = 1e-8,
         certificate the phase-one max violation (normalized) when
         infeasible.
     """
-    return _solve_sdps([p], tol, W0)[0]
+    return _solve_sdps([p], W0)[0]
 
 
-def solve_sdp_batch(problems: list, tol: float = 1e-8) -> list:
+def solve_sdp_batch(problems: list) -> list:
     """Solve SDPs that share C, dim and the equalities, in one stacked run.
 
     Each problem has its own inequality rows.  Every entry starts from
@@ -871,7 +856,6 @@ def solve_sdp_batch(problems: list, tol: float = 1e-8) -> list:
 
     Args:
         problems: SdpProblem list; all share C, dim and eq_constraints.
-        tol: Relative duality-gap target.
 
     Returns:
         The SdpResult of each problem, in input order.
@@ -879,18 +863,5 @@ def solve_sdp_batch(problems: list, tol: float = 1e-8) -> list:
     Raises:
         ValueError: if the problems do not share C, dim and the equalities.
     """
-    return _solve_sdps(problems, tol) if problems else []
+    return _solve_sdps(problems) if problems else []
 
-
-def sdp_max_violation(p: SdpProblem, W: np.ndarray) -> float:
-    """Largest normalized violation over equalities, inequalities, the cone."""
-    W = np.asarray(W, dtype=complex)
-    worst = -np.inf
-    for A, b in p.eq_constraints:
-        worst = max(worst, abs(float(np.trace(A @ W).real) - b)
-                    / max(1.0, abs(b)))
-    for A, b in p.ineq_constraints:
-        s = max(abs(float(b)), float(np.linalg.norm(svec(A))), 1e-12)
-        worst = max(worst, (float(np.trace(A @ W).real) - b) / s)
-    lam_min = float(np.linalg.eigvalsh(W)[0])
-    return max(worst, -lam_min)

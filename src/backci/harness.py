@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional
+from typing import List, Optional, get_type_hints
 
 import numpy as np
 
@@ -32,8 +32,6 @@ CSV_HEADER = ("sweep_var,value,trial,algorithm,selected_tag,snr_db,"
               "feasible,iterations")
 REGION_HEADER = "var,value,gamma_lo,gamma_hi,theta_max"
 
-_INT_VARS = ("M", "Q")
-
 
 @dataclass
 class SweepConfig:
@@ -52,7 +50,8 @@ class SweepRecord:
     """One CSV row: one algorithm on one (value, trial) cell.
 
     converged is an internal diagnostic for the CLI's exit code; it is not
-    part of the CSV schema.
+    part of the CSV schema.  It is SelectionResult.converged: the selected
+    tag's, or on an infeasible row every solved tag's.
     """
 
     sweep_var: str
@@ -74,16 +73,23 @@ class SweepRecord:
 # Flat key=value configuration
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = {f.name for f in fields(SystemParams)}
-_INT_KEYS = {"K", "M", "N", "Q", "T", "J", "L", "seed", "trials"}
-_FLOAT_KEYS = {"alpha", "sigma_s2", "sigma_w2", "xi_max", "zeta_max",
-               "kappa", "rho", "chi", "omega", "d_st", "d_sr", "d_tr",
-               "h_sr_mag", "h_str_mag"}
-_STR_KEYS = {"sweep_var", "out_path", "region_var"}
-_LIST_FLOAT_KEYS = {"values", "region_values"}
-_LIST_STR_KEYS = {"algorithms"}
-_ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_FLOAT_KEYS
-             | _LIST_STR_KEYS)
+def _floats(val: str) -> list:
+    return [float(t) for t in val.split(",") if t.strip()]
+
+
+def _strs(val: str) -> list:
+    return [t.strip() for t in val.split(",") if t.strip()]
+
+
+# Every config key with its parser: each SystemParams field by its declared
+# type, then the sweep keys and the ci-region keys.
+_PARAM_KEYS = {name: {int: int, float: float, Optional[float]: float}[hint]
+               for name, hint in get_type_hints(SystemParams).items()}
+_KEYS = {**_PARAM_KEYS,
+         "sweep_var": str, "values": _floats, "trials": int,
+         "algorithms": _strs, "out_path": str,
+         "region_var": str, "region_values": _floats, "h_sr_mag": float,
+         "h_str_mag": float}
 
 
 def parse_config(text: str) -> dict:
@@ -102,21 +108,12 @@ def parse_config(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected key = value, "
                              f"got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in cfg:
             raise ValueError(f"line {lineno}: repeated config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                cfg[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = float(val)
-            elif key in _LIST_FLOAT_KEYS:
-                cfg[key] = [float(t) for t in val.split(",") if t.strip()]
-            elif key in _LIST_STR_KEYS:
-                cfg[key] = [t.strip() for t in val.split(",") if t.strip()]
-            else:
-                cfg[key] = val
+            cfg[key] = _KEYS[key](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: "
                              f"{val!r}") from exc
@@ -125,24 +122,14 @@ def parse_config(text: str) -> dict:
 
 def params_from_config(cfg: dict) -> SystemParams:
     """SystemParams with any configured fields overriding the defaults."""
-    kw = {k: v for k, v in cfg.items() if k in _PARAM_FIELDS}
-    return SystemParams(**kw)
+    return SystemParams(**{k: v for k, v in cfg.items() if k in _PARAM_KEYS})
 
 
 def sweep_from_config(cfg: dict) -> SweepConfig:
     """SweepConfig from a parsed dict; validates variable and algorithms."""
-    base = params_from_config(cfg)
-    sc = SweepConfig(base=base)
-    if "sweep_var" in cfg:
-        sc.sweep_var = cfg["sweep_var"]
-    if "values" in cfg:
-        sc.values = list(cfg["values"])
-    if "trials" in cfg:
-        sc.trials = cfg["trials"]
-    if "algorithms" in cfg:
-        sc.algorithms = list(cfg["algorithms"])
-    if "out_path" in cfg:
-        sc.out_path = cfg["out_path"]
+    sc = SweepConfig(base=params_from_config(cfg),
+                     **{f.name: cfg[f.name] for f in fields(SweepConfig)
+                        if f.name != "base" and f.name in cfg})
     validate_sweep(sc)
     return sc
 
@@ -162,7 +149,7 @@ def validate_sweep(cfg: SweepConfig) -> None:
     if bad or not cfg.algorithms:
         raise ValueError(f"algorithms must be a nonempty subset of "
                          f"{ALGORITHMS}, got {cfg.algorithms}")
-    if cfg.sweep_var in _INT_VARS:
+    if _PARAM_KEYS[cfg.sweep_var] is int:
         for v in cfg.values:
             if float(v) != int(v):
                 raise ValueError(f"{cfg.sweep_var} values must be integers")
@@ -178,9 +165,7 @@ def validate_sweep(cfg: SweepConfig) -> None:
 
 
 def _with_value(base: SystemParams, var: str, value: float) -> SystemParams:
-    if var in _INT_VARS:
-        return replace(base, **{var: int(value)})
-    return replace(base, **{var: float(value)})
+    return replace(base, **{var: _PARAM_KEYS[var](value)})
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +186,12 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
         raise ValueError(f"unknown benchmark scheme {scheme!r}")
     gamma = params.gamma
     _d, e_min, _fw, f_without = divergence_floors(params)
-    zeros = None
+    zeros = np.zeros_like(chans.h0)
     per_tag = []
     for k in range(params.K):
         h0, h1, hs = chans.tag_channels(k)
         if hs.ndim > 1:
             raise ValueError("benchmark schemes are single-transmit only")
-        if zeros is None:
-            zeros = np.zeros_like(h0)
         if scheme == "harmful_dli":
             v = mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
             sig = params.sigma_s2 * abs(np.vdot(v, hs)) ** 2
@@ -242,7 +225,7 @@ def _record_from(cfg_var, value, trial, algorithm,
                            snr_db=math.nan, kld_with=math.nan,
                            kld_without=math.nan, dep_bound_with=math.nan,
                            dep_bound_without=math.nan, feasible=False,
-                           iterations=0)
+                           iterations=0, converged=res.converged)
     best = res.best
     st = best.stats
     return SweepRecord(sweep_var=cfg_var, value=value, trial=trial,
@@ -252,7 +235,7 @@ def _record_from(cfg_var, value, trial, algorithm,
                        dep_bound_with=st.dep_bound_with,
                        dep_bound_without=st.dep_bound_without,
                        feasible=True, iterations=best.iterations,
-                       converged=best.converged)
+                       converged=res.converged)
 
 
 def _sweep_cell(args) -> List[SweepRecord]:

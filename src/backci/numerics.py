@@ -131,23 +131,6 @@ def big_f(x: float) -> float:
     return math.exp(lambert_w0(-math.exp(-x)) + x)
 
 
-def big_f_discard(x: float) -> float:
-    """Lower solution branch of ln y + 1/y = x, via the W_{-1} branch.
-
-    The solvers never use this branch: it corresponds to the variance ratio
-    dropping below one (the tag reflection canceling the direct link), which
-    the detection constraints discard.  It exists to test branch selection.
-    """
-    x = float(x)
-    if x < 1.0:
-        if x > 1.0 - 1e-12:
-            return 1.0
-        raise ValueError(f"big_f_discard domain error: x = {x} < 1")
-    if x == 1.0:
-        return 1.0
-    return math.exp(lambert_wm1(-math.exp(-x)) + x)
-
-
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a small dense Hermitian matrix.
 
@@ -172,8 +155,3 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(H)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
-
-def top_eigvec(H: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and its unit eigenvector of a Hermitian matrix."""
-    vals, vecs = hermitian_eig(H)
-    return float(vals[0]), vecs[:, 0]

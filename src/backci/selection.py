@@ -36,6 +36,14 @@ class SelectionResult:
     per_tag: List[Optional[BeamformerSolution]]
     best: Optional[BeamformerSolution]
 
+    @property
+    def converged(self) -> bool:
+        """The selected tag's solve converged, or with no tag feasible,
+        every solved tag's did."""
+        if self.best is not None:
+            return self.best.converged
+        return all(s.converged for s in self.per_tag if s is not None)
+
 
 def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
     tri = chans.tag_channels(k)

@@ -1,7 +1,5 @@
 import sys
 
-sys.path.insert(0, "tests")
-
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance battery's one-line verdicts after the run.

@@ -208,6 +208,44 @@ def slsqp_qcqp_oracle(c, constraints, ball_radius, starts):
     return best
 
 
+def qcqp_max_violation(p, v) -> float:
+    """Largest normalized constraint violation of v (negative if interior).
+
+    p is a QcqpProblem.  Row values are those of the unit ball,
+    ||v||^2 - 1, and of each constraint v^H A v + 2 Re(q^H v) - b divided
+    by the scale max(|b|, Tr A, 2 ||q||), as the solver normalizes them.
+    """
+    v = np.asarray(v, dtype=complex)
+    worst = float(np.vdot(v, v).real) - 1.0
+    for A, q, b in p.quad_constraints:
+        val, s = -float(b), abs(float(b))
+        if A is not None:
+            val += float(np.vdot(v, A @ v).real)
+            s = max(s, float(np.trace(A).real))
+        if q is not None:
+            val += 2.0 * float(np.vdot(q, v).real)
+            s = max(s, 2.0 * float(np.linalg.norm(q)))
+        worst = max(worst, val / max(s, 1e-12))
+    return worst
+
+
+def sdp_max_violation(p, W) -> float:
+    """Largest normalized violation over equalities, inequalities, the cone.
+
+    p is an SdpProblem; an inequality Tr(A W) <= b is scaled by
+    max(|b|, ||A||_F), as the solver normalizes it.
+    """
+    W = np.asarray(W, dtype=complex)
+    worst = -np.inf
+    for A, b in p.eq_constraints:
+        worst = max(worst, abs(float(np.trace(A @ W).real) - b)
+                    / max(1.0, abs(b)))
+    for A, b in p.ineq_constraints:
+        s = max(abs(float(b)), float(np.linalg.norm(A)), 1e-12)
+        worst = max(worst, (float(np.trace(A @ W).real) - b) / s)
+    return max(worst, -float(np.linalg.eigvalsh(W)[0]))
+
+
 def brute_sdp_2x2(C, ineqs, n=120):
     """Dense grid maximization of Tr(C W) over 2x2 density matrices.
 

@@ -68,6 +68,13 @@ class TestConsensualSca:
         assert not sol.feasible
         assert sol.v is None and sol.snr == 0.0
 
+    def test_first_solve_iteration_cap_reported(self, monkeypatch):
+        # Every QCQP ends max_iter, which certifies no infeasibility.
+        params = SystemParams(M=4, K=1)
+        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        sol = consensual_sca(tag0(params, 9), params)
+        assert not sol.feasible and not sol.converged
+
     @pytest.mark.parametrize("seed", FEASIBLE_M2)
     def test_matches_grid_oracle_m2(self, seed):
         params = SystemParams(M=2, K=1)
@@ -177,10 +184,10 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         calls = {"batch": 0, "entries": 0, "single": 0}
 
-        def batch(problems, tol=1e-8):
+        def batch(problems):
             calls["batch"] += 1
             calls["entries"] += len(problems)
-            return solve_sdp_batch(problems, tol)
+            return solve_sdp_batch(problems)
 
         def single(*args, **kwargs):
             calls["single"] += 1
@@ -324,6 +331,12 @@ class TestAlternatingMimo:
             == pytest.approx(1.0, abs=1e-6)
         assert abs(np.vdot(sol.v, h_tr / np.linalg.norm(h_tr))) \
             == pytest.approx(1.0, abs=1e-6)
+
+    def test_inner_iteration_cap_reported(self, monkeypatch):
+        params = SystemParams(M=2, Q=2, K=1)
+        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        sol = alternating_mimo(tag0(params, 9), params, "consensual")
+        assert not sol.feasible and not sol.converged
 
     @pytest.mark.parametrize("seed", (9, 17))
     def test_improves_on_initial_transmit_direction(self, seed):

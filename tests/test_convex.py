@@ -28,8 +28,6 @@ from backci.convex import (
     _sdp_affine,
     embed_hermitian,
     embed_vector,
-    qcqp_max_violation,
-    sdp_max_violation,
     smat,
     solve_ball_qcqp,
     solve_sdp_batch,
@@ -37,7 +35,12 @@ from backci.convex import (
     svec,
     unembed_vector,
 )
-from oracles import brute_sdp_2x2, slsqp_qcqp_oracle
+from oracles import (
+    brute_sdp_2x2,
+    qcqp_max_violation,
+    sdp_max_violation,
+    slsqp_qcqp_oracle,
+)
 
 
 def rand_herm_psd(rng, m, scale=1.0):
@@ -75,17 +78,13 @@ class TestEmbedding:
 
 class TestQcqpClosedForms:
     def test_ball_only_matched_direction(self):
-        # max Re(c^H v), ||v||^2 <= r has optimum sqrt(r) c / ||c||.
+        # max Re(c^H v), ||v||^2 <= 1 has optimum c / ||c||.
         rng = np.random.default_rng(11)
-        for r in (1.0, 0.3):
-            c = rand_vec(rng, 4)
-            res = solve_ball_qcqp(QcqpProblem(c=c, quad_constraints=[],
-                                              ball_radius=r))
-            assert res.status == OPTIMAL
-            expect = math.sqrt(r) * np.linalg.norm(c)
-            assert res.objective == pytest.approx(expect, rel=1e-6)
-            assert np.allclose(res.v, math.sqrt(r) * c / np.linalg.norm(c),
-                               atol=1e-5)
+        c = rand_vec(rng, 4)
+        res = solve_ball_qcqp(QcqpProblem(c=c, quad_constraints=[]))
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(np.linalg.norm(c), rel=1e-6)
+        assert np.allclose(res.v, c / np.linalg.norm(c), atol=1e-5)
 
     def test_inactive_quadratic_constraint(self):
         rng = np.random.default_rng(12)
@@ -271,7 +270,7 @@ class TestSdpSpectral:
         C = rand_herm_psd(rng, 3)
         p = SdpProblem(C=C, dim=3,
                        eq_constraints=[(np.eye(3, dtype=complex), 1.0)])
-        res = solve_small_sdp(p, tol=1e-8)
+        res = solve_small_sdp(p)
         assert res.gap <= 1e-8 * max(1.0, abs(res.objective)) + 1e-15
         lam_max = np.linalg.eigvalsh(C)[-1]
         assert lam_max - res.objective <= res.gap + 1e-12

@@ -8,13 +8,17 @@ monotonicity the scalar analysis guarantees; the CLI through subprocesses.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import backci
+from backci import cli, convex
 from backci.beamforming import consensual_sca
 from backci.channel import SystemParams, gen_channel_set
 from backci.detection import detection_stats
@@ -72,6 +76,37 @@ class TestParseConfig:
     def test_bad_input_fails_loud(self, text):
         with pytest.raises(ValueError):
             parse_config(text)
+
+    def test_every_param_field_is_a_typed_key(self):
+        hints = get_type_hints(SystemParams)
+        for f in fields(SystemParams):
+            cfg = parse_config(f"{f.name} = 1")
+            want = int if hints[f.name] is int else float
+            assert type(cfg[f.name]) is want, f.name
+            assert getattr(params_from_config(cfg), f.name) == 1
+            if want is int:
+                with pytest.raises(ValueError, match="bad value"):
+                    parse_config(f"{f.name} = 3.5")
+
+    def test_sweep_and_region_keys_parse(self):
+        cfg = parse_config("sweep_var = rho\nvalues = 2, 3.5\ntrials = 4\n"
+                           "algorithms = consensual, evolved\n"
+                           "out_path = o.csv\nregion_var = rho\n"
+                           "region_values = 2.5, 3\nh_sr_mag = 1\n"
+                           "h_str_mag = 2")
+        assert cfg == {"sweep_var": "rho", "values": [2.0, 3.5],
+                       "trials": 4, "algorithms": ["consensual", "evolved"],
+                       "out_path": "o.csv", "region_var": "rho",
+                       "region_values": [2.5, 3.0], "h_sr_mag": 1.0,
+                       "h_str_mag": 2.0}
+        assert type(cfg["trials"]) is int
+        assert type(cfg["h_sr_mag"]) is float
+        sc = sweep_from_config(cfg)
+        assert (sc.sweep_var, sc.values, sc.trials, sc.algorithms,
+                sc.out_path) == ("rho", [2.0, 3.5], 4,
+                                 ["consensual", "evolved"], "o.csv")
+        with pytest.raises(ValueError, match="bad value"):
+            parse_config("trials = 2.5")
 
     @pytest.mark.parametrize("cfg", [
         {"sweep_var": "bogus"},
@@ -280,8 +315,13 @@ class TestCiRegionReport:
 
 class TestCli:
     def run_cli(self, *argv):
+        # The child imports backci from where this process found it.
+        src = os.path.dirname(os.path.dirname(backci.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "backci", *argv],
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
 
     def test_selftest_passes(self):
         proc = self.run_cli("selftest")
@@ -317,6 +357,16 @@ class TestCli:
                         "algorithms = consensual, canceled_dli\n")
         proc = self.run_cli("sweep", "--config", str(cfgf))
         assert proc.returncode == 2
+
+    def test_iteration_cap_is_not_infeasible(self, tmp_path, monkeypatch):
+        # Every kernel solve ends max_iter, so no tag is feasible; that is
+        # exit 3, not the infeasibility of exit 2.
+        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        cfgf = tmp_path / "cap.cfg"
+        cfgf.write_text("K = 2\nM = 2\nT = 5\nvalues = 0.2, 0.6\n"
+                        "trials = 2\nalgorithms = consensual, evolved\n")
+        assert cli.main(["solve", "--config", str(cfgf), "--seed", "1"]) == 3
+        assert cli.main(["sweep", "--config", str(cfgf)]) == 3
 
     def test_region_subcommand(self, tmp_path):
         out = tmp_path / "r.csv"
