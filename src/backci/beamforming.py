@@ -75,9 +75,17 @@ def divergence_floors(params) -> tuple:
 
 
 def _unpack(chan):
-    h0, h1, hs = chan
-    return (np.asarray(h0, dtype=complex), np.asarray(h1, dtype=complex),
-            np.asarray(hs, dtype=complex))
+    """The channel triple as complex arrays; ValueError if not all finite."""
+    out = tuple(np.asarray(h, dtype=complex) for h in chan)
+    for name, h in zip(("h0", "h1", "h_str"), out):
+        if not np.isfinite(h).all():
+            raise ValueError(f"channel {name} has a non-finite entry")
+    return out
+
+
+def _no_dl_floor_unreachable(gamma, hs, f_without) -> bool:
+    """Whether no v meets the without-DL floor: gamma ||hs||^2 < F - 1."""
+    return gamma * float(np.vdot(hs, hs).real) < f_without - 1.0 - 1e-12
 
 
 def _infeasible(iterations=0, converged=True) -> BeamformerSolution:
@@ -115,10 +123,10 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
     gamma = params.gamma
     d_min, e_min, f_with, f_without = divergence_floors(params)
 
-    # Feasibility bails: the without-DL floor caps at gamma ||hs||^2, and
-    # the with-DL constraint needs lambda_max(gamma(H1 - F H0)) to reach
-    # F - 1 even before the other constraints bite.
-    if gamma * float(np.vdot(hs, hs).real) < f_without - 1.0 - 1e-12:
+    # Feasibility bails: the without-DL floor, and the with-DL constraint,
+    # which needs lambda_max(gamma(H1 - F H0)) to reach F - 1 even before
+    # the other constraints bite.
+    if _no_dl_floor_unreachable(gamma, hs, f_without):
         return _infeasible()
     H0 = np.outer(h0, h0.conj())
     H1 = np.outer(h1, h1.conj())
@@ -293,7 +301,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     m = h1.size
     gamma = params.gamma
     d_min, e_min, _f_with, f_without = divergence_floors(params)
-    if gamma * float(np.vdot(hs, hs).real) < f_without - 1.0 - 1e-12:
+    if _no_dl_floor_unreachable(gamma, hs, f_without):
         return _infeasible()
 
     H0 = np.outer(h0, h0.conj())
@@ -324,22 +332,21 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     ]) for t in grid]
     total_iter += len(problems)
     relax = []
-    for idx, (t, prob, res) in enumerate(zip(grid, problems,
-                                             solve_sdp_batch(problems))):
+    for t, prob, res in zip(grid, problems, solve_sdp_batch(problems)):
         if res.status == MAX_ITER:
             any_nonconverged = True
         if res.status != OPTIMAL:
             continue
-        relax.append((float(res.objective), idx, float(t), res.W,
-                      res.center, prob.ineq_constraints))
+        relax.append((float(res.objective), float(t), res.W, res.center,
+                      prob.ineq_constraints))
     if not relax:
         return _infeasible(iterations=total_iter,
                            converged=not any_nonconverged)
 
     relax.sort(key=lambda e: -e[0])
-    achieved = []        # (snr, t, v, residual, trace, converged, stats)
+    achieved = []        # (snr, t, v, residual, trace, stats)
     best_snr = -np.inf
-    for ub, _idx, t, W_rel, center_rel, ineqs in relax:
+    for ub, t, W_rel, center_rel, ineqs in relax:
         if ub < best_snr - 1e-9:
             continue
         prob = SdpProblem(C=H1, dim=m, eq_constraints=[(eye, 1.0)],
@@ -360,14 +367,14 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
             v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
                                           e_min, "evolved")
             if ok and (candidate is None or residual < candidate[2]):
-                candidate = (snr, v, residual, trace_t, converged_t, stats)
+                candidate = (snr, v, residual, trace_t, stats)
             if residual <= 1e-3 and ok:
                 break
             chi *= 2.0
         if candidate is None:
             continue
-        snr, v, residual, trace_t, converged_t, stats = candidate
-        achieved.append((snr, t, v, residual, trace_t, converged_t, stats))
+        snr, v, residual, trace_t, stats = candidate
+        achieved.append((snr, t, v, residual, trace_t, stats))
         best_snr = max(best_snr, snr)
 
     if not achieved:
@@ -376,7 +383,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     # smallest t wins among the grid points tying for the best objective
     best = min((a for a in achieved if a[0] >= best_snr - 1e-9),
                key=lambda a: a[1])
-    snr, _t, v, residual, trace_t, _converged_t, stats = best
+    snr, _t, v, residual, trace_t, stats = best
     return BeamformerSolution(v=v, snr=snr, feasible=True,
                               iterations=total_iter,
                               objective_trace=trace_t,

@@ -22,13 +22,19 @@ z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
 SDP oracle works in nullspace coordinates y of the equality constraints: the
 Hermitian matrix W has the coefficient vector w = w_p + Z y in an
 orthonormal Hermitian basis (dimension M^2), and -log det W is its cone
-barrier.  Besides the cone, the two differ only in how tightly a stage
-centres (half the squared Newton decrement down to 0.01 mu for the QCQP,
-0.125 mu for the SDP) and in the SDP's extra stop on the gap relative to its
-objective.  Phase one is the same routine on a wrapper that adds a slack s,
-minimizing s subject to row_i(x) <= s and keeping the cone barrier.  It
-stops as soon as every row holds strictly, or once its gap bound shows that
-none can, which certifies infeasibility.
+barrier.  Besides the cone, the two differ only in the SDP's extra stop on
+the gap relative to its objective, which bounds the gap in original units.
+Both centre each stage until half the squared Newton decrement is at most
+0.125 mu: how tightly the intermediate stages centre changes the work, not
+the final gap bound (Boyd & Vandenberghe, section 11.3).
+
+Phase one is the same routine on a wrapper that adds a slack s, minimizing
+s subject to row_i(x) <= s and keeping the cone barrier.  It stops as soon
+as every row holds strictly, or once its gap bound shows that none can,
+which certifies infeasibility.  It centres to an absolute decrement of
+1e-12 instead: its end point seeds the main stage, and a looser phase one
+moves an evolved solver's SNR by about 1e-6.  Newton steps are counted
+alike in both: every step tried, accepted or not.
 
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
 one.  `solve_sdp_batch` solves many SDPs that share the objective, the
@@ -159,16 +165,16 @@ class _Oracle:
     neither padding nor a cone written as a row.  The duality gap at a
     mu-centre is at most n_par (B,) * mu.  A barrier stage stops centring
     once half the squared Newton decrement is at most
-    max(center_tol * mu, center_floor); count_final is 1 where the Newton
-    system that ends a stage counts as a step.  A subclass with a cone that
-    is not a row supplies its barrier: cone(x) gives its value (nan outside
-    the cone), cone_derivs(x) its value, gradient and Hessian.  take(idx)
-    gives the oracle of the entries idx; _batched names the per-entry
-    arrays it selects.
+    max(center_tol * mu, center_floor); every oracle but phase one keeps
+    these class values.  A subclass with a cone that is not a row supplies
+    its barrier: cone(x) gives its value (nan outside the cone),
+    cone_derivs(x) its value, gradient and Hessian.  take(idx) gives the
+    oracle of the entries idx; _batched names the per-entry arrays it
+    selects.
     """
 
+    center_tol = 0.125
     center_floor = 0.0
-    count_final = 0
     cone = None       # no cone barrier beyond the rows
     _batched = ("c", "P", "Q", "b", "slack", "n_par")
 
@@ -250,8 +256,9 @@ def _barrier(f, x, tol):
     until a decrement below _STALL stops falling.
 
     Returns (x, status, mu, steps, first), one row or value per entry:
-    first is the centre of the first stage, and status MAX_ITER once
-    _MAX_STEPS Newton steps are spent.  f.found ends an entry's stage at
+    steps counts the Newton steps tried, each one line search, first is the
+    centre of the first stage, and status MAX_ITER once _MAX_STEPS Newton
+    steps are spent.  f.found ends an entry's stage at
     once; f.stop must then end it.
     """
     # Trial points outside the domain make value() take logs of
@@ -279,15 +286,13 @@ def _barrier(f, x, tol):
                 val, grad, H = fr.derivs(xr, mu)
                 d = _solve_newton(H, grad)        # the Newton step is -d
                 dec = np.vecdot(grad, d)
-                leave = centred = dec <= floor2
+                leave = dec <= floor2
                 if any_last:
-                    halt = last & (np.sqrt(np.vecdot(grad, grad)) <= tol)
-                    centred = ~halt & (centred | (last & (dec >= prev)
-                                                  & (dec <= 2.0 * _STALL)))
-                    leave = centred | halt
+                    leave |= last & (
+                        (np.sqrt(np.vecdot(grad, grad)) <= tol)
+                        | ((dec >= prev) & (dec <= 2.0 * _STALL)))
                 if hit is not None:     # phase one's stop then ends them
-                    centred = centred & ~hit
-                    leave = leave | hit
+                    leave |= hit
                 n, n_leave = len(xr), np.count_nonzero(leave)
                 failed = False
                 if n_leave < n:
@@ -297,12 +302,10 @@ def _barrier(f, x, tol):
                     if failed is not False:    # the stage ends for them
                         leave, n_leave = leave | failed, n
                 if n_leave:
-                    # An entry leaving at Newton iteration k has taken k
-                    # steps, plus the one that failed or the system that
-                    # centred it when those count.
+                    # An entry leaving at Newton iteration k has tried k
+                    # steps, plus the one whose line search failed.
                     idx = np.arange(n) if act is None else act
-                    sl[idx[leave]] += (k + failed
-                                       + fr.count_final * centred)[leave]
+                    sl[idx[leave]] += (k + (leave & failed))[leave]
                     if act is None:
                         xl = xr
                     else:
@@ -384,12 +387,12 @@ class _PhaseOne(_Oracle):
     as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
     once a centre's gap bound keeps the least achievable s above 1e-9 or
     the gap falls to the tolerance.  Every stage centres to an absolute
-    decrement of 1e-12, and every Newton system solved counts as a step.
+    decrement of 1e-12, not relative to mu: the point phase one ends at
+    seeds the main stage, and the evolved penalty iteration depends on it.
     """
 
     center_tol = 0.0
     center_floor = 1e-12
-    count_final = 1
 
     def __init__(self, f):
         B, k, n = f.Q.shape
@@ -504,8 +507,6 @@ class _BallQcqp(_Oracle):
     as a barrier; row i > 0 is constraint i, z^T At z + qr . z <= b,
     divided by its scale s_i.
     """
-
-    center_tol = 1e-2
 
     def __init__(self, problems):
         n = 2 * problems[0].dim()
@@ -674,8 +675,6 @@ class _Sdp(_Oracle):
     basis matrix and K[(j,k),(p,q)] = (W^-1)_pj (W^-1)_kq; Z is folded into U.
     """
 
-    center_tol = 0.125
-
     def __init__(self, C, m, wp, Z, ineqs):
         """ineqs holds, per entry, (svec(A), b) for its rows Tr(A W) <= b."""
         n = Z.shape[1]
@@ -801,14 +800,8 @@ def _solve_sdps(problems, W0=None):
                                center=W[i]))
         return results
 
-    y = np.tile(f.y_eye, (len(todo), 1))
-    if W0 is not None:
-        # Prefer the caller's point as-is; blends toward the identity can
-        # cross a binding inequality and force a fresh phase-one run.
-        y0 = (Z.T @ (svec(W0) - wp))[None]
-        inside = (np.isfinite(f.cone(y0)[0])
-                  and np.all(f.rows(y0)[0] < -_FEAS_MARGIN))
-        y = y0 if inside else 0.98 * y0 + 0.02 * y
+    y = (np.tile(f.y_eye, (len(todo), 1)) if W0 is None
+         else (Z.T @ (svec(W0) - wp))[None])
     y, status, cert, steps = _phase_one(f, y)
     for i in np.flatnonzero(status != OPTIMAL):
         results[todo[i]] = SdpResult(W=None, status=status[i],
@@ -836,8 +829,9 @@ def solve_small_sdp(p: SdpProblem,
 
     Args:
         p: Problem data (objective maximized).
-        W0: Optional warm-start matrix; nudged toward the identity to regain
-            strict feasibility.
+        W0: Optional warm-start matrix.  Like the QCQP's v0, it is replaced
+            by W = I / m unless safely positive definite, and phase one
+            pulls it inside any inequality it breaks.
 
     Returns:
         SdpResult; gap is the barrier bound in original objective units,

@@ -9,6 +9,7 @@ depend on worker scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
@@ -274,10 +275,24 @@ def record_row(r: SweepRecord) -> str:
                      _fmt(r.iterations)])
 
 
+def _write_lines(path: str, lines: List[str]) -> None:
+    """Write lines to path by way of a temp file beside it.
+
+    The temp file takes path's place only once it is whole, so a write
+    that fails or is interrupted leaves any earlier file at path as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # the write failed before the rename
+            os.remove(tmp)
+
+
 def write_csv(records: List[SweepRecord], path: str) -> None:
-    lines = [CSV_HEADER] + [record_row(r) for r in records]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [CSV_HEADER] + [record_row(r) for r in records])
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
@@ -347,10 +362,7 @@ def ci_region_report(var: str, values, params: SystemParams,
         rows.append((var, float(value), gamma_lo, gamma_hi,
                      math.nan if theta is None else theta))
     if out_path:
-        lines = [REGION_HEADER]
-        for v, val, lo, hi, th in rows:
-            lines.append(",".join([v, _fmt(val), _fmt(lo), _fmt(hi),
-                                   _fmt(th)]))
-        with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(out_path, [REGION_HEADER] + [
+            ",".join([v, _fmt(val), _fmt(lo), _fmt(hi), _fmt(th)])
+            for v, val, lo, hi, th in rows])
     return rows

@@ -345,3 +345,23 @@ def constrained_snr_oracle(h0, h1, hs, sigma_s2, sigma_w2, n_samples,
         wa /= 40.0
         wp /= 40.0
     return float(vals[i]), best_v
+
+
+def ci_inequality_margin(v: np.ndarray, h0: np.ndarray, h1_bar: np.ndarray,
+                         gamma: float) -> float:
+    """Margin of the evolved-CI channel inequality at a unit-norm beamformer.
+
+    Returns lhs - rhs of
+
+        |v^H h1|^2 - |v^H h0|^2 - |v^H h1_bar|^2 >= gamma |v^H h0|^2 |v^H h1_bar|^2
+
+    with h1 = h0 + h1_bar.  Positive margin means the direct link is
+    constructive (delta-KLD >= 0) whenever delta1 >= delta0, which the
+    inequality itself implies when it holds.
+    """
+    v = np.asarray(v, dtype=complex)
+    a0 = abs(np.vdot(v, np.asarray(h0, dtype=complex))) ** 2
+    ab = abs(np.vdot(v, np.asarray(h1_bar, dtype=complex))) ** 2
+    a1 = abs(np.vdot(v, np.asarray(h0, dtype=complex)
+                     + np.asarray(h1_bar, dtype=complex))) ** 2
+    return float(a1 - a0 - ab - gamma * a0 * ab)

@@ -19,7 +19,6 @@ import numpy as np
 from backci.beamforming import consensual_sca, divergence_floors, evolved_sdp
 from backci.channel import SystemParams, gen_channel_set
 from backci.detection import (
-    ci_inequality_margin,
     dep_lower_bound,
     dep_oracle,
     detection_stats,
@@ -29,7 +28,7 @@ from backci.detection import (
 from backci.harness import SweepConfig, run_sweep, write_csv
 from backci.numerics import big_f
 from backci.siso import ci_angle, theta_max_at_min_snr
-from oracles import constrained_snr_oracle
+from oracles import ci_inequality_margin, constrained_snr_oracle
 
 _CACHE: dict = {}
 

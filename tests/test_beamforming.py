@@ -23,10 +23,9 @@ from backci.beamforming import (
 )
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import solve_sdp_batch, solve_small_sdp
-from backci.detection import ci_inequality_margin, detection_stats, \
-    kld_threshold
+from backci.detection import detection_stats, kld_threshold
 from backci.siso import snr_interval
-from oracles import constrained_snr_oracle
+from oracles import ci_inequality_margin, constrained_snr_oracle
 
 # Channel-realization seeds whose first tag gives a feasible instance at the
 # given antenna count (checked against the infeasibility certificates; most
@@ -352,3 +351,22 @@ class TestAlternatingMimo:
         base = consensual_sca((G0 @ xt, G1 @ xt, Gs @ xt), params)
         assert base.feasible
         assert sol.snr >= base.snr - 1e-9 * max(1.0, base.snr)
+
+
+class TestNonFiniteChannels:
+    """A nan or inf in any link is refused before anything is solved."""
+
+    @pytest.mark.parametrize("solver", ["consensual", "evolved", "mimo"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("link", [0, 1, 2], ids=["h0", "h1", "hs"])
+    def test_refused(self, solver, bad, link):
+        params = SystemParams(M=4, Q=2 if solver == "mimo" else 1)
+        chan = [h.copy() for h in tag0(params, 1)]
+        chan[link].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            if solver == "consensual":
+                consensual_sca(chan, params)
+            elif solver == "evolved":
+                evolved_sdp(chan, params)
+            else:
+                alternating_mimo(chan, params, "consensual")

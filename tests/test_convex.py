@@ -391,11 +391,58 @@ class TestSdpWarmStartInfeasible:
             if np.trace(H0 @ big.W).real <= t:
                 continue
             cold = solve_small_sdp(relaxation(t))
-            warm = solve_small_sdp(relaxation(t), W0=big.W)
+            # big.W is rank one; the blend makes it positive definite, so
+            # phase one starts from it rather than from W = I / m.
+            W0 = 0.98 * big.W + 0.02 * eye / params.M
+            warm = solve_small_sdp(relaxation(t), W0=W0)
             assert cold.status == OPTIMAL and warm.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
             checked += 1
         assert checked >= 1
+
+
+class TestNewtonStepCount:
+    """newton_steps counts the Newton steps tried, accepted or not, in phase
+    one as in the main stage: one line search each, for a batch of one."""
+
+    # Each problem breaks a row at the cold start, so phase one has to run.
+    # Re(v1) >= 0.5, then also Re(v1) <= -1.5 (beyond the unit ball).
+    HALF = (None, np.array([-0.5 + 0j, 0.0]), -0.5)
+    QCQPS = [
+        (QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[HALF]),
+         OPTIMAL),
+        (QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[
+            HALF, (None, np.array([1.0 + 0j, 0.0]), -3.0)]), INFEASIBLE),
+    ]
+    # Tr W = 1 with W_00 >= 0.8, then also W_11 >= 0.8.
+    E0, E1 = (np.diag(d).astype(complex) for d in ([1.0, 0.0], [0.0, 1.0]))
+    SDPS = [
+        (SdpProblem(C=E1, dim=2, eq_constraints=[(np.eye(2), 1.0)],
+                    ineq_constraints=[(-E0, -0.8)]), OPTIMAL),
+        (SdpProblem(C=E1, dim=2, eq_constraints=[(np.eye(2), 1.0)],
+                    ineq_constraints=[(-E0, -0.8), (-E1, -0.8)]),
+         INFEASIBLE),
+    ]
+
+    @pytest.mark.parametrize(
+        "solve, problem, status",
+        [(solve_ball_qcqp, p, st) for p, st in QCQPS]
+        + [(solve_small_sdp, p, st) for p, st in SDPS],
+        ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
+             "sdp-infeasible"])
+    def test_equals_line_searches(self, monkeypatch, solve, problem, status):
+        searches = []
+        line_search = convex._line_search
+
+        def counted(f, *args):
+            searches.append(isinstance(f, _PhaseOne))
+            return line_search(f, *args)
+
+        monkeypatch.setattr(convex, "_line_search", counted)
+        res = solve(problem)
+        assert res.status == status
+        assert any(searches)        # phase one took steps
+        assert res.newton_steps == len(searches)
 
 
 def _relaxation_family(M, B):

@@ -11,9 +11,8 @@ from backci.detection import (
     dep_lower_bound,
     dep_oracle,
     detection_stats,
-    ci_inequality_margin,
 )
-from oracles import dep_oracle_quad
+from oracles import ci_inequality_margin, dep_oracle_quad
 
 KLD_THR_HALF = 0.2876820724517809   # -ln(3/4)
 KLD_THR_TENTH = 1.660731206821651   # -ln(0.19)

@@ -274,6 +274,20 @@ class TestRunSweep:
         data = out.read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data
 
+    def test_write_csv_failure_keeps_previous_file(self, tmp_path):
+        # The last row cannot be encoded as ASCII, so the write raises
+        # after the file is opened; the earlier CSV must survive it whole.
+        out = tmp_path / "keep.csv"
+        records = run_sweep(small_sweep(values=[0.6], trials=2,
+                                        algorithms=["canceled_dli"]))
+        write_csv(records, str(out))
+        before = out.read_bytes()
+        bad = records[:1] + [replace(records[-1], algorithm="canceled_dlí")]
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(bad, str(out))
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["keep.csv"]
+
 
 class TestCiRegionReport:
     def test_trivial_tolerance_row(self):
