@@ -215,7 +215,9 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
     kept only when the true penalized objective improves.  With the plain
     anchor the drift contracts at a rate near 1 - 1/chi_rel and would burn
     the whole iteration budget; extrapolation collapses it in a handful of
-    solves while converging to the same fixed point.
+    solves while converging to the same fixed point.  Every solve starts
+    from center, the first-stage centre of the last accepted solve (at
+    first the relaxation's).
 
     Returns (W, center, trace, converged, infeasible, n_solves).
     """
@@ -242,8 +244,7 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
         accepted = None
         for anchor in ([u_try, u] if u_try is not None else [u]):
             prob.C = gamma * H1 + chi * np.outer(anchor, anchor.conj())
-            res = solve_small_sdp(prob, W0=center if center is not None
-                                  else W)
+            res = solve_small_sdp(prob, W0=center)
             n_solve += 1
             if res.status != OPTIMAL:
                 if anchor is u:
@@ -348,7 +349,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     best_snr = -np.inf
     for ub, t, W_rel, center_rel, ineqs in relax:
         if ub < best_snr - 1e-9:
-            continue
+            break       # relax is sorted by bound: none of the rest can win
         prob = SdpProblem(C=H1, dim=m, eq_constraints=[(eye, 1.0)],
                           ineq_constraints=ineqs)
         chi = chi0

@@ -17,7 +17,8 @@ are order-independent and safe to generate from parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,9 @@ _LINK_TR = 2
 @dataclass
 class SystemParams:
     """Scalar configuration for the whole toolkit.
+
+    A float that is not finite, or a value out of range, raises ValueError;
+    the message of the first names its field.
 
     Attributes:
         K: Number of candidate tags.
@@ -81,6 +85,10 @@ class SystemParams:
     d_tr: Optional[float] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.K < 1 or self.M < 1 or self.N < 1 or self.Q < 1:
             raise ValueError("counts K, M, N, Q must be >= 1")
         if self.sigma_s2 <= 0 or self.sigma_w2 <= 0:

@@ -1,21 +1,32 @@
 """Small dense convex kernels: a unit-ball QCQP and a small SDP.
 
-Both kernels run one textbook log-barrier interior-point routine,
-`_barrier` (Boyd & Vandenberghe, Convex Optimization, sections 11.3-11.4),
-sized for this package (vector dimension <= 8, matrix dimension <= 8).  It
-works on an oracle for a batch of B independent problems
+Both kernels run one textbook log-barrier interior-point method (Boyd &
+Vandenberghe, Convex Optimization, sections 11.3-11.4), sized for this
+package (vector dimension <= 8, matrix dimension <= 8).  It works on an
+oracle for a batch of B independent problems
 
     minimize c_j . x  subject to  x^T P_ji x + q_ji . x < b_ji,  x in a cone,
 
-and centres c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows
-and the cone, by damped Newton steps with a backtracking line search, for
-mu = 1, 0.1, 0.01, ... until the gap bound n_par * mu meets the fixed
-tolerance _TOL.  n_par is the total barrier parameter: the row count plus 1
-for the QCQP's unit ball, plus the matrix dimension for the SDP's PSD cone.
-Every array carries the batch on its leading axis.  All entries follow the
-same mu schedule, and each stage steps only the entries still centring; an
-entry that has finished leaves the stacked arrays.  Entries with fewer rows
-are padded with rows 0 . x < 1, whose barrier terms are exactly zero.
+with the batch on the leading axis of every array; entries with fewer rows
+are padded with rows 0 . x < 1, whose barrier terms are exactly zero.  A
+driver, `_solve`, runs phase one and then the main stage.  Each is the
+stage loop `_barrier`: for mu = 1, 0.1, 0.01, ... until the gap bound
+n_par * mu meets its tolerance, `_centre` takes damped Newton steps on
+c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows and cone.
+n_par is the row count plus 1 for the QCQP's unit ball, plus the matrix
+dimension for the SDP's PSD cone.  Phase one runs on a wrapper that adds a
+slack s, minimizing s subject to row_i(x) <= s; it stops once every row
+holds strictly, or once its gap bound certifies that none can.
+
+Every stage centres until half the squared Newton decrement is at most
+0.125 mu: how tightly the intermediate stages centre changes the work, not
+the final gap bound (Boyd & Vandenberghe, section 11.3).  Phase one centres
+to an absolute decrement of 1e-12 instead: its end point seeds the main
+stage, and a looser phase one moves an evolved solver's SNR by about 1e-6.
+Newton steps are counted alike in both: every step tried, accepted or not.
+A row with no x-dependence, 0 <= b, is settled for both kernels by one
+rule in `_pad_rows`, before any Newton step: it is dropped when b >= 0, and
+makes its entry INFEASIBLE, certificate 1, when b < 0.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
 z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
@@ -24,17 +35,6 @@ Hermitian matrix W has the coefficient vector w = w_p + Z y in an
 orthonormal Hermitian basis (dimension M^2), and -log det W is its cone
 barrier.  Besides the cone, the two differ only in the SDP's extra stop on
 the gap relative to its objective, which bounds the gap in original units.
-Both centre each stage until half the squared Newton decrement is at most
-0.125 mu: how tightly the intermediate stages centre changes the work, not
-the final gap bound (Boyd & Vandenberghe, section 11.3).
-
-Phase one is the same routine on a wrapper that adds a slack s, minimizing
-s subject to row_i(x) <= s and keeping the cone barrier.  It stops as soon
-as every row holds strictly, or once its gap bound shows that none can,
-which certifies infeasibility.  It centres to an absolute decrement of
-1e-12 instead: its end point seeds the main stage, and a looser phase one
-moves an evolved solver's SNR by about 1e-6.  Newton steps are counted
-alike in both: every step tried, accepted or not.
 
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
 one.  `solve_sdp_batch` solves many SDPs that share the objective, the
@@ -132,24 +132,39 @@ def _logdet(W):
 
 
 def _pad_rows(rows, n, quadratic):
-    """Stack per-entry rows [(P, q, b), ...] into padded arrays.
+    """Stack per-entry rows [(P, q, b, s), ...] into padded arrays.
 
-    Returns (P, Q, b, real): P (B, k, n, n) or None when not quadratic, Q
-    (B, k, n), b (B, k), and real (B, k) marking the rows that are not
-    padding.  A padding row reads 0 . x < 1.
+    Row (P, q, b, s) reads x^T P x + q . x <= b, P None when linear, and is
+    stored divided by its scale s.  A row with P and q below 1e-14 max(1,
+    |b|) reads 0 <= b: it is dropped, since it would block phase one's
+    strict feasibility, and it makes its entry impossible if b < -1e-12.
+    Returns (P, Q, b, real, impossible): P (B, k, n, n) or None when not
+    quadratic, Q (B, k, n), b (B, k), real (B, k) marking the rows that are
+    not padding, and impossible (B,).  A padding row reads 0 . x < 1.
     """
-    k = max((len(r) for r in rows), default=0)
     B = len(rows)
+    impossible = np.zeros(B, dtype=bool)
+    kept = [[] for _ in rows]
+    for j, entry in enumerate(rows):
+        for Pi, qi, bi, s in entry:
+            size = np.linalg.norm(qi)
+            if Pi is not None:
+                size = max(size, np.linalg.norm(Pi))
+            if size > 1e-14 * max(1.0, abs(bi)):
+                kept[j].append((Pi, qi, bi, s))
+            elif bi < -1e-12:
+                impossible[j] = True
+    k = max((len(r) for r in kept), default=0)
     P = np.zeros((B, k, n, n)) if quadratic else None
     Q = np.zeros((B, k, n))
     b = np.ones((B, k))
     real = np.zeros((B, k), dtype=bool)
-    for j, entry in enumerate(rows):
-        for i, (Pi, qi, bi) in enumerate(entry):
+    for j, entry in enumerate(kept):
+        for i, (Pi, qi, bi, s) in enumerate(entry):
             if quadratic:
-                P[j, i] = Pi
-            Q[j, i], b[j, i], real[j, i] = qi, bi, True
-    return P, Q, b, real
+                P[j, i] = Pi / s
+            Q[j, i], b[j, i], real[j, i] = qi / s, bi / s, True
+    return P, Q, b, real, impossible
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +185,14 @@ class _Oracle:
     its barrier: cone(x) gives its value (nan outside the cone),
     cone_derivs(x) its value, gradient and Hessian.  take(idx) gives the
     oracle of the entries idx; _batched names the per-entry arrays it
-    selects.
+    selects.  A kernel oracle also sets impossible (B,) from _pad_rows.
     """
 
     center_tol = 0.125
     center_floor = 0.0
     cone = None       # no cone barrier beyond the rows
-    _batched = ("c", "P", "Q", "b", "slack", "n_par")
+    impossible = None
+    _batched = ("c", "P", "Q", "b", "slack", "n_par", "impossible")
 
     def __init__(self, c, P, Q, b, slack, n_par):
         self.c, self.P, self.Q, self.b = c, P, Q, b
@@ -247,136 +263,131 @@ class _Oracle:
 def _barrier(f, x, tol):
     """Barrier method on batch oracle f from strictly feasible starts x.
 
-    Each stage centres f.value(., mu) by damped Newton steps with a masked
-    Armijo backtracking line search, then asks f.stop which entries end;
-    mu then shrinks by _MU_FACTOR for the rest.  An entry leaves the stage's
-    stacked arrays once it is centred or its line search fails.  The last
-    stage, where an entry's n_par * mu reaches tol, centres to a decrement
-    of 1e-16 (but not below f.center_floor), to a gradient norm of tol, or
-    until a decrement below _STALL stops falling.
+    For mu = 1, 0.1, 0.01, ... each stage centres the live entries
+    (_centre), then asks f.stop which of them end; the rest go on to the
+    next mu.  An entry ends with MAX_ITER once it has spent _MAX_STEPS
+    Newton steps.
 
-    Returns (x, status, mu, steps, first), one row or value per entry:
-    steps counts the Newton steps tried, each one line search, first is the
-    centre of the first stage, and status MAX_ITER once _MAX_STEPS Newton
-    steps are spent.  f.found ends an entry's stage at
-    once; f.stop must then end it.
+    Returns (x, status, mu, steps, first), one row or value per entry: mu
+    of the stage it ended in, steps the Newton steps it tried, and first
+    its centre of the first stage.
     """
     # Trial points outside the domain make value() take logs of
     # non-positive numbers; its nan or inf then fails the Armijo test.
     with np.errstate(invalid="ignore", divide="ignore"):
-        B = len(x)
-        x, steps = np.array(x, dtype=float), np.zeros(B, dtype=int)
+        xl = np.array(x, dtype=float)       # the live entries' points
+        B = len(xl)
+        x, steps = np.empty_like(xl), np.zeros(B, dtype=int)
         status = np.full(B, None, dtype=object)
         mu_end = np.zeros(B)
-        first = None
-        # live: the entries not finished, with their points xl, step counts
-        # sl and oracle fl.  act: the positions in live still centring in
-        # this stage (None: all), at xr.
-        live, xl, sl, fl = np.arange(B), x.copy(), steps.copy(), f
-        mu = 1.0
+        live, sl, mu, first = np.arange(B), steps.copy(), 1.0, None
         while True:
-            act, fr, xr = None, fl, xl
-            last = fr.n_par * mu * _MU_FACTOR <= tol
-            floor2 = np.where(last, 2.0 * max(1e-16, fr.center_floor),
-                              2.0 * max(fr.center_tol * mu, fr.center_floor))
-            prev = np.inf
-            any_last = last.any()
-            for k in range(_MAX_NEWTON):
-                hit = fr.found(xr)
-                val, grad, H = fr.derivs(xr, mu)
-                d = _solve_newton(H, grad)        # the Newton step is -d
-                dec = np.vecdot(grad, d)
-                leave = dec <= floor2
-                if any_last:
-                    leave |= last & (
-                        (np.sqrt(np.vecdot(grad, grad)) <= tol)
-                        | ((dec >= prev) & (dec <= 2.0 * _STALL)))
-                if hit is not None:     # phase one's stop then ends them
-                    leave |= hit
-                n, n_leave = len(xr), np.count_nonzero(leave)
-                failed = False
-                if n_leave < n:
-                    xr, failed = _line_search(fr, xr, d, val, dec, mu,
-                                              None if not n_leave
-                                              else np.flatnonzero(~leave))
-                    if failed is not False:    # the stage ends for them
-                        leave, n_leave = leave | failed, n
-                if n_leave:
-                    # An entry leaving at Newton iteration k has tried k
-                    # steps, plus the one whose line search failed.
-                    idx = np.arange(n) if act is None else act
-                    sl[idx[leave]] += (k + (leave & failed))[leave]
-                    if act is None:
-                        xl = xr
-                    else:
-                        xl[act] = xr
-                    if n_leave == n:
-                        break
-                    keep = ~leave
-                    act, xr, last, floor2, dec = (idx[keep], xr[keep],
-                                                  last[keep], floor2[keep],
-                                                  dec[keep])
-                    fr = fr.take(keep)
-                prev = dec
-            else:
-                sl[slice(None) if act is None else act] += _MAX_NEWTON
-                if act is None:
-                    xl = xr
-                else:
-                    xl[act] = xr
+            xl, n = _centre(f, xl, mu, tol)
+            sl += n
             if first is None:
                 first = xl.copy()
-            st = fl.stop(xl, mu, tol)
+            st = f.stop(xl, mu, tol)
             go = np.equal(st, None)
             over = sl >= _MAX_STEPS
-            if not go.all() or over.any():
-                st[go & over] = MAX_ITER
-                end = ~go | over
+            st[go & over] = MAX_ITER
+            end = ~go | over
+            n_end = np.count_nonzero(end)
+            if n_end:
                 out = live[end]
                 x[out], steps[out], status[out], mu_end[out] = (
                     xl[end], sl[end], st[end], mu)
-                if end.all():
+                if n_end == len(end):
                     return x, status, mu_end, steps, first
                 keep = ~end
-                live, xl, sl = live[keep], xl[keep], sl[keep]
-                fl = fl.take(keep)
+                live, xl, sl, f = live[keep], xl[keep], sl[keep], f.take(keep)
             mu *= _MU_FACTOR
 
 
-def _line_search(f, x, d, val, dec, mu, pend):
-    """Masked Armijo backtracking from x along -d for the entries in pend.
+def _centre(f, x, mu, tol):
+    """One barrier stage: centre each entry of x on f.value(., mu).
 
-    pend holds the positions to step (None: all).  They try t = 1, 1/2, ...
-    until each accepts a step; dp and ap hold t d and t _ARMIJO dec.
-    Returns x with the accepted steps, and False, or a mask of the entries
-    that found no step.
+    Damped Newton steps, each one _line_search, until half the squared
+    Newton decrement is at most max(f.center_tol * mu, f.center_floor).  In
+    the last stage, where an entry's n_par * mu reaches tol, the entry
+    centres to a decrement of 1e-16 (but not below f.center_floor), to a
+    gradient norm of tol, or until a decrement below _STALL stops falling.
+    f.found ends an entry's stage at once, so f.stop must then end it.  An
+    entry leaves the stacked arrays once it is centred or its line search
+    fails; either ends only its own stage.
+
+    Returns the points, x updated in place, and the Newton steps each entry
+    tried: k for an entry centred at Newton iteration k, k + 1 for one
+    whose line search failed there, and _MAX_NEWTON for one still centring
+    at the end.
+    """
+    steps = np.full(len(x), _MAX_NEWTON)
+    act, xa = np.arange(len(x)), x      # the entries still centring
+    last = f.n_par * mu * _MU_FACTOR <= tol
+    floor2 = np.where(last, 2.0 * max(1e-16, f.center_floor),
+                      2.0 * max(f.center_tol * mu, f.center_floor))
+    any_last, prev = np.count_nonzero(last), np.inf
+    for k in range(_MAX_NEWTON):
+        hit = f.found(xa)
+        val, grad, H = f.derivs(xa, mu)
+        d = _solve_newton(H, grad)        # the Newton step is -d
+        dec = np.vecdot(grad, d)
+        done = dec <= floor2
+        if any_last:
+            done |= last & ((np.sqrt(np.vecdot(grad, grad)) <= tol)
+                            | ((dec >= prev) & (dec <= 2.0 * _STALL)))
+        if hit is not None:     # phase one's stop then ends them
+            done |= hit
+        n_done = np.count_nonzero(done)
+        if n_done:
+            out = act[done]
+            x[out], steps[out] = xa[done], k
+            if n_done == len(done):
+                return x, steps
+            keep = ~done
+            act, xa, val, d, dec, last, floor2 = (
+                a[keep] for a in (act, xa, val, d, dec, last, floor2))
+            f = f.take(keep)
+        xa, failed = _line_search(f, xa, d, val, dec, mu)
+        n_failed = np.count_nonzero(failed)
+        if n_failed:
+            out = act[failed]
+            x[out], steps[out] = xa[failed], k + 1
+            if n_failed == len(failed):
+                return x, steps
+            keep = ~failed
+            act, xa, dec, last, floor2 = (
+                a[keep] for a in (act, xa, dec, last, floor2))
+            f = f.take(keep)
+        prev = dec
+    x[act] = xa
+    return x, steps
+
+
+def _line_search(f, x, d, val, dec, mu):
+    """Masked Armijo backtracking from each x along -d.
+
+    Every entry tries t = 1, 1/2, ... until it accepts a step; xp, dp and
+    ap hold x, t d and t _ARMIJO dec for the entries still searching, at
+    the positions left.  Returns the points with the accepted steps, and a
+    mask of the entries that found none before t fell to 1e-14.
     """
     fp, xp, dp, vp, ap = f, x, d, val, _ARMIJO * dec
-    if pend is not None:
-        fp, xp, dp, vp, ap = (f.take(pend), x[pend], d[pend], val[pend],
-                              ap[pend])
-    t = 1.0
-    while True:
+    x, left, t = x.copy(), np.arange(len(x)), 1.0
+    while left.size and t > 1e-14:
         xn = xp - dp
         ok = fp.value(xn, mu) <= vp - ap
         n_ok = np.count_nonzero(ok)
-        if n_ok == ok.size:
-            if pend is None:
-                return xn, False
-            x[pend] = xn
-            return x, False
+        if n_ok == len(x):          # every entry takes its full step
+            return xn, ~ok
         if n_ok:
-            if pend is None:
-                pend = np.arange(len(x))
-            x[pend[ok]] = xn[ok]
+            x[left[ok]] = xn[ok]
             rest = ~ok
-            pend, fp = pend[rest], fp.take(rest)
+            left, fp = left[rest], fp.take(rest)
             xp, dp, vp, ap = xp[rest], dp[rest], vp[rest], ap[rest]
         t, dp, ap = 0.5 * t, 0.5 * dp, 0.5 * ap
-        if t <= 1e-14:
-            failed = np.zeros(len(x), dtype=bool)
-            failed[slice(None) if pend is None else pend] = True
-            return x, failed
+    failed = np.zeros(len(x), dtype=bool)
+    failed[left] = True
+    return x, failed
 
 
 class _PhaseOne(_Oracle):
@@ -438,20 +449,28 @@ class _PhaseOne(_Oracle):
                                  INFEASIBLE, None))
 
 
-def _phase_one(f, x):
-    """Starts meeting every row of oracle f by _FEAS_MARGIN, found near x.
+def _solve(f, x):
+    """Phase one, then the barrier method, on batch oracle f from starts x.
 
     f.into_cone(x) first moves each x well inside the cone, and says where
-    it cannot.  Returns (x, status, certificate, steps) per entry: status
-    OPTIMAL when a start was found, else INFEASIBLE (or MAX_ITER) with the
-    certificate holding the largest normalized row violation left at the
-    phase-one optimum (inf where no point of the cone was found).
+    it cannot; an entry that _pad_rows marked impossible ends there too.
+    Phase one runs for the entries whose start does not meet every row by
+    _FEAS_MARGIN, and the main stage for all that then do.
+
+    Returns (x, status, cert, steps, mu, first) per entry.  status and
+    steps are as _barrier gives them, phase one's steps counted in.  cert
+    is the largest normalized row violation left at the phase-one optimum:
+    inf where no point of the cone was found, 1 for an impossible row.  mu
+    and first are the main stage's (see _barrier), nan where the entry
+    ended before it.
     """
     x, ok = f.into_cone(x)
+    ok &= ~f.impossible
     B = len(x)
     status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
-    cert = np.where(ok, np.nan, np.inf)
+    cert = np.where(ok, np.nan, np.where(f.impossible, 1.0, np.inf))
     steps = np.zeros(B, dtype=int)
+    mu, first = np.full(B, np.nan), np.full_like(x, np.nan)
     g = np.where(f.slack, f.rows(x)[0], -np.inf)
     need = np.flatnonzero(ok & (g.max(axis=1, initial=-np.inf)
                                 >= -_FEAS_MARGIN))
@@ -464,7 +483,12 @@ def _phase_one(f, x):
         x[need] = xs[:, :-1]
         cert[need] = np.where(fn.slack, fn.rows(x[need])[0], -np.inf).max(
             axis=1)
-    return x, status, cert, steps
+    go = np.flatnonzero(status == OPTIMAL)
+    if go.size:
+        x[go], status[go], mu[go], main, first[go] = _barrier(
+            f if go.size == B else f.take(go), x[go], _TOL)
+        steps[go] += main
+    return x, status, cert, steps, mu, first
 
 
 # ---------------------------------------------------------------------------
@@ -516,26 +540,18 @@ class _BallQcqp(_Oracle):
             c_norm = float(np.linalg.norm(cr))
             self.c_norm.append(c_norm)
             self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
-            entry = [(np.eye(n), np.zeros(n), 1.0)]
+            entry = [(np.eye(n), np.zeros(n), 1.0, 1.0)]
             for A, q, bb in p.quad_constraints:
                 At = embed_hermitian(A) if A is not None else np.zeros((n, n))
                 qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
-                # A constant row (no quadratic or linear part) reads 0 <= b.
-                # When b >= 0 it is vacuous but blocks *strict* feasibility
-                # in phase one, so drop it; when b < 0 keep it and let phase
-                # one certify.
-                if (float(np.linalg.norm(At)) <= 1e-14
-                        and float(np.linalg.norm(qr)) <= 1e-14
-                        and float(bb) >= -1e-12):
-                    continue
                 s = abs(float(bb))
                 if A is not None:
                     s = max(s, float(np.trace(np.asarray(A)).real))
                 s = max(s, float(np.linalg.norm(qr)), 1e-12)
-                entry.append((At / s, qr / s, float(bb) / s))
+                entry.append((At, qr, float(bb), s))
             rows.append(entry)
         self.c_hat = np.array(self.c_hat)
-        P, Q, b, real = _pad_rows(rows, n, True)
+        P, Q, b, real, self.impossible = _pad_rows(rows, n, True)
         slack = real.copy()
         slack[:, 0] = False
         super().__init__(-self.c_hat, P, Q, b, slack, real.sum(axis=1))
@@ -565,15 +581,14 @@ def solve_ball_qcqp(p: QcqpProblem,
     """
     f = _BallQcqp([p])
     z = np.zeros(f.c.shape) if v0 is None else embed_vector(v0)[None]
-    z, status, cert, steps = _phase_one(f, z)
-    if status[0] != OPTIMAL:
+    z, status, cert, steps, mu, _first = _solve(f, z)
+    if np.isnan(mu[0]):
         return QcqpResult(v=None, status=status[0],
                           certificate=float(cert[0]),
                           newton_steps=int(steps[0]))
-    z, status, _mu, main_steps, _first = _barrier(f, z, _TOL)
     return QcqpResult(v=unembed_vector(z[0]), status=status[0],
                       objective=float(f.c_norm[0] * (f.c_hat[0] @ z[0])),
-                      newton_steps=int(steps[0] + main_steps[0]))
+                      newton_steps=int(steps[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +628,20 @@ def _herm_basis(m: int) -> np.ndarray:
     """Orthonormal basis of m x m Hermitian matrices as an (m^2, m^2) matrix.
 
     Row a is basis matrix B_a flattened row-major, so svec(A) = Re Tr(B_a A)
-    and smat(w) = sum_a w_a B_a are products with it.
+    and smat(w) = sum_a w_a B_a are products with it.  B_0 ... B_m-1 are
+    the diagonal units E_ii; then each pair i < j, in row-major order, has
+    (E_ij + E_ji) / sqrt 2 and i (E_ij - E_ji) / sqrt 2.
     """
-    mats = []
-    for i in range(m):
-        E = np.zeros((m, m), dtype=complex)
-        E[i, i] = 1.0
-        mats.append(E)
+    i, j = np.triu_indices(m, 1)
+    re = m + 2 * np.arange(len(i))
+    im = re + 1
+    d = np.arange(m)
+    U = np.zeros((m * m, m, m), dtype=complex)
+    U[d, d, d] = 1.0
     s = 1.0 / np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            E = np.zeros((m, m), dtype=complex)
-            E[i, j] = s
-            E[j, i] = s
-            mats.append(E)
-            E = np.zeros((m, m), dtype=complex)
-            E[i, j] = 1j * s
-            E[j, i] = -1j * s
-            mats.append(E)
-    U = np.stack(mats).reshape(m * m, m * m)
+    U[re, i, j] = U[re, j, i] = s
+    U[im, i, j], U[im, j, i] = 1j * s, -1j * s
+    U = U.reshape(m * m, m * m)
     U.setflags(write=False)
     return U
 
@@ -681,13 +691,9 @@ class _Sdp(_Oracle):
         c_w = svec(np.asarray(C, dtype=complex))
         self.c_norm = float(np.linalg.norm(c_w))
         self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
-        rows = []
-        for entry in ineqs:
-            scales = [max(abs(b), float(np.linalg.norm(a)), 1e-12)
-                      for a, b in entry]
-            rows.append([(None, a / s, b / s)
-                         for (a, b), s in zip(entry, scales)])
-        _P, A, b, real = _pad_rows(rows, m * m, False)
+        rows = [[(None, a, b, max(abs(b), float(np.linalg.norm(a)), 1e-12))
+                 for a, b in entry] for entry in ineqs]
+        _P, A, b, real, self.impossible = _pad_rows(rows, m * m, False)
         b = np.where(real, b - A @ wp, 1.0)
         c = np.broadcast_to(-(Z.T @ self.c_hat), (len(ineqs), n))
         super().__init__(c, None, A @ Z, b, real, real.sum(axis=1) + m)
@@ -755,71 +761,44 @@ def _solve_sdps(problems, W0=None):
                                                        p0.eq_constraints))):
             raise ValueError("a batch of SDPs must share C, dim and the "
                              "equality constraints")
-    results = [None] * len(problems)
     wp, Z = _sdp_affine(p0)
     if wp is None:
         return [SdpResult(W=None, status=INFEASIBLE, certificate=np.inf)
                 for _ in problems]
-    # A row with A ~ 0 reads 0 <= b: vacuous when b >= 0, impossible when
-    # b < 0.  Either way phase one could never reach *strict* feasibility
-    # on it, so settle such rows here instead of handing them to the
-    # barrier.
-    todo, ineqs = [], []
-    for j, p in enumerate(problems):
-        entry = []
-        for A, b in p.ineq_constraints:
-            a, b = svec(A), float(b)
-            if float(np.linalg.norm(a)) <= 1e-14 * max(1.0, abs(b)):
-                if b < -1e-12:
-                    results[j] = SdpResult(
-                        W=None, status=INFEASIBLE,
-                        certificate=-b / max(abs(b), 1e-12))
-                    break
-                continue
-            entry.append((a, b))
-        else:
-            todo.append(j)
-            ineqs.append(entry)
-    if not todo:
-        return results
-    f = _Sdp(p0.C, p0.dim, wp, Z, ineqs)
+    f = _Sdp(p0.C, p0.dim, wp, Z, [[(svec(A), float(b))
+                                    for A, b in p.ineq_constraints]
+                                   for p in problems])
+    B = len(problems)
 
     if Z.shape[1] == 0:
         # Fully determined by the equalities (e.g. M = 1 with Tr W = 1).
-        y = np.zeros((len(todo), 0))
+        y = np.zeros((B, 0))
         W = f.matrix(y)
         worst = np.maximum(np.where(f.slack, f.rows(y)[0], -np.inf).max(
             axis=1, initial=-np.inf), -np.linalg.eigvalsh(W)[:, 0])
+        worst[f.impossible] = 1.0
         obj = f.objective(y)
-        for i, j in enumerate(todo):
-            results[j] = (
-                SdpResult(W=None, status=INFEASIBLE,
-                          certificate=float(worst[i])) if worst[i] > 1e-9
-                else SdpResult(W=W[i], status=OPTIMAL,
-                               objective=float(obj[i]), gap=0.0,
-                               center=W[i]))
-        return results
+        return [SdpResult(W=None, status=INFEASIBLE, certificate=float(w))
+                if w > 1e-9 else
+                SdpResult(W=Wj, status=OPTIMAL, objective=float(o), gap=0.0,
+                          center=Wj)
+                for w, Wj, o in zip(worst, W, obj)]
 
-    y = (np.tile(f.y_eye, (len(todo), 1)) if W0 is None
+    y = (np.tile(f.y_eye, (B, 1)) if W0 is None
          else (Z.T @ (svec(W0) - wp))[None])
-    y, status, cert, steps = _phase_one(f, y)
-    for i in np.flatnonzero(status != OPTIMAL):
-        results[todo[i]] = SdpResult(W=None, status=status[i],
-                                     certificate=float(cert[i]),
-                                     newton_steps=int(steps[i]))
-    ok = np.flatnonzero(status == OPTIMAL)
-    if ok.size:
-        fo = f if ok.size == len(todo) else f.take(ok)
-        y, status, mu, main_steps, first = _barrier(fo, y[ok], _TOL)
-        W, Wc = f.matrix(y), f.matrix(first)
-        obj = fo.objective(y)
-        gap = fo.n_par * mu * max(f.c_norm, 1.0)
-        for i, j in enumerate(ok):
-            results[todo[j]] = SdpResult(
-                W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off
-                status=status[i], objective=float(obj[i]),
-                gap=float(gap[i]), newton_steps=int(steps[j] + main_steps[i]),
-                center=0.5 * (Wc[i] + Wc[i].conj().T))
+    y, status, cert, steps, mu, first = _solve(f, y)
+    results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
+                         newton_steps=int(steps[j])) for j in range(B)]
+    main = np.flatnonzero(~np.isnan(mu))
+    W, Wc = f.matrix(y[main]), f.matrix(first[main])
+    obj = f.objective(y[main])
+    gap = f.n_par[main] * mu[main] * max(f.c_norm, 1.0)
+    for i, j in enumerate(main):
+        results[j] = SdpResult(
+            W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off
+            status=status[j], objective=float(obj[i]), gap=float(gap[i]),
+            newton_steps=int(steps[j]),
+            center=0.5 * (Wc[i] + Wc[i].conj().T))
     return results
 
 

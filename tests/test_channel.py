@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +38,17 @@ class TestSystemParams:
             SystemParams(alpha=1.2)
         with pytest.raises(ValueError):
             SystemParams(d_st=-1.0)
+
+    FLOAT_FIELDS = [f.name for f in fields(SystemParams)
+                    if "float" in str(f.type)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_refused(self, name, value):
+        # Every comparison with nan is false, so range checks alone let a
+        # nan through, and an inf passes any one-sided bound.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SystemParams(**{name: value})
 
 
 class TestRicianVector:

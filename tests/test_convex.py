@@ -236,6 +236,34 @@ class TestQcqpInfeasible:
         assert res.status == INFEASIBLE
 
 
+class TestQcqpConstantRows:
+    """A row with no v-dependence reads 0 <= b and is settled before any
+    Newton step: dropped when b >= 0, INFEASIBLE when b < 0."""
+
+    P = QcqpProblem(c=np.array([1.0 + 0j, 0.5j]), quad_constraints=[
+        (np.eye(2, dtype=complex), np.array([0.2 + 0j, 0.0]), 0.5)])
+
+    def with_row(self, row):
+        return QcqpProblem(c=self.P.c,
+                           quad_constraints=self.P.quad_constraints + [row])
+
+    @pytest.mark.parametrize("row", [
+        (None, None, 1.0), (np.zeros((2, 2)), np.zeros(2), 0.0)])
+    def test_vacuous_row_changes_nothing(self, row):
+        base = solve_ball_qcqp(self.P)
+        res = solve_ball_qcqp(self.with_row(row))
+        assert res.status == base.status == OPTIMAL
+        assert res.v.tobytes() == base.v.tobytes()
+        assert res.objective == base.objective
+        assert res.newton_steps == base.newton_steps
+
+    def test_impossible_row_is_infeasible_at_once(self):
+        res = solve_ball_qcqp(self.with_row((None, None, -1.0)))
+        assert res.status == INFEASIBLE and res.v is None
+        assert res.certificate == 1.0
+        assert res.newton_steps == 0
+
+
 class TestSvecBasis:
     def test_roundtrip_and_isometry(self):
         rng = np.random.default_rng(31)
@@ -477,6 +505,13 @@ def _relaxation_family(M, B):
     raise AssertionError("no mixed relaxation family")
 
 
+def _result_bytes(r):
+    """What an SdpResult says, as exact bytes."""
+    return (r.status, r.newton_steps,
+            None if r.W is None else r.W.tobytes(),
+            None if r.center is None else r.center.tobytes())
+
+
 class TestSdpBatch:
     """solve_sdp_batch against solve_small_sdp, entry by entry."""
 
@@ -488,6 +523,8 @@ class TestSdpBatch:
         assert len(batch) == B
         for one, res in zip(singles, batch):
             assert res.status == one.status
+            if M <= 4:      # bit for bit; M = 8 to the tolerance below
+                assert _result_bytes(res) == _result_bytes(one)
             if res.status == OPTIMAL:
                 assert res.objective == pytest.approx(one.objective,
                                                       rel=1e-7, abs=1e-12)
@@ -523,6 +560,45 @@ class TestSdpBatch:
                                                       rel=1e-7)
         assert batch[4].status == INFEASIBLE
         assert batch[4].certificate == pytest.approx(1.0)
+
+    def test_line_search_failure_ends_only_its_entry(self, monkeypatch):
+        # One entry's last line search, in its last stage, is made to fail
+        # in a call that steps other entries too.  That ends the target's
+        # stage alone: every other entry must end as in the run without the
+        # failure.
+        problems, _singles = _relaxation_family(4, 7)
+        wp, Z = _sdp_affine(problems[0])
+        keys = _Sdp(problems[0].C, 4, wp, Z, [
+            [(svec(A), float(b)) for A, b in p.ineq_constraints]
+            for p in problems]).b   # each entry's rows, as the barrier has them
+        line_search = convex._line_search
+        calls, fail = [], {}
+
+        def spied(f, x, d, val, dec, mu):
+            who = [int(np.flatnonzero((keys == row).all(axis=1))[0])
+                   for row in f.b]
+            xn, failed = line_search(f, x, d, val, dec, mu)
+            if len(calls) == fail.get("call"):
+                hit = np.equal(who, fail["entry"])
+                xn[hit] = x[hit]
+                failed = failed | hit
+            calls.append(who)
+            return xn, failed
+
+        monkeypatch.setattr(convex, "_line_search", spied)
+        clean = solve_sdp_batch(problems)
+        last = {j: i for i, who in enumerate(calls) for j in who}
+        target = max(last, key=lambda j: len(calls[last[j]]))
+        assert len(calls[last[target]]) > 1
+        fail.update(call=last[target], entry=target)
+        calls.clear()
+        batch = solve_sdp_batch(problems)
+        assert target in calls[fail["call"]]
+        for j, (a, b) in enumerate(zip(clean, batch)):
+            if j != target:
+                assert _result_bytes(b) == _result_bytes(a)
+                assert repr((b.objective, b.certificate)) == repr(
+                    (a.objective, a.certificate))
 
     def test_iteration_cap_reported(self, monkeypatch):
         problems, _singles = _relaxation_family(4, 7)

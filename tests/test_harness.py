@@ -364,6 +364,15 @@ class TestCli:
         assert proc.returncode == 1
         assert "bogus_key" in proc.stderr
 
+    @pytest.mark.parametrize("line", ["sigma_s2 = nan", "rho = inf"])
+    def test_non_finite_param_exit_code(self, tmp_path, capsys, line):
+        # A non-finite parameter is a configuration error, not a solver
+        # failure or an infeasible realization (exit 2).
+        cfgf = tmp_path / "nf.cfg"
+        cfgf.write_text(line + "\n")
+        assert cli.main(["solve", "--config", str(cfgf)]) == 1
+        assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+
     def test_all_infeasible_exit_code(self, tmp_path):
         cfgf = tmp_path / "inf.cfg"
         cfgf.write_text("K = 2\nM = 2\nzeta_max = 0.01\n"
