@@ -88,6 +88,11 @@ def _no_dl_floor_unreachable(gamma, hs, f_without) -> bool:
     return gamma * float(np.vdot(hs, hs).real) < f_without - 1.0 - 1e-12
 
 
+def _settled(new, old, omega) -> bool:
+    """The loops' stop test: |new - old| < omega * max(1, |new|)."""
+    return abs(new - old) < omega * max(1.0, abs(new))
+
+
 def _infeasible(iterations=0, converged=True) -> BeamformerSolution:
     return BeamformerSolution(v=None, snr=0.0, feasible=False,
                               iterations=iterations, converged=converged)
@@ -157,33 +162,28 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
                                            quad_constraints=cons),
                                v0=vbar), c1
 
-    trace = []
-    vbar = None
-    converged = False
     capped = False
     for init in inits:
         vbar = init / np.linalg.norm(init)
-        first, c1 = solve_around(vbar)
-        if first.status == OPTIMAL:
+        res, c1 = solve_around(vbar)
+        if res.status == OPTIMAL:
             break
-        capped |= first.status == MAX_ITER
+        capped |= res.status == MAX_ITER
     else:
         return _infeasible(converged=not capped)
 
-    v = first.v / np.linalg.norm(first.v)
-    mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - c1
-    trace.append(gamma * mu)
-    vbar = v
-    for _ in range(1, params.L):
-        res, c1 = solve_around(vbar)
-        if res.status != OPTIMAL:
-            break   # boundary case: keep the incumbent
+    trace = []
+    converged = False
+    for it in range(params.L):
+        if it:      # step 0 is the solve around the init above
+            res, c1 = solve_around(vbar)
+            if res.status != OPTIMAL:
+                break   # boundary case: keep the incumbent
         v = res.v / np.linalg.norm(res.v)
         mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - c1
         trace.append(gamma * mu)
         vbar = v
-        if abs(trace[-1] - trace[-2]) < params.omega * max(
-                1.0, abs(trace[-1])):
+        if it and _settled(trace[-1], trace[-2], params.omega):
             converged = True
             break
 
@@ -271,8 +271,7 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
         if abs(ph) > 1e-15:
             v_new = v_new * (ph.conjugate() / abs(ph))
         step = float(np.linalg.norm(v_new - u))
-        done = (pen_cur is not None
-                and abs(pen - pen_cur) < omega * max(1.0, abs(pen)))
+        done = pen_cur is not None and _settled(pen, pen_cur, omega)
         delta_last, s_before, s_last = v_new - u, s_last, step
         u, pen_cur = v_new, pen
         if done or (step < 1e-10 and j > 0):
@@ -325,21 +324,21 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     # there, and its solution seeds the penalty stage.  Points whose bound
     # cannot beat the incumbent are skipped outright, which is where most of
     # the grid's budget would otherwise go.
-    C, eqs = gamma * H1, [(eye, 1.0)]
-    problems = [SdpProblem(C=C, dim=m, eq_constraints=eqs, ineq_constraints=[
+    row_sets = [[
         (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
         (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
         (H0, t),                                  # t dominates the DLI
-    ]) for t in grid]
-    total_iter += len(problems)
+    ] for t in grid]
+    total_iter += len(row_sets)
     relax = []
-    for t, prob, res in zip(grid, problems, solve_sdp_batch(problems)):
+    for t, rows, res in zip(grid, row_sets,
+                            solve_sdp_batch(gamma * H1, row_sets)):
         if res.status == MAX_ITER:
             any_nonconverged = True
         if res.status != OPTIMAL:
             continue
         relax.append((float(res.objective), float(t), res.W, res.center,
-                      prob.ineq_constraints))
+                      rows))
     if not relax:
         return _infeasible(iterations=total_iter,
                            converged=not any_nonconverged)
@@ -347,11 +346,11 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     relax.sort(key=lambda e: -e[0])
     achieved = []        # (snr, t, v, residual, trace, stats)
     best_snr = -np.inf
-    for ub, t, W_rel, center_rel, ineqs in relax:
+    for ub, t, W_rel, center_rel, rows in relax:
         if ub < best_snr - 1e-9:
             break       # relax is sorted by bound: none of the rest can win
         prob = SdpProblem(C=H1, dim=m, eq_constraints=[(eye, 1.0)],
-                          ineq_constraints=ineqs)
+                          ineq_constraints=rows)
         chi = chi0
         W, center = W_rel, center_rel
         candidate = None      # best ok attempt at this t
@@ -468,8 +467,7 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
 
         rounds = s_round
         trace.append(snr_cur)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) \
-                < params.omega * max(1.0, abs(trace[-1])):
+        if len(trace) >= 2 and _settled(trace[-1], trace[-2], params.omega):
             converged = True
             break
 

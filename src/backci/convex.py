@@ -30,16 +30,17 @@ makes its entry INFEASIBLE, certificate 1, when b < 0.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
 z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
-SDP oracle works in nullspace coordinates y of the equality constraints: the
-Hermitian matrix W has the coefficient vector w = w_p + Z y in an
-orthonormal Hermitian basis (dimension M^2), and -log det W is its cone
-barrier.  Besides the cone, the two differ only in the SDP's extra stop on
-the gap relative to its objective, which bounds the gap in original units.
+SDP is the one the trace-one lift W = v v^H gives: maximize Tr(C W) subject
+to Tr W = 1, rows Tr(A W) <= b and W PSD.  Its oracle works in coordinates y
+of the unit-trace plane: the Hermitian matrix W has the coefficient vector
+w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
+-log det W is its cone barrier.  Besides the cone, the two differ only in
+the SDP's extra stop on the gap relative to its objective, which bounds the
+gap in original units.
 
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
-one.  `solve_sdp_batch` solves many SDPs that share the objective, the
-dimension and the equalities but have their own inequality rows, all from
-W = I / m, in one stacked barrier run.
+one.  `solve_sdp_batch(C, row_sets)` solves the SDPs of one objective C,
+each with its own row list, all from W = I / m, in one stacked barrier run.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -94,12 +95,16 @@ def unembed_vector(z: np.ndarray) -> np.ndarray:
 def _solve_newton(H, g):
     """H^-1 g, one per entry: minus the Newton step.
 
-    If any H is singular, every entry gets a ridge of 1e-12 of its mean
-    diagonal.
+    An entry whose H is singular gets a ridge of 1e-12 of its mean
+    diagonal.  Every other entry's step is its own solve, whatever else is
+    in the stack.
     """
     try:
         return np.linalg.solve(H, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        if len(H) > 1:
+            return np.concatenate([_solve_newton(H[i:i + 1], g[i:i + 1])
+                                   for i in range(len(H))])
         n = H.shape[-1]
         reg = 1e-12 * (np.abs(np.trace(H, axis1=1, axis2=2)) / n + 1.0)
         return np.linalg.solve(H + reg[:, None, None] * np.eye(n),
@@ -597,16 +602,28 @@ def solve_ball_qcqp(p: QcqpProblem,
 
 @dataclass
 class SdpProblem:
-    """maximize Tr(C W) s.t. Tr(A W) = b, Tr(A W) <= b, W PSD.
+    """maximize Tr(C W) s.t. Tr W = 1, Tr(A W) <= b, W PSD.
 
-    eq_constraints and ineq_constraints are lists of (A, b) pairs with A
-    Hermitian; inequalities are in <= form (flip signs for >=).
+    ineq_constraints is a list of (A, b) pairs with A Hermitian, in <= form
+    (flip signs for >=).  dim and eq_constraints state the lift's one
+    equality: they must read m and [(I_m, 1)] for the m x m matrix C, and
+    anything else is refused with ValueError.
     """
 
     C: np.ndarray
     dim: int
-    eq_constraints: list = field(default_factory=list)
+    eq_constraints: list
     ineq_constraints: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if np.shape(self.C) != (self.dim, self.dim):
+            raise ValueError(f"C has shape {np.shape(self.C)}, not dim "
+                             f"{self.dim} x {self.dim}")
+        eqs = self.eq_constraints
+        if not (len(eqs) == 1 and eqs[0][1] == 1
+                and np.array_equal(eqs[0][0], np.eye(self.dim))):
+            raise ValueError("the only equality an SdpProblem takes is "
+                             "Tr W = 1, as [(I_dim, 1)]")
 
 
 @dataclass
@@ -628,9 +645,9 @@ def _herm_basis(m: int) -> np.ndarray:
     """Orthonormal basis of m x m Hermitian matrices as an (m^2, m^2) matrix.
 
     Row a is basis matrix B_a flattened row-major, so svec(A) = Re Tr(B_a A)
-    and smat(w) = sum_a w_a B_a are products with it.  B_0 ... B_m-1 are
-    the diagonal units E_ii; then each pair i < j, in row-major order, has
-    (E_ij + E_ji) / sqrt 2 and i (E_ij - E_ji) / sqrt 2.
+    and its inverse, w -> sum_a w_a B_a, are products with it.  B_0 ...
+    B_m-1 are the diagonal units E_ii; then each pair i < j, in row-major
+    order, has (E_ij + E_ji) / sqrt 2 and i (E_ij - E_ji) / sqrt 2.
     """
     i, j = np.triu_indices(m, 1)
     re = m + 2 * np.arange(len(i))
@@ -652,63 +669,62 @@ def svec(A: np.ndarray) -> np.ndarray:
     return (_herm_basis(A.shape[0]) @ A.T.ravel()).real
 
 
-def smat(w: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of svec."""
-    return (np.asarray(w, dtype=float) @ _herm_basis(m)).reshape(m, m)
+@lru_cache(maxsize=16)
+def _trace_one(m: int) -> tuple:
+    """The unit-trace plane of m x m Hermitian matrices, in the basis.
 
-
-def _sdp_affine(p: SdpProblem):
-    """Particular solution w_p and nullspace Z of the equality constraints."""
-    m = p.dim
-    n = m * m
-    if not p.eq_constraints:
-        return np.zeros(n), np.eye(n)
-    E = np.stack([svec(A) for A, _ in p.eq_constraints])
-    b = np.array([float(bb) for _, bb in p.eq_constraints])
-    wp, *_ = np.linalg.lstsq(E, b, rcond=None)
-    if np.linalg.norm(E @ wp - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
-        return None, None  # inconsistent equalities
-    _u, sv, vt = np.linalg.svd(E)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
-    Z = vt[rank:].T
-    return wp, Z
+    Returns (wp, Z, UZ, UZh, Wp, y_eye): w = wp + Z y, with wp the
+    least-squares solution of svec(I) . w = 1 and Z an orthonormal basis of
+    svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into the basis
+    matrix U and UZh is its conjugate transpose; Wp = wp U is wp's matrix,
+    flattened; y_eye are the coordinates of W = I / m.
+    """
+    U = _herm_basis(m)
+    E = svec(np.eye(m))[None]
+    wp = np.linalg.lstsq(E, np.ones(1), rcond=None)[0]
+    Z = np.linalg.svd(E)[2][1:].T
+    UZ = Z.T @ U
+    parts = (wp, Z, UZ, UZ.conj().T, wp @ U,
+             Z.T @ (svec(np.eye(m) / m) - wp))
+    for a in parts:
+        a.setflags(write=False)
+    return parts
 
 
 class _Sdp(_Oracle):
-    """SDPs in nullspace coordinates y, w = w_p + Z y: min -c_hat . w.
+    """Trace-one SDPs of one objective C, in coordinates y of the plane
+    Tr W = 1, w = w_p + Z y: min -c_hat . w.
 
-    The entries share C, the dimension and the equalities, so c_hat, w_p
-    and Z, and the basis products below, are built once.  Rows are each
-    entry's inequalities a . w <= b divided by their scales, and the PSD
-    cone's barrier is -log det W.  Its Hessian
+    Rows are each entry's inequalities a . w <= b divided by their scales,
+    and the PSD cone's barrier is -log det W.  Its Hessian
     H_ab = Re Tr(W^-1 B_a W^-1 B_b) is U K U^H in closed form, with U the
     basis matrix and K[(j,k),(p,q)] = (W^-1)_pj (W^-1)_kq; Z is folded into U.
     """
 
-    def __init__(self, C, m, wp, Z, ineqs):
-        """ineqs holds, per entry, (svec(A), b) for its rows Tr(A W) <= b."""
-        n = Z.shape[1]
-        c_w = svec(np.asarray(C, dtype=complex))
+    def __init__(self, C, row_sets):
+        """row_sets holds, per entry, its rows (A, b): Tr(A W) <= b."""
+        C = np.asarray(C, dtype=complex)
+        self.m = m = len(C)
+        self.wp, self.Z, self.UZ, self.UZh, self.Wp, self.y_eye = (
+            _trace_one(m))
+        c_w = svec(C)
         self.c_norm = float(np.linalg.norm(c_w))
         self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
         rows = [[(None, a, b, max(abs(b), float(np.linalg.norm(a)), 1e-12))
-                 for a, b in entry] for entry in ineqs]
+                 for a, b in ((svec(A), float(b)) for A, b in entry)]
+                for entry in row_sets]
         _P, A, b, real, self.impossible = _pad_rows(rows, m * m, False)
-        b = np.where(real, b - A @ wp, 1.0)
-        c = np.broadcast_to(-(Z.T @ self.c_hat), (len(ineqs), n))
-        super().__init__(c, None, A @ Z, b, real, real.sum(axis=1) + m)
-        self.m, self.wp, self.Z = m, wp, Z
-        self.UZ = Z.T @ _herm_basis(m)
-        self.UZh = self.UZ.conj().T
-        self.Wp = wp @ _herm_basis(m)
-        self.y_eye = Z.T @ (svec(np.eye(m) / m) - wp)   # W = I / m
+        b = np.where(real, b - A @ self.wp, 1.0)
+        c = np.broadcast_to(-(self.Z.T @ self.c_hat),
+                            (len(row_sets), self.Z.shape[1]))
+        super().__init__(c, None, A @ self.Z, b, real, real.sum(axis=1) + m)
 
     def objective(self, y):
         """Tr(C W) in original units, per entry."""
         return self.c_norm * ((self.wp + y @ self.Z.T) @ self.c_hat)
 
     def matrix(self, y):
-        """W = smat(w_p + Z y), with w_p and Z folded into the basis."""
+        """W = sum_a w_a B_a at w = w_p + Z y, w_p and Z folded into U."""
         return (self.Wp + y @ self.UZ).reshape(-1, self.m, self.m)
 
     def cone(self, y):
@@ -732,14 +748,11 @@ class _Sdp(_Oracle):
     def into_cone(self, y):
         """y where W is safely positive definite, else the point W = I / m.
 
-        The second value says where that point is positive definite.
+        Every point comes back inside the cone (the second value).
         """
-        eye = np.eye(self.m)
-        inside = ~np.isnan(_logdet(self.matrix(y) - 1e-12 * eye))
-        eye_pd = not np.isnan(_logdet(self.matrix(self.y_eye[None])
-                                      - 1e-14 * eye)[0])
+        inside = ~np.isnan(_logdet(self.matrix(y) - 1e-12 * np.eye(self.m)))
         return (np.where(inside[:, None], y, self.y_eye),
-                inside | eye_pd)
+                np.ones(len(y), dtype=bool))
 
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""
@@ -750,28 +763,13 @@ class _Sdp(_Oracle):
         return np.where(done, OPTIMAL, None)
 
 
-def _solve_sdps(problems, W0=None):
-    """The SdpResult of each problem; W0 is a warm start for a single one."""
-    p0 = problems[0]
-    for p in problems[1:]:
-        if (p.dim != p0.dim or not np.array_equal(p.C, p0.C)
-                or len(p.eq_constraints) != len(p0.eq_constraints)
-                or not all(b == b0 and np.array_equal(A, A0)
-                           for (A, b), (A0, b0) in zip(p.eq_constraints,
-                                                       p0.eq_constraints))):
-            raise ValueError("a batch of SDPs must share C, dim and the "
-                             "equality constraints")
-    wp, Z = _sdp_affine(p0)
-    if wp is None:
-        return [SdpResult(W=None, status=INFEASIBLE, certificate=np.inf)
-                for _ in problems]
-    f = _Sdp(p0.C, p0.dim, wp, Z, [[(svec(A), float(b))
-                                    for A, b in p.ineq_constraints]
-                                   for p in problems])
-    B = len(problems)
+def _solve_sdps(C, row_sets, W0=None):
+    """The SdpResult of each row set; W0 is a warm start for a single one."""
+    f = _Sdp(C, row_sets)
+    B = len(row_sets)
 
-    if Z.shape[1] == 0:
-        # Fully determined by the equalities (e.g. M = 1 with Tr W = 1).
+    if f.m == 1:
+        # Tr W = 1 pins W = [[1]]: only the rows are left to check.
         y = np.zeros((B, 0))
         W = f.matrix(y)
         worst = np.maximum(np.where(f.slack, f.rows(y)[0], -np.inf).max(
@@ -785,7 +783,7 @@ def _solve_sdps(problems, W0=None):
                 for w, Wj, o in zip(worst, W, obj)]
 
     y = (np.tile(f.y_eye, (B, 1)) if W0 is None
-         else (Z.T @ (svec(W0) - wp))[None])
+         else (f.Z.T @ (svec(W0) - f.wp))[None])
     y, status, cert, steps, mu, first = _solve(f, y)
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
                          newton_steps=int(steps[j])) for j in range(B)]
@@ -804,7 +802,7 @@ def _solve_sdps(problems, W0=None):
 
 def solve_small_sdp(p: SdpProblem,
                     W0: Optional[np.ndarray] = None) -> SdpResult:
-    """Solve the small SDP by a log-barrier interior method.
+    """Solve the small trace-one SDP by a log-barrier interior method.
 
     Args:
         p: Problem data (objective maximized).
@@ -817,24 +815,22 @@ def solve_small_sdp(p: SdpProblem,
         certificate the phase-one max violation (normalized) when
         infeasible.
     """
-    return _solve_sdps([p], W0)[0]
+    return _solve_sdps(p.C, [p.ineq_constraints], W0)[0]
 
 
-def solve_sdp_batch(problems: list) -> list:
-    """Solve SDPs that share C, dim and the equalities, in one stacked run.
+def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
+    """Solve the trace-one SDPs of objective C, one per row set, in one
+    stacked run.
 
-    Each problem has its own inequality rows.  Every entry starts from
-    W = I / m, and its SdpResult is what solve_small_sdp gives for it (up
-    to round-off).
+    Entry j is max Tr(C W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
+    row_sets[j], W PSD.  Every entry starts from W = I / m, and its
+    SdpResult is what solve_small_sdp gives for it (up to round-off).
 
     Args:
-        problems: SdpProblem list; all share C, dim and eq_constraints.
+        C: The m x m Hermitian objective every entry shares.
+        row_sets: One list of (A, b) rows per entry.
 
     Returns:
-        The SdpResult of each problem, in input order.
-
-    Raises:
-        ValueError: if the problems do not share C, dim and the equalities.
+        The SdpResult of each row set, in input order.
     """
-    return _solve_sdps(problems) if problems else []
-
+    return _solve_sdps(C, row_sets) if row_sets else []

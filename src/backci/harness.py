@@ -220,23 +220,20 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
 
 def _record_from(cfg_var, value, trial, algorithm,
                  res: SelectionResult) -> SweepRecord:
-    if res.best is None:
-        return SweepRecord(sweep_var=cfg_var, value=value, trial=trial,
-                           algorithm=algorithm, selected_tag=0,
-                           snr_db=math.nan, kld_with=math.nan,
-                           kld_without=math.nan, dep_bound_with=math.nan,
-                           dep_bound_without=math.nan, feasible=False,
-                           iterations=0, converged=res.converged)
+    """The row of one result; NaN figures when none is feasible."""
     best = res.best
-    st = best.stats
-    return SweepRecord(sweep_var=cfg_var, value=value, trial=trial,
-                       algorithm=algorithm, selected_tag=res.selected_tag,
-                       snr_db=10.0 * math.log10(best.snr),
-                       kld_with=st.kld_with, kld_without=st.kld_without,
-                       dep_bound_with=st.dep_bound_with,
-                       dep_bound_without=st.dep_bound_without,
-                       feasible=True, iterations=best.iterations,
-                       converged=res.converged)
+    ok = best is not None
+    st = best.stats if ok else None
+    return SweepRecord(
+        sweep_var=cfg_var, value=value, trial=trial, algorithm=algorithm,
+        selected_tag=res.selected_tag,
+        snr_db=10.0 * math.log10(best.snr) if ok else math.nan,
+        kld_with=st.kld_with if ok else math.nan,
+        kld_without=st.kld_without if ok else math.nan,
+        dep_bound_with=st.dep_bound_with if ok else math.nan,
+        dep_bound_without=st.dep_bound_without if ok else math.nan,
+        feasible=ok, iterations=best.iterations if ok else 0,
+        converged=res.converged)
 
 
 def _sweep_cell(args) -> List[SweepRecord]:
@@ -260,6 +257,8 @@ def _sweep_cell(args) -> List[SweepRecord]:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -268,11 +267,8 @@ def _fmt(x) -> str:
 
 
 def record_row(r: SweepRecord) -> str:
-    return ",".join([r.sweep_var, _fmt(r.value), _fmt(r.trial), r.algorithm,
-                     _fmt(r.selected_tag), _fmt(r.snr_db), _fmt(r.kld_with),
-                     _fmt(r.kld_without), _fmt(r.dep_bound_with),
-                     _fmt(r.dep_bound_without), _fmt(r.feasible),
-                     _fmt(r.iterations)])
+    """r's CSV line: its fields named in CSV_HEADER, in that order."""
+    return ",".join(_fmt(getattr(r, name)) for name in CSV_HEADER.split(","))
 
 
 def _write_lines(path: str, lines: List[str]) -> None:
@@ -300,14 +296,18 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
 
     Channels for cell (value_idx, trial) are keyed by (seed, value_idx,
     trial), so records are identical for a fixed config no matter how many
-    workers share the grid or in which order cells finish.
+    workers share the grid or in which order cells finish.  At most one
+    worker process per cell is started; workers < 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     validate_sweep(cfg)
     cells = [(cfg.base, cfg.sweep_var, value, vi, trial,
               tuple(cfg.algorithms))
              for vi, value in enumerate(cfg.values)
              for trial in range(cfg.trials)]
-    if workers > 1 and len(cells) > 1:
+    workers = min(workers, len(cells))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:

@@ -25,15 +25,11 @@ class CiRegion:
         gamma_hi: Largest input SNR at which the DL stays constructive
             (math.inf when there is no direct link).
         nonempty: Whether the interval [gamma_lo, gamma_hi] is nonempty.
-        theta_max: CI angle at some operating SNR, when computed (radians).
-        theta_max_at_min_snr: Widest CI angle, attained at gamma_lo (radians).
     """
 
     gamma_lo: float
     gamma_hi: float
     nonempty: bool
-    theta_max: Optional[float] = None
-    theta_max_at_min_snr: Optional[float] = None
 
 
 def snr_interval(h_sr: complex, h_str: complex, g_min: float) -> CiRegion:

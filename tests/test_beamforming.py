@@ -183,10 +183,10 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         calls = {"batch": 0, "entries": 0, "single": 0}
 
-        def batch(problems):
+        def batch(C, row_sets):
             calls["batch"] += 1
-            calls["entries"] += len(problems)
-            return solve_sdp_batch(problems)
+            calls["entries"] += len(row_sets)
+            return solve_sdp_batch(C, row_sets)
 
         def single(*args, **kwargs):
             calls["single"] += 1

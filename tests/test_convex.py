@@ -25,10 +25,8 @@ from backci.convex import (
     _BallQcqp,
     _PhaseOne,
     _Sdp,
-    _sdp_affine,
     embed_hermitian,
     embed_vector,
-    smat,
     solve_ball_qcqp,
     solve_sdp_batch,
     solve_small_sdp,
@@ -40,6 +38,7 @@ from oracles import (
     qcqp_max_violation,
     sdp_max_violation,
     slsqp_qcqp_oracle,
+    smat,
 )
 
 
@@ -371,12 +370,23 @@ class TestSdpDegenerate:
                                                 abs=0.05)
 
     def test_inconsistent_equalities(self):
-        p = SdpProblem(
-            C=np.eye(2, dtype=complex), dim=2,
-            eq_constraints=[(np.eye(2, dtype=complex), 1.0),
-                            (np.eye(2, dtype=complex), 2.0)])
-        res = solve_small_sdp(p)
-        assert res.status == INFEASIBLE
+        with pytest.raises(ValueError):
+            solve_small_sdp(SdpProblem(
+                C=np.eye(2, dtype=complex), dim=2,
+                eq_constraints=[(np.eye(2, dtype=complex), 1.0),
+                                (np.eye(2, dtype=complex), 2.0)]))
+
+    @pytest.mark.parametrize("dim, eqs", [
+        (2, []),                                        # no Tr W = 1
+        (2, [(np.eye(2), 2.0)]),                        # Tr W = 2
+        (2, [(np.diag([1.0, 0.0]), 1.0)]),              # W_00 = 1
+        (2, [(np.eye(2), 1.0), (np.eye(2), 1.0)]),      # twice
+        (3, [(np.eye(3), 1.0)]),                        # dim is not C's
+    ], ids=["none", "trace-two", "not-identity", "twice", "dim"])
+    def test_refuses_non_trace_one(self, dim, eqs):
+        with pytest.raises(ValueError):
+            solve_small_sdp(SdpProblem(C=np.eye(2, dtype=complex), dim=dim,
+                                       eq_constraints=eqs))
 
     def test_warm_start_keeps_answer(self):
         rng = np.random.default_rng(52)
@@ -473,8 +483,16 @@ class TestNewtonStepCount:
         assert res.newton_steps == len(searches)
 
 
+def _problem(C, rows):
+    """The trace-one SdpProblem of objective C and rows."""
+    m = len(C)
+    return SdpProblem(C=C, dim=m, eq_constraints=[(np.eye(m), 1.0)],
+                      ineq_constraints=rows)
+
+
 def _relaxation_family(M, B):
-    """The evolved relaxation SDPs of one tag at B values of t, and their
+    """The evolved relaxation SDPs of one tag at B values of t, as
+    (C, row_sets, singles): their shared objective, their rows, and their
     solve_small_sdp results.
 
     t runs over [0, 1.5 lambda_max(H0)], so small t, where Tr(H0 W) <= t
@@ -484,24 +502,20 @@ def _relaxation_family(M, B):
     params = SystemParams(K=1, M=M)
     gamma = params.gamma
     f_without = divergence_floors(params)[3]
-    eye = np.eye(M, dtype=complex)
     for seed in range(100):
         h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
         H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
         t_hi = float(np.linalg.eigvalsh(H0)[-1])
         ts = (np.linspace(0.0, 1.5 * t_hi, B) if B > 1
               else np.array([0.8 * t_hi]))
-        C, eqs = gamma * H1, [(eye, 1.0)]
-        problems = [SdpProblem(C=C, dim=M, eq_constraints=eqs,
-                               ineq_constraints=[
-                                   (-H1 + (1.0 + gamma * t) * Hs, -t),
-                                   (-gamma * Hs, -(f_without - 1.0)),
-                                   (H0, t)])
-                    for t in ts]
-        singles = [solve_small_sdp(p) for p in problems]
+        C = gamma * H1
+        row_sets = [[(-H1 + (1.0 + gamma * t) * Hs, -t),
+                     (-gamma * Hs, -(f_without - 1.0)),
+                     (H0, t)] for t in ts]
+        singles = [solve_small_sdp(_problem(C, rows)) for rows in row_sets]
         statuses = {r.status for r in singles}
         if B == 1 or {OPTIMAL, INFEASIBLE} <= statuses:
-            return problems, singles
+            return C, row_sets, singles
     raise AssertionError("no mixed relaxation family")
 
 
@@ -518,8 +532,8 @@ class TestSdpBatch:
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     @pytest.mark.parametrize("B", [1, 7, 100])
     def test_matches_single_solves(self, M, B):
-        problems, singles = _relaxation_family(M, B)
-        batch = solve_sdp_batch(problems)
+        C, row_sets, singles = _relaxation_family(M, B)
+        batch = solve_sdp_batch(C, row_sets)
         assert len(batch) == B
         for one, res in zip(singles, batch):
             assert res.status == one.status
@@ -533,9 +547,9 @@ class TestSdpBatch:
                 assert res.certificate > 0.0
 
     def test_order_follows_input(self):
-        problems, _singles = _relaxation_family(4, 7)
-        fwd = solve_sdp_batch(problems)
-        rev = solve_sdp_batch(problems[::-1])[::-1]
+        C, row_sets, _singles = _relaxation_family(4, 7)
+        fwd = solve_sdp_batch(C, row_sets)
+        rev = solve_sdp_batch(C, row_sets[::-1])[::-1]
         assert [r.status for r in fwd] == [r.status for r in rev]
         for a, b in zip(fwd, rev):
             if a.status == OPTIMAL:
@@ -545,15 +559,13 @@ class TestSdpBatch:
         # A vacuous row (A = 0, b >= 0) is dropped from one entry only, and
         # an impossible one (A = 0, b < 0) settles another before the
         # barrier; the rest still match their single solves.
-        problems, _singles = _relaxation_family(2, 7)
+        C, row_sets, _singles = _relaxation_family(2, 7)
         zero = np.zeros((2, 2), dtype=complex)
-        problems[3].ineq_constraints = problems[3].ineq_constraints + [
-            (zero, 1.0)]
-        problems[4].ineq_constraints = problems[4].ineq_constraints + [
-            (zero, -1.0)]
-        batch = solve_sdp_batch(problems)
-        for p, res in zip(problems, batch):
-            one = solve_small_sdp(p)
+        row_sets[3] = row_sets[3] + [(zero, 1.0)]
+        row_sets[4] = row_sets[4] + [(zero, -1.0)]
+        batch = solve_sdp_batch(C, row_sets)
+        for rows, res in zip(row_sets, batch):
+            one = solve_small_sdp(_problem(C, rows))
             assert res.status == one.status
             if res.status == OPTIMAL:
                 assert res.objective == pytest.approx(one.objective,
@@ -566,11 +578,8 @@ class TestSdpBatch:
         # in a call that steps other entries too.  That ends the target's
         # stage alone: every other entry must end as in the run without the
         # failure.
-        problems, _singles = _relaxation_family(4, 7)
-        wp, Z = _sdp_affine(problems[0])
-        keys = _Sdp(problems[0].C, 4, wp, Z, [
-            [(svec(A), float(b)) for A, b in p.ineq_constraints]
-            for p in problems]).b   # each entry's rows, as the barrier has them
+        C, row_sets, _singles = _relaxation_family(4, 7)
+        keys = _Sdp(C, row_sets).b   # the barrier's rows of each entry
         line_search = convex._line_search
         calls, fail = [], {}
 
@@ -586,13 +595,13 @@ class TestSdpBatch:
             return xn, failed
 
         monkeypatch.setattr(convex, "_line_search", spied)
-        clean = solve_sdp_batch(problems)
+        clean = solve_sdp_batch(C, row_sets)
         last = {j: i for i, who in enumerate(calls) for j in who}
         target = max(last, key=lambda j: len(calls[last[j]]))
         assert len(calls[last[target]]) > 1
         fail.update(call=last[target], entry=target)
         calls.clear()
-        batch = solve_sdp_batch(problems)
+        batch = solve_sdp_batch(C, row_sets)
         assert target in calls[fail["call"]]
         for j, (a, b) in enumerate(zip(clean, batch)):
             if j != target:
@@ -601,22 +610,30 @@ class TestSdpBatch:
                     (a.objective, a.certificate))
 
     def test_iteration_cap_reported(self, monkeypatch):
-        problems, _singles = _relaxation_family(4, 7)
+        C, row_sets, _singles = _relaxation_family(4, 7)
         monkeypatch.setattr(convex, "_MAX_STEPS", 1)
-        batch = solve_sdp_batch(problems)
+        batch = solve_sdp_batch(C, row_sets)
         assert MAX_ITER in {r.status for r in batch}
         assert OPTIMAL not in {r.status for r in batch}
 
-    def test_refuses_unshared_objective(self):
-        problems, _singles = _relaxation_family(2, 7)
-        problems[1] = SdpProblem(C=2.0 * problems[1].C, dim=2,
-                                 eq_constraints=problems[1].eq_constraints,
-                                 ineq_constraints=problems[1].ineq_constraints)
-        with pytest.raises(ValueError):
-            solve_sdp_batch(problems)
-
     def test_empty_batch(self):
-        assert solve_sdp_batch([]) == []
+        assert solve_sdp_batch(np.eye(2, dtype=complex), []) == []
+
+
+class TestSolveNewton:
+    def test_singular_entry_leaves_the_others_alone(self):
+        # One zero Hessian in a stack of three: it alone gets the ridge,
+        # and the other two steps are their own solves, bit for bit.
+        rng = np.random.default_rng(90)
+        X = rng.normal(size=(3, 5, 5))
+        H = X @ X.swapaxes(1, 2) + np.eye(5)
+        H[1] = 0.0
+        g = rng.normal(size=(3, 5))
+        d = convex._solve_newton(H, g)
+        for i in range(3):
+            solo = convex._solve_newton(H[i:i + 1], g[i:i + 1])
+            assert d[i].tobytes() == solo[0].tobytes()
+        assert np.all(np.isfinite(d[1]))
 
 
 def _random_qcqp_oracle(rng, m):
@@ -645,21 +662,15 @@ def _random_qcqp_oracle(rng, m):
 def _random_sdp_oracle(rng, m):
     """A batch of three SDP oracles and a point inside each one's domain.
 
-    The entries share C and the equalities and have 2, 1 and 3 rows.  A
-    trace-one equality leaves no free coordinate at m = 1, so it is imposed
-    only for m > 1.
+    The entries share C and have 2, 1 and 3 rows.
     """
-    eye = np.eye(m, dtype=complex)
-    p = SdpProblem(C=rand_herm_psd(rng, m), dim=m,
-                   eq_constraints=[(eye, 1.0)] if m > 1 else [])
-    wp, Z = _sdp_affine(p)
+    C = rand_herm_psd(rng, m)
     rows = []
     for n_rows in (2, 1, 3):
         mats = [rand_herm_psd(rng, m) for _ in range(n_rows)]
-        rows.append([(svec(A), float(np.trace(A).real / m + 0.2))
-                     for A in mats])
-    f = _Sdp(p.C, m, wp, Z, rows)
-    return f, f.y_eye + 0.02 * rng.normal(size=(3, Z.shape[1]))
+        rows.append([(A, float(np.trace(A).real / m + 0.2)) for A in mats])
+    f = _Sdp(C, rows)
+    return f, f.y_eye + 0.02 * rng.normal(size=(3, f.Z.shape[1]))
 
 
 class TestOracleDerivatives:
@@ -703,7 +714,7 @@ class TestOracleDerivatives:
             self._check(_PhaseOne(f), np.column_stack([z, np.full(3, 0.1)]),
                         0.3)
 
-    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_sdp_oracle(self, m):
         rng = np.random.default_rng(80 + m)
         for _ in range(3):

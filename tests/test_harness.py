@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import backci
-from backci import cli, convex
+from backci import cli, convex, harness
 from backci.beamforming import consensual_sca
 from backci.channel import SystemParams, gen_channel_set
 from backci.detection import detection_stats
@@ -210,6 +210,34 @@ class TestRunSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_no_more_workers_than_cells(self, monkeypatch):
+        # The pool is a fake that records its size and maps in this
+        # process, so no worker process starts.
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        cfg = small_sweep(values=[0.6], trials=2, algorithms=["canceled_dli"])
+        assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_refuses_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(small_sweep(), workers=workers)
+
     def test_feasible_rows_recompute(self):
         # every feasible record's stats must equal recomputation from the
         # algorithm's own (v, channels) pair
@@ -363,6 +391,14 @@ class TestCli:
         proc = self.run_cli("sweep", "--config", str(cfgf))
         assert proc.returncode == 1
         assert "bogus_key" in proc.stderr
+
+    def test_zero_workers_exit_code(self, tmp_path, capsys):
+        cfgf = tmp_path / "w.cfg"
+        cfgf.write_text("K = 2\nM = 2\nvalues = 0.2\ntrials = 1\n"
+                        "algorithms = canceled_dli\n")
+        assert cli.main(["sweep", "--config", str(cfgf), "--workers",
+                         "0"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["sigma_s2 = nan", "rho = inf"])
     def test_non_finite_param_exit_code(self, tmp_path, capsys, line):
