@@ -13,6 +13,11 @@ Four solvers share one solution type:
 Per-tag channels are passed as a triple (h0, h1, h_str): the direct-only
 channel, the combined channel and the backscatter channel, vectors for the
 single-transmit case and M x Q matrices for the MIMO case.
+
+One failure rule holds for the SCA, penalty and alternation loops: a loop
+reports infeasible only when it holds no feasible incumbent, a point
+verified feasible so far.  Any other failed step, an iteration cap or
+round-off, ends the loop at the incumbent with converged=False.
 """
 
 from __future__ import annotations
@@ -217,52 +222,47 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
     the whole iteration budget; extrapolation collapses it in a handful of
     solves while converging to the same fixed point.  Every solve starts
     from center, the first-stage centre of the last accepted solve (at
-    first the relaxation's).
+    first the relaxation's).  Every subproblem has the relaxation's rows,
+    so the relaxation's W is the incumbent until a solve is accepted.
 
-    Returns (W, center, trace, converged, infeasible, n_solves).
+    Returns (W, center, trace, converged, n_solves).
     """
     trace = []
     pen_cur = None
     delta_last = None   # last anchor move, phase-aligned
     s_last = 0.0        # its norm
     s_before = 0.0      # norm of the move before it
-    skip_extra = True   # first steps just establish the drift
     n_solve = 0
     converged = False
 
+    def solve(anchor):
+        """(result, penalized objective) at anchor, or (None, None)."""
+        nonlocal n_solve
+        prob.C = gamma * H1 + chi * np.outer(anchor, anchor.conj())
+        res = solve_small_sdp(prob, W0=center)
+        n_solve += 1
+        if res.status != OPTIMAL:
+            return None, None
+        lam_top = float(np.linalg.eigvalsh(res.W)[-1])
+        return res, (gamma * float(np.trace(H1 @ res.W).real)
+                     - chi * (1.0 - lam_top))
+
     u, _ = recover_rank_one(W)
+    overshot = False    # the last extrapolation did not improve
     for j in range(max_iter):
-        u_try = None
-        if not skip_extra and s_before > 1e-14 and s_last > 1e-12:
+        res = None
+        if not overshot and s_before > 1e-14 and s_last > 1e-12:
             r = s_last / s_before
             if 0.05 < r < 0.995:
                 ext = u + min(r / (1.0 - r), 500.0) * delta_last
                 nrm = float(np.linalg.norm(ext))
                 if nrm > 1e-12:
-                    u_try = ext / nrm
-        skip_extra = False
-        accepted = None
-        for anchor in ([u_try, u] if u_try is not None else [u]):
-            prob.C = gamma * H1 + chi * np.outer(anchor, anchor.conj())
-            res = solve_small_sdp(prob, W0=center)
-            n_solve += 1
-            if res.status != OPTIMAL:
-                if anchor is u:
-                    if j == 0:
-                        return W, center, trace, False, True, n_solve
-                    accepted = None
-                    break
-                continue
-            lam_top = float(np.linalg.eigvalsh(res.W)[-1])
-            pen = (gamma * float(np.trace(H1 @ res.W).real)
-                   - chi * (1.0 - lam_top))
-            if anchor is u or pen_cur is None or pen > pen_cur:
-                accepted = (res, pen)
+                    res, pen = solve(ext / nrm)
+        overshot = res is not None and not pen > pen_cur
+        if res is None or overshot:
+            res, pen = solve(u)
+            if res is None:
                 break
-            skip_extra = True   # overshot; re-establish the drift first
-        if accepted is None:
-            break
-        res, pen = accepted
         W, center = res.W, res.center
         trace.append(pen)
         v_new, _ = recover_rank_one(W)
@@ -277,7 +277,7 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
         if done or (step < 1e-10 and j > 0):
             converged = True
             break
-    return W, center, trace, converged, False, n_solve
+    return W, center, trace, converged, n_solve
 
 
 def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
@@ -355,12 +355,9 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
         W, center = W_rel, center_rel
         candidate = None      # best ok attempt at this t
         for _attempt in range(7):
-            W, center, trace_t, converged_t, infeasible_t, n_solve = (
-                _penalized_sca(prob, H1, gamma, chi, W, center,
-                               params.J, params.omega))
+            W, center, trace_t, converged_t, n_solve = _penalized_sca(
+                prob, H1, gamma, chi, W, center, params.J, params.omega)
             total_iter += n_solve
-            if infeasible_t:
-                break
             if not converged_t:
                 any_nonconverged = True
             v, residual = recover_rank_one(W)
@@ -456,8 +453,6 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
         sol_x = solver((G0.conj().T @ v, G1.conj().T @ v, Gs.conj().T @ v),
                        params, v_init=xt)
         if not sol_x.feasible:
-            if s_round == 1:
-                return _infeasible(converged=sol_x.converged)
             break
         xt_new = sol_x.v
         snr_x = gamma * abs(np.vdot(v, G1 @ xt_new)) ** 2

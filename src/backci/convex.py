@@ -457,23 +457,22 @@ class _PhaseOne(_Oracle):
 def _solve(f, x):
     """Phase one, then the barrier method, on batch oracle f from starts x.
 
-    f.into_cone(x) first moves each x well inside the cone, and says where
-    it cannot; an entry that _pad_rows marked impossible ends there too.
-    Phase one runs for the entries whose start does not meet every row by
-    _FEAS_MARGIN, and the main stage for all that then do.
+    f.into_cone(x) first moves each x well inside the cone; an entry that
+    _pad_rows marked impossible ends there.  Phase one runs for the entries
+    whose start does not meet every row by _FEAS_MARGIN, and the main stage
+    for all that then do.
 
     Returns (x, status, cert, steps, mu, first) per entry.  status and
     steps are as _barrier gives them, phase one's steps counted in.  cert
-    is the largest normalized row violation left at the phase-one optimum:
-    inf where no point of the cone was found, 1 for an impossible row.  mu
-    and first are the main stage's (see _barrier), nan where the entry
-    ended before it.
+    is the largest normalized row violation left at the phase-one optimum,
+    1 for an impossible row.  mu and first are the main stage's (see
+    _barrier), nan where the entry ended before it.
     """
-    x, ok = f.into_cone(x)
-    ok &= ~f.impossible
+    x = f.into_cone(x)
+    ok = ~f.impossible
     B = len(x)
     status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
-    cert = np.where(ok, np.nan, np.where(f.impossible, 1.0, np.inf))
+    cert = np.where(ok, np.nan, 1.0)
     steps = np.zeros(B, dtype=int)
     mu, first = np.full(B, np.nan), np.full_like(x, np.nan)
     g = np.where(f.slack, f.rows(x)[0], -np.inf)
@@ -565,9 +564,8 @@ class _BallQcqp(_Oracle):
         """z, pulled in to half the ball's squared radius when near it."""
         zz = np.vecdot(z, z)
         near = zz >= 0.9
-        z = np.where(near[:, None],
-                     z * np.sqrt(0.5 / np.where(near, zz, 1.0))[:, None], z)
-        return z, np.ones(len(z), dtype=bool)
+        return np.where(near[:, None],
+                        z * np.sqrt(0.5 / np.where(near, zz, 1.0))[:, None], z)
 
 
 def solve_ball_qcqp(p: QcqpProblem,
@@ -746,13 +744,9 @@ class _Sdp(_Oracle):
                 -(self.UZ @ WiT.reshape(B, m * m, 1))[..., 0].real, H)
 
     def into_cone(self, y):
-        """y where W is safely positive definite, else the point W = I / m.
-
-        Every point comes back inside the cone (the second value).
-        """
+        """y where W is safely positive definite, else the point W = I / m."""
         inside = ~np.isnan(_logdet(self.matrix(y) - 1e-12 * np.eye(self.m)))
-        return (np.where(inside[:, None], y, self.y_eye),
-                np.ones(len(y), dtype=bool))
+        return np.where(inside[:, None], y, self.y_eye)
 
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""

@@ -20,10 +20,9 @@ from .beamforming import BeamformerSolution, divergence_floors, \
     mmse_beamformer
 from .channel import SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
-from .numerics import big_f
 from .selection import SelectionResult, _best_of, greedy_select, \
     random_select
-from .siso import theta_max_at_min_snr
+from .siso import snr_interval, theta_max_at_min_snr
 
 SWEEP_VARS = ("sigma_s2", "rho", "M", "Q", "zeta_max")
 ALGORITHMS = ("consensual", "evolved", "harmful_dli", "canceled_dli",
@@ -154,6 +153,11 @@ def validate_sweep(cfg: SweepConfig) -> None:
         for v in cfg.values:
             if float(v) != int(v):
                 raise ValueError(f"{cfg.sweep_var} values must be integers")
+    for v in cfg.values:
+        try:
+            _with_value(cfg.base, cfg.sweep_var, v)
+        except ValueError as exc:
+            raise ValueError(f"{cfg.sweep_var} = {v}: {exc}") from exc
     multi_q = (cfg.sweep_var == "Q" and any(int(v) > 1 for v in cfg.values)
                ) or (cfg.sweep_var != "Q" and cfg.base.Q > 1)
     if multi_q:
@@ -328,16 +332,17 @@ def ci_region_report(var: str, values, params: SystemParams,
                      out_path: Optional[str] = None) -> list:
     """Tabulate the scalar CI region across a grid of zeta_max or rho.
 
-    Only channel magnitudes are configured, so the reported gamma_hi is the
-    best case over the relative phase, 2/(|h_sr| |h_str|); gamma_lo and the
-    CI angle depend on magnitudes alone.  For var = "rho" the magnitudes
-    are unit-distance values scaled by the configured link distances
-    (default 3 m each, the midpoint of the drawing range) raised to
-    -rho/2 per hop, with the tag attenuation applied to the cascade.
+    Only channel magnitudes are configured, so gamma_lo and gamma_hi are
+    siso.snr_interval's at zero relative phase, where gamma_hi takes its
+    best case 2/(|h_sr| |h_str|); gamma_lo and the CI angle depend on
+    magnitudes alone.  For var = "rho" the magnitudes are unit-distance
+    values scaled by the configured link distances (default 3 m each, the
+    midpoint of the drawing range) raised to -rho/2 per hop, with the tag
+    attenuation applied to the cascade.
 
     Returns rows (var, value, gamma_lo, gamma_hi, theta_max) and writes
     them as CSV when out_path is given; theta_max is NaN where no angle is
-    constructive.
+    constructive.  A magnitude <= 0 raises ValueError.
     """
     if var not in ("zeta_max", "rho"):
         raise ValueError("region variable must be zeta_max or rho")
@@ -356,10 +361,9 @@ def ci_region_report(var: str, values, params: SystemParams,
             sr_mag = h_sr_mag * d_sr ** (-float(value) / 2.0)
             str_mag = (params.alpha * h_str_mag
                        * (d_st * d_tr) ** (-float(value) / 2.0))
-        gamma_lo = (big_f(g_min) - 1.0) / str_mag ** 2
-        gamma_hi = 2.0 / (sr_mag * str_mag)
         theta = theta_max_at_min_snr(sr_mag, str_mag, g_min)
-        rows.append((var, float(value), gamma_lo, gamma_hi,
+        region = snr_interval(sr_mag, str_mag, g_min)
+        rows.append((var, float(value), region.gamma_lo, region.gamma_hi,
                      math.nan if theta is None else theta))
     if out_path:
         _write_lines(out_path, [REGION_HEADER] + [

@@ -206,6 +206,26 @@ class TestEvolvedSdp:
         sol = evolved_sdp(tag0(params, 9), params)
         assert not sol.converged
 
+    def test_capped_first_penalty_solve_keeps_the_incumbent(self, monkeypatch):
+        # Every penalty subproblem has the relaxation's rows, so a capped
+        # first solve leaves the relaxation's point as the incumbent: the
+        # grid point stays, and the result says it did not converge.
+        params = SystemParams(M=4, K=1)
+        chan = tag0(params, 9)
+        uncapped = evolved_sdp(chan, params)
+        calls = []
+
+        def capped_first(prob, W0=None):
+            calls.append(1)
+            if len(calls) == 1:
+                return convex.SdpResult(W=None, status=convex.MAX_ITER)
+            return solve_small_sdp(prob, W0=W0)
+
+        monkeypatch.setattr(beamforming, "solve_small_sdp", capped_first)
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible and not sol.converged
+        assert sol.snr >= (1.0 - 1e-6) * uncapped.snr
+
     def test_scalar_feasibility_matches_interval(self):
         # M = 1 leaves no beamforming freedom: feasible exactly when the
         # operating SNR falls in the closed-form scalar interval.
@@ -336,6 +356,29 @@ class TestAlternatingMimo:
         monkeypatch.setattr(convex, "_MAX_STEPS", 1)
         sol = alternating_mimo(tag0(params, 9), params, "consensual")
         assert not sol.feasible and not sol.converged
+
+    def test_failed_first_transmit_step_keeps_the_receive_step(
+            self, monkeypatch):
+        # The first receive step verified (v, initial xt) as feasible, so a
+        # failed transmit step ends the alternation at that pair.
+        params = SystemParams(M=2, Q=2, K=1)
+        G0, G1, Gs = tag0(params, 9)
+        sols = []
+
+        def second_fails(chan, params, v_init=None):
+            if len(sols) == 1:
+                sols.append(None)
+                return beamforming._infeasible()
+            sols.append(consensual_sca(chan, params, v_init=v_init))
+            return sols[-1]
+
+        monkeypatch.setattr(beamforming, "consensual_sca", second_fails)
+        sol = alternating_mimo((G0, G1, Gs), params, "consensual")
+        assert len(sols) == 2 and sols[0].feasible
+        assert sol.feasible and not sol.converged
+        assert sol.v.tobytes() == sols[0].v.tobytes()
+        _u, _s, vh = np.linalg.svd(G1)
+        assert np.array_equal(sol.x, np.sqrt(params.sigma_s2) * vh[0].conj())
 
     @pytest.mark.parametrize("seed", (9, 17))
     def test_improves_on_initial_transmit_direction(self, seed):

@@ -233,6 +233,15 @@ class TestRunSweep:
         assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
         assert sizes == [2]
 
+    def test_bad_swept_value_refused_before_any_cell(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "_sweep_cell",
+                            lambda cell: cells.append(cell) or [])
+        cfg = small_sweep(sweep_var="zeta_max", values=[0.5, 0.7, 1.5])
+        with pytest.raises(ValueError, match="zeta_max = 1.5"):
+            run_sweep(cfg)
+        assert cells == []
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_refuses_fewer_than_one_worker(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -426,6 +435,15 @@ class TestCli:
                         "trials = 2\nalgorithms = consensual, evolved\n")
         assert cli.main(["solve", "--config", str(cfgf), "--seed", "1"]) == 3
         assert cli.main(["sweep", "--config", str(cfgf)]) == 3
+
+    @pytest.mark.parametrize("line", ["h_sr_mag = 0", "h_str_mag = 0"])
+    def test_region_zero_magnitude_exit_code(self, tmp_path, capsys, line):
+        cfgf = tmp_path / "z.cfg"
+        cfgf.write_text(line + "\n")
+        assert cli.main(["ci-region", "--config", str(cfgf),
+                         "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_region_subcommand(self, tmp_path):
         out = tmp_path / "r.csv"

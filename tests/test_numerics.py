@@ -46,7 +46,7 @@ class TestLambertW0:
 
     def test_residual_contract_grid(self):
         for x in [-INV_E + 1e-10, -0.3, -0.1, -1e-8, 1e-8, 0.5, 2.7, 10.0,
-                  1e3, 1e8]:
+                  1e3, 1e8, 1e156, 1e200, 1e300]:
             w = lambert_w0(x)
             assert w >= -1.0 - 1e-12
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
