@@ -51,7 +51,11 @@ class BeamformerSolution:
     in linear units.  objective_trace records the per-iteration surrogate
     objective; rank_residual is lambda2/lambda1 of the final lifted matrix
     (evolved mode only).  stats carries the detection divergences at the
-    returned point, recomputed independently of the solver.
+    returned point, recomputed independently of the solver.  iterations
+    counts, per design: consensual_sca, the SCA subproblems solved from the
+    accepted start; evolved_sdp, the relaxation entries plus the penalty
+    SDP solves; alternating_mimo, the completed alternation rounds; the
+    closed-form benchmark schemes, 0.
     """
 
     v: Optional[np.ndarray]
@@ -210,8 +214,8 @@ def recover_rank_one(W: np.ndarray) -> tuple:
     return v, float(max(vals[1], 0.0) / lam1)
 
 
-def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
-    """Inner SCA on the penalized lifted problem for one (t, chi) pair.
+def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
+    """Inner SCA on the penalized lifted problem at one grid point.
 
     The anchor of each convex subproblem is the dominant eigenvector of the
     current iterate.  Because the linearized penalty is a global
@@ -225,8 +229,10 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
     first the relaxation's).  Every subproblem has the relaxation's rows,
     so the relaxation's W is the incumbent until a solve is accepted.
 
-    Returns (W, center, trace, converged, n_solves).
+    Returns (W, trace, converged, n_solves).
     """
+    prob = SdpProblem(C=H1, dim=len(H1), ineq_constraints=rows,
+                      eq_constraints=[(np.eye(len(H1)), 1.0)])
     trace = []
     pen_cur = None
     delta_last = None   # last anchor move, phase-aligned
@@ -277,7 +283,7 @@ def _penalized_sca(prob, H1, gamma, chi, W, center, max_iter, omega):
         if done or (step < 1e-10 and j > 0):
             converged = True
             break
-    return W, center, trace, converged, n_solve
+    return W, trace, converged, n_solve
 
 
 def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
@@ -286,19 +292,21 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
 
     Grids a scalar t over the spectrum of H0 = h0 h0^H; for each t solves a
     penalized trace-one SDP by SCA (the rank penalty is linearized through
-    the dominant eigenvector), with the penalty weight chi doubled up to six
-    times whenever the recovered solution is not close enough to rank one.
-    Each grid point is first bounded by its unpenalized relaxation, whose
-    solution also seeds the penalty iteration; the relaxations of all grid
-    points are solved as one batch.  A relaxation that hits the iteration
-    cap drops its grid point and marks the result not converged.  The best
-    t by recovered objective wins, smallest t on ties.  v_init is accepted
-    for interface symmetry with consensual_sca but the lifted iteration
-    starts from the relaxation solution.
+    the dominant eigenvector), once, at the weight chi * gamma *
+    lambda_max(H1).  Its dominant eigenvector v is kept if _finalize
+    verifies it, else the grid point is dropped; a point that ends short of
+    rank one is not retried at a larger weight, and rank_residual reports
+    how far from rank one it ended.  Each grid point is first bounded by
+    its unpenalized relaxation, whose solution also seeds the penalty
+    iteration; the relaxations of all grid points are solved as one batch.
+    A relaxation that hits the iteration cap drops its grid point and marks
+    the result not converged.  The best t by recovered objective wins,
+    smallest t on ties.  v_init is accepted for interface symmetry with
+    consensual_sca but the lifted iteration starts from the relaxation
+    solution.
     """
     del v_init
     h0, h1, hs = _unpack(chan)
-    m = h1.size
     gamma = params.gamma
     d_min, e_min, _f_with, f_without = divergence_floors(params)
     if _no_dl_floor_unreachable(gamma, hs, f_without):
@@ -307,17 +315,13 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     H0 = np.outer(h0, h0.conj())
     H1 = np.outer(h1, h1.conj())
     Hs = np.outer(hs, hs.conj())
-    eye = np.eye(m, dtype=complex)
     lam0 = np.linalg.eigvalsh(H0)
     t_lo, t_hi = max(float(lam0[0]), 0.0), max(float(lam0[-1]), 0.0)
     if t_hi - t_lo < 1e-15:
         grid = np.array([t_lo])
     else:
         grid = np.linspace(t_lo, t_hi, params.T)
-    chi0 = params.chi * gamma * float(np.linalg.eigvalsh(H1)[-1])
-
-    total_iter = 0
-    any_nonconverged = False
+    chi = params.chi * gamma * float(np.linalg.eigvalsh(H1)[-1])
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever the penalty iteration can recover
@@ -329,7 +333,8 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
         (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
         (H0, t),                                  # t dominates the DLI
     ] for t in grid]
-    total_iter += len(row_sets)
+    total_iter = len(row_sets)
+    any_nonconverged = False
     relax = []
     for t, rows, res in zip(grid, row_sets,
                             solve_sdp_batch(gamma * H1, row_sets)):
@@ -349,28 +354,16 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     for ub, t, W_rel, center_rel, rows in relax:
         if ub < best_snr - 1e-9:
             break       # relax is sorted by bound: none of the rest can win
-        prob = SdpProblem(C=H1, dim=m, eq_constraints=[(eye, 1.0)],
-                          ineq_constraints=rows)
-        chi = chi0
-        W, center = W_rel, center_rel
-        candidate = None      # best ok attempt at this t
-        for _attempt in range(7):
-            W, center, trace_t, converged_t, n_solve = _penalized_sca(
-                prob, H1, gamma, chi, W, center, params.J, params.omega)
-            total_iter += n_solve
-            if not converged_t:
-                any_nonconverged = True
-            v, residual = recover_rank_one(W)
-            v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
-                                          e_min, "evolved")
-            if ok and (candidate is None or residual < candidate[2]):
-                candidate = (snr, v, residual, trace_t, stats)
-            if residual <= 1e-3 and ok:
-                break
-            chi *= 2.0
-        if candidate is None:
+        W, trace_t, converged_t, n_solve = _penalized_sca(
+            rows, H1, gamma, chi, W_rel, center_rel, params.J, params.omega)
+        total_iter += n_solve
+        if not converged_t:
+            any_nonconverged = True
+        v, residual = recover_rank_one(W)
+        v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min, e_min,
+                                      "evolved")
+        if not ok:
             continue
-        snr, v, residual, trace_t, stats = candidate
         achieved.append((snr, t, v, residual, trace_t, stats))
         best_snr = max(best_snr, snr)
 

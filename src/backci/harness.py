@@ -185,7 +185,8 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
     output SINR; a tag is feasible when the backscatter power through the
     filter still clears the no-DL detection floor.  canceled_dli assumes
     ideal DL cancellation: matched filter on the backscatter channel,
-    objective gamma * ||h_str||^2, same floor.
+    objective gamma * ||h_str||^2, same floor.  A tag with no backscatter
+    channel (alpha = 0) is infeasible under both, with no filter.
     """
     if scheme not in ("harmful_dli", "canceled_dli"):
         raise ValueError(f"unknown benchmark scheme {scheme!r}")
@@ -197,6 +198,10 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
         h0, h1, hs = chans.tag_channels(k)
         if hs.ndim > 1:
             raise ValueError("benchmark schemes are single-transmit only")
+        if not hs.any():
+            per_tag.append(BeamformerSolution(v=None, snr=0.0,
+                                              feasible=False, iterations=0))
+            continue
         if scheme == "harmful_dli":
             v = mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
             sig = params.sigma_s2 * abs(np.vdot(v, hs)) ** 2

@@ -226,6 +226,35 @@ class TestEvolvedSdp:
         assert sol.feasible and not sol.converged
         assert sol.snr >= (1.0 - 1e-6) * uncapped.snr
 
+    def test_one_penalty_run_per_grid_point(self, monkeypatch):
+        # Blurring the penalty stage's W toward I/m keeps its dominant
+        # eigenvector but leaves it far from rank one.  That v is still
+        # verified and kept, and no grid point is rerun at a larger weight.
+        params = SystemParams(M=4, K=1)
+        chan = tag0(params, 9)
+        plain = evolved_sdp(chan, params)
+        h1 = chan[1]
+        chi = params.chi * params.gamma * float(
+            np.linalg.eigvalsh(np.outer(h1, h1.conj()))[-1])
+        penalized_sca = beamforming._penalized_sca
+        calls = []
+
+        def blurred(*args):
+            calls.append(args)
+            W, *rest = penalized_sca(*args)
+            m = W.shape[0]
+            return (0.9 * W + 0.1 * np.eye(m) / m, *rest)
+
+        monkeypatch.setattr(beamforming, "_penalized_sca", blurred)
+        sol = evolved_sdp(chan, params)
+        assert calls
+        for args in calls:
+            assert args[3] == pytest.approx(chi, rel=1e-12)
+        assert len({id(args[0]) for args in calls}) == len(calls)
+        assert sol.feasible
+        assert sol.snr == pytest.approx(plain.snr, rel=1e-9)
+        assert sol.rank_residual > 1e-3
+
     def test_scalar_feasibility_matches_interval(self):
         # M = 1 leaves no beamforming freedom: feasible exactly when the
         # operating SNR falls in the closed-form scalar interval.

@@ -462,13 +462,17 @@ class TestNewtonStepCount:
          INFEASIBLE),
     ]
 
+    # A stage cap of one Newton step ends every stage still centring, the
+    # exit a stage takes when it runs out of steps.
+    @pytest.mark.parametrize("max_newton", [200, 1])
     @pytest.mark.parametrize(
         "solve, problem, status",
         [(solve_ball_qcqp, p, st) for p, st in QCQPS]
         + [(solve_small_sdp, p, st) for p, st in SDPS],
         ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
              "sdp-infeasible"])
-    def test_equals_line_searches(self, monkeypatch, solve, problem, status):
+    def test_equals_line_searches(self, monkeypatch, solve, problem, status,
+                                  max_newton):
         searches = []
         line_search = convex._line_search
 
@@ -476,6 +480,7 @@ class TestNewtonStepCount:
             searches.append(isinstance(f, _PhaseOne))
             return line_search(f, *args)
 
+        monkeypatch.setattr(convex, "_MAX_NEWTON", max_newton)
         monkeypatch.setattr(convex, "_line_search", counted)
         res = solve(problem)
         assert res.status == status

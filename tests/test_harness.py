@@ -19,7 +19,7 @@ import pytest
 
 import backci
 from backci import cli, convex, harness
-from backci.beamforming import consensual_sca
+from backci.beamforming import consensual_sca, divergence_floors
 from backci.channel import SystemParams, gen_channel_set
 from backci.detection import detection_stats
 from backci.harness import (
@@ -163,6 +163,16 @@ class TestRunBenchmark:
             assert c.best is not None
             assert h.best.snr <= c.best.snr * (1.0 + 1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_backscatter_is_infeasible(self):
+        # alpha = 0 zeroes every backscatter channel: no tag can clear the
+        # no-DL floor, and neither scheme may raise or divide by zero.
+        params = SystemParams(alpha=0.0, K=2, M=2)
+        ch = gen_channel_set(params, 0)
+        for scheme in ("harmful_dli", "canceled_dli"):
+            res = run_benchmark(ch, params, scheme)
+            assert res.selected_tag == 0 and res.best is None
+
     def test_rejects_unknown_scheme_and_mimo(self):
         params = SystemParams(K=2, M=2)
         ch = gen_channel_set(params, 0)
@@ -209,6 +219,25 @@ class TestRunSweep:
             run_sweep(small_sweep(out_path=str(out)), workers=workers)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_mimo_rows_meet_floors_and_ignore_workers(self, tmp_path):
+        # Q = 2 sends every tag through the alternating MIMO design.
+        d_min, e_min, _fw, _fo = divergence_floors(SystemParams())
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            records = run_sweep(small_sweep(
+                sweep_var="M", values=[2, 3], trials=3,
+                algorithms=["consensual", "random_sel"],
+                base=SystemParams(K=2, Q=2), out_path=str(out)),
+                workers=workers)
+            outs.append(out.read_bytes())
+        feas = [r for r in records if r.feasible]
+        assert feas
+        for r in feas:
+            assert r.kld_with >= d_min - 1e-6
+            assert r.kld_without >= e_min - 1e-6
+        assert outs[0] == outs[1]
 
     def test_no_more_workers_than_cells(self, monkeypatch):
         # The pool is a fake that records its size and maps in this
@@ -425,6 +454,14 @@ class TestCli:
                         "algorithms = consensual, canceled_dli\n")
         proc = self.run_cli("sweep", "--config", str(cfgf))
         assert proc.returncode == 2
+
+    def test_zero_alpha_sweep_exit_code(self, tmp_path):
+        # Every algorithm, the benchmark schemes too, finds each tag
+        # infeasible, so the sweep completes and exits 2.
+        cfgf = tmp_path / "a0.cfg"
+        cfgf.write_text("alpha = 0\nK = 2\nM = 2\nvalues = 0.6\n"
+                        "trials = 1\n")
+        assert cli.main(["sweep", "--config", str(cfgf)]) == 2
 
     def test_iteration_cap_is_not_infeasible(self, tmp_path, monkeypatch):
         # Every kernel solve ends max_iter, so no tag is feasible; that is

@@ -11,7 +11,10 @@ Prints one ``name sha256`` line per output:
   bytes, snr, feasible, iterations, rank residual, converged, objective
   trace, detection stats and x);
 * ``mimo/s<seed>``: the CSV of a ``consensual`` sweep over M in {2, 4, 6, 8}
-  at Q = 2, K = 3, 4 trials, seeds 1 and 2.
+  at Q = 2, K = 3, 4 trials, seeds 1 and 2;
+* ``mimo-evolved/s<seed>``: the CSV of an ``evolved`` sweep over M in
+  {2, 4} at Q = 2, K = 3, 2 trials, seeds 1 and 2, which runs the lifted
+  design inside the alternation.
 
 Inputs come from ``bench/workloads.py``, imported only, and the package is
 imported from this checkout's ``src/``.  BLAS is pinned to one thread
@@ -78,19 +81,27 @@ def solve(tmpdir):
             yield f"solve/s{seed}/r{i}", h.hexdigest()
 
 
-def mimo(tmpdir):
+def _mimo_sweep(tmpdir, family, algorithm, values, trials):
     out = os.path.join(tmpdir, "mimo.csv")
     for seed in (1, 2):
         harness.run_sweep(harness.SweepConfig(
-            sweep_var="M", values=[2, 4, 6, 8], trials=4,
-            algorithms=["consensual"],
+            sweep_var="M", values=values, trials=trials,
+            algorithms=[algorithm],
             base=SystemParams(K=3, Q=2, seed=seed), out_path=out))
-        yield f"mimo/s{seed}", _file_digest(out)
+        yield f"{family}/s{seed}", _file_digest(out)
+
+
+def mimo(tmpdir):
+    return _mimo_sweep(tmpdir, "mimo", "consensual", [2, 4, 6, 8], 4)
+
+
+def mimo_evolved(tmpdir):
+    return _mimo_sweep(tmpdir, "mimo-evolved", "evolved", [2, 4], 2)
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmpdir:
-        for family in (sweep_sca, solve, mimo):
+        for family in (sweep_sca, solve, mimo, mimo_evolved):
             for name, digest in family(tmpdir):
                 print(name, digest, flush=True)
     return 0
