@@ -462,17 +462,15 @@ class TestNewtonStepCount:
          INFEASIBLE),
     ]
 
-    # A stage cap of one Newton step ends every stage still centring, the
-    # exit a stage takes when it runs out of steps.
-    @pytest.mark.parametrize("max_newton", [200, 1])
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "solve, problem, status",
         [(solve_ball_qcqp, p, st) for p, st in QCQPS]
         + [(solve_small_sdp, p, st) for p, st in SDPS],
         ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
              "sdp-infeasible"])
-    def test_equals_line_searches(self, monkeypatch, solve, problem, status,
-                                  max_newton):
+
+    @staticmethod
+    def _check(monkeypatch, solve, problem, status):
         searches = []
         line_search = convex._line_search
 
@@ -480,12 +478,23 @@ class TestNewtonStepCount:
             searches.append(isinstance(f, _PhaseOne))
             return line_search(f, *args)
 
-        monkeypatch.setattr(convex, "_MAX_NEWTON", max_newton)
         monkeypatch.setattr(convex, "_line_search", counted)
         res = solve(problem)
         assert res.status == status
         assert any(searches)        # phase one took steps
         assert res.newton_steps == len(searches)
+
+    @CASES
+    def test_equals_line_searches(self, monkeypatch, solve, problem, status):
+        self._check(monkeypatch, solve, problem, status)
+
+    # A stage cap of one Newton step ends every stage still centring, the
+    # exit a stage takes when it runs out of steps.
+    @CASES
+    def test_equals_line_searches_one_step_stages(self, monkeypatch, solve,
+                                                  problem, status):
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        self._check(monkeypatch, solve, problem, status)
 
 
 def _problem(C, rows):
