@@ -4,8 +4,9 @@ Four solvers share one solution type:
 
 * consensual_sca: successive convex approximation on the receive vector,
   keeping both detection divergences above their floors.
-* evolved_sdp: lifted semidefinite formulation with a rank-one penalty and a
-  scalar auxiliary grid, enforcing that the direct link never hurts.
+* evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
+  enforcing that the direct link never hurts; its optimum is purified to
+  rank one, with a rank-one penalty SCA as the fallback.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
   reusing the two solvers above on effective single-input channels.
@@ -32,9 +33,11 @@ from .convex import (
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
+    _herm_basis,
     solve_ball_qcqp,
     solve_sdp_batch,
     solve_small_sdp,
+    svec,
 )
 from .detection import DetectionStats, detection_stats, kld_threshold
 from .numerics import big_f, hermitian_eig
@@ -49,13 +52,15 @@ class BeamformerSolution:
     v is the unit-norm receive vector; x the transmit vector with
     ||x||^2 = sigma_s2 (MIMO only, else None).  snr is gamma * |v^H h1|^2
     in linear units.  objective_trace records the per-iteration surrogate
-    objective; rank_residual is lambda2/lambda1 of the final lifted matrix
-    (evolved mode only).  stats carries the detection divergences at the
-    returned point, recomputed independently of the solver.  iterations
-    counts, per design: consensual_sca, the SCA subproblems solved from the
-    accepted start; evolved_sdp, the relaxation entries plus the penalty
-    SDP solves; alternating_mimo, the completed alternation rounds; the
-    closed-form benchmark schemes, 0.
+    objective (empty for a purified evolved point); rank_residual is
+    lambda2/lambda1 of the final lifted matrix (evolved mode only: 0 for
+    a purified point, whose lift is v v^H).  stats carries the detection
+    divergences at the returned point, recomputed independently of the
+    solver.  iterations counts, per design: consensual_sca, the SCA
+    subproblems solved from the accepted start; evolved_sdp, the
+    relaxation entries plus the SDP solves of the penalty fallback;
+    alternating_mimo, the completed alternation rounds; the closed-form
+    benchmark schemes, 0.
     """
 
     v: Optional[np.ndarray]
@@ -214,6 +219,57 @@ def recover_rank_one(W: np.ndarray) -> tuple:
     return v, float(max(vals[1], 0.0) / lam1)
 
 
+_RANK_TOL = 1e-7     # eigenvalues below this times lambda1 count as zero
+_BIND_TOL = 1e-7     # a row binds when its normalized slack is below this
+
+
+def _purify(W, H1, rows):
+    """A unit v with v v^H as good as W in the relaxation, or None.
+
+    W is a point of max Tr(H1 W) s.t. Tr W = 1, Tr(A W) <= b for (A, b) in
+    rows, W PSD.  Rank reduction (Huang and Palomar, IEEE TSP 58(2), 2010):
+    with W = V S V^H over its r top eigenpairs, a Hermitian r x r D with
+    Tr(V^H F V D) = 0 for F in {I, H1, the binding rows} keeps the trace,
+    the objective and those rows fixed along W + a V D V^H.  Each step goes
+    along D or -D until S + a D turns singular, which drops the rank, or
+    until a slack row binds, which then joins the fixed maps; a direction
+    that drops the rank is preferred.  Such a D exists while the fixed
+    maps, counted independently, are fewer than r^2; when none does, the
+    result is None.
+    """
+    for _ in range(len(W) + len(rows)):   # a step drops the rank or binds
+        vals, vecs = hermitian_eig(W)
+        r = int(np.count_nonzero(vals > _RANK_TOL * vals[0]))
+        if r == 1:
+            return vecs[:, 0]
+        V, S = vecs[:, :r], vals[:r]
+        slack = [b - np.trace(A @ W).real for A, b in rows]
+        free = [s >= _BIND_TOL * max(abs(b), np.linalg.norm(A), 1e-12)
+                for s, (A, b) in zip(slack, rows)]
+        fixed = np.array([svec(V.conj().T @ F @ V) for F in
+                          [np.eye(len(W)), H1]
+                          + [A for (A, _b), f in zip(rows, free) if not f]])
+        fixed /= np.maximum(np.linalg.norm(fixed, axis=1, keepdims=True),
+                            1e-300)
+        _u, sv, vt = np.linalg.svd(fixed)
+        null = vt[int(np.count_nonzero(sv > 1e-9 * sv[0])):]
+        if not len(null):
+            return None
+        D = (null[0] @ _herm_basis(r)).reshape(r, r)
+        G = V @ D @ V.conj().T
+        rate = [np.trace(A @ G).real for A, _b in rows]
+        lam = np.linalg.eigvalsh(D / np.sqrt(np.outer(S, S)))
+        steps = []
+        for sign, a_psd in ((1.0, -1.0 / lam[0]), (-1.0, 1.0 / lam[-1])):
+            a_row = min((s / (sign * g) for s, g, f in zip(slack, rate, free)
+                         if f and sign * g > 0), default=np.inf)
+            steps.append((a_row < a_psd, sign * min(a_psd, a_row)))
+        a = min(steps, key=lambda s: s[0])[1]
+        W = (V * S) @ V.conj().T + a * G
+        W = 0.5 * (W + W.conj().T)
+    return None
+
+
 def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
     """Inner SCA on the penalized lifted problem at one grid point.
 
@@ -290,19 +346,22 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
                 ) -> BeamformerSolution:
     """Lifted solver enforcing that the direct link never hurts detection.
 
-    Grids a scalar t over the spectrum of H0 = h0 h0^H; for each t solves a
-    penalized trace-one SDP by SCA (the rank penalty is linearized through
-    the dominant eigenvector), once, at the weight chi * gamma *
-    lambda_max(H1).  Its dominant eigenvector v is kept if _finalize
-    verifies it, else the grid point is dropped; a point that ends short of
-    rank one is not retried at a larger weight, and rank_residual reports
-    how far from rank one it ended.  Each grid point is first bounded by
-    its unpenalized relaxation, whose solution also seeds the penalty
-    iteration; the relaxations of all grid points are solved as one batch.
-    A relaxation that hits the iteration cap drops its grid point and marks
-    the result not converged.  The best t by recovered objective wins,
-    smallest t on ties.  v_init is accepted for interface symmetry with
-    consensual_sca but the lifted iteration starts from the relaxation
+    Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
+    its trace-one SDP relaxation; the relaxations of all grid points are
+    solved as one batch.  A relaxation that hits the iteration cap drops
+    its grid point and marks the result not converged.  Grid points are
+    examined by falling bound until no remaining bound can beat the best
+    SNR found.  At each, _purify reduces the relaxation's optimum to a
+    rank-one v v^H at the same objective, so v is optimal for that t; it is
+    kept if _finalize verifies it, with rank_residual 0.  Where no
+    reduction exists, or v does not verify, the penalized trace-one SDP is
+    solved by SCA from the relaxation's point (the rank penalty is
+    linearized through the dominant eigenvector), once, at the weight chi *
+    gamma * lambda_max(H1); its dominant eigenvector is kept if _finalize
+    verifies it, else the grid point is dropped, and rank_residual reports
+    how far from rank one it ended.  The best t by recovered objective
+    wins, smallest t on ties.  v_init is accepted for interface symmetry
+    with consensual_sca but the lifted design starts from the relaxation
     solution.
     """
     del v_init
@@ -324,10 +383,10 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     chi = params.chi * gamma * float(np.linalg.eigvalsh(H1)[-1])
 
     # Relaxation pass: without the rank restriction, the optimum at each
-    # grid point upper-bounds whatever the penalty iteration can recover
-    # there, and its solution seeds the penalty stage.  Points whose bound
-    # cannot beat the incumbent are skipped outright, which is where most of
-    # the grid's budget would otherwise go.
+    # grid point upper-bounds whatever rank-one point exists there, and its
+    # solution is what purification or the penalty stage starts from.
+    # Points whose bound cannot beat the incumbent are skipped outright,
+    # which is where most of the grid's budget would otherwise go.
     row_sets = [[
         (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
         (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
@@ -354,16 +413,24 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     for ub, t, W_rel, center_rel, rows in relax:
         if ub < best_snr - 1e-9:
             break       # relax is sorted by bound: none of the rest can win
-        W, trace_t, converged_t, n_solve = _penalized_sca(
-            rows, H1, gamma, chi, W_rel, center_rel, params.J, params.omega)
-        total_iter += n_solve
-        if not converged_t:
-            any_nonconverged = True
-        v, residual = recover_rank_one(W)
-        v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min, e_min,
-                                      "evolved")
+        v = _purify(W_rel, H1, rows)
+        ok = v is not None
+        if ok:
+            v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
+                                          e_min, "evolved")
+            residual, trace_t = 0.0, []
         if not ok:
-            continue
+            W, trace_t, converged_t, n_solve = _penalized_sca(
+                rows, H1, gamma, chi, W_rel, center_rel, params.J,
+                params.omega)
+            total_iter += n_solve
+            if not converged_t:
+                any_nonconverged = True
+            v, residual = recover_rank_one(W)
+            v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
+                                          e_min, "evolved")
+            if not ok:
+                continue
         achieved.append((snr, t, v, residual, trace_t, stats))
         best_snr = max(best_snr, snr)
 

@@ -24,6 +24,7 @@ from backci.beamforming import (
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import solve_sdp_batch, solve_small_sdp
 from backci.detection import detection_stats, kld_threshold
+from backci.numerics import hermitian_eig
 from backci.siso import snr_interval
 from oracles import ci_inequality_margin, constrained_snr_oracle
 
@@ -160,16 +161,17 @@ class TestEvolvedSdp:
             >= -1e-6 * scale
 
     # SNR of evolved_sdp on tag 0 of these M = 4, T = 100 realizations,
-    # frozen from the version that solved the relaxation pass point by
-    # point, warm-starting each point from the previous one.  Seed 1 has a
-    # degenerate relaxation optimum (equal objectives on a face of optimal
-    # W): which W the kernel returns there depends on where it starts, and
-    # the rank-one penalty stage seeded from it ends 3.9e-5 lower.
-    FROZEN_M4_T100 = {1: (18.310265193489087, 1e-4),
-                      5: (1.1840014336674283, 1e-6),
-                      9: (10.701020875120339, 1e-6),
-                      10: (18.299232377800717, 1e-6),
-                      17: (8.749842807622748, 1e-6)}
+    # frozen from the version that recovers v by purifying the relaxation
+    # optimum, so each value is its best grid point's relaxation bound.
+    # Seed 1 has a degenerate relaxation optimum (equal objectives on a face
+    # of optimal W); purification reaches the bound from any point of that
+    # face, while the penalty stage, seeded from whichever W the kernel
+    # returns, ended up to 4.2e-5 lower.
+    FROZEN_M4_T100 = {1: (18.31032868466921, 1e-4),
+                      5: (1.1840014480028425, 1e-6),
+                      9: (10.701021114906977, 1e-6),
+                      10: (18.299377196793053, 1e-6),
+                      17: (8.749842901184765, 1e-6)}
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_M4_T100))
     def test_snr_matches_frozen(self, seed):
@@ -210,6 +212,9 @@ class TestEvolvedSdp:
         # Every penalty subproblem has the relaxation's rows, so a capped
         # first solve leaves the relaxation's point as the incumbent: the
         # grid point stays, and the result says it did not converge.
+        # Purification recovers seed 9 with no penalty solve, so it is
+        # switched off here to run the penalty fallback.
+        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
         params = SystemParams(M=4, K=1)
         chan = tag0(params, 9)
         uncapped = evolved_sdp(chan, params)
@@ -230,6 +235,8 @@ class TestEvolvedSdp:
         # Blurring the penalty stage's W toward I/m keeps its dominant
         # eigenvector but leaves it far from rank one.  That v is still
         # verified and kept, and no grid point is rerun at a larger weight.
+        # Purification is switched off so that the penalty fallback runs.
+        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
         params = SystemParams(M=4, K=1)
         chan = tag0(params, 9)
         plain = evolved_sdp(chan, params)
@@ -255,6 +262,42 @@ class TestEvolvedSdp:
         assert sol.snr == pytest.approx(plain.snr, rel=1e-9)
         assert sol.rank_residual > 1e-3
 
+    @pytest.mark.parametrize("seed", sorted(FROZEN_M4_T100))
+    def test_snr_reaches_relaxation_bound(self, seed, monkeypatch):
+        # The recovered v is certified: its SNR is the largest relaxation
+        # objective over the grid, which bounds every rank-one point.
+        params = SystemParams(M=4, K=1)
+        bounds = []
+
+        def batch(C, row_sets):
+            results = solve_sdp_batch(C, row_sets)
+            bounds.extend(r.objective for r in results
+                          if r.status == convex.OPTIMAL)
+            return results
+
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
+        sol = evolved_sdp(tag0(params, seed), params)
+        assert sol.feasible
+        assert sol.snr >= (1.0 - 1e-7) * max(bounds)
+
+    def test_degenerate_optimum_needs_no_penalty_solve(self, monkeypatch):
+        # Tag 1 of realization 100018 (K = 5, M = 4) has a degenerate
+        # relaxation optimum.  From it the penalty stage took between 8 and
+        # 83 SDP solves, as kernel round-off moved, and reached 18.084826.
+        params = SystemParams(seed=100018)
+        chan = gen_channel_set(params, params.seed).tag_channels(1)
+        calls = []
+
+        def single(*args, **kwargs):
+            calls.append(1)
+            return solve_small_sdp(*args, **kwargs)
+
+        monkeypatch.setattr(beamforming, "solve_small_sdp", single)
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible and sol.converged
+        assert not calls
+        assert sol.snr >= 18.084826
+
     def test_scalar_feasibility_matches_interval(self):
         # M = 1 leaves no beamforming freedom: feasible exactly when the
         # operating SNR falls in the closed-form scalar interval.
@@ -273,6 +316,68 @@ class TestEvolvedSdp:
             assert sol.feasible == inside
             n_feas += sol.feasible
         assert n_feas >= 20   # the draw scales must keep both sides covered
+
+
+def _trace(A, W):
+    return float(np.trace(A @ W).real)
+
+
+class TestPurify:
+    """beamforming._purify on constructed points of a trace-one relaxation."""
+
+    @staticmethod
+    def _instance(seed, eigs, n_rows):
+        """W = V diag(eigs) V^H with orthonormal V, H1 = h1 h1^H, and
+        n_rows random Hermitian row matrices, all at M = 4."""
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        V, _r = np.linalg.qr(cplx(4, len(eigs)))
+        W = (V * np.asarray(eigs)) @ V.conj().T
+        h1 = cplx(4)
+        rows = [A + A.conj().T for A in (cplx(4, 4) for _ in range(n_rows))]
+        return W, np.outer(h1, h1.conj()), rows
+
+    @staticmethod
+    def _check(v, W, H1, rows):
+        """v is unit, keeps Tr(H1 .) and breaks no row; the row gaps."""
+        assert v is not None
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        P = np.outer(v, v.conj())
+        assert _trace(H1, P) == pytest.approx(_trace(H1, W), rel=1e-10)
+        gaps = [_trace(A, P) - b for A, b in rows]
+        assert max(gaps) <= 1e-10
+        return gaps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_two_with_one_binding_row(self, seed):
+        W, H1, (A1, A2) = self._instance(seed, [0.6, 0.4], 2)
+        rows = [(A1, _trace(A1, W)), (A2, _trace(A2, W) + 2.0)]
+        gaps = self._check(beamforming._purify(W, H1, rows), W, H1, rows)
+        assert abs(gaps[0]) <= 1e-10
+
+    def test_slack_row_binds_on_the_way(self):
+        # No row binds at W; a step of seed 1 runs into one of the two slack
+        # rows, which then stays fixed while the rank drops.
+        W, H1, (A1, A2) = self._instance(1, [0.6, 0.4], 2)
+        rows = [(A1, _trace(A1, W) + 0.01), (A2, _trace(A2, W) + 0.01)]
+        gaps = self._check(beamforming._purify(W, H1, rows), W, H1, rows)
+        assert min(abs(g) for g in gaps) <= 1e-10
+
+    def test_two_binding_rows_at_rank_two_leave_no_direction(self):
+        # I, H1 and two rows fix four maps, as many as the 2 x 2 Hermitian
+        # directions.
+        W, H1, (A1, A2) = self._instance(1, [0.6, 0.4], 2)
+        rows = [(A1, _trace(A1, W)), (A2, _trace(A2, W))]
+        assert beamforming._purify(W, H1, rows) is None
+
+    def test_rank_one_to_threshold_takes_no_step(self):
+        W, H1, (A1,) = self._instance(2, [1.0 / (1.0 + 1e-9),
+                                          1e-9 / (1.0 + 1e-9)], 1)
+        v = beamforming._purify(W, H1, [(A1, _trace(A1, W))])
+        assert np.array_equal(v, hermitian_eig(W)[1][:, 0])
 
 
 class TestRecoverRankOne:

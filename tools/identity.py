@@ -7,14 +7,19 @@ Prints one ``name sha256`` line per output:
 * ``sweep-sca/s<seed>/b<batch>``: the CSV of each batch of the benchmark's
   ``sweep-sca`` workload, batches 0-99 of seeds 1-3;
 * ``solve/s<seed>/r<i>``: every per-tag solution of both designs on the
-  benchmark's ``solve`` workload, realizations 0-24 of seeds 1 and 2 (v
-  bytes, snr, feasible, iterations, rank residual, converged, objective
-  trace, detection stats and x);
+  benchmark's ``solve`` workload, realizations 0-24 of seeds 1-3 (v bytes,
+  snr, feasible, iterations, rank residual, converged, objective trace,
+  detection stats and x), then the evolved SNR of each tag, linear, ``-``
+  where infeasible;
 * ``mimo/s<seed>``: the CSV of a ``consensual`` sweep over M in {2, 4, 6, 8}
   at Q = 2, K = 3, 4 trials, seeds 1 and 2;
 * ``mimo-evolved/s<seed>``: the CSV of an ``evolved`` sweep over M in
   {2, 4} at Q = 2, K = 3, 2 trials, seeds 1 and 2, which runs the lifted
   design inside the alternation.
+
+Both sweep families end their line with each row's ``snr_db``, ``-`` where
+infeasible.  The SNRs let a reader check, between two commits, that no SNR
+fell where a digest moved.
 
 Inputs come from ``bench/workloads.py``, imported only, and the package is
 imported from this checkout's ``src/``.  BLAS is pinned to one thread
@@ -71,24 +76,28 @@ def sweep_sca(tmpdir):
 
 def solve(tmpdir):
     w = workloads.WORKLOADS["solve"]
-    for seed in (1, 2):
+    for seed in (1, 2, 3):
         for i, inp in enumerate(islice(w.inputs(seed), 25)):
             _chans, selections = w.run(inp, tmpdir)
             h = hashlib.sha256()
             for res in selections:
                 for sol in res.per_tag:
                     h.update(_solution_bytes(sol))
-            yield f"solve/s{seed}/r{i}", h.hexdigest()
+            evolved = selections[workloads.SOLVE_MODES.index("evolved")]
+            yield (f"solve/s{seed}/r{i}", h.hexdigest(),
+                   _snrs(s.snr if s.feasible else None
+                         for s in evolved.per_tag))
 
 
 def _mimo_sweep(tmpdir, family, algorithm, values, trials):
     out = os.path.join(tmpdir, "mimo.csv")
     for seed in (1, 2):
-        harness.run_sweep(harness.SweepConfig(
+        records = harness.run_sweep(harness.SweepConfig(
             sweep_var="M", values=values, trials=trials,
             algorithms=[algorithm],
             base=SystemParams(K=3, Q=2, seed=seed), out_path=out))
-        yield f"{family}/s{seed}", _file_digest(out)
+        yield (f"{family}/s{seed}", _file_digest(out),
+               _snrs(r.snr_db if r.feasible else None for r in records))
 
 
 def mimo(tmpdir):
@@ -99,11 +108,15 @@ def mimo_evolved(tmpdir):
     return _mimo_sweep(tmpdir, "mimo-evolved", "evolved", [2, 4], 2)
 
 
+def _snrs(values) -> str:
+    return ",".join("-" if x is None else repr(float(x)) for x in values)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmpdir:
         for family in (sweep_sca, solve, mimo, mimo_evolved):
-            for name, digest in family(tmpdir):
-                print(name, digest, flush=True)
+            for line in family(tmpdir):
+                print(*line, flush=True)
     return 0
 
 
