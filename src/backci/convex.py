@@ -18,12 +18,12 @@ dimension for the SDP's PSD cone.  Phase one runs on a wrapper that adds a
 slack s, minimizing s subject to row_i(x) <= s; it stops once every row
 holds strictly, or once its gap bound certifies that none can.
 
-Every stage centres until half the squared Newton decrement is at most
-0.125 mu: how tightly the intermediate stages centre changes the work, not
-the final gap bound (Boyd & Vandenberghe, section 11.3).  Phase one centres
-to an absolute decrement of 1e-12 instead: its end point seeds the main
-stage, and a looser phase one moves an evolved solver's SNR by about 1e-6.
-Newton steps are counted alike in both: every step tried, accepted or not.
+Every stage of both phases centres by one rule: until half the squared
+Newton decrement is at most _CENTRE * mu, and in the last stage to the
+round-off floor.  How tightly the intermediate stages centre changes the
+work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
+phase one needs only a strictly feasible point.  Newton steps are counted
+alike in both: every step tried, accepted or not.
 A row with no x-dependence, 0 <= b, is settled for both kernels by one
 rule in `_pad_rows`, before any Newton step: it is dropped when b >= 0, and
 makes its entry INFEASIBLE, certificate 1, when b < 0.
@@ -69,6 +69,7 @@ _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
 _TOL = 1e-8             # duality-gap target, on the normalized problem
 _STALL = 1e-14          # last stage: a decrement this small that no longer
                         # falls is at the round-off floor
+_CENTRE = 0.125         # a stage is centred once dec / 2 <= _CENTRE * mu
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +184,14 @@ class _Oracle:
     (B, k, n, n) (None for linear rows), Q (B, k, n) and b (B, k), with
     slack (B, k) marking the rows phase one relaxes: every row that is
     neither padding nor a cone written as a row.  The duality gap at a
-    mu-centre is at most n_par (B,) * mu.  A barrier stage stops centring
-    once half the squared Newton decrement is at most
-    max(center_tol * mu, center_floor); every oracle but phase one keeps
-    these class values.  A subclass with a cone that is not a row supplies
-    its barrier: cone(x) gives its value (nan outside the cone),
-    cone_derivs(x) its value, gradient and Hessian.  take(idx) gives the
-    oracle of the entries idx; _batched names the per-entry arrays it
-    selects.  A kernel oracle also sets impossible (B,) from _pad_rows.
+    mu-centre is at most n_par (B,) * mu.  A subclass with a cone that is
+    not a row supplies its barrier: cone(x) gives its value (nan outside
+    the cone), cone_derivs(x) its value, gradient and Hessian.  take(idx)
+    gives the oracle of the entries idx; _batched names the per-entry
+    arrays it selects.  A kernel oracle also sets impossible (B,) from
+    _pad_rows.  Every oracle centres by the one rule of _centre.
     """
 
-    center_tol = 0.125
-    center_floor = 0.0
     cone = None       # no cone barrier beyond the rows
     impossible = None
     _batched = ("c", "P", "Q", "b", "slack", "n_par", "impossible")
@@ -312,10 +309,9 @@ def _centre(f, x, mu, tol):
     """One barrier stage: centre each entry of x on f.value(., mu).
 
     Damped Newton steps, each one _line_search, until half the squared
-    Newton decrement is at most max(f.center_tol * mu, f.center_floor).  In
-    the last stage, where an entry's n_par * mu reaches tol, the entry
-    centres to a decrement of 1e-16 (but not below f.center_floor), to a
-    gradient norm of tol, or until a decrement below _STALL stops falling.
+    Newton decrement is at most _CENTRE * mu; in the last stage, where the
+    entry's n_par * mu reaches tol, to 1e-16, to a gradient norm of tol,
+    or until a decrement below _STALL stops falling.
     f.found ends an entry's stage at once, so f.stop must then end it.  An
     entry leaves the stacked arrays once it is centred or its line search
     fails; either ends only its own stage.
@@ -328,8 +324,7 @@ def _centre(f, x, mu, tol):
     steps = np.full(len(x), _MAX_NEWTON)
     act, xa = np.arange(len(x)), x      # the entries still centring
     last = f.n_par * mu * _MU_FACTOR <= tol
-    floor2 = np.where(last, 2.0 * max(1e-16, f.center_floor),
-                      2.0 * max(f.center_tol * mu, f.center_floor))
+    floor2 = 2.0 * np.where(last, 1e-16, _CENTRE * mu)
     any_last, prev = np.count_nonzero(last), np.inf
     for k in range(_MAX_NEWTON):
         hit = f.found(xa)
@@ -402,13 +397,8 @@ class _PhaseOne(_Oracle):
     and f's cone, as a row or not, keeps its barrier.  An entry ends as soon
     as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
     once a centre's gap bound keeps the least achievable s above 1e-9 or
-    the gap falls to the tolerance.  Every stage centres to an absolute
-    decrement of 1e-12, not relative to mu: the point phase one ends at
-    seeds the main stage, and the evolved penalty iteration depends on it.
+    the gap falls to the tolerance.
     """
-
-    center_tol = 0.0
-    center_floor = 1e-12
 
     def __init__(self, f):
         B, k, n = f.Q.shape

@@ -104,7 +104,7 @@ def kld_threshold(eps_max: float) -> float:
     Args:
         eps_max: Acceptable DEP, in (0, 1].
     """
-    if eps_max <= 0.0 or eps_max > 1.0:
+    if not 0.0 < eps_max <= 1.0:
         raise ValueError("eps_max must lie in (0, 1]")
     if eps_max == 1.0:
         return 0.0
@@ -113,7 +113,7 @@ def kld_threshold(eps_max: float) -> float:
 
 def dep_lower_bound(d: float) -> float:
     """Bretagnolle-Huber lower bound on the optimal DEP given a KLD of d."""
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("KLD must be nonnegative")
     # expm1 keeps the sqrt argument exact for small d.
     return 1.0 - math.sqrt(-math.expm1(-d))

@@ -140,6 +140,9 @@ def validate_sweep(cfg: SweepConfig) -> None:
                          f"got {cfg.sweep_var!r}")
     if not cfg.values:
         raise ValueError("values must be nonempty")
+    for v in cfg.values:
+        if not math.isfinite(v):
+            raise ValueError(f"{cfg.sweep_var} = {v}: must be finite")
     diffs = [b - a for a, b in zip(cfg.values, cfg.values[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("values must be strictly monotone")
@@ -347,12 +350,17 @@ def ci_region_report(var: str, values, params: SystemParams,
 
     Returns rows (var, value, gamma_lo, gamma_hi, theta_max) and writes
     them as CSV when out_path is given; theta_max is NaN where no angle is
-    constructive.  A magnitude <= 0 raises ValueError.
+    constructive.  A non-finite value or magnitude, or a magnitude <= 0,
+    raises ValueError before any row is computed.
     """
     if var not in ("zeta_max", "rho"):
         raise ValueError("region variable must be zeta_max or rho")
     if not len(values):
         raise ValueError("values must be nonempty")
+    for name, x in [(var, v) for v in values] + [("h_sr_mag", h_sr_mag),
+                                                  ("h_str_mag", h_str_mag)]:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} = {x}: must be finite")
     rows = []
     for value in values:
         if var == "zeta_max":

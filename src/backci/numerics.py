@@ -118,15 +118,13 @@ def big_f(x: float) -> float:
         y >= 1 solving ln y + 1/y = x.
 
     Raises:
-        ValueError: If x < 1.
+        ValueError: If x < 1 or x is NaN.
     """
     x = float(x)
-    if x < 1.0:
+    if not x > 1.0:
         if x > 1.0 - 1e-12:
             return 1.0
-        raise ValueError(f"big_f domain error: x = {x} < 1")
-    if x == 1.0:
-        return 1.0
+        raise ValueError(f"big_f domain error: x = {x}, need x >= 1")
     return math.exp(lambert_w0(-math.exp(-x)) + x)
 
 

@@ -46,13 +46,16 @@ def snr_interval(h_sr: complex, h_str: complex, g_min: float) -> CiRegion:
         h_sr = 0.
 
     Raises:
-        ValueError: If h_str = 0 (the lower bound diverges) or g_min < 1.
+        ValueError: If a channel is not finite, h_str = 0 (the lower bound
+            diverges) or g_min is below 1 or NaN.
     """
     h_sr = complex(h_sr)
     h_str = complex(h_str)
+    if not math.isfinite(abs(h_sr) + abs(h_str)):
+        raise ValueError("channels must be finite")
     if h_str == 0:
         raise ValueError("h_str must be nonzero")
-    if g_min < 1.0:
+    if not g_min >= 1.0:
         raise ValueError("g_min must be >= 1")
     a_str = abs(h_str) ** 2
     gamma_lo = (big_f(g_min) - 1.0) / a_str
@@ -70,17 +73,17 @@ def ci_angle(h_sr_mag: float, h_str_mag: float,
     """Largest channel angle at which the direct link is constructive.
 
     Args:
-        h_sr_mag: |h_sr| > 0.
-        h_str_mag: |h_str| > 0.
+        h_sr_mag: |h_sr| > 0, finite.
+        h_str_mag: |h_str| > 0, finite.
         gamma: Input SNR, >= 0.
 
     Returns:
         min(pi/2, arccos(gamma * |h_sr| * |h_str| / 2)) in radians, or None
         when the arccos argument exceeds 1 (no angle is constructive).
     """
-    if h_sr_mag <= 0 or h_str_mag <= 0:
-        raise ValueError("magnitudes must be positive")
-    if gamma < 0:
+    if not (0 < h_sr_mag < math.inf and 0 < h_str_mag < math.inf):
+        raise ValueError("magnitudes must be positive and finite")
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
     arg = gamma * h_sr_mag * h_str_mag / 2.0
     if arg > 1.0:
@@ -96,9 +99,9 @@ def theta_max_at_min_snr(h_sr_mag: float, h_str_mag: float,
     arccos(|h_sr| (F(g_min) - 1) / (2 |h_str|)); None when the argument
     exceeds 1 (the floor SNR already breaks constructiveness).
     """
-    if h_sr_mag <= 0 or h_str_mag <= 0:
-        raise ValueError("magnitudes must be positive")
-    if g_min < 1.0:
+    if not (0 < h_sr_mag < math.inf and 0 < h_str_mag < math.inf):
+        raise ValueError("magnitudes must be positive and finite")
+    if not g_min >= 1.0:
         raise ValueError("g_min must be >= 1")
     arg = h_sr_mag * (big_f(g_min) - 1.0) / (2.0 * h_str_mag)
     if arg > 1.0:

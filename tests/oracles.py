@@ -383,3 +383,38 @@ def ci_inequality_margin(v: np.ndarray, h0: np.ndarray, h1_bar: np.ndarray,
     a1 = abs(np.vdot(v, np.asarray(h0, dtype=complex)
                      + np.asarray(h1_bar, dtype=complex))) ** 2
     return float(a1 - a0 - ab - gamma * a0 * ab)
+
+
+def collinear_x_range(c, hs_norm2, sigma_s2, sigma_w2, n_samples, d_floor,
+                      e_floor, mode):
+    """Feasible range of x = |v^H hs|^2 over unit v when h0 = c hs.
+
+    With collinear channels every quantity both designs use depends on v
+    only through x: |v^H h0|^2 = |c|^2 x and |v^H h1|^2 = |1 + c|^2 x, and
+    a unit v reaches any x in [0, ||hs||^2] (dimension >= 2).  The floors
+    become bounds on x, recomputed here from the variance definitions:
+
+    * without-DL, both modes: 1 + gamma x >= F(e_floor/n + 1);
+    * "consensual", with-DL: 1 + gamma |1+c|^2 x >= F(d_floor/n + 1)
+      (1 + gamma |c|^2 x), a lower bound when |1+c|^2 > F |c|^2 and, for
+      F > 1, unmeetable otherwise;
+    * "evolved", the constructive inequality 2 Re(c) x >= gamma |c|^2 x^2,
+      an upper bound 2 Re(c) / (gamma |c|^2) when Re(c) > 0, and x = 0
+      otherwise.
+
+    Returns (lo, hi); the set is empty when lo > hi.  The SNR
+    gamma |1+c|^2 x rises with x, so hi is the optimal x where lo <= hi.
+    """
+    gamma = sigma_s2 / sigma_w2
+    a, b = abs(1.0 + c) ** 2, abs(c) ** 2
+    lo = (big_f_oracle(e_floor / n_samples + 1.0) - 1.0) / gamma
+    hi = float(hs_norm2)
+    if mode == "consensual":
+        f_with = big_f_oracle(d_floor / n_samples + 1.0)
+        slope = gamma * (a - f_with * b)
+        if slope <= 0.0:
+            return lo, 0.0
+        lo = max(lo, (f_with - 1.0) / slope)
+    else:
+        hi = min(hi, 2.0 * c.real / (gamma * b)) if c.real > 0 else 0.0
+    return lo, hi

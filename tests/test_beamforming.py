@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from backci import beamforming, convex
 from backci.beamforming import (
@@ -26,7 +27,11 @@ from backci.convex import solve_sdp_batch, solve_small_sdp
 from backci.detection import detection_stats, kld_threshold
 from backci.numerics import hermitian_eig
 from backci.siso import snr_interval
-from oracles import ci_inequality_margin, constrained_snr_oracle
+from oracles import (
+    ci_inequality_margin,
+    collinear_x_range,
+    constrained_snr_oracle,
+)
 
 # Channel-realization seeds whose first tag gives a feasible instance at the
 # given antenna count (checked against the infeasibility certificates; most
@@ -378,6 +383,64 @@ class TestPurify:
                                           1e-9 / (1.0 + 1e-9)], 1)
         v = beamforming._purify(W, H1, [(A1, _trace(A1, W))])
         assert np.array_equal(v, hermitian_eig(W)[1][:, 0])
+
+
+# h0 = c hs: a unit direction of C^M, the squared norm of hs, and c.
+collinear_draws = st.tuples(
+    st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.floats(-2.5, 0.5),
+    st.floats(-1.5, 1.5), st.floats(-np.pi, np.pi))
+
+
+def collinear_case(draw, mode):
+    """Channels h0 = c hs, params, and the oracle's range of |v^H hs|^2."""
+    m, seed, log_norm2, log_mag, phase = draw
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=m) + 1j * rng.normal(size=m)
+    norm2 = 10.0 ** log_norm2
+    hs = g * np.sqrt(norm2) / np.linalg.norm(g)
+    c = 10.0 ** log_mag * np.exp(1j * phase)
+    params = SystemParams(K=1, M=m)
+    d_min, e_min, _fw, _fwo = divergence_floors(params)
+    lo, hi = collinear_x_range(c, norm2, params.sigma_s2, params.sigma_w2,
+                               params.N, d_min, e_min, mode)
+    return (c * hs, (1.0 + c) * hs, hs), params, c, norm2, lo, hi
+
+
+class TestCollinearChannels:
+    """h0 parallel to hs: both designs against the closed form in x.
+
+    Draws within 1e-4 relative of a feasibility boundary are skipped: there
+    the verdict turns on the solvers' stated feasibility tolerance.  So are
+    evolved draws whose feasible range is narrower than one grid step.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(collinear_draws)
+    def test_consensual_matches_closed_form(self, draw):
+        chan, params, c, norm2, lo, hi = collinear_case(draw, "consensual")
+        assume(abs(hi - lo) > 1e-4 * max(hi, lo))
+        sol = consensual_sca(chan, params)
+        assert sol.feasible == (lo <= hi)
+        if sol.feasible:
+            assert sol.snr == pytest.approx(
+                params.gamma * abs(1.0 + c) ** 2 * hi, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(collinear_draws)
+    def test_evolved_within_one_grid_step(self, draw):
+        # The grid over t = |v^H h0|^2 = |c|^2 x steps by ||h0||^2 / (T - 1)
+        # up to ||h0||^2, so one grid point lies within ||hs||^2 / (T - 1)
+        # below x* = hi in x.
+        chan, params, c, norm2, lo, hi = collinear_case(draw, "evolved")
+        x_grid = hi - norm2 / (params.T - 1)
+        assume(abs(hi - lo) > 1e-4 * max(hi, lo))
+        assume(lo > hi or x_grid > lo * (1.0 + 1e-4))
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible == (lo <= hi)
+        if sol.feasible:
+            gain = params.gamma * abs(1.0 + c) ** 2
+            assert sol.snr <= gain * hi * (1.0 + 1e-12)
+            assert sol.snr >= gain * x_grid * (1.0 - 1e-9)
 
 
 class TestRecoverRankOne:

@@ -94,6 +94,10 @@ class TestKldThreshold:
         with pytest.raises(ValueError):
             kld_threshold(1.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            kld_threshold(math.nan)
+
 
 class TestDepLowerBound:
     def test_zero_kld(self):
@@ -109,6 +113,10 @@ class TestDepLowerBound:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             dep_lower_bound(-1e-3)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            dep_lower_bound(math.nan)
 
     def test_threshold_round_trip(self):
         # The bound and the threshold are exact inverses on (0, 1].

@@ -392,6 +392,19 @@ class TestCiRegionReport:
         with pytest.raises(ValueError):
             ci_region_report("sigma_s2", [0.5], SystemParams())
 
+    @pytest.mark.parametrize("var, values, mags, name", [
+        ("zeta_max", [0.5, math.nan], (1.0, 1.0), "zeta_max = nan"),
+        ("rho", [2.0, math.inf], (1.0, 1.0), "rho = inf"),
+        ("zeta_max", [0.5], (math.nan, 1.0), "h_sr_mag = nan"),
+        ("zeta_max", [0.5], (1.0, math.inf), "h_str_mag = inf")])
+    def test_rejects_non_finite_before_any_row(self, tmp_path, var, values,
+                                               mags, name):
+        out = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match=name):
+            ci_region_report(var, values, SystemParams(), h_sr_mag=mags[0],
+                             h_str_mag=mags[1], out_path=str(out))
+        assert not out.exists()
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -481,6 +494,32 @@ class TestCli:
                          "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["region_values = 0.5, nan",
+                                      "region_var = rho\nregion_values = inf",
+                                      "h_sr_mag = nan", "h_str_mag = inf"])
+    def test_region_non_finite_exit_code(self, tmp_path, capsys, line):
+        # A configuration error, not a row of NaN or pi/2 and exit 0.
+        cfgf = tmp_path / "nf.cfg"
+        cfgf.write_text(line + "\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(["ci-region", "--config", str(cfgf),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["2, inf", "2, nan"])
+    def test_non_finite_swept_value_exit_code(self, tmp_path, capsys,
+                                              values):
+        # Refused by name before the integer and monotonicity checks.
+        cfgf = tmp_path / "nf.cfg"
+        cfgf.write_text(f"sweep_var = M\nvalues = {values}\n")
+        assert cli.main(["sweep", "--config", str(cfgf), "--out",
+                         str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: M = ") and "must be finite" in err
+        assert "Traceback" not in err
 
     def test_region_subcommand(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -121,6 +121,10 @@ class TestBigF:
         with pytest.raises(ValueError):
             big_f(0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="domain error"):
+            big_f(math.nan)
+
     def test_defining_equation_grid(self):
         for x in np.linspace(1.0 + 1e-6, 30.0, 200):
             y = big_f(float(x))

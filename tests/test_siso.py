@@ -33,6 +33,17 @@ class TestSnrInterval:
         with pytest.raises(ValueError):
             snr_interval(1.0, 1.0, 0.8)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="g_min"):
+            snr_interval(1.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("h_sr, h_str", [(math.nan, 1.0),
+                                             (1.0, complex(math.inf, 0.0))])
+    def test_non_finite_channel_rejected(self, h_sr, h_str):
+        # Not a region with gamma_hi = nan.
+        with pytest.raises(ValueError, match="finite"):
+            snr_interval(h_sr, h_str, 1.2)
+
     def test_first_principles_membership(self):
         """gamma in [lo, hi] iff (delta-KLD >= 0 and no-DL KLD >= E_min).
 
@@ -90,6 +101,14 @@ class TestCiAngle:
         with pytest.raises(ValueError):
             ci_angle(1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("args", [(1.0, 1.0, math.nan),
+                                      (math.nan, 1.0, 1.0),
+                                      (1.0, math.inf, 0.0)])
+    def test_non_finite_rejected(self, args):
+        # None of these may read as the widest angle, pi/2.
+        with pytest.raises(ValueError):
+            ci_angle(*args)
+
     def test_nonincreasing_in_each_argument(self):
         gammas = np.linspace(0.1, 1.9, 25)
         angles = [ci_angle(1.0, 1.0, float(g)) for g in gammas]
@@ -134,6 +153,13 @@ class TestThetaMaxAtMinSnr:
 
     def test_empty_marker(self):
         assert theta_max_at_min_snr(5.0, 0.1, 2.0) is None
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.5),
+                                      (1.0, math.nan, 1.5),
+                                      (1.0, 1.0, math.nan)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError):
+            theta_max_at_min_snr(*args)
 
     def test_decreasing_in_g_min(self):
         # The angle exists while F(g) - 1 <= 2, i.e. g <= ln 3 + 1/3.

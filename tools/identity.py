@@ -1,6 +1,7 @@
 """Digests of backci's outputs, for a byte-identity check between two commits.
 
     python3 tools/identity.py > identity.txt
+    python3 tools/identity.py --compare old.txt new.txt
 
 Prints one ``name sha256`` line per output:
 
@@ -17,14 +18,21 @@ Prints one ``name sha256`` line per output:
   {2, 4} at Q = 2, K = 3, 2 trials, seeds 1 and 2, which runs the lifted
   design inside the alternation.
 
-Both sweep families end their line with each row's ``snr_db``, ``-`` where
-infeasible.  The SNRs let a reader check, between two commits, that no SNR
-fell where a digest moved.
+The three sweep families end their line with each row's ``snr_db`` as the
+CSV holds it (12 significant digits), ``-`` where infeasible, so their SNRs
+move only where the digest does.  The SNRs let a reader check, between two
+commits, that no SNR fell where a digest moved.
 
 Inputs come from ``bench/workloads.py``, imported only, and the package is
 imported from this checkout's ``src/``.  BLAS is pinned to one thread
 before numpy loads, as the benchmark does.  Run the script at both commits
 and diff the two outputs; any line that differs names the output that moved.
+
+``--compare OLD NEW`` reads two such outputs.  It prints each moved line with
+its SNRs before -> after (only the SNRs that moved), then per family the
+moved digests, the SNRs that rose and fell, the worst relative fall (in
+linear SNR) and the feasibility flips.  It exits 1 on a feasibility flip, a
+fall larger than 1e-8 relative, or a line present in only one output.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -70,8 +80,8 @@ def sweep_sca(tmpdir):
     for seed in (1, 2, 3):
         for b, base in enumerate(islice(w.inputs(seed), 100)):
             w.run(base, tmpdir)
-            yield (f"sweep-sca/s{seed}/b{b}",
-                   _file_digest(os.path.join(tmpdir, f"{w.name}.csv")))
+            out = os.path.join(tmpdir, f"{w.name}.csv")
+            yield f"sweep-sca/s{seed}/b{b}", _file_digest(out), _csv_snrs(out)
 
 
 def solve(tmpdir):
@@ -92,12 +102,11 @@ def solve(tmpdir):
 def _mimo_sweep(tmpdir, family, algorithm, values, trials):
     out = os.path.join(tmpdir, "mimo.csv")
     for seed in (1, 2):
-        records = harness.run_sweep(harness.SweepConfig(
+        harness.run_sweep(harness.SweepConfig(
             sweep_var="M", values=values, trials=trials,
             algorithms=[algorithm],
             base=SystemParams(K=3, Q=2, seed=seed), out_path=out))
-        yield (f"{family}/s{seed}", _file_digest(out),
-               _snrs(r.snr_db if r.feasible else None for r in records))
+        yield f"{family}/s{seed}", _file_digest(out), _csv_snrs(out)
 
 
 def mimo(tmpdir):
@@ -112,7 +121,81 @@ def _snrs(values) -> str:
     return ",".join("-" if x is None else repr(float(x)) for x in values)
 
 
-def main() -> int:
+def _csv_snrs(path) -> str:
+    """Each row's snr_db as the CSV holds it; an infeasible row's is nan."""
+    with open(path, newline="") as fh:
+        return ",".join("-" if r["snr_db"] == "nan" else r["snr_db"]
+                        for r in csv.DictReader(fh))
+
+
+_MAX_FALL = 1e-8      # largest relative SNR fall --compare lets pass
+
+
+def _read(path) -> dict:
+    """name -> (digest, SNRs as floats, None where infeasible)."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            name, digest, *rest = line.split()
+            snrs = rest[0].split(",") if rest else []
+            out[name] = (digest, [None if x == "-" else float(x)
+                                  for x in snrs])
+    return out
+
+
+def _linear(name, x):
+    """An SNR of the line name in linear units: only solve lines are."""
+    return x if name.startswith("solve/") else 10.0 ** (x / 10.0)
+
+
+def compare(old_path, new_path) -> int:
+    old, new = _read(old_path), _read(new_path)
+    fams = {}
+    bad = 0
+    for name in list(old) + [n for n in new if n not in old]:
+        fam = fams.setdefault(name.split("/")[0], dict(
+            lines=0, moved=0, rises=0, falls=0, worst=0.0, flips=0))
+        fam["lines"] += 1
+        if name not in old or name not in new:
+            print(f"{name}: only in {old_path if name in old else new_path}")
+            bad += 1
+            continue
+        (d0, s0), (d1, s1) = old[name], new[name]
+        if d0 == d1:
+            continue
+        fam["moved"] += 1
+        moves = [(i, a, b) for i, (a, b) in enumerate(zip(s0, s1)) if a != b]
+        if len(s0) != len(s1):
+            print(f"{name}: {len(s0)} SNRs -> {len(s1)}")
+            bad += 1
+        if not moves:
+            print(f"{name}: digest moved, SNRs unchanged")
+        for i, a, b in moves:
+            print(f"{name}[{i}]: {a} -> {b}")
+            if a is None or b is None:
+                fam["flips"] += 1
+                continue
+            la, lb = _linear(name, a), _linear(name, b)
+            if lb > la:
+                fam["rises"] += 1
+            elif lb < la:
+                fam["falls"] += 1
+                fam["worst"] = max(fam["worst"], (la - lb) / la)
+    for name, f in fams.items():
+        print(f"{name}: {f['moved']} of {f['lines']} digests moved; SNRs "
+              f"rose {f['rises']}, fell {f['falls']}, worst relative fall "
+              f"{f['worst']:.2g}; {f['flips']} feasibility flips")
+        bad += f["flips"] + (f["worst"] > _MAX_FALL)
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two outputs of this script")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
         for family in (sweep_sca, solve, mimo, mimo_evolved):
             for line in family(tmpdir):
