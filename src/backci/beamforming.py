@@ -270,7 +270,7 @@ def _purify(W, H1, rows):
     return None
 
 
-def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
+def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     """Inner SCA on the penalized lifted problem at one grid point.
 
     The anchor of each convex subproblem is the dominant eigenvector of the
@@ -281,9 +281,8 @@ def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
     anchor the drift contracts at a rate near 1 - 1/chi_rel and would burn
     the whole iteration budget; extrapolation collapses it in a handful of
     solves while converging to the same fixed point.  Every solve starts
-    from center, the first-stage centre of the last accepted solve (at
-    first the relaxation's).  Every subproblem has the relaxation's rows,
-    so the relaxation's W is the incumbent until a solve is accepted.
+    from W = I / m, like every SDP.  Every subproblem has the relaxation's
+    rows, so the relaxation's W is the incumbent until a solve is accepted.
 
     Returns (W, trace, converged, n_solves).
     """
@@ -301,7 +300,7 @@ def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
         """(result, penalized objective) at anchor, or (None, None)."""
         nonlocal n_solve
         prob.C = gamma * H1 + chi * np.outer(anchor, anchor.conj())
-        res = solve_small_sdp(prob, W0=center)
+        res = solve_small_sdp(prob)
         n_solve += 1
         if res.status != OPTIMAL:
             return None, None
@@ -325,7 +324,7 @@ def _penalized_sca(rows, H1, gamma, chi, W, center, max_iter, omega):
             res, pen = solve(u)
             if res is None:
                 break
-        W, center = res.W, res.center
+        W = res.W
         trace.append(pen)
         v_new, _ = recover_rank_one(W)
         # align the global phase before differencing successive anchors
@@ -348,7 +347,10 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
 
     Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
     its trace-one SDP relaxation; the relaxations of all grid points are
-    solved as one batch.  A relaxation that hits the iteration cap drops
+    solved as one batch.  The lift is built from the channels divided by
+    ||h1||, with gamma times ||h1||^2: the grid's and the kernels' floors
+    are absolute, and so the answer stays put when every channel scales by
+    s and sigma_w2 by s^2.  A relaxation that hits the iteration cap drops
     its grid point and marks the result not converged.  Grid points are
     examined by falling bound until no remaining bound can beat the best
     SNR found.  At each, _purify reduces the relaxation's optimum to a
@@ -371,9 +373,9 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     if _no_dl_floor_unreachable(gamma, hs, f_without):
         return _infeasible()
 
-    H0 = np.outer(h0, h0.conj())
-    H1 = np.outer(h1, h1.conj())
-    Hs = np.outer(hs, hs.conj())
+    s = float(np.linalg.norm(h1)) or 1.0
+    H0, H1, Hs = (np.outer(h / s, (h / s).conj()) for h in (h0, h1, hs))
+    gamma *= s * s
     lam0 = np.linalg.eigvalsh(H0)
     t_lo, t_hi = max(float(lam0[0]), 0.0), max(float(lam0[-1]), 0.0)
     if t_hi - t_lo < 1e-15:
@@ -401,8 +403,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
             any_nonconverged = True
         if res.status != OPTIMAL:
             continue
-        relax.append((float(res.objective), float(t), res.W, res.center,
-                      rows))
+        relax.append((float(res.objective), float(t), res.W, rows))
     if not relax:
         return _infeasible(iterations=total_iter,
                            converged=not any_nonconverged)
@@ -410,7 +411,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     relax.sort(key=lambda e: -e[0])
     achieved = []        # (snr, t, v, residual, trace, stats)
     best_snr = -np.inf
-    for ub, t, W_rel, center_rel, rows in relax:
+    for ub, t, W_rel, rows in relax:
         if ub < best_snr - 1e-9:
             break       # relax is sorted by bound: none of the rest can win
         v = _purify(W_rel, H1, rows)
@@ -421,8 +422,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
             residual, trace_t = 0.0, []
         if not ok:
             W, trace_t, converged_t, n_solve = _penalized_sca(
-                rows, H1, gamma, chi, W_rel, center_rel, params.J,
-                params.omega)
+                rows, H1, gamma, chi, W_rel, params.J, params.omega)
             total_iter += n_solve
             if not converged_t:
                 any_nonconverged = True

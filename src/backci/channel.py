@@ -51,11 +51,12 @@ class SystemParams:
         zeta_max: Acceptable DEP without the direct link, in (0, 1].
         kappa: Rician factor, >= 0.
         rho: Path-loss exponent, > 0.
-        chi: Rank-one penalty multiplier; the penalty weight used by the
-            evolved solver is chi * gamma * lambda_max(H1).
+        chi: Rank-one penalty multiplier of the evolved solver's penalty
+            fallback, which runs only where purification fails; its
+            weight is chi * gamma * lambda_max(H1).
         T: Grid points for the evolved solver's auxiliary variable
             (endpoints included).
-        J: Inner iteration budget of the evolved solver.
+        J: Iteration budget of the evolved solver's penalty fallback.
         L: Outer iteration budget (SCA steps / alternation rounds).
         omega: Relative convergence tolerance of the iterative solvers.
         seed: Base RNG seed.

@@ -40,7 +40,8 @@ gap in original units.
 
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
 one.  `solve_sdp_batch(C, row_sets)` solves the SDPs of one objective C,
-each with its own row list, all from W = I / m, in one stacked barrier run.
+each with its own row list, in one stacked barrier run.  Every SDP starts
+from W = I / m; only the QCQP takes a start, its v0.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -270,9 +271,8 @@ def _barrier(f, x, tol):
     next mu.  An entry ends with MAX_ITER once it has spent _MAX_STEPS
     Newton steps.
 
-    Returns (x, status, mu, steps, first), one row or value per entry: mu
-    of the stage it ended in, steps the Newton steps it tried, and first
-    its centre of the first stage.
+    Returns (x, status, mu, steps), one row or value per entry: mu of the
+    stage it ended in, and steps the Newton steps it tried.
     """
     # Trial points outside the domain make value() take logs of
     # non-positive numbers; its nan or inf then fails the Armijo test.
@@ -282,12 +282,10 @@ def _barrier(f, x, tol):
         x, steps = np.empty_like(xl), np.zeros(B, dtype=int)
         status = np.full(B, None, dtype=object)
         mu_end = np.zeros(B)
-        live, sl, mu, first = np.arange(B), steps.copy(), 1.0, None
+        live, sl, mu = np.arange(B), steps.copy(), 1.0
         while True:
             xl, n = _centre(f, xl, mu, tol)
             sl += n
-            if first is None:
-                first = xl.copy()
             st = f.stop(xl, mu, tol)
             go = np.equal(st, None)
             over = sl >= _MAX_STEPS
@@ -299,7 +297,7 @@ def _barrier(f, x, tol):
                 x[out], steps[out], status[out], mu_end[out] = (
                     xl[end], sl[end], st[end], mu)
                 if n_end == len(end):
-                    return x, status, mu_end, steps, first
+                    return x, status, mu_end, steps
                 keep = ~end
                 live, xl, sl, f = live[keep], xl[keep], sl[keep], f.take(keep)
             mu *= _MU_FACTOR
@@ -447,24 +445,23 @@ class _PhaseOne(_Oracle):
 def _solve(f, x):
     """Phase one, then the barrier method, on batch oracle f from starts x.
 
-    f.into_cone(x) first moves each x well inside the cone; an entry that
-    _pad_rows marked impossible ends there.  Phase one runs for the entries
-    whose start does not meet every row by _FEAS_MARGIN, and the main stage
-    for all that then do.
+    Each start must lie strictly inside f's cone and non-slack rows (the
+    QCQP's ball).  An entry _pad_rows marked impossible ends at once;
+    phase one runs for those whose start misses a row by _FEAS_MARGIN,
+    and the main stage for all that then meet every row.
 
-    Returns (x, status, cert, steps, mu, first) per entry.  status and
-    steps are as _barrier gives them, phase one's steps counted in.  cert
-    is the largest normalized row violation left at the phase-one optimum,
-    1 for an impossible row.  mu and first are the main stage's (see
-    _barrier), nan where the entry ended before it.
+    Returns (x, status, cert, steps, mu) per entry.  status and steps are
+    as _barrier gives them, phase one's steps counted in.  cert is the
+    largest normalized row violation left at the phase-one optimum, 1 for
+    an impossible row.  mu is the main stage's (see _barrier), nan where
+    the entry ended before it.
     """
-    x = f.into_cone(x)
     ok = ~f.impossible
     B = len(x)
     status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
     cert = np.where(ok, np.nan, 1.0)
     steps = np.zeros(B, dtype=int)
-    mu, first = np.full(B, np.nan), np.full_like(x, np.nan)
+    mu = np.full(B, np.nan)
     g = np.where(f.slack, f.rows(x)[0], -np.inf)
     need = np.flatnonzero(ok & (g.max(axis=1, initial=-np.inf)
                                 >= -_FEAS_MARGIN))
@@ -472,17 +469,17 @@ def _solve(f, x):
         fn = f if need.size == B else f.take(need)
         xs = np.concatenate([x[need], g[need].max(axis=1)[:, None] + 0.5],
                             axis=1)
-        xs, status[need], _mu, steps[need], _first = _barrier(
+        xs, status[need], _mu, steps[need] = _barrier(
             _PhaseOne(fn), xs, _PHASE_ONE_TOL)
         x[need] = xs[:, :-1]
         cert[need] = np.where(fn.slack, fn.rows(x[need])[0], -np.inf).max(
             axis=1)
     go = np.flatnonzero(status == OPTIMAL)
     if go.size:
-        x[go], status[go], mu[go], main, first[go] = _barrier(
+        x[go], status[go], mu[go], main = _barrier(
             f if go.size == B else f.take(go), x[go], _TOL)
         steps[go] += main
-    return x, status, cert, steps, mu, first
+    return x, status, cert, steps, mu
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +547,6 @@ class _BallQcqp(_Oracle):
         slack[:, 0] = False
         super().__init__(-self.c_hat, P, Q, b, slack, real.sum(axis=1))
 
-    def into_cone(self, z):
-        """z, pulled in to half the ball's squared radius when near it."""
-        zz = np.vecdot(z, z)
-        near = zz >= 0.9
-        return np.where(near[:, None],
-                        z * np.sqrt(0.5 / np.where(near, zz, 1.0))[:, None], z)
-
 
 def solve_ball_qcqp(p: QcqpProblem,
                     v0: Optional[np.ndarray] = None) -> QcqpResult:
@@ -564,8 +554,9 @@ def solve_ball_qcqp(p: QcqpProblem,
 
     Args:
         p: Problem data.
-        v0: Optional warm-start vector (complex); pulled into the strictly
-            feasible region by phase one if necessary.
+        v0: Optional warm-start vector (complex).  One near the ball's
+            edge is first pulled in to half its squared radius; phase one
+            then pulls it inside any constraint it breaks.
 
     Returns:
         QcqpResult with status "optimal", "infeasible" (certificate holds
@@ -574,7 +565,10 @@ def solve_ball_qcqp(p: QcqpProblem,
     """
     f = _BallQcqp([p])
     z = np.zeros(f.c.shape) if v0 is None else embed_vector(v0)[None]
-    z, status, cert, steps, mu, _first = _solve(f, z)
+    zz = np.vecdot(z, z)
+    if zz[0] >= 0.9:
+        z = z * np.sqrt(0.5 / zz)[:, None]
+    z, status, cert, steps, mu = _solve(f, z)
     if np.isnan(mu[0]):
         return QcqpResult(v=None, status=status[0],
                           certificate=float(cert[0]),
@@ -622,10 +616,6 @@ class SdpResult:
     gap: float = np.nan           # duality-gap bound, original units
     certificate: float = np.nan
     newton_steps: int = 0
-    # Well-centered interior iterate (first barrier stage).  Unlike W it has
-    # healthy slack on binding constraints, so it is the right warm start for
-    # a re-solve with a perturbed objective and unchanged constraints.
-    center: Optional[np.ndarray] = None
 
 
 @lru_cache(maxsize=16)
@@ -733,11 +723,6 @@ class _Sdp(_Oracle):
         return (-_logdet(W),
                 -(self.UZ @ WiT.reshape(B, m * m, 1))[..., 0].real, H)
 
-    def into_cone(self, y):
-        """y where W is safely positive definite, else the point W = I / m."""
-        inside = ~np.isnan(_logdet(self.matrix(y) - 1e-12 * np.eye(self.m)))
-        return np.where(inside[:, None], y, self.y_eye)
-
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""
         gap = self.n_par * mu * max(self.c_norm, 1.0)
@@ -747,8 +732,39 @@ class _Sdp(_Oracle):
         return np.where(done, OPTIMAL, None)
 
 
-def _solve_sdps(C, row_sets, W0=None):
-    """The SdpResult of each row set; W0 is a warm start for a single one."""
+def solve_small_sdp(p: SdpProblem) -> SdpResult:
+    """Solve the small trace-one SDP by a log-barrier interior method, from
+    W = I / m.
+
+    Args:
+        p: Problem data (objective maximized).
+
+    Returns:
+        SdpResult; gap is the barrier bound in original objective units,
+        certificate the phase-one max violation (normalized) when
+        infeasible.
+    """
+    return solve_sdp_batch(p.C, [p.ineq_constraints])[0]
+
+
+def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
+    """Solve the trace-one SDPs of objective C, one per row set, in one
+    stacked run.
+
+    Entry j is max Tr(C W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
+    row_sets[j], W PSD.  Every entry starts from W = I / m, which is inside
+    the cone, and its SdpResult is what solve_small_sdp gives for it (up to
+    round-off).
+
+    Args:
+        C: The m x m Hermitian objective every entry shares.
+        row_sets: One list of (A, b) rows per entry.
+
+    Returns:
+        The SdpResult of each row set, in input order.
+    """
+    if not row_sets:
+        return []
     f = _Sdp(C, row_sets)
     B = len(row_sets)
 
@@ -762,59 +778,19 @@ def _solve_sdps(C, row_sets, W0=None):
         obj = f.objective(y)
         return [SdpResult(W=None, status=INFEASIBLE, certificate=float(w))
                 if w > 1e-9 else
-                SdpResult(W=Wj, status=OPTIMAL, objective=float(o), gap=0.0,
-                          center=Wj)
+                SdpResult(W=Wj, status=OPTIMAL, objective=float(o), gap=0.0)
                 for w, Wj, o in zip(worst, W, obj)]
 
-    y = (np.tile(f.y_eye, (B, 1)) if W0 is None
-         else (f.Z.T @ (svec(W0) - f.wp))[None])
-    y, status, cert, steps, mu, first = _solve(f, y)
+    y, status, cert, steps, mu = _solve(f, np.tile(f.y_eye, (B, 1)))
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
                          newton_steps=int(steps[j])) for j in range(B)]
     main = np.flatnonzero(~np.isnan(mu))
-    W, Wc = f.matrix(y[main]), f.matrix(first[main])
+    W = f.matrix(y[main])
     obj = f.objective(y[main])
     gap = f.n_par[main] * mu[main] * max(f.c_norm, 1.0)
     for i, j in enumerate(main):
         results[j] = SdpResult(
             W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off
             status=status[j], objective=float(obj[i]), gap=float(gap[i]),
-            newton_steps=int(steps[j]),
-            center=0.5 * (Wc[i] + Wc[i].conj().T))
+            newton_steps=int(steps[j]))
     return results
-
-
-def solve_small_sdp(p: SdpProblem,
-                    W0: Optional[np.ndarray] = None) -> SdpResult:
-    """Solve the small trace-one SDP by a log-barrier interior method.
-
-    Args:
-        p: Problem data (objective maximized).
-        W0: Optional warm-start matrix.  Like the QCQP's v0, it is replaced
-            by W = I / m unless safely positive definite, and phase one
-            pulls it inside any inequality it breaks.
-
-    Returns:
-        SdpResult; gap is the barrier bound in original objective units,
-        certificate the phase-one max violation (normalized) when
-        infeasible.
-    """
-    return _solve_sdps(p.C, [p.ineq_constraints], W0)[0]
-
-
-def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
-    """Solve the trace-one SDPs of objective C, one per row set, in one
-    stacked run.
-
-    Entry j is max Tr(C W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
-    row_sets[j], W PSD.  Every entry starts from W = I / m, and its
-    SdpResult is what solve_small_sdp gives for it (up to round-off).
-
-    Args:
-        C: The m x m Hermitian objective every entry shares.
-        row_sets: One list of (A, b) rows per entry.
-
-    Returns:
-        The SdpResult of each row set, in input order.
-    """
-    return _solve_sdps(C, row_sets) if row_sets else []

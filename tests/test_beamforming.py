@@ -9,6 +9,8 @@ those share code with the solvers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -225,11 +227,11 @@ class TestEvolvedSdp:
         uncapped = evolved_sdp(chan, params)
         calls = []
 
-        def capped_first(prob, W0=None):
+        def capped_first(prob):
             calls.append(1)
             if len(calls) == 1:
                 return convex.SdpResult(W=None, status=convex.MAX_ITER)
-            return solve_small_sdp(prob, W0=W0)
+            return solve_small_sdp(prob)
 
         monkeypatch.setattr(beamforming, "solve_small_sdp", capped_first)
         sol = evolved_sdp(chan, params)
@@ -302,6 +304,33 @@ class TestEvolvedSdp:
         assert sol.feasible and sol.converged
         assert not calls
         assert sol.snr >= 18.084826
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_M4_T100))
+    def test_penalty_fallback_keeps_quality(self, seed, monkeypatch):
+        # With purification switched off every examined grid point runs the
+        # penalty SCA, which must reach the purified SNR to its tolerance.
+        params = SystemParams(M=4, K=1)
+        chan = tag0(params, seed)
+        purified = evolved_sdp(chan, params)
+        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible and sol.converged
+        assert sol.iterations > params.T
+        assert sol.snr == pytest.approx(purified.snr, rel=1e-5)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    @pytest.mark.parametrize("seed", [1, 9, 10])
+    def test_invariant_to_joint_channel_and_noise_scale(self, seed, scale):
+        # Scaling every channel by s and the noise power by s^2 leaves each
+        # divergence and the SNR of every v unchanged, so the design too.
+        params = SystemParams(M=4, K=1)
+        chan = tag0(params, seed)
+        plain = evolved_sdp(chan, params)
+        scaled = evolved_sdp(tuple(scale * h for h in chan),
+                             replace(params, sigma_w2=params.sigma_w2
+                                     * scale * scale))
+        assert plain.feasible and scaled.feasible
+        assert scaled.snr == pytest.approx(plain.snr, rel=1e-7)
 
     def test_scalar_feasibility_matches_interval(self):
         # M = 1 leaves no beamforming freedom: feasible exactly when the

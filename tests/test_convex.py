@@ -388,56 +388,6 @@ class TestSdpDegenerate:
             solve_small_sdp(SdpProblem(C=np.eye(2, dtype=complex), dim=dim,
                                        eq_constraints=eqs))
 
-    def test_warm_start_keeps_answer(self):
-        rng = np.random.default_rng(52)
-        C = rand_herm_psd(rng, 3)
-        p = SdpProblem(C=C, dim=3,
-                       eq_constraints=[(np.eye(3, dtype=complex), 1.0)])
-        cold = solve_small_sdp(p)
-        warm = solve_small_sdp(p, W0=cold.W)
-        assert warm.status == OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-
-
-class TestSdpWarmStartInfeasible:
-    def test_relaxation_rows_at_smaller_t(self):
-        # The evolved relaxation rows at two values of t.  The optimum at the
-        # larger t breaks the row Tr(H0 W) <= t of the smaller one, so the
-        # warm start has to go through phase one.
-        params = SystemParams(K=1, M=4)
-        gamma = params.gamma
-        f_without = divergence_floors(params)[3]
-        eye = np.eye(params.M, dtype=complex)
-        checked = 0
-        for seed in range(40):
-            h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
-            H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
-
-            def relaxation(t):
-                return SdpProblem(
-                    C=gamma * H1, dim=params.M, eq_constraints=[(eye, 1.0)],
-                    ineq_constraints=[
-                        (-H1 + (1.0 + gamma * t) * Hs, -t),
-                        (-gamma * Hs, -(f_without - 1.0)),
-                        (H0, t)])
-
-            t_hi = float(np.linalg.eigvalsh(H0)[-1])
-            big = solve_small_sdp(relaxation(0.6 * t_hi))
-            if big.status != OPTIMAL:
-                continue
-            t = 0.5 * t_hi
-            if np.trace(H0 @ big.W).real <= t:
-                continue
-            cold = solve_small_sdp(relaxation(t))
-            # big.W is rank one; the blend makes it positive definite, so
-            # phase one starts from it rather than from W = I / m.
-            W0 = 0.98 * big.W + 0.02 * eye / params.M
-            warm = solve_small_sdp(relaxation(t), W0=W0)
-            assert cold.status == OPTIMAL and warm.status == OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-            checked += 1
-        assert checked >= 1
-
 
 class TestNewtonStepCount:
     """newton_steps counts the Newton steps tried, accepted or not, in phase
@@ -536,8 +486,7 @@ def _relaxation_family(M, B):
 def _result_bytes(r):
     """What an SdpResult says, as exact bytes."""
     return (r.status, r.newton_steps,
-            None if r.W is None else r.W.tobytes(),
-            None if r.center is None else r.center.tobytes())
+            None if r.W is None else r.W.tobytes())
 
 
 class TestSdpBatch:

@@ -11,7 +11,10 @@ Prints one ``name sha256`` line per output:
   benchmark's ``solve`` workload, realizations 0-24 of seeds 1-3 (v bytes,
   snr, feasible, iterations, rank residual, converged, objective trace,
   detection stats and x), then the evolved SNR of each tag, linear, ``-``
-  where infeasible;
+  where infeasible, then the evolved ``iterations`` of each tag;
+* ``fallback/s1/r<i>``: the same for realizations 0-7 of seed 1, with
+  ``beamforming._purify`` switched off (restored afterwards), so that every
+  examined grid point runs the penalty SCA; no other family reaches it;
 * ``mimo/s<seed>``: the CSV of a ``consensual`` sweep over M in {2, 4, 6, 8}
   at Q = 2, K = 3, 4 trials, seeds 1 and 2;
 * ``mimo-evolved/s<seed>``: the CSV of an ``evolved`` sweep over M in
@@ -31,8 +34,10 @@ and diff the two outputs; any line that differs names the output that moved.
 ``--compare OLD NEW`` reads two such outputs.  It prints each moved line with
 its SNRs before -> after (only the SNRs that moved), then per family the
 moved digests, the SNRs that rose and fell, the worst relative fall (in
-linear SNR) and the feasibility flips.  It exits 1 on a feasibility flip, a
-fall larger than 1e-8 relative, or a line present in only one output.
+linear SNR), the feasibility flips and the lines whose per-tag
+``iterations`` changed (when both outputs carry them).  It exits 1 on a
+feasibility flip, a fall larger than 1e-8 relative, or a line present in
+only one output.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from backci import harness  # noqa: E402
+from backci import beamforming, harness  # noqa: E402
 from backci.channel import SystemParams  # noqa: E402
 
 import workloads  # noqa: E402
@@ -84,19 +89,33 @@ def sweep_sca(tmpdir):
             yield f"sweep-sca/s{seed}/b{b}", _file_digest(out), _csv_snrs(out)
 
 
-def solve(tmpdir):
+def _solve_lines(tmpdir, family, seeds, count):
     w = workloads.WORKLOADS["solve"]
-    for seed in (1, 2, 3):
-        for i, inp in enumerate(islice(w.inputs(seed), 25)):
+    for seed in seeds:
+        for i, inp in enumerate(islice(w.inputs(seed), count)):
             _chans, selections = w.run(inp, tmpdir)
             h = hashlib.sha256()
             for res in selections:
                 for sol in res.per_tag:
                     h.update(_solution_bytes(sol))
             evolved = selections[workloads.SOLVE_MODES.index("evolved")]
-            yield (f"solve/s{seed}/r{i}", h.hexdigest(),
+            yield (f"{family}/s{seed}/r{i}", h.hexdigest(),
                    _snrs(s.snr if s.feasible else None
-                         for s in evolved.per_tag))
+                         for s in evolved.per_tag),
+                   ",".join(str(s.iterations) for s in evolved.per_tag))
+
+
+def solve(tmpdir):
+    return _solve_lines(tmpdir, "solve", (1, 2, 3), 25)
+
+
+def fallback(tmpdir):
+    purify = beamforming._purify
+    beamforming._purify = lambda *args: None
+    try:
+        yield from _solve_lines(tmpdir, "fallback", (1,), 8)
+    finally:
+        beamforming._purify = purify
 
 
 def _mimo_sweep(tmpdir, family, algorithm, values, trials):
@@ -132,20 +151,23 @@ _MAX_FALL = 1e-8      # largest relative SNR fall --compare lets pass
 
 
 def _read(path) -> dict:
-    """name -> (digest, SNRs as floats, None where infeasible)."""
+    """name -> (digest, SNRs as floats, None where infeasible, iterations
+    or None where the line has none)."""
     out = {}
     with open(path) as fh:
         for line in fh:
             name, digest, *rest = line.split()
             snrs = rest[0].split(",") if rest else []
             out[name] = (digest, [None if x == "-" else float(x)
-                                  for x in snrs])
+                                  for x in snrs],
+                         rest[1] if len(rest) > 1 else None)
     return out
 
 
 def _linear(name, x):
-    """An SNR of the line name in linear units: only solve lines are."""
-    return x if name.startswith("solve/") else 10.0 ** (x / 10.0)
+    """An SNR of the line name in linear units: the per-tag lines are."""
+    return (x if name.startswith(("solve/", "fallback/"))
+            else 10.0 ** (x / 10.0))
 
 
 def compare(old_path, new_path) -> int:
@@ -154,16 +176,20 @@ def compare(old_path, new_path) -> int:
     bad = 0
     for name in list(old) + [n for n in new if n not in old]:
         fam = fams.setdefault(name.split("/")[0], dict(
-            lines=0, moved=0, rises=0, falls=0, worst=0.0, flips=0))
+            lines=0, moved=0, rises=0, falls=0, worst=0.0, flips=0,
+            iters=0))
         fam["lines"] += 1
         if name not in old or name not in new:
             print(f"{name}: only in {old_path if name in old else new_path}")
             bad += 1
             continue
-        (d0, s0), (d1, s1) = old[name], new[name]
+        (d0, s0, i0), (d1, s1, i1) = old[name], new[name]
         if d0 == d1:
             continue
         fam["moved"] += 1
+        if i0 is not None and i1 is not None and i0 != i1:
+            print(f"{name}: iterations {i0} -> {i1}")
+            fam["iters"] += 1
         moves = [(i, a, b) for i, (a, b) in enumerate(zip(s0, s1)) if a != b]
         if len(s0) != len(s1):
             print(f"{name}: {len(s0)} SNRs -> {len(s1)}")
@@ -184,7 +210,8 @@ def compare(old_path, new_path) -> int:
     for name, f in fams.items():
         print(f"{name}: {f['moved']} of {f['lines']} digests moved; SNRs "
               f"rose {f['rises']}, fell {f['falls']}, worst relative fall "
-              f"{f['worst']:.2g}; {f['flips']} feasibility flips")
+              f"{f['worst']:.2g}; {f['flips']} feasibility flips; "
+              f"{f['iters']} lines with changed iterations")
         bad += f["flips"] + (f["worst"] > _MAX_FALL)
     return 1 if bad else 0
 
@@ -197,7 +224,7 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
-        for family in (sweep_sca, solve, mimo, mimo_evolved):
+        for family in (sweep_sca, solve, mimo, mimo_evolved, fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
