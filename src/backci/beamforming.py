@@ -89,12 +89,34 @@ def divergence_floors(params) -> tuple:
 
 
 def _unpack(chan):
-    """The channel triple as complex arrays; ValueError if not all finite."""
+    """The channel triple as complex arrays.
+
+    ValueError if an entry is not finite, or if h1 is not h0 + h_str to
+    round-off: the designs see h1 only through h0 and h_str.
+    """
     out = tuple(np.asarray(h, dtype=complex) for h in chan)
     for name, h in zip(("h0", "h1", "h_str"), out):
         if not np.isfinite(h).all():
             raise ValueError(f"channel {name} has a non-finite entry")
+    h0, h1, hs = out
+    if (np.linalg.norm(h1 - h0 - hs)
+            > 1e-10 * (np.linalg.norm(h0) + np.linalg.norm(hs))):
+        raise ValueError("channel h1 is not h0 + h_str")
     return out
+
+
+def _span_basis(h0, hs):
+    """Orthonormal U, M x min(M, 3), whose range holds h0 and hs.
+
+    The first min(M, 3) left singular vectors of [h0 hs]: the channels'
+    span plus a direction orthogonal to it, which carries the norm a unit
+    v may leave outside the span.  Every quantity the designs use depends
+    on v only through v^H h0, v^H hs and ||v||, so the problem on U^H h
+    is the full one, with v = U v'.  The full basis covers M <= 2, h0 = 0
+    and hs parallel to h0 with the same rule.
+    """
+    m = len(h0)
+    return np.linalg.svd(np.column_stack([h0, hs]))[0][:, :min(m, 3)]
 
 
 def _no_dl_floor_unreachable(gamma, hs, f_without) -> bool:
@@ -270,6 +292,9 @@ def _purify(W, H1, rows):
     return None
 
 
+_PEN_CYCLE = 4       # solves per extrapolation cycle of the penalty SCA
+
+
 def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     """Inner SCA on the penalized lifted problem at one grid point.
 
@@ -283,6 +308,8 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     solves while converging to the same fixed point.  Every solve starts
     from W = I / m, like every SDP.  Every subproblem has the relaxation's
     rows, so the relaxation's W is the incumbent until a solve is accepted.
+    It has converged when the penalized objective climbs by less than omega
+    (relative) over the last _PEN_CYCLE solves, or the anchor stops moving.
 
     Returns (W, trace, converged, n_solves).
     """
@@ -332,7 +359,10 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
         if abs(ph) > 1e-15:
             v_new = v_new * (ph.conjugate() / abs(ph))
         step = float(np.linalg.norm(v_new - u))
-        done = pen_cur is not None and _settled(pen, pen_cur, omega)
+        # Within a cycle the increments swing by 10x, so one small one
+        # does not show that the climb has ended.
+        done = (len(trace) > _PEN_CYCLE
+                and _settled(pen, trace[-1 - _PEN_CYCLE], omega))
         delta_last, s_before, s_last = v_new - u, s_last, step
         u, pen_cur = v_new, pen
         if done or (step < 1e-10 and j > 0):
@@ -347,15 +377,18 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
 
     Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
     its trace-one SDP relaxation; the relaxations of all grid points are
-    solved as one batch.  The lift is built from the channels divided by
-    ||h1||, with gamma times ||h1||^2: the grid's and the kernels' floors
-    are absolute, and so the answer stays put when every channel scales by
-    s and sigma_w2 by s^2.  A relaxation that hits the iteration cap drops
-    its grid point and marks the result not converged.  Grid points are
-    examined by falling bound until no remaining bound can beat the best
-    SNR found.  At each, _purify reduces the relaxation's optimum to a
-    rank-one v v^H at the same objective, so v is optimal for that t; it is
-    kept if _finalize verifies it, with rank_residual 0.  Where no
+    solved as one batch.  The lift is built on the basis U of _span_basis,
+    so it is at most 3 x 3 for any M, and exact; each v' found there is
+    mapped back as v = U v' and verified by _finalize on the full channels.
+    It is built from the channels divided by ||h1||, with gamma times
+    ||h1||^2: the grid's and the kernels' floors are absolute, and so the
+    answer stays put when every channel scales by s and sigma_w2 by s^2.
+    A relaxation that hits the iteration cap drops its grid point and
+    marks the result not converged.  Grid points are examined by falling
+    bound until no remaining bound can beat the best SNR found.  At each,
+    _purify reduces the relaxation's optimum to a rank-one v v^H at the
+    same objective, so v is optimal for that t; it is kept if _finalize
+    verifies it, with rank_residual 0.  Where no
     reduction exists, or v does not verify, the penalized trace-one SDP is
     solved by SCA from the relaxation's point (the rank penalty is
     linearized through the dominant eigenvector), once, at the weight chi *
@@ -373,8 +406,10 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     if _no_dl_floor_unreachable(gamma, hs, f_without):
         return _infeasible()
 
+    U = _span_basis(h0, hs)
     s = float(np.linalg.norm(h1)) or 1.0
-    H0, H1, Hs = (np.outer(h / s, (h / s).conj()) for h in (h0, h1, hs))
+    H0, H1, Hs = (np.outer(g, g.conj())
+                  for g in (U.conj().T @ (h / s) for h in (h0, h1, hs)))
     gamma *= s * s
     lam0 = np.linalg.eigvalsh(H0)
     t_lo, t_hi = max(float(lam0[0]), 0.0), max(float(lam0[-1]), 0.0)
@@ -417,7 +452,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
         v = _purify(W_rel, H1, rows)
         ok = v is not None
         if ok:
-            v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
+            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params, d_min,
                                           e_min, "evolved")
             residual, trace_t = 0.0, []
         if not ok:
@@ -427,7 +462,7 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
             if not converged_t:
                 any_nonconverged = True
             v, residual = recover_rank_one(W)
-            v, stats, ok, snr = _finalize(v, h0, h1, hs, params, d_min,
+            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params, d_min,
                                           e_min, "evolved")
             if not ok:
                 continue

@@ -714,12 +714,9 @@ class _Sdp(_Oracle):
         Winv = np.linalg.inv(W)
         B, m = len(W), self.m
         WiT = Winv.swapaxes(1, 2)
-        H = np.empty((B, len(self.UZ), len(self.UZ)))
-        for i in range(0, B, 25):     # in chunks, to bound the temporaries
-            c = slice(i, i + 25)
-            K = (WiT[c, :, None, :, None] * Winv[c, None, :, None, :]
-                 ).reshape(-1, m * m, m * m)
-            H[c] = (self.UZ @ K @ self.UZh).real
+        K = (WiT[:, :, None, :, None] * Winv[:, None, :, None, :]
+             ).reshape(B, m * m, m * m)
+        H = (self.UZ @ K @ self.UZh).real
         return (-_logdet(W),
                 -(self.UZ @ WiT.reshape(B, m * m, 1))[..., 0].real, H)
 

@@ -352,6 +352,59 @@ class TestEvolvedSdp:
         assert n_feas >= 20   # the draw scales must keep both sides covered
 
 
+def _unitary(m, seed):
+    """A random m x m unitary: the Q factor of a complex Gaussian draw."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+class TestSpanReduction:
+    """evolved_sdp solves its lift on the channels' span plus one direction.
+
+    The design depends on v only through v^H h0, v^H hs and ||v||, so a
+    unitary rotation of the channels, or zero padding to more antennas,
+    leaves the SNR and the verdict unchanged.  v itself is not compared: a
+    degenerate optimum need not have a unique v.  Tag 0 of seed 0 is
+    infeasible in every case below; the others are feasible.
+    """
+
+    @pytest.mark.parametrize("m, seed", [(4, 0), (4, 1), (4, 5), (4, 10),
+                                         (8, 0), (8, 1), (8, 9), (8, 18)])
+    def test_invariant_to_unitary_rotation(self, m, seed):
+        params = SystemParams(M=m, K=1)
+        chan = tag0(params, seed)
+        plain = evolved_sdp(chan, params)
+        Q = _unitary(m, seed)
+        rotated = evolved_sdp(tuple(Q @ h for h in chan), params)
+        assert rotated.feasible == plain.feasible == (seed != 0)
+        assert rotated.snr == pytest.approx(plain.snr, rel=1e-9)
+
+    # (sigma_s2, seed, tag): M = 3 draws, the last five with an optimum
+    # that puts part of v's norm outside the channels' span.  Restricted
+    # to the span, those read 12.87, 8.05, infeasible, 10.85 and 13.25,
+    # against about 18 in C^3.
+    PADDED = [(0.5, 0, 0), (0.5, 1, 0), (0.5, 9, 0),
+              (0.2, 0, 1), (0.8, 0, 1), (0.8, 1, 0), (0.5, 1, 3)]
+
+    @pytest.mark.parametrize("sigma_s2, seed, k", PADDED)
+    def test_zero_padded_m3_matches_m3(self, sigma_s2, seed, k, monkeypatch):
+        # The reference lifts the whole of C^3, with no basis to reduce to.
+        params = SystemParams(M=3, sigma_s2=sigma_s2)
+        chan = gen_channel_set(params, seed).tag_channels(k)
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "_span_basis",
+                       lambda h0, hs: np.eye(len(h0)))
+            plain = evolved_sdp(chan, params)
+        Q = _unitary(8, seed)
+        padded = evolved_sdp(tuple(Q @ np.concatenate([h, np.zeros(5)])
+                                   for h in chan), replace(params, M=8))
+        assert padded.feasible == plain.feasible == ((seed, k) != (0, 0))
+        assert padded.snr == pytest.approx(plain.snr, rel=1e-9)
+        if padded.feasible:
+            assert np.linalg.norm(padded.v) == pytest.approx(1.0, abs=1e-12)
+
+
 def _trace(A, W):
     return float(np.trace(A @ W).real)
 
@@ -622,10 +675,22 @@ class TestAlternatingMimo:
         assert sol.snr >= base.snr - 1e-9 * max(1.0, base.snr)
 
 
+def _solve(solver, chan, params):
+    """The consensual, evolved or (consensual) MIMO design on chan."""
+    if solver == "consensual":
+        return consensual_sca(chan, params)
+    if solver == "evolved":
+        return evolved_sdp(chan, params)
+    return alternating_mimo(chan, params, "consensual")
+
+
+SOLVERS = ["consensual", "evolved", "mimo"]
+
+
 class TestNonFiniteChannels:
     """A nan or inf in any link is refused before anything is solved."""
 
-    @pytest.mark.parametrize("solver", ["consensual", "evolved", "mimo"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("link", [0, 1, 2], ids=["h0", "h1", "hs"])
     def test_refused(self, solver, bad, link):
@@ -633,9 +698,25 @@ class TestNonFiniteChannels:
         chan = [h.copy() for h in tag0(params, 1)]
         chan[link].flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            if solver == "consensual":
-                consensual_sca(chan, params)
-            elif solver == "evolved":
-                evolved_sdp(chan, params)
-            else:
-                alternating_mimo(chan, params, "consensual")
+            _solve(solver, chan, params)
+
+
+class TestInconsistentChannels:
+    """A triple whose h1 is not h0 + hs is refused; round-off is not."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_refused(self, solver):
+        params = SystemParams(M=4, Q=2 if solver == "mimo" else 1)
+        h0, h1, hs = tag0(params, 1)
+        with pytest.raises(ValueError, match="h1 is not h0 \\+ h_str"):
+            _solve(solver, (h0, h1 + 1e-6 * np.abs(h1).max(), hs), params)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_round_off_accepted(self, solver):
+        params = SystemParams(M=4, Q=2 if solver == "mimo" else 1)
+        h0, h1, hs = tag0(params, 1)
+        nudged = h1 * (1.0 + 1e-13)
+        assert np.linalg.norm(nudged - h0 - hs) > 0.0
+        sol = _solve(solver, (h0, nudged, hs), params)
+        assert sol.snr == pytest.approx(
+            _solve(solver, (h0, h1, hs), params).snr, rel=1e-9)

@@ -12,7 +12,10 @@ Prints one ``name sha256`` line per output:
   snr, feasible, iterations, rank residual, converged, objective trace,
   detection stats and x), then the evolved SNR of each tag, linear, ``-``
   where infeasible, then the evolved ``iterations`` of each tag;
-* ``fallback/s1/r<i>``: the same for realizations 0-7 of seed 1, with
+* ``solve-m8/s1/r<i>``: the same for realizations 0-3 of seed 1 of the
+  ``solve`` workload's inputs at M = 8, where reducing the evolved
+  design's lift to three dimensions changes the most;
+* ``fallback/s1/r<i>``: as ``solve``, for realizations 0-7 of seed 1, with
   ``beamforming._purify`` switched off (restored afterwards), so that every
   examined grid point runs the penalty SCA; no other family reaches it;
 * ``mimo/s<seed>``: the CSV of a ``consensual`` sweep over M in {2, 4, 6, 8}
@@ -53,6 +56,7 @@ import csv  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from itertools import islice  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -89,8 +93,8 @@ def sweep_sca(tmpdir):
             yield f"sweep-sca/s{seed}/b{b}", _file_digest(out), _csv_snrs(out)
 
 
-def _solve_lines(tmpdir, family, seeds, count):
-    w = workloads.WORKLOADS["solve"]
+def _solve_lines(tmpdir, family, seeds, count,
+                 w=workloads.WORKLOADS["solve"]):
     for seed in seeds:
         for i, inp in enumerate(islice(w.inputs(seed), count)):
             _chans, selections = w.run(inp, tmpdir)
@@ -107,6 +111,12 @@ def _solve_lines(tmpdir, family, seeds, count):
 
 def solve(tmpdir):
     return _solve_lines(tmpdir, "solve", (1, 2, 3), 25)
+
+
+def solve_m8(tmpdir):
+    w = workloads.WORKLOADS["solve"]
+    return _solve_lines(tmpdir, "solve-m8", (1,), 4,
+                        replace(w, base=replace(w.base, M=8)))
 
 
 def fallback(tmpdir):
@@ -166,7 +176,7 @@ def _read(path) -> dict:
 
 def _linear(name, x):
     """An SNR of the line name in linear units: the per-tag lines are."""
-    return (x if name.startswith(("solve/", "fallback/"))
+    return (x if name.startswith(("solve/", "solve-m8/", "fallback/"))
             else 10.0 ** (x / 10.0))
 
 
@@ -224,7 +234,8 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
-        for family in (sweep_sca, solve, mimo, mimo_evolved, fallback):
+        for family in (sweep_sca, solve, solve_m8, mimo, mimo_evolved,
+                       fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
