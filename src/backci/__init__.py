@@ -7,7 +7,7 @@ constraints, selects tags, and runs Monte Carlo sweeps that reproduce the
 qualitative trends of the underlying detection theory.
 
 Subpackage map:
-    numerics     Lambert W branches, the threshold map F, small Hermitian eig.
+    numerics     Lambert W0, the threshold map F, small Hermitian eig.
     detection    Variances, KLDs, detection-error-probability bounds, oracle.
     channel     Rician link synthesis, cascades, serialization.
     convex      Log-barrier QCQP and SDP kernels used by the solvers.

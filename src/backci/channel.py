@@ -321,24 +321,32 @@ def to_text(chan: ChannelRealization) -> str:
 
 
 def from_text(text: str) -> ChannelRealization:
-    """Parse the format written by to_text and rebuild the composites."""
+    """Parse the format written by to_text and rebuild the composites.
+
+    Raises:
+        ValueError: On a bad header, a missing, short or misshapen block, or
+            a line after the h_tr block; the message names the block or line.
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 5 or head[0] != "channelset":
         raise ValueError("missing channelset header")
     K, M, Q = int(head[1]), int(head[2]), int(head[3])
+    if min(K, M, Q) < 1:
+        raise ValueError(f"channelset header needs K, M, Q >= 1: {lines[0]!r}")
     alpha = float(head[4])
 
     def read_block(idx: int, name: str, rows: int, cols: int):
-        if lines[idx] != name:
+        if idx >= len(lines) or lines[idx] != name:
             raise ValueError(f"expected block {name!r} at line {idx + 1}")
-        block = np.array([
-            [parse_complex(tok) for tok in lines[idx + 1 + r].split()]
-            for r in range(rows)
-        ])
-        if block.shape != (rows, cols):
-            raise ValueError(f"block {name!r} has shape {block.shape}")
-        return block, idx + 1 + rows
+        if idx + rows >= len(lines):
+            raise ValueError(f"block {name!r} at line {idx + 1} has "
+                             f"{len(lines) - idx - 1} of {rows} rows")
+        block = [[parse_complex(tok) for tok in lines[idx + 1 + r].split()]
+                 for r in range(rows)]
+        if any(len(row) != cols for row in block):
+            raise ValueError(f"block {name!r} needs {cols} entries per row")
+        return np.array(block), idx + 1 + rows
 
     pos = 1
     h_sr, pos = read_block(pos, "h_sr", Q if Q > 1 else 1, M)
@@ -348,4 +356,6 @@ def from_text(text: str) -> ChannelRealization:
     if Q == 1:
         h_st = h_st[:, 0]
     h_tr, pos = read_block(pos, "h_tr", K, M)
+    if pos != len(lines):
+        raise ValueError(f"unexpected line {pos + 1} after block 'h_tr'")
     return _assemble(h_sr, h_st, h_tr, alpha)

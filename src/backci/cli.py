@@ -24,7 +24,7 @@ from .harness import (
     run_sweep,
     sweep_from_config,
 )
-from .numerics import big_f, lambert_w0, lambert_wm1
+from .numerics import big_f, lambert_w0
 from .siso import ci_angle
 
 EXIT_OK = 0
@@ -166,10 +166,7 @@ def _selftest_checks():
     for w_x in (-0.3, -0.1, 0.5, 3.0):
         w = lambert_w0(w_x)
         ok &= abs(w * math.exp(w) - w_x) <= 1e-12
-    for w_x in (-0.3, -0.05):
-        w = lambert_wm1(w_x)
-        ok &= abs(w * math.exp(w) - w_x) <= 1e-12
-    yield ("lambert branches", ok)
+    yield ("lambert w0", ok)
     th = ci_angle(1.0, 1.0, 1.0)
     yield ("ci angle anchor", th is not None
            and abs(th - math.pi / 3.0) <= 1e-9)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .beamforming import BeamformerSolution, divergence_floors, \
     mmse_beamformer
-from .channel import SystemParams, gen_channel_set
+from .channel import DIST_RANGE, SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
 from .selection import SelectionResult, _best_of, greedy_select, \
     random_select
@@ -344,8 +344,8 @@ def ci_region_report(var: str, values, params: SystemParams,
     siso.snr_interval's at zero relative phase, where gamma_hi takes its
     best case 2/(|h_sr| |h_str|); gamma_lo and the CI angle depend on
     magnitudes alone.  For var = "rho" the magnitudes are unit-distance
-    values scaled by the configured link distances (default 3 m each, the
-    midpoint of the drawing range) raised to -rho/2 per hop, with the tag
+    values scaled by the configured link distances (default the midpoint of
+    channel.DIST_RANGE, 3 m, for each) raised to -rho/2 per hop, with the tag
     attenuation applied to the cascade.
 
     Returns rows (var, value, gamma_lo, gamma_hi, theta_max) and writes
@@ -368,9 +368,10 @@ def ci_region_report(var: str, values, params: SystemParams,
             sr_mag, str_mag = h_sr_mag, h_str_mag
         else:
             g_min = kld_threshold(params.zeta_max) / params.N + 1.0
-            d_sr = params.d_sr if params.d_sr is not None else 3.0
-            d_st = params.d_st if params.d_st is not None else 3.0
-            d_tr = params.d_tr if params.d_tr is not None else 3.0
+            mid = sum(DIST_RANGE) / 2.0
+            d_sr = params.d_sr if params.d_sr is not None else mid
+            d_st = params.d_st if params.d_st is not None else mid
+            d_tr = params.d_tr if params.d_tr is not None else mid
             sr_mag = h_sr_mag * d_sr ** (-float(value) / 2.0)
             str_mag = (params.alpha * h_str_mag
                        * (d_st * d_tr) ** (-float(value) / 2.0))

@@ -1,8 +1,9 @@
 """Scalar special functions and small Hermitian eigensolves.
 
 The detection thresholds of this package all reduce to inverting
-``ln y + 1/y = x``, whose two real solution branches are expressed through the
-two real branches of the Lambert W function.  Everything here is scalar or
+``ln y + 1/y = x``.  Only its upper root y >= 1 is used, because the design
+requires delta1 > delta0, and that root is expressed through the principal
+branch W0 of the Lambert W function.  Everything here is scalar or
 small-dense (matrix dimension <= 8), so the implementations favor robustness
 and auditability over asymptotics.
 """
@@ -15,33 +16,6 @@ import numpy as np
 from scipy.special import lambertw
 
 _INV_E = math.exp(-1.0)
-
-# Step tolerance for the Halley polish of W-1.  It converges cubically, so
-# this is reached in a handful of iterations from the guesses below.
-_HALLEY_TOL = 1e-14
-_HALLEY_MAX_ITER = 60
-
-
-def _halley_lambert(w: float, x: float) -> float:
-    """Polish a Lambert W estimate with Halley iterations on w*e^w - x = 0."""
-    for _ in range(_HALLEY_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        fp = ew * (w + 1.0)
-        fpp = ew * (w + 2.0)
-        denom = fp - 0.5 * f * fpp / fp
-        step = f / denom
-        w -= step
-        if abs(step) <= _HALLEY_TOL * max(1.0, abs(w)):
-            break
-    return w
-
-
-def _branch_point_series(p: float) -> float:
-    # Expansion of W around the branch point x = -1/e; p = +-sqrt(2(e*x + 1)).
-    return -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
 
 
 def lambert_w0(x: float) -> float:
@@ -68,40 +42,6 @@ def lambert_w0(x: float) -> float:
     if x < -_INV_E + 1e-14:
         return -1.0 + math.sqrt(2.0 * (math.e * x + 1.0))
     return float(lambertw(x).real)
-
-
-def lambert_wm1(x: float) -> float:
-    """Secondary real branch of the Lambert W function.
-
-    A series or asymptotic guess polished by Halley iterations.  It is not
-    scipy.special.lambertw(x, -1), which near the branch point misses the
-    contract: at -1/e + 1e-12 it gives -1.0000000000082 against the true
-    -1.0000023316.
-
-    Args:
-        x: Argument in [-1/e, 0).
-
-    Returns:
-        w <= -1 with w * exp(w) = x, residual below 1e-12 * max(1, |x|).
-
-    Raises:
-        ValueError: If x is outside [-1/e, 0).
-    """
-    x = float(x)
-    if x >= 0.0 or x < -_INV_E:
-        if -_INV_E - 1e-15 <= x < -_INV_E:
-            return -1.0
-        raise ValueError(f"lambert_wm1 domain error: x = {x} not in [-1/e, 0)")
-    if x < -_INV_E + 1e-14:
-        return -1.0 - math.sqrt(2.0 * (math.e * x + 1.0))
-
-    if x > -0.27:
-        # Asymptotic guess for x -> 0-: w ~ ln(-x) - ln(-ln(-x)).
-        l1 = math.log(-x)
-        w = l1 - math.log(-l1)
-    else:
-        w = _branch_point_series(-math.sqrt(2.0 * (math.e * x + 1.0)))
-    return _halley_lambert(w, x)
 
 
 def big_f(x: float) -> float:

@@ -46,14 +46,6 @@ def lambert_w0_oracle(x: float) -> float:
     return bisect_root(g, -1.0, hi)
 
 
-def lambert_wm1_oracle(x: float) -> float:
-    """Secondary-branch Lambert W by bisection on w*e^w = x, w <= -1."""
-    if not (-math.exp(-1.0) <= x < 0.0):
-        raise ValueError("wm1 oracle domain")
-    g = lambda w: w * math.exp(w) - x
-    return bisect_root(g, -745.0, -1.0)
-
-
 def big_f_oracle(x: float) -> float:
     """Upper branch of ln y + 1/y = x by bisection on y >= 1."""
     if x == 1.0:

@@ -173,10 +173,15 @@ class TestGenChannelSet:
             assert np.array_equal(c.h1[k], c.h0 + c.h_str[k])
 
 
+# A real to_text output (SIMO, K=2, M=3) for the malformed-input cases.
+_TEXT = to_text(gen_channel_set(SystemParams(K=2, M=3), 23))
+_LINES = _TEXT.splitlines()
+
+
 class TestSerialization:
     def test_token_format(self):
         tok = format_complex(1.5 - 2.25j)
-        assert tok.endswith("i") and "+" not in tok[1:] or True
+        assert tok.endswith("i") and "+" not in tok[1:]
         assert parse_complex(tok) == 1.5 - 2.25j
 
     def test_token_exponents(self):
@@ -210,3 +215,30 @@ class TestSerialization:
     def test_header_errors(self):
         with pytest.raises(ValueError):
             from_text("wrong 1 2 3 0.8\n")
+
+    @pytest.mark.parametrize("n", range(len(_LINES)))
+    def test_truncated_refused(self, n):
+        # Every prefix that drops lines; n = 0 is the empty text.
+        text = "\n".join(_LINES[:n])
+        with pytest.raises(ValueError, match="channelset|block"):
+            from_text(text)
+
+    @pytest.mark.parametrize("head", ["channelset 0 3 1 0.8",
+                                      "channelset 2 0 1 0.8",
+                                      "channelset 2 3 0 0.8"])
+    def test_zero_count_refused(self, head):
+        with pytest.raises(ValueError, match="K, M, Q >= 1"):
+            from_text(head)
+        with pytest.raises(ValueError, match="K, M, Q >= 1"):
+            from_text("\n".join([head] + _LINES[1:]))
+
+    def test_trailing_block_refused(self):
+        extra = _TEXT + "h_tr\n" + _LINES[-1] + "\n"
+        with pytest.raises(ValueError, match="after block 'h_tr'"):
+            from_text(extra)
+
+    def test_short_row_refused(self):
+        lines = list(_LINES)
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        with pytest.raises(ValueError, match="block 'h_tr' needs 3 entries"):
+            from_text("\n".join(lines))

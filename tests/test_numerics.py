@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from backci.numerics import (
     lambert_w0,
-    lambert_wm1,
     big_f,
     hermitian_eig,
 )
 from oracles import (
     lambert_w0_oracle,
-    lambert_wm1_oracle,
     big_f_oracle,
     big_f_lower_oracle,
     cubic_hermitian_eigvals,
@@ -23,8 +21,6 @@ INV_E = math.exp(-1.0)
 # Frozen with the bisection oracles in oracles.py (cross-checked against
 # scipy.special.lambertw, agreement to 16 digits).
 OMEGA = 0.5671432904097838        # W0(1)
-WM1_A = -3.577152063957297        # W-1(-0.1)
-WM1_B = -6.472775124394005        # W-1(-0.01)
 BIG_F_2 = 6.305395279271691       # ln y + 1/y = 2, upper branch
 BIG_F_THR = 2.3816975062934334    # same equation at x = 1.2876820724
 
@@ -58,40 +54,9 @@ class TestLambertW0:
         assert abs(w * math.exp(w) - x) <= 1e-10 * max(1.0, abs(x))
 
 
-class TestLambertWm1:
-    def test_branch_point(self):
-        assert lambert_wm1(-INV_E) == pytest.approx(-1.0, abs=1e-9)
-
-    def test_frozen_values(self):
-        assert lambert_wm1(-0.1) == pytest.approx(WM1_A, abs=1e-12)
-        assert lambert_wm1(-0.01) == pytest.approx(WM1_B, abs=1e-12)
-        assert lambert_wm1(-0.1) == pytest.approx(lambert_wm1_oracle(-0.1),
-                                                  abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lambert_wm1(0.0)
-        with pytest.raises(ValueError):
-            lambert_wm1(0.3)
-        with pytest.raises(ValueError):
-            lambert_wm1(-1.0)
-
-    def test_branch_separation(self):
-        for x in [-0.35, -0.2, -0.05, -1e-3]:
-            assert lambert_wm1(x) <= -1.0 <= lambert_w0(x) + 2.0
-            assert lambert_wm1(x) < lambert_w0(x)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.floats(min_value=-INV_E, max_value=-1e-12, allow_nan=False))
-    def test_round_trip_hypothesis(self, x):
-        w = lambert_wm1(x)
-        assert w <= -1.0 + 1e-12
-        assert abs(w * math.exp(w) - x) <= 1e-10
-
-
 def test_round_trip_bulk_both_branches():
     rng = np.random.default_rng(7)
-    # 10^4 draws per branch, mixing near-branch-point and far-field ranges.
+    # 10^4 draws on W0, mixing near-branch-point and far-field ranges.
     x0 = np.concatenate([
         rng.uniform(-INV_E, 0.0, 4000),
         rng.uniform(0.0, 10.0, 3000),
@@ -100,10 +65,6 @@ def test_round_trip_bulk_both_branches():
     for x in x0:
         w = lambert_w0(float(x))
         assert abs(w * math.exp(w) - x) <= 1e-10 * max(1.0, abs(x))
-    xm = -(10 ** rng.uniform(-12.0, math.log10(INV_E), 10000))
-    for x in xm:
-        w = lambert_wm1(float(x))
-        assert abs(w * math.exp(w) - x) <= 1e-10
 
 
 class TestBigF:
@@ -151,13 +112,12 @@ class TestBigF:
             assert lhs == rhs, (x, y, thr)
 
     def test_discarded_branch(self):
-        # The W_{-1} branch gives the lower solution of ln y + 1/y = x.
+        # ln y + 1/y = x also has a root below 1; big_f returns the one above.
         for x in [1.5, 2.0, 4.0]:
-            lo = math.exp(lambert_wm1(-math.exp(-x)) + x)
+            lo = big_f_lower_oracle(x)
             hi = big_f(x)
             assert lo < 1.0 < hi
             assert math.log(lo) + 1.0 / lo == pytest.approx(x, abs=1e-9)
-            assert lo == pytest.approx(big_f_lower_oracle(x), abs=1e-10)
 
 
 class TestHermitianEig:
