@@ -176,21 +176,18 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
     if lam < f_with - 1.0 - 1e-12:
         return _infeasible()
 
-    h0_zero = float(np.vdot(h0, h0).real) == 0.0
     if v_init is not None:
         inits = [np.asarray(v_init, dtype=complex)]
     else:
-        inits = [h1 / np.linalg.norm(h1)]
-        if not h0_zero:
-            inits.append(mmse_beamformer(h0, hs, params.sigma_s2,
-                                         params.sigma_w2))
+        inits = [h1 / np.linalg.norm(h1),
+                 mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)]
 
     def solve_around(vbar):
         """The subproblem linearized at vbar, solved; and vbar^H H1 vbar."""
         c1 = float(np.vdot(vbar, H1 @ vbar).real)
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
-            (None if h0_zero else f_with * gamma * H0, -gamma * (H1 @ vbar),
+            (f_with * gamma * H0, -gamma * (H1 @ vbar),
              -(f_with - 1.0) - gamma * c1),
             (None, -gamma * (Hs @ vbar), -(f_without - 1.0) - gamma * cs1),
         ]
@@ -408,16 +405,15 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
 
     U = _span_basis(h0, hs)
     s = float(np.linalg.norm(h1)) or 1.0
-    H0, H1, Hs = (np.outer(g, g.conj())
-                  for g in (U.conj().T @ (h / s) for h in (h0, h1, hs)))
+    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
+    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
     gamma *= s * s
-    lam0 = np.linalg.eigvalsh(H0)
-    t_lo, t_hi = max(float(lam0[0]), 0.0), max(float(lam0[-1]), 0.0)
-    if t_hi - t_lo < 1e-15:
-        grid = np.array([t_lo])
-    else:
-        grid = np.linspace(t_lo, t_hi, params.T)
-    chi = params.chi * gamma * float(np.linalg.eigvalsh(H1)[-1])
+    # H0 and H1 are rank one: H0's spectrum is {0, ||g0||^2} (just
+    # ||g0||^2 when m = 1), and lambda_max(H1) = ||g1||^2.
+    t_hi = float(np.vdot(g0, g0).real)
+    t_lo = t_hi if U.shape[1] == 1 else 0.0
+    grid = np.linspace(t_lo, t_hi, params.T if t_hi - t_lo >= 1e-15 else 1)
+    chi = params.chi * gamma * float(np.vdot(g1, g1).real)
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever rank-one point exists there, and its

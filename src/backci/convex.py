@@ -651,19 +651,18 @@ def svec(A: np.ndarray) -> np.ndarray:
 def _trace_one(m: int) -> tuple:
     """The unit-trace plane of m x m Hermitian matrices, in the basis.
 
-    Returns (wp, Z, UZ, UZh, Wp, y_eye): w = wp + Z y, with wp the
-    least-squares solution of svec(I) . w = 1 and Z an orthonormal basis of
-    svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into the basis
-    matrix U and UZh is its conjugate transpose; Wp = wp U is wp's matrix,
-    flattened; y_eye are the coordinates of W = I / m.
+    Returns (wp, Z, UZ, UZh, Wp): w = wp + Z y, with wp = svec(I) / m the
+    coordinates of W = I / m, so y = 0 is that point, and Z an orthonormal
+    basis of svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into
+    the basis matrix U and UZh is its conjugate transpose; Wp = wp U is
+    wp's matrix, flattened.
     """
     U = _herm_basis(m)
     E = svec(np.eye(m))[None]
-    wp = np.linalg.lstsq(E, np.ones(1), rcond=None)[0]
+    wp = E[0] / m
     Z = np.linalg.svd(E)[2][1:].T
     UZ = Z.T @ U
-    parts = (wp, Z, UZ, UZ.conj().T, wp @ U,
-             Z.T @ (svec(np.eye(m) / m) - wp))
+    parts = (wp, Z, UZ, UZ.conj().T, wp @ U)
     for a in parts:
         a.setflags(write=False)
     return parts
@@ -683,8 +682,7 @@ class _Sdp(_Oracle):
         """row_sets holds, per entry, its rows (A, b): Tr(A W) <= b."""
         C = np.asarray(C, dtype=complex)
         self.m = m = len(C)
-        self.wp, self.Z, self.UZ, self.UZh, self.Wp, self.y_eye = (
-            _trace_one(m))
+        self.wp, self.Z, self.UZ, self.UZh, self.Wp = _trace_one(m)
         c_w = svec(C)
         self.c_norm = float(np.linalg.norm(c_w))
         self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
@@ -749,9 +747,9 @@ def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
     stacked run.
 
     Entry j is max Tr(C W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
-    row_sets[j], W PSD.  Every entry starts from W = I / m, which is inside
-    the cone, and its SdpResult is what solve_small_sdp gives for it (up to
-    round-off).
+    row_sets[j], W PSD.  Every entry starts from W = I / m, which is y = 0
+    in the plane's coordinates and inside the cone, and its SdpResult is
+    what solve_small_sdp gives for it (up to round-off).
 
     Args:
         C: The m x m Hermitian objective every entry shares.
@@ -763,11 +761,10 @@ def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
     if not row_sets:
         return []
     f = _Sdp(C, row_sets)
-    B = len(row_sets)
+    y = np.zeros((len(row_sets), f.Z.shape[1]))     # W = I / m
 
     if f.m == 1:
         # Tr W = 1 pins W = [[1]]: only the rows are left to check.
-        y = np.zeros((B, 0))
         W = f.matrix(y)
         worst = np.maximum(np.where(f.slack, f.rows(y)[0], -np.inf).max(
             axis=1, initial=-np.inf), -np.linalg.eigvalsh(W)[:, 0])
@@ -778,9 +775,9 @@ def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
                 SdpResult(W=Wj, status=OPTIMAL, objective=float(o), gap=0.0)
                 for w, Wj, o in zip(worst, W, obj)]
 
-    y, status, cert, steps, mu = _solve(f, np.tile(f.y_eye, (B, 1)))
+    y, status, cert, steps, mu = _solve(f, y)
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
-                         newton_steps=int(steps[j])) for j in range(B)]
+                         newton_steps=int(steps[j])) for j in range(len(y))]
     main = np.flatnonzero(~np.isnan(mu))
     W = f.matrix(y[main])
     obj = f.objective(y[main])

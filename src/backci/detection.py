@@ -106,8 +106,6 @@ def kld_threshold(eps_max: float) -> float:
     """
     if not 0.0 < eps_max <= 1.0:
         raise ValueError("eps_max must lie in (0, 1]")
-    if eps_max == 1.0:
-        return 0.0
     return -math.log1p(-((1.0 - eps_max) ** 2))
 
 

@@ -16,8 +16,8 @@ from typing import List, Optional, get_type_hints
 
 import numpy as np
 
-from .beamforming import BeamformerSolution, divergence_floors, \
-    mmse_beamformer
+from .beamforming import _FEAS_TOL, BeamformerSolution, \
+    divergence_floors, mmse_beamformer
 from .channel import DIST_RANGE, SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
 from .selection import SelectionResult, _best_of, greedy_select, \
@@ -185,16 +185,17 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
 
     harmful_dli keeps the direct link and treats it as interference: per
     tag the receive filter is the MMSE solution and the objective is its
-    output SINR; a tag is feasible when the backscatter power through the
-    filter still clears the no-DL detection floor.  canceled_dli assumes
-    ideal DL cancellation: matched filter on the backscatter channel,
-    objective gamma * ||h_str||^2, same floor.  A tag with no backscatter
-    channel (alpha = 0) is infeasible under both, with no filter.
+    output SINR.  canceled_dli assumes ideal DL cancellation: matched
+    filter on the backscatter channel, objective gamma * ||h_str||^2.
+    Under both, a tag is feasible when the no-DL KLD through its filter
+    clears E_min to the tolerance the designs verify with.  A tag with no
+    backscatter channel (alpha = 0) is infeasible under both, with no
+    filter.
     """
     if scheme not in ("harmful_dli", "canceled_dli"):
         raise ValueError(f"unknown benchmark scheme {scheme!r}")
     gamma = params.gamma
-    _d, e_min, _fw, f_without = divergence_floors(params)
+    _d, e_min, _fw, _fo = divergence_floors(params)
     zeros = np.zeros_like(chans.h0)
     per_tag = []
     for k in range(params.K):
@@ -210,8 +211,6 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
             sig = params.sigma_s2 * abs(np.vdot(v, hs)) ** 2
             intf = params.sigma_s2 * abs(np.vdot(v, h0)) ** 2
             objective = sig / (intf + params.sigma_w2)
-            feasible = gamma * abs(np.vdot(v, hs)) ** 2 \
-                >= f_without - 1.0 - 1e-12
             stats = detection_stats(v, h0, h1, hs, params.sigma_s2,
                                     params.sigma_w2, params.N)
         else:
@@ -219,7 +218,7 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
             objective = gamma * float(np.vdot(hs, hs).real)
             stats = detection_stats(v, zeros, hs, hs, params.sigma_s2,
                                     params.sigma_w2, params.N)
-            feasible = stats.kld_without >= e_min - 1e-6
+        feasible = stats.kld_without >= e_min - _FEAS_TOL
         per_tag.append(BeamformerSolution(v=v, snr=float(objective),
                                           feasible=bool(feasible),
                                           iterations=0, stats=stats))

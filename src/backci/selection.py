@@ -53,10 +53,11 @@ def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
 
 
 def _best_of(per_tag: list) -> SelectionResult:
-    """Keep the feasible tag of highest snr, the smallest index on ties."""
+    """Keep the feasible tag of highest snr, the smallest index on ties;
+    None entries (tags never solved) are skipped."""
     best_idx = 0
     for k, sol in enumerate(per_tag):
-        if not sol.feasible:
+        if sol is None or not sol.feasible:
             continue
         if best_idx == 0 or sol.snr > per_tag[best_idx - 1].snr:
             best_idx = k + 1
@@ -93,9 +94,6 @@ def random_select(chans, params, mode: str, rng) -> SelectionResult:
         baseline does not get a second draw).
     """
     k = int(rng.integers(params.K))
-    sol = _solve_tag(chans, params, mode, k)
     per_tag: List[Optional[BeamformerSolution]] = [None] * params.K
-    per_tag[k] = sol
-    if sol.feasible:
-        return SelectionResult(selected_tag=k + 1, per_tag=per_tag, best=sol)
-    return SelectionResult(selected_tag=0, per_tag=per_tag, best=None)
+    per_tag[k] = _solve_tag(chans, params, mode, k)
+    return _best_of(per_tag)

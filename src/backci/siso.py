@@ -43,11 +43,14 @@ def snr_interval(h_sr: complex, h_str: complex, g_min: float) -> CiRegion:
     Returns:
         CiRegion with gamma_lo = (F(g_min) - 1)/|h_str|^2 and
         gamma_hi = 2 Re(h_sr^* h_str) / (|h_sr|^2 |h_str|^2), infinite when
-        h_sr = 0.
+        h_sr = 0.  Both divide by one magnitude at a time, never by a
+        square, so a tiny magnitude cannot underflow them: a bound beyond
+        the float range takes its limiting value, +inf or -inf.
 
     Raises:
         ValueError: If a channel is not finite, h_str = 0 (the lower bound
-            diverges) or g_min is below 1 or NaN.
+            diverges), g_min is below 1 or NaN, or both bounds are beyond
+            the float range, where their order cannot be told.
     """
     h_sr = complex(h_sr)
     h_str = complex(h_str)
@@ -57,13 +60,17 @@ def snr_interval(h_sr: complex, h_str: complex, g_min: float) -> CiRegion:
         raise ValueError("h_str must be nonzero")
     if not g_min >= 1.0:
         raise ValueError("g_min must be >= 1")
-    a_str = abs(h_str) ** 2
-    gamma_lo = (big_f(g_min) - 1.0) / a_str
+    m_sr, m_str = abs(h_sr), abs(h_str)
+    gamma_lo = (big_f(g_min) - 1.0) / m_str / m_str
     if h_sr == 0:
         gamma_hi = math.inf
     else:
-        a_sr = abs(h_sr) ** 2
-        gamma_hi = 2.0 * (h_sr.conjugate() * h_str).real / (a_sr * a_str)
+        cos = ((h_sr / m_sr).conjugate() * (h_str / m_str)).real
+        gamma_hi = 2.0 * cos / m_sr / m_str
+        if gamma_lo == gamma_hi == math.inf:
+            raise ValueError(f"|h_sr| = {m_sr:.3g} and |h_str| = "
+                             f"{m_str:.3g} are too small: both SNR bounds "
+                             "are beyond the float range")
     return CiRegion(gamma_lo=gamma_lo, gamma_hi=gamma_hi,
                     nonempty=gamma_lo <= gamma_hi)
 
@@ -75,11 +82,11 @@ def ci_angle(h_sr_mag: float, h_str_mag: float,
     Args:
         h_sr_mag: |h_sr| > 0, finite.
         h_str_mag: |h_str| > 0, finite.
-        gamma: Input SNR, >= 0.
+        gamma: Input SNR, >= 0 (inf allowed).
 
     Returns:
-        min(pi/2, arccos(gamma * |h_sr| * |h_str| / 2)) in radians, or None
-        when the arccos argument exceeds 1 (no angle is constructive).
+        arccos(gamma * |h_sr| * |h_str| / 2) in radians, at most pi/2, or
+        None when the arccos argument exceeds 1 (no angle is constructive).
     """
     if not (0 < h_sr_mag < math.inf and 0 < h_str_mag < math.inf):
         raise ValueError("magnitudes must be positive and finite")
@@ -88,22 +95,21 @@ def ci_angle(h_sr_mag: float, h_str_mag: float,
     arg = gamma * h_sr_mag * h_str_mag / 2.0
     if arg > 1.0:
         return None
-    return min(math.pi / 2.0, math.acos(arg))
+    return math.acos(arg)
 
 
 def theta_max_at_min_snr(h_sr_mag: float, h_str_mag: float,
                          g_min: float) -> Optional[float]:
     """Widest CI angle, attained by operating at the minimum feasible SNR.
 
-    Substituting gamma_lo into the angle condition gives
-    arccos(|h_sr| (F(g_min) - 1) / (2 |h_str|)); None when the argument
-    exceeds 1 (the floor SNR already breaks constructiveness).
+    ci_angle at snr_interval's gamma_lo = (F(g_min) - 1)/|h_str|^2; None
+    when the floor SNR already breaks constructiveness, which includes a
+    gamma_lo beyond the float range.  ValueError where snr_interval
+    refuses the magnitudes.
     """
     if not (0 < h_sr_mag < math.inf and 0 < h_str_mag < math.inf):
         raise ValueError("magnitudes must be positive and finite")
     if not g_min >= 1.0:
         raise ValueError("g_min must be >= 1")
-    arg = h_sr_mag * (big_f(g_min) - 1.0) / (2.0 * h_str_mag)
-    if arg > 1.0:
-        return None
-    return min(math.pi / 2.0, math.acos(arg))
+    gamma_lo = snr_interval(h_sr_mag, h_str_mag, g_min).gamma_lo
+    return ci_angle(h_sr_mag, h_str_mag, gamma_lo)

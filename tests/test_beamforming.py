@@ -525,6 +525,57 @@ class TestCollinearChannels:
             assert sol.snr >= gain * x_grid * (1.0 - 1e-9)
 
 
+# h0 = 0: M, the channel seed, sigma_s2 and both DEP tolerances.
+no_dl_draws = st.tuples(
+    st.sampled_from([1, 2, 4, 8]), st.integers(0, 2 ** 32 - 1),
+    st.floats(0.05, 3.0), st.sampled_from([0.3, 0.5, 0.7]),
+    st.sampled_from([0.3, 0.5, 0.7]))
+
+
+def no_dl_case(draw):
+    """Channels with h0 = 0 (so h1 = hs), params and x = gamma ||hs||^2."""
+    m, seed, sigma_s2, xi_max, zeta_max = draw
+    params = SystemParams(K=1, M=m, sigma_s2=sigma_s2, xi_max=xi_max,
+                          zeta_max=zeta_max)
+    hs = gen_channel_set(params, seed).h_str[0]
+    x = params.gamma * float(np.vdot(hs, hs).real)
+    return (np.zeros_like(hs), hs, hs), params, x
+
+
+class TestNoDirectLink:
+    """h0 = 0: both divergences are the no-DL one, and the matched filter
+    hs / ||hs|| reaches every floor that any v can.
+
+    So snr = gamma ||hs||^2 wherever a design is feasible, and it is
+    feasible iff gamma ||hs||^2 clears F - 1: F = max(F_with, F_without)
+    for consensual_sca, F_without for evolved_sdp.  Draws within 1e-6 of
+    a threshold are skipped, where the verdict turns on the tolerance.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(no_dl_draws)
+    def test_consensual(self, draw):
+        chan, params, x = no_dl_case(draw)
+        _d, _e, f_with, f_without = divergence_floors(params)
+        assume(abs(x - (f_with - 1.0)) > 1e-6
+               and abs(x - (f_without - 1.0)) > 1e-6)
+        sol = consensual_sca(chan, params)
+        assert sol.feasible == (x >= max(f_with, f_without) - 1.0)
+        if sol.feasible:
+            assert sol.snr == pytest.approx(x, rel=1e-9)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(no_dl_draws)
+    def test_evolved(self, draw):
+        chan, params, x = no_dl_case(draw)
+        _d, _e, _fw, f_without = divergence_floors(params)
+        assume(abs(x - (f_without - 1.0)) > 1e-6)
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible == (x >= f_without - 1.0)
+        if sol.feasible:
+            assert sol.snr == pytest.approx(x, rel=1e-9)
+
+
 class TestRecoverRankOne:
     def test_exact_rank_one(self):
         rng = np.random.default_rng(11)

@@ -633,7 +633,7 @@ def _random_sdp_oracle(rng, m):
         mats = [rand_herm_psd(rng, m) for _ in range(n_rows)]
         rows.append([(A, float(np.trace(A).real / m + 0.2)) for A in mats])
     f = _Sdp(C, rows)
-    return f, f.y_eye + 0.02 * rng.normal(size=(3, f.Z.shape[1]))
+    return f, 0.02 * rng.normal(size=(3, f.Z.shape[1]))
 
 
 class TestOracleDerivatives:

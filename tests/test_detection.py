@@ -79,6 +79,8 @@ class TestKld:
 class TestKldThreshold:
     def test_trivial_tolerance(self):
         assert kld_threshold(1.0) == 0.0
+        # log1p(-0.0) is -0.0: the outer negation must make it +0.0.
+        assert math.copysign(1.0, kld_threshold(1.0)) == 1.0
 
     def test_half(self):
         assert kld_threshold(0.5) == pytest.approx(KLD_THR_HALF, abs=1e-12)

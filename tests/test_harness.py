@@ -163,6 +163,25 @@ class TestRunBenchmark:
             assert c.best is not None
             assert h.best.snr <= c.best.snr * (1.0 + 1e-9)
 
+    def test_schemes_judge_the_floor_alike(self):
+        # With h0 = 0 both schemes use the matched filter on hs, so they
+        # must agree on feasibility.  gamma ||hs||^2 sits 1e-8 below
+        # F_without - 1, inside the KLD tolerance the designs verify with.
+        params = SystemParams(K=1, M=2)
+        ch = gen_channel_set(params, 1)
+        _d, _e, _fw, f_without = divergence_floors(params)
+        hs = ch.h_str[0]
+        hs = hs * np.sqrt((f_without - 1.0 - 1e-8)
+                          / (params.gamma * np.vdot(hs, hs).real))
+        ch0 = replace(ch, h_sr=np.zeros_like(ch.h_sr),
+                      h0=np.zeros_like(ch.h0), h_str=hs[None],
+                      h1=hs[None].copy())
+        h = run_benchmark(ch0, params, "harmful_dli")
+        c = run_benchmark(ch0, params, "canceled_dli")
+        assert h.per_tag[0].feasible and c.per_tag[0].feasible
+        assert (h.per_tag[0].stats.kld_without
+                == pytest.approx(c.per_tag[0].stats.kld_without, rel=1e-12))
+
     @pytest.mark.filterwarnings("error")
     def test_zero_backscatter_is_infeasible(self):
         # alpha = 0 zeroes every backscatter channel: no tag can clear the
@@ -459,6 +478,24 @@ class TestCli:
         cfgf.write_text(line + "\n")
         assert cli.main(["solve", "--config", str(cfgf)]) == 1
         assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+
+    def test_region_extreme_path_loss(self, tmp_path, capsys):
+        # At rho = 400 |h_str|^2 underflows: the floor SNR is beyond the
+        # float range, so the row reads gamma_lo = inf and no angle.  At
+        # rho = 600 both SNR bounds are beyond it, which is refused as a
+        # configuration error.
+        cfgf = tmp_path / "r.cfg"
+        out = tmp_path / "r.csv"
+        cfgf.write_text("region_var = rho\nregion_values = 2, 400\n")
+        assert cli.main(["ci-region", "--config", str(cfgf),
+                         "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[2].split(",")
+        assert row[2] == "inf" and math.isfinite(float(row[3]))
+        assert row[4] == "nan"
+        cfgf.write_text("region_var = rho\nregion_values = 2, 600\n")
+        assert cli.main(["ci-region", "--config", str(cfgf),
+                         "--out", str(out)]) == 1
+        assert "too small" in capsys.readouterr().err
 
     def test_all_infeasible_exit_code(self, tmp_path):
         cfgf = tmp_path / "inf.cfg"

@@ -44,6 +44,39 @@ class TestSnrInterval:
         with pytest.raises(ValueError, match="finite"):
             snr_interval(h_sr, h_str, 1.2)
 
+    def test_tiny_backscatter_link(self):
+        # |h_str|^2 underflows; gamma_lo is beyond the float range.
+        r = snr_interval(1.0, 1e-170, 1.2)
+        assert r.gamma_lo == math.inf
+        assert r.gamma_hi == pytest.approx(2e170, rel=1e-14)
+        assert not r.nonempty
+
+    def test_tiny_direct_link(self):
+        # |h_sr|^2 underflows; gamma_hi is large and finite.
+        r = snr_interval(1e-170, 1.0, 1.2)
+        assert r.gamma_lo == big_f(1.2) - 1.0
+        assert r.gamma_hi == pytest.approx(2e170, rel=1e-14)
+        assert r.nonempty
+
+    def test_both_bounds_beyond_float_range_refused(self):
+        with pytest.raises(ValueError, match="too small"):
+            snr_interval(1e-170, 1e-170, 1.2)
+
+    def test_matches_squared_forms(self):
+        # Dividing by each magnitude in turn moves the bounds at round-off.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            h_sr, h_str = (complex(*rng.normal(size=2)) * 10 ** rng.uniform(
+                -3, 3) for _ in range(2))
+            g_min = float(rng.uniform(1.0, 2.0))
+            r = snr_interval(h_sr, h_str, g_min)
+            a_sr, a_str = abs(h_sr) ** 2, abs(h_str) ** 2
+            assert r.gamma_lo == pytest.approx(
+                (big_f(g_min) - 1.0) / a_str, rel=1e-14)
+            assert r.gamma_hi == pytest.approx(
+                2.0 * (h_sr.conjugate() * h_str).real / (a_sr * a_str),
+                rel=1e-13, abs=1e-13 / (abs(h_sr) * abs(h_str)))
+
     def test_first_principles_membership(self):
         """gamma in [lo, hi] iff (delta-KLD >= 0 and no-DL KLD >= E_min).
 
@@ -160,6 +193,27 @@ class TestThetaMaxAtMinSnr:
     def test_non_finite_rejected(self, args):
         with pytest.raises(ValueError):
             theta_max_at_min_snr(*args)
+
+    def test_tiny_magnitudes(self):
+        assert theta_max_at_min_snr(1.0, 1e-170, 1.2) is None
+        assert theta_max_at_min_snr(1e-170, 1.0, 1.2) == math.pi / 2.0
+        with pytest.raises(ValueError, match="too small"):
+            theta_max_at_min_snr(1e-170, 1e-170, 1.2)
+
+    def test_matches_arccos_form(self):
+        # ci_angle at gamma_lo against arccos(|h_sr| (F - 1) / (2 |h_str|)).
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            m_sr, m_str = 10 ** rng.uniform(-3, 3, size=2)
+            g_min = float(rng.uniform(1.0, 2.0))
+            arg = m_sr * (big_f(g_min) - 1.0) / (2.0 * m_str)
+            theta = theta_max_at_min_snr(m_sr, m_str, g_min)
+            if abs(arg - 1.0) < 1e-12:
+                continue
+            if arg > 1.0:
+                assert theta is None
+            else:
+                assert theta == pytest.approx(math.acos(arg), abs=1e-12)
 
     def test_decreasing_in_g_min(self):
         # The angle exists while F(g) - 1 <= 2, i.e. g <= ln 3 + 1/3.
