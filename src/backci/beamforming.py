@@ -3,7 +3,11 @@
 Four solvers share one solution type:
 
 * consensual_sca: successive convex approximation on the receive vector,
-  keeping both detection divergences above their floors.
+  keeping both detection divergences above their floors.  Its loop is
+  the generator consensual_steps, which yields one QCQP per SCA step;
+  lockstep runs many such generators together and solves each round's
+  QCQPs as one convex.solve_ball_qcqps batch per dimension.
+  consensual_sca is lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
   enforcing that the direct link never hurts; its optimum is purified to
   rank one, with a rank-one penalty SCA as the fallback.
@@ -28,13 +32,16 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import (
+# solve_ball_qcqp stays importable from this module: bench/tracer.py
+# wraps it here.
+from .convex import (  # noqa: F401
     MAX_ITER,
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
     _herm_basis,
     solve_ball_qcqp,
+    solve_ball_qcqps,
     solve_sdp_batch,
     solve_small_sdp,
     svec,
@@ -149,9 +156,8 @@ def _finalize(v, h0, h1, hs, params, d_min, e_min, mode) -> tuple:
     return v, stats, ok, snr
 
 
-def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
-                   ) -> BeamformerSolution:
-    """SCA solver keeping both detection divergences above their floors.
+def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
+    """The consensual SCA as a generator of its subproblems.
 
     Maximizes gamma |v^H h1|^2 over unit-norm v subject to the with-DL
     variance-ratio constraint (convexified by linearizing |v^H h1|^2 around
@@ -159,6 +165,10 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
     |v^H h_str|^2).  Initialized at the matched filter h1/||h1||, with one
     retry from the MMSE direction; v_init overrides both (used by the
     alternating MIMO loop).
+
+    Yields (QcqpProblem, v0), one SCA subproblem and its start, and takes
+    its QcqpResult back by send(); returns the BeamformerSolution.  Run it
+    with lockstep.
     """
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
@@ -182,8 +192,8 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
         inits = [h1 / np.linalg.norm(h1),
                  mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)]
 
-    def solve_around(vbar):
-        """The subproblem linearized at vbar, solved; and vbar^H H1 vbar."""
+    def around(vbar):
+        """The subproblem linearized at vbar, and vbar^H H1 vbar."""
         c1 = float(np.vdot(vbar, H1 @ vbar).real)
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
@@ -191,14 +201,14 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
              -(f_with - 1.0) - gamma * c1),
             (None, -gamma * (Hs @ vbar), -(f_without - 1.0) - gamma * cs1),
         ]
-        return solve_ball_qcqp(QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
-                                           quad_constraints=cons),
-                               v0=vbar), c1
+        return QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
+                           quad_constraints=cons), c1
 
     capped = False
     for init in inits:
         vbar = init / np.linalg.norm(init)
-        res, c1 = solve_around(vbar)
+        prob, c1 = around(vbar)
+        res = yield prob, vbar
         if res.status == OPTIMAL:
             break
         capped |= res.status == MAX_ITER
@@ -209,7 +219,8 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
     converged = False
     for it in range(params.L):
         if it:      # step 0 is the solve around the init above
-            res, c1 = solve_around(vbar)
+            prob, c1 = around(vbar)
+            res = yield prob, vbar
             if res.status != OPTIMAL:
                 break   # boundary case: keep the incumbent
         v = res.v / np.linalg.norm(res.v)
@@ -226,6 +237,46 @@ def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
                               iterations=len(trace),
                               objective_trace=trace, stats=stats,
                               converged=converged)
+
+
+def lockstep(gens) -> list:
+    """Run consensual_steps generators together; their solutions, in order.
+
+    Each round sends every pending generator the result of its last
+    subproblem, then solves the subproblems they yield as one
+    solve_ball_qcqps batch per dimension.  Every generator gets the result
+    it would get run alone, so its solution does too.  An exception a
+    generator raises ends the run.
+    """
+    out = [None] * len(gens)
+    asked = {}      # generator index -> its pending (problem, v0)
+
+    def send(i, res):
+        try:
+            asked[i] = gens[i].send(res)
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i in range(len(gens)):
+        send(i, None)
+    while asked:
+        now, asked = asked, {}
+        groups = {}
+        for i, (prob, _v0) in now.items():
+            groups.setdefault(prob.dim(), []).append(i)
+        for idx in groups.values():
+            results = solve_ball_qcqps([now[i][0] for i in idx],
+                                       [now[i][1] for i in idx])
+            for i, res in zip(idx, results):
+                send(i, res)
+    return out
+
+
+def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
+                   ) -> BeamformerSolution:
+    """SCA solver keeping both detection divergences above their floors:
+    consensual_steps run alone by lockstep."""
+    return lockstep([consensual_steps(chan, params, v_init)])[0]
 
 
 def recover_rank_one(W: np.ndarray) -> tuple:

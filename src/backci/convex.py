@@ -38,10 +38,13 @@ w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
 the SDP's extra stop on the gap relative to its objective, which bounds the
 gap in original units.
 
-`solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
-one.  `solve_sdp_batch(C, row_sets)` solves the SDPs of one objective C,
-each with its own row list, in one stacked barrier run.  Every SDP starts
-from W = I / m; only the QCQP takes a start, its v0.
+`solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
+from its own start v0, in one stacked barrier run; the consensual SCA's
+lockstep driver (beamforming.lockstep) sends it one batch per round.
+`solve_sdp_batch(C, row_sets)` solves the SDPs of one objective C, each
+with its own row list, in one stacked barrier run.  `solve_ball_qcqp` and
+`solve_small_sdp` solve one problem, as a batch of one.  Every SDP starts
+from W = I / m; only the QCQP takes a start.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -550,32 +553,43 @@ class _BallQcqp(_Oracle):
 
 def solve_ball_qcqp(p: QcqpProblem,
                     v0: Optional[np.ndarray] = None) -> QcqpResult:
-    """Solve the unit-ball QCQP by a log-barrier interior method.
+    """Solve one unit-ball QCQP: solve_ball_qcqps on a batch of one."""
+    return solve_ball_qcqps([p], [v0])[0]
+
+
+def solve_ball_qcqps(problems: list, v0s: list) -> list:
+    """Solve unit-ball QCQPs of one dimension by a log-barrier interior
+    method, in one stacked run.
+
+    Every entry's result is what it gets solved alone: each entry takes
+    its own Newton steps and leaves the stack when it ends.
 
     Args:
-        p: Problem data.
-        v0: Optional warm-start vector (complex).  One near the ball's
-            edge is first pulled in to half its squared radius; phase one
-            then pulls it inside any constraint it breaks.
+        problems: The QcqpProblems, all of one dim().
+        v0s: One start per problem (complex vector, or None for v = 0).
+            One near the ball's edge is first pulled in to half its
+            squared radius; phase one then pulls it inside any constraint
+            it breaks.
 
     Returns:
-        QcqpResult with status "optimal", "infeasible" (certificate holds
-        the max violation, in normalized units, at the phase-one optimum)
-        or "max_iter".
+        One QcqpResult per problem, in input order, with status "optimal",
+        "infeasible" (certificate holds the max violation, in normalized
+        units, at the phase-one optimum) or "max_iter".
     """
-    f = _BallQcqp([p])
-    z = np.zeros(f.c.shape) if v0 is None else embed_vector(v0)[None]
+    f = _BallQcqp(problems)
+    z = np.array([np.zeros(f.c.shape[1]) if v0 is None else embed_vector(v0)
+                  for v0 in v0s])
     zz = np.vecdot(z, z)
-    if zz[0] >= 0.9:
-        z = z * np.sqrt(0.5 / zz)[:, None]
+    pull = zz >= 0.9
+    z[pull] *= np.sqrt(0.5 / zz[pull])[:, None]
     z, status, cert, steps, mu = _solve(f, z)
-    if np.isnan(mu[0]):
-        return QcqpResult(v=None, status=status[0],
-                          certificate=float(cert[0]),
-                          newton_steps=int(steps[0]))
-    return QcqpResult(v=unembed_vector(z[0]), status=status[0],
-                      objective=float(f.c_norm[0] * (f.c_hat[0] @ z[0])),
-                      newton_steps=int(steps[0]))
+    return [QcqpResult(v=None, status=status[j], certificate=float(cert[j]),
+                       newton_steps=int(steps[j]))
+            if np.isnan(mu[j]) else
+            QcqpResult(v=unembed_vector(z[j]), status=status[j],
+                       objective=float(f.c_norm[j] * (f.c_hat[j] @ z[j])),
+                       newton_steps=int(steps[j]))
+            for j in range(len(problems))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The sweep engine regenerates channels per (sweep value, trial) from a
 deterministic seed tree, runs each requested algorithm, and emits one CSV
-row per algorithm.  Rows are sorted before writing, so output bytes do not
-depend on worker scheduling.
+row per algorithm.  Cells run in chunks of 8, serially or one chunk per
+pool task; the consensual SCA runs of a chunk's single-transmit cells go
+through one beamforming.lockstep call, whose rounds are batched
+convex.solve_ball_qcqps calls.  Rows are sorted before writing, so output
+bytes do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from typing import List, Optional, get_type_hints
 import numpy as np
 
 from .beamforming import _FEAS_TOL, BeamformerSolution, \
-    divergence_floors, mmse_beamformer
+    divergence_floors, lockstep, mmse_beamformer
 from .channel import DIST_RANGE, SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
-from .selection import SelectionResult, _best_of, greedy_select, \
-    random_select
+from .selection import SelectionResult, _best_of, _pick_one, _tag_steps, \
+    greedy_select, random_select
 from .siso import snr_interval, theta_max_at_min_snr
 
 SWEEP_VARS = ("sigma_s2", "rho", "M", "Q", "zeta_max")
@@ -247,23 +250,49 @@ def _record_from(cfg_var, value, trial, algorithm,
         converged=res.converged)
 
 
-def _sweep_cell(args) -> List[SweepRecord]:
-    """All requested algorithms on one (value, trial) channel draw."""
-    base, var, value, value_idx, trial, algorithms = args
-    params = _with_value(base, var, value)
-    chans = gen_channel_set(
-        params, np.random.SeedSequence((params.seed, value_idx, trial)))
+_CHUNK = 8      # cells per task of run_sweep, serial or pooled
+
+
+def _sweep_chunk(cells) -> List[SweepRecord]:
+    """All requested algorithms on each (value, trial) cell of a chunk.
+
+    The consensual SCA runs of every single-transmit cell in the chunk, K
+    tags each, go through one lockstep call.  random_sel keeps the greedy
+    consensual run's solution for the tag it draws when the cell has one,
+    and solves that tag itself otherwise.
+    """
+    drawn = []
+    for base, var, value, value_idx, trial, algorithms in cells:
+        params = _with_value(base, var, value)
+        chans = gen_channel_set(
+            params, np.random.SeedSequence((params.seed, value_idx, trial)))
+        steps = (_tag_steps(chans, params, "consensual")
+                 if "consensual" in algorithms else [])
+        drawn.append((var, value, value_idx, trial, algorithms, params,
+                      chans, steps))
+    sols = iter(lockstep([g for *_cell, steps in drawn for g in steps]))
     out = []
-    for algorithm in algorithms:
-        if algorithm in ("consensual", "evolved"):
-            res = greedy_select(chans, params, algorithm)
-        elif algorithm == "random_sel":
-            rng = np.random.default_rng(
-                np.random.SeedSequence((params.seed, value_idx, trial, 1)))
-            res = random_select(chans, params, "consensual", rng)
-        else:
-            res = run_benchmark(chans, params, algorithm)
-        out.append(_record_from(var, value, trial, algorithm, res))
+    for var, value, value_idx, trial, algorithms, params, chans, steps \
+            in drawn:
+        greedy = None
+        if steps:
+            greedy = _best_of([next(sols) for _ in steps])
+        elif "consensual" in algorithms:
+            greedy = greedy_select(chans, params, "consensual")
+        for algorithm in algorithms:
+            if algorithm == "consensual":
+                res = greedy
+            elif algorithm == "evolved":
+                res = greedy_select(chans, params, algorithm)
+            elif algorithm == "random_sel":
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((params.seed, value_idx, trial, 1)))
+                res = (random_select(chans, params, "consensual", rng)
+                       if greedy is None else
+                       _pick_one(params.K, rng, lambda k: greedy.per_tag[k]))
+            else:
+                res = run_benchmark(chans, params, algorithm)
+            out.append(_record_from(var, value, trial, algorithm, res))
     return out
 
 
@@ -317,13 +346,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
               tuple(cfg.algorithms))
              for vi, value in enumerate(cfg.values)
              for trial in range(cfg.trials)]
+    chunks = [cells[i:i + _CHUNK] for i in range(0, len(cells), _CHUNK)]
     workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_cell, cells, chunksize=8))
+            done = list(pool.map(_sweep_chunk, chunks))
     else:
-        chunks = [_sweep_cell(c) for c in cells]
-    records = [r for chunk in chunks for r in chunk]
+        done = [_sweep_chunk(c) for c in chunks]
+    records = [r for chunk in done for r in chunk]
     records.sort(key=lambda r: (float(r.value), r.trial, r.algorithm))
     if cfg.out_path:
         write_csv(records, cfg.out_path)

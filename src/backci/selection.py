@@ -18,7 +18,9 @@ from .beamforming import (  # noqa: F401
     _solver_for,
     alternating_mimo,
     consensual_sca,
+    consensual_steps,
     evolved_sdp,
+    lockstep,
 )
 
 
@@ -52,6 +54,16 @@ def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
     return _solver_for(mode)(tri, params)
 
 
+def _tag_steps(chans, params, mode: str) -> list:
+    """One consensual_steps generator per tag, in tag order, for the
+    consensual design on a single-transmit link; [] for any other case,
+    which is solved tag by tag."""
+    if mode != "consensual" or params.Q > 1:
+        return []
+    return [consensual_steps(chans.tag_channels(k), params)
+            for k in range(params.K)]
+
+
 def _best_of(per_tag: list) -> SelectionResult:
     """Keep the feasible tag of highest snr, the smallest index on ties;
     None entries (tags never solved) are skipped."""
@@ -68,6 +80,9 @@ def _best_of(per_tag: list) -> SelectionResult:
 def greedy_select(chans, params, mode: str) -> SelectionResult:
     """Solve every tag's beamforming problem and keep the best feasible one.
 
+    The consensual design on a single-transmit link solves all K tags'
+    SCA runs together, by lockstep; every other case goes tag by tag.
+
     Args:
         chans: ChannelRealization holding all K tags' links.
         params: System configuration (K, solver budgets, powers).
@@ -78,8 +93,20 @@ def greedy_select(chans, params, mode: str) -> SelectionResult:
         the smallest tag index, and selected_tag = 0 if every tag is
         infeasible.
     """
+    steps = _tag_steps(chans, params, mode)
+    if steps:
+        return _best_of(lockstep(steps))
     return _best_of([_solve_tag(chans, params, mode, k)
                      for k in range(params.K)])
+
+
+def _pick_one(K: int, rng, solve) -> SelectionResult:
+    """The random baseline's draw: a uniform tag k of K from rng, and
+    solve(k) as its only solution."""
+    k = int(rng.integers(K))
+    per_tag: List[Optional[BeamformerSolution]] = [None] * K
+    per_tag[k] = solve(k)
+    return _best_of(per_tag)
 
 
 def random_select(chans, params, mode: str, rng) -> SelectionResult:
@@ -93,7 +120,5 @@ def random_select(chans, params, mode: str, rng) -> SelectionResult:
         index; selected_tag = 0 when the drawn tag is infeasible (the
         baseline does not get a second draw).
     """
-    k = int(rng.integers(params.K))
-    per_tag: List[Optional[BeamformerSolution]] = [None] * params.K
-    per_tag[k] = _solve_tag(chans, params, mode, k)
-    return _best_of(per_tag)
+    return _pick_one(params.K, rng,
+                    lambda k: _solve_tag(chans, params, mode, k))

@@ -19,13 +19,22 @@ from backci import beamforming, convex
 from backci.beamforming import (
     alternating_mimo,
     consensual_sca,
+    consensual_steps,
     divergence_floors,
     evolved_sdp,
+    lockstep,
     mmse_beamformer,
     recover_rank_one,
 )
 from backci.channel import SystemParams, gen_channel_set
-from backci.convex import solve_sdp_batch, solve_small_sdp
+from backci.convex import (
+    INFEASIBLE,
+    MAX_ITER,
+    OPTIMAL,
+    solve_ball_qcqp,
+    solve_sdp_batch,
+    solve_small_sdp,
+)
 from backci.detection import detection_stats, kld_threshold
 from backci.numerics import hermitian_eig
 from backci.siso import snr_interval
@@ -123,6 +132,102 @@ class TestConsensualSca:
                             params.sigma_w2, params.N)
         assert b.kld_with == pytest.approx(a.kld_with, rel=1e-12)
         assert b.kld_without == pytest.approx(a.kld_without, rel=1e-12)
+
+
+def _run_alone(chan, params):
+    """consensual_steps driven by hand, one solve_ball_qcqp per yield:
+    the statuses of its subproblems and its solution."""
+    gen = consensual_steps(chan, params)
+    statuses = []
+    try:
+        ask = next(gen)
+        while True:
+            res = solve_ball_qcqp(*ask)
+            statuses.append(res.status)
+            ask = gen.send(res)
+    except StopIteration as stop:
+        return statuses, stop.value
+
+
+def _same_solution(a, b):
+    assert (a.v is None) == (b.v is None)
+    if a.v is not None:
+        assert a.v.tobytes() == b.v.tobytes()
+    assert repr((a.snr, a.feasible, a.iterations, a.converged,
+                 [float(t) for t in a.objective_trace], a.stats)) == \
+        repr((b.snr, b.feasible, b.iterations, b.converged,
+              [float(t) for t in b.objective_trace], b.stats))
+
+
+class TestLockstep:
+    """lockstep solves many SCA runs in shared batches, and each ends as it
+    would alone."""
+
+    def screened_tags(self):
+        """(no-DL screened, with-DL eigenvalue screened) at M = 1 and 8."""
+        params = SystemParams()
+        _d, _e, f_with, f_without = divergence_floors(params)
+        rng = np.random.default_rng(4)
+        tags = []
+        for m in (1, 8):
+            h0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+            h0 *= np.sqrt(12.0) / np.linalg.norm(h0)
+            weak = 1e-3 * h0 / np.linalg.norm(h0)
+            assert params.gamma * np.vdot(weak, weak).real < f_without - 1.0
+            # hs = 0.05 h0: (1.05)^2 < F_with, so gamma (H1 - F_with H0)
+            # has no eigenvalue above 0, while the no-DL floor is
+            # reachable.
+            hs = 0.05 * h0
+            assert 1.05 ** 2 < f_with
+            assert params.gamma * np.vdot(hs, hs).real >= f_without - 1.0
+            tags += [(h0, h0 + weak, weak), (h0, h0 + hs, hs)]
+        return tags
+
+    def test_every_field_matches_the_single_tag_run(self, monkeypatch):
+        # A cap of 30 Newton steps ends a few subproblems max_iter and
+        # leaves most optimal.
+        monkeypatch.setattr(convex, "_MAX_STEPS", 30)
+        cases = [(chan, SystemParams()) for chan in self.screened_tags()]
+        for m in (1, 2, 4, 8):
+            params = SystemParams(M=m)
+            for seed in (0, 1, 10):
+                ch = gen_channel_set(params, seed)
+                cases += [(ch.tag_channels(k), params)
+                          for k in range(params.K)]
+        sizes = []
+        batch = beamforming.solve_ball_qcqps
+
+        def spied(problems, v0s):
+            sizes.append(len(problems))
+            return batch(problems, v0s)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_ball_qcqps", spied)
+            together = lockstep([consensual_steps(chan, params)
+                                 for chan, params in cases])
+        alone = [_run_alone(chan, params) for chan, params in cases]
+        for (chan, params), sol, (statuses, by_hand) in zip(cases, together,
+                                                            alone):
+            _same_solution(sol, consensual_sca(chan, params))
+            _same_solution(sol, by_hand)
+        statuses = [st for st, _sol in alone]
+        # each subproblem solved once, most of them in shared batches
+        assert sum(sizes) == sum(map(len, statuses))
+        assert len(sizes) < sum(sizes) / 2
+        assert not any(statuses[:4])    # the screens solve nothing
+        assert any(st[0] == INFEASIBLE and st[1] == OPTIMAL
+                   for st in statuses if len(st) > 1)   # MMSE retry
+        assert any(MAX_ITER in st for st in statuses)
+        assert any(st and MAX_ITER not in st for st in statuses)
+
+    def test_exception_ends_the_run(self):
+        params = SystemParams()
+        good = tag0(params, 1)
+        bad = [h.copy() for h in good]
+        bad[2][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            lockstep([consensual_steps(good, params),
+                      consensual_steps(bad, params)])
 
 
 class TestEvolvedSdp:

@@ -263,6 +263,72 @@ class TestQcqpConstantRows:
         assert res.newton_steps == 0
 
 
+class TestQcqpBatch:
+    """solve_ball_qcqps gives every entry what it gets solved alone."""
+
+    def test_mixed_batch_equals_single_solves(self):
+        rng = np.random.default_rng(31)
+        m = 3
+        cases = []
+        for start in ("none", "inside", "edge", "outside_row"):
+            c = rand_vec(rng, m)
+            A = rand_herm_psd(rng, m)
+            q = rand_vec(rng, m, 0.3)
+            vt = rand_vec(rng, m, 0.3)
+            b = float(np.vdot(vt, A @ vt).real + 2 * np.vdot(q, vt).real)
+            rows = [(A, q, b + 0.05)]
+            if start == "none":
+                v0 = None
+            elif start == "edge":
+                v0 = rand_vec(rng, m)
+                v0 /= np.linalg.norm(v0)     # pulled in before phase one
+            elif start == "inside":
+                v0, rows = 0.2 * vt, rows + [(None, rand_vec(rng, m), 2.0)]
+            else:
+                v0 = solve_ball_qcqp(QcqpProblem(
+                    c=c, quad_constraints=[(A, q, b + 0.5)])).v
+            cases.append((QcqpProblem(c=c, quad_constraints=rows), v0))
+        # an infeasible entry and one settled before any Newton step
+        cases.append((QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, np.array([1.0, 0.0, 0.0], dtype=complex), -3.0)]), None))
+        cases.append((QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, None, -1.0)]), rand_vec(rng, m, 0.1)))
+        batch = convex.solve_ball_qcqps([p for p, _v0 in cases],
+                                        [v0 for _p, v0 in cases])
+        statuses = set()
+        for (p, v0), res in zip(cases, batch):
+            alone = solve_ball_qcqp(p, v0=v0)
+            assert res.status == alone.status
+            statuses.add(res.status)
+            assert (res.v is None) == (alone.v is None)
+            if res.v is not None:
+                assert res.v.tobytes() == alone.v.tobytes()
+            assert repr((res.objective, res.certificate, res.newton_steps)) \
+                == repr((alone.objective, alone.certificate,
+                         alone.newton_steps))
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_edge_start_is_pulled_in(self, monkeypatch):
+        # A start on the unit sphere is scaled to half the squared radius
+        # before phase one; one inside the ball is kept as it is.
+        starts = []
+
+        def spied(f, z):
+            starts.append(z.copy())
+            return solve(f, z)
+
+        solve = convex._solve
+        monkeypatch.setattr(convex, "_solve", spied)
+        c = np.array([1.0, 1j])
+        edge, inside = np.array([0.6, 0.8j]), np.array([0.3, 0.1])
+        convex.solve_ball_qcqps([QcqpProblem(c=c, quad_constraints=[])] * 3,
+                                [edge, inside, None])
+        (z,) = starts
+        assert np.vdot(z[0], z[0]) == pytest.approx(0.5, rel=1e-12)
+        assert np.array_equal(z[1], embed_vector(inside))
+        assert not z[2].any()
+
+
 class TestSvecBasis:
     def test_roundtrip_and_isometry(self):
         rng = np.random.default_rng(31)

@@ -29,12 +29,13 @@ from backci.harness import (
     ci_region_report,
     params_from_config,
     parse_config,
+    record_row,
     run_benchmark,
     run_sweep,
     sweep_from_config,
     write_csv,
 )
-from backci.selection import random_select
+from backci.selection import greedy_select, random_select
 
 
 def small_sweep(**kw):
@@ -239,6 +240,34 @@ class TestRunSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_m_sweep_matches_cell_by_cell_reference(self, tmp_path):
+        # Its chunks mix QCQP dimensions; random_sel keeps the greedy
+        # solution of the tag it draws.
+        cfg = small_sweep(sweep_var="M", values=[1, 2, 4, 8], trials=3,
+                          algorithms=["consensual", "random_sel"],
+                          base=SystemParams())
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            run_sweep(replace(cfg, out_path=str(out)), workers=workers)
+            outs.append(out.read_bytes())
+        rows = [CSV_HEADER]
+        for vi, m in enumerate(cfg.values):
+            for trial in range(cfg.trials):
+                params = replace(cfg.base, M=m)
+                ch = gen_channel_set(params, np.random.SeedSequence(
+                    (params.seed, vi, trial)))
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    (params.seed, vi, trial, 1)))
+                for algorithm, res in (
+                        ("consensual", greedy_select(ch, params,
+                                                     "consensual")),
+                        ("random_sel", random_select(ch, params,
+                                                     "consensual", rng))):
+                    rows.append(record_row(harness._record_from(
+                        "M", m, trial, algorithm, res)))
+        assert outs[0] == outs[1] == ("\n".join(rows) + "\n").encode()
+
     def test_mimo_rows_meet_floors_and_ignore_workers(self, tmp_path):
         # Q = 2 sends every tag through the alternating MIMO design.
         d_min, e_min, _fw, _fo = divergence_floors(SystemParams())
@@ -283,8 +312,8 @@ class TestRunSweep:
 
     def test_bad_swept_value_refused_before_any_cell(self, monkeypatch):
         cells = []
-        monkeypatch.setattr(harness, "_sweep_cell",
-                            lambda cell: cells.append(cell) or [])
+        monkeypatch.setattr(harness, "_sweep_chunk",
+                            lambda chunk: cells.extend(chunk) or [])
         cfg = small_sweep(sweep_var="zeta_max", values=[0.5, 0.7, 1.5])
         with pytest.raises(ValueError, match="zeta_max = 1.5"):
             run_sweep(cfg)
