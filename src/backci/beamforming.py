@@ -10,7 +10,11 @@ Four solvers share one solution type:
   consensual_sca is lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
   enforcing that the direct link never hurts; its optimum is purified to
-  rank one, with a rank-one penalty SCA as the fallback.
+  rank one, with a rank-one penalty SCA as the fallback.  Its generator,
+  evolved_steps, yields the whole grid's relaxations as one request;
+  lockstep stacks the requests of many tags into convex.solve_sdp_batch
+  calls of at most _SDP_STACK entries.  evolved_sdp is lockstep on one
+  generator.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
   reusing the two solvers above on effective single-input channels.
@@ -239,17 +243,25 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
                               converged=converged)
 
 
-def lockstep(gens) -> list:
-    """Run consensual_steps generators together; their solutions, in order.
+_SDP_STACK = 200    # most SDP entries in one solve_sdp_batch call of lockstep
 
-    Each round sends every pending generator the result of its last
-    subproblem, then solves the subproblems they yield as one
-    solve_ball_qcqps batch per dimension.  Every generator gets the result
-    it would get run alone, so its solution does too.  An exception a
-    generator raises ends the run.
+
+def lockstep(gens) -> list:
+    """Run design generators together; their solutions, in order.
+
+    A generator yields either (QcqpProblem, v0), one QCQP and its start,
+    and takes back its QcqpResult (consensual_steps), or (C, row_sets),
+    the trace-one SDPs of objective C, one per row set, and takes back
+    their SdpResults (evolved_steps).  Each round sends every pending
+    generator its results, then solves what they yield: the QCQPs as one
+    solve_ball_qcqps batch per dimension, and the SDPs, each entry with its
+    own request's C, as solve_sdp_batch calls of at most _SDP_STACK
+    entries per matrix size.  Both kernels are batch-invariant, so every
+    generator gets the results it would get run alone, and its solution
+    does too.  An exception a generator raises ends the run.
     """
     out = [None] * len(gens)
-    asked = {}      # generator index -> its pending (problem, v0)
+    asked = {}      # generator index -> its pending request
 
     def send(i, res):
         try:
@@ -262,11 +274,23 @@ def lockstep(gens) -> list:
     while asked:
         now, asked = asked, {}
         groups = {}
-        for i, (prob, _v0) in now.items():
-            groups.setdefault(prob.dim(), []).append(i)
-        for idx in groups.values():
-            results = solve_ball_qcqps([now[i][0] for i in idx],
-                                       [now[i][1] for i in idx])
+        for i, (first, _rest) in now.items():
+            qcqp = isinstance(first, QcqpProblem)
+            size = first.dim() if qcqp else len(first)
+            groups.setdefault((qcqp, size), []).append(i)
+        for (qcqp, _size), idx in groups.items():
+            if qcqp:
+                results = solve_ball_qcqps([now[i][0] for i in idx],
+                                           [now[i][1] for i in idx])
+            else:
+                C = [now[i][0] for i in idx for _rows in now[i][1]]
+                rows = [r for i in idx for r in now[i][1]]
+                flat = [res for s in range(0, len(rows), _SDP_STACK)
+                        for res in solve_sdp_batch(C[s:s + _SDP_STACK],
+                                                   rows[s:s + _SDP_STACK])]
+                ends = np.cumsum([len(now[i][1]) for i in idx])
+                results = [flat[e - len(now[i][1]):e]
+                           for i, e in zip(idx, ends)]
             for i, res in zip(idx, results):
                 send(i, res)
     return out
@@ -419,35 +443,16 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     return W, trace, converged, n_solve
 
 
-def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
-                ) -> BeamformerSolution:
-    """Lifted solver enforcing that the direct link never hurts detection.
+def evolved_steps(chan, params):
+    """The lifted design as a generator: its set-up, one request for its
+    relaxation batch, then its finish.
 
-    Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
-    its trace-one SDP relaxation; the relaxations of all grid points are
-    solved as one batch.  The lift is built on the basis U of _span_basis,
-    so it is at most 3 x 3 for any M, and exact; each v' found there is
-    mapped back as v = U v' and verified by _finalize on the full channels.
-    It is built from the channels divided by ||h1||, with gamma times
-    ||h1||^2: the grid's and the kernels' floors are absolute, and so the
-    answer stays put when every channel scales by s and sigma_w2 by s^2.
-    A relaxation that hits the iteration cap drops its grid point and
-    marks the result not converged.  Grid points are examined by falling
-    bound until no remaining bound can beat the best SNR found.  At each,
-    _purify reduces the relaxation's optimum to a rank-one v v^H at the
-    same objective, so v is optimal for that t; it is kept if _finalize
-    verifies it, with rank_residual 0.  Where no
-    reduction exists, or v does not verify, the penalized trace-one SDP is
-    solved by SCA from the relaxation's point (the rank penalty is
-    linearized through the dominant eigenvector), once, at the weight chi *
-    gamma * lambda_max(H1); its dominant eigenvector is kept if _finalize
-    verifies it, else the grid point is dropped, and rank_residual reports
-    how far from rank one it ended.  The best t by recovered objective
-    wins, smallest t on ties.  v_init is accepted for interface symmetry
-    with consensual_sca but the lifted design starts from the relaxation
-    solution.
+    Yields (C, row_sets) once, the relaxations of every grid point with
+    their shared objective C, and takes their SdpResults back by send();
+    returns the BeamformerSolution.  Run it with lockstep, which stacks the
+    relaxations of many tags into shared solve_sdp_batch calls; evolved_sdp
+    runs it alone.  What it solves is evolved_sdp's docstring.
     """
-    del v_init
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
     d_min, e_min, _f_with, f_without = divergence_floors(params)
@@ -470,17 +475,19 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     # grid point upper-bounds whatever rank-one point exists there, and its
     # solution is what purification or the penalty stage starts from.
     # Points whose bound cannot beat the incumbent are skipped outright,
-    # which is where most of the grid's budget would otherwise go.
+    # which is where most of the grid's budget would otherwise go.  The
+    # grid points share the matrices of their last two rows.
+    no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
     row_sets = [[
         (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
-        (-gamma * Hs, -(f_without - 1.0)),        # without-DL floor
+        no_dl,
         (H0, t),                                  # t dominates the DLI
     ] for t in grid]
     total_iter = len(row_sets)
     any_nonconverged = False
     relax = []
-    for t, rows, res in zip(grid, row_sets,
-                            solve_sdp_batch(gamma * H1, row_sets)):
+    results = yield gamma * H1, row_sets
+    for t, rows, res in zip(grid, row_sets, results):
         if res.status == MAX_ITER:
             any_nonconverged = True
         if res.status != OPTIMAL:
@@ -530,6 +537,40 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
                               converged=not any_nonconverged)
 
 
+def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
+                ) -> BeamformerSolution:
+    """Lifted solver enforcing that the direct link never hurts detection:
+    evolved_steps run alone by lockstep.
+
+    Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
+    its trace-one SDP relaxation; the relaxations of all grid points are
+    one solve_sdp_batch request, which lockstep may stack with other tags'
+    (greedy_select does).  The lift is built on the basis U of _span_basis,
+    so it is at most 3 x 3 for any M, and exact; each v' found there is
+    mapped back as v = U v' and verified by _finalize on the full channels.
+    It is built from the channels divided by ||h1||, with gamma times
+    ||h1||^2: the grid's and the kernels' floors are absolute, and so the
+    answer stays put when every channel scales by s and sigma_w2 by s^2.
+    A relaxation that hits the iteration cap drops its grid point and
+    marks the result not converged.  Grid points are examined by falling
+    bound until no remaining bound can beat the best SNR found.  At each,
+    _purify reduces the relaxation's optimum to a rank-one v v^H at the
+    same objective, so v is optimal for that t; it is kept if _finalize
+    verifies it, with rank_residual 0.  Where no
+    reduction exists, or v does not verify, the penalized trace-one SDP is
+    solved by SCA from the relaxation's point (the rank penalty is
+    linearized through the dominant eigenvector), once, at the weight chi *
+    gamma * lambda_max(H1); its dominant eigenvector is kept if _finalize
+    verifies it, else the grid point is dropped, and rank_residual reports
+    how far from rank one it ended.  The best t by recovered objective
+    wins, smallest t on ties.  v_init is accepted for interface symmetry
+    with consensual_sca but the lifted design starts from the relaxation
+    solution.
+    """
+    del v_init
+    return lockstep([evolved_steps(chan, params)])[0]
+
+
 def mmse_beamformer(h_sr: np.ndarray, h_str: np.ndarray, sigma_s2: float,
                     sigma_w2: float) -> np.ndarray:
     """MMSE receive filter treating the direct link as interference.
@@ -554,6 +595,15 @@ def _solver_for(mode):
         return consensual_sca
     if mode == "evolved":
         return evolved_sdp
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _steps_for(mode):
+    """The generator of a mode's single-transmit design, for lockstep."""
+    if mode == "consensual":
+        return consensual_steps
+    if mode == "evolved":
+        return evolved_steps
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -41,10 +41,13 @@ gap in original units.
 `solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
 from its own start v0, in one stacked barrier run; the consensual SCA's
 lockstep driver (beamforming.lockstep) sends it one batch per round.
-`solve_sdp_batch(C, row_sets)` solves the SDPs of one objective C, each
-with its own row list, in one stacked barrier run.  `solve_ball_qcqp` and
-`solve_small_sdp` solve one problem, as a batch of one.  Every SDP starts
-from W = I / m; only the QCQP takes a start.
+`solve_sdp_batch(C, row_sets)` solves SDPs of one size, each with its own
+row list and one shared objective C or its own, in one stacked barrier
+run; lockstep stacks several tags' relaxations that way.  Both kernels are
+batch-invariant: an entry's result does not depend on what else is in the
+stack, because no product mixes rows of the stack in one GEMM.
+`solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
+one.  Every SDP starts from W = I / m; only the QCQP takes a start.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -122,14 +125,17 @@ def _logdet(W):
 
     Every value comes from the matrix's own Cholesky factor, whatever else
     is in the stack.  When one matrix refuses, the others are found by
-    their eigenvalues and factored apart.
+    their leading principal minors (Sylvester's criterion) and factored
+    apart.
     """
     try:
         L = np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         L = np.full_like(W, np.nan)
         if len(W) > 1:
-            pd = np.flatnonzero(np.linalg.eigvalsh(W)[:, 0] > 0.0)
+            pd = np.flatnonzero(np.logical_and.reduce(
+                [np.linalg.det(W[:, :k, :k]).real > 0.0
+                 for k in range(1, W.shape[1] + 1)]))
             try:
                 L[pd] = np.linalg.cholesky(W[pd])
             except np.linalg.LinAlgError:    # a borderline one refuses too
@@ -278,8 +284,9 @@ def _barrier(f, x, tol):
     stage it ended in, and steps the Newton steps it tried.
     """
     # Trial points outside the domain make value() take logs of
-    # non-positive numbers; its nan or inf then fails the Armijo test.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # non-positive numbers, and far outside they overflow _logdet's
+    # minors; the nan or inf then fails the Armijo test.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         xl = np.array(x, dtype=float)       # the live entries' points
         B = len(xl)
         x, steps = np.empty_like(xl), np.zeros(B, dtype=int)
@@ -662,60 +669,134 @@ def svec(A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _upper(m: int) -> tuple:
+    """The pairs i < j of an m x m matrix, in the basis order."""
+    i, j = np.triu_indices(m, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _svec_stack(A):
+    """svec of the Hermitian part of each matrix in the stack A, read off
+    its entries in the basis order: Re A_ii, then sqrt 2 Re and sqrt 2 Im of
+    (A_ij + conj A_ji) / 2 for each pair i < j.  Both triangles count, so
+    the round-off that leaves an inverse not quite Hermitian cancels."""
+    B, m, _m = A.shape
+    i, j = _upper(m)
+    off = (A[:, i, j] + A[:, j, i].conj()) / np.sqrt(2.0)
+    x = np.empty((B, m * m))
+    x[:, :m] = np.diagonal(A, axis1=1, axis2=2).real
+    x[:, m::2] = off.real
+    x[:, m + 1::2] = off.imag
+    return x
+
+
+@lru_cache(maxsize=16)
 def _trace_one(m: int) -> tuple:
     """The unit-trace plane of m x m Hermitian matrices, in the basis.
 
-    Returns (wp, Z, UZ, UZh, Wp): w = wp + Z y, with wp = svec(I) / m the
+    Returns (wp, Z, UZ, Wp): w = wp + Z y, with wp = svec(I) / m the
     coordinates of W = I / m, so y = 0 is that point, and Z an orthonormal
     basis of svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into
-    the basis matrix U and UZh is its conjugate transpose; Wp = wp U is
-    wp's matrix, flattened.
+    the basis matrix U, so its row a is the plane's basis matrix B_a
+    flattened; Wp = wp U is wp's matrix, flattened.
     """
     U = _herm_basis(m)
     E = svec(np.eye(m))[None]
     wp = E[0] / m
     Z = np.linalg.svd(E)[2][1:].T
-    UZ = Z.T @ U
-    parts = (wp, Z, UZ, UZ.conj().T, wp @ U)
+    parts = (wp, Z, Z.T @ U, wp @ U)
     for a in parts:
         a.setflags(write=False)
     return parts
 
 
+_MAP_DIM = 3    # the cone Hessian is one map up to this matrix dimension,
+                # the largest lift of the evolved design
+
+
+@lru_cache(maxsize=16)
+def _cone_map(m: int) -> tuple:
+    """The cone barrier's Hessian in the plane's coordinates as one linear
+    map of the products of x = svec(W^-1).
+
+    With X = W^-1 = sum_c x_c U_c, H_ab = Tr(X B_a X B_b) is the quadratic
+    form sum_(c <= d) x_c x_d G[ab, cd], G real.  Returns (pairs, G, full):
+    pairs the index pairs c <= d, G of shape (n (n+1) / 2, m^2 (m^2+1) / 2)
+    onto the entries a <= b of H (n = m^2 - 1), and full, for each entry of
+    H flattened, the one of G's outputs it reads.  G has about m^8 / 4
+    entries, so it is built only up to _MAP_DIM.
+    """
+    U = _herm_basis(m).reshape(m * m, m, m)
+    _wp, Z, UZ, _Wp = _trace_one(m)
+    n = Z.shape[1]
+    Bz = UZ.reshape(n, m, m)
+    T = np.einsum("cij,ajk,dkl,bli->cdab", U, Bz, U, Bz, optimize=True).real
+    c, d = np.triu_indices(m * m)
+    a, b = np.triu_indices(n)
+    G = np.ascontiguousarray(
+        (T[c, d] + np.where((c < d)[:, None, None], T[d, c], 0.0))[:, a, b].T)
+    full = np.empty((n, n), dtype=int)
+    full[a, b] = full[b, a] = np.arange(len(a))
+    parts = ((c, d), G, full.ravel())
+    for arr in (c, d, G, parts[2]):
+        arr.setflags(write=False)
+    return parts
+
+
 class _Sdp(_Oracle):
-    """Trace-one SDPs of one objective C, in coordinates y of the plane
-    Tr W = 1, w = w_p + Z y: min -c_hat . w.
+    """Trace-one SDPs, one objective C_j per entry, in coordinates y of the
+    plane Tr W = 1, w = w_p + Z y: min -c_hat_j . w.
 
     Rows are each entry's inequalities a . w <= b divided by their scales,
-    and the PSD cone's barrier is -log det W.  Its Hessian
-    H_ab = Re Tr(W^-1 B_a W^-1 B_b) is U K U^H in closed form, with U the
-    basis matrix and K[(j,k),(p,q)] = (W^-1)_pj (W^-1)_kq; Z is folded into U.
+    and the PSD cone's barrier is -log det W.  Its gradient is -Z^T x and
+    its Hessian H_ab = Tr(X B_a X B_b), with X = W^-1 and x = svec(X).  Up
+    to _MAP_DIM, H is one product of _cone_map's G with the products of x;
+    above, it is U K U^H, with U the basis matrix and K[(j,k),(p,q)] =
+    X_pj X_kq, Z folded into U.  Every product that involves the shared
+    plane runs row by row (np.matvec), so an entry's arithmetic does not
+    depend on what else is in the stack.
     """
 
+    _batched = _Oracle._batched + ("c_norm", "c_hat")
+
     def __init__(self, C, row_sets):
-        """row_sets holds, per entry, its rows (A, b): Tr(A W) <= b."""
-        C = np.asarray(C, dtype=complex)
-        self.m = m = len(C)
-        self.wp, self.Z, self.UZ, self.UZh, self.Wp = _trace_one(m)
-        c_w = svec(C)
-        self.c_norm = float(np.linalg.norm(c_w))
-        self.c_hat = c_w / self.c_norm if self.c_norm > 0 else c_w
-        rows = [[(None, a, b, max(abs(b), float(np.linalg.norm(a)), 1e-12))
-                 for a, b in ((svec(A), float(b)) for A, b in entry)]
+        """C is one m x m objective, or one per entry (B, m, m); row_sets
+        holds, per entry, its rows (A, b): Tr(A W) <= b."""
+        if np.ndim(C) == 2:
+            C = [C] * len(row_sets)
+        self.m = m = np.shape(C[0])[0]
+        self.wp, self.Z, self.UZ, self.Wp = _trace_one(m)
+        seen = {}   # id(A) -> A, svec(A) and its norm: entries share matrices
+
+        def coords(A):
+            if id(A) not in seen:   # A stays referenced, so ids stay unique
+                a = svec(A)
+                seen[id(A)] = A, a, float(np.linalg.norm(a))
+            return seen[id(A)][1:]
+
+        c_w, self.c_norm = map(np.array, zip(*map(coords, C)))
+        self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
+                               where=self.c_norm[:, None] > 0)
+        rows = [[(None, a, float(b), max(abs(float(b)), n, 1e-12))
+                 for (a, n), b in ((coords(A), b) for A, b in entry)]
                 for entry in row_sets]
         _P, A, b, real, self.impossible = _pad_rows(rows, m * m, False)
-        b = np.where(real, b - A @ self.wp, 1.0)
-        c = np.broadcast_to(-(self.Z.T @ self.c_hat),
-                            (len(row_sets), self.Z.shape[1]))
-        super().__init__(c, None, A @ self.Z, b, real, real.sum(axis=1) + m)
+        b = np.where(real, b - np.vecdot(A, self.wp), 1.0)
+        super().__init__(-np.matvec(self.Z.T, self.c_hat), None,
+                         np.matvec(self.Z.T, A), b, real,
+                         real.sum(axis=1) + m)
 
     def objective(self, y):
         """Tr(C W) in original units, per entry."""
-        return self.c_norm * ((self.wp + y @ self.Z.T) @ self.c_hat)
+        return self.c_norm * np.vecdot(self.wp + np.matvec(self.Z, y),
+                                       self.c_hat)
 
     def matrix(self, y):
         """W = sum_a w_a B_a at w = w_p + Z y, w_p and Z folded into U."""
-        return (self.Wp + y @ self.UZ).reshape(-1, self.m, self.m)
+        return (self.Wp + np.matvec(self.UZ.T, y)).reshape(-1, self.m,
+                                                            self.m)
 
     def cone(self, y):
         """-log det W, nan where W is not positive definite."""
@@ -723,18 +804,23 @@ class _Sdp(_Oracle):
 
     def cone_derivs(self, y):
         W = self.matrix(y)
-        Winv = np.linalg.inv(W)
-        B, m = len(W), self.m
-        WiT = Winv.swapaxes(1, 2)
-        K = (WiT[:, :, None, :, None] * Winv[:, None, :, None, :]
-             ).reshape(B, m * m, m * m)
-        H = (self.UZ @ K @ self.UZh).real
-        return (-_logdet(W),
-                -(self.UZ @ WiT.reshape(B, m * m, 1))[..., 0].real, H)
+        X = np.linalg.inv(W)
+        x = _svec_stack(X)
+        m = self.m
+        if m <= _MAP_DIM:
+            (c, d), G, full = _cone_map(m)
+            H = np.matvec(G, x[:, c] * x[:, d])[:, full]
+        else:
+            B = len(W)
+            K = (X.swapaxes(1, 2)[:, :, None, :, None] * X[:, None, :, None, :]
+                 ).reshape(B, m * m, m * m)
+            H = (self.UZ @ K @ self.UZ.conj().T).real
+        n = self.Z.shape[1]
+        return -_logdet(W), -np.matvec(self.Z.T, x), H.reshape(-1, n, n)
 
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""
-        gap = self.n_par * mu * max(self.c_norm, 1.0)
+        gap = self.n_par * mu * np.maximum(self.c_norm, 1.0)
         done = (self.n_par * mu <= tol) & (
             (gap <= tol * np.maximum(1.0, np.abs(self.objective(y))))
             | (mu <= 1e-13))
@@ -756,17 +842,22 @@ def solve_small_sdp(p: SdpProblem) -> SdpResult:
     return solve_sdp_batch(p.C, [p.ineq_constraints])[0]
 
 
-def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
-    """Solve the trace-one SDPs of objective C, one per row set, in one
-    stacked run.
+def solve_sdp_batch(C, row_sets: list) -> list:
+    """Solve trace-one SDPs of one size, one per row set, in one stacked
+    run.
 
-    Entry j is max Tr(C W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
+    Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
     row_sets[j], W PSD.  Every entry starts from W = I / m, which is y = 0
-    in the plane's coordinates and inside the cone, and its SdpResult is
-    what solve_small_sdp gives for it (up to round-off).
+    in the plane's coordinates and inside the cone.  The kernel is
+    batch-invariant: each entry takes its own Newton steps, leaves the
+    stack when it ends, and its SdpResult is bit for bit what
+    solve_small_sdp gives for it, whatever else is in the stack.  So
+    several tags' relaxations, each with its own objective, can share one
+    call (beamforming.lockstep).
 
     Args:
-        C: The m x m Hermitian objective every entry shares.
+        C: The m x m Hermitian objective every entry shares, or one per
+            entry: an array (B, m, m) or a list of B such matrices.
         row_sets: One list of (A, b) rows per entry.
 
     Returns:
@@ -793,9 +884,10 @@ def solve_sdp_batch(C: np.ndarray, row_sets: list) -> list:
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
                          newton_steps=int(steps[j])) for j in range(len(y))]
     main = np.flatnonzero(~np.isnan(mu))
-    W = f.matrix(y[main])
-    obj = f.objective(y[main])
-    gap = f.n_par[main] * mu[main] * max(f.c_norm, 1.0)
+    fm = f.take(main)
+    W = fm.matrix(y[main])
+    obj = fm.objective(y[main])
+    gap = fm.n_par * mu[main] * np.maximum(fm.c_norm, 1.0)
     for i, j in enumerate(main):
         results[j] = SdpResult(
             W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off

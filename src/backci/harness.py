@@ -337,7 +337,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
     Channels for cell (value_idx, trial) are keyed by (seed, value_idx,
     trial), so records are identical for a fixed config no matter how many
     workers share the grid or in which order cells finish.  At most one
-    worker process per cell is started; workers < 1 raises ValueError.
+    worker process per chunk of _CHUNK cells is started, and none for a
+    single chunk; workers < 1 raises ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -347,7 +348,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
              for vi, value in enumerate(cfg.values)
              for trial in range(cfg.trials)]
     chunks = [cells[i:i + _CHUNK] for i in range(0, len(cells), _CHUNK)]
-    workers = min(workers, len(cells))
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_chunk, chunks))

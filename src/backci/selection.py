@@ -16,9 +16,9 @@ from typing import List, Optional
 from .beamforming import (  # noqa: F401
     BeamformerSolution,
     _solver_for,
+    _steps_for,
     alternating_mimo,
     consensual_sca,
-    consensual_steps,
     evolved_sdp,
     lockstep,
 )
@@ -55,13 +55,13 @@ def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
 
 
 def _tag_steps(chans, params, mode: str) -> list:
-    """One consensual_steps generator per tag, in tag order, for the
-    consensual design on a single-transmit link; [] for any other case,
-    which is solved tag by tag."""
-    if mode != "consensual" or params.Q > 1:
+    """One design generator per tag, in tag order, on a single-transmit
+    link (consensual_steps or evolved_steps); [] on a MIMO link, which is
+    solved tag by tag."""
+    if params.Q > 1:
         return []
-    return [consensual_steps(chans.tag_channels(k), params)
-            for k in range(params.K)]
+    steps = _steps_for(mode)
+    return [steps(chans.tag_channels(k), params) for k in range(params.K)]
 
 
 def _best_of(per_tag: list) -> SelectionResult:
@@ -80,8 +80,11 @@ def _best_of(per_tag: list) -> SelectionResult:
 def greedy_select(chans, params, mode: str) -> SelectionResult:
     """Solve every tag's beamforming problem and keep the best feasible one.
 
-    The consensual design on a single-transmit link solves all K tags'
-    SCA runs together, by lockstep; every other case goes tag by tag.
+    On a single-transmit link all K tags run together, by lockstep: the
+    consensual design's SCA subproblems as one QCQP batch per round, the
+    evolved design's relaxations, every live tag's grid, as one stacked
+    SDP batch (split only at beamforming._SDP_STACK entries).  Each tag's
+    solution is what it gets solved alone.  A MIMO link goes tag by tag.
 
     Args:
         chans: ChannelRealization holding all K tags' links.

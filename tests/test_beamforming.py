@@ -22,6 +22,7 @@ from backci.beamforming import (
     consensual_steps,
     divergence_floors,
     evolved_sdp,
+    evolved_steps,
     lockstep,
     mmse_beamformer,
     recover_rank_one,
@@ -219,6 +220,54 @@ class TestLockstep:
                    for st in statuses if len(st) > 1)   # MMSE retry
         assert any(MAX_ITER in st for st in statuses)
         assert any(st and MAX_ITER not in st for st in statuses)
+
+    def test_evolved_relaxations_share_stacked_calls(self, monkeypatch):
+        # Every tag of two realizations at M = 2 (a 2 x 2 lift) and at
+        # M = 4 (3 x 3), with the consensual runs of the same tags mixed
+        # in.  The relaxations go to solve_sdp_batch in calls of at most
+        # _SDP_STACK entries, one group per lift size, and every solution
+        # is field for field the one its tag gets alone: from evolved_sdp,
+        # and from the generator driven by hand with one call on its own
+        # objective.
+        monkeypatch.setattr(beamforming, "_SDP_STACK", 150)
+        cases = []
+        for m in (2, 4):
+            params = SystemParams(M=m, T=60)
+            for seed in (0, 1):
+                ch = gen_channel_set(params, seed)
+                cases += [(ch.tag_channels(k), params)
+                          for k in range(params.K)]
+        calls = []
+        batch = beamforming.solve_sdp_batch
+
+        def spied(C, row_sets):
+            calls.append((len(C[0]), len(row_sets)))
+            return batch(C, row_sets)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_sdp_batch", spied)
+            together = lockstep([evolved_steps(chan, params)
+                                 for chan, params in cases]
+                                + [consensual_steps(chan, params)
+                                   for chan, params in cases])
+        grids = {2: 0, 3: 0}
+        for (chan, params), sol in zip(cases, together):
+            by_hand = evolved_steps(chan, params)
+            try:
+                C, row_sets = next(by_hand)
+                grids[len(C)] += len(row_sets)
+                by_hand.send(solve_sdp_batch(C, row_sets))
+            except StopIteration as stop:
+                by_hand = stop.value
+            for alone in (evolved_sdp(chan, params), by_hand):
+                _same_solution(sol, alone)
+                assert sol.rank_residual == alone.rank_residual
+        for (chan, params), sol in zip(cases, together[len(cases):]):
+            _same_solution(sol, consensual_sca(chan, params))
+        assert grids[2] > 150 and grids[3] > 150
+        for m, total in grids.items():
+            assert [n for size, n in calls if size == m] == (
+                [150] * (total // 150) + [total % 150] * (total % 150 > 0))
 
     def test_exception_ends_the_run(self):
         params = SystemParams()

@@ -520,28 +520,34 @@ def _problem(C, rows):
                       ineq_constraints=rows)
 
 
+def _family_rows(params, seed, B):
+    """The evolved relaxation SDPs of tag 0 of realization seed at B values
+    of t in [0, 1.5 lambda_max(H0)] (0.8 lambda_max(H0) when B = 1), as
+    (C, row_sets): their shared objective and their rows."""
+    gamma = params.gamma
+    f_without = divergence_floors(params)[3]
+    h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
+    H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
+    t_hi = float(np.linalg.eigvalsh(H0)[-1])
+    ts = (np.linspace(0.0, 1.5 * t_hi, B) if B > 1
+          else np.array([0.8 * t_hi]))
+    return gamma * H1, [[(-H1 + (1.0 + gamma * t) * Hs, -t),
+                         (-gamma * Hs, -(f_without - 1.0)),
+                         (H0, t)] for t in ts]
+
+
 def _relaxation_family(M, B):
     """The evolved relaxation SDPs of one tag at B values of t, as
     (C, row_sets, singles): their shared objective, their rows, and their
     solve_small_sdp results.
 
-    t runs over [0, 1.5 lambda_max(H0)], so small t, where Tr(H0 W) <= t
-    cannot hold, gives infeasible entries.  The tag is the first whose
-    family mixes feasible and infeasible entries (for B > 1).
+    Small t, where Tr(H0 W) <= t cannot hold, gives infeasible entries.
+    The tag is the first whose family mixes feasible and infeasible
+    entries (for B > 1).
     """
     params = SystemParams(K=1, M=M)
-    gamma = params.gamma
-    f_without = divergence_floors(params)[3]
     for seed in range(100):
-        h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
-        H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
-        t_hi = float(np.linalg.eigvalsh(H0)[-1])
-        ts = (np.linspace(0.0, 1.5 * t_hi, B) if B > 1
-              else np.array([0.8 * t_hi]))
-        C = gamma * H1
-        row_sets = [[(-H1 + (1.0 + gamma * t) * Hs, -t),
-                     (-gamma * Hs, -(f_without - 1.0)),
-                     (H0, t)] for t in ts]
+        C, row_sets = _family_rows(params, seed, B)
         singles = [solve_small_sdp(_problem(C, rows)) for rows in row_sets]
         statuses = {r.status for r in singles}
         if B == 1 or {OPTIMAL, INFEASIBLE} <= statuses:
@@ -555,10 +561,15 @@ def _result_bytes(r):
             None if r.W is None else r.W.tobytes())
 
 
+def _result_repr(r):
+    """Every field of an SdpResult, floats in their exact repr."""
+    return _result_bytes(r) + (repr((r.objective, r.gap, r.certificate)),)
+
+
 class TestSdpBatch:
     """solve_sdp_batch against solve_small_sdp, entry by entry."""
 
-    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("B", [1, 7, 100])
     def test_matches_single_solves(self, M, B):
         C, row_sets, singles = _relaxation_family(M, B)
@@ -574,6 +585,23 @@ class TestSdpBatch:
             else:
                 assert res.W is None
                 assert res.certificate > 0.0
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_mixed_objectives_match_per_tag_calls(self, M):
+        # Four tags' relaxation families, each with its own objective, in
+        # one stacked call, with the objectives as a list and as one
+        # array: every entry is bit for bit what its tag's own call gives.
+        params = SystemParams(K=1, M=M)
+        families = [_family_rows(params, seed, 25) for seed in range(4)]
+        per_tag = [_result_repr(r) for C, rows in families
+                   for r in solve_sdp_batch(C, rows)]
+        Cs = [C for C, rows in families for _rows in rows]
+        rows = [r for _C, rs in families for r in rs]
+        for objectives in (Cs, np.array(Cs)):
+            assert [_result_repr(r) for r in
+                    solve_sdp_batch(objectives, rows)] == per_tag
+        assert len({c.tobytes() for c in Cs}) == len(families)
+        assert {OPTIMAL, INFEASIBLE} <= {r[0] for r in per_tag}
 
     def test_order_follows_input(self):
         C, row_sets, _singles = _relaxation_family(4, 7)
@@ -647,6 +675,31 @@ class TestSdpBatch:
 
     def test_empty_batch(self):
         assert solve_sdp_batch(np.eye(2, dtype=complex), []) == []
+
+
+class TestLogdet:
+    def test_refused_matrix_leaves_the_others_alone(self, monkeypatch):
+        # Two matrices that are not positive definite in a stack of six
+        # make the stacked Cholesky refuse.  They read nan, every other
+        # value is its matrix's own, bit for bit, and the positive
+        # definite ones are picked by their leading minors, with no
+        # eigenvalue pass.
+        rng = np.random.default_rng(12)
+        W = np.array([rand_herm_psd(rng, 3) + 0.1 * np.eye(3)
+                      for _ in range(6)])
+        W[2] = np.diag([1.0, -1e-3, 2.0])
+        W[4][0, 0] = -W[4][0, 0]
+
+        def no_eigvalsh(*args):
+            raise AssertionError("eigenvalue pass")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        got = convex._logdet(W)
+        assert np.isnan(got[[2, 4]]).all()
+        for i in (0, 1, 3, 5):
+            assert got[i].tobytes() == convex._logdet(W[i:i + 1])[0].tobytes()
+            assert got[i] == pytest.approx(np.linalg.slogdet(W[i])[1],
+                                           rel=1e-12)
 
 
 class TestSolveNewton:

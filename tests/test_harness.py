@@ -289,7 +289,8 @@ class TestRunSweep:
 
     def test_no_more_workers_than_cells(self, monkeypatch):
         # The pool is a fake that records its size and maps in this
-        # process, so no worker process starts.
+        # process, so no worker process starts.  One worker per chunk of
+        # harness._CHUNK cells at most: a single chunk starts no pool.
         sizes = []
 
         class Pool:
@@ -308,7 +309,13 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         cfg = small_sweep(values=[0.6], trials=2, algorithms=["canceled_dli"])
         assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
-        assert sizes == [2]
+        assert sizes == []
+        cfg = small_sweep(values=[0.2, 0.4, 0.6], trials=6,
+                          algorithms=["canceled_dli"])
+        assert len(cfg.values) * cfg.trials == 2 * harness._CHUNK + 2
+        assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
+        assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
+        assert sizes == [3, 2]
 
     def test_bad_swept_value_refused_before_any_cell(self, monkeypatch):
         cells = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from backci.beamforming import consensual_sca
+from backci import beamforming
+from backci.beamforming import consensual_sca, evolved_sdp
 from backci.channel import ChannelRealization, SystemParams, gen_channel_set
 from backci.selection import greedy_select, random_select
 
@@ -66,6 +67,32 @@ class TestGreedySelect:
         assert res.best is None
         assert len(res.per_tag) == 3
         assert all(not s.feasible for s in res.per_tag)
+
+    def test_evolved_selection_stacks_every_live_tag(self, monkeypatch):
+        # Realization 2 has three live tags.  Their relaxation grids go to
+        # the SDP kernel as one stacked call (5 T entries fit in
+        # beamforming._SDP_STACK), and each tag's solution is bit for bit
+        # its own evolved_sdp run.
+        params = SystemParams(T=40)
+        ch = gen_channel_set(params, 2)
+        sizes = []
+        batch = beamforming.solve_sdp_batch
+
+        def spied(C, row_sets):
+            sizes.append(len(row_sets))
+            return batch(C, row_sets)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_sdp_batch", spied)
+            res = greedy_select(ch, params, "evolved")
+        assert sizes == [3 * params.T]
+        for k, sol in enumerate(res.per_tag):
+            alone = evolved_sdp(ch.tag_channels(k), params)
+            assert (sol.v is None) == (alone.v is None)
+            if sol.v is not None:
+                assert sol.v.tobytes() == alone.v.tobytes()
+            assert repr((sol.snr, sol.feasible, sol.iterations)) == repr(
+                (alone.snr, alone.feasible, alone.iterations))
 
     def test_permutation_changes_only_tie_breaking(self):
         params = SystemParams(K=4, M=2)

@@ -22,13 +22,17 @@ Prints one ``name sha256`` line per output:
   ``random_sel`` sweep over M in {1, 2, 4, 8} at Q = 1, 3 trials, seeds 1
   and 2, run at 1 and at 2 workers; its chunks mix QCQP dimensions, and
   at 2 workers they run in the process pool;
+* ``sweep-evolved/s<seed>/w<workers>``: the CSV of a ``consensual`` and
+  ``evolved`` sweep over sigma_s2 in {0.2, 0.4, 0.6, 0.8} at K = 5, M = 4,
+  3 trials, seeds 1 and 2, run at 1 and at 2 workers; it pins the evolved
+  design's path through a sweep chunk;
 * ``mimo/s<seed>``: the CSV of a ``consensual`` sweep over M in {2, 4, 6, 8}
   at Q = 2, K = 3, 4 trials, seeds 1 and 2;
 * ``mimo-evolved/s<seed>``: the CSV of an ``evolved`` sweep over M in
   {2, 4} at Q = 2, K = 3, 2 trials, seeds 1 and 2, which runs the lifted
   design inside the alternation.
 
-The four sweep families end their line with each row's ``snr_db`` as the
+The five sweep families end their line with each row's ``snr_db`` as the
 CSV holds it (12 significant digits), ``-`` where infeasible, so their SNRs
 move only where the digest does.  The SNRs let a reader check, between two
 commits, that no SNR fell where a digest moved.
@@ -132,14 +136,15 @@ def fallback(tmpdir):
         beamforming._purify = purify
 
 
-def _m_sweep(tmpdir, family, algorithms, values, trials, base,
-             workers=None):
-    """A sweep over M at seeds 1 and 2; with workers, one line per count."""
-    out = os.path.join(tmpdir, "m.csv")
+def _sweep(tmpdir, family, var, algorithms, values, trials, base,
+           workers=None):
+    """A sweep over var at seeds 1 and 2; with workers, one line per
+    count."""
+    out = os.path.join(tmpdir, "sweep.csv")
     for seed in (1, 2):
         for w in workers or (1,):
             harness.run_sweep(harness.SweepConfig(
-                sweep_var="M", values=values, trials=trials,
+                sweep_var=var, values=values, trials=trials,
                 algorithms=algorithms, base=replace(base, seed=seed),
                 out_path=out), workers=w)
             name = f"{family}/s{seed}" + (f"/w{w}" if workers else "")
@@ -147,18 +152,24 @@ def _m_sweep(tmpdir, family, algorithms, values, trials, base,
 
 
 def sweep_m(tmpdir):
-    return _m_sweep(tmpdir, "sweep-m", ["consensual", "random_sel"],
-                    [1, 2, 4, 8], 3, SystemParams(), workers=(1, 2))
+    return _sweep(tmpdir, "sweep-m", "M", ["consensual", "random_sel"],
+                  [1, 2, 4, 8], 3, SystemParams(), workers=(1, 2))
+
+
+def sweep_evolved(tmpdir):
+    return _sweep(tmpdir, "sweep-evolved", "sigma_s2",
+                  ["consensual", "evolved"], [0.2, 0.4, 0.6, 0.8], 3,
+                  SystemParams(), workers=(1, 2))
 
 
 def mimo(tmpdir):
-    return _m_sweep(tmpdir, "mimo", ["consensual"], [2, 4, 6, 8], 4,
-                    SystemParams(K=3, Q=2))
+    return _sweep(tmpdir, "mimo", "M", ["consensual"], [2, 4, 6, 8], 4,
+                  SystemParams(K=3, Q=2))
 
 
 def mimo_evolved(tmpdir):
-    return _m_sweep(tmpdir, "mimo-evolved", ["evolved"], [2, 4], 2,
-                    SystemParams(K=3, Q=2))
+    return _sweep(tmpdir, "mimo-evolved", "M", ["evolved"], [2, 4], 2,
+                  SystemParams(K=3, Q=2))
 
 
 def _snrs(values) -> str:
@@ -249,8 +260,8 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
-        for family in (sweep_sca, sweep_m, solve, solve_m8, mimo,
-                       mimo_evolved, fallback):
+        for family in (sweep_sca, sweep_m, sweep_evolved, solve, solve_m8,
+                       mimo, mimo_evolved, fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
