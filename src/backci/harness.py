@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
 
@@ -350,7 +350,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
     chunks = [cells[i:i + _CHUNK] for i in range(0, len(cells), _CHUNK)]
     workers = min(workers, len(chunks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_chunk, chunks))
     else:
         done = [_sweep_chunk(c) for c in chunks]

@@ -730,6 +730,44 @@ class TestNoDirectLink:
             assert sol.snr == pytest.approx(x, rel=1e-9)
 
 
+scalar_draws = st.tuples(
+    st.floats(1e-2, 1.0),                    # |h_sr|
+    st.floats(0.0, 2.0 * np.pi),             # arg h_sr
+    st.floats(3e-2, 2.0),                    # |h_str|
+    st.floats(0.0, 2.0 * np.pi),             # arg h_str
+    st.floats(0.05, 0.8),                    # zeta_max
+    st.floats(1e-2, 10.0),                   # sigma_s2
+)
+
+
+class TestScalarInterval:
+    """At M = 1 the evolved design is feasible exactly when gamma lies in
+    siso.snr_interval's [gamma_lo, gamma_hi].
+
+    The design verifies its divergences only to _FEAS_TOL, so its verdict
+    may differ from the closed form within a thin band around either end.
+    For zeta_max <= 0.8 that band is under 1e-4 of gamma, and draws that
+    close to an end are skipped.  gamma_lo runs through big_f, so this
+    exercises W0 away from the paper defaults.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scalar_draws)
+    def test_evolved_matches_closed_form(self, draw):
+        m_sr, a_sr, m_str, a_str, zeta_max, sigma_s2 = draw
+        h_sr = m_sr * np.exp(1j * a_sr)
+        h_str = m_str * np.exp(1j * a_str)
+        params = SystemParams(K=1, M=1, zeta_max=zeta_max, sigma_s2=sigma_s2)
+        g_min = kld_threshold(zeta_max) / params.N + 1.0
+        region = snr_interval(h_sr, h_str, g_min)
+        gamma = params.gamma
+        for end in (region.gamma_lo, region.gamma_hi):
+            assume(abs(gamma - end) > 1e-4 * abs(end))
+        h0, hs = np.array([h_sr]), np.array([h_str])
+        sol = evolved_sdp((h0, h0 + hs, hs), params)
+        assert sol.feasible == (region.gamma_lo <= gamma <= region.gamma_hi)
+
+
 class TestRecoverRankOne:
     def test_exact_rank_one(self):
         rng = np.random.default_rng(11)

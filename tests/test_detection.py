@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
+from backci import detection
 from backci.detection import (
     hypothesis_variances,
     kld,
@@ -147,6 +149,23 @@ class TestDepOracle:
             n = int(rng.integers(1, 9))
             assert dep_oracle(d0, d1, n) == pytest.approx(
                 dep_oracle_quad(d0, d1, n), abs=1e-9)
+
+    def test_erlang_cdf_matches_scipy(self):
+        y = np.logspace(-4.0, 3.5, 600)
+        for n in range(1, 65):
+            ours = np.array([detection._erlang_cdf(n, float(v)) for v in y])
+            np.testing.assert_allclose(ours, gammainc(n, y), rtol=0.0,
+                                       atol=1e-13)
+
+    def test_erlang_cdf_limits(self):
+        assert detection._erlang_cdf(5, 0.0) == 0.0
+        assert detection._erlang_cdf(5, math.inf) == 1.0
+        assert detection._erlang_cdf(400, 1e6) == 1.0
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, math.nan, math.inf])
+    def test_refuses_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            dep_oracle(1.0, 2.0, n)
 
     def test_bound_direction(self):
         # Bretagnolle-Huber never exceeds the true optimal DEP.

@@ -306,7 +306,7 @@ class TestRunSweep:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", Pool)
         cfg = small_sweep(values=[0.6], trials=2, algorithms=["canceled_dli"])
         assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
         assert sizes == []

@@ -1,9 +1,14 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import lambertw
 
+from backci.beamforming import divergence_floors
+from backci.channel import SystemParams
 from backci.numerics import (
     lambert_w0,
     big_f,
@@ -39,6 +44,59 @@ class TestLambertW0:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            lambert_w0(math.nan)
+
+    def test_infinity(self):
+        assert lambert_w0(math.inf) == math.inf
+        with pytest.raises(ValueError):
+            lambert_w0(-math.inf)
+
+    def test_largest_float(self):
+        # w e^w overflows near here; the iteration must not.
+        x = sys.float_info.max
+        assert lambert_w0(x) == pytest.approx(lambertw(x).real, rel=1e-15)
+
+    def test_matches_scipy_dense_grid(self):
+        # The grid starts 1e-6 above -1/e: closer in, W0 is too
+        # ill-conditioned for two implementations to agree to 1e-13.
+        x = np.concatenate([
+            -INV_E + np.logspace(-6.0, math.log10(INV_E), 20000),
+            np.linspace(-0.3, 10.0, 20000),
+            np.logspace(-300.0, 300.0, 20000),
+            -np.logspace(-300.0, math.log10(0.36), 5000),
+        ])
+        ref = lambertw(x).real
+        ours = np.array([lambert_w0(float(v)) for v in x])
+        np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=0.0)
+
+    def test_accurate_to_a_few_ulps(self):
+        # w - W0(x) to first order is r / (e^w (1 + w)), r = w e^w - x in
+        # 40 digits.  Near -1/e, where w e^w - x cancels in floats, this
+        # holds only because the iteration runs on u = 1 + w there.
+        x = np.concatenate([
+            -INV_E + np.logspace(-13.5, math.log10(0.3), 3000),
+            np.linspace(-0.3, 5.0, 1000),
+            np.logspace(-300.0, 300.0, 500),
+        ])
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for v in x:
+                w = lambert_w0(float(v))
+                dw = Decimal(w)
+                ew = dw.exp()
+                err = (dw * ew - Decimal(float(v))) / (ew * (dw + 1))
+                assert abs(float(err)) <= 2e-15 * abs(w), v
+
+    def test_default_divergence_floors_pinned(self):
+        # Every identity family runs at these floors, so a W0 change that
+        # moves them by one ulp shows here first.
+        got = divergence_floors(SystemParams())
+        assert [repr(v) for v in got] == [
+            "0.2876820724517809", "0.2876820724517809",
+            "1.2838362842023656", "1.2838362842023656"]
 
     def test_residual_contract_grid(self):
         for x in [-INV_E + 1e-10, -0.3, -0.1, -1e-8, 1e-8, 0.5, 2.7, 10.0,
