@@ -17,7 +17,10 @@ Four solvers share one solution type:
   generator.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
-  reusing the two solvers above on effective single-input channels.
+  running the generators above on effective single-input channels by yield
+  from in its own, alternating_steps; it is lockstep on one generator.
+
+Every tag solve in the library runs a generator under lockstep.
 
 Per-tag channels are passed as a triple (h0, h1, h_str): the direct-only
 channel, the combined channel and the backscatter channel, vectors for the
@@ -70,8 +73,8 @@ class BeamformerSolution:
     solver.  iterations counts, per design: consensual_sca, the SCA
     subproblems solved from the accepted start; evolved_sdp, the
     relaxation entries plus the SDP solves of the penalty fallback;
-    alternating_mimo, the completed alternation rounds; the closed-form
-    benchmark schemes, 0.
+    alternating_mimo (alternating_steps), the completed alternation
+    rounds; the closed-form benchmark schemes, 0.
     """
 
     v: Optional[np.ndarray]
@@ -167,8 +170,8 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
     variance-ratio constraint (convexified by linearizing |v^H h1|^2 around
     the incumbent) and the without-DL floor (same linearization applied to
     |v^H h_str|^2).  Initialized at the matched filter h1/||h1||, with one
-    retry from the MMSE direction; v_init overrides both (used by the
-    alternating MIMO loop).
+    retry from the MMSE direction; v_init overrides both (the alternation
+    of alternating_steps passes its incumbent).
 
     Yields (QcqpProblem, v0), one SCA subproblem and its start, and takes
     its QcqpResult back by send(); returns the BeamformerSolution.  Run it
@@ -252,8 +255,9 @@ def lockstep(gens) -> list:
     A generator yields either (QcqpProblem, v0), one QCQP and its start,
     and takes back its QcqpResult (consensual_steps), or (C, row_sets),
     the trace-one SDPs of objective C, one per row set, and takes back
-    their SdpResults (evolved_steps).  Each round sends every pending
-    generator its results, then solves what they yield: the QCQPs as one
+    their SdpResults (evolved_steps); alternating_steps yields what its
+    inner design yields.  Each round sends every pending generator its
+    results, then solves what they yield: the QCQPs as one
     solve_ball_qcqps batch per dimension, and the SDPs, each entry with its
     own request's C, as solve_sdp_batch calls of at most _SDP_STACK
     entries per matrix size.  Both kernels are batch-invariant, so every
@@ -296,11 +300,10 @@ def lockstep(gens) -> list:
     return out
 
 
-def consensual_sca(chan, params, v_init: Optional[np.ndarray] = None
-                   ) -> BeamformerSolution:
+def consensual_sca(chan, params) -> BeamformerSolution:
     """SCA solver keeping both detection divergences above their floors:
     consensual_steps run alone by lockstep."""
-    return lockstep([consensual_steps(chan, params, v_init)])[0]
+    return lockstep([consensual_steps(chan, params)])[0]
 
 
 def recover_rank_one(W: np.ndarray) -> tuple:
@@ -537,8 +540,7 @@ def evolved_steps(chan, params):
                               converged=not any_nonconverged)
 
 
-def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
-                ) -> BeamformerSolution:
+def evolved_sdp(chan, params) -> BeamformerSolution:
     """Lifted solver enforcing that the direct link never hurts detection:
     evolved_steps run alone by lockstep.
 
@@ -563,11 +565,8 @@ def evolved_sdp(chan, params, v_init: Optional[np.ndarray] = None
     gamma * lambda_max(H1); its dominant eigenvector is kept if _finalize
     verifies it, else the grid point is dropped, and rank_residual reports
     how far from rank one it ended.  The best t by recovered objective
-    wins, smallest t on ties.  v_init is accepted for interface symmetry
-    with consensual_sca but the lifted design starts from the relaxation
-    solution.
+    wins, smallest t on ties.
     """
-    del v_init
     return lockstep([evolved_steps(chan, params)])[0]
 
 
@@ -589,37 +588,31 @@ def mmse_beamformer(h_sr: np.ndarray, h_str: np.ndarray, sigma_s2: float,
     return v / np.linalg.norm(v)
 
 
-def _solver_for(mode):
-    """The single-transmit solver for a mode, looked up when called."""
+def _design_steps(chan, params, mode: str, incumbent=None):
+    """A mode's single-transmit design generator on chan; the consensual
+    SCA starts at the incumbent if one is given.  ValueError on an unknown
+    mode, before any solve."""
     if mode == "consensual":
-        return consensual_sca
+        return consensual_steps(chan, params, incumbent)
     if mode == "evolved":
-        return evolved_sdp
+        return evolved_steps(chan, params)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _steps_for(mode):
-    """The generator of a mode's single-transmit design, for lockstep."""
-    if mode == "consensual":
-        return consensual_steps
-    if mode == "evolved":
-        return evolved_steps
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
-    """Alternate receive- and transmit-side solves on a MIMO link.
+def alternating_steps(chan, params, mode: str):
+    """The block alternation of a MIMO link as a generator.
 
     chan is the per-tag matrix triple (G0, G1, Gs), each M x Q.  Fixing the
     unit transmit direction xt reduces to the single-transmit problem on
     channels G_i @ xt; fixing v reduces to the same problem shape on the
-    adjoint channels G_i^H v with the unit ball on xt.  The incumbent seeds
-    each inner solve, which keeps the SNR trace nondecreasing; a new block
-    value is kept only if it does not lower the SNR.  Stops on relative SNR
-    change below omega or after L rounds.
+    adjoint channels G_i^H v with the unit ball on xt.  Each step runs the
+    mode's design generator by yield from, so lockstep sees its requests:
+    M-dimensional on the receive step, Q-dimensional on the transmit step.
+    The incumbent seeds each consensual step, which keeps the SNR trace
+    nondecreasing; a new block value is kept only if it does not lower the
+    SNR.  Stops on relative SNR change below omega or after L rounds.
     """
     G0, G1, Gs = _unpack(chan)
-    solver = _solver_for(mode)
     gamma = params.gamma
     d_min, e_min, _fw, _fo = divergence_floors(params)
 
@@ -631,7 +624,8 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
     converged = False
     rounds = 0
     for s_round in range(1, params.L + 1):
-        sol_v = solver((G0 @ xt, G1 @ xt, Gs @ xt), params, v_init=v)
+        sol_v = yield from _design_steps((G0 @ xt, G1 @ xt, Gs @ xt),
+                                         params, mode, v)
         if not sol_v.feasible:
             if v is None:
                 return _infeasible(converged=sol_v.converged)
@@ -642,8 +636,9 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
             v = v_new
             snr_cur = snr_v
 
-        sol_x = solver((G0.conj().T @ v, G1.conj().T @ v, Gs.conj().T @ v),
-                       params, v_init=xt)
+        sol_x = yield from _design_steps(
+            (G0.conj().T @ v, G1.conj().T @ v, Gs.conj().T @ v), params,
+            mode, xt)
         if not sol_x.feasible:
             break
         xt_new = sol_x.v
@@ -658,8 +653,6 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
             converged = True
             break
 
-    if v is None:
-        return _infeasible()
     v, stats, ok, _snr = _finalize(v, G0 @ xt, G1 @ xt, Gs @ xt, params,
                                    d_min, e_min, mode)
     snr = gamma * abs(np.vdot(v, G1 @ xt)) ** 2
@@ -667,3 +660,9 @@ def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
                               x=np.sqrt(params.sigma_s2) * xt,
                               objective_trace=trace, stats=stats,
                               converged=converged)
+
+
+def alternating_mimo(chan, params, mode: str) -> BeamformerSolution:
+    """Alternate receive- and transmit-side solves on a MIMO link:
+    alternating_steps run alone by lockstep."""
+    return lockstep([alternating_steps(chan, params, mode)])[0]

@@ -3,10 +3,10 @@
 The sweep engine regenerates channels per (sweep value, trial) from a
 deterministic seed tree, runs each requested algorithm, and emits one CSV
 row per algorithm.  Cells run in chunks of 8, serially or one chunk per
-pool task; the consensual SCA runs of a chunk's single-transmit cells go
-through one beamforming.lockstep call, whose rounds are batched
-convex.solve_ball_qcqps calls.  Rows are sorted before writing, so output
-bytes do not depend on worker scheduling.
+pool task; every design solve of a chunk, consensual, evolved and the
+random baseline's, at any Q, goes through one beamforming.lockstep call,
+whose rounds are batched kernel calls.  Rows are sorted before writing,
+so output bytes do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .beamforming import _FEAS_TOL, BeamformerSolution, \
     divergence_floors, lockstep, mmse_beamformer
 from .channel import DIST_RANGE, SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
-from .selection import SelectionResult, _best_of, _pick_one, _tag_steps, \
-    greedy_select, random_select
+from .selection import SelectionResult, _best_of, tag_steps
+# The sweep calls neither; bench/tracer.py wraps them under these names.
+from .selection import greedy_select, random_select  # noqa: F401
 from .siso import snr_interval, theta_max_at_min_snr
 
 SWEEP_VARS = ("sigma_s2", "rho", "M", "Q", "zeta_max")
@@ -159,11 +160,7 @@ def validate_sweep(cfg: SweepConfig) -> None:
         for v in cfg.values:
             if float(v) != int(v):
                 raise ValueError(f"{cfg.sweep_var} values must be integers")
-    for v in cfg.values:
-        try:
-            _with_value(cfg.base, cfg.sweep_var, v)
-        except ValueError as exc:
-            raise ValueError(f"{cfg.sweep_var} = {v}: {exc}") from exc
+    _refuse_bad_values(cfg.base, cfg.sweep_var, cfg.values)
     multi_q = (cfg.sweep_var == "Q" and any(int(v) > 1 for v in cfg.values)
                ) or (cfg.sweep_var != "Q" and cfg.base.Q > 1)
     if multi_q:
@@ -177,6 +174,16 @@ def validate_sweep(cfg: SweepConfig) -> None:
 
 def _with_value(base: SystemParams, var: str, value: float) -> SystemParams:
     return replace(base, **{var: _PARAM_KEYS[var](value)})
+
+
+def _refuse_bad_values(base: SystemParams, var: str, values) -> None:
+    """ValueError "<var> = <value>: ..." for the first value SystemParams
+    refuses as var."""
+    for v in values:
+        try:
+            _with_value(base, var, v)
+        except ValueError as exc:
+            raise ValueError(f"{var} = {v}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -256,40 +263,41 @@ _CHUNK = 8      # cells per task of run_sweep, serial or pooled
 def _sweep_chunk(cells) -> List[SweepRecord]:
     """All requested algorithms on each (value, trial) cell of a chunk.
 
-    The consensual SCA runs of every single-transmit cell in the chunk, K
-    tags each, go through one lockstep call.  random_sel keeps the greedy
-    consensual run's solution for the tag it draws when the cell has one,
-    and solves that tag itself otherwise.
+    Every design solve of the chunk, consensual and evolved, K tags per
+    cell at any Q, goes through one lockstep call.  random_sel keeps the
+    greedy consensual solution of the tag it draws when the cell has one;
+    otherwise only the drawn tag's generator joins the call.
     """
-    drawn = []
+    gens, drawn = [], []
     for base, var, value, value_idx, trial, algorithms in cells:
         params = _with_value(base, var, value)
         chans = gen_channel_set(
             params, np.random.SeedSequence((params.seed, value_idx, trial)))
-        steps = (_tag_steps(chans, params, "consensual")
-                 if "consensual" in algorithms else [])
-        drawn.append((var, value, value_idx, trial, algorithms, params,
-                      chans, steps))
-    sols = iter(lockstep([g for *_cell, steps in drawn for g in steps]))
+        runs = {mode: tag_steps(chans, params, mode)
+                for mode in ("consensual", "evolved") if mode in algorithms}
+        pick = None
+        if "random_sel" in algorithms:      # random_select's draw
+            pick = int(np.random.default_rng(np.random.SeedSequence(
+                (params.seed, value_idx, trial, 1))).integers(params.K))
+            if "consensual" not in runs:
+                runs["random_sel"] = [
+                    tag_steps(chans, params, "consensual")[pick]]
+        gens += [g for steps in runs.values() for g in steps]
+        drawn.append((var, value, trial, algorithms, params, chans, runs,
+                      pick))
+    sols = iter(lockstep(gens))
     out = []
-    for var, value, value_idx, trial, algorithms, params, chans, steps \
-            in drawn:
-        greedy = None
-        if steps:
-            greedy = _best_of([next(sols) for _ in steps])
-        elif "consensual" in algorithms:
-            greedy = greedy_select(chans, params, "consensual")
+    for var, value, trial, algorithms, params, chans, runs, pick in drawn:
+        solved = {name: [next(sols) for _ in steps]
+                  for name, steps in runs.items()}
         for algorithm in algorithms:
-            if algorithm == "consensual":
-                res = greedy
-            elif algorithm == "evolved":
-                res = greedy_select(chans, params, algorithm)
-            elif algorithm == "random_sel":
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((params.seed, value_idx, trial, 1)))
-                res = (random_select(chans, params, "consensual", rng)
-                       if greedy is None else
-                       _pick_one(params.K, rng, lambda k: greedy.per_tag[k]))
+            if algorithm == "random_sel":
+                sol = (solved["consensual"][pick] if "consensual" in solved
+                       else solved["random_sel"][0])
+                res = _best_of([sol if k == pick else None
+                                for k in range(params.K)])
+            elif algorithm in solved:
+                res = _best_of(solved[algorithm])
             else:
                 res = run_benchmark(chans, params, algorithm)
             out.append(_record_from(var, value, trial, algorithm, res))
@@ -380,15 +388,16 @@ def ci_region_report(var: str, values, params: SystemParams,
 
     Returns rows (var, value, gamma_lo, gamma_hi, theta_max) and writes
     them as CSV when out_path is given; theta_max is NaN where no angle is
-    constructive.  A non-finite value or magnitude, or a magnitude <= 0,
+    constructive.  A value SystemParams refuses as var (non-finite, rho <=
+    0, zeta_max outside (0, 1]), a non-finite magnitude or a magnitude <= 0
     raises ValueError before any row is computed.
     """
     if var not in ("zeta_max", "rho"):
         raise ValueError("region variable must be zeta_max or rho")
     if not len(values):
         raise ValueError("values must be nonempty")
-    for name, x in [(var, v) for v in values] + [("h_sr_mag", h_sr_mag),
-                                                  ("h_str_mag", h_str_mag)]:
+    _refuse_bad_values(params, var, values)
+    for name, x in (("h_sr_mag", h_sr_mag), ("h_str_mag", h_str_mag)):
         if not math.isfinite(x):
             raise ValueError(f"{name} = {x}: must be finite")
     rows = []

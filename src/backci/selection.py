@@ -4,7 +4,8 @@ Exactly one tag backscatters per detection interval, so selection is an
 argmax over the per-tag beamforming problems.  Greedy solves all K of them;
 the random baseline commits to a uniformly drawn tag first and solves only
 that one, infeasibility included (no re-draw), so it prices in the risk the
-greedy sweep removes.
+greedy sweep removes.  Both only build design generators with tag_steps and
+run them by beamforming.lockstep, on any link.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import List, Optional
 # consensual_sca and evolved_sdp stay importable from this module.
 from .beamforming import (  # noqa: F401
     BeamformerSolution,
-    _solver_for,
-    _steps_for,
-    alternating_mimo,
+    _design_steps,
+    alternating_steps,
     consensual_sca,
     evolved_sdp,
     lockstep,
@@ -47,21 +47,14 @@ class SelectionResult:
         return all(s.converged for s in self.per_tag if s is not None)
 
 
-def _solve_tag(chans, params, mode: str, k: int) -> BeamformerSolution:
-    tri = chans.tag_channels(k)
-    if params.Q > 1:
-        return alternating_mimo(tri, params, mode)
-    return _solver_for(mode)(tri, params)
-
-
-def _tag_steps(chans, params, mode: str) -> list:
-    """One design generator per tag, in tag order, on a single-transmit
-    link (consensual_steps or evolved_steps); [] on a MIMO link, which is
-    solved tag by tag."""
-    if params.Q > 1:
-        return []
-    steps = _steps_for(mode)
-    return [steps(chans.tag_channels(k), params) for k in range(params.K)]
+def tag_steps(chans, params, mode: str) -> list:
+    """One design generator per tag, in tag order, for lockstep: the
+    alternation (alternating_steps) on a MIMO link, else the mode's own
+    design.  A generator never run solves nothing.  An unknown mode raises
+    ValueError before any solve."""
+    design = alternating_steps if params.Q > 1 else _design_steps
+    return [design(chans.tag_channels(k), params, mode)
+            for k in range(params.K)]
 
 
 def _best_of(per_tag: list) -> SelectionResult:
@@ -80,11 +73,12 @@ def _best_of(per_tag: list) -> SelectionResult:
 def greedy_select(chans, params, mode: str) -> SelectionResult:
     """Solve every tag's beamforming problem and keep the best feasible one.
 
-    On a single-transmit link all K tags run together, by lockstep: the
-    consensual design's SCA subproblems as one QCQP batch per round, the
-    evolved design's relaxations, every live tag's grid, as one stacked
-    SDP batch (split only at beamforming._SDP_STACK entries).  Each tag's
-    solution is what it gets solved alone.  A MIMO link goes tag by tag.
+    All K tags run together, by lockstep, on any link: the consensual
+    design's SCA subproblems as one QCQP batch per round and dimension,
+    the evolved design's relaxations, every live tag's grid, as one
+    stacked SDP batch (split only at beamforming._SDP_STACK entries), and
+    on a MIMO link the alternation's receive and transmit steps the same
+    way.  Each tag's solution is what it gets solved alone.
 
     Args:
         chans: ChannelRealization holding all K tags' links.
@@ -96,20 +90,7 @@ def greedy_select(chans, params, mode: str) -> SelectionResult:
         the smallest tag index, and selected_tag = 0 if every tag is
         infeasible.
     """
-    steps = _tag_steps(chans, params, mode)
-    if steps:
-        return _best_of(lockstep(steps))
-    return _best_of([_solve_tag(chans, params, mode, k)
-                     for k in range(params.K)])
-
-
-def _pick_one(K: int, rng, solve) -> SelectionResult:
-    """The random baseline's draw: a uniform tag k of K from rng, and
-    solve(k) as its only solution."""
-    k = int(rng.integers(K))
-    per_tag: List[Optional[BeamformerSolution]] = [None] * K
-    per_tag[k] = solve(k)
-    return _best_of(per_tag)
+    return _best_of(lockstep(tag_steps(chans, params, mode)))
 
 
 def random_select(chans, params, mode: str, rng) -> SelectionResult:
@@ -123,5 +104,6 @@ def random_select(chans, params, mode: str, rng) -> SelectionResult:
         index; selected_tag = 0 when the drawn tag is infeasible (the
         baseline does not get a second draw).
     """
-    return _pick_one(params.K, rng,
-                    lambda k: _solve_tag(chans, params, mode, k))
+    k = int(rng.integers(params.K))
+    sol = lockstep([tag_steps(chans, params, mode)[k]])[0]
+    return _best_of([sol if j == k else None for j in range(params.K)])

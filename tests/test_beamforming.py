@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from backci import beamforming, convex
 from backci.beamforming import (
     alternating_mimo,
+    alternating_steps,
     consensual_sca,
     consensual_steps,
     divergence_floors,
@@ -268,6 +269,48 @@ class TestLockstep:
         for m, total in grids.items():
             assert [n for size, n in calls if size == m] == (
                 [150] * (total // 150) + [total % 150] * (total % 150 > 0))
+
+    def test_mixed_designs_match_their_runs_alone(self, monkeypatch):
+        # Consensual and evolved tags at M in {1, 2, 4} and the alternation
+        # in both modes at Q = 2, all in one call: QCQPs of dimensions 1,
+        # 2 and 4 and SDPs of lift sizes 1, 2 and 3 share its rounds.  Each
+        # solution is field for field, v and x bytes included, what its
+        # generator gives run alone.
+        cases = []
+        for m in (1, 2, 4):
+            params = SystemParams(M=m, K=2, T=30)
+            ch = gen_channel_set(params, 1)
+            cases += [(design, (ch.tag_channels(k), params))
+                      for k in range(params.K)
+                      for design in (consensual_steps, evolved_steps)]
+        for mode in ("consensual", "evolved"):
+            params = SystemParams(M=4, Q=2, K=2, T=30)
+            ch = gen_channel_set(params, 0)
+            cases += [(alternating_steps, (ch.tag_channels(k), params, mode))
+                      for k in range(params.K)]
+        calls = []
+        qcqps = beamforming.solve_ball_qcqps
+
+        def spied(problems, v0s):
+            calls.append(len(problems))
+            return qcqps(problems, v0s)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_ball_qcqps", spied)
+            together = lockstep([design(*args) for design, args in cases])
+            n_together = len(calls)
+            alone = [lockstep([design(*args)])[0] for design, args in cases]
+        assert n_together < len(calls) - n_together
+        for sol, one in zip(together, alone):
+            _same_solution(sol, one)
+            assert (sol.x is None) == (one.x is None)
+            if sol.x is not None:
+                assert sol.x.tobytes() == one.x.tobytes()
+            assert sol.rank_residual == one.rank_residual
+        mimo = together[-4:]
+        assert any(s.feasible for s in mimo[:2])
+        assert any(s.feasible for s in mimo[2:])
+        assert all(s.x is not None for s in mimo if s.feasible)
 
     def test_exception_ends_the_run(self):
         params = SystemParams()
@@ -886,15 +929,16 @@ class TestAlternatingMimo:
         params = SystemParams(M=2, Q=2, K=1)
         G0, G1, Gs = tag0(params, 9)
         sols = []
+        steps = beamforming.consensual_steps
 
         def second_fails(chan, params, v_init=None):
             if len(sols) == 1:
                 sols.append(None)
                 return beamforming._infeasible()
-            sols.append(consensual_sca(chan, params, v_init=v_init))
+            sols.append((yield from steps(chan, params, v_init)))
             return sols[-1]
 
-        monkeypatch.setattr(beamforming, "consensual_sca", second_fails)
+        monkeypatch.setattr(beamforming, "consensual_steps", second_fails)
         sol = alternating_mimo((G0, G1, Gs), params, "consensual")
         assert len(sols) == 2 and sols[0].feasible
         assert sol.feasible and not sol.converged

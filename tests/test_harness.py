@@ -204,6 +204,31 @@ class TestRunBenchmark:
             run_benchmark(chq, pq, "harmful_dli")
 
 
+def cell_by_cell_csv(cfg):
+    """The CSV bytes of cfg's sweep built one cell at a time: greedy_select
+    for the designs, random_select for random_sel and run_benchmark for
+    the schemes, each cell's channels and draw keyed as run_sweep keys
+    them."""
+    rows = []
+    for vi, value in enumerate(cfg.values):
+        for trial in range(cfg.trials):
+            params = harness._with_value(cfg.base, cfg.sweep_var, value)
+            ch = gen_channel_set(params, np.random.SeedSequence(
+                (params.seed, vi, trial)))
+            rng = np.random.default_rng(np.random.SeedSequence(
+                (params.seed, vi, trial, 1)))
+            for algorithm in sorted(cfg.algorithms):
+                if algorithm == "random_sel":
+                    res = random_select(ch, params, "consensual", rng)
+                elif algorithm in ("consensual", "evolved"):
+                    res = greedy_select(ch, params, algorithm)
+                else:
+                    res = run_benchmark(ch, params, algorithm)
+                rows.append(record_row(harness._record_from(
+                    cfg.sweep_var, value, trial, algorithm, res)))
+    return ("\n".join([CSV_HEADER] + rows) + "\n").encode()
+
+
 class TestRunSweep:
     def test_single_cell_single_algorithm(self):
         cfg = small_sweep(values=[0.6], trials=1, algorithms=["consensual"])
@@ -251,22 +276,35 @@ class TestRunSweep:
             out = tmp_path / f"w{workers}.csv"
             run_sweep(replace(cfg, out_path=str(out)), workers=workers)
             outs.append(out.read_bytes())
-        rows = [CSV_HEADER]
-        for vi, m in enumerate(cfg.values):
-            for trial in range(cfg.trials):
-                params = replace(cfg.base, M=m)
-                ch = gen_channel_set(params, np.random.SeedSequence(
-                    (params.seed, vi, trial)))
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    (params.seed, vi, trial, 1)))
-                for algorithm, res in (
-                        ("consensual", greedy_select(ch, params,
-                                                     "consensual")),
-                        ("random_sel", random_select(ch, params,
-                                                     "consensual", rng))):
-                    rows.append(record_row(harness._record_from(
-                        "M", m, trial, algorithm, res)))
-        assert outs[0] == outs[1] == ("\n".join(rows) + "\n").encode()
+        assert outs[0] == outs[1] == cell_by_cell_csv(cfg)
+
+    @pytest.mark.parametrize("algorithms, base, per_cell", [
+        (["consensual", "evolved", "random_sel"],
+         SystemParams(K=3, M=2, Q=2, T=30), 6),
+        (["evolved"], SystemParams(K=3, M=4, T=30), 3),
+        (["random_sel"], SystemParams(K=3, M=2, Q=2), 1)])
+    def test_one_lockstep_call_per_chunk(self, tmp_path, monkeypatch,
+                                         algorithms, base, per_cell):
+        # One 8-cell chunk: every design solve of it, at Q = 1 or 2, goes
+        # through a single driver call, K generators per design and cell
+        # plus the random baseline's drawn tag where no consensual run
+        # holds it, and its rows are the ones greedy and random selection
+        # give cell by cell.
+        cfg = small_sweep(values=[0.2, 0.6], trials=4, algorithms=algorithms,
+                          base=base, out_path=str(tmp_path / "s.csv"))
+        assert len(cfg.values) * cfg.trials == harness._CHUNK
+        calls = []
+        driver = harness.lockstep
+
+        def spied(gens):
+            calls.append(len(gens))
+            return driver(gens)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "lockstep", spied)
+            run_sweep(cfg)
+        assert calls == [harness._CHUNK * per_cell]
+        assert (tmp_path / "s.csv").read_bytes() == cell_by_cell_csv(cfg)
 
     def test_mimo_rows_meet_floors_and_ignore_workers(self, tmp_path):
         # Q = 2 sends every tag through the alternating MIMO design.
@@ -461,6 +499,21 @@ class TestCiRegionReport:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("var, values, name", [
+        ("rho", [-2.0, 0.0], "rho = -2.0: "),
+        ("rho", [2.0, 0.0], "rho = 0.0: "),
+        ("zeta_max", [0.5, 1.5], "zeta_max = 1.5: "),
+        ("zeta_max", [0.0, 0.5], "zeta_max = 0.0: ")])
+    def test_rejects_what_system_params_refuses(self, tmp_path, var, values,
+                                                name):
+        # The row's parameters must be a valid SystemParams; the message
+        # names the key and value as validate_sweep's does.
+        out = tmp_path / "region.csv"
+        with pytest.raises(ValueError, match=f"^{name}"):
+            ci_region_report(var, values, SystemParams(), out_path=str(out))
+        assert not out.exists()
+
+
 class TestCli:
     def run_cli(self, *argv):
         # The child imports backci from where this process found it.
@@ -580,6 +633,20 @@ class TestCli:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, name", [
+        ("region_var = rho\nregion_values = -2, 0", "rho = -2.0: "),
+        ("region_values = 0.5, 2", "zeta_max = 2.0: ")])
+    def test_region_refused_value_exit_code(self, tmp_path, capsys, line,
+                                            name):
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text(line + "\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(["ci-region", "--config", str(cfgf),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("values", ["2, inf", "2, nan"])

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from backci import beamforming
-from backci.beamforming import consensual_sca, evolved_sdp
+from backci import beamforming, selection
+from backci.beamforming import alternating_mimo, consensual_sca, evolved_sdp
 from backci.channel import ChannelRealization, SystemParams, gen_channel_set
 from backci.selection import greedy_select, random_select
 
@@ -108,6 +108,24 @@ class TestGreedySelect:
             assert res_p.best.snr == pytest.approx(res.best.snr, rel=1e-12)
 
 
+class TestUnknownMode:
+    @pytest.mark.parametrize("Q", (1, 2))
+    def test_refused_before_any_solve(self, monkeypatch, Q):
+        params = SystemParams(K=3, M=2, Q=Q)
+        ch = gen_channel_set(params, 0)
+
+        def no_solve(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(beamforming, "solve_ball_qcqps", no_solve)
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", no_solve)
+        for select in (greedy_select,
+                       lambda *a: random_select(*a,
+                                                np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="unknown mode 'sca'"):
+                select(ch, params, "sca")
+
+
 class TestRandomSelect:
     def test_single_tag_matches_greedy(self):
         params = SystemParams(K=1, M=2, xi_max=1.0, zeta_max=1.0)
@@ -117,6 +135,39 @@ class TestRandomSelect:
                           np.random.default_rng(0))
         assert r.selected_tag == g.selected_tag == 1
         assert r.best.snr == g.best.snr
+
+    @pytest.mark.parametrize("mode", ("consensual", "evolved"))
+    def test_mimo_solves_only_the_drawn_tag(self, monkeypatch, mode):
+        # On a Q = 2 link the drawn tag runs the alternation alone: its
+        # solution is bit for bit alternating_mimo's, and no other tag's
+        # generator starts.
+        params = SystemParams(K=3, M=2, Q=2, T=30)
+        ch = gen_channel_set(params, 0)
+        k = int(np.random.default_rng(7).integers(params.K))
+        started = []
+        steps = beamforming.alternating_steps
+
+        def spied(chan, params, mode):
+            started.append(chan)
+            return (yield from steps(chan, params, mode))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(selection, "alternating_steps", spied)
+            res = random_select(ch, params, mode, np.random.default_rng(7))
+        assert [s is None for s in res.per_tag] == [
+            j != k for j in range(params.K)]
+        assert len(started) == 1
+        assert started[0][1].tobytes() == ch.h1[k].tobytes()
+        alone = alternating_mimo(ch.tag_channels(k), params, mode)
+        sol = res.per_tag[k]
+        assert repr((sol.snr, sol.feasible, sol.iterations, sol.converged,
+                     sol.stats)) == repr((alone.snr, alone.feasible,
+                                          alone.iterations, alone.converged,
+                                          alone.stats))
+        for a, b in ((sol.v, alone.v), (sol.x, alone.x)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes()
 
     def test_draw_is_uniform(self):
         # Tiny backscatter links make every solve hit the cheap

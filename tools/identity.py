@@ -30,9 +30,12 @@ Prints one ``name sha256`` line per output:
   at Q = 2, K = 3, 4 trials, seeds 1 and 2;
 * ``mimo-evolved/s<seed>``: the CSV of an ``evolved`` sweep over M in
   {2, 4} at Q = 2, K = 3, 2 trials, seeds 1 and 2, which runs the lifted
-  design inside the alternation.
+  design inside the alternation;
+* ``mimo-random/s<seed>``: the CSV of a ``random_sel`` sweep over M in
+  {2, 4} at Q = 2, K = 3, 3 trials, seeds 1 and 2; with no consensual run
+  to reuse, the random baseline solves its drawn tag by the alternation.
 
-The five sweep families end their line with each row's ``snr_db`` as the
+The six sweep families end their line with each row's ``snr_db`` as the
 CSV holds it (12 significant digits), ``-`` where infeasible, so their SNRs
 move only where the digest does.  The SNRs let a reader check, between two
 commits, that no SNR fell where a digest moved.
@@ -172,6 +175,11 @@ def mimo_evolved(tmpdir):
                   SystemParams(K=3, Q=2))
 
 
+def mimo_random(tmpdir):
+    return _sweep(tmpdir, "mimo-random", "M", ["random_sel"], [2, 4], 3,
+                  SystemParams(K=3, Q=2))
+
+
 def _snrs(values) -> str:
     return ",".join("-" if x is None else repr(float(x)) for x in values)
 
@@ -261,7 +269,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
         for family in (sweep_sca, sweep_m, sweep_evolved, solve, solve_m8,
-                       mimo, mimo_evolved, fallback):
+                       mimo, mimo_evolved, mimo_random, fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
