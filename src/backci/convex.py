@@ -7,8 +7,7 @@ oracle for a batch of B independent problems
 
     minimize c_j . x  subject to  x^T P_ji x + q_ji . x < b_ji,  x in a cone,
 
-with the batch on the leading axis of every array; entries with fewer rows
-are padded with rows 0 . x < 1, whose barrier terms are exactly zero.  A
+with the batch on the leading axis of every array.  A
 driver, `_solve`, runs phase one and then the main stage.  Each is the
 stage loop `_barrier`: for mu = 1, 0.1, 0.01, ... until the gap bound
 n_par * mu meets its tolerance, `_centre` takes damped Newton steps on
@@ -24,9 +23,14 @@ round-off floor.  How tightly the intermediate stages centre changes the
 work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
 phase one needs only a strictly feasible point.  Newton steps are counted
 alike in both: every step tried, accepted or not.
-A row with no x-dependence, 0 <= b, is settled for both kernels by one
-rule in `_pad_rows`, before any Newton step: it is dropped when b >= 0, and
-makes its entry INFEASIBLE, certificate 1, when b < 0.
+
+Both kernels build their rows as rectangular stacks, an entry with fewer
+rows padded with vacuous ones.  One rule, `_settle`, settles every row that
+x cannot move, 0 . x <= b, before any Newton step: when b >= 0 it becomes
+padding, 0 . x < 1, whose barrier terms are exactly zero, and otherwise its
+entry is INFEASIBLE, with the row's normalized violation as certificate.
+The SDP applies it on the unit-trace plane, so at m = 1, where the plane is
+the single point W = [[1]], every row is settled.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
 z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
@@ -147,40 +151,23 @@ def _logdet(W):
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
 
 
-def _pad_rows(rows, n, quadratic):
-    """Stack per-entry rows [(P, q, b, s), ...] into padded arrays.
+def _settle(size, b, s):
+    """The rows x cannot move, and the certificate they give their entry.
 
-    Row (P, q, b, s) reads x^T P x + q . x <= b, P None when linear, and is
-    stored divided by its scale s.  A row with P and q below 1e-14 max(1,
-    |b|) reads 0 <= b: it is dropped, since it would block phase one's
-    strict feasibility, and it makes its entry impossible if b < -1e-12.
-    Returns (P, Q, b, real, impossible): P (B, k, n, n) or None when not
-    quadratic, Q (B, k, n), b (B, k), real (B, k) marking the rows that are
-    not padding, and impossible (B,).  A padding row reads 0 . x < 1.
+    size (B, k) is each row's x-part and b its constant, both in the units
+    the row arrived in, and s its scale.  A row is settled when size <=
+    1e-14 max(1, |b|): it reads 0 <= b, so it holds unless b < -1e-12, and
+    if it holds it would only block phase one's strict feasibility.  Returns
+    (settled, cert): settled (B, k) marks those rows, which the oracle
+    turns into padding rows 0 . x < 1; cert (B,) is the largest normalized
+    violation -b / s among an entry's settled rows that fail, nan where
+    none fails.
     """
-    B = len(rows)
-    impossible = np.zeros(B, dtype=bool)
-    kept = [[] for _ in rows]
-    for j, entry in enumerate(rows):
-        for Pi, qi, bi, s in entry:
-            size = np.linalg.norm(qi)
-            if Pi is not None:
-                size = max(size, np.linalg.norm(Pi))
-            if size > 1e-14 * max(1.0, abs(bi)):
-                kept[j].append((Pi, qi, bi, s))
-            elif bi < -1e-12:
-                impossible[j] = True
-    k = max((len(r) for r in kept), default=0)
-    P = np.zeros((B, k, n, n)) if quadratic else None
-    Q = np.zeros((B, k, n))
-    b = np.ones((B, k))
-    real = np.zeros((B, k), dtype=bool)
-    for j, entry in enumerate(kept):
-        for i, (Pi, qi, bi, s) in enumerate(entry):
-            if quadratic:
-                P[j, i] = Pi / s
-            Q[j, i], b[j, i], real[j, i] = qi / s, bi / s, True
-    return P, Q, b, real, impossible
+    settled = size <= 1e-14 * np.maximum(1.0, np.abs(b))
+    fails = settled & (b < -1e-12)
+    cert = np.fmax.reduce(np.where(fails, -b / s, np.nan), axis=1,
+                          initial=np.nan)
+    return settled, cert
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +185,14 @@ class _Oracle:
     not a row supplies its barrier: cone(x) gives its value (nan outside
     the cone), cone_derivs(x) its value, gradient and Hessian.  take(idx)
     gives the oracle of the entries idx; _batched names the per-entry
-    arrays it selects.  A kernel oracle also sets impossible (B,) from
-    _pad_rows.  Every oracle centres by the one rule of _centre.
+    arrays it selects.  A kernel oracle also sets cert (B,) from _settle:
+    the certificate of an entry that a settled row makes infeasible, nan
+    for the others.  Every oracle centres by the one rule of _centre.
     """
 
     cone = None       # no cone barrier beyond the rows
-    impossible = None
-    _batched = ("c", "P", "Q", "b", "slack", "n_par", "impossible")
+    cert = None
+    _batched = ("c", "P", "Q", "b", "slack", "n_par", "cert")
 
     def __init__(self, c, P, Q, b, slack, n_par):
         self.c, self.P, self.Q, self.b = c, P, Q, b
@@ -456,20 +444,21 @@ def _solve(f, x):
     """Phase one, then the barrier method, on batch oracle f from starts x.
 
     Each start must lie strictly inside f's cone and non-slack rows (the
-    QCQP's ball).  An entry _pad_rows marked impossible ends at once;
-    phase one runs for those whose start misses a row by _FEAS_MARGIN,
-    and the main stage for all that then meet every row.
+    QCQP's ball).  An entry with a certificate from _settle (f.cert) ends
+    at once, INFEASIBLE; phase one runs for the others whose start misses
+    a row by _FEAS_MARGIN, and the main stage for all that then meet every
+    row.
 
     Returns (x, status, cert, steps, mu) per entry.  status and steps are
-    as _barrier gives them, phase one's steps counted in.  cert is the
-    largest normalized row violation left at the phase-one optimum, 1 for
-    an impossible row.  mu is the main stage's (see _barrier), nan where
-    the entry ended before it.
+    as _barrier gives them, phase one's steps counted in.  cert is f.cert
+    for a settled entry, and otherwise the largest normalized row
+    violation left at the phase-one optimum.  mu is the main stage's (see
+    _barrier), nan where the entry ended before it.
     """
-    ok = ~f.impossible
+    cert = f.cert.copy()
+    ok = np.isnan(cert)
     B = len(x)
     status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
-    cert = np.where(ok, np.nan, 1.0)
     steps = np.zeros(B, dtype=int)
     mu = np.full(B, np.nan)
     g = np.where(f.slack, f.rows(x)[0], -np.inf)
@@ -530,11 +519,13 @@ class _BallQcqp(_Oracle):
 
     Row 0 of each entry is the unit ball z . z < 1, which phase one keeps
     as a barrier; row i > 0 is constraint i, z^T At z + qr . z <= b,
-    divided by its scale s_i.
+    divided by its scale s_i.  An entry with fewer constraints than
+    another gets vacuous ones, (None, None, 1).
     """
 
     def __init__(self, problems):
         n = 2 * problems[0].dim()
+        k = max(len(p.quad_constraints) for p in problems)
         self.c_norm, self.c_hat, rows = [], [], []
         for p in problems:
             cr = embed_vector(p.c)
@@ -542,7 +533,8 @@ class _BallQcqp(_Oracle):
             self.c_norm.append(c_norm)
             self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
             entry = [(np.eye(n), np.zeros(n), 1.0, 1.0)]
-            for A, q, bb in p.quad_constraints:
+            vacuous = [(None, None, 1.0)] * (k - len(p.quad_constraints))
+            for A, q, bb in [*p.quad_constraints, *vacuous]:
                 At = embed_hermitian(A) if A is not None else np.zeros((n, n))
                 qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
                 s = abs(float(bb))
@@ -552,10 +544,19 @@ class _BallQcqp(_Oracle):
                 entry.append((At, qr, float(bb), s))
             rows.append(entry)
         self.c_hat = np.array(self.c_hat)
-        P, Q, b, real, self.impossible = _pad_rows(rows, n, True)
-        slack = real.copy()
+        P, Q, b, s = (np.array([[row[i] for row in entry] for entry in rows])
+                      for i in range(4))
+        settled, self.cert = _settle(np.maximum(
+            np.linalg.norm(Q, axis=-1), np.linalg.norm(P, axis=(-2, -1))),
+            b, s)
+        keep = ~settled
+        slack = keep.copy()
         slack[:, 0] = False
-        super().__init__(-self.c_hat, P, Q, b, slack, real.sum(axis=1))
+        super().__init__(
+            -self.c_hat,
+            np.where(keep[..., None, None], P / s[..., None, None], 0.0),
+            np.where(keep[..., None], Q / s[..., None], 0.0),
+            np.where(keep, b / s, 1.0), slack, keep.sum(axis=1))
 
 
 def solve_ball_qcqp(p: QcqpProblem,
@@ -663,33 +664,15 @@ def _herm_basis(m: int) -> np.ndarray:
 
 
 def svec(A: np.ndarray) -> np.ndarray:
-    """Coefficients of Hermitian A in the orthonormal basis (real vector)."""
+    """Coefficients of Hermitian A in the orthonormal basis, Re Tr(B_a A):
+    a real vector, or one row per matrix of a stack (..., m, m).  Each row
+    is its matrix's own product with the basis (np.matvec), made contiguous
+    so that np.vecdot on it sums as np.linalg.norm does.
+    """
     A = np.asarray(A, dtype=complex)
-    return (_herm_basis(A.shape[0]) @ A.T.ravel()).real
-
-
-@lru_cache(maxsize=16)
-def _upper(m: int) -> tuple:
-    """The pairs i < j of an m x m matrix, in the basis order."""
-    i, j = np.triu_indices(m, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
-def _svec_stack(A):
-    """svec of the Hermitian part of each matrix in the stack A, read off
-    its entries in the basis order: Re A_ii, then sqrt 2 Re and sqrt 2 Im of
-    (A_ij + conj A_ji) / 2 for each pair i < j.  Both triangles count, so
-    the round-off that leaves an inverse not quite Hermitian cancels."""
-    B, m, _m = A.shape
-    i, j = _upper(m)
-    off = (A[:, i, j] + A[:, j, i].conj()) / np.sqrt(2.0)
-    x = np.empty((B, m * m))
-    x[:, :m] = np.diagonal(A, axis1=1, axis2=2).real
-    x[:, m::2] = off.real
-    x[:, m + 1::2] = off.imag
-    return x
+    m = A.shape[-1]
+    A = A.swapaxes(-1, -2).reshape(A.shape[:-2] + (m * m,))
+    return np.ascontiguousarray(np.matvec(_herm_basis(m), A).real)
 
 
 @lru_cache(maxsize=16)
@@ -749,8 +732,11 @@ class _Sdp(_Oracle):
     """Trace-one SDPs, one objective C_j per entry, in coordinates y of the
     plane Tr W = 1, w = w_p + Z y: min -c_hat_j . w.
 
-    Rows are each entry's inequalities a . w <= b divided by their scales,
-    and the PSD cone's barrier is -log det W.  Its gradient is -Z^T x and
+    Rows are each entry's inequalities a . w <= b, a = svec(A), divided by
+    their scales.  On the plane a row reads (Z^T a) . y <= b - a . w_p, and
+    _settle judges it by those two parts, in the units it arrived in, so at
+    m = 1 (no y) every row is settled.  The PSD cone's barrier is
+    -log det W.  Its gradient is -Z^T x and
     its Hessian H_ab = Tr(X B_a X B_b), with X = W^-1 and x = svec(X).  Up
     to _MAP_DIM, H is one product of _cone_map's G with the products of x;
     above, it is U K U^H, with U the basis matrix and K[(j,k),(p,q)] =
@@ -763,30 +749,43 @@ class _Sdp(_Oracle):
 
     def __init__(self, C, row_sets):
         """C is one m x m objective, or one per entry (B, m, m); row_sets
-        holds, per entry, its rows (A, b): Tr(A W) <= b."""
-        if np.ndim(C) == 2:
-            C = [C] * len(row_sets)
-        self.m = m = np.shape(C[0])[0]
+        holds, per entry, its rows (A, b): Tr(A W) <= b.  An entry with
+        fewer rows than another gets vacuous ones, (0, 1)."""
+        B = len(row_sets)
+        C = np.asarray(C, dtype=complex)
+        if C.ndim == 3 and len(C) not in (1, B):
+            raise ValueError(f"{len(C)} objectives for {B} row sets: give "
+                             f"one, or one per row set")
+        self.m = m = C.shape[-1]
         self.wp, self.Z, self.UZ, self.Wp = _trace_one(m)
-        seen = {}   # id(A) -> A, svec(A) and its norm: entries share matrices
-
-        def coords(A):
-            if id(A) not in seen:   # A stays referenced, so ids stay unique
-                a = svec(A)
-                seen[id(A)] = A, a, float(np.linalg.norm(a))
-            return seen[id(A)][1:]
-
-        c_w, self.c_norm = map(np.array, zip(*map(coords, C)))
+        c_w = svec(np.broadcast_to(C, (B, m, m)))
+        self.c_norm = np.sqrt(np.vecdot(c_w, c_w))
         self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
                                where=self.c_norm[:, None] > 0)
-        rows = [[(None, a, float(b), max(abs(float(b)), n, 1e-12))
-                 for (a, n), b in ((coords(A), b) for A, b in entry)]
-                for entry in row_sets]
-        _P, A, b, real, self.impossible = _pad_rows(rows, m * m, False)
-        b = np.where(real, b - np.vecdot(A, self.wp), 1.0)
+        k = max(map(len, row_sets))
+        vacuous = [(np.zeros((m, m)), 1.0)]
+        rows = [[*entry, *vacuous * (k - len(entry))] for entry in row_sets]
+        A = np.array([[a for a, _b in entry] for entry in rows],
+                     dtype=complex)
+        if k and A.shape[2:] != (m, m):
+            raise ValueError(f"the objective is {m} x {m}, the rows are "
+                             + " x ".join(map(str, A.shape[2:])))
+        a = svec(A.reshape(B, k, m, m))
+        b = np.array([[b for _a, b in entry] for entry in rows],
+                     dtype=float).reshape(B, k)
+        s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))),
+                       1e-12)
+        # Settled on the plane: Z^T a moves the row, b - a . wp is the rest.
+        Za = np.matvec(self.Z.T, a)
+        settled, self.cert = _settle(np.sqrt(np.vecdot(Za, Za)),
+                                     b - np.vecdot(a, self.wp), s)
+        keep = ~settled
+        a /= s[..., None]               # scaled before it is projected
         super().__init__(-np.matvec(self.Z.T, self.c_hat), None,
-                         np.matvec(self.Z.T, A), b, real,
-                         real.sum(axis=1) + m)
+                         np.where(keep[..., None], np.matvec(self.Z.T, a),
+                                  0.0),
+                         np.where(keep, b / s - np.vecdot(a, self.wp), 1.0),
+                         keep, keep.sum(axis=1) + m)
 
     def objective(self, y):
         """Tr(C W) in original units, per entry."""
@@ -805,7 +804,7 @@ class _Sdp(_Oracle):
     def cone_derivs(self, y):
         W = self.matrix(y)
         X = np.linalg.inv(W)
-        x = _svec_stack(X)
+        x = svec(X)
         m = self.m
         if m <= _MAP_DIM:
             (c, d), G, full = _cone_map(m)
@@ -816,7 +815,7 @@ class _Sdp(_Oracle):
                  ).reshape(B, m * m, m * m)
             H = (self.UZ @ K @ self.UZ.conj().T).real
         n = self.Z.shape[1]
-        return -_logdet(W), -np.matvec(self.Z.T, x), H.reshape(-1, n, n)
+        return -_logdet(W), -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
 
     def stop(self, y, mu, tol):
         """Also meets tol relative to the objective, in original units."""
@@ -848,38 +847,33 @@ def solve_sdp_batch(C, row_sets: list) -> list:
 
     Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
     row_sets[j], W PSD.  Every entry starts from W = I / m, which is y = 0
-    in the plane's coordinates and inside the cone.  The kernel is
+    in the plane's coordinates and inside the cone.  Rows the plane cannot
+    move are settled first (_settle); at m = 1 that is every row, and a
+    feasible entry ends at W = [[1]] with no Newton step.  The kernel is
     batch-invariant: each entry takes its own Newton steps, leaves the
     stack when it ends, and its SdpResult is bit for bit what
-    solve_small_sdp gives for it, whatever else is in the stack.  So
+    solve_small_sdp gives for it, whatever else is in a stack of equal
+    row counts.  So
     several tags' relaxations, each with its own objective, can share one
     call (beamforming.lockstep).
 
     Args:
         C: The m x m Hermitian objective every entry shares, or one per
-            entry: an array (B, m, m) or a list of B such matrices.
-        row_sets: One list of (A, b) rows per entry.
+            entry: an array (B, m, m) or a list of B such matrices (a list
+            of one is shared).
+        row_sets: One list of (A, b) rows per entry, A m x m.
 
     Returns:
         The SdpResult of each row set, in input order.
+
+    Raises:
+        ValueError: when the objectives number neither 1 nor
+            len(row_sets), or the rows' matrices are not C's size.
     """
     if not row_sets:
         return []
     f = _Sdp(C, row_sets)
     y = np.zeros((len(row_sets), f.Z.shape[1]))     # W = I / m
-
-    if f.m == 1:
-        # Tr W = 1 pins W = [[1]]: only the rows are left to check.
-        W = f.matrix(y)
-        worst = np.maximum(np.where(f.slack, f.rows(y)[0], -np.inf).max(
-            axis=1, initial=-np.inf), -np.linalg.eigvalsh(W)[:, 0])
-        worst[f.impossible] = 1.0
-        obj = f.objective(y)
-        return [SdpResult(W=None, status=INFEASIBLE, certificate=float(w))
-                if w > 1e-9 else
-                SdpResult(W=Wj, status=OPTIMAL, objective=float(o), gap=0.0)
-                for w, Wj, o in zip(worst, W, obj)]
-
     y, status, cert, steps, mu = _solve(f, y)
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
                          newton_steps=int(steps[j])) for j in range(len(y))]

@@ -794,11 +794,11 @@ class TestScalarInterval:
     exercises W0 away from the paper defaults.
     """
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(scalar_draws)
-    def test_evolved_matches_closed_form(self, draw):
+    @staticmethod
+    def _check(draw, scale):
+        """The draw, with h_sr scaled by scale, against the closed form."""
         m_sr, a_sr, m_str, a_str, zeta_max, sigma_s2 = draw
-        h_sr = m_sr * np.exp(1j * a_sr)
+        h_sr = scale * m_sr * np.exp(1j * a_sr)
         h_str = m_str * np.exp(1j * a_str)
         params = SystemParams(K=1, M=1, zeta_max=zeta_max, sigma_s2=sigma_s2)
         g_min = kld_threshold(zeta_max) / params.N + 1.0
@@ -809,6 +809,64 @@ class TestScalarInterval:
         h0, hs = np.array([h_sr]), np.array([h_str])
         sol = evolved_sdp((h0, h0 + hs, hs), params)
         assert sol.feasible == (region.gamma_lo <= gamma <= region.gamma_hi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scalar_draws)
+    def test_evolved_matches_closed_form(self, draw):
+        self._check(draw, 1.0)
+
+    # Dynamic range: h_sr against h_str by up to 1e+-8 more.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scalar_draws, st.floats(-8.0, 8.0))
+    def test_evolved_matches_closed_form_over_dynamic_range(self, draw, e):
+        self._check(draw, 10.0 ** e)
+
+
+class TestDynamicRange:
+    """h0 scaled by r against hs, r from 1e-8 to 1e8, h1 = r h0 + hs."""
+
+    @staticmethod
+    def _scaled(params, seed, r):
+        h0, _h1, hs = tag0(params, seed)
+        return r * h0, r * h0 + hs, hs
+
+    @pytest.mark.parametrize("m, seed", [(2, 9), (2, 27), (4, 5), (4, 9),
+                                         (4, 18), (4, 19), (4, 27), (4, 29)])
+    def test_weak_direct_link_stays_feasible(self, m, seed):
+        # At r = 1e-8, ||g0||^2 in units of ||h1|| is below the grid's
+        # 1e-15, so the grid is the single point t = 0, whose row
+        # Tr(H0 W) <= 0 only the cone's boundary meets.  Its coefficients
+        # are below 1e-14, so the kernel settles it as holding; a rule that
+        # normalized the row before testing it would keep it, and lose
+        # these feasible tags.
+        params = SystemParams(M=m, K=1)
+        sol = evolved_sdp(self._scaled(params, seed, 1e-8), params)
+        assert sol.feasible and sol.iterations == 1
+
+    # sigma_s2 = 5 makes about a third of the draws feasible, against a
+    # tenth at the default.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 4]), st.integers(0, 2 ** 32 - 1),
+           st.floats(-8.0, 8.0), st.sampled_from([0.6, 5.0]))
+    def test_designs_return_verified_results(self, m, seed, e, sigma_s2):
+        params = SystemParams(M=m, K=1, sigma_s2=sigma_s2)
+        h0, h1, hs = chan = self._scaled(params, seed, 10.0 ** e)
+        d_min, e_min, _fw, _fwo = divergence_floors(params)
+        tol = beamforming._FEAS_TOL
+        for sol, mode in ((consensual_sca(chan, params), "consensual"),
+                          (evolved_sdp(chan, params), "evolved")):
+            if not sol.feasible:
+                continue
+            assert np.linalg.norm(sol.v) == pytest.approx(1.0, abs=1e-12)
+            stats = detection_stats(sol.v, h0, h1, hs, params.sigma_s2,
+                                    params.sigma_w2, params.N)
+            assert stats.kld_without >= e_min - tol
+            if mode == "consensual":
+                assert stats.kld_with >= d_min - tol
+            else:
+                assert stats.delta_kld >= -tol
+            assert sol.snr == pytest.approx(
+                params.gamma * abs(np.vdot(sol.v, h1)) ** 2, rel=1e-9)
 
 
 class TestRecoverRankOne:

@@ -433,7 +433,18 @@ class TestSdpDegenerate:
         assert res.status == INFEASIBLE
         # Violation 0.5 normalized by ||svec(I)|| = sqrt(2).
         assert res.certificate == pytest.approx(0.5 / math.sqrt(2.0),
-                                                abs=0.05)
+                                                abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2], ids=["dim-one", "trace-dim-two"])
+    def test_settled_before_any_newton_step(self, m):
+        # Tr(I W) <= 0.5 is constant on the plane Tr W = 1, which at m = 1
+        # is the single point W = [[1]]: the row fails by 0.5 before any
+        # Newton step, normalized by its scale ||svec(I)|| = sqrt(m).
+        res = solve_small_sdp(_problem(np.eye(m, dtype=complex),
+                                       [(np.eye(m), 0.5)]))
+        assert res.status == INFEASIBLE and res.W is None
+        assert res.newton_steps == 0
+        assert res.certificate == 0.5 / math.sqrt(m)
 
     def test_inconsistent_equalities(self):
         with pytest.raises(ValueError):
@@ -629,6 +640,41 @@ class TestSdpBatch:
                                                       rel=1e-7)
         assert batch[4].status == INFEASIBLE
         assert batch[4].certificate == pytest.approx(1.0)
+
+    def test_row_constant_only_on_the_plane_is_settled(self):
+        # Tr(2 I W) <= 3 is not small, but on the plane Tr W = 1 it reads
+        # 2 <= 3: in a ragged batch it is settled as a vacuous row is, and
+        # Tr(I W) <= 0.5 makes its entry infeasible before any Newton step.
+        C, row_sets, _singles = _relaxation_family(2, 7)
+        eye = np.eye(2, dtype=complex)
+
+        def with_row(row):
+            rows = [list(r) for r in row_sets]
+            rows[1] = rows[1] + [row]
+            rows[5] = rows[5][:2]
+            return [_result_repr(r) for r in solve_sdp_batch(C, rows)]
+
+        vacuous = with_row((np.zeros((2, 2)), 1.0))
+        assert vacuous[1][0] == OPTIMAL
+        assert with_row((2.0 * eye, 3.0)) == vacuous
+        failed = with_row((eye, 0.5))
+        assert failed[1] == (INFEASIBLE, 0, None,
+                             repr((np.nan, np.nan, 0.5 / math.sqrt(2.0))))
+        assert failed[:1] + failed[2:] == vacuous[:1] + vacuous[2:]
+
+    def test_objective_count_must_be_one_or_one_per_row_set(self):
+        C, row_sets, _singles = _relaxation_family(2, 7)
+        shared = [_result_repr(r) for r in solve_sdp_batch(C, row_sets)]
+        assert [_result_repr(r)
+                for r in solve_sdp_batch([C], row_sets)] == shared
+        with pytest.raises(ValueError, match="2 objectives for 7 row sets"):
+            solve_sdp_batch([C, C], row_sets)
+
+    def test_objective_size_must_be_the_rows(self):
+        _C, row_sets, _singles = _relaxation_family(2, 7)
+        with pytest.raises(ValueError,
+                           match="objective is 3 x 3, the rows are 2 x 2"):
+            solve_sdp_batch(np.eye(3, dtype=complex), row_sets)
 
     def test_line_search_failure_ends_only_its_entry(self, monkeypatch):
         # One entry's last line search, in its last stage, is made to fail

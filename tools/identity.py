@@ -33,9 +33,18 @@ Prints one ``name sha256`` line per output:
   design inside the alternation;
 * ``mimo-random/s<seed>``: the CSV of a ``random_sel`` sweep over M in
   {2, 4} at Q = 2, K = 3, 3 trials, seeds 1 and 2; with no consensual run
-  to reuse, the random baseline solves its drawn tag by the alternation.
+  to reuse, the random baseline solves its drawn tag by the alternation;
+* ``siso-evolved/s<seed>``: the CSV of a ``consensual`` and ``evolved``
+  sweep over sigma_s2 in {0.2, 0.4, 0.6, 0.8} at K = 5, M = 1, 10 trials,
+  seeds 1 and 2, where every relaxation is the 1 x 1 lift W = [[1]];
+* ``weak-dl/m<M>/e<e>``: ``evolved_sdp`` on tag 0 of
+  ``gen_channel_set(SystemParams(M=M, K=1), seed)`` for seeds 0-39, with
+  h0 scaled by r = 10^-e and h1 = r h0 + h_str, for M in {2, 4} and e in
+  {5, 6, 7, 8} (every solution's bytes, then the SNRs and ``iterations``
+  of the 40 seeds); at these grid points the kernel's test for rows
+  that x cannot move decides feasibility.
 
-The six sweep families end their line with each row's ``snr_db`` as the
+The seven sweep families end their line with each row's ``snr_db`` as the
 CSV holds it (12 significant digits), ``-`` where infeasible, so their SNRs
 move only where the digest does.  The SNRs let a reader check, between two
 commits, that no SNR fell where a digest moved.
@@ -75,7 +84,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from backci import beamforming, harness  # noqa: E402
-from backci.channel import SystemParams  # noqa: E402
+from backci.channel import SystemParams, gen_channel_set  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -180,6 +189,29 @@ def mimo_random(tmpdir):
                   SystemParams(K=3, Q=2))
 
 
+def siso_evolved(tmpdir):
+    return _sweep(tmpdir, "siso-evolved", "sigma_s2",
+                  ["consensual", "evolved"], [0.2, 0.4, 0.6, 0.8], 10,
+                  SystemParams(M=1))
+
+
+def weak_dl(_tmpdir):
+    for M in (2, 4):
+        params = SystemParams(M=M, K=1)
+        chans = [gen_channel_set(params, seed).tag_channels(0)
+                 for seed in range(40)]
+        for e in (5, 6, 7, 8):
+            r = 10.0 ** -e
+            sols = [beamforming.evolved_sdp((r * h0, r * h0 + hs, hs), params)
+                    for h0, _h1, hs in chans]
+            h = hashlib.sha256()
+            for sol in sols:
+                h.update(_solution_bytes(sol))
+            yield (f"weak-dl/m{M}/e{e}", h.hexdigest(),
+                   _snrs(s.snr if s.feasible else None for s in sols),
+                   ",".join(str(s.iterations) for s in sols))
+
+
 def _snrs(values) -> str:
     return ",".join("-" if x is None else repr(float(x)) for x in values)
 
@@ -210,7 +242,8 @@ def _read(path) -> dict:
 
 def _linear(name, x):
     """An SNR of the line name in linear units: the per-tag lines are."""
-    return (x if name.startswith(("solve/", "solve-m8/", "fallback/"))
+    return (x if name.startswith(("solve/", "solve-m8/", "fallback/",
+                                  "weak-dl/"))
             else 10.0 ** (x / 10.0))
 
 
@@ -269,7 +302,8 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
         for family in (sweep_sca, sweep_m, sweep_evolved, solve, solve_m8,
-                       mimo, mimo_evolved, mimo_random, fallback):
+                       mimo, mimo_evolved, mimo_random, siso_evolved,
+                       weak_dl, fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
