@@ -653,9 +653,8 @@ def alternating_steps(chan, params, mode: str):
             converged = True
             break
 
-    v, stats, ok, _snr = _finalize(v, G0 @ xt, G1 @ xt, Gs @ xt, params,
-                                   d_min, e_min, mode)
-    snr = gamma * abs(np.vdot(v, G1 @ xt)) ** 2
+    v, stats, ok, snr = _finalize(v, G0 @ xt, G1 @ xt, Gs @ xt, params,
+                                  d_min, e_min, mode)
     return BeamformerSolution(v=v, snr=snr, feasible=ok, iterations=rounds,
                               x=np.sqrt(params.sigma_s2) * xt,
                               objective_trace=trace, stats=stats,

@@ -22,11 +22,13 @@ Newton decrement is at most _CENTRE * mu, and in the last stage to the
 round-off floor.  How tightly the intermediate stages centre changes the
 work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
 phase one needs only a strictly feasible point.  Newton steps are counted
-alike in both: every step tried, accepted or not.
+alike in both: every step tried, accepted or not.  A stage has a budget of
+_MAX_NEWTON of them; an entry still centring after them ends MAX_ITER, so
+OPTIMAL and INFEASIBLE come only from a centre.
 
-Both kernels build their rows as rectangular stacks, an entry with fewer
-rows padded with vacuous ones.  One rule, `_settle`, settles every row that
-x cannot move, 0 . x <= b, before any Newton step: when b >= 0 it becomes
+Every entry of one call has one row count, so the rows stack rectangularly
+(ValueError otherwise).  One rule, `_settle`, settles every row that x
+cannot move, 0 . x <= b, before any Newton step: when b >= 0 it becomes
 padding, 0 . x < 1, whose barrier terms are exactly zero, and otherwise its
 entry is INFEASIBLE, with the row's normalized violation as certificate.
 The SDP applies it on the unit-trace plane, so at m = 1, where the plane is
@@ -73,7 +75,6 @@ MAX_ITER = "max_iter"
 
 _MU_FACTOR = 0.1
 _MAX_NEWTON = 200       # Newton steps per barrier stage
-_MAX_STEPS = 25 * _MAX_NEWTON
 _ARMIJO = 1e-4
 _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
 _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
@@ -151,6 +152,15 @@ def _logdet(W):
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
 
 
+def _one_row_count(counts):
+    """The row count all entries share; ValueError names the counts."""
+    counts = sorted(set(counts))
+    if len(counts) > 1:
+        raise ValueError("a call takes one row count, not "
+                         + " and ".join(map(str, counts)))
+    return counts[0]
+
+
 def _settle(size, b, s):
     """The rows x cannot move, and the certificate they give their entry.
 
@@ -183,7 +193,8 @@ class _Oracle:
     neither padding nor a cone written as a row.  The duality gap at a
     mu-centre is at most n_par (B,) * mu.  A subclass with a cone that is
     not a row supplies its barrier: cone(x) gives its value (nan outside
-    the cone), cone_derivs(x) its value, gradient and Hessian.  take(idx)
+    the cone), cone_derivs(x) its value, gradient and Hessian in the
+    leading coordinates of x, which derivs adds to.  take(idx)
     gives the oracle of the entries idx; _batched names the per-entry
     arrays it selects.  A kernel oracle also sets cert (B,) from _settle:
     the certificate of an entry that a settled row makes infeasible, nan
@@ -197,14 +208,6 @@ class _Oracle:
     def __init__(self, c, P, Q, b, slack, n_par):
         self.c, self.P, self.Q, self.b = c, P, Q, b
         self.slack, self.n_par = slack, n_par
-        self._views()
-
-    def _views(self):
-        """P as (B, k n, n) and as (B, k, n n), for the row products."""
-        if self.P is not None:
-            B, k, n = self.Q.shape
-            self._P_rows = self.P.reshape(B, k * n, n)
-            self._P_flat = self.P.reshape(B, k, n * n)
 
     def take(self, idx):
         f = copy.copy(self)
@@ -212,14 +215,14 @@ class _Oracle:
             a = getattr(self, name)
             if a is not None:
                 setattr(f, name, a[idx])
-        f._views()
         return f
 
     def rows(self, x):
         """Row values minus b (all < 0 inside), and P_i x (None if linear)."""
         if self.P is None:
             return np.matvec(self.Q, x) - self.b, None
-        Px = np.matvec(self._P_rows, x).reshape(self.Q.shape)
+        B, k, n = self.Q.shape
+        Px = np.matvec(self.P.reshape(B, k * n, n), x).reshape(B, k, n)
         return np.matvec(Px, x) + np.matvec(self.Q, x) - self.b, Px
 
     def value(self, x, mu):
@@ -243,11 +246,13 @@ class _Oracle:
         grad = np.matvec(GT, w)
         H = (GT * (w ** 2)[:, None, :]) @ G
         if self.P is not None:
-            H = H + 2.0 * np.vecmat(w, self._P_flat).reshape(H.shape)
+            Pw = np.vecmat(w, self.P.reshape(*w.shape, -1))
+            H = H + 2.0 * Pw.reshape(H.shape)
         if self.cone is not None:
             cv, cg, cH = self.cone_derivs(x)
-            phi, grad = phi + cv, grad + cg
-            H += cH
+            nc = cg.shape[1]
+            phi, grad[:, :nc] = phi + cv, grad[:, :nc] + cg
+            H[:, :nc, :nc] += cH
         H *= mu
         return np.vecdot(self.c, x) + mu * phi, self.c + mu * grad, H
 
@@ -265,8 +270,9 @@ def _barrier(f, x, tol):
 
     For mu = 1, 0.1, 0.01, ... each stage centres the live entries
     (_centre), then asks f.stop which of them end; the rest go on to the
-    next mu.  An entry ends with MAX_ITER once it has spent _MAX_STEPS
-    Newton steps.
+    next mu.  An entry still centring after the stage's _MAX_NEWTON Newton
+    steps ends MAX_ITER there, as f.stop's gap bound holds only at a
+    centre; f.stop judges one whose line search failed.
 
     Returns (x, status, mu, steps), one row or value per entry: mu of the
     stage it ended in, and steps the Newton steps it tried.
@@ -282,13 +288,11 @@ def _barrier(f, x, tol):
         mu_end = np.zeros(B)
         live, sl, mu = np.arange(B), steps.copy(), 1.0
         while True:
-            xl, n = _centre(f, xl, mu, tol)
+            xl, n, capped = _centre(f, xl, mu, tol)
             sl += n
             st = f.stop(xl, mu, tol)
-            go = np.equal(st, None)
-            over = sl >= _MAX_STEPS
-            st[go & over] = MAX_ITER
-            end = ~go | over
+            st[capped] = MAX_ITER
+            end = np.not_equal(st, None)
             n_end = np.count_nonzero(end)
             if n_end:
                 out = live[end]
@@ -312,12 +316,13 @@ def _centre(f, x, mu, tol):
     entry leaves the stacked arrays once it is centred or its line search
     fails; either ends only its own stage.
 
-    Returns the points, x updated in place, and the Newton steps each entry
-    tried: k for an entry centred at Newton iteration k, k + 1 for one
+    Returns the points, x updated in place, the Newton steps each entry
+    tried (k for an entry centred at Newton iteration k, k + 1 for one
     whose line search failed there, and _MAX_NEWTON for one still centring
-    at the end.
+    at the end), and a mask of the entries still centring at the end.
     """
     steps = np.full(len(x), _MAX_NEWTON)
+    capped = np.zeros(len(x), dtype=bool)
     act, xa = np.arange(len(x)), x      # the entries still centring
     last = f.n_par * mu * _MU_FACTOR <= tol
     floor2 = 2.0 * np.where(last, 1e-16, _CENTRE * mu)
@@ -338,7 +343,7 @@ def _centre(f, x, mu, tol):
             out = act[done]
             x[out], steps[out] = xa[done], k
             if n_done == len(done):
-                return x, steps
+                return x, steps, capped
             keep = ~done
             act, xa, val, d, dec, last, floor2 = (
                 a[keep] for a in (act, xa, val, d, dec, last, floor2))
@@ -349,14 +354,15 @@ def _centre(f, x, mu, tol):
             out = act[failed]
             x[out], steps[out] = xa[failed], k + 1
             if n_failed == len(failed):
-                return x, steps
+                return x, steps, capped
             keep = ~failed
             act, xa, dec, last, floor2 = (
                 a[keep] for a in (act, xa, dec, last, floor2))
             f = f.take(keep)
         prev = dec
     x[act] = xa
-    return x, steps
+    capped[act] = True
+    return x, steps, capped
 
 
 def _line_search(f, x, d, val, dec, mu):
@@ -420,13 +426,7 @@ class _PhaseOne(_Oracle):
         return self.f.cone(xs[:, :-1])
 
     def cone_derivs(self, xs):
-        val, grad, H = self.f.cone_derivs(xs[:, :-1])
-        B, n = xs.shape
-        g = np.zeros((B, n))
-        g[:, :-1] = grad
-        Hs = np.zeros((B, n, n))
-        Hs[:, :-1, :-1] = H
-        return val, g, Hs
+        return self.f.cone_derivs(xs[:, :-1])
 
     def found(self, xs):
         return np.logical_and.reduce(
@@ -519,13 +519,13 @@ class _BallQcqp(_Oracle):
 
     Row 0 of each entry is the unit ball z . z < 1, which phase one keeps
     as a barrier; row i > 0 is constraint i, z^T At z + qr . z <= b,
-    divided by its scale s_i.  An entry with fewer constraints than
-    another gets vacuous ones, (None, None, 1).
+    divided by its scale s_i.  Every entry has the same number of
+    constraints (ValueError naming the counts otherwise).
     """
 
     def __init__(self, problems):
         n = 2 * problems[0].dim()
-        k = max(len(p.quad_constraints) for p in problems)
+        _one_row_count(len(p.quad_constraints) for p in problems)
         self.c_norm, self.c_hat, rows = [], [], []
         for p in problems:
             cr = embed_vector(p.c)
@@ -533,8 +533,7 @@ class _BallQcqp(_Oracle):
             self.c_norm.append(c_norm)
             self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
             entry = [(np.eye(n), np.zeros(n), 1.0, 1.0)]
-            vacuous = [(None, None, 1.0)] * (k - len(p.quad_constraints))
-            for A, q, bb in [*p.quad_constraints, *vacuous]:
+            for A, q, bb in p.quad_constraints:
                 At = embed_hermitian(A) if A is not None else np.zeros((n, n))
                 qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
                 s = abs(float(bb))
@@ -566,14 +565,15 @@ def solve_ball_qcqp(p: QcqpProblem,
 
 
 def solve_ball_qcqps(problems: list, v0s: list) -> list:
-    """Solve unit-ball QCQPs of one dimension by a log-barrier interior
-    method, in one stacked run.
+    """Solve unit-ball QCQPs of one dimension and one constraint count by
+    a log-barrier interior method, in one stacked run.
 
     Every entry's result is what it gets solved alone: each entry takes
     its own Newton steps and leaves the stack when it ends.
 
     Args:
-        problems: The QcqpProblems, all of one dim().
+        problems: The QcqpProblems, all of one dim() and constraint count
+            (ValueError, naming the counts, otherwise).
         v0s: One start per problem (complex vector, or None for v = 0).
             One near the ball's edge is first pulled in to half its
             squared radius; phase one then pulls it inside any constraint
@@ -582,7 +582,8 @@ def solve_ball_qcqps(problems: list, v0s: list) -> list:
     Returns:
         One QcqpResult per problem, in input order, with status "optimal",
         "infeasible" (certificate holds the max violation, in normalized
-        units, at the phase-one optimum) or "max_iter".
+        units, at the phase-one optimum) or "max_iter" (a barrier stage
+        still centring after _MAX_NEWTON Newton steps).
     """
     f = _BallQcqp(problems)
     z = np.array([np.zeros(f.c.shape[1]) if v0 is None else embed_vector(v0)
@@ -749,8 +750,8 @@ class _Sdp(_Oracle):
 
     def __init__(self, C, row_sets):
         """C is one m x m objective, or one per entry (B, m, m); row_sets
-        holds, per entry, its rows (A, b): Tr(A W) <= b.  An entry with
-        fewer rows than another gets vacuous ones, (0, 1)."""
+        holds, per entry, its rows (A, b): Tr(A W) <= b, the same number
+        for every entry."""
         B = len(row_sets)
         C = np.asarray(C, dtype=complex)
         if C.ndim == 3 and len(C) not in (1, B):
@@ -762,16 +763,13 @@ class _Sdp(_Oracle):
         self.c_norm = np.sqrt(np.vecdot(c_w, c_w))
         self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
                                where=self.c_norm[:, None] > 0)
-        k = max(map(len, row_sets))
-        vacuous = [(np.zeros((m, m)), 1.0)]
-        rows = [[*entry, *vacuous * (k - len(entry))] for entry in row_sets]
-        A = np.array([[a for a, _b in entry] for entry in rows],
-                     dtype=complex)
+        k = _one_row_count(map(len, row_sets))
+        A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
         if k and A.shape[2:] != (m, m):
             raise ValueError(f"the objective is {m} x {m}, the rows are "
                              + " x ".join(map(str, A.shape[2:])))
         a = svec(A.reshape(B, k, m, m))
-        b = np.array([[b for _a, b in entry] for entry in rows],
+        b = np.array([[b for _a, b in e] for e in row_sets],
                      dtype=float).reshape(B, k)
         s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))),
                        1e-12)
@@ -852,8 +850,7 @@ def solve_sdp_batch(C, row_sets: list) -> list:
     feasible entry ends at W = [[1]] with no Newton step.  The kernel is
     batch-invariant: each entry takes its own Newton steps, leaves the
     stack when it ends, and its SdpResult is bit for bit what
-    solve_small_sdp gives for it, whatever else is in a stack of equal
-    row counts.  So
+    solve_small_sdp gives for it, whatever else is in the stack.  So
     several tags' relaxations, each with its own objective, can share one
     call (beamforming.lockstep).
 
@@ -861,14 +858,17 @@ def solve_sdp_batch(C, row_sets: list) -> list:
         C: The m x m Hermitian objective every entry shares, or one per
             entry: an array (B, m, m) or a list of B such matrices (a list
             of one is shared).
-        row_sets: One list of (A, b) rows per entry, A m x m.
+        row_sets: One list of (A, b) rows per entry, A m x m, all of one
+            length.
 
     Returns:
-        The SdpResult of each row set, in input order.
+        The SdpResult of each row set, in input order; "max_iter" means a
+        barrier stage still centring after _MAX_NEWTON Newton steps.
 
     Raises:
         ValueError: when the objectives number neither 1 nor
-            len(row_sets), or the rows' matrices are not C's size.
+            len(row_sets), the rows' matrices are not C's size, or the
+            row sets' lengths differ (the message names them).
     """
     if not row_sets:
         return []

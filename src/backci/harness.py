@@ -26,7 +26,7 @@ from .detection import detection_stats, kld_threshold
 from .selection import SelectionResult, _best_of, tag_steps
 # The sweep calls neither; bench/tracer.py wraps them under these names.
 from .selection import greedy_select, random_select  # noqa: F401
-from .siso import snr_interval, theta_max_at_min_snr
+from .siso import ci_angle, snr_interval
 
 SWEEP_VARS = ("sigma_s2", "rho", "M", "Q", "zeta_max")
 ALGORITHMS = ("consensual", "evolved", "harmful_dli", "canceled_dli",
@@ -414,8 +414,8 @@ def ci_region_report(var: str, values, params: SystemParams,
             sr_mag = h_sr_mag * d_sr ** (-float(value) / 2.0)
             str_mag = (params.alpha * h_str_mag
                        * (d_st * d_tr) ** (-float(value) / 2.0))
-        theta = theta_max_at_min_snr(sr_mag, str_mag, g_min)
         region = snr_interval(sr_mag, str_mag, g_min)
+        theta = ci_angle(sr_mag, str_mag, region.gamma_lo)
         rows.append((var, float(value), region.gamma_lo, region.gamma_hi,
                      math.nan if theta is None else theta))
     if out_path:

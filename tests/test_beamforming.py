@@ -89,7 +89,7 @@ class TestConsensualSca:
     def test_first_solve_iteration_cap_reported(self, monkeypatch):
         # Every QCQP ends max_iter, which certifies no infeasibility.
         params = SystemParams(M=4, K=1)
-        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         sol = consensual_sca(tag0(params, 9), params)
         assert not sol.feasible and not sol.converged
 
@@ -186,9 +186,9 @@ class TestLockstep:
         return tags
 
     def test_every_field_matches_the_single_tag_run(self, monkeypatch):
-        # A cap of 30 Newton steps ends a few subproblems max_iter and
-        # leaves most optimal.
-        monkeypatch.setattr(convex, "_MAX_STEPS", 30)
+        # A budget of 8 Newton steps a barrier stage ends a few
+        # subproblems max_iter and leaves most optimal.
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 8)
         cases = [(chan, SystemParams()) for chan in self.screened_tags()]
         for m in (1, 2, 4, 8):
             params = SystemParams(M=m)
@@ -408,7 +408,7 @@ class TestEvolvedSdp:
 
     def test_relaxation_iteration_cap_reported(self, monkeypatch):
         params = SystemParams(M=4, K=1, T=20)
-        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         sol = evolved_sdp(tag0(params, 9), params)
         assert not sol.converged
 
@@ -869,6 +869,29 @@ class TestDynamicRange:
                 params.gamma * abs(np.vdot(sol.v, h1)) ** 2, rel=1e-9)
 
 
+class TestChannelScale:
+    """Every channel scaled by s and sigma_s2 by 1 / s^2: each divergence
+    and the SNR of every v depend on the channels only through sigma_s2
+    |v^H h|^2, so neither design may change its answer."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_designs_invariant(self, m):
+        params = SystemParams(M=m, K=1)
+        feasible = 0
+        for seed in range(12):
+            chan = tag0(params, seed)
+            for design in (consensual_sca, evolved_sdp):
+                plain = design(chan, params)
+                feasible += plain.feasible
+                for s in (1e-4, 1e-2, 1e2, 1e4):
+                    sol = design(tuple(s * h for h in chan),
+                                 replace(params,
+                                         sigma_s2=params.sigma_s2 / (s * s)))
+                    assert sol.feasible == plain.feasible
+                    assert sol.snr == pytest.approx(plain.snr, rel=1e-12)
+        assert feasible >= 4     # seeds 1 and 9, both designs
+
+
 class TestRecoverRankOne:
     def test_exact_rank_one(self):
         rng = np.random.default_rng(11)
@@ -976,7 +999,7 @@ class TestAlternatingMimo:
 
     def test_inner_iteration_cap_reported(self, monkeypatch):
         params = SystemParams(M=2, Q=2, K=1)
-        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         sol = alternating_mimo(tag0(params, 9), params, "consensual")
         assert not sol.feasible and not sol.converged
 

@@ -283,7 +283,7 @@ class TestQcqpBatch:
                 v0 = rand_vec(rng, m)
                 v0 /= np.linalg.norm(v0)     # pulled in before phase one
             elif start == "inside":
-                v0, rows = 0.2 * vt, rows + [(None, rand_vec(rng, m), 2.0)]
+                v0 = 0.2 * vt
             else:
                 v0 = solve_ball_qcqp(QcqpProblem(
                     c=c, quad_constraints=[(A, q, b + 0.5)])).v
@@ -307,6 +307,13 @@ class TestQcqpBatch:
                 == repr((alone.objective, alone.certificate,
                          alone.newton_steps))
         assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_constraint_counts_must_agree(self):
+        c = np.array([1.0, 1j])
+        one = QcqpProblem(c=c, quad_constraints=[(None, c, 2.0)])
+        two = QcqpProblem(c=c, quad_constraints=[(None, c, 2.0)] * 2)
+        with pytest.raises(ValueError, match="not 1 and 2"):
+            convex.solve_ball_qcqps([two, one, two], [None] * 3)
 
     def test_edge_start_is_pulled_in(self, monkeypatch):
         # A start on the unit sphere is scaled to half the squared radius
@@ -515,13 +522,73 @@ class TestNewtonStepCount:
     def test_equals_line_searches(self, monkeypatch, solve, problem, status):
         self._check(monkeypatch, solve, problem, status)
 
-    # A stage cap of one Newton step ends every stage still centring, the
-    # exit a stage takes when it runs out of steps.
+    # A budget of one Newton step a stage leaves phase one's first stage
+    # still centring, which ends it max_iter there, whatever the status
+    # a centre would have given.
     @CASES
     def test_equals_line_searches_one_step_stages(self, monkeypatch, solve,
                                                   problem, status):
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        self._check(monkeypatch, solve, problem, status)
+        self._check(monkeypatch, solve, problem, MAX_ITER)
+
+
+class TestStageBudget:
+    """An entry still centring when its stage's _MAX_NEWTON Newton steps
+    run out ends max_iter at that stage, in phase one and in the main
+    stage of both kernels: optimal and infeasible come only from a
+    centre."""
+
+    # Each breaks a row at the cold start (phase one), or meets every row
+    # strictly there (main stage only); see TestNewtonStepCount.
+    PHASE_ONE = [p for p, _st in TestNewtonStepCount.QCQPS
+                 + TestNewtonStepCount.SDPS]
+    MAIN = [
+        QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[
+            (None, np.array([-0.5 + 0j, 0.0]), 0.5)]),
+        SdpProblem(C=TestNewtonStepCount.E1, dim=2,
+                   eq_constraints=[(np.eye(2), 1.0)],
+                   ineq_constraints=[(-TestNewtonStepCount.E0, -0.2)]),
+    ]
+
+    CASES = pytest.mark.parametrize(
+        "phase_one, problem",
+        [(True, p) for p in PHASE_ONE] + [(False, p) for p in MAIN],
+        ids=["p1-qcqp-feasible", "p1-qcqp-infeasible", "p1-sdp-feasible",
+             "p1-sdp-infeasible", "main-qcqp", "main-sdp"])
+
+    @staticmethod
+    def _run(monkeypatch, problem, budget):
+        """The result, and (phase one?, still centring?) of each stage."""
+        solve = (solve_ball_qcqp if isinstance(problem, QcqpProblem)
+                 else solve_small_sdp)
+        assert solve(problem).status != MAX_ITER
+        stages, centre = [], convex._centre
+
+        def spied(f, x, mu, tol):
+            x, steps, capped = centre(f, x, mu, tol)
+            stages.append((isinstance(f, _PhaseOne), bool(capped[0])))
+            return x, steps, capped
+
+        monkeypatch.setattr(convex, "_MAX_NEWTON", budget)
+        monkeypatch.setattr(convex, "_centre", spied)
+        return solve(problem), stages
+
+    @CASES
+    def test_still_centring_ends_max_iter(self, monkeypatch, phase_one,
+                                          problem):
+        # One step leaves the first stage, of the phase the problem starts
+        # in, still centring: the run ends there.
+        res, stages = self._run(monkeypatch, problem, 1)
+        assert res.status == MAX_ITER and res.newton_steps == 1
+        assert stages == [(phase_one, True)]
+
+    @CASES
+    @pytest.mark.parametrize("budget", [2, 3, 5])
+    def test_max_iter_only_at_a_capped_stage(self, monkeypatch, phase_one,
+                                             problem, budget):
+        res, stages = self._run(monkeypatch, problem, budget)
+        assert not any(capped for _p1, capped in stages[:-1])
+        assert (res.status == MAX_ITER) == stages[-1][1]
 
 
 def _problem(C, rows):
@@ -623,14 +690,14 @@ class TestSdpBatch:
             if a.status == OPTIMAL:
                 assert b.objective == pytest.approx(a.objective, rel=1e-7)
 
-    def test_rows_of_different_counts(self):
-        # A vacuous row (A = 0, b >= 0) is dropped from one entry only, and
-        # an impossible one (A = 0, b < 0) settles another before the
-        # barrier; the rest still match their single solves.
+    def test_constant_rows(self):
+        # A vacuous row (A = 0, b >= 0) is dropped, and an impossible one
+        # (A = 0, b < 0) settles entry 4 before the barrier; every entry
+        # still matches its single solve.
         C, row_sets, _singles = _relaxation_family(2, 7)
         zero = np.zeros((2, 2), dtype=complex)
-        row_sets[3] = row_sets[3] + [(zero, 1.0)]
-        row_sets[4] = row_sets[4] + [(zero, -1.0)]
+        row_sets = [rows + [(zero, -1.0 if j == 4 else 1.0)]
+                    for j, rows in enumerate(row_sets)]
         batch = solve_sdp_batch(C, row_sets)
         for rows, res in zip(row_sets, batch):
             one = solve_small_sdp(_problem(C, rows))
@@ -641,17 +708,23 @@ class TestSdpBatch:
         assert batch[4].status == INFEASIBLE
         assert batch[4].certificate == pytest.approx(1.0)
 
+    def test_rows_of_different_counts(self):
+        # One call takes one row count; a ragged stack is refused.
+        C, row_sets, _singles = _relaxation_family(2, 7)
+        row_sets[5] = row_sets[5][:2]
+        with pytest.raises(ValueError, match="not 2 and 3"):
+            solve_sdp_batch(C, row_sets)
+
     def test_row_constant_only_on_the_plane_is_settled(self):
         # Tr(2 I W) <= 3 is not small, but on the plane Tr W = 1 it reads
-        # 2 <= 3: in a ragged batch it is settled as a vacuous row is, and
-        # Tr(I W) <= 0.5 makes its entry infeasible before any Newton step.
+        # 2 <= 3: it is settled as a vacuous row is, and Tr(I W) <= 0.5
+        # makes its entry infeasible before any Newton step.
         C, row_sets, _singles = _relaxation_family(2, 7)
         eye = np.eye(2, dtype=complex)
 
         def with_row(row):
-            rows = [list(r) for r in row_sets]
-            rows[1] = rows[1] + [row]
-            rows[5] = rows[5][:2]
+            rows = [r + [row if j == 1 else (np.zeros((2, 2)), 1.0)]
+                    for j, r in enumerate(row_sets)]
             return [_result_repr(r) for r in solve_sdp_batch(C, rows)]
 
         vacuous = with_row((np.zeros((2, 2)), 1.0))
@@ -714,7 +787,7 @@ class TestSdpBatch:
 
     def test_iteration_cap_reported(self, monkeypatch):
         C, row_sets, _singles = _relaxation_family(4, 7)
-        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         batch = solve_sdp_batch(C, row_sets)
         assert MAX_ITER in {r.status for r in batch}
         assert OPTIMAL not in {r.status for r in batch}
@@ -767,15 +840,15 @@ class TestSolveNewton:
 def _random_qcqp_oracle(rng, m):
     """A batch of three QCQP oracles and a point strictly inside each.
 
-    The entries have 3, 2 and 1 rows, so the last two carry padding rows.
+    Each entry has two quadratic rows and one linear row.
     """
     problems, points = [], []
-    for n_rows in (3, 2, 1):
+    for _ in range(3):
         c = rand_vec(rng, m)
         vt = rand_vec(rng, m, 0.3)
         vt *= min(1.0, 0.7 / np.linalg.norm(vt))   # strictly inside the ball
         cons = []
-        for with_a in (True, False, True)[:n_rows]:
+        for with_a in (True, False, True):
             A = rand_herm_psd(rng, m) if with_a else None
             q = rand_vec(rng, m, 0.5)
             val = 2.0 * np.vdot(q, vt).real
@@ -790,12 +863,12 @@ def _random_qcqp_oracle(rng, m):
 def _random_sdp_oracle(rng, m):
     """A batch of three SDP oracles and a point inside each one's domain.
 
-    The entries share C and have 2, 1 and 3 rows.
+    The entries share C and have two rows each.
     """
     C = rand_herm_psd(rng, m)
     rows = []
-    for n_rows in (2, 1, 3):
-        mats = [rand_herm_psd(rng, m) for _ in range(n_rows)]
+    for _ in range(3):
+        mats = [rand_herm_psd(rng, m) for _ in range(2)]
         rows.append([(A, float(np.trace(A).real / m + 0.2)) for A in mats])
     f = _Sdp(C, rows)
     return f, 0.02 * rng.normal(size=(3, f.Z.shape[1]))
@@ -804,7 +877,7 @@ def _random_sdp_oracle(rng, m):
 class TestOracleDerivatives:
     """Oracle gradients and Hessians against central differences of value.
 
-    Each oracle holds a batch of three entries with different rows.
+    Each oracle holds a batch of three entries, each with its own rows.
     """
 
     @staticmethod

@@ -605,7 +605,7 @@ class TestCli:
     def test_iteration_cap_is_not_infeasible(self, tmp_path, monkeypatch):
         # Every kernel solve ends max_iter, so no tag is feasible; that is
         # exit 3, not the infeasibility of exit 2.
-        monkeypatch.setattr(convex, "_MAX_STEPS", 1)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         cfgf = tmp_path / "cap.cfg"
         cfgf.write_text("K = 2\nM = 2\nT = 5\nvalues = 0.2, 0.6\n"
                         "trials = 2\nalgorithms = consensual, evolved\n")

@@ -11,7 +11,9 @@ Prints one ``name sha256`` line per output:
   benchmark's ``solve`` workload, realizations 0-24 of seeds 1-3 (v bytes,
   snr, feasible, iterations, rank residual, converged, objective trace,
   detection stats and x), then the evolved SNR of each tag, linear, ``-``
-  where infeasible, then the evolved ``iterations`` of each tag;
+  where infeasible, then the evolved ``iterations`` of each tag, then the
+  ``converged`` flag of each tag, ``1`` or ``0``, per design
+  (``consensual/evolved``);
 * ``solve-m8/s1/r<i>``: the same for realizations 0-3 of seed 1 of the
   ``solve`` workload's inputs at M = 8, where reducing the evolved
   design's lift to three dimensions changes the most;
@@ -40,9 +42,9 @@ Prints one ``name sha256`` line per output:
 * ``weak-dl/m<M>/e<e>``: ``evolved_sdp`` on tag 0 of
   ``gen_channel_set(SystemParams(M=M, K=1), seed)`` for seeds 0-39, with
   h0 scaled by r = 10^-e and h1 = r h0 + h_str, for M in {2, 4} and e in
-  {5, 6, 7, 8} (every solution's bytes, then the SNRs and ``iterations``
-  of the 40 seeds); at these grid points the kernel's test for rows
-  that x cannot move decides feasibility.
+  {5, 6, 7, 8} (every solution's bytes, then the SNRs, ``iterations``
+  and ``converged`` flags of the 40 seeds); at these grid points the
+  kernel's test for rows that x cannot move decides feasibility.
 
 The seven sweep families end their line with each row's ``snr_db`` as the
 CSV holds it (12 significant digits), ``-`` where infeasible, so their SNRs
@@ -57,10 +59,11 @@ and diff the two outputs; any line that differs names the output that moved.
 ``--compare OLD NEW`` reads two such outputs.  It prints each moved line with
 its SNRs before -> after (only the SNRs that moved), then per family the
 moved digests, the SNRs that rose and fell, the worst relative fall (in
-linear SNR), the feasibility flips and the lines whose per-tag
-``iterations`` changed (when both outputs carry them).  It exits 1 on a
-feasibility flip, a fall larger than 1e-8 relative, or a line present in
-only one output.
+linear SNR), the feasibility flips, and the lines whose per-tag
+``iterations`` or ``converged`` flags changed (when both outputs carry
+them); a kernel solve that ends ``max_iter`` where it ended ``optimal``
+can move the ``converged`` flag alone.  It exits 1 on a feasibility flip, a
+fall larger than 1e-8 relative, or a line present in only one output.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ def _solve_lines(tmpdir, family, seeds, count,
             yield (f"{family}/s{seed}/r{i}", h.hexdigest(),
                    _snrs(s.snr if s.feasible else None
                          for s in evolved.per_tag),
-                   ",".join(str(s.iterations) for s in evolved.per_tag))
+                   ",".join(str(s.iterations) for s in evolved.per_tag),
+                   "/".join(_converged(res.per_tag) for res in selections))
 
 
 def solve(tmpdir):
@@ -209,7 +213,12 @@ def weak_dl(_tmpdir):
                 h.update(_solution_bytes(sol))
             yield (f"weak-dl/m{M}/e{e}", h.hexdigest(),
                    _snrs(s.snr if s.feasible else None for s in sols),
-                   ",".join(str(s.iterations) for s in sols))
+                   ",".join(str(s.iterations) for s in sols),
+                   _converged(sols))
+
+
+def _converged(sols) -> str:
+    return "".join("1" if s.converged else "0" for s in sols)
 
 
 def _snrs(values) -> str:
@@ -227,16 +236,16 @@ _MAX_FALL = 1e-8      # largest relative SNR fall --compare lets pass
 
 
 def _read(path) -> dict:
-    """name -> (digest, SNRs as floats, None where infeasible, iterations
-    or None where the line has none)."""
+    """name -> (digest, SNRs as floats, None where infeasible, iterations,
+    converged flags), the last two None where the line has none."""
     out = {}
     with open(path) as fh:
         for line in fh:
             name, digest, *rest = line.split()
             snrs = rest[0].split(",") if rest else []
+            rest += [None] * (3 - len(rest))
             out[name] = (digest, [None if x == "-" else float(x)
-                                  for x in snrs],
-                         rest[1] if len(rest) > 1 else None)
+                                  for x in snrs], rest[1], rest[2])
     return out
 
 
@@ -254,19 +263,20 @@ def compare(old_path, new_path) -> int:
     for name in list(old) + [n for n in new if n not in old]:
         fam = fams.setdefault(name.split("/")[0], dict(
             lines=0, moved=0, rises=0, falls=0, worst=0.0, flips=0,
-            iters=0))
+            iters=0, conv=0))
         fam["lines"] += 1
         if name not in old or name not in new:
             print(f"{name}: only in {old_path if name in old else new_path}")
             bad += 1
             continue
-        (d0, s0, i0), (d1, s1, i1) = old[name], new[name]
+        (d0, s0, *per0), (d1, s1, *per1) = old[name], new[name]
         if d0 == d1:
             continue
         fam["moved"] += 1
-        if i0 is not None and i1 is not None and i0 != i1:
-            print(f"{name}: iterations {i0} -> {i1}")
-            fam["iters"] += 1
+        for key, a, b in zip(("iterations", "converged"), per0, per1):
+            if a is not None and b is not None and a != b:
+                print(f"{name}: {key} {a} -> {b}")
+                fam["iters" if key == "iterations" else "conv"] += 1
         moves = [(i, a, b) for i, (a, b) in enumerate(zip(s0, s1)) if a != b]
         if len(s0) != len(s1):
             print(f"{name}: {len(s0)} SNRs -> {len(s1)}")
@@ -288,7 +298,8 @@ def compare(old_path, new_path) -> int:
         print(f"{name}: {f['moved']} of {f['lines']} digests moved; SNRs "
               f"rose {f['rises']}, fell {f['falls']}, worst relative fall "
               f"{f['worst']:.2g}; {f['flips']} feasibility flips; "
-              f"{f['iters']} lines with changed iterations")
+              f"{f['iters']} lines with changed iterations; {f['conv']} "
+              f"with changed converged flags")
         bad += f["flips"] + (f["worst"] > _MAX_FALL)
     return 1 if bad else 0
 
