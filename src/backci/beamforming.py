@@ -10,8 +10,10 @@ Four solvers share one solution type:
   consensual_sca is lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
   enforcing that the direct link never hurts; its optimum is purified to
-  rank one, with a rank-one penalty SCA as the fallback.  Its generator,
-  evolved_steps, yields the whole grid's relaxations as one request;
+  rank one, with a rank-one penalty SCA as the fallback.  The grid point
+  t = 0 is solved in closed form, by the zero-forcing receiver.  Its
+  generator, evolved_steps, yields the other grid points' relaxations as
+  one request;
   lockstep stacks the requests of many tags into convex.solve_sdp_batch
   calls of at most _SDP_STACK entries.  evolved_sdp is lockstep on one
   generator.
@@ -71,8 +73,9 @@ class BeamformerSolution:
     a purified point, whose lift is v v^H).  stats carries the detection
     divergences at the returned point, recomputed independently of the
     solver.  iterations counts, per design: consensual_sca, the SCA
-    subproblems solved from the accepted start; evolved_sdp, the
-    relaxation entries plus the SDP solves of the penalty fallback;
+    subproblems solved from the accepted start; evolved_sdp, the grid
+    points (t = 0, solved in closed form, included) plus the SDP solves of
+    the penalty fallback;
     alternating_mimo (alternating_steps), the completed alternation
     rounds; the closed-form benchmark schemes, 0.
     """
@@ -450,9 +453,10 @@ def evolved_steps(chan, params):
     """The lifted design as a generator: its set-up, one request for its
     relaxation batch, then its finish.
 
-    Yields (C, row_sets) once, the relaxations of every grid point with
-    their shared objective C, and takes their SdpResults back by send();
-    returns the BeamformerSolution.  Run it with lockstep, which stacks the
+    Yields (C, row_sets) once, the relaxations of every grid point but
+    t = 0 (which it solves in closed form) with their shared objective C,
+    and takes their SdpResults back by send(); returns the
+    BeamformerSolution.  Run it with lockstep, which stacks the
     relaxations of many tags into shared solve_sdp_batch calls; evolved_sdp
     runs it alone.  What it solves is evolved_sdp's docstring.
     """
@@ -474,28 +478,44 @@ def evolved_steps(chan, params):
     grid = np.linspace(t_lo, t_hi, params.T if t_hi - t_lo >= 1e-15 else 1)
     chi = params.chi * gamma * float(np.vdot(g1, g1).real)
 
+    # relax holds (bound, t, W, rows, v): the relaxation optimum at t, and
+    # v where the bound is attained in closed form (W and rows are None).
+    relax = []
+    kernel_grid = grid
+    if len(grid) > 1:
+        kernel_grid = grid[1:]
+        # At t = 0 the row Tr(H0 W) <= 0 leaves only the face W g0 = 0,
+        # which has no interior, so it is not sent to the kernel.  There
+        # g1 = gs, the DL-gain row reads 0 <= 0, and the optimum is the
+        # zero-forcing receiver v = P gs / ||P gs||, P the projector off
+        # g0, with bound gamma ||P gs||^2 (facial reduction).
+        pgs = gs - g0 * (np.vdot(g0, gs) / t_hi)
+        if pgs.any() and not _no_dl_floor_unreachable(gamma, pgs,
+                                                      f_without):
+            relax.append((gamma * float(np.vdot(pgs, pgs).real), 0.0, None,
+                          None, pgs / np.linalg.norm(pgs)))
+
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever rank-one point exists there, and its
     # solution is what purification or the penalty stage starts from.
-    # Points whose bound cannot beat the incumbent are skipped outright,
-    # which is where most of the grid's budget would otherwise go.  The
-    # grid points share the matrices of their last two rows.
+    # Every relaxation is solved; purification and the penalty stage are
+    # skipped at the points whose bound cannot beat the best SNR found.
+    # The grid points share the matrices of their last two rows.
     no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
     row_sets = [[
         (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
         no_dl,
         (H0, t),                                  # t dominates the DLI
-    ] for t in grid]
-    total_iter = len(row_sets)
+    ] for t in kernel_grid]
+    total_iter = len(grid)
     any_nonconverged = False
-    relax = []
     results = yield gamma * H1, row_sets
-    for t, rows, res in zip(grid, row_sets, results):
+    for t, rows, res in zip(kernel_grid, row_sets, results):
         if res.status == MAX_ITER:
             any_nonconverged = True
         if res.status != OPTIMAL:
             continue
-        relax.append((float(res.objective), float(t), res.W, rows))
+        relax.append((float(res.objective), float(t), res.W, rows, None))
     if not relax:
         return _infeasible(iterations=total_iter,
                            converged=not any_nonconverged)
@@ -503,16 +523,20 @@ def evolved_steps(chan, params):
     relax.sort(key=lambda e: -e[0])
     achieved = []        # (snr, t, v, residual, trace, stats)
     best_snr = -np.inf
-    for ub, t, W_rel, rows in relax:
+    for ub, t, W_rel, rows, v in relax:
         if ub < best_snr - 1e-9:
             break       # relax is sorted by bound: none of the rest can win
-        v = _purify(W_rel, H1, rows)
+        exact = v is not None
+        if not exact:
+            v = _purify(W_rel, H1, rows)
         ok = v is not None
         if ok:
             v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params, d_min,
                                           e_min, "evolved")
             residual, trace_t = 0.0, []
         if not ok:
+            if exact:   # the closed form has no fallback
+                continue
             W, trace_t, converged_t, n_solve = _penalized_sca(
                 rows, H1, gamma, chi, W_rel, params.J, params.omega)
             total_iter += n_solve
@@ -545,8 +569,17 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     evolved_steps run alone by lockstep.
 
     Grids a scalar t over the spectrum of H0 = h0 h0^H and bounds each t by
-    its trace-one SDP relaxation; the relaxations of all grid points are
-    one solve_sdp_batch request, which lockstep may stack with other tags'
+    its trace-one SDP relaxation.  When the grid has more than one point,
+    its first, t = 0, is solved in closed form: there Tr(H0 W) <= 0 leaves
+    only the face W h0 = 0, which has no interior, and the relaxation's
+    optimum on it is rank one, the zero-forcing receiver v = P hs /
+    ||P hs|| with P the projector off h0 and bound gamma ||P hs||^2
+    (facial reduction).  It is a candidate like a purified point, kept if
+    it meets the without-DL floor and _finalize verifies it, and it still
+    counts in iterations, so a grid of T points counts T.  A one-point
+    grid (M = 1, or a direct link too weak for the grid) goes to the
+    kernel whole.  The relaxations of the other grid points are one
+    solve_sdp_batch request, which lockstep may stack with other tags'
     (greedy_select does).  The lift is built on the basis U of _span_basis,
     so it is at most 3 x 3 for any M, and exact; each v' found there is
     mapped back as v = U v' and verified by _finalize on the full channels.
@@ -554,8 +587,9 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     ||h1||^2: the grid's and the kernels' floors are absolute, and so the
     answer stays put when every channel scales by s and sigma_w2 by s^2.
     A relaxation that hits the iteration cap drops its grid point and
-    marks the result not converged.  Grid points are examined by falling
-    bound until no remaining bound can beat the best SNR found.  At each,
+    marks the result not converged; one that ends infeasible or with no
+    interior drops it alone.  Grid points are examined by falling bound
+    until no remaining bound can beat the best SNR found.  At each,
     _purify reduces the relaxation's optimum to a rank-one v v^H at the
     same objective, so v is optimal for that t; it is kept if _finalize
     verifies it, with rank_residual 0.  Where no

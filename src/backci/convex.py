@@ -15,7 +15,11 @@ c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows and cone.
 n_par is the row count plus 1 for the QCQP's unit ball, plus the matrix
 dimension for the SDP's PSD cone.  Phase one runs on a wrapper that adds a
 slack s, minimizing s subject to row_i(x) <= s; it stops once every row
-holds strictly, or once its gap bound certifies that none can.
+holds strictly, or once its gap bound certifies that they cannot all hold
+(INFEASIBLE).  When its gap reaches the tolerance with s still within it
+of 0, the rows can at best be met on the boundary, with no interior, and
+nothing certifies infeasibility: that entry ends NO_INTERIOR, with its
+certificate, and no main stage runs.
 
 Every stage of both phases centres by one rule: until half the squared
 Newton decrement is at most _CENTRE * mu, and in the last stage to the
@@ -24,7 +28,7 @@ work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
 phase one needs only a strictly feasible point.  Newton steps are counted
 alike in both: every step tried, accepted or not.  A stage has a budget of
 _MAX_NEWTON of them; an entry still centring after them ends MAX_ITER, so
-OPTIMAL and INFEASIBLE come only from a centre.
+OPTIMAL, INFEASIBLE and NO_INTERIOR come only from a centre.
 
 Every entry of one call has one row count, so the rows stack rectangularly
 (ValueError otherwise).  One rule, `_settle`, settles every row that x
@@ -71,6 +75,7 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
+NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
 
 _MU_FACTOR = 0.1
@@ -398,8 +403,10 @@ class _PhaseOne(_Oracle):
     Only f's slack rows get the slack s: padding rows keep reading 0 < 1,
     and f's cone, as a row or not, keeps its barrier.  An entry ends as soon
     as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
-    once a centre's gap bound keeps the least achievable s above 1e-9 or
-    the gap falls to the tolerance.
+    once a centre's gap bound keeps the least achievable s above 1e-9.  An
+    entry whose gap falls to the tolerance with s still within it of 0
+    ends NO_INTERIOR: its rows may be met, but none strictly, as on a face
+    of the cone, and nothing certifies that they cannot be.
     """
 
     def __init__(self, f):
@@ -436,8 +443,8 @@ class _PhaseOne(_Oracle):
     def stop(self, xs, mu, tol):
         gap = self.n_par * mu
         return np.where(self.found(xs), OPTIMAL,
-                        np.where((xs[:, -1] - gap > 1e-9) | (gap <= tol),
-                                 INFEASIBLE, None))
+                        np.where(xs[:, -1] - gap > 1e-9, INFEASIBLE,
+                                 np.where(gap <= tol, NO_INTERIOR, None)))
 
 
 def _solve(f, x):
@@ -582,8 +589,11 @@ def solve_ball_qcqps(problems: list, v0s: list) -> list:
     Returns:
         One QcqpResult per problem, in input order, with status "optimal",
         "infeasible" (certificate holds the max violation, in normalized
-        units, at the phase-one optimum) or "max_iter" (a barrier stage
-        still centring after _MAX_NEWTON Newton steps).
+        units, at the phase-one optimum), "no_interior" (phase one's gap
+        reached its tolerance with that violation within it of 0: no
+        strictly feasible point was found, and none was shown impossible)
+        or "max_iter" (a barrier stage still centring after _MAX_NEWTON
+        Newton steps).
     """
     f = _BallQcqp(problems)
     z = np.array([np.zeros(f.c.shape[1]) if v0 is None else embed_vector(v0)
@@ -862,8 +872,13 @@ def solve_sdp_batch(C, row_sets: list) -> list:
             length.
 
     Returns:
-        The SdpResult of each row set, in input order; "max_iter" means a
-        barrier stage still centring after _MAX_NEWTON Newton steps.
+        The SdpResult of each row set, in input order, with status
+        "optimal", "infeasible" (certificate holds the max violation, in
+        normalized units, at the phase-one optimum), "no_interior" (phase
+        one's gap reached its tolerance with that violation within it of 0,
+        as on a face of the cone such as W g = 0: no strictly feasible W
+        was found, and none was shown impossible) or "max_iter" (a barrier
+        stage still centring after _MAX_NEWTON Newton steps).
 
     Raises:
         ValueError: when the objectives number neither 1 nor

@@ -9,6 +9,7 @@ those share code with the solvers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -402,8 +403,9 @@ class TestEvolvedSdp:
         monkeypatch.setattr(beamforming, "solve_small_sdp", single)
         sol = evolved_sdp(tag0(params, 9), params)
         assert sol.feasible
-        assert calls["batch"] == 1 and calls["entries"] == params.T
-        # iterations: the T relaxation solves plus the penalty solves
+        # t = 0 is solved in closed form, the other T - 1 points by the kernel
+        assert calls["batch"] == 1 and calls["entries"] == params.T - 1
+        # iterations: the T grid points plus the penalty solves
         assert sol.iterations == params.T + calls["single"]
 
     def test_relaxation_iteration_cap_reported(self, monkeypatch):
@@ -547,6 +549,78 @@ class TestEvolvedSdp:
             assert sol.feasible == inside
             n_feas += sol.feasible
         assert n_feas >= 20   # the draw scales must keep both sides covered
+
+
+def _zero_forcing(h0, hs):
+    """P hs, P the projector off h0."""
+    return hs - h0 * (np.vdot(h0, hs) / np.vdot(h0, h0))
+
+
+class TestZeroForcing:
+    """At the grid point t = 0 the relaxation's only face is W h0 = 0, on
+    which the optimum is the zero-forcing receiver v = P hs / ||P hs||: the
+    design takes it in closed form and sends only t > 0 to the kernel."""
+
+    def test_zero_forcing_point_wins_realization_300003(self):
+        # Tag 3 of realization 300003 (the solve workload's fourth input of
+        # benchmark seed 3) reached 19.5603 while t = 0 went to the kernel,
+        # which found no interior there; zero forcing beats every t > 0.
+        params = SystemParams(seed=300003)
+        h0, h1, hs = gen_channel_set(params, params.seed).tag_channels(3)
+        sol = evolved_sdp((h0, h1, hs), params)
+        assert sol.feasible and sol.converged
+        assert sol.snr == pytest.approx(23.8248, abs=1e-4)
+        assert abs(np.vdot(sol.v, h0)) / np.linalg.norm(h0) < 1e-12
+        assert sol.iterations == params.T
+        assert sol.rank_residual == 0.0 and sol.objective_trace == []
+
+    # sigma_s2 = 5 makes about a third of the draws feasible, against a
+    # tenth at the default.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 4]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.6, 5.0]))
+    def test_snr_at_least_a_verified_zero_forcing_point(self, m, seed,
+                                                        sigma_s2):
+        params = SystemParams(M=m, K=1, sigma_s2=sigma_s2)
+        h0, h1, hs = chan = tag0(params, seed)
+        _d, e_min, _fw, _fwo = divergence_floors(params)
+        pgs = _zero_forcing(h0, hs)
+        stats = detection_stats(pgs / np.linalg.norm(pgs), h0, h1, hs,
+                                params.sigma_s2, params.sigma_w2, params.N)
+        tol = beamforming._FEAS_TOL
+        assume(stats.delta_kld >= -tol and stats.kld_without >= e_min - tol)
+        sol = evolved_sdp(chan, params)
+        assert sol.feasible
+        assert sol.snr >= (params.gamma * np.vdot(pgs, pgs).real
+                           * (1.0 - 1e-12))
+
+    def test_backscatter_along_the_direct_link(self):
+        # hs = 2 h0 exactly makes P hs exactly 0, and floors at zero do not
+        # screen it out: there is no zero-forcing receiver to normalize.
+        params = trivial_params(M=4)
+        h0 = tag0(params, 9)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = evolved_sdp((h0, 3.0 * h0, 2.0 * h0), params)
+        assert sol.feasible and sol.iterations == params.T
+
+    @pytest.mark.parametrize("m, r", [(1, 1.0), (4, 1e-8)],
+                             ids=["single-antenna", "weak-direct-link"])
+    def test_one_point_grid_is_one_kernel_entry(self, m, r, monkeypatch):
+        # With no room for a face (M = 1) or a direct link too weak for the
+        # grid (r = 1e-8), the grid is one point, and the kernel solves it.
+        params = SystemParams(M=m, K=1)
+        h0, _h1, hs = tag0(params, 9)
+        entries = []
+
+        def batch(C, row_sets):
+            entries.append(len(row_sets))
+            return solve_sdp_batch(C, row_sets)
+
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
+        sol = evolved_sdp((r * h0, r * h0 + hs, hs), params)
+        assert entries == [1]
+        assert sol.iterations == 1
 
 
 def _unitary(m, seed):

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from backci import convex
-from backci.beamforming import divergence_floors
+from backci.beamforming import _span_basis, divergence_floors
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
     MAX_ITER,
+    NO_INTERIOR,
     OPTIMAL,
     QcqpProblem,
     SdpProblem,
@@ -794,6 +795,54 @@ class TestSdpBatch:
 
     def test_empty_batch(self):
         assert solve_sdp_batch(np.eye(2, dtype=complex), []) == []
+
+
+def _face_rows(params, seed):
+    """The evolved relaxation of tag 0 of realization seed at t = 0, in the
+    design's units (its span basis, channels divided by ||h1||), as
+    (C, rows, zf): with zf whether the zero-forcing receiver, the optimum
+    on the face W g0 = 0 that Tr(H0 W) <= 0 leaves, meets the without-DL
+    floor."""
+    h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
+    U = _span_basis(h0, hs)
+    s = np.linalg.norm(h1)
+    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
+    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+    gamma = params.gamma * s * s
+    floor = divergence_floors(params)[3] - 1.0
+    pgs = gs - g0 * (np.vdot(g0, gs) / np.vdot(g0, g0))
+    return (gamma * H1, [(-H1 + Hs, 0.0), (-gamma * Hs, -floor), (H0, 0.0)],
+            gamma * np.vdot(pgs, pgs).real >= floor)
+
+
+class TestNoInterior:
+    """Rows that only a face of the cone meets have no strictly feasible
+    point, so phase one cannot end OPTIMAL; nor may it say INFEASIBLE
+    without a certificate."""
+
+    def test_face_of_the_t0_relaxation(self):
+        # The tags whose backscatter link alone reaches the without-DL
+        # floor; the design screens out the others before any SDP.
+        params = SystemParams(K=1, M=4)
+        floor = divergence_floors(params)[3] - 1.0
+        C, row_sets, zf = [], [], []
+        for seed in range(30):
+            hs = gen_channel_set(params, seed).tag_channels(0)[2]
+            if params.gamma * np.vdot(hs, hs).real < floor:
+                continue
+            c, rows, ok = _face_rows(params, seed)
+            C.append(c)
+            row_sets.append(rows)
+            zf.append(ok)
+        assert 0 < sum(zf) < len(zf)
+        for res, ok in zip(solve_sdp_batch(C, row_sets), zf):
+            assert res.W is None and res.newton_steps > 0
+            if ok:      # the face is met: no interior, no certificate
+                assert res.status == NO_INTERIOR
+                assert 0.0 < res.certificate < 1e-10
+            else:       # not even the face is: a real certificate
+                assert res.status == INFEASIBLE
+                assert res.certificate > 1e-4
 
 
 class TestLogdet:

@@ -69,10 +69,10 @@ class TestGreedySelect:
         assert all(not s.feasible for s in res.per_tag)
 
     def test_evolved_selection_stacks_every_live_tag(self, monkeypatch):
-        # Realization 2 has three live tags.  Their relaxation grids go to
-        # the SDP kernel as one stacked call (5 T entries fit in
-        # beamforming._SDP_STACK), and each tag's solution is bit for bit
-        # its own evolved_sdp run.
+        # Realization 2 has three live tags.  Their relaxation grids, but
+        # for t = 0, which is solved in closed form, go to the SDP kernel as
+        # one stacked call (3 (T - 1) entries fit in beamforming._SDP_STACK),
+        # and each tag's solution is bit for bit its own evolved_sdp run.
         params = SystemParams(T=40)
         ch = gen_channel_set(params, 2)
         sizes = []
@@ -85,7 +85,7 @@ class TestGreedySelect:
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
             res = greedy_select(ch, params, "evolved")
-        assert sizes == [3 * params.T]
+        assert sizes == [3 * (params.T - 1)]
         for k, sol in enumerate(res.per_tag):
             alone = evolved_sdp(ch.tag_channels(k), params)
             assert (sol.v is None) == (alone.v is None)

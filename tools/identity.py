@@ -57,13 +57,16 @@ before numpy loads, as the benchmark does.  Run the script at both commits
 and diff the two outputs; any line that differs names the output that moved.
 
 ``--compare OLD NEW`` reads two such outputs.  It prints each moved line with
-its SNRs before -> after (only the SNRs that moved), then per family the
-moved digests, the SNRs that rose and fell, the worst relative fall (in
-linear SNR), the feasibility flips, and the lines whose per-tag
-``iterations`` or ``converged`` flags changed (when both outputs carry
-them); a kernel solve that ends ``max_iter`` where it ended ``optimal``
-can move the ``converged`` flag alone.  It exits 1 on a feasibility flip, a
-fall larger than 1e-8 relative, or a line present in only one output.
+its SNRs before -> after (only the SNRs that moved), each feasibility flip
+as ``infeasible -> feasible`` or ``feasible -> infeasible`` with the SNR it
+gained or lost, then per family the moved digests, the SNRs that rose and
+fell, the worst relative fall (in linear SNR), the flips of each direction,
+and the lines whose per-tag ``iterations`` or ``converged`` flags changed
+(when both outputs carry them); a kernel solve that ends ``max_iter``
+where it ended ``optimal`` can move the ``converged`` flag alone.  It exits
+1 on a feasible -> infeasible flip, a fall larger than 1e-8 relative, or a
+line present in only one output.  A flip to feasible is a gain: it is
+listed, and passes.
 """
 
 from __future__ import annotations
@@ -262,8 +265,8 @@ def compare(old_path, new_path) -> int:
     bad = 0
     for name in list(old) + [n for n in new if n not in old]:
         fam = fams.setdefault(name.split("/")[0], dict(
-            lines=0, moved=0, rises=0, falls=0, worst=0.0, flips=0,
-            iters=0, conv=0))
+            lines=0, moved=0, rises=0, falls=0, worst=0.0, gained=0,
+            lost=0, iters=0, conv=0))
         fam["lines"] += 1
         if name not in old or name not in new:
             print(f"{name}: only in {old_path if name in old else new_path}")
@@ -284,10 +287,15 @@ def compare(old_path, new_path) -> int:
         if not moves:
             print(f"{name}: digest moved, SNRs unchanged")
         for i, a, b in moves:
-            print(f"{name}[{i}]: {a} -> {b}")
-            if a is None or b is None:
-                fam["flips"] += 1
+            if a is None:
+                print(f"{name}[{i}]: infeasible -> feasible {b}")
+                fam["gained"] += 1
                 continue
+            if b is None:
+                print(f"{name}[{i}]: feasible {a} -> infeasible")
+                fam["lost"] += 1
+                continue
+            print(f"{name}[{i}]: {a} -> {b}")
             la, lb = _linear(name, a), _linear(name, b)
             if lb > la:
                 fam["rises"] += 1
@@ -297,10 +305,11 @@ def compare(old_path, new_path) -> int:
     for name, f in fams.items():
         print(f"{name}: {f['moved']} of {f['lines']} digests moved; SNRs "
               f"rose {f['rises']}, fell {f['falls']}, worst relative fall "
-              f"{f['worst']:.2g}; {f['flips']} feasibility flips; "
-              f"{f['iters']} lines with changed iterations; {f['conv']} "
-              f"with changed converged flags")
-        bad += f["flips"] + (f["worst"] > _MAX_FALL)
+              f"{f['worst']:.2g}; {f['gained']} infeasible -> feasible, "
+              f"{f['lost']} feasible -> infeasible; {f['iters']} lines with "
+              f"changed iterations; {f['conv']} with changed converged "
+              f"flags")
+        bad += f["lost"] + (f["worst"] > _MAX_FALL)
     return 1 if bad else 0
 
 
