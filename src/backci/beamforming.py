@@ -13,7 +13,9 @@ Four solvers share one solution type:
   rank one, with a rank-one penalty SCA as the fallback.  The grid point
   t = 0 is solved in closed form, by the zero-forcing receiver.  Its
   generator, evolved_steps, yields the other grid points' relaxations as
-  one request;
+  one request: 2 x 2 lifts at M = 2, and at M >= 3 3 x 3 lifts that are
+  block diagonal, a 2 x 2 block on the channels' span plus the norm
+  outside it, which the SDP kernel solves on that block;
   lockstep stacks the requests of many tags into convex.solve_sdp_batch
   calls of at most _SDP_STACK entries.  evolved_sdp is lockstep on one
   generator.
@@ -373,21 +375,42 @@ def _purify(W, H1, rows):
 _PEN_CYCLE = 4       # solves per extrapolation cycle of the penalty SCA
 
 
+def _first_anchor(W):
+    """The penalty SCA's first anchor: W's dominant unit eigenvector, or,
+    for a block-diagonal W = diag(W_s, w_out), as the relaxation's optimum
+    is at M >= 3, the unit vector (sqrt(lambda_1) u_1, sqrt(w_out)) from
+    W_s's top eigenpair.
+
+    The outside coordinate only carries norm, so when W_s is rank one that
+    vector's lift has W's blocks, and so its objective and rows.  An
+    eigenvector of a block-diagonal W lies in one block, and the penalty
+    subproblems anchored there stay block diagonal: the penalty SCA could
+    never put norm in both.
+    """
+    if len(W) != 3 or W[:2, 2].any():
+        return recover_rank_one(W)[0]
+    vals, vecs = hermitian_eig(W[:2, :2])
+    u = np.append(np.sqrt(max(vals[0], 0.0)) * vecs[:, 0],
+                  np.sqrt(max(W[2, 2].real, 0.0)))
+    return u / np.linalg.norm(u)
+
+
 def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     """Inner SCA on the penalized lifted problem at one grid point.
 
     The anchor of each convex subproblem is the dominant eigenvector of the
-    current iterate.  Because the linearized penalty is a global
-    underestimator for ANY unit anchor, the anchor may be extrapolated along
-    the iterates' drift without losing monotonicity, provided the step is
-    kept only when the true penalized objective improves.  With the plain
-    anchor the drift contracts at a rate near 1 - 1/chi_rel and would burn
-    the whole iteration budget; extrapolation collapses it in a handful of
-    solves while converging to the same fixed point.  Every solve starts
-    from W = I / m, like every SDP.  Every subproblem has the relaxation's
-    rows, so the relaxation's W is the incumbent until a solve is accepted.
-    It has converged when the penalized objective climbs by less than omega
-    (relative) over the last _PEN_CYCLE solves, or the anchor stops moving.
+    current iterate, the first one _first_anchor's.  Because the linearized
+    penalty is a global underestimator for ANY unit anchor, the anchor may
+    be extrapolated along the iterates' drift without losing monotonicity,
+    provided the step is kept only when the true penalized objective
+    improves.  With the plain anchor the drift contracts at a rate near
+    1 - 1/chi_rel and would burn the whole iteration budget; extrapolation
+    collapses it in a handful of solves while converging to the same fixed
+    point.  Every solve starts from W = I / m, like every SDP.  Every
+    subproblem has the relaxation's rows, so the relaxation's W is the
+    incumbent until a solve is accepted.  It has converged when the
+    penalized objective climbs by less than omega (relative) over the last
+    _PEN_CYCLE solves, or the anchor stops moving.
 
     Returns (W, trace, converged, n_solves).
     """
@@ -413,7 +436,7 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
         return res, (gamma * float(np.trace(H1 @ res.W).real)
                      - chi * (1.0 - lam_top))
 
-    u, _ = recover_rank_one(W)
+    u = _first_anchor(W)
     overshot = False    # the last extrapolation did not improve
     for j in range(max_iter):
         res = None
@@ -469,6 +492,13 @@ def evolved_steps(chan, params):
     U = _span_basis(h0, hs)
     s = float(np.linalg.norm(h1)) or 1.0
     g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
+    if len(g0) == 3 and (abs(g0[2]) + abs(gs[2]) <= 1e-12 * (
+            np.linalg.norm(g0) + np.linalg.norm(gs))):
+        # U's last column is outside span(h0, hs), as _span_basis builds
+        # it, so the channels' components there are round-off.  Exactly 0,
+        # they make every relaxation block diagonal (convex._BlockSdp).
+        for g in (g0, g1, gs):
+            g[2] = 0.0
     H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
     gamma *= s * s
     # H0 and H1 are rank one: H0's spectrum is {0, ||g0||^2} (just
@@ -581,8 +611,13 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     kernel whole.  The relaxations of the other grid points are one
     solve_sdp_batch request, which lockstep may stack with other tags'
     (greedy_select does).  The lift is built on the basis U of _span_basis,
-    so it is at most 3 x 3 for any M, and exact; each v' found there is
-    mapped back as v = U v' and verified by _finalize on the full channels.
+    the channels' span plus, at M >= 3, one direction outside it that
+    carries the norm v may leave there; it is exact.  The channels'
+    components on that direction are set to the exact 0 they are up to
+    round-off, so at M >= 3 each relaxation is block diagonal, diag(W_s,
+    w_out) with W_s the 2 x 2 lift on the span, and the kernel solves it
+    in that form (convex._BlockSdp).  Each v' found is mapped back as
+    v = U v' and verified by _finalize on the full channels.
     It is built from the channels divided by ||h1||, with gamma times
     ||h1||^2: the grid's and the kernels' floors are absolute, and so the
     answer stays put when every channel scales by s and sigma_w2 by s^2.
@@ -595,11 +630,12 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     verifies it, with rank_residual 0.  Where no
     reduction exists, or v does not verify, the penalized trace-one SDP is
     solved by SCA from the relaxation's point (the rank penalty is
-    linearized through the dominant eigenvector), once, at the weight chi *
-    gamma * lambda_max(H1); its dominant eigenvector is kept if _finalize
-    verifies it, else the grid point is dropped, and rank_residual reports
-    how far from rank one it ended.  The best t by recovered objective
-    wins, smallest t on ties.
+    linearized through the dominant eigenvector; the first anchor of a
+    block-diagonal point joins its blocks, _first_anchor), once, at the
+    weight chi * gamma * lambda_max(H1); its dominant eigenvector is kept
+    if _finalize verifies it, else the grid point is dropped, and
+    rank_residual reports how far from rank one it ended.  The best t by
+    recovered objective wins, smallest t on ties.
     """
     return lockstep([evolved_steps(chan, params)])[0]
 

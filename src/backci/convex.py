@@ -46,14 +46,20 @@ of the unit-trace plane: the Hermitian matrix W has the coefficient vector
 w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
 -log det W is its cone barrier.  Besides the cone, the two differ only in
 the SDP's extra stop on the gap relative to its objective, which bounds the
-gap in original units.
+gap in original units.  A 3 x 3 SDP whose objective and rows are block
+diagonal, diag(W_s, w_out) with W_s 2 x 2, as the evolved design's
+relaxations at M >= 3 are, is solved on that block's plane (`_BlockSdp`):
+4 coordinates in place of 8, and the barrier -log det W_s - log w_out in
+closed form.  Fischer's inequality keeps every barrier centre of the full
+plane block diagonal, so the two take the same central path.
 
 `solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
 from its own start v0, in one stacked barrier run; the consensual SCA's
 lockstep driver (beamforming.lockstep) sends it one batch per round.
 `solve_sdp_batch(C, row_sets)` solves SDPs of one size, each with its own
 row list and one shared objective C or its own, in one stacked barrier
-run; lockstep stacks several tags' relaxations that way.  Both kernels are
+run, or two when it mixes block-diagonal entries and others; lockstep
+stacks several tags' relaxations that way.  Both kernels are
 batch-invariant: an entry's result does not depend on what else is in the
 stack, because no product mixes rows of the stack in one GEMM.
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
@@ -686,20 +692,27 @@ def svec(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.matvec(_herm_basis(m), A).real)
 
 
+_BLOCK = 5      # at m = 3, B_0 ... B_4 span the matrices diag(W_s, w_out)
+
+
 @lru_cache(maxsize=16)
-def _trace_one(m: int) -> tuple:
-    """The unit-trace plane of m x m Hermitian matrices, in the basis.
+def _trace_one(m: int, block: bool = False) -> tuple:
+    """The unit-trace plane of m x m Hermitian matrices, in the basis; with
+    block, at m = 3, the plane of the block-diagonal ones, diag(W_s, w_out).
 
     Returns (wp, Z, UZ, Wp): w = wp + Z y, with wp = svec(I) / m the
     coordinates of W = I / m, so y = 0 is that point, and Z an orthonormal
-    basis of svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into
-    the basis matrix U, so its row a is the plane's basis matrix B_a
-    flattened; Wp = wp U is wp's matrix, flattened.
+    basis of svec(I)'s nullspace (m^2 - 1 columns), or with block of its
+    part on B_0 ... B_4 (4 columns, zero in the other rows); UZ = Z^T U
+    folds Z into the basis matrix U, so its row a is the plane's basis
+    matrix B_a flattened; Wp = wp U is wp's matrix, flattened.
     """
     U = _herm_basis(m)
     E = svec(np.eye(m))[None]
     wp = E[0] / m
-    Z = np.linalg.svd(E)[2][1:].T
+    n = _BLOCK if block else m * m
+    Z = np.zeros((m * m, n - 1))
+    Z[:n] = np.linalg.svd(E[:, :n])[2][1:].T
     parts = (wp, Z, Z.T @ U, wp @ U)
     for a in parts:
         a.setflags(write=False)
@@ -707,7 +720,8 @@ def _trace_one(m: int) -> tuple:
 
 
 _MAP_DIM = 3    # the cone Hessian is one map up to this matrix dimension,
-                # the largest lift of the evolved design
+                # the largest lift of the evolved design that is not block
+                # diagonal: its penalty SDPs at M >= 3
 
 
 @lru_cache(maxsize=16)
@@ -739,6 +753,32 @@ def _cone_map(m: int) -> tuple:
     return parts
 
 
+def _objectives(C, B) -> np.ndarray:
+    """C as B objectives (B, m, m): one m x m objective shared, or one per
+    entry; ValueError for any other count."""
+    C = np.asarray(C, dtype=complex)
+    if C.ndim == 3 and len(C) not in (1, B):
+        raise ValueError(f"{len(C)} objectives for {B} row sets: give "
+                         f"one, or one per row set")
+    return np.broadcast_to(C, (B,) + C.shape[-2:])
+
+
+def _block_diagonal(C, row_sets) -> np.ndarray:
+    """Which entries are block diagonal, diag(W_s, w_out): the 3 x 3 ones
+    whose objective C (B, 3, 3) and every row leave the entries (0, 2) and
+    (1, 2), and their mirrors, exactly zero.  False for every entry at any
+    other size, and for rows of another size, which _Sdp refuses."""
+    B, m = len(C), C.shape[-1]
+    if m != 3:
+        return np.zeros(B, dtype=bool)
+    k = _one_row_count(map(len, row_sets))
+    A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
+    if k and A.shape[2:] != (3, 3):
+        return np.zeros(B, dtype=bool)
+    X = np.concatenate([C[:, None], A.reshape(B, k, 3, 3)], axis=1)
+    return ~(X[..., :2, 2].any(axis=(1, 2)) | X[..., 2, :2].any(axis=(1, 2)))
+
+
 class _Sdp(_Oracle):
     """Trace-one SDPs, one objective C_j per entry, in coordinates y of the
     plane Tr W = 1, w = w_p + Z y: min -c_hat_j . w.
@@ -758,18 +798,17 @@ class _Sdp(_Oracle):
 
     _batched = _Oracle._batched + ("c_norm", "c_hat")
 
+    block = False     # the plane of every m x m Hermitian matrix (_trace_one)
+
     def __init__(self, C, row_sets):
         """C is one m x m objective, or one per entry (B, m, m); row_sets
         holds, per entry, its rows (A, b): Tr(A W) <= b, the same number
         for every entry."""
         B = len(row_sets)
-        C = np.asarray(C, dtype=complex)
-        if C.ndim == 3 and len(C) not in (1, B):
-            raise ValueError(f"{len(C)} objectives for {B} row sets: give "
-                             f"one, or one per row set")
+        C = _objectives(C, B)
         self.m = m = C.shape[-1]
-        self.wp, self.Z, self.UZ, self.Wp = _trace_one(m)
-        c_w = svec(np.broadcast_to(C, (B, m, m)))
+        self.wp, self.Z, self.UZ, self.Wp = _trace_one(m, self.block)
+        c_w = svec(C)
         self.c_norm = np.sqrt(np.vecdot(c_w, c_w))
         self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
                                where=self.c_norm[:, None] > 0)
@@ -834,6 +873,75 @@ class _Sdp(_Oracle):
         return np.where(done, OPTIMAL, None)
 
 
+@lru_cache(maxsize=1)
+def _block_cone() -> tuple:
+    """The block plane's constants for _BlockSdp's closed-form cone.
+
+    With w = (p, q, w_out, r, s) the coefficients of W on B_0 ... B_4 and
+    w_p, Z their rows of _trace_one(3, True), det W_s = p q - (r^2 + s^2) / 2
+    = w^T D w / 2.  Returns (wp, Z, G, K, zo, ZO): G = Z^T D, so G w is the
+    gradient of det W_s in y; K = Z^T D Z its constant Hessian; zo = Z's
+    w_out row, the gradient of w_out; ZO = zo zo^T.
+    """
+    wp, Z, _UZ, _Wp = _trace_one(3, True)
+    wp, Z = wp[:_BLOCK], Z[:_BLOCK]
+    D = np.zeros((_BLOCK, _BLOCK))
+    D[0, 1] = D[1, 0] = 1.0
+    D[3, 3] = D[4, 4] = -1.0
+    G = Z.T @ D
+    parts = (wp, Z, G, G @ Z, Z[2], np.outer(Z[2], Z[2]))
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+class _BlockSdp(_Sdp):
+    """Trace-one SDPs at m = 3 whose objective and rows are block diagonal,
+    diag(W_s, w_out) with W_s 2 x 2 (_block_diagonal), solved on that
+    block's plane: 4 coordinates y in place of 8.
+
+    The reduction is exact.  No objective or row sees the coupling between
+    W_s and w_out, and by Fischer's inequality det W <= det W_s w_out, with
+    equality only where the coupling is zero; so every barrier centre of the
+    full 3 x 3 plane, like W = I / 3, has none, and the two planes' central
+    paths, Newton steps and stops (n_par counts m = 3) coincide.  The cone
+    barrier is in closed form, with no factorization:
+
+        -log det W = -log det W_s - log w_out,
+        det W_s = p q - (r^2 + s^2) / 2,
+
+    and W is positive definite iff p > 0, det W_s > 0 and w_out > 0 (see
+    _block_cone for the coordinates).  Its gradient and Hessian in y are
+    -(u + zo / w_out) and u u^T - K / det W_s + zo zo^T / w_out^2, with
+    u = G w / det W_s.  Every product with the plane runs row by row.
+    """
+
+    block = True
+
+    @staticmethod
+    def _parts(y):
+        """w on B_0 ... B_4 at y, det W_s and w_out, per entry."""
+        wp, Z, *_rest = _block_cone()
+        w = wp + np.matvec(Z, y)
+        det = w[:, 0] * w[:, 1] - 0.5 * (w[:, 3] ** 2 + w[:, 4] ** 2)
+        return w, det, w[:, 2]
+
+    def cone(self, y):
+        """-log det W, nan where W is not positive definite."""
+        w, det, w_out = self._parts(y)
+        inside = (w[:, 0] > 0.0) & (det > 0.0) & (w_out > 0.0)
+        return -np.log(det * w_out, out=np.full(len(y), np.nan), where=inside)
+
+    def cone_derivs(self, y):
+        _wp, _Z, G, K, zo, ZO = _block_cone()
+        w, det, w_out = self._parts(y)
+        u = np.matvec(G, w) / det[:, None]
+        io = 1.0 / w_out
+        H = (u[:, :, None] * u[:, None, :] - K / det[:, None, None]
+             + (io * io)[:, None, None] * ZO)
+        return -np.log(det * w_out), -(u + io[:, None] * zo), H
+
+
 def solve_small_sdp(p: SdpProblem) -> SdpResult:
     """Solve the small trace-one SDP by a log-barrier interior method, from
     W = I / m.
@@ -857,12 +965,15 @@ def solve_sdp_batch(C, row_sets: list) -> list:
     row_sets[j], W PSD.  Every entry starts from W = I / m, which is y = 0
     in the plane's coordinates and inside the cone.  Rows the plane cannot
     move are settled first (_settle); at m = 1 that is every row, and a
-    feasible entry ends at W = [[1]] with no Newton step.  The kernel is
-    batch-invariant: each entry takes its own Newton steps, leaves the
-    stack when it ends, and its SdpResult is bit for bit what
-    solve_small_sdp gives for it, whatever else is in the stack.  So
-    several tags' relaxations, each with its own objective, can share one
-    call (beamforming.lockstep).
+    feasible entry ends at W = [[1]] with no Newton step.  The 3 x 3
+    entries whose objective and rows are block diagonal, diag(W_s,
+    w_out), are solved as one stack on that block's plane (_BlockSdp),
+    the others as another on the full plane; the W returned is 3 x 3
+    either way.  The kernel is batch-invariant: each entry takes its own
+    Newton steps, leaves the stack when it ends, and its SdpResult is bit
+    for bit what solve_small_sdp gives for it, whatever else is in the
+    stack.  So several tags' relaxations, each with its own objective, can
+    share one call (beamforming.lockstep).
 
     Args:
         C: The m x m Hermitian objective every entry shares, or one per
@@ -887,8 +998,21 @@ def solve_sdp_batch(C, row_sets: list) -> list:
     """
     if not row_sets:
         return []
-    f = _Sdp(C, row_sets)
-    y = np.zeros((len(row_sets), f.Z.shape[1]))     # W = I / m
+    C = _objectives(C, len(row_sets))
+    block = _block_diagonal(C, row_sets)
+    results = [None] * len(row_sets)
+    for kind, idx in ((_BlockSdp, np.flatnonzero(block)),
+                      (_Sdp, np.flatnonzero(~block))):
+        if idx.size:
+            f = kind(C[idx], [row_sets[j] for j in idx])
+            for j, res in zip(idx, _sdp_results(f)):
+                results[j] = res
+    return results
+
+
+def _sdp_results(f) -> list:
+    """Solve oracle f's entries from W = I / m; their SdpResults."""
+    y = np.zeros((len(f.c), f.Z.shape[1]))     # W = I / m
     y, status, cert, steps, mu = _solve(f, y)
     results = [SdpResult(W=None, status=status[j], certificate=float(cert[j]),
                          newton_steps=int(steps[j])) for j in range(len(y))]

@@ -676,6 +676,113 @@ class TestSpanReduction:
             assert np.linalg.norm(padded.v) == pytest.approx(1.0, abs=1e-12)
 
 
+def _relaxations(chan, params):
+    """The grid relaxations evolved_steps sends to the kernel for chan, as
+    (C, row_sets) twice: in the block form it sends, and as they read with
+    the round-off left in the component outside the channels' span.  None
+    when it sends none."""
+    try:
+        C, row_sets = next(evolved_steps(chan, params))
+    except StopIteration:
+        return None
+    h0, h1, hs = chan
+    U = beamforming._span_basis(h0, hs)
+    s = np.linalg.norm(h1)
+    gamma = params.gamma * (s * s)
+    floor = divergence_floors(params)[3] - 1.0
+    ts = [rows[2][1] for rows in row_sets]      # each entry's (H0, t)
+
+    def lift(g0, g1, gs):
+        H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+        return gamma * H1, [[(-H1 + (1.0 + gamma * t) * Hs, -t),
+                             (-gamma * Hs, -floor), (H0, t)] for t in ts]
+
+    gs_off = [U.conj().T @ (h / s) for h in (h0, h1, hs)]
+    gs_block = [g.copy() for g in gs_off]
+    for g in gs_block:
+        g[2:] = 0.0
+    block = lift(*gs_block)
+    assert _lift_bytes(*block) == _lift_bytes(C, row_sets)
+    return block, lift(*gs_off)
+
+
+def _lift_bytes(C, row_sets):
+    return [C.tobytes()] + [A.tobytes() + repr(b).encode()
+                            for rows in row_sets for A, b in rows]
+
+
+class TestBlockRelaxation:
+    """At M >= 3 the evolved relaxations are block diagonal, diag(W_s,
+    w_out), and the kernel solves them on that block: the same SDPs as the
+    3 x 3 lift with the round-off left outside the span."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_lift_leaves_the_outside_direction_empty(self, m):
+        params = SystemParams(M=m)
+        for seed in range(3):
+            ch = gen_channel_set(params, seed)
+            for k in range(params.K):
+                req = _relaxations(ch.tag_channels(k), params)
+                if req is None:
+                    continue
+                (C, row_sets), _off = req
+                mats = [C] + [A for rows in row_sets for A, _b in rows]
+                last = [np.concatenate([X[-1], X[:, -1]]) for X in mats]
+                if m == 2:
+                    assert all(v.any() for v in last[:2])
+                else:
+                    assert not np.any(last)
+
+    def test_first_anchor_joins_the_blocks(self):
+        # W = diag(a a^H, 0.4): each eigenvector of W lies in one block,
+        # while the penalty's first anchor has W's blocks in its lift.
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a *= np.sqrt(0.6) / np.linalg.norm(a)
+        W = np.zeros((3, 3), dtype=complex)
+        W[:2, :2], W[2, 2] = np.outer(a, a.conj()), 0.4
+        u = beamforming._first_anchor(W)
+        lift = np.outer(u, u.conj())
+        assert lift[:2, :2] == pytest.approx(W[:2, :2], abs=1e-12)
+        assert lift[2, 2] == pytest.approx(0.4, abs=1e-12)
+        v, _residual = recover_rank_one(W)
+        assert abs(v[2]) == pytest.approx(0.0, abs=1e-12)
+        W[0, 2] = W[2, 0] = 1e-3     # coupled: the dominant eigenvector
+        assert beamforming._first_anchor(W).tobytes() == (
+            recover_rank_one(W)[0].tobytes())
+
+    def test_block_form_matches_the_lift_with_round_off(self):
+        # Every grid relaxation of the tags of seeds 0-11 at M in {3, 4,
+        # 8}, a tag with hs parallel to h0 and one with h0 = 0: the same
+        # statuses, and objectives to 1e-10 relative.
+        tags = []
+        for m in (3, 4, 8):
+            params = SystemParams(M=m)
+            tags += [(gen_channel_set(params, seed).tag_channels(k), params)
+                     for seed in range(12) for k in range(params.K)]
+        params = SystemParams(M=4, K=1)
+        h0, _h1, hs = tag0(params, 1)
+        for h0_, hs_ in ((h0, 3.0 * h0), (np.zeros(4, dtype=complex), hs)):
+            tags.append(((h0_, h0_ + hs_, hs_), params))
+        block, off = [], []
+        for chan, params in tags:
+            req = _relaxations(chan, params)
+            if req is not None:
+                block += [(req[0][0], rows) for rows in req[0][1]]
+                off += [(req[1][0], rows) for rows in req[1][1]]
+        assert len(off) > 4000
+        assert not convex._block_diagonal(
+            convex._objectives([C for C, _r in off], len(off)),
+            [r for _C, r in off]).all()
+        got, want = (solve_sdp_batch([C for C, _r in e], [r for _C, r in e])
+                     for e in (block, off))
+        assert [r.status for r in got] == [r.status for r in want]
+        assert {OPTIMAL, INFEASIBLE} <= {r.status for r in got}
+        for a, b in zip(got, want):
+            if a.status == OPTIMAL:
+                assert a.objective == pytest.approx(b.objective, rel=1e-10)
+
+
 def _trace(A, W):
     return float(np.trace(A @ W).real)
 

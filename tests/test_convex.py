@@ -9,12 +9,14 @@ importable.  None of those share code with the solvers under test.
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from backci import convex
-from backci.beamforming import _span_basis, divergence_floors
+from backci.beamforming import _span_basis, divergence_floors, evolved_steps
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
@@ -24,8 +26,10 @@ from backci.convex import (
     QcqpProblem,
     SdpProblem,
     _BallQcqp,
+    _BlockSdp,
     _PhaseOne,
     _Sdp,
+    _trace_one,
     embed_hermitian,
     embed_vector,
     solve_ball_qcqp,
@@ -845,6 +849,122 @@ class TestNoInterior:
                 assert res.certificate > 1e-4
 
 
+def _block(Ws, w_out):
+    """diag(Ws, w_out), 3 x 3."""
+    W = np.zeros((3, 3), dtype=complex)
+    W[:2, :2], W[2, 2] = Ws, w_out
+    return W
+
+
+def _block_oracle(rng, B):
+    """A _BlockSdp of B entries with random block-diagonal objective and
+    rows, each row held with margin 0.5 at W = I / 3."""
+    C = _block(rand_herm_psd(rng, 2), rng.normal())
+    rows = []
+    for _ in range(B):
+        mats = [_block(rand_herm_psd(rng, 2), rng.uniform(0.0, 1.0))
+                for _ in range(2)]
+        rows.append([(A, float(np.trace(A).real / 3 + 0.5)) for A in mats])
+    return _BlockSdp(C, rows)
+
+
+def _plane_point(W):
+    """y of the block plane at the 3 x 3 block-diagonal W."""
+    wp, Z, _UZ, _Wp = _trace_one(3, True)
+    return Z.T @ (svec(W) - wp)
+
+
+class TestBlockCone:
+    """_BlockSdp's closed-form cone barrier, -log det W_s - log w_out, on
+    W = diag(W_s, w_out) of trace one."""
+
+    @staticmethod
+    def _points(rng, n):
+        for _ in range(n):
+            X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            W = _block(X @ X.conj().T + 0.05 * np.eye(2),
+                       rng.uniform(0.05, 2.0))
+            yield W / np.trace(W).real
+
+    def test_value_and_gradient(self):
+        # Against slogdet of each block and the inverse: the gradient of
+        # -log det W in the plane is -Z^T svec(W^-1).
+        rng = np.random.default_rng(31)
+        f = _block_oracle(rng, 1)
+        for W in self._points(rng, 20):
+            y = _plane_point(W)[None]
+            assert f.matrix(y)[0] == pytest.approx(W, abs=1e-15)
+            value, grad, H = f.cone_derivs(y)
+            logdet = np.linalg.slogdet(W[:2, :2])[1] + math.log(W[2, 2].real)
+            assert value[0] == pytest.approx(-logdet, rel=1e-12)
+            assert f.cone(y)[0] == value[0]
+            assert grad[0] == pytest.approx(
+                -f.Z.T @ svec(np.linalg.inv(W)), rel=1e-10, abs=1e-12)
+            assert np.linalg.eigvalsh(H[0])[0] > 0.0
+
+    def test_hessian_against_finite_differences(self):
+        rng = np.random.default_rng(32)
+        f = _block_oracle(rng, 1)
+        h = 1e-4
+        E = np.eye(4) * h
+        for W in self._points(rng, 5):
+            y = _plane_point(W)
+            H = f.cone_derivs(y[None])[2][0]
+            fd = np.array([[(f.cone((y + E[i] + E[j])[None])
+                             - f.cone((y + E[i] - E[j])[None])
+                             - f.cone((y - E[i] + E[j])[None])
+                             + f.cone((y - E[i] - E[j])[None]))[0]
+                            / (4 * h * h) for j in range(4)]
+                           for i in range(4)])
+            assert H == pytest.approx(fd, rel=1e-5,
+                                      abs=1e-5 * np.abs(H).max())
+
+    @pytest.mark.parametrize("Ws, w_out", [
+        (-np.eye(2), 3.0),                  # det W_s > 0, not definite
+        (np.diag([0.5, 0.0]), 0.5),         # W_s singular
+        (0.6 * np.eye(2), -0.2),            # w_out < 0
+        (0.5 * np.eye(2), 0.0)])            # w_out = 0
+    def test_nan_outside_the_cone(self, Ws, w_out):
+        f = _block_oracle(np.random.default_rng(33), 1)
+        W = _block(Ws, w_out)
+        assert np.trace(W).real == pytest.approx(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(f.cone(_plane_point(W)[None]))[0]
+
+
+class TestBlockSdp:
+    """solve_sdp_batch solves block-diagonal 3 x 3 entries on their block
+    and every other entry on the full plane, each kind as its own stack."""
+
+    def test_mixed_call_matches_solo_calls(self):
+        # Evolved relaxations at M = 4 (block diagonal) and relaxations in
+        # the full C^3 (not), interleaved in one call: every entry is bit
+        # for bit its own call's.
+        params = SystemParams(K=1, M=4)
+        block, full = [], []
+        for seed in (1, 5):
+            chan = gen_channel_set(params, seed).tag_channels(0)
+            C, row_sets = next(evolved_steps(chan, params))
+            block += [(C, rows) for rows in row_sets[6::12]]
+            C, row_sets = _family_rows(replace(params, M=3), seed, 8)
+            full += [(C, rows) for rows in row_sets]
+        entries = [e for pair in zip(block, full) for e in pair]
+        kinds = convex._block_diagonal(
+            convex._objectives([C for C, _rows in entries], len(entries)),
+            [rows for _C, rows in entries])
+        assert list(kinds) == [True, False] * len(block)
+        batch = solve_sdp_batch([C for C, _rows in entries],
+                                [rows for _C, rows in entries])
+        solo = [solve_small_sdp(_problem(C, rows)) for C, rows in entries]
+        assert [_result_repr(r) for r in batch] == [
+            _result_repr(r) for r in solo]
+        assert {OPTIMAL, INFEASIBLE} <= {r.status for r in batch[::2]}
+        for r in batch[::2]:
+            if r.W is not None:     # the block's coupling stays exactly 0
+                assert not r.W[:2, 2].any() and not r.W[2, :2].any()
+
+
 class TestLogdet:
     def test_refused_matrix_leaves_the_others_alone(self, monkeypatch):
         # Two matrices that are not positive definite in a stack of six
@@ -969,6 +1089,16 @@ class TestOracleDerivatives:
         rng = np.random.default_rng(80 + m)
         for _ in range(3):
             f, y = _random_sdp_oracle(rng, m)
+            assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
+            self._check(f, y, 0.3)
+            self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
+                        0.3)
+
+    def test_block_sdp_oracle(self):
+        rng = np.random.default_rng(84)
+        for _ in range(3):
+            f = _block_oracle(rng, 3)
+            y = 0.02 * rng.normal(size=(3, 4))
             assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),

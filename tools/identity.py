@@ -16,7 +16,10 @@ Prints one ``name sha256`` line per output:
   (``consensual/evolved``);
 * ``solve-m8/s1/r<i>``: the same for realizations 0-3 of seed 1 of the
   ``solve`` workload's inputs at M = 8, where reducing the evolved
-  design's lift to three dimensions changes the most;
+  design's lift to the channels' span and the norm outside it changes the
+  most;
+* ``solve-m3/s1/r<i>``: the same at M = 3, where ``_span_basis`` is square
+  and the direction outside the span still exists;
 * ``fallback/s1/r<i>``: as ``solve``, for realizations 0-7 of seed 1, with
   ``beamforming._purify`` switched off (restored afterwards), so that every
   examined grid point runs the penalty SCA; no other family reaches it;
@@ -140,10 +143,18 @@ def solve(tmpdir):
     return _solve_lines(tmpdir, "solve", (1, 2, 3), 25)
 
 
-def solve_m8(tmpdir):
+def _solve_at(tmpdir, m):
     w = workloads.WORKLOADS["solve"]
-    return _solve_lines(tmpdir, "solve-m8", (1,), 4,
-                        replace(w, base=replace(w.base, M=8)))
+    return _solve_lines(tmpdir, f"solve-m{m}", (1,), 4,
+                        replace(w, base=replace(w.base, M=m)))
+
+
+def solve_m8(tmpdir):
+    return _solve_at(tmpdir, 8)
+
+
+def solve_m3(tmpdir):
+    return _solve_at(tmpdir, 3)
 
 
 def fallback(tmpdir):
@@ -254,8 +265,8 @@ def _read(path) -> dict:
 
 def _linear(name, x):
     """An SNR of the line name in linear units: the per-tag lines are."""
-    return (x if name.startswith(("solve/", "solve-m8/", "fallback/",
-                                  "weak-dl/"))
+    return (x if name.startswith(("solve/", "solve-m8/", "solve-m3/",
+                                  "fallback/", "weak-dl/"))
             else 10.0 ** (x / 10.0))
 
 
@@ -322,8 +333,8 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmpdir:
         for family in (sweep_sca, sweep_m, sweep_evolved, solve, solve_m8,
-                       mimo, mimo_evolved, mimo_random, siso_evolved,
-                       weak_dl, fallback):
+                       solve_m3, mimo, mimo_evolved, mimo_random,
+                       siso_evolved, weak_dl, fallback):
             for line in family(tmpdir):
                 print(*line, flush=True)
     return 0
