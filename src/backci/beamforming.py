@@ -17,8 +17,9 @@ Four solvers share one solution type:
   block diagonal, a 2 x 2 block on the channels' span plus the norm
   outside it, which the SDP kernel solves on that block;
   lockstep stacks the requests of many tags into convex.solve_sdp_batch
-  calls of at most _SDP_STACK entries.  evolved_sdp is lockstep on one
-  generator.
+  calls of at most _SDP_STACK entries, cut between requests, each request
+  one group, so the kernel drops the grid points whose bound cannot win.
+  evolved_sdp is lockstep on one generator.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
   running the generators above on effective single-input channels by yield
@@ -46,6 +47,7 @@ import numpy as np
 # solve_ball_qcqp stays importable from this module: bench/tracer.py
 # wraps it here.
 from .convex import (  # noqa: F401
+    DOMINATED,
     MAX_ITER,
     OPTIMAL,
     QcqpProblem,
@@ -254,20 +256,52 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
 _SDP_STACK = 200    # most SDP entries in one solve_sdp_batch call of lockstep
 
 
+def _solve_sdp_requests(reqs) -> list:
+    """The SdpResults of each SDP request, all of one matrix size, from
+    solve_sdp_batch calls of at most _SDP_STACK entries, cut only between
+    requests (a longer request is a call of its own): a request's entries
+    share one group label, or have one each when its prune is False."""
+    calls, n = [[]], 0
+    for req in reqs:
+        if n and n + len(req[1]) > _SDP_STACK:
+            calls.append([])
+            n = 0
+        calls[-1].append(req)
+        n += len(req[1])
+    out = []
+    for call in calls:
+        C, rows, groups = [], [], []
+        for r, (c, row_sets, *prune) in enumerate(call):
+            C += [c] * len(row_sets)
+            rows += row_sets
+            groups += ([(r, j) for j in range(len(row_sets))]
+                       if prune == [False] else [r] * len(row_sets))
+        flat = solve_sdp_batch(C, rows, groups)
+        for _c, row_sets, *_prune in call:
+            out.append(flat[:len(row_sets)])
+            flat = flat[len(row_sets):]
+    return out
+
+
 def lockstep(gens) -> list:
     """Run design generators together; their solutions, in order.
 
     A generator yields either (QcqpProblem, v0), one QCQP and its start,
-    and takes back its QcqpResult (consensual_steps), or (C, row_sets),
-    the trace-one SDPs of objective C, one per row set, and takes back
-    their SdpResults (evolved_steps); alternating_steps yields what its
-    inner design yields.  Each round sends every pending generator its
-    results, then solves what they yield: the QCQPs as one
-    solve_ball_qcqps batch per dimension, and the SDPs, each entry with its
-    own request's C, as solve_sdp_batch calls of at most _SDP_STACK
-    entries per matrix size.  Both kernels are batch-invariant, so every
-    generator gets the results it would get run alone, and its solution
-    does too.  An exception a generator raises ends the run.
+    and takes back its QcqpResult (consensual_steps), or (C, row_sets) or
+    (C, row_sets, prune), the trace-one SDPs of objective C, one per row
+    set, and takes back their SdpResults (evolved_steps); alternating_steps
+    yields what its inner design yields.  The entries of one SDP request
+    are alternatives of one maximum, so they are one group of
+    solve_sdp_batch, which may end those that cannot hold it "dominated";
+    with prune False each entry is solved to the end.  Each round sends
+    every pending generator its results, then solves what they yield: the
+    QCQPs as one solve_ball_qcqps batch per dimension, and the SDPs, each
+    entry with its own request's C, as solve_sdp_batch calls of at most
+    _SDP_STACK entries per matrix size, cut only between requests.  Both
+    kernels are batch-invariant, and an SDP's result depends only on its
+    own request, so every generator gets the results it would get run
+    alone, and its solution does too.  An exception a generator raises
+    ends the run.
     """
     out = [None] * len(gens)
     asked = {}      # generator index -> its pending request
@@ -282,24 +316,17 @@ def lockstep(gens) -> list:
         send(i, None)
     while asked:
         now, asked = asked, {}
-        groups = {}
-        for i, (first, _rest) in now.items():
+        kinds = {}
+        for i, (first, *_rest) in now.items():
             qcqp = isinstance(first, QcqpProblem)
             size = first.dim() if qcqp else len(first)
-            groups.setdefault((qcqp, size), []).append(i)
-        for (qcqp, _size), idx in groups.items():
+            kinds.setdefault((qcqp, size), []).append(i)
+        for (qcqp, _size), idx in kinds.items():
             if qcqp:
                 results = solve_ball_qcqps([now[i][0] for i in idx],
                                            [now[i][1] for i in idx])
             else:
-                C = [now[i][0] for i in idx for _rows in now[i][1]]
-                rows = [r for i in idx for r in now[i][1]]
-                flat = [res for s in range(0, len(rows), _SDP_STACK)
-                        for res in solve_sdp_batch(C[s:s + _SDP_STACK],
-                                                   rows[s:s + _SDP_STACK])]
-                ends = np.cumsum([len(now[i][1]) for i in idx])
-                results = [flat[e - len(now[i][1]):e]
-                           for i, e in zip(idx, ends)]
+                results = _solve_sdp_requests([now[i] for i in idx])
             for i, res in zip(idx, results):
                 send(i, res)
     return out
@@ -474,14 +501,17 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
 
 def evolved_steps(chan, params):
     """The lifted design as a generator: its set-up, one request for its
-    relaxation batch, then its finish.
+    relaxation batch (rarely a second, below), then its finish.
 
-    Yields (C, row_sets) once, the relaxations of every grid point but
-    t = 0 (which it solves in closed form) with their shared objective C,
-    and takes their SdpResults back by send(); returns the
-    BeamformerSolution.  Run it with lockstep, which stacks the
-    relaxations of many tags into shared solve_sdp_batch calls; evolved_sdp
-    runs it alone.  What it solves is evolved_sdp's docstring.
+    Yields (C, row_sets), the relaxations of every grid point but t = 0
+    (which it solves in closed form) with their shared objective C, and
+    takes their SdpResults back by send(); returns the BeamformerSolution.
+    Some may come back "dominated".  When the top candidates fail and such
+    a point could still hold the best SNR, it yields (C, row_sets, False)
+    for those points, to be solved in full, and examines the grid again.
+    Run it with lockstep, which stacks the relaxations of many tags into
+    shared solve_sdp_batch calls; evolved_sdp runs it alone.  What it
+    solves is evolved_sdp's docstring.
     """
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
@@ -527,8 +557,10 @@ def evolved_steps(chan, params):
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever rank-one point exists there, and its
-    # solution is what purification or the penalty stage starts from.
-    # Every relaxation is solved; purification and the penalty stage are
+    # solution is what purification or the penalty stage starts from.  The
+    # grid points are alternatives of one maximum, so the kernel ends those
+    # whose bound falls below another point's objective "dominated", with
+    # their bound and no solution.  Purification and the penalty stage are
     # skipped at the points whose bound cannot beat the best SNR found.
     # The grid points share the matrices of their last two rows.
     no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
@@ -537,61 +569,83 @@ def evolved_steps(chan, params):
         no_dl,
         (H0, t),                                  # t dominates the DLI
     ] for t in kernel_grid]
-    total_iter = len(grid)
-    any_nonconverged = False
-    results = yield gamma * H1, row_sets
-    for t, rows, res in zip(kernel_grid, row_sets, results):
-        if res.status == MAX_ITER:
-            any_nonconverged = True
-        if res.status != OPTIMAL:
-            continue
-        relax.append((float(res.objective), float(t), res.W, rows, None))
-    if not relax:
-        return _infeasible(iterations=total_iter,
-                           converged=not any_nonconverged)
+    results = list((yield gamma * H1, row_sets))
 
-    relax.sort(key=lambda e: -e[0])
-    achieved = []        # (snr, t, v, residual, trace, stats)
-    best_snr = -np.inf
-    for ub, t, W_rel, rows, v in relax:
-        if ub < best_snr - 1e-9:
-            break       # relax is sorted by bound: none of the rest can win
-        exact = v is not None
-        if not exact:
-            v = _purify(W_rel, H1, rows)
-        ok = v is not None
-        if ok:
-            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params, d_min,
-                                          e_min, "evolved")
-            residual, trace_t = 0.0, []
-        if not ok:
-            if exact:   # the closed form has no fallback
-                continue
-            W, trace_t, converged_t, n_solve = _penalized_sca(
-                rows, H1, gamma, chi, W_rel, params.J, params.omega)
-            total_iter += n_solve
-            if not converged_t:
-                any_nonconverged = True
-            v, residual = recover_rank_one(W)
-            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params, d_min,
-                                          e_min, "evolved")
+    def examine(relax):
+        """Candidates by falling bound until none left can beat the best
+        SNR found: (achieved, penalty solves, whether one did not
+        converge), achieved holding (snr, t, v, residual, trace, stats,
+        bound)."""
+        achieved = []
+        best_snr = -np.inf
+        n_solves, capped = 0, False
+        for ub, t, W_rel, rows, v in sorted(relax, key=lambda e: -e[0]):
+            if ub < best_snr - 1e-9:
+                break   # sorted by bound: none of the rest can win
+            exact = v is not None
+            if not exact:
+                v = _purify(W_rel, H1, rows)
+            ok = v is not None
+            if ok:
+                v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
+                                              d_min, e_min, "evolved")
+                residual, trace_t = 0.0, []
             if not ok:
-                continue
-        achieved.append((snr, t, v, residual, trace_t, stats))
-        best_snr = max(best_snr, snr)
+                if exact:   # the closed form has no fallback
+                    continue
+                W, trace_t, converged_t, n_solve = _penalized_sca(
+                    rows, H1, gamma, chi, W_rel, params.J, params.omega)
+                n_solves += n_solve
+                capped |= not converged_t
+                v, residual = recover_rank_one(W)
+                v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
+                                              d_min, e_min, "evolved")
+                if not ok:
+                    continue
+            achieved.append((snr, t, v, residual, trace_t, stats, ub))
+            best_snr = max(best_snr, snr)
+        return achieved, n_solves, capped
 
+    while True:
+        achieved, n_solves, pen_capped = examine(relax + [
+            (float(res.objective), float(t), res.W, rows, None)
+            for t, rows, res in zip(kernel_grid, row_sets, results)
+            if res.status == OPTIMAL])
+        # A dominated point's optimum is at most its bound ub.  Solved, it
+        # would sit after every candidate whose bound exceeds ub, so the
+        # loop would reach it holding at least the best SNR of those; if
+        # that beats ub by 1e-9, the loop breaks there, as it does here at
+        # the next candidate.  The other dominated points are solved in
+        # full, and the loop runs again, so the solution is always the one
+        # the unpruned grid gives.
+        redo = []
+        for j, res in enumerate(results):
+            ub = res.objective + res.gap
+            if res.status == DOMINATED and ub >= max(
+                    (a[0] for a in achieved if a[6] > ub),
+                    default=-np.inf) - 1e-9:
+                redo.append(j)
+        if not redo:
+            break
+        again = yield gamma * H1, [row_sets[j] for j in redo], False
+        for j, res in zip(redo, again):
+            results[j] = res
+
+    total_iter = len(grid) + n_solves
+    converged = not (pen_capped
+                     or any(res.status == MAX_ITER for res in results))
     if not achieved:
-        return _infeasible(iterations=total_iter,
-                           converged=not any_nonconverged)
+        return _infeasible(iterations=total_iter, converged=converged)
+    best_snr = max(a[0] for a in achieved)
     # smallest t wins among the grid points tying for the best objective
     best = min((a for a in achieved if a[0] >= best_snr - 1e-9),
                key=lambda a: a[1])
-    snr, _t, v, residual, trace_t, stats = best
+    snr, _t, v, residual, trace_t, stats, _ub = best
     return BeamformerSolution(v=v, snr=snr, feasible=True,
                               iterations=total_iter,
                               objective_trace=trace_t,
                               rank_residual=residual, stats=stats,
-                              converged=not any_nonconverged)
+                              converged=converged)
 
 
 def evolved_sdp(chan, params) -> BeamformerSolution:
@@ -623,8 +677,15 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     answer stays put when every channel scales by s and sigma_w2 by s^2.
     A relaxation that hits the iteration cap drops its grid point and
     marks the result not converged; one that ends infeasible or with no
-    interior drops it alone.  Grid points are examined by falling bound
-    until no remaining bound can beat the best SNR found.  At each,
+    interior drops it alone.  lockstep solves the request as one group: the
+    kernel ends a point "dominated", with a bound and no solution, once
+    that bound falls below another point's objective.  Should the
+    examination below reach a bound it cannot rule out that way, those
+    points are solved in full and the grid examined again, so the solution
+    is the one the full grid gives; only a dominated point that would have
+    hit the iteration cap at a later stage goes unreported.  Grid points
+    are examined by falling bound until no remaining bound can beat the
+    best SNR found.  At each,
     _purify reduces the relaxation's optimum to a rank-one v v^H at the
     same objective, so v is optimal for that t; it is kept if _finalize
     verifies it, with rank_residual 0.  Where no

@@ -28,7 +28,7 @@ work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
 phase one needs only a strictly feasible point.  Newton steps are counted
 alike in both: every step tried, accepted or not.  A stage has a budget of
 _MAX_NEWTON of them; an entry still centring after them ends MAX_ITER, so
-OPTIMAL, INFEASIBLE and NO_INTERIOR come only from a centre.
+OPTIMAL, INFEASIBLE, NO_INTERIOR and DOMINATED come only from a centre.
 
 Every entry of one call has one row count, so the rows stack rectangularly
 (ValueError otherwise).  One rule, `_settle`, settles every row that x
@@ -56,12 +56,17 @@ plane block diagonal, so the two take the same central path.
 `solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
 from its own start v0, in one stacked barrier run; the consensual SCA's
 lockstep driver (beamforming.lockstep) sends it one batch per round.
-`solve_sdp_batch(C, row_sets)` solves SDPs of one size, each with its own
-row list and one shared objective C or its own, in one stacked barrier
-run, or two when it mixes block-diagonal entries and others; lockstep
-stacks several tags' relaxations that way.  Both kernels are
-batch-invariant: an entry's result does not depend on what else is in the
-stack, because no product mixes rows of the stack in one GEMM.
+`solve_sdp_batch(C, row_sets, groups)` solves SDPs of one size, each with
+its own row list and one shared objective C or its own, in one stacked
+barrier run, or two when it mixes block-diagonal entries and others;
+lockstep stacks several tags' relaxations that way.  Entries that share a
+group label are alternatives of one maximum, as one tag's grid
+relaxations are: after each main-stage barrier stage, an entry centred
+there whose upper bound, objective + _KAPPA * gap, falls below the best
+objective its group has reached ends DOMINATED, unsolved.  Both kernels
+are batch-invariant: an entry's result does not depend on what else is in
+the stack, because no product mixes rows of the stack in one GEMM, and an
+SDP's depends on no entry outside its group.
 `solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
 one.  Every SDP starts from W = I / m; only the QCQP takes a start.
 
@@ -73,6 +78,7 @@ schedule meaningful across the wide dynamic range of channel realizations.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -83,6 +89,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
+DOMINATED = "dominated"
 
 _MU_FACTOR = 0.1
 _MAX_NEWTON = 200       # Newton steps per barrier stage
@@ -93,6 +100,15 @@ _TOL = 1e-8             # duality-gap target, on the normalized problem
 _STALL = 1e-14          # last stage: a decrement this small that no longer
                         # falls is at the round-off floor
 _CENTRE = 0.125         # a stage is centred once dec / 2 <= _CENTRE * mu
+# At a point so centred the Newton decrement of c . x / mu + phi is at most
+# 1/2, and its gap is at most mu (nu + sqrt(nu) + 1/2) for a barrier of
+# parameter nu = n_par (Nesterov, Introductory Lectures on Convex
+# Optimization, Thm 4.2.7; Renegar, A Mathematical View of Interior-Point
+# Methods, section 2.4).  That is below _KAPPA nu mu for nu >= 2, which
+# every SDP with a plane to move in has (m >= 2); at m = 1 the plane is a
+# point, and the gap 0.
+_KAPPA = 2.0
+_DOMINANCE = 1e-7       # relative margin by which a bound must miss
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +287,9 @@ class _Oracle:
         """Where to end at once (None: nowhere); only phase one does."""
         return None
 
-    def stop(self, x, mu, tol):
-        """Status to end with at the mu-centre x, None to go on."""
+    def stop(self, x, mu, tol, centred):
+        """Status to end with at the mu-centre x, None to go on; centred
+        marks the entries whose Newton decrement met the _CENTRE test."""
         return np.where(self.n_par * mu <= tol, OPTIMAL, None)
 
 
@@ -283,7 +300,8 @@ def _barrier(f, x, tol):
     (_centre), then asks f.stop which of them end; the rest go on to the
     next mu.  An entry still centring after the stage's _MAX_NEWTON Newton
     steps ends MAX_ITER there, as f.stop's gap bound holds only at a
-    centre; f.stop judges one whose line search failed.
+    centre; f.stop judges one whose line search failed, and is told which
+    entries met the _CENTRE test.
 
     Returns (x, status, mu, steps), one row or value per entry: mu of the
     stage it ended in, and steps the Newton steps it tried.
@@ -299,9 +317,9 @@ def _barrier(f, x, tol):
         mu_end = np.zeros(B)
         live, sl, mu = np.arange(B), steps.copy(), 1.0
         while True:
-            xl, n, capped = _centre(f, xl, mu, tol)
+            xl, n, capped, centred = _centre(f, xl, mu, tol)
             sl += n
-            st = f.stop(xl, mu, tol)
+            st = f.stop(xl, mu, tol, centred)
             st[capped] = MAX_ITER
             end = np.not_equal(st, None)
             n_end = np.count_nonzero(end)
@@ -330,10 +348,12 @@ def _centre(f, x, mu, tol):
     Returns the points, x updated in place, the Newton steps each entry
     tried (k for an entry centred at Newton iteration k, k + 1 for one
     whose line search failed there, and _MAX_NEWTON for one still centring
-    at the end), and a mask of the entries still centring at the end.
+    at the end), a mask of the entries still centring at the end, and a
+    mask of those whose point has dec / 2 <= _CENTRE * mu (_KAPPA's bound).
     """
     steps = np.full(len(x), _MAX_NEWTON)
     capped = np.zeros(len(x), dtype=bool)
+    centred = np.zeros(len(x), dtype=bool)
     act, xa = np.arange(len(x)), x      # the entries still centring
     last = f.n_par * mu * _MU_FACTOR <= tol
     floor2 = 2.0 * np.where(last, 1e-16, _CENTRE * mu)
@@ -353,8 +373,9 @@ def _centre(f, x, mu, tol):
         if n_done:
             out = act[done]
             x[out], steps[out] = xa[done], k
+            centred[out] = dec[done] <= 2.0 * _CENTRE * mu
             if n_done == len(done):
-                return x, steps, capped
+                return x, steps, capped, centred
             keep = ~done
             act, xa, val, d, dec, last, floor2 = (
                 a[keep] for a in (act, xa, val, d, dec, last, floor2))
@@ -365,7 +386,7 @@ def _centre(f, x, mu, tol):
             out = act[failed]
             x[out], steps[out] = xa[failed], k + 1
             if n_failed == len(failed):
-                return x, steps, capped
+                return x, steps, capped, centred
             keep = ~failed
             act, xa, dec, last, floor2 = (
                 a[keep] for a in (act, xa, dec, last, floor2))
@@ -373,7 +394,7 @@ def _centre(f, x, mu, tol):
         prev = dec
     x[act] = xa
     capped[act] = True
-    return x, steps, capped
+    return x, steps, capped, centred
 
 
 def _line_search(f, x, d, val, dec, mu):
@@ -446,7 +467,7 @@ class _PhaseOne(_Oracle):
             (self.f.rows(xs[:, :-1])[0] < -_FEAS_MARGIN) | ~self.slack,
             axis=1)
 
-    def stop(self, xs, mu, tol):
+    def stop(self, xs, mu, tol, centred):
         gap = self.n_par * mu
         return np.where(self.found(xs), OPTIMAL,
                         np.where(xs[:, -1] - gap > 1e-9, INFEASIBLE,
@@ -652,7 +673,7 @@ class SdpResult:
     W: Optional[np.ndarray]
     status: str
     objective: float = np.nan
-    gap: float = np.nan           # duality-gap bound, original units
+    gap: float = np.nan           # optimum - objective bound, original units
     certificate: float = np.nan
     newton_steps: int = 0
 
@@ -763,20 +784,28 @@ def _objectives(C, B) -> np.ndarray:
     return np.broadcast_to(C, (B,) + C.shape[-2:])
 
 
-def _block_diagonal(C, row_sets) -> np.ndarray:
-    """Which entries are block diagonal, diag(W_s, w_out): the 3 x 3 ones
-    whose objective C (B, 3, 3) and every row leave the entries (0, 2) and
-    (1, 2), and their mirrors, exactly zero.  False for every entry at any
-    other size, and for rows of another size, which _Sdp refuses."""
-    B, m = len(C), C.shape[-1]
-    if m != 3:
-        return np.zeros(B, dtype=bool)
+def _stack_rows(row_sets, m) -> tuple:
+    """Every entry's rows (A, b), Tr(A W) <= b, as stacks: a = svec(A)
+    (B, k, m^2) and b (B, k).  ValueError when the row counts differ, or
+    when a row's matrix is not m x m, the objective's size."""
+    B = len(row_sets)
     k = _one_row_count(map(len, row_sets))
     A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
-    if k and A.shape[2:] != (3, 3):
-        return np.zeros(B, dtype=bool)
-    X = np.concatenate([C[:, None], A.reshape(B, k, 3, 3)], axis=1)
-    return ~(X[..., :2, 2].any(axis=(1, 2)) | X[..., 2, :2].any(axis=(1, 2)))
+    if k and A.shape[2:] != (m, m):
+        raise ValueError(f"the objective is {m} x {m}, the rows are "
+                         + " x ".join(map(str, A.shape[2:])))
+    b = np.array([[b for _a, b in e] for e in row_sets], dtype=float)
+    return svec(A.reshape(B, k, m, m)), b.reshape(B, k)
+
+
+def _block_diagonal(c, a) -> np.ndarray:
+    """Which entries are block diagonal, diag(W_s, w_out): the 3 x 3 ones
+    whose objective c = svec(C) (B, 9) and rows a (B, k, 9) have no
+    coordinate on B_5 ... B_8, the basis matrices of the entries (0, 2) and
+    (1, 2).  False for every entry at any other size."""
+    if c.shape[-1] != 9:
+        return np.zeros(len(c), dtype=bool)
+    return ~(c[:, _BLOCK:].any(axis=1) | a[..., _BLOCK:].any(axis=(1, 2)))
 
 
 class _Sdp(_Oracle):
@@ -794,32 +823,28 @@ class _Sdp(_Oracle):
     X_pj X_kq, Z folded into U.  Every product that involves the shared
     plane runs row by row (np.matvec), so an entry's arithmetic does not
     depend on what else is in the stack.
+
+    group (B,) labels the entries that are alternatives of one maximum
+    (None: no entry is), and best holds each group's largest objective
+    seen at a stage's end, shared by every oracle of one call; stop ends
+    an entry DOMINATED once its bound cannot reach that.
     """
 
-    _batched = _Oracle._batched + ("c_norm", "c_hat")
+    _batched = _Oracle._batched + ("c_norm", "c_hat", "group")
 
     block = False     # the plane of every m x m Hermitian matrix (_trace_one)
 
-    def __init__(self, C, row_sets):
-        """C is one m x m objective, or one per entry (B, m, m); row_sets
-        holds, per entry, its rows (A, b): Tr(A W) <= b, the same number
-        for every entry."""
-        B = len(row_sets)
-        C = _objectives(C, B)
-        self.m = m = C.shape[-1]
+    def __init__(self, c_w, a, b, group=None, best=None):
+        """c_w (B, m^2) is each entry's objective svec(C_j); a (B, k, m^2)
+        and b (B, k) are its rows svec(A) . w <= b (_stack_rows), and both
+        arrays are the oracle's to scale in place; group and best as
+        above."""
+        self.m = m = math.isqrt(c_w.shape[1])
         self.wp, self.Z, self.UZ, self.Wp = _trace_one(m, self.block)
-        c_w = svec(C)
+        self.group, self.best = group, best
         self.c_norm = np.sqrt(np.vecdot(c_w, c_w))
         self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
                                where=self.c_norm[:, None] > 0)
-        k = _one_row_count(map(len, row_sets))
-        A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
-        if k and A.shape[2:] != (m, m):
-            raise ValueError(f"the objective is {m} x {m}, the rows are "
-                             + " x ".join(map(str, A.shape[2:])))
-        a = svec(A.reshape(B, k, m, m))
-        b = np.array([[b for _a, b in e] for e in row_sets],
-                     dtype=float).reshape(B, k)
         s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))),
                        1e-12)
         # Settled on the plane: Z^T a moves the row, b - a . wp is the rest.
@@ -864,13 +889,26 @@ class _Sdp(_Oracle):
         n = self.Z.shape[1]
         return -_logdet(W), -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
 
-    def stop(self, y, mu, tol):
-        """Also meets tol relative to the objective, in original units."""
+    def stop(self, y, mu, tol, centred):
+        """Also meets tol relative to the objective, in original units.
+
+        In a group, a centred entry that goes on ends DOMINATED once its
+        upper bound, objective + _KAPPA * gap, falls short of the group's
+        best objective L by _DOMINANCE * max(1, |L|): L is attained at a
+        strictly feasible point of another entry, so this one cannot hold
+        the group's maximum.
+        """
+        obj = self.objective(y)
         gap = self.n_par * mu * np.maximum(self.c_norm, 1.0)
         done = (self.n_par * mu <= tol) & (
-            (gap <= tol * np.maximum(1.0, np.abs(self.objective(y))))
-            | (mu <= 1e-13))
-        return np.where(done, OPTIMAL, None)
+            (gap <= tol * np.maximum(1.0, np.abs(obj))) | (mu <= 1e-13))
+        st = np.where(done, OPTIMAL, None)
+        if self.group is not None:
+            np.maximum.at(self.best, self.group, obj)
+            low = self.best[self.group]
+            low = low - _DOMINANCE * np.maximum(1.0, np.abs(low))
+            st[centred & ~done & (obj + _KAPPA * gap < low)] = DOMINATED
+        return st
 
 
 @lru_cache(maxsize=1)
@@ -957,7 +995,7 @@ def solve_small_sdp(p: SdpProblem) -> SdpResult:
     return solve_sdp_batch(p.C, [p.ineq_constraints])[0]
 
 
-def solve_sdp_batch(C, row_sets: list) -> list:
+def solve_sdp_batch(C, row_sets: list, groups=None) -> list:
     """Solve trace-one SDPs of one size, one per row set, in one stacked
     run.
 
@@ -975,12 +1013,22 @@ def solve_sdp_batch(C, row_sets: list) -> list:
     stack.  So several tags' relaxations, each with its own objective, can
     share one call (beamforming.lockstep).
 
+    Entries that share a label in groups are alternatives of one maximum,
+    and only the entries that can hold it are solved to the end.  After
+    each stage of the main barrier run, a group's best objective L is
+    attained at a strictly feasible point; an entry centred there whose
+    bound objective + _KAPPA * gap falls short of L by the margin
+    _DOMINANCE * max(1, |L|) ends "dominated".  Phase one never prunes.  An
+    entry's result depends only on its group's entries; with no groups, or
+    a label of its own, it is solved to the end.
+
     Args:
         C: The m x m Hermitian objective every entry shares, or one per
             entry: an array (B, m, m) or a list of B such matrices (a list
             of one is shared).
         row_sets: One list of (A, b) rows per entry, A m x m, all of one
             length.
+        groups: None, or one hashable label per row set.
 
     Returns:
         The SdpResult of each row set, in input order, with status
@@ -988,23 +1036,38 @@ def solve_sdp_batch(C, row_sets: list) -> list:
         normalized units, at the phase-one optimum), "no_interior" (phase
         one's gap reached its tolerance with that violation within it of 0,
         as on a face of the cone such as W g = 0: no strictly feasible W
-        was found, and none was shown impossible) or "max_iter" (a barrier
-        stage still centring after _MAX_NEWTON Newton steps).
+        was found, and none was shown impossible), "max_iter" (a barrier
+        stage still centring after _MAX_NEWTON Newton steps) or
+        "dominated" (W None; objective, at a strictly feasible point, and
+        objective + gap bound the entry's optimum from both sides, and the
+        upper bound is below another entry's objective in its group).
 
     Raises:
         ValueError: when the objectives number neither 1 nor
-            len(row_sets), the rows' matrices are not C's size, or the
-            row sets' lengths differ (the message names them).
+            len(row_sets), the rows' matrices are not C's size, the row
+            sets' lengths differ, or groups does not hold one label per
+            row set (the message names them).
     """
+    if groups is not None and len(groups) != len(row_sets):
+        raise ValueError(f"{len(groups)} group labels for {len(row_sets)} "
+                         f"row sets")
     if not row_sets:
         return []
     C = _objectives(C, len(row_sets))
-    block = _block_diagonal(C, row_sets)
+    c = svec(C)
+    a, b = _stack_rows(row_sets, C.shape[-1])
+    group = best = None
+    if groups is not None:
+        index = {}
+        group = np.array([index.setdefault(g, len(index)) for g in groups])
+        best = np.full(len(index), -np.inf)
+    block = _block_diagonal(c, a)
     results = [None] * len(row_sets)
     for kind, idx in ((_BlockSdp, np.flatnonzero(block)),
                       (_Sdp, np.flatnonzero(~block))):
         if idx.size:
-            f = kind(C[idx], [row_sets[j] for j in idx])
+            f = kind(c[idx], a[idx], b[idx],
+                     None if group is None else group[idx], best)
             for j, res in zip(idx, _sdp_results(f)):
                 results[j] = res
     return results
@@ -1018,12 +1081,16 @@ def _sdp_results(f) -> list:
                          newton_steps=int(steps[j])) for j in range(len(y))]
     main = np.flatnonzero(~np.isnan(mu))
     fm = f.take(main)
-    W = fm.matrix(y[main])
     obj = fm.objective(y[main])
     gap = fm.n_par * mu[main] * np.maximum(fm.c_norm, 1.0)
+    pruned = status[main] == DOMINATED
+    gap[pruned] *= _KAPPA
+    W = iter(fm.matrix(y[main[~pruned]]))
     for i, j in enumerate(main):
+        Wj = None if pruned[i] else next(W)
         results[j] = SdpResult(
-            W=0.5 * (W[i] + W[i].conj().T),   # clear embedding round-off
+            # the symmetric part clears embedding round-off
+            W=None if Wj is None else 0.5 * (Wj + Wj.conj().T),
             status=status[j], objective=float(obj[i]), gap=float(gap[i]),
             newton_steps=int(steps[j]))
     return results

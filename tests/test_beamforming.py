@@ -227,10 +227,10 @@ class TestLockstep:
         # Every tag of two realizations at M = 2 (a 2 x 2 lift) and at
         # M = 4 (3 x 3), with the consensual runs of the same tags mixed
         # in.  The relaxations go to solve_sdp_batch in calls of at most
-        # _SDP_STACK entries, one group per lift size, and every solution
-        # is field for field the one its tag gets alone: from evolved_sdp,
-        # and from the generator driven by hand with one call on its own
-        # objective.
+        # _SDP_STACK entries per lift size, cut only between tags, each
+        # tag's grid one group, and every solution is field for field the
+        # one its tag gets alone: from evolved_sdp, and from the generator
+        # driven by hand with one unpruned call on its own objective.
         monkeypatch.setattr(beamforming, "_SDP_STACK", 150)
         cases = []
         for m in (2, 4):
@@ -242,9 +242,9 @@ class TestLockstep:
         calls = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets):
-            calls.append((len(C[0]), len(row_sets)))
-            return batch(C, row_sets)
+        def spied(C, row_sets, groups=None):
+            calls.append((len(C[0]), len(row_sets), len(set(groups))))
+            return batch(C, row_sets, groups)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
@@ -252,12 +252,12 @@ class TestLockstep:
                                  for chan, params in cases]
                                 + [consensual_steps(chan, params)
                                    for chan, params in cases])
-        grids = {2: 0, 3: 0}
+        grids = {2: [], 3: []}      # each tag's grid size, per lift size
         for (chan, params), sol in zip(cases, together):
             by_hand = evolved_steps(chan, params)
             try:
                 C, row_sets = next(by_hand)
-                grids[len(C)] += len(row_sets)
+                grids[len(C)].append(len(row_sets))
                 by_hand.send(solve_sdp_batch(C, row_sets))
             except StopIteration as stop:
                 by_hand = stop.value
@@ -266,10 +266,15 @@ class TestLockstep:
                 assert sol.rank_residual == alone.rank_residual
         for (chan, params), sol in zip(cases, together[len(cases):]):
             _same_solution(sol, consensual_sca(chan, params))
-        assert grids[2] > 150 and grids[3] > 150
-        for m, total in grids.items():
-            assert [n for size, n in calls if size == m] == (
-                [150] * (total // 150) + [total % 150] * (total % 150 > 0))
+        assert sum(grids[2]) > 150 and sum(grids[3]) > 150
+        want = []
+        for m, sizes in grids.items():
+            per_call = 150 // sizes[0]      # whole grids, all of one size
+            assert set(sizes) == {sizes[0]} and per_call >= 2
+            for s in range(0, len(sizes), per_call):
+                tags = len(sizes[s:s + per_call])
+                want.append((m, tags * sizes[0], tags))
+        assert calls == want
 
     def test_mixed_designs_match_their_runs_alone(self, monkeypatch):
         # Consensual and evolved tags at M in {1, 2, 4} and the alternation
@@ -390,10 +395,10 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         calls = {"batch": 0, "entries": 0, "single": 0}
 
-        def batch(C, row_sets):
+        def batch(C, row_sets, groups=None):
             calls["batch"] += 1
             calls["entries"] += len(row_sets)
-            return solve_sdp_batch(C, row_sets)
+            return solve_sdp_batch(C, row_sets, groups)
 
         def single(*args, **kwargs):
             calls["single"] += 1
@@ -475,8 +480,8 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         bounds = []
 
-        def batch(C, row_sets):
-            results = solve_sdp_batch(C, row_sets)
+        def batch(C, row_sets, groups=None):
+            results = solve_sdp_batch(C, row_sets, groups)
             bounds.extend(r.objective for r in results
                           if r.status == convex.OPTIMAL)
             return results
@@ -556,6 +561,88 @@ def _zero_forcing(h0, hs):
     return hs - h0 * (np.vdot(h0, hs) / np.vdot(h0, h0))
 
 
+def _unpruned(chan, params):
+    """evolved_steps driven by hand, its grid solved with no groups: the
+    solution the unpruned grid gives."""
+    gen = evolved_steps(chan, params)
+    try:
+        C, row_sets = next(gen)
+        gen.send(solve_sdp_batch(C, row_sets))
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a second request with no point dominated")
+
+
+class TestPrunedGrid:
+    """The kernel drops the grid points that cannot hold the relaxations'
+    maximum.  When the top candidates fail, evolved_steps solves the
+    dropped points it still needs, with no groups, and examines every point
+    again: its solution is always the unpruned grid's."""
+
+    CASES = pytest.mark.parametrize("seed, k", [(0, 1), (1, 0), (2, 4)])
+
+    @staticmethod
+    def _run(monkeypatch, chan, params):
+        """evolved_sdp's solution, and the group labels of its kernel
+        calls."""
+        calls = []
+        batch = beamforming.solve_sdp_batch
+
+        def spied(C, row_sets, groups=None):
+            calls.append(groups)
+            return batch(C, row_sets, groups)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_sdp_batch", spied)
+            sol = evolved_sdp(chan, params)
+        return sol, calls
+
+    @staticmethod
+    def _reject_above(monkeypatch, cut):
+        """_finalize, rejecting every point whose SNR reaches cut."""
+        finalize = beamforming._finalize
+
+        def picky(v, *args):
+            v, stats, ok, snr = finalize(v, *args)
+            return v, stats, ok and snr < cut, snr
+
+        monkeypatch.setattr(beamforming, "_finalize", picky)
+
+    @CASES
+    @pytest.mark.parametrize("purify", [True, False])
+    def test_rejected_top_candidates_solve_the_dropped_points(
+            self, monkeypatch, seed, k, purify):
+        # Every point within 3% of the solution's SNR is rejected, so the
+        # best SNR left falls below some dropped points' bounds; with
+        # purification off, through the penalty fallback.
+        params = SystemParams(M=4, T=20, J=10)
+        chan = gen_channel_set(params, seed).tag_channels(k)
+        if not purify:
+            monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        self._reject_above(monkeypatch, 0.97 * evolved_sdp(chan, params).snr)
+        sol, calls = self._run(monkeypatch, chan, params)
+        unpruned = _unpruned(chan, params)
+        assert sol.feasible
+        _same_solution(sol, unpruned)
+        assert sol.rank_residual == unpruned.rank_residual
+        first, second = calls
+        assert len(first) == params.T - 1 and len(set(first)) == 1
+        assert 0 < len(second) == len(set(second)) < len(first)
+
+    @CASES
+    def test_penalty_fallback_matches_the_unpruned_grid(self, monkeypatch,
+                                                        seed, k):
+        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        params = SystemParams(M=4, T=20, J=10)
+        chan = gen_channel_set(params, seed).tag_channels(k)
+        sol, calls = self._run(monkeypatch, chan, params)
+        unpruned = _unpruned(chan, params)
+        assert sol.feasible and sol.iterations > params.T
+        _same_solution(sol, unpruned)
+        assert sol.rank_residual == unpruned.rank_residual
+        assert len(calls) == 1
+
+
 class TestZeroForcing:
     """At the grid point t = 0 the relaxation's only face is W h0 = 0, on
     which the optimum is the zero-forcing receiver v = P hs / ||P hs||: the
@@ -613,9 +700,9 @@ class TestZeroForcing:
         h0, _h1, hs = tag0(params, 9)
         entries = []
 
-        def batch(C, row_sets):
+        def batch(C, row_sets, groups=None):
             entries.append(len(row_sets))
-            return solve_sdp_batch(C, row_sets)
+            return solve_sdp_batch(C, row_sets, groups)
 
         monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
         sol = evolved_sdp((r * h0, r * h0 + hs, hs), params)
@@ -772,8 +859,8 @@ class TestBlockRelaxation:
                 off += [(req[1][0], rows) for rows in req[1][1]]
         assert len(off) > 4000
         assert not convex._block_diagonal(
-            convex._objectives([C for C, _r in off], len(off)),
-            [r for _C, r in off]).all()
+            convex.svec(convex._objectives([C for C, _r in off], len(off))),
+            convex._stack_rows([r for _C, r in off], 3)[0]).all()
         got, want = (solve_sdp_batch([C for C, _r in e], [r for _C, r in e])
                      for e in (block, off))
         assert [r.status for r in got] == [r.status for r in want]

@@ -19,6 +19,7 @@ from backci import convex
 from backci.beamforming import _span_basis, divergence_floors, evolved_steps
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
+    DOMINATED,
     INFEASIBLE,
     MAX_ITER,
     NO_INTERIOR,
@@ -570,9 +571,9 @@ class TestStageBudget:
         stages, centre = [], convex._centre
 
         def spied(f, x, mu, tol):
-            x, steps, capped = centre(f, x, mu, tol)
+            x, steps, capped, centred = centre(f, x, mu, tol)
             stages.append((isinstance(f, _PhaseOne), bool(capped[0])))
-            return x, steps, capped
+            return x, steps, capped, centred
 
         monkeypatch.setattr(convex, "_MAX_NEWTON", budget)
         monkeypatch.setattr(convex, "_centre", spied)
@@ -636,6 +637,12 @@ def _relaxation_family(M, B):
         if B == 1 or {OPTIMAL, INFEASIBLE} <= statuses:
             return C, row_sets, singles
     raise AssertionError("no mixed relaxation family")
+
+
+def _sdp(C, row_sets, kind=_Sdp):
+    """The kind of SDP oracle for objective C and row_sets."""
+    C = convex._objectives(C, len(row_sets))
+    return kind(svec(C), *convex._stack_rows(row_sets, C.shape[-1]))
 
 
 def _result_bytes(r):
@@ -760,7 +767,7 @@ class TestSdpBatch:
         # stage alone: every other entry must end as in the run without the
         # failure.
         C, row_sets, _singles = _relaxation_family(4, 7)
-        keys = _Sdp(C, row_sets).b   # the barrier's rows of each entry
+        keys = _sdp(C, row_sets).b   # the barrier's rows of each entry
         line_search = convex._line_search
         calls, fail = [], {}
 
@@ -865,7 +872,7 @@ def _block_oracle(rng, B):
         mats = [_block(rand_herm_psd(rng, 2), rng.uniform(0.0, 1.0))
                 for _ in range(2)]
         rows.append([(A, float(np.trace(A).real / 3 + 0.5)) for A in mats])
-    return _BlockSdp(C, rows)
+    return _sdp(C, rows, _BlockSdp)
 
 
 def _plane_point(W):
@@ -951,8 +958,9 @@ class TestBlockSdp:
             full += [(C, rows) for rows in row_sets]
         entries = [e for pair in zip(block, full) for e in pair]
         kinds = convex._block_diagonal(
-            convex._objectives([C for C, _rows in entries], len(entries)),
-            [rows for _C, rows in entries])
+            svec(convex._objectives([C for C, _rows in entries],
+                                    len(entries))),
+            convex._stack_rows([rows for _C, rows in entries], 3)[0])
         assert list(kinds) == [True, False] * len(block)
         batch = solve_sdp_batch([C for C, _rows in entries],
                                 [rows for _C, rows in entries])
@@ -963,6 +971,109 @@ class TestBlockSdp:
         for r in batch[::2]:
             if r.W is not None:     # the block's coupling stays exactly 0
                 assert not r.W[:2, 2].any() and not r.W[2, :2].any()
+
+
+def _grid_requests(ms, seeds):
+    """The grid relaxations evolved_steps sends to the kernel, one
+    (C, row_sets) per tag it does not screen out, over the realizations
+    seeds at each M in ms (K = 5, T = 100)."""
+    reqs = []
+    for m in ms:
+        params = SystemParams(M=m)
+        for seed in seeds:
+            ch = gen_channel_set(params, seed)
+            for k in range(params.K):
+                try:
+                    reqs.append(next(evolved_steps(ch.tag_channels(k),
+                                                   params)))
+                except StopIteration:
+                    pass
+    return reqs
+
+
+def _stacked(reqs):
+    """The requests as one call's (C, row_sets, groups), a group each."""
+    return ([C for C, rows in reqs for _r in rows],
+            [r for _C, rows in reqs for r in rows],
+            [g for g, (_C, rows) in enumerate(reqs) for _r in rows])
+
+
+class TestDominated:
+    """Entries that share a group label are alternatives of one maximum:
+    one whose bound falls below another's objective ends "dominated", with
+    no W and its two-sided bound, and every other entry is what it is
+    with no groups."""
+
+    def test_bound_holds_over_the_evolved_grids(self):
+        # Every grid relaxation of the tags of seeds 0-11 at M in {2, 3,
+        # 4, 8}, one group per tag, in one call per lift size.
+        reqs = _grid_requests((2, 3, 4, 8), range(12))
+        solo, pruned, groups = [], [], []
+        for m in (2, 3):
+            C, rows, labels = _stacked([r for r in reqs if len(r[0]) == m])
+            solo += solve_sdp_batch(C, rows)
+            pruned += solve_sdp_batch(C, rows, labels)
+            groups += [(m, g) for g in labels]
+        best = {}
+        for g, a, b in zip(groups, solo, pruned):
+            if b.status == DOMINATED:
+                assert a.status == OPTIMAL and b.W is None
+                assert b.objective + b.gap >= a.objective
+                assert b.objective <= a.objective + a.gap
+            else:
+                assert _result_repr(b) == _result_repr(a)
+            if a.status == OPTIMAL:
+                best[g] = max(best.get(g, -np.inf), a.objective)
+        # each group's maximum survives, and most of the rest do not
+        for g, top in best.items():
+            assert top == max(b.objective for h, b in zip(groups, pruned)
+                              if h == g and b.status == OPTIMAL)
+        n_dom = sum(b.status == DOMINATED for b in pruned)
+        assert n_dom > 0.5 * sum(a.status == OPTIMAL for a in solo)
+        assert len(best) > 40
+
+    def test_no_groups_and_singletons_change_nothing(self):
+        # No groups, a label per entry, and labels of any hashable kind
+        # give every field of every entry bit for bit, as solo solves do.
+        C, rows, _groups = _stacked(_grid_requests((4,), (1,)))
+        C3, rows3, _singles = _relaxation_family(3, 7)
+        C, rows = C + [C3] * len(rows3), rows + rows3
+        plain = [_result_repr(r) for r in solve_sdp_batch(C, rows)]
+        assert plain == [_result_repr(solve_small_sdp(_problem(c, r)))
+                         for c, r in zip(C, rows)]
+        for groups in (list(range(len(rows))),
+                       [("tag", j) for j in range(len(rows))]):
+            assert [_result_repr(r) for r in
+                    solve_sdp_batch(C, rows, groups)] == plain
+        assert {OPTIMAL, INFEASIBLE} <= {r[0] for r in plain}
+
+    def test_a_group_ignores_its_call_mates(self):
+        # Tags' grids at M = 4 (block diagonal) and a family of full 3 x 3
+        # relaxations, each its own group: alone, and in one call with the
+        # others in both orders, every entry of a group is bit for bit the
+        # same.
+        reqs = _grid_requests((4,), (1, 2))[:4]
+        C3, rows3, _singles = _relaxation_family(3, 7)
+        reqs.append((C3, rows3))
+        alone = [[_result_repr(r) for r in
+                  solve_sdp_batch(C, rows, ["g"] * len(rows))]
+                 for C, rows in reqs]
+        assert any(DOMINATED in {r[0] for r in a} for a in alone)
+        for order in (reqs, reqs[::-1]):
+            C, rows, groups = _stacked(order)
+            together = [_result_repr(r)
+                        for r in solve_sdp_batch(C, rows, groups)]
+            ends = np.cumsum([len(rs) for _C, rs in order])
+            got = [together[e - len(rs):e]
+                   for (_C, rs), e in zip(order, ends)]
+            assert got == (alone if order is reqs else alone[::-1])
+
+    def test_one_label_per_row_set(self):
+        C, row_sets, _singles = _relaxation_family(2, 7)
+        with pytest.raises(ValueError, match="6 group labels for 7 row sets"):
+            solve_sdp_batch(C, row_sets, [0] * 6)
+        with pytest.raises(ValueError, match="1 group labels for 0 row"):
+            solve_sdp_batch(C, [], [0])
 
 
 class TestLogdet:
@@ -1039,7 +1150,7 @@ def _random_sdp_oracle(rng, m):
     for _ in range(3):
         mats = [rand_herm_psd(rng, m) for _ in range(2)]
         rows.append([(A, float(np.trace(A).real / m + 0.2)) for A in mats])
-    f = _Sdp(C, rows)
+    f = _sdp(C, rows)
     return f, 0.02 * rng.normal(size=(3, f.Z.shape[1]))
 
 
