@@ -15,20 +15,30 @@ c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows and cone.
 n_par is the row count plus 1 for the QCQP's unit ball, plus the matrix
 dimension for the SDP's PSD cone.  Phase one runs on a wrapper that adds a
 slack s, minimizing s subject to row_i(x) <= s; it stops once every row
-holds strictly, or once its gap bound certifies that they cannot all hold
-(INFEASIBLE).  When its gap reaches the tolerance with s still within it
-of 0, the rows can at best be met on the boundary, with no interior, and
-nothing certifies infeasibility: that entry ends NO_INTERIOR, with its
-certificate, and no main stage runs.
+holds strictly, or once the gap bound of a centred point, _KAPPA * n_par *
+mu, certifies that they cannot all hold (INFEASIBLE).  When its gap
+reaches the tolerance with s still within it of 0, the rows can at best be
+met on the boundary, with no interior, and nothing certifies
+infeasibility: that entry ends NO_INTERIOR, with its certificate, and no
+main stage runs.
 
 Every stage of both phases centres by one rule: until half the squared
-Newton decrement is at most _CENTRE * mu, and in the last stage to the
-round-off floor.  How tightly the intermediate stages centre changes the
-work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
-phase one needs only a strictly feasible point.  Newton steps are counted
-alike in both: every step tried, accepted or not.  A stage has a budget of
-_MAX_NEWTON of them; an entry still centring after them ends MAX_ITER, so
-OPTIMAL, INFEASIBLE, NO_INTERIOR and DOMINATED come only from a centre.
+Newton decrement is at most _CENTRE * mu, and in the last two stages to
+the round-off floor.  How tightly the intermediate stages centre changes
+the work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
+phase one needs only a strictly feasible point.  Each stage after the
+first starts on the central path's tangent: its first line search tries t
+= _MU_FACTOR first, which from the last stage's centre is the path's
+first-order extrapolation to the new mu (the classic primal path-following
+predictor: Fiacco & McCormick, Nonlinear Programming: SUMT, 1968), where
+the full Newton step overshoots about tenfold.  Each point is evaluated
+once: the row values and cone parts that the line search computes at the
+trial it accepts (_Oracle.evaluate) are handed to the next Newton step
+(_Oracle.derivs), which adds only the gradient and Hessian.  Newton steps
+are counted alike in both phases: every step tried, accepted or not.  A
+stage has a budget of _MAX_NEWTON of them; an entry still centring after
+them ends MAX_ITER, so OPTIMAL, INFEASIBLE, NO_INTERIOR and DOMINATED come
+only from a centre.
 
 Every entry of one call has one row count, so the rows stack rectangularly
 (ValueError otherwise).  One rule, `_settle`, settles every row that x
@@ -77,7 +87,6 @@ schedule meaningful across the wide dynamic range of channel realizations.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -219,29 +228,32 @@ class _Oracle:
     slack (B, k) marking the rows phase one relaxes: every row that is
     neither padding nor a cone written as a row.  The duality gap at a
     mu-centre is at most n_par (B,) * mu.  A subclass with a cone that is
-    not a row supplies its barrier: cone(x) gives its value (nan outside
-    the cone), cone_derivs(x) its value, gradient and Hessian in the
-    leading coordinates of x, which derivs adds to.  take(idx)
-    gives the oracle of the entries idx; _batched names the per-entry
-    arrays it selects.  A kernel oracle also sets cert (B,) from _settle:
-    the certificate of an entry that a settled row makes infeasible, nan
-    for the others.  Every oracle centres by the one rule of _centre.
+    not a row supplies its barrier in three parts: cone_parts(x), what the
+    other two need of x (a tuple of per-entry arrays); cone_value(parts),
+    its value (nan outside the cone); and cone_derivs(x, parts), its value,
+    gradient and Hessian in the leading coordinates of x, which derivs adds
+    to.  evaluate(x, mu) gives the value and what derivs needs of x, and
+    derivs(x, mu, at) takes that from it; _line_search leaves it in
+    accepted for the points it accepts.  take(idx) gives the oracle of the
+    entries idx; _batched names the per-entry arrays it selects.  A kernel
+    oracle also sets cert (B,) from _settle: the certificate of an entry
+    that a settled row makes infeasible, nan for the others.  Every oracle
+    centres by the one rule of _centre.
     """
 
-    cone = None       # no cone barrier beyond the rows
+    cone_parts = None     # no cone barrier beyond the rows
     cert = None
-    _batched = ("c", "P", "Q", "b", "slack", "n_par", "cert")
+    _batched = frozenset(("c", "P", "Q", "b", "slack", "n_par", "cert"))
 
     def __init__(self, c, P, Q, b, slack, n_par):
         self.c, self.P, self.Q, self.b = c, P, Q, b
         self.slack, self.n_par = slack, n_par
 
     def take(self, idx):
-        f = copy.copy(self)
-        for name in self._batched:
-            a = getattr(self, name)
-            if a is not None:
-                setattr(f, name, a[idx])
+        f = object.__new__(type(self))
+        batched = self._batched
+        f.__dict__ = {k: a[idx] if k in batched and a is not None else a
+                      for k, a in self.__dict__.items()}
         return f
 
     def rows(self, x):
@@ -252,20 +264,38 @@ class _Oracle:
         Px = np.matvec(self.P.reshape(B, k * n, n), x).reshape(B, k, n)
         return np.matvec(Px, x) + np.matvec(self.Q, x) - self.b, Px
 
+    def cone(self, x):
+        """The cone barrier at x, nan outside the cone."""
+        return self.cone_value(self.cone_parts(x))
+
+    def evaluate(self, x, mu):
+        """value(x, mu), and what derivs needs of x: the tuple of the row
+        values and P_i x (rows) and, where some entry is inside its rows,
+        the cone's parts."""
+        g, Px = self.rows(x)
+        phi = -np.add.reduce(np.log(-g), axis=1)
+        if self.cone_parts is None or not np.isfinite(phi).any():
+            return np.vecdot(self.c, x) + mu * phi, (g, Px)
+        parts = self.cone_parts(x)
+        phi = phi + self.cone_value(parts)
+        return np.vecdot(self.c, x) + mu * phi, (g, Px, *parts)
+
     def value(self, x, mu):
         """c . x + mu * phi(x); inf or nan outside the strict domain.
 
         Either way no comparison with it holds.  Outside the domain the
         logarithms warn unless the caller silences it, as _barrier does.
         """
-        phi = -np.add.reduce(np.log(-self.rows(x)[0]), axis=1)
-        if self.cone is not None and np.isfinite(phi).any():
-            phi = phi + self.cone(x)
-        return np.vecdot(self.c, x) + mu * phi
+        return self.evaluate(x, mu)[0]
 
-    def derivs(self, x, mu):
-        """Value, gradient and Hessian of c . x + mu * phi(x) at x inside."""
-        g, Px = self.rows(x)
+    def derivs(self, x, mu, at=None):
+        """Value, gradient and Hessian of c . x + mu * phi(x) at x inside;
+        at, when given, is what evaluate found at x."""
+        if at is None:
+            g, Px = self.rows(x)
+            parts = None
+        else:
+            g, Px, *parts = at
         G = self.Q if Px is None else self.Q + 2.0 * Px   # row gradients
         w = -1.0 / g
         GT = G.swapaxes(1, 2)
@@ -275,8 +305,8 @@ class _Oracle:
         if self.P is not None:
             Pw = np.vecmat(w, self.P.reshape(*w.shape, -1))
             H = H + 2.0 * Pw.reshape(H.shape)
-        if self.cone is not None:
-            cv, cg, cH = self.cone_derivs(x)
+        if self.cone_parts is not None:
+            cv, cg, cH = self.cone_derivs(x, parts)
             nc = cg.shape[1]
             phi, grad[:, :nc] = phi + cv, grad[:, :nc] + cg
             H[:, :nc, :nc] += cH
@@ -338,9 +368,15 @@ def _centre(f, x, mu, tol):
     """One barrier stage: centre each entry of x on f.value(., mu).
 
     Damped Newton steps, each one _line_search, until half the squared
-    Newton decrement is at most _CENTRE * mu; in the last stage, where the
-    entry's n_par * mu reaches tol, to 1e-16, to a gradient norm of tol,
-    or until a decrement below _STALL stops falling.
+    Newton decrement is at most _CENTRE * mu; in the last two stages, where
+    the entry's n_par * mu * _MU_FACTOR reaches tol, to 1e-16, to a
+    gradient norm of tol, or until a decrement below _STALL stops falling.
+    In every stage but the first (mu < 1), the first step starts its line
+    search at t = _MU_FACTOR: from the last stage's centre the new Newton
+    step is 1 / _MU_FACTOR times the central path's tangent step to the new
+    mu, so that trial is the path's first-order extrapolation (the
+    predictor).  Each Newton step after the first reuses what the line
+    search evaluated at the point it accepted.
     f.found ends an entry's stage at once, so f.stop must then end it.  An
     entry leaves the stacked arrays once it is centred or its line search
     fails; either ends only its own stage.
@@ -354,13 +390,13 @@ def _centre(f, x, mu, tol):
     steps = np.full(len(x), _MAX_NEWTON)
     capped = np.zeros(len(x), dtype=bool)
     centred = np.zeros(len(x), dtype=bool)
-    act, xa = np.arange(len(x)), x      # the entries still centring
+    act, xa, at = np.arange(len(x)), x, None   # the entries still centring
     last = f.n_par * mu * _MU_FACTOR <= tol
     floor2 = 2.0 * np.where(last, 1e-16, _CENTRE * mu)
     any_last, prev = np.count_nonzero(last), np.inf
     for k in range(_MAX_NEWTON):
         hit = f.found(xa)
-        val, grad, H = f.derivs(xa, mu)
+        val, grad, H = f.derivs(xa, mu, at)
         d = _solve_newton(H, grad)        # the Newton step is -d
         dec = np.vecdot(grad, d)
         done = dec <= floor2
@@ -379,8 +415,14 @@ def _centre(f, x, mu, tol):
             keep = ~done
             act, xa, val, d, dec, last, floor2 = (
                 a[keep] for a in (act, xa, val, d, dec, last, floor2))
+            at = _take_rows(at, keep)
             f = f.take(keep)
-        xa, failed = _line_search(f, xa, d, val, dec, mu)
+        if k == 0 and mu < 1.0:         # the stage predictor
+            xa, failed = _line_search(f, xa, _MU_FACTOR * d, val,
+                                      _MU_FACTOR * dec, mu)
+        else:
+            xa, failed = _line_search(f, xa, d, val, dec, mu)
+        at, f.accepted = f.accepted, None
         n_failed = np.count_nonzero(failed)
         if n_failed:
             out = act[failed]
@@ -390,6 +432,7 @@ def _centre(f, x, mu, tol):
             keep = ~failed
             act, xa, dec, last, floor2 = (
                 a[keep] for a in (act, xa, dec, last, floor2))
+            at = _take_rows(at, keep)
             f = f.take(keep)
         prev = dec
     x[act] = xa
@@ -397,30 +440,57 @@ def _centre(f, x, mu, tol):
     return x, steps, capped, centred
 
 
+def _take_rows(arrays, idx):
+    """Rows idx of each array of a tuple; None stays None."""
+    if arrays is None:
+        return None
+    return tuple(None if a is None else a[idx] for a in arrays)
+
+
 def _line_search(f, x, d, val, dec, mu):
     """Masked Armijo backtracking from each x along -d.
 
     Every entry tries t = 1, 1/2, ... until it accepts a step; xp, dp and
     ap hold x, t d and t _ARMIJO dec for the entries still searching, at
-    the positions left.  Returns the points with the accepted steps, and a
-    mask of the entries that found none before t fell to 1e-14.
+    the positions left (None while no entry has accepted).  Returns the
+    points with the accepted steps, and a mask of the entries that found
+    none before t fell to 1e-14.  It sets f.accepted to what f.evaluate
+    found at the accepted points, for the next f.derivs there: None when
+    every entry failed, and a failed entry's rows are left unset.
     """
     fp, xp, dp, vp, ap = f, x, d, val, _ARMIJO * dec
-    x, left, t = x.copy(), np.arange(len(x)), 1.0
-    while left.size and t > 1e-14:
+    left, t = None, 1.0
+    while t > 1e-14:
         xn = xp - dp
-        ok = fp.value(xn, mu) <= vp - ap
-        n_ok = np.count_nonzero(ok)
-        if n_ok == len(x):          # every entry takes its full step
-            return xn, ~ok
-        if n_ok:
-            x[left[ok]] = xn[ok]
+        vn, at = fp.evaluate(xn, mu)
+        ok = vn <= vp - ap
+        if ok.any():
+            if left is None:
+                if ok.all():        # every entry takes this trial
+                    f.accepted = at
+                    return xn, ~ok
+                x, left = x.copy(), np.arange(len(x))
+                acc = tuple(None if a is None else
+                            np.empty((len(x),) + a.shape[1:], a.dtype)
+                            for a in at)
+            idx = left[ok]
+            x[idx] = xn[ok]
+            for into, a in zip(acc, at):
+                if a is not None:
+                    into[idx] = a[ok]
             rest = ~ok
-            left, fp = left[rest], fp.take(rest)
-            xp, dp, vp, ap = xp[rest], dp[rest], vp[rest], ap[rest]
+            left = left[rest]
+            if not left.size:
+                break
+            fp, xp, dp, vp, ap = (fp.take(rest), xp[rest], dp[rest],
+                                  vp[rest], ap[rest])
         t, dp, ap = 0.5 * t, 0.5 * dp, 0.5 * ap
+    if left is None:                # no entry accepted a step
+        f.accepted = None
+        return x, np.ones(len(x), dtype=bool)
     failed = np.zeros(len(x), dtype=bool)
     failed[left] = True
+    f.accepted = acc
     return x, failed
 
 
@@ -430,7 +500,9 @@ class _PhaseOne(_Oracle):
     Only f's slack rows get the slack s: padding rows keep reading 0 < 1,
     and f's cone, as a row or not, keeps its barrier.  An entry ends as soon
     as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
-    once a centre's gap bound keeps the least achievable s above 1e-9.  An
+    once the gap bound of a point centred to _CENTRE, _KAPPA * n_par * mu,
+    keeps the least achievable s above 1e-9; an uncentred point, or one
+    whose line search failed, carries no bound and goes on.  An
     entry whose gap falls to the tolerance with s still within it of 0
     ends NO_INTERIOR: its rows may be met, but none strictly, as on a face
     of the cone, and nothing certifies that they cannot be.
@@ -448,19 +520,22 @@ class _PhaseOne(_Oracle):
         super().__init__(c, P, np.concatenate([f.Q, s_col], axis=2), f.b,
                          f.slack, f.n_par)
         self.f = f
-        if f.cone is None:
-            self.cone = None
+        if f.cone_parts is None:
+            self.cone_parts = None
 
     def take(self, idx):
         g = super().take(idx)
         g.f = self.f.take(idx)
         return g
 
-    def cone(self, xs):
-        return self.f.cone(xs[:, :-1])
+    def cone_parts(self, xs):
+        return self.f.cone_parts(xs[:, :-1])
 
-    def cone_derivs(self, xs):
-        return self.f.cone_derivs(xs[:, :-1])
+    def cone_value(self, parts):
+        return self.f.cone_value(parts)
+
+    def cone_derivs(self, xs, parts=None):
+        return self.f.cone_derivs(xs[:, :-1], parts)
 
     def found(self, xs):
         return np.logical_and.reduce(
@@ -469,9 +544,10 @@ class _PhaseOne(_Oracle):
 
     def stop(self, xs, mu, tol, centred):
         gap = self.n_par * mu
-        return np.where(self.found(xs), OPTIMAL,
-                        np.where(xs[:, -1] - gap > 1e-9, INFEASIBLE,
-                                 np.where(gap <= tol, NO_INTERIOR, None)))
+        return np.where(
+            self.found(xs), OPTIMAL,
+            np.where(centred & (xs[:, -1] - _KAPPA * gap > 1e-9), INFEASIBLE,
+                     np.where(gap <= tol, NO_INTERIOR, None)))
 
 
 def _solve(f, x):
@@ -830,7 +906,7 @@ class _Sdp(_Oracle):
     an entry DOMINATED once its bound cannot reach that.
     """
 
-    _batched = _Oracle._batched + ("c_norm", "c_hat", "group")
+    _batched = _Oracle._batched | {"c_norm", "c_hat", "group"}
 
     block = False     # the plane of every m x m Hermitian matrix (_trace_one)
 
@@ -869,12 +945,18 @@ class _Sdp(_Oracle):
         return (self.Wp + np.matvec(self.UZ.T, y)).reshape(-1, self.m,
                                                             self.m)
 
-    def cone(self, y):
-        """-log det W, nan where W is not positive definite."""
-        return -_logdet(self.matrix(y))
-
-    def cone_derivs(self, y):
+    def cone_parts(self, y):
+        """W, and log det W (nan where W is not positive definite)."""
         W = self.matrix(y)
+        return W, _logdet(W)
+
+    @staticmethod
+    def cone_value(parts):
+        """-log det W, nan where W is not positive definite."""
+        return -parts[1]
+
+    def cone_derivs(self, y, parts=None):
+        W, logdet = self.cone_parts(y) if parts is None else parts
         X = np.linalg.inv(W)
         x = svec(X)
         m = self.m
@@ -887,7 +969,7 @@ class _Sdp(_Oracle):
                  ).reshape(B, m * m, m * m)
             H = (self.UZ @ K @ self.UZ.conj().T).real
         n = self.Z.shape[1]
-        return -_logdet(W), -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
+        return -logdet, -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
 
     def stop(self, y, mu, tol, centred):
         """Also meets tol relative to the objective, in original units.
@@ -957,22 +1039,24 @@ class _BlockSdp(_Sdp):
     block = True
 
     @staticmethod
-    def _parts(y):
+    def cone_parts(y):
         """w on B_0 ... B_4 at y, det W_s and w_out, per entry."""
         wp, Z, *_rest = _block_cone()
         w = wp + np.matvec(Z, y)
         det = w[:, 0] * w[:, 1] - 0.5 * (w[:, 3] ** 2 + w[:, 4] ** 2)
         return w, det, w[:, 2]
 
-    def cone(self, y):
+    @staticmethod
+    def cone_value(parts):
         """-log det W, nan where W is not positive definite."""
-        w, det, w_out = self._parts(y)
+        w, det, w_out = parts
         inside = (w[:, 0] > 0.0) & (det > 0.0) & (w_out > 0.0)
-        return -np.log(det * w_out, out=np.full(len(y), np.nan), where=inside)
+        return -np.log(det * w_out, out=np.full(len(det), np.nan),
+                       where=inside)
 
-    def cone_derivs(self, y):
+    def cone_derivs(self, y, parts=None):
         _wp, _Z, G, K, zo, ZO = _block_cone()
-        w, det, w_out = self._parts(y)
+        w, det, w_out = self.cone_parts(y) if parts is None else parts
         u = np.matvec(G, w) / det[:, None]
         io = 1.0 / w_out
         H = (u[:, :, None] * u[:, None, :] - K / det[:, None, None]

@@ -187,9 +187,9 @@ class TestLockstep:
         return tags
 
     def test_every_field_matches_the_single_tag_run(self, monkeypatch):
-        # A budget of 8 Newton steps a barrier stage ends a few
+        # A budget of 7 Newton steps a barrier stage ends a few
         # subproblems max_iter and leaves most optimal.
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 8)
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 7)
         cases = [(chan, SystemParams()) for chan in self.screened_tags()]
         for m in (1, 2, 4, 8):
             params = SystemParams(M=m)

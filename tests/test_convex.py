@@ -597,6 +597,116 @@ class TestStageBudget:
         assert (res.status == MAX_ITER) == stages[-1][1]
 
 
+class TestPhaseOneStop:
+    """Phase one says infeasible only with a bound that holds at its point:
+    a centred one, whose gap is at most _KAPPA n_par mu, with the slack s
+    above that bound by 1e-9."""
+
+    MU, TOL = 1e-2, convex._PHASE_ONE_TOL
+
+    @staticmethod
+    def _oracle():
+        # Re v_1 >= 3 misses the unit ball: at v = 0 the row is broken, so
+        # phase one has not found a feasible point there.
+        f = _PhaseOne(_BallQcqp([QcqpProblem(
+            c=np.array([1.0 + 0j, 0.0]),
+            quad_constraints=[(None, np.array([-0.5 + 0j, 0.0]), -3.0)])]))
+        assert not f.found(np.zeros((1, 5)))[0]
+        return f
+
+    def _status(self, s, centred):
+        f = self._oracle()
+        xs = np.zeros((1, 5))
+        xs[0, -1] = s
+        return f.stop(xs, self.MU, self.TOL, np.array([centred]))[0]
+
+    def test_centred_within_the_kappa_bound_goes_on(self):
+        gap = self._oracle().n_par[0] * self.MU
+        s = 1.5 * gap + 1e-9        # n_par mu < s - 1e-9 < _KAPPA n_par mu
+        assert gap < s - 1e-9 < convex._KAPPA * gap
+        assert self._status(s, True) is None
+
+    def test_uncentred_is_never_infeasible(self):
+        assert self._status(10.0, False) is None
+
+    def test_centred_above_the_kappa_bound_is_infeasible(self):
+        assert self._status(10.0, True) == INFEASIBLE
+
+
+class TestEvaluatedOnce:
+    """A Newton step reuses what the line search evaluated at the point it
+    accepted, and the stage predictor starts each later stage's first line
+    search at t = _MU_FACTOR."""
+
+    @staticmethod
+    def _oracles():
+        rng = np.random.default_rng(90)
+        f, z = _random_qcqp_oracle(rng, 2)
+        g, y = _random_sdp_oracle(rng, 2)
+        h = _block_oracle(rng, 3)
+        y3 = 0.02 * rng.normal(size=(3, 4))
+        s = np.full((3, 1), 0.1)
+        return [(f, z), (g, y), (h, y3), (_PhaseOne(f), np.hstack([z, s])),
+                (_PhaseOne(h), np.hstack([y3, s]))]
+
+    def test_derivs_from_evaluate_equal_fresh_derivs(self):
+        for f, x in self._oracles():
+            val, at = f.evaluate(x, 0.3)
+            assert val.tobytes() == f.value(x, 0.3).tobytes()
+            for a, b in zip(f.derivs(x, 0.3, at), f.derivs(x, 0.3)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("full", [True, False], ids=["fast", "masked"])
+    def test_line_search_hands_over_its_evaluations(self, full):
+        # A hundredth of each Newton step, which every entry accepts at
+        # t = 1 (fast), or with one entry's step stretched far out of the
+        # domain, so that it backtracks alone (masked).
+        for f, x in self._oracles():
+            mu = 0.3
+            val, grad, H = f.derivs(x, mu)
+            d = 0.01 * convex._solve_newton(H, grad)
+            dec = np.vecdot(grad, d)
+            if not full:
+                d[0] *= 1e4
+            with np.errstate(invalid="ignore", divide="ignore"):
+                xn, failed = convex._line_search(f, x, d, val, dec, mu)
+            at = f.accepted
+            assert not failed.any()
+            want = f.evaluate(xn, mu)[1]
+            assert len(at) == len(want)
+            for a, b in zip(at, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes()
+
+    def test_later_stages_start_at_the_tangent(self, monkeypatch):
+        C, row_sets, _singles = _relaxation_family(4, 7)
+        line_search, centre = convex._line_search, convex._centre
+        firsts = []
+
+        def spied_centre(f, x, mu, tol):
+            firsts.append(None)
+            return centre(f, x, mu, tol)
+
+        def spied(f, x, d, val, dec, mu):
+            if firsts[-1] is None:      # the stage's first line search
+                _v, grad, H = f.derivs(x, mu)
+                d_newton = convex._solve_newton(H, grad)
+                firsts[-1] = (mu, np.allclose(d, d_newton),
+                              np.allclose(d, convex._MU_FACTOR * d_newton))
+            return line_search(f, x, d, val, dec, mu)
+
+        monkeypatch.setattr(convex, "_centre", spied_centre)
+        monkeypatch.setattr(convex, "_line_search", spied)
+        solve_sdp_batch(C, row_sets)
+        stages = [s for s in firsts if s is not None]
+        assert any(mu == 1.0 for mu, _n, _t in stages)
+        assert any(mu < 1.0 for mu, _n, _t in stages)
+        for mu, newton, tangent in stages:
+            assert (newton, tangent) == ((True, False) if mu == 1.0
+                                         else (False, True))
+
+
 def _problem(C, rows):
     """The trace-one SdpProblem of objective C and rows."""
     m = len(C)

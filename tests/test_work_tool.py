@@ -1,0 +1,41 @@
+"""tools/work.py: its counters agree with what the kernels return, and it
+leaves the library as it found it."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from backci import beamforming, convex
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "work.py"
+
+
+def _work():
+    spec = importlib.util.spec_from_file_location("work", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _wrapped():
+    return (convex._Oracle.derivs, convex._Oracle.evaluate,
+            convex._Oracle.take, convex._PhaseOne.take,
+            convex.solve_ball_qcqps, convex.solve_sdp_batch,
+            beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch)
+
+
+def test_counts_two_solves_and_restores_the_library():
+    before = _wrapped()
+    counts = _work().run("solve", 1, 2)
+    assert all(a is b for a, b in zip(before, _wrapped()))
+    for kernel in ("qcqp", "sdp"):
+        statuses = sum(v for name, v in counts.items()
+                       if name.startswith(f"status/{kernel}/"))
+        assert counts[f"entries/{kernel}"] == statuses > 0
+        for phase in ("main", "phase-one"):
+            where = f"{kernel}/{phase}"
+            # every round steps one entry or more
+            assert 0 < counts[f"rounds/{where}"] <= counts[
+                f"entry-rounds/{where}"]
+            assert counts[f"value/{where}"] > 0
