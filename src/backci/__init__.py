@@ -11,6 +11,7 @@ Subpackage map:
     detection    Variances, KLDs, detection-error-probability bounds, oracle.
     channel     Rician link synthesis, cascades, serialization.
     convex      Log-barrier QCQP and SDP kernels used by the solvers.
+    lorentz     The evolved relaxations as 4-variable Lorentz-cone programs.
     beamforming  Consensual SCA, evolved SDP, MMSE benchmark, alternating MIMO.
     siso        Closed-form CI region and CI angle for the single-antenna case.
     selection   Greedy and random tag selection.

@@ -15,10 +15,9 @@ Four solvers share one solution type:
   generator, evolved_steps, yields the other grid points' relaxations as
   one request: 2 x 2 lifts at M = 2, and at M >= 3 3 x 3 lifts that are
   block diagonal, a 2 x 2 block on the channels' span plus the norm
-  outside it, which the SDP kernel solves on that block;
+  outside it, which the SDP kernel solves exactly, in closed form;
   lockstep stacks the requests of many tags into convex.solve_sdp_batch
-  calls of at most _SDP_STACK entries, cut between requests, each request
-  one group, so the kernel drops the grid points whose bound cannot win.
+  calls of at most _SDP_STACK entries, cut between requests.
   evolved_sdp is lockstep on one generator.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
@@ -47,7 +46,6 @@ import numpy as np
 # solve_ball_qcqp stays importable from this module: bench/tracer.py
 # wraps it here.
 from .convex import (  # noqa: F401
-    DOMINATED,
     MAX_ITER,
     OPTIMAL,
     QcqpProblem,
@@ -253,14 +251,14 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
                               converged=converged)
 
 
-_SDP_STACK = 200    # most SDP entries in one solve_sdp_batch call of lockstep
+_SDP_STACK = 200    # most SDP entries in one solve_sdp_batch call of lockstep:
+                    # it bounds the memory one call takes
 
 
 def _solve_sdp_requests(reqs) -> list:
     """The SdpResults of each SDP request, all of one matrix size, from
     solve_sdp_batch calls of at most _SDP_STACK entries, cut only between
-    requests (a longer request is a call of its own): a request's entries
-    share one group label, or have one each when its prune is False."""
+    requests (a longer request is a call of its own)."""
     calls, n = [[]], 0
     for req in reqs:
         if n and n + len(req[1]) > _SDP_STACK:
@@ -270,14 +268,9 @@ def _solve_sdp_requests(reqs) -> list:
         n += len(req[1])
     out = []
     for call in calls:
-        C, rows, groups = [], [], []
-        for r, (c, row_sets, *prune) in enumerate(call):
-            C += [c] * len(row_sets)
-            rows += row_sets
-            groups += ([(r, j) for j in range(len(row_sets))]
-                       if prune == [False] else [r] * len(row_sets))
-        flat = solve_sdp_batch(C, rows, groups)
-        for _c, row_sets, *_prune in call:
+        flat = solve_sdp_batch([c for c, row_sets in call for _r in row_sets],
+                               [r for _c, row_sets in call for r in row_sets])
+        for _c, row_sets in call:
             out.append(flat[:len(row_sets)])
             flat = flat[len(row_sets):]
     return out
@@ -287,21 +280,16 @@ def lockstep(gens) -> list:
     """Run design generators together; their solutions, in order.
 
     A generator yields either (QcqpProblem, v0), one QCQP and its start,
-    and takes back its QcqpResult (consensual_steps), or (C, row_sets) or
-    (C, row_sets, prune), the trace-one SDPs of objective C, one per row
-    set, and takes back their SdpResults (evolved_steps); alternating_steps
-    yields what its inner design yields.  The entries of one SDP request
-    are alternatives of one maximum, so they are one group of
-    solve_sdp_batch, which may end those that cannot hold it "dominated";
-    with prune False each entry is solved to the end.  Each round sends
-    every pending generator its results, then solves what they yield: the
-    QCQPs as one solve_ball_qcqps batch per dimension, and the SDPs, each
-    entry with its own request's C, as solve_sdp_batch calls of at most
-    _SDP_STACK entries per matrix size, cut only between requests.  Both
-    kernels are batch-invariant, and an SDP's result depends only on its
-    own request, so every generator gets the results it would get run
-    alone, and its solution does too.  An exception a generator raises
-    ends the run.
+    and takes back its QcqpResult (consensual_steps), or (C, row_sets), the
+    trace-one SDPs of objective C, one per row set, and takes back their
+    SdpResults (evolved_steps); alternating_steps yields what its inner
+    design yields.  Each round sends every pending generator its results,
+    then solves what they yield: the QCQPs as one solve_ball_qcqps batch
+    per dimension, and the SDPs, each entry with its own request's C, as
+    solve_sdp_batch calls of at most _SDP_STACK entries per matrix size,
+    cut only between requests.  Both kernels are batch-invariant, so every
+    generator gets the results it would get run alone, and its solution
+    does too.  An exception a generator raises ends the run.
     """
     out = [None] * len(gens)
     asked = {}      # generator index -> its pending request
@@ -501,14 +489,11 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
 
 def evolved_steps(chan, params):
     """The lifted design as a generator: its set-up, one request for its
-    relaxation batch (rarely a second, below), then its finish.
+    relaxation batch, then its finish.
 
     Yields (C, row_sets), the relaxations of every grid point but t = 0
     (which it solves in closed form) with their shared objective C, and
     takes their SdpResults back by send(); returns the BeamformerSolution.
-    Some may come back "dominated".  When the top candidates fail and such
-    a point could still hold the best SNR, it yields (C, row_sets, False)
-    for those points, to be solved in full, and examines the grid again.
     Run it with lockstep, which stacks the relaxations of many tags into
     shared solve_sdp_batch calls; evolved_sdp runs it alone.  What it
     solves is evolved_sdp's docstring.
@@ -526,7 +511,7 @@ def evolved_steps(chan, params):
             np.linalg.norm(g0) + np.linalg.norm(gs))):
         # U's last column is outside span(h0, hs), as _span_basis builds
         # it, so the channels' components there are round-off.  Exactly 0,
-        # they make every relaxation block diagonal (convex._BlockSdp).
+        # they make every relaxation block diagonal (convex._block_sdps).
         for g in (g0, g1, gs):
             g[2] = 0.0
     H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
@@ -557,79 +542,51 @@ def evolved_steps(chan, params):
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever rank-one point exists there, and its
-    # solution is what purification or the penalty stage starts from.  The
-    # grid points are alternatives of one maximum, so the kernel ends those
-    # whose bound falls below another point's objective "dominated", with
-    # their bound and no solution.  Purification and the penalty stage are
-    # skipped at the points whose bound cannot beat the best SNR found.
-    # The grid points share the matrices of their last two rows.
+    # solution is what purification or the penalty stage starts from.
+    # Purification and the penalty stage are skipped at the points whose
+    # bound cannot beat the best SNR found.  The grid points share the
+    # matrices of their last two rows.
     no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
     row_sets = [[
         (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
         no_dl,
         (H0, t),                                  # t dominates the DLI
     ] for t in kernel_grid]
-    results = list((yield gamma * H1, row_sets))
+    results = yield gamma * H1, row_sets
+    relax += [(float(res.objective), float(t), res.W, rows, None)
+              for t, rows, res in zip(kernel_grid, row_sets, results)
+              if res.status == OPTIMAL]
 
-    def examine(relax):
-        """Candidates by falling bound until none left can beat the best
-        SNR found: (achieved, penalty solves, whether one did not
-        converge), achieved holding (snr, t, v, residual, trace, stats,
-        bound)."""
-        achieved = []
-        best_snr = -np.inf
-        n_solves, capped = 0, False
-        for ub, t, W_rel, rows, v in sorted(relax, key=lambda e: -e[0]):
-            if ub < best_snr - 1e-9:
-                break   # sorted by bound: none of the rest can win
-            exact = v is not None
-            if not exact:
-                v = _purify(W_rel, H1, rows)
-            ok = v is not None
-            if ok:
-                v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
-                                              d_min, e_min, "evolved")
-                residual, trace_t = 0.0, []
+    # Candidates by falling bound until none left can beat the best SNR
+    # found; achieved holds (snr, t, v, residual, trace, stats).
+    achieved = []
+    best_snr = -np.inf
+    n_solves, pen_capped = 0, False
+    for ub, t, W_rel, rows, v in sorted(relax, key=lambda e: -e[0]):
+        if ub < best_snr - 1e-9:
+            break   # sorted by bound: none of the rest can win
+        exact = v is not None
+        if not exact:
+            v = _purify(W_rel, H1, rows)
+        ok = v is not None
+        if ok:
+            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
+                                          d_min, e_min, "evolved")
+            residual, trace_t = 0.0, []
+        if not ok:
+            if exact:   # the closed form has no fallback
+                continue
+            W, trace_t, converged_t, n_solve = _penalized_sca(
+                rows, H1, gamma, chi, W_rel, params.J, params.omega)
+            n_solves += n_solve
+            pen_capped |= not converged_t
+            v, residual = recover_rank_one(W)
+            v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
+                                          d_min, e_min, "evolved")
             if not ok:
-                if exact:   # the closed form has no fallback
-                    continue
-                W, trace_t, converged_t, n_solve = _penalized_sca(
-                    rows, H1, gamma, chi, W_rel, params.J, params.omega)
-                n_solves += n_solve
-                capped |= not converged_t
-                v, residual = recover_rank_one(W)
-                v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
-                                              d_min, e_min, "evolved")
-                if not ok:
-                    continue
-            achieved.append((snr, t, v, residual, trace_t, stats, ub))
-            best_snr = max(best_snr, snr)
-        return achieved, n_solves, capped
-
-    while True:
-        achieved, n_solves, pen_capped = examine(relax + [
-            (float(res.objective), float(t), res.W, rows, None)
-            for t, rows, res in zip(kernel_grid, row_sets, results)
-            if res.status == OPTIMAL])
-        # A dominated point's optimum is at most its bound ub.  Solved, it
-        # would sit after every candidate whose bound exceeds ub, so the
-        # loop would reach it holding at least the best SNR of those; if
-        # that beats ub by 1e-9, the loop breaks there, as it does here at
-        # the next candidate.  The other dominated points are solved in
-        # full, and the loop runs again, so the solution is always the one
-        # the unpruned grid gives.
-        redo = []
-        for j, res in enumerate(results):
-            ub = res.objective + res.gap
-            if res.status == DOMINATED and ub >= max(
-                    (a[0] for a in achieved if a[6] > ub),
-                    default=-np.inf) - 1e-9:
-                redo.append(j)
-        if not redo:
-            break
-        again = yield gamma * H1, [row_sets[j] for j in redo], False
-        for j, res in zip(redo, again):
-            results[j] = res
+                continue
+        achieved.append((snr, t, v, residual, trace_t, stats))
+        best_snr = max(best_snr, snr)
 
     total_iter = len(grid) + n_solves
     converged = not (pen_capped
@@ -640,7 +597,7 @@ def evolved_steps(chan, params):
     # smallest t wins among the grid points tying for the best objective
     best = min((a for a in achieved if a[0] >= best_snr - 1e-9),
                key=lambda a: a[1])
-    snr, _t, v, residual, trace_t, stats, _ub = best
+    snr, _t, v, residual, trace_t, stats = best
     return BeamformerSolution(v=v, snr=snr, feasible=True,
                               iterations=total_iter,
                               objective_trace=trace_t,
@@ -670,22 +627,18 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     components on that direction are set to the exact 0 they are up to
     round-off, so at M >= 3 each relaxation is block diagonal, diag(W_s,
     w_out) with W_s the 2 x 2 lift on the span, and the kernel solves it
-    in that form (convex._BlockSdp).  Each v' found is mapped back as
-    v = U v' and verified by _finalize on the full channels.
+    exactly in that form (convex._block_sdps), as it does every 2 x 2 lift
+    at M = 2: where the cone binds its W is rank one, v' = (u, sqrt(w_out))
+    with u u^H = W_s.  Each v' found is mapped back as v = U v' and
+    verified by _finalize on the full channels.
     It is built from the channels divided by ||h1||, with gamma times
     ||h1||^2: the grid's and the kernels' floors are absolute, and so the
     answer stays put when every channel scales by s and sigma_w2 by s^2.
-    A relaxation that hits the iteration cap drops its grid point and
-    marks the result not converged; one that ends infeasible or with no
-    interior drops it alone.  lockstep solves the request as one group: the
-    kernel ends a point "dominated", with a bound and no solution, once
-    that bound falls below another point's objective.  Should the
-    examination below reach a bound it cannot rule out that way, those
-    points are solved in full and the grid examined again, so the solution
-    is the one the full grid gives; only a dominated point that would have
-    hit the iteration cap at a later stage goes unreported.  Grid points
-    are examined by falling bound until no remaining bound can beat the
-    best SNR found.  At each,
+    A relaxation that ends max_iter (the barrier's iteration cap, reached
+    only by a relaxation the exact solver does not take) drops its grid
+    point and marks the result not converged; one that ends infeasible or
+    with no interior drops it alone.  Grid points are examined by falling
+    bound until no remaining bound can beat the best SNR found.  At each,
     _purify reduces the relaxation's optimum to a rank-one v v^H at the
     same objective, so v is optimal for that t; it is kept if _finalize
     verifies it, with rank_residual 0.  Where no

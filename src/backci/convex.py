@@ -37,16 +37,17 @@ trial it accepts (_Oracle.evaluate) are handed to the next Newton step
 (_Oracle.derivs), which adds only the gradient and Hessian.  Newton steps
 are counted alike in both phases: every step tried, accepted or not.  A
 stage has a budget of _MAX_NEWTON of them; an entry still centring after
-them ends MAX_ITER, so OPTIMAL, INFEASIBLE, NO_INTERIOR and DOMINATED come
-only from a centre.
+them ends MAX_ITER, so OPTIMAL, INFEASIBLE and NO_INTERIOR come only from
+a centre.
 
 Every entry of one call has one row count, so the rows stack rectangularly
 (ValueError otherwise).  One rule, `_settle`, settles every row that x
-cannot move, 0 . x <= b, before any Newton step: when b >= 0 it becomes
-padding, 0 . x < 1, whose barrier terms are exactly zero, and otherwise its
-entry is INFEASIBLE, with the row's normalized violation as certificate.
-The SDP applies it on the unit-trace plane, so at m = 1, where the plane is
-the single point W = [[1]], every row is settled.
+cannot move, 0 . x <= b, before any Newton step: a row whose x-part is
+negligible against its entry's row set.  When b >= 0 it becomes padding,
+0 . x < 1, whose barrier terms are exactly zero, and otherwise its entry is
+INFEASIBLE, with the row's normalized violation as certificate.  The SDP
+applies it on the unit-trace plane, so at m = 1, where the plane is the
+single point W = [[1]], every row is settled.
 
 There is one oracle per kernel.  The QCQP oracle works in the real embedding
 z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
@@ -56,29 +57,34 @@ of the unit-trace plane: the Hermitian matrix W has the coefficient vector
 w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
 -log det W is its cone barrier.  Besides the cone, the two differ only in
 the SDP's extra stop on the gap relative to its objective, which bounds the
-gap in original units.  A 3 x 3 SDP whose objective and rows are block
-diagonal, diag(W_s, w_out) with W_s 2 x 2, as the evolved design's
-relaxations at M >= 3 are, is solved on that block's plane (`_BlockSdp`):
-4 coordinates in place of 8, and the barrier -log det W_s - log w_out in
-closed form.  Fischer's inequality keeps every barrier centre of the full
-plane block diagonal, so the two take the same central path.
+gap in original units.
+
+The evolved design's relaxations are solved exactly instead, with no
+barrier (`_block_sdps`): SDPs of three rows that are 2 x 2, or 3 x 3 and
+block diagonal, diag(W_s, w_out) with W_s 2 x 2.  A 2 x 2 Hermitian W_s is
+PSD iff z = (tau, x) = (Tr W_s, W_11 - W_22, 2 Re W_12, 2 Im W_12) has
+|x| <= tau, a Lorentz cone (Ben-Tal & Nemirovski, Lectures on Modern
+Convex Optimization, 2001), and w_out = 1 - tau (tau = 1 at m = 2).  So
+each entry is a linear objective over that cone, tau <= 1 and three
+halfspaces, whose maximum lies at the apex, at the four halfspaces'
+vertex, or on the cone's surface where 1 to 3 of them bind; every such
+point lies on one of a fixed table of lines, found in closed form, so the
+enumeration is exact.  Its W is rank one where the cone binds, and the
+rows' multipliers certify its optimum, or its infeasibility.  The
+geometry is the module lorentz; `_block_sdps` builds its halfspaces from
+the rows and its SdpResults from the points it finds.
 
 `solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
 from its own start v0, in one stacked barrier run; the consensual SCA's
 lockstep driver (beamforming.lockstep) sends it one batch per round.
-`solve_sdp_batch(C, row_sets, groups)` solves SDPs of one size, each with
-its own row list and one shared objective C or its own, in one stacked
-barrier run, or two when it mixes block-diagonal entries and others;
-lockstep stacks several tags' relaxations that way.  Entries that share a
-group label are alternatives of one maximum, as one tag's grid
-relaxations are: after each main-stage barrier stage, an entry centred
-there whose upper bound, objective + _KAPPA * gap, falls below the best
-objective its group has reached ends DOMINATED, unsolved.  Both kernels
-are batch-invariant: an entry's result does not depend on what else is in
-the stack, because no product mixes rows of the stack in one GEMM, and an
-SDP's depends on no entry outside its group.
-`solve_ball_qcqp` and `solve_small_sdp` solve one problem, as a batch of
-one.  Every SDP starts from W = I / m; only the QCQP takes a start.
+`solve_sdp_batch(C, row_sets)` solves SDPs of one size, each with its own
+row list and one shared objective C or its own, the block relaxations
+exactly and the others in one stacked barrier run; lockstep stacks
+several tags' relaxations that way.  Both kernels are batch-invariant: an
+entry's result does not depend on what else is in the stack, because no
+product mixes rows of the stack in one GEMM.  `solve_ball_qcqp` and
+`solve_small_sdp` solve one problem, as a batch of one.  Every barrier SDP
+starts from W = I / m; only the QCQP takes a start.
 
 Problems are normalized before solving (unit objective norm, per-constraint
 scale factors), which leaves the argmax unchanged and makes the barrier
@@ -94,11 +100,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import lorentz
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
-DOMINATED = "dominated"
 
 _MU_FACTOR = 0.1
 _MAX_NEWTON = 200       # Newton steps per barrier stage
@@ -117,7 +124,6 @@ _CENTRE = 0.125         # a stage is centred once dec / 2 <= _CENTRE * mu
 # every SDP with a plane to move in has (m >= 2); at m = 1 the plane is a
 # point, and the gap 0.
 _KAPPA = 2.0
-_DOMINANCE = 1e-7       # relative margin by which a bound must miss
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +207,22 @@ def _settle(size, b, s):
     """The rows x cannot move, and the certificate they give their entry.
 
     size (B, k) is each row's x-part and b its constant, both in the units
-    the row arrived in, and s its scale.  A row is settled when size <=
-    1e-14 max(1, |b|): it reads 0 <= b, so it holds unless b < -1e-12, and
-    if it holds it would only block phase one's strict feasibility.  Returns
+    the row arrived in, and s its scale.  A row is settled when its x-part
+    is negligible against its entry's row set: size <= 1e-14 S, with S the
+    largest scale s among the entry's rows.  It then reads 0 <= b, so it
+    holds unless b < -1e-12 S, and if it holds it would only block phase
+    one's strict feasibility.  The rule is relative, so rows that all
+    scale by one factor settle alike whatever the factor.  Returns
     (settled, cert): settled (B, k) marks those rows, which the oracle
     turns into padding rows 0 . x < 1; cert (B,) is the largest normalized
     violation -b / s among an entry's settled rows that fail, nan where
     none fails.
     """
-    settled = size <= 1e-14 * np.maximum(1.0, np.abs(b))
-    fails = settled & (b < -1e-12)
+    S = s.max(axis=1, keepdims=True, initial=0.0)
+    settled = size <= 1e-14 * S
+    if not settled.any():
+        return settled, np.full(len(b), np.nan)
+    fails = settled & (b < -1e-12 * S)
     cert = np.fmax.reduce(np.where(fails, -b / s, np.nan), axis=1,
                           initial=np.nan)
     return settled, cert
@@ -628,8 +640,8 @@ class _BallQcqp(_Oracle):
     """QCQPs of one dimension in z = [Re v; Im v], normalized: min -c_hat . z.
 
     Row 0 of each entry is the unit ball z . z < 1, which phase one keeps
-    as a barrier; row i > 0 is constraint i, z^T At z + qr . z <= b,
-    divided by its scale s_i.  Every entry has the same number of
+    as a barrier and _settle does not judge; row i > 0 is constraint i,
+    z^T At z + qr . z <= b, divided by its scale s_i.  Every entry has the same number of
     constraints (ValueError naming the counts otherwise).
     """
 
@@ -656,9 +668,10 @@ class _BallQcqp(_Oracle):
         P, Q, b, s = (np.array([[row[i] for row in entry] for entry in rows])
                       for i in range(4))
         settled, self.cert = _settle(np.maximum(
-            np.linalg.norm(Q, axis=-1), np.linalg.norm(P, axis=(-2, -1))),
-            b, s)
-        keep = ~settled
+            np.linalg.norm(Q[:, 1:], axis=-1),
+            np.linalg.norm(P[:, 1:], axis=(-2, -1))), b[:, 1:], s[:, 1:])
+        keep = np.ones(b.shape, dtype=bool)     # the ball stays
+        keep[:, 1:] = ~settled
         slack = keep.copy()
         slack[:, 0] = False
         super().__init__(
@@ -752,6 +765,7 @@ class SdpResult:
     gap: float = np.nan           # optimum - objective bound, original units
     certificate: float = np.nan
     newton_steps: int = 0
+    dual: Optional[np.ndarray] = None   # the rows' multipliers (_block_sdps)
 
 
 @lru_cache(maxsize=16)
@@ -793,23 +807,19 @@ _BLOCK = 5      # at m = 3, B_0 ... B_4 span the matrices diag(W_s, w_out)
 
 
 @lru_cache(maxsize=16)
-def _trace_one(m: int, block: bool = False) -> tuple:
-    """The unit-trace plane of m x m Hermitian matrices, in the basis; with
-    block, at m = 3, the plane of the block-diagonal ones, diag(W_s, w_out).
+def _trace_one(m: int) -> tuple:
+    """The unit-trace plane of m x m Hermitian matrices, in the basis.
 
     Returns (wp, Z, UZ, Wp): w = wp + Z y, with wp = svec(I) / m the
     coordinates of W = I / m, so y = 0 is that point, and Z an orthonormal
-    basis of svec(I)'s nullspace (m^2 - 1 columns), or with block of its
-    part on B_0 ... B_4 (4 columns, zero in the other rows); UZ = Z^T U
-    folds Z into the basis matrix U, so its row a is the plane's basis
-    matrix B_a flattened; Wp = wp U is wp's matrix, flattened.
+    basis of svec(I)'s nullspace (m^2 - 1 columns); UZ = Z^T U folds Z into
+    the basis matrix U, so its row a is the plane's basis matrix B_a
+    flattened; Wp = wp U is wp's matrix, flattened.
     """
     U = _herm_basis(m)
     E = svec(np.eye(m))[None]
     wp = E[0] / m
-    n = _BLOCK if block else m * m
-    Z = np.zeros((m * m, n - 1))
-    Z[:n] = np.linalg.svd(E[:, :n])[2][1:].T
+    Z = np.linalg.svd(E)[2][1:].T
     parts = (wp, Z, Z.T @ U, wp @ U)
     for a in parts:
         a.setflags(write=False)
@@ -875,11 +885,11 @@ def _stack_rows(row_sets, m) -> tuple:
 
 
 def _block_diagonal(c, a) -> np.ndarray:
-    """Which entries are block diagonal, diag(W_s, w_out): the 3 x 3 ones
-    whose objective c = svec(C) (B, 9) and rows a (B, k, 9) have no
-    coordinate on B_5 ... B_8, the basis matrices of the entries (0, 2) and
-    (1, 2).  False for every entry at any other size."""
-    if c.shape[-1] != 9:
+    """Which entries _block_sdps solves: three rows, and a 2 x 2 objective,
+    or a 3 x 3 one that with the rows is block diagonal, diag(W_s, w_out),
+    with no coordinate on B_5 ... B_8, the basis matrices of the entries
+    (0, 2) and (1, 2).  c = svec(C) (B, m^2) and a (B, k, m^2)."""
+    if a.shape[1] != 3 or c.shape[-1] not in (4, 9):
         return np.zeros(len(c), dtype=bool)
     return ~(c[:, _BLOCK:].any(axis=1) | a[..., _BLOCK:].any(axis=(1, 2)))
 
@@ -899,25 +909,16 @@ class _Sdp(_Oracle):
     X_pj X_kq, Z folded into U.  Every product that involves the shared
     plane runs row by row (np.matvec), so an entry's arithmetic does not
     depend on what else is in the stack.
-
-    group (B,) labels the entries that are alternatives of one maximum
-    (None: no entry is), and best holds each group's largest objective
-    seen at a stage's end, shared by every oracle of one call; stop ends
-    an entry DOMINATED once its bound cannot reach that.
     """
 
-    _batched = _Oracle._batched | {"c_norm", "c_hat", "group"}
+    _batched = _Oracle._batched | {"c_norm", "c_hat"}
 
-    block = False     # the plane of every m x m Hermitian matrix (_trace_one)
-
-    def __init__(self, c_w, a, b, group=None, best=None):
+    def __init__(self, c_w, a, b):
         """c_w (B, m^2) is each entry's objective svec(C_j); a (B, k, m^2)
         and b (B, k) are its rows svec(A) . w <= b (_stack_rows), and both
-        arrays are the oracle's to scale in place; group and best as
-        above."""
+        arrays are the oracle's to scale in place."""
         self.m = m = math.isqrt(c_w.shape[1])
-        self.wp, self.Z, self.UZ, self.Wp = _trace_one(m, self.block)
-        self.group, self.best = group, best
+        self.wp, self.Z, self.UZ, self.Wp = _trace_one(m)
         self.c_norm = np.sqrt(np.vecdot(c_w, c_w))
         self.c_hat = np.divide(c_w, self.c_norm[:, None], out=c_w,
                                where=self.c_norm[:, None] > 0)
@@ -972,96 +973,73 @@ class _Sdp(_Oracle):
         return -logdet, -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
 
     def stop(self, y, mu, tol, centred):
-        """Also meets tol relative to the objective, in original units.
-
-        In a group, a centred entry that goes on ends DOMINATED once its
-        upper bound, objective + _KAPPA * gap, falls short of the group's
-        best objective L by _DOMINANCE * max(1, |L|): L is attained at a
-        strictly feasible point of another entry, so this one cannot hold
-        the group's maximum.
-        """
-        obj = self.objective(y)
+        """Also meets tol relative to the objective, in original units."""
         gap = self.n_par * mu * np.maximum(self.c_norm, 1.0)
         done = (self.n_par * mu <= tol) & (
-            (gap <= tol * np.maximum(1.0, np.abs(obj))) | (mu <= 1e-13))
-        st = np.where(done, OPTIMAL, None)
-        if self.group is not None:
-            np.maximum.at(self.best, self.group, obj)
-            low = self.best[self.group]
-            low = low - _DOMINANCE * np.maximum(1.0, np.abs(low))
-            st[centred & ~done & (obj + _KAPPA * gap < low)] = DOMINATED
-        return st
+            (gap <= tol * np.maximum(1.0, np.abs(self.objective(y))))
+            | (mu <= 1e-13))
+        return np.where(done, OPTIMAL, None)
 
 
-@lru_cache(maxsize=1)
-def _block_cone() -> tuple:
-    """The block plane's constants for _BlockSdp's closed-form cone.
+# ---------------------------------------------------------------------------
+# The block relaxations, exactly (lorentz)
+# ---------------------------------------------------------------------------
 
-    With w = (p, q, w_out, r, s) the coefficients of W on B_0 ... B_4 and
-    w_p, Z their rows of _trace_one(3, True), det W_s = p q - (r^2 + s^2) / 2
-    = w^T D w / 2.  Returns (wp, Z, G, K, zo, ZO): G = Z^T D, so G w is the
-    gradient of det W_s in y; K = Z^T D Z its constant Hessian; zo = Z's
-    w_out row, the gradient of w_out; ZO = zo zo^T.
+def _block_sdps(c, a, b, m) -> list:
+    """The SdpResults of trace-one SDPs of three rows whose objective and
+    rows are 2 x 2 (m = 2), or block diagonal, diag(W_s, w_out) with W_s
+    2 x 2 (m = 3), found exactly by the module lorentz.
+
+    In z = (tau, x) (lorentz.coordinates), with w_out = 1 - tau, each row is
+    a halfspace, normalized as _Sdp's rows are and settled by _settle on
+    what z can move, and tau <= 1 is a fourth.  An entry for which
+    lorentz.maximize finds a point ends OPTIMAL, with W exact (lorentz.lift:
+    rank one where the cone binds) and dual the rows' multipliers y >= 0
+    (lorentz.kkt): gap is sum_i y_i b_i + lambda_max(C - sum_i y_i A_i) -
+    objective, which bounds the optimum for any such y.  The others run
+    phase one (lorentz.phase_one); its dual y >= 0, with sum_i y_i s_i = 1,
+    certifies -(sum_i y_i b_i + lambda_max(-sum_i y_i A_i)) as a floor under
+    every W's largest normalized violation: INFEASIBLE with that
+    certificate when it exceeds lorentz.FEAS, NO_INTERIOR with phase one's
+    optimum otherwise.
     """
-    wp, Z, _UZ, _Wp = _trace_one(3, True)
-    wp, Z = wp[:_BLOCK], Z[:_BLOCK]
-    D = np.zeros((_BLOCK, _BLOCK))
-    D[0, 1] = D[1, 0] = 1.0
-    D[3, 3] = D[4, 4] = -1.0
-    G = Z.T @ D
-    parts = (wp, Z, G, G @ Z, Z[2], np.outer(Z[2], Z[2]))
-    for a in parts:
-        a.setflags(write=False)
-    return parts
-
-
-class _BlockSdp(_Sdp):
-    """Trace-one SDPs at m = 3 whose objective and rows are block diagonal,
-    diag(W_s, w_out) with W_s 2 x 2 (_block_diagonal), solved on that
-    block's plane: 4 coordinates y in place of 8.
-
-    The reduction is exact.  No objective or row sees the coupling between
-    W_s and w_out, and by Fischer's inequality det W <= det W_s w_out, with
-    equality only where the coupling is zero; so every barrier centre of the
-    full 3 x 3 plane, like W = I / 3, has none, and the two planes' central
-    paths, Newton steps and stops (n_par counts m = 3) coincide.  The cone
-    barrier is in closed form, with no factorization:
-
-        -log det W = -log det W_s - log w_out,
-        det W_s = p q - (r^2 + s^2) / 2,
-
-    and W is positive definite iff p > 0, det W_s > 0 and w_out > 0 (see
-    _block_cone for the coordinates).  Its gradient and Hessian in y are
-    -(u + zo / w_out) and u u^T - K / det W_s + zo zo^T / w_out^2, with
-    u = G w / det W_s.  Every product with the plane runs row by row.
-    """
-
-    block = True
-
-    @staticmethod
-    def cone_parts(y):
-        """w on B_0 ... B_4 at y, det W_s and w_out, per entry."""
-        wp, Z, *_rest = _block_cone()
-        w = wp + np.matvec(Z, y)
-        det = w[:, 0] * w[:, 1] - 0.5 * (w[:, 3] ** 2 + w[:, 4] ** 2)
-        return w, det, w[:, 2]
-
-    @staticmethod
-    def cone_value(parts):
-        """-log det W, nan where W is not positive definite."""
-        w, det, w_out = parts
-        inside = (w[:, 0] > 0.0) & (det > 0.0) & (w_out > 0.0)
-        return -np.log(det * w_out, out=np.full(len(det), np.nan),
-                       where=inside)
-
-    def cone_derivs(self, y, parts=None):
-        _wp, _Z, G, K, zo, ZO = _block_cone()
-        w, det, w_out = self.cone_parts(y) if parts is None else parts
-        u = np.matvec(G, w) / det[:, None]
-        io = 1.0 / w_out
-        H = (u[:, :, None] * u[:, None, :] - K / det[:, None, None]
-             + (io * io)[:, None, None] * ZO)
-        return -np.log(det * w_out), -(u + io[:, None] * zo), H
+    B = len(c)
+    cz, c0 = lorentz.coordinates(c, m)
+    az, a0 = lorentz.coordinates(a, m)
+    s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))), 1e-12)
+    moves = az[1:] if m == 2 else az
+    settled, cert = _settle(np.sqrt(lorentz.dot(moves, moves)),
+                            b - a0 - (az[0] if m == 2 else 0.0), s)
+    e_tau = np.zeros((4, B, 1))
+    e_tau[0] = 1.0
+    H = np.concatenate([np.where(settled, 0.0, az / s), e_tau], axis=2)
+    Hb = np.concatenate([np.where(settled, 1.0, (b - a0) / s),
+                         np.ones((B, 1))], axis=1)
+    live = np.isnan(cert)
+    status = np.where(live, OPTIMAL, INFEASIBLE).astype(object)
+    obj, gap = np.full(B, np.nan), np.full(B, np.nan)
+    dual = np.full((B, 3), np.nan)
+    W = [None] * B
+    top, z = lorentz.maximize(cz, H, Hb, live, m)
+    i = np.flatnonzero(top > -np.inf)
+    if i.size:
+        Wi, z = lorentz.lift(z[:, i], m)
+        obj[i] = lorentz.dot(cz[:, i], z) + c0[i]
+        y, gap[i] = lorentz.kkt(z, cz[:, i], obj[i] - c0[i], H[:, i], Hb[i], m)
+        dual[i] = y / s[i]
+        for j, Wj in zip(i, Wi):
+            W[j] = Wj
+    i = np.flatnonzero((top == -np.inf) & live)
+    if i.size:
+        y, cert[i] = lorentz.phase_one(H[:, i], Hb[i], m)
+        status[i] = np.where(np.isnan(y[:, 0]), NO_INTERIOR, INFEASIBLE)
+        dual[i] = y / s[i]
+    has = ~np.isnan(dual[:, 0])
+    return [SdpResult(W=Wj, status=st, objective=o, gap=g, certificate=ce,
+                      dual=y if h else None)
+            for Wj, st, o, g, ce, y, h in zip(W, status, obj.tolist(),
+                                              gap.tolist(), cert.tolist(),
+                                              dual, has)]
 
 
 def solve_small_sdp(p: SdpProblem) -> SdpResult:
@@ -1079,32 +1057,23 @@ def solve_small_sdp(p: SdpProblem) -> SdpResult:
     return solve_sdp_batch(p.C, [p.ineq_constraints])[0]
 
 
-def solve_sdp_batch(C, row_sets: list, groups=None) -> list:
+def solve_sdp_batch(C, row_sets: list) -> list:
     """Solve trace-one SDPs of one size, one per row set, in one stacked
     run.
 
     Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
-    row_sets[j], W PSD.  Every entry starts from W = I / m, which is y = 0
-    in the plane's coordinates and inside the cone.  Rows the plane cannot
-    move are settled first (_settle); at m = 1 that is every row, and a
-    feasible entry ends at W = [[1]] with no Newton step.  The 3 x 3
-    entries whose objective and rows are block diagonal, diag(W_s,
-    w_out), are solved as one stack on that block's plane (_BlockSdp),
-    the others as another on the full plane; the W returned is 3 x 3
-    either way.  The kernel is batch-invariant: each entry takes its own
-    Newton steps, leaves the stack when it ends, and its SdpResult is bit
-    for bit what solve_small_sdp gives for it, whatever else is in the
-    stack.  So several tags' relaxations, each with its own objective, can
-    share one call (beamforming.lockstep).
-
-    Entries that share a label in groups are alternatives of one maximum,
-    and only the entries that can hold it are solved to the end.  After
-    each stage of the main barrier run, a group's best objective L is
-    attained at a strictly feasible point; an entry centred there whose
-    bound objective + _KAPPA * gap falls short of L by the margin
-    _DOMINANCE * max(1, |L|) ends "dominated".  Phase one never prunes.  An
-    entry's result depends only on its group's entries; with no groups, or
-    a label of its own, it is solved to the end.
+    row_sets[j], W PSD.  Entries of three rows whose objective and rows are
+    2 x 2, or 3 x 3 and block diagonal, diag(W_s, w_out), as the evolved
+    design's relaxations are, are solved exactly in closed form
+    (_block_sdps): a Lorentz-cone program in 4 variables, whose optimal W
+    is rank one where the cone binds.  The others run the barrier method
+    from W = I / m, which is y = 0 in the plane's coordinates and inside
+    the cone.  Rows the plane cannot move are settled first (_settle); at
+    m = 1 that is every row, and a feasible entry ends at W = [[1]] with
+    no Newton step.  The kernel is batch-invariant: each entry's SdpResult
+    is bit for bit what solve_small_sdp gives for it, whatever else is in
+    the stack.  So several tags' relaxations, each with its own objective,
+    can share one call (beamforming.lockstep).
 
     Args:
         C: The m x m Hermitian objective every entry shares, or one per
@@ -1112,7 +1081,6 @@ def solve_sdp_batch(C, row_sets: list, groups=None) -> list:
             of one is shared).
         row_sets: One list of (A, b) rows per entry, A m x m, all of one
             length.
-        groups: None, or one hashable label per row set.
 
     Returns:
         The SdpResult of each row set, in input order, with status
@@ -1120,39 +1088,32 @@ def solve_sdp_batch(C, row_sets: list, groups=None) -> list:
         normalized units, at the phase-one optimum), "no_interior" (phase
         one's gap reached its tolerance with that violation within it of 0,
         as on a face of the cone such as W g = 0: no strictly feasible W
-        was found, and none was shown impossible), "max_iter" (a barrier
-        stage still centring after _MAX_NEWTON Newton steps) or
-        "dominated" (W None; objective, at a strictly feasible point, and
-        objective + gap bound the entry's optimum from both sides, and the
-        upper bound is below another entry's objective in its group).
+        was found, and none was shown impossible) or "max_iter" (a barrier
+        stage still centring after _MAX_NEWTON Newton steps).  An exactly
+        solved entry takes no Newton step; its dual holds the rows'
+        multipliers, which certify gap or, when infeasible, certificate
+        (_block_sdps), and it ends "no_interior" only when it misses every
+        row by less than lorentz.FEAS and nothing certifies that it must.
 
     Raises:
         ValueError: when the objectives number neither 1 nor
-            len(row_sets), the rows' matrices are not C's size, the row
-            sets' lengths differ, or groups does not hold one label per
-            row set (the message names them).
+            len(row_sets), the rows' matrices are not C's size, or the row
+            sets' lengths differ (the message names them).
     """
-    if groups is not None and len(groups) != len(row_sets):
-        raise ValueError(f"{len(groups)} group labels for {len(row_sets)} "
-                         f"row sets")
     if not row_sets:
         return []
     C = _objectives(C, len(row_sets))
+    m = C.shape[-1]
     c = svec(C)
-    a, b = _stack_rows(row_sets, C.shape[-1])
-    group = best = None
-    if groups is not None:
-        index = {}
-        group = np.array([index.setdefault(g, len(index)) for g in groups])
-        best = np.full(len(index), -np.inf)
-    block = _block_diagonal(c, a)
+    a, b = _stack_rows(row_sets, m)
+    exact = _block_diagonal(c, a)
     results = [None] * len(row_sets)
-    for kind, idx in ((_BlockSdp, np.flatnonzero(block)),
-                      (_Sdp, np.flatnonzero(~block))):
+    for idx, solve in ((np.flatnonzero(exact),
+                        lambda i: _block_sdps(c[i], a[i], b[i], m)),
+                       (np.flatnonzero(~exact),
+                        lambda i: _sdp_results(_Sdp(c[i], a[i], b[i])))):
         if idx.size:
-            f = kind(c[idx], a[idx], b[idx],
-                     None if group is None else group[idx], best)
-            for j, res in zip(idx, _sdp_results(f)):
+            for j, res in zip(idx, solve(idx)):
                 results[j] = res
     return results
 
@@ -1167,14 +1128,10 @@ def _sdp_results(f) -> list:
     fm = f.take(main)
     obj = fm.objective(y[main])
     gap = fm.n_par * mu[main] * np.maximum(fm.c_norm, 1.0)
-    pruned = status[main] == DOMINATED
-    gap[pruned] *= _KAPPA
-    W = iter(fm.matrix(y[main[~pruned]]))
-    for i, j in enumerate(main):
-        Wj = None if pruned[i] else next(W)
+    for i, (j, W) in enumerate(zip(main, fm.matrix(y[main]))):
         results[j] = SdpResult(
             # the symmetric part clears embedding round-off
-            W=None if Wj is None else 0.5 * (Wj + Wj.conj().T),
-            status=status[j], objective=float(obj[i]), gap=float(gap[i]),
+            W=0.5 * (W + W.conj().T), status=status[j],
+            objective=float(obj[i]), gap=float(gap[i]),
             newton_steps=int(steps[j]))
     return results

@@ -77,9 +77,8 @@ def greedy_select(chans, params, mode: str) -> SelectionResult:
     design's SCA subproblems as one QCQP batch per round and dimension,
     the evolved design's relaxations, every live tag's grid, as one
     stacked SDP batch (split between tags at beamforming._SDP_STACK
-    entries), each grid one group of alternatives whose dominated points
-    the kernel drops, and on a MIMO link the alternation's receive and
-    transmit steps the same way.  Each tag's solution is what it gets
+    entries) that the kernel solves exactly, and on a MIMO link the
+    alternation's receive and transmit steps the same way.  Each tag's solution is what it gets
     solved alone.
 
     Args:

@@ -227,10 +227,10 @@ class TestLockstep:
         # Every tag of two realizations at M = 2 (a 2 x 2 lift) and at
         # M = 4 (3 x 3), with the consensual runs of the same tags mixed
         # in.  The relaxations go to solve_sdp_batch in calls of at most
-        # _SDP_STACK entries per lift size, cut only between tags, each
-        # tag's grid one group, and every solution is field for field the
-        # one its tag gets alone: from evolved_sdp, and from the generator
-        # driven by hand with one unpruned call on its own objective.
+        # _SDP_STACK entries per lift size, cut only between tags, and
+        # every solution is field for field the one its tag gets alone:
+        # from evolved_sdp, and from the generator driven by hand with one
+        # call on its own objective.
         monkeypatch.setattr(beamforming, "_SDP_STACK", 150)
         cases = []
         for m in (2, 4):
@@ -242,9 +242,11 @@ class TestLockstep:
         calls = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets, groups=None):
-            calls.append((len(C[0]), len(row_sets), len(set(groups))))
-            return batch(C, row_sets, groups)
+        def spied(C, row_sets):
+            # each tag has its own objective, so they count the tags
+            calls.append((len(C[0]), len(row_sets),
+                          len({c.tobytes() for c in C})))
+            return batch(C, row_sets)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
@@ -395,10 +397,10 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         calls = {"batch": 0, "entries": 0, "single": 0}
 
-        def batch(C, row_sets, groups=None):
+        def batch(C, row_sets):
             calls["batch"] += 1
             calls["entries"] += len(row_sets)
-            return solve_sdp_batch(C, row_sets, groups)
+            return solve_sdp_batch(C, row_sets)
 
         def single(*args, **kwargs):
             calls["single"] += 1
@@ -414,10 +416,22 @@ class TestEvolvedSdp:
         assert sol.iterations == params.T + calls["single"]
 
     def test_relaxation_iteration_cap_reported(self, monkeypatch):
+        # The relaxations are solved exactly, with no Newton step to cap,
+        # so the kernel's results are patched: one grid point ending
+        # max_iter drops that point and marks the result not converged.
         params = SystemParams(M=4, K=1, T=20)
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        sol = evolved_sdp(tag0(params, 9), params)
-        assert not sol.converged
+        chan = tag0(params, 9)
+        plain = evolved_sdp(chan, params)
+
+        def capped(C, row_sets):
+            results = solve_sdp_batch(C, row_sets)
+            results[3] = convex.SdpResult(W=None, status=MAX_ITER)
+            return results
+
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", capped)
+        sol = evolved_sdp(chan, params)
+        assert plain.converged and not sol.converged
+        assert sol.feasible and sol.snr <= plain.snr
 
     def test_capped_first_penalty_solve_keeps_the_incumbent(self, monkeypatch):
         # Every penalty subproblem has the relaxation's rows, so a capped
@@ -480,8 +494,8 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         bounds = []
 
-        def batch(C, row_sets, groups=None):
-            results = solve_sdp_batch(C, row_sets, groups)
+        def batch(C, row_sets):
+            results = solve_sdp_batch(C, row_sets)
             bounds.extend(r.objective for r in results
                           if r.status == convex.OPTIMAL)
             return results
@@ -562,35 +576,36 @@ def _zero_forcing(h0, hs):
 
 
 def _unpruned(chan, params):
-    """evolved_steps driven by hand, its grid solved with no groups: the
-    solution the unpruned grid gives."""
+    """evolved_steps driven by hand, its whole grid solved in one
+    solve_sdp_batch call."""
     gen = evolved_steps(chan, params)
     try:
         C, row_sets = next(gen)
         gen.send(solve_sdp_batch(C, row_sets))
     except StopIteration as stop:
         return stop.value
-    raise AssertionError("a second request with no point dominated")
+    raise AssertionError("a second request")
 
 
 class TestPrunedGrid:
-    """The kernel drops the grid points that cannot hold the relaxations'
-    maximum.  When the top candidates fail, evolved_steps solves the
-    dropped points it still needs, with no groups, and examines every point
-    again: its solution is always the unpruned grid's."""
+    """evolved_steps prunes its grid by bound: it examines the points by
+    falling relaxation bound, and drops the rest once none of them can
+    beat the best SNR found.  When the top candidates fail verification,
+    the points below them are examined in turn, purified or solved by the
+    penalty SCA, and the solution is the one the whole grid gives, from
+    one kernel call of every point but t = 0."""
 
     CASES = pytest.mark.parametrize("seed, k", [(0, 1), (1, 0), (2, 4)])
 
     @staticmethod
     def _run(monkeypatch, chan, params):
-        """evolved_sdp's solution, and the group labels of its kernel
-        calls."""
+        """evolved_sdp's solution, and the entries of its kernel calls."""
         calls = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets, groups=None):
-            calls.append(groups)
-            return batch(C, row_sets, groups)
+        def spied(C, row_sets):
+            calls.append(len(row_sets))
+            return batch(C, row_sets)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
@@ -599,35 +614,42 @@ class TestPrunedGrid:
 
     @staticmethod
     def _reject_above(monkeypatch, cut):
-        """_finalize, rejecting every point whose SNR reaches cut."""
+        """_finalize, rejecting every point whose SNR reaches cut; the SNRs
+        of the points it is asked to verify."""
         finalize = beamforming._finalize
+        seen = []
 
         def picky(v, *args):
             v, stats, ok, snr = finalize(v, *args)
+            seen.append(snr)
             return v, stats, ok and snr < cut, snr
 
         monkeypatch.setattr(beamforming, "_finalize", picky)
+        return seen
 
     @CASES
     @pytest.mark.parametrize("purify", [True, False])
     def test_rejected_top_candidates_solve_the_dropped_points(
             self, monkeypatch, seed, k, purify):
         # Every point within 3% of the solution's SNR is rejected, so the
-        # best SNR left falls below some dropped points' bounds; with
-        # purification off, through the penalty fallback.
+        # points whose bounds fall below the plain run's SNR, which that
+        # run dropped, are examined; with purification off, through the
+        # penalty fallback.
         params = SystemParams(M=4, T=20, J=10)
         chan = gen_channel_set(params, seed).tag_channels(k)
         if not purify:
             monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
-        self._reject_above(monkeypatch, 0.97 * evolved_sdp(chan, params).snr)
+        best = evolved_sdp(chan, params).snr
+        seen = self._reject_above(monkeypatch, 0.97 * best)
         sol, calls = self._run(monkeypatch, chan, params)
+        # the top candidates were verified and rejected, and the solution
+        # is a point the plain run dropped, its bound below that run's SNR
+        assert max(seen) >= 0.97 * best
+        assert sol.feasible and sol.snr < 0.97 * best
         unpruned = _unpruned(chan, params)
-        assert sol.feasible
         _same_solution(sol, unpruned)
         assert sol.rank_residual == unpruned.rank_residual
-        first, second = calls
-        assert len(first) == params.T - 1 and len(set(first)) == 1
-        assert 0 < len(second) == len(set(second)) < len(first)
+        assert calls == [params.T - 1]
 
     @CASES
     def test_penalty_fallback_matches_the_unpruned_grid(self, monkeypatch,
@@ -640,7 +662,7 @@ class TestPrunedGrid:
         assert sol.feasible and sol.iterations > params.T
         _same_solution(sol, unpruned)
         assert sol.rank_residual == unpruned.rank_residual
-        assert len(calls) == 1
+        assert calls == [params.T - 1]
 
 
 class TestZeroForcing:
@@ -700,9 +722,9 @@ class TestZeroForcing:
         h0, _h1, hs = tag0(params, 9)
         entries = []
 
-        def batch(C, row_sets, groups=None):
+        def batch(C, row_sets):
             entries.append(len(row_sets))
-            return solve_sdp_batch(C, row_sets, groups)
+            return solve_sdp_batch(C, row_sets)
 
         monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
         sol = evolved_sdp((r * h0, r * h0 + hs, hs), params)
@@ -747,12 +769,20 @@ class TestSpanReduction:
 
     @pytest.mark.parametrize("sigma_s2, seed, k", PADDED)
     def test_zero_padded_m3_matches_m3(self, sigma_s2, seed, k, monkeypatch):
-        # The reference lifts the whole of C^3, with no basis to reduce to.
+        # The reference lifts the whole of C^3, with no basis to reduce to,
+        # so its relaxations are not block diagonal and go to the barrier;
+        # the padded run's are solved exactly.  At the barrier's _TOL the
+        # two differ by up to 2.8e-9 relative, scaling with _TOL: the
+        # barrier's optimum lies below the bound by its gap, and _purify's
+        # top eigenvector of the barrier's interior, nearly rank-one W
+        # can end above it, outside the rows by as much.  So the reference
+        # runs to a gap of 1e-12.
         params = SystemParams(M=3, sigma_s2=sigma_s2)
         chan = gen_channel_set(params, seed).tag_channels(k)
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "_span_basis",
                        lambda h0, hs: np.eye(len(h0)))
+            mp.setattr(convex, "_TOL", 1e-12)
             plain = evolved_sdp(chan, params)
         Q = _unitary(8, seed)
         padded = evolved_sdp(tuple(Q @ np.concatenate([h, np.zeros(5)])
@@ -838,10 +868,15 @@ class TestBlockRelaxation:
         assert beamforming._first_anchor(W).tobytes() == (
             recover_rank_one(W)[0].tobytes())
 
-    def test_block_form_matches_the_lift_with_round_off(self):
+    def test_block_form_matches_the_lift_with_round_off(self, monkeypatch):
         # Every grid relaxation of the tags of seeds 0-11 at M in {3, 4,
         # 8}, a tag with hs parallel to h0 and one with h0 = 0: the same
-        # statuses, and objectives to 1e-10 relative.
+        # statuses, and objectives to 1e-10 relative.  The block form is
+        # solved exactly and the lift with round-off by the barrier, which
+        # runs to a gap of 1e-12 here: at its _TOL of 1e-8 it misses the
+        # exact optimum by its gap, up to about 7e-9 relative, and on one
+        # of these entries it stalls in a stage, max_iter after 236 Newton
+        # steps, where at 1e-12 it takes 50.
         tags = []
         for m in (3, 4, 8):
             params = SystemParams(M=m)
@@ -861,8 +896,10 @@ class TestBlockRelaxation:
         assert not convex._block_diagonal(
             convex.svec(convex._objectives([C for C, _r in off], len(off))),
             convex._stack_rows([r for _C, r in off], 3)[0]).all()
-        got, want = (solve_sdp_batch([C for C, _r in e], [r for _C, r in e])
-                     for e in (block, off))
+        got = solve_sdp_batch([C for C, _r in block],
+                              [r for _C, r in block])
+        monkeypatch.setattr(convex, "_TOL", 1e-12)
+        want = solve_sdp_batch([C for C, _r in off], [r for _C, r in off])
         assert [r.status for r in got] == [r.status for r in want]
         assert {OPTIMAL, INFEASIBLE} <= {r.status for r in got}
         for a, b in zip(got, want):

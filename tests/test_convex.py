@@ -19,7 +19,6 @@ from backci import convex
 from backci.beamforming import _span_basis, divergence_floors, evolved_steps
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
-    DOMINATED,
     INFEASIBLE,
     MAX_ITER,
     NO_INTERIOR,
@@ -27,7 +26,6 @@ from backci.convex import (
     QcqpProblem,
     SdpProblem,
     _BallQcqp,
-    _BlockSdp,
     _PhaseOne,
     _Sdp,
     _trace_one,
@@ -267,6 +265,24 @@ class TestQcqpConstantRows:
         assert res.status == INFEASIBLE and res.v is None
         assert res.certificate == 1.0
         assert res.newton_steps == 0
+
+
+class TestSettleRule:
+    """A row is settled only when its coefficients are negligible against
+    its own entry's rows, so a problem whose rows all scale by k keeps its
+    answer at any k."""
+
+    @pytest.mark.parametrize("k", [1.0, 1e-13, 1e-14, 1e-20])
+    def test_small_rows_of_one_scale_are_kept(self, k):
+        # max W_00 s.t. k W_00 <= 0.25 k, and max Re v_0 s.t. k |v_0|^2 <=
+        # 0.25 k: 0.25 and 0.5 at every k.
+        E = np.diag([1.0, 0.0]).astype(complex)
+        sdp = solve_small_sdp(_problem(E, [(k * E, 0.25 * k)]))
+        qcqp = solve_ball_qcqp(QcqpProblem(
+            c=np.array([1.0 + 0j, 0j]), quad_constraints=[(k * E, None,
+                                                           0.25 * k)]))
+        assert sdp.objective == pytest.approx(0.25, abs=1e-8)
+        assert qcqp.objective == pytest.approx(0.5, abs=1e-8)
 
 
 class TestQcqpBatch:
@@ -644,7 +660,7 @@ class TestEvaluatedOnce:
         f, z = _random_qcqp_oracle(rng, 2)
         g, y = _random_sdp_oracle(rng, 2)
         h = _block_oracle(rng, 3)
-        y3 = 0.02 * rng.normal(size=(3, 4))
+        y3 = 0.02 * rng.normal(size=(3, 8))
         s = np.full((3, 1), 0.1)
         return [(f, z), (g, y), (h, y3), (_PhaseOne(f), np.hstack([z, s])),
                 (_PhaseOne(h), np.hstack([y3, s]))]
@@ -749,10 +765,10 @@ def _relaxation_family(M, B):
     raise AssertionError("no mixed relaxation family")
 
 
-def _sdp(C, row_sets, kind=_Sdp):
-    """The kind of SDP oracle for objective C and row_sets."""
+def _sdp(C, row_sets):
+    """The barrier's SDP oracle for objective C and row_sets."""
     C = convex._objectives(C, len(row_sets))
-    return kind(svec(C), *convex._stack_rows(row_sets, C.shape[-1]))
+    return _Sdp(svec(C), *convex._stack_rows(row_sets, C.shape[-1]))
 
 
 def _result_bytes(r):
@@ -762,8 +778,10 @@ def _result_bytes(r):
 
 
 def _result_repr(r):
-    """Every field of an SdpResult, floats in their exact repr."""
-    return _result_bytes(r) + (repr((r.objective, r.gap, r.certificate)),)
+    """Every field of an SdpResult, floats in their exact repr, and the
+    dual's bytes where it has one."""
+    return (_result_bytes(r) + (repr((r.objective, r.gap, r.certificate)),)
+            + (() if r.dual is None else (r.dual.tobytes(),)))
 
 
 class TestSdpBatch:
@@ -974,26 +992,27 @@ def _block(Ws, w_out):
 
 
 def _block_oracle(rng, B):
-    """A _BlockSdp of B entries with random block-diagonal objective and
-    rows, each row held with margin 0.5 at W = I / 3."""
+    """The barrier's SDP oracle for B entries with a random block-diagonal
+    objective and two block-diagonal rows each, each row held with margin
+    0.5 at W = I / 3."""
     C = _block(rand_herm_psd(rng, 2), rng.normal())
     rows = []
     for _ in range(B):
         mats = [_block(rand_herm_psd(rng, 2), rng.uniform(0.0, 1.0))
                 for _ in range(2)]
         rows.append([(A, float(np.trace(A).real / 3 + 0.5)) for A in mats])
-    return _sdp(C, rows, _BlockSdp)
+    return _sdp(C, rows)
 
 
 def _plane_point(W):
-    """y of the block plane at the 3 x 3 block-diagonal W."""
-    wp, Z, _UZ, _Wp = _trace_one(3, True)
+    """y of the 3 x 3 unit-trace plane at W."""
+    wp, Z, _UZ, _Wp = _trace_one(3)
     return Z.T @ (svec(W) - wp)
 
 
 class TestBlockCone:
-    """_BlockSdp's closed-form cone barrier, -log det W_s - log w_out, on
-    W = diag(W_s, w_out) of trace one."""
+    """The barrier's cone, -log det W, at W = diag(W_s, w_out) of trace one,
+    where it is -log det W_s - log w_out."""
 
     @staticmethod
     def _points(rng, n):
@@ -1023,7 +1042,7 @@ class TestBlockCone:
         rng = np.random.default_rng(32)
         f = _block_oracle(rng, 1)
         h = 1e-4
-        E = np.eye(4) * h
+        E = np.eye(8) * h
         for W in self._points(rng, 5):
             y = _plane_point(W)
             H = f.cone_derivs(y[None])[2][0]
@@ -1031,8 +1050,8 @@ class TestBlockCone:
                              - f.cone((y + E[i] - E[j])[None])
                              - f.cone((y - E[i] + E[j])[None])
                              + f.cone((y - E[i] - E[j])[None]))[0]
-                            / (4 * h * h) for j in range(4)]
-                           for i in range(4)])
+                            / (4 * h * h) for j in range(8)]
+                           for i in range(8)])
             assert H == pytest.approx(fd, rel=1e-5,
                                       abs=1e-5 * np.abs(H).max())
 
@@ -1051,8 +1070,9 @@ class TestBlockCone:
 
 
 class TestBlockSdp:
-    """solve_sdp_batch solves block-diagonal 3 x 3 entries on their block
-    and every other entry on the full plane, each kind as its own stack."""
+    """solve_sdp_batch solves block-diagonal 3 x 3 entries of three rows
+    exactly (_block_sdps) and every other entry by the barrier, each kind
+    as its own stack."""
 
     def test_mixed_call_matches_solo_calls(self):
         # Evolved relaxations at M = 4 (block diagonal) and relaxations in
@@ -1079,8 +1099,10 @@ class TestBlockSdp:
             _result_repr(r) for r in solo]
         assert {OPTIMAL, INFEASIBLE} <= {r.status for r in batch[::2]}
         for r in batch[::2]:
-            if r.W is not None:     # the block's coupling stays exactly 0
-                assert not r.W[:2, 2].any() and not r.W[2, :2].any()
+            assert r.newton_steps == 0
+            if r.W is not None:     # exact, and rank one: the cone binds
+                assert np.linalg.eigvalsh(r.W)[-2] <= 1e-15
+        assert all(r.newton_steps > 0 for r in batch[1::2])
 
 
 def _grid_requests(ms, seeds):
@@ -1102,88 +1124,248 @@ def _grid_requests(ms, seeds):
 
 
 def _stacked(reqs):
-    """The requests as one call's (C, row_sets, groups), a group each."""
+    """The requests as one call's (C, row_sets)."""
     return ([C for C, rows in reqs for _r in rows],
-            [r for _C, rows in reqs for r in rows],
-            [g for g, (_C, rows) in enumerate(reqs) for _r in rows])
+            [r for _C, rows in reqs for r in rows])
 
 
-class TestDominated:
-    """Entries that share a group label are alternatives of one maximum:
-    one whose bound falls below another's objective ends "dominated", with
-    no W and its two-sided bound, and every other entry is what it is
-    with no groups."""
+def _scales(rows):
+    """Each row's scale, max(|b|, ||svec(A)||, 1e-12), as the kernels
+    normalize it."""
+    return np.array([max(abs(b), np.linalg.norm(svec(A)), 1e-12)
+                     for A, b in rows])
 
-    def test_bound_holds_over_the_evolved_grids(self):
+
+def _dual_bound(C, rows, y):
+    """sum_i y_i b_i + lambda_max(C - sum_i y_i A_i): for y >= 0, a bound on
+    Tr(C W) over every trace-one W that meets the rows (Lagrange)."""
+    D = C - sum(yi * A for yi, (A, _b) in zip(y, rows))
+    return (sum(yi * b for yi, (_A, b) in zip(y, rows))
+            + float(np.linalg.eigvalsh(D)[-1]))
+
+
+def _check_exact(C, rows, res, ref=None):
+    """An exact result against its certificates and, when given, the
+    barrier's result ref of the same entry."""
+    C = np.asarray(C)
+    scale = max(1.0, abs(res.objective)) if res.status == OPTIMAL else 1.0
+    if ref is not None:
+        assert res.status == ref.status
+    if res.status == OPTIMAL:
+        W = res.W
+        assert np.trace(W).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(W)[0] >= -1e-12
+        assert np.trace(C @ W).real == pytest.approx(res.objective,
+                                                     abs=1e-12 * scale)
+        for (A, b), s in zip(rows, _scales(rows)):
+            assert np.trace(A @ W).real - b <= 1e-9 * s
+        y = res.dual
+        assert y.shape == (len(rows),) and (y >= 0.0).all()
+        bound = _dual_bound(C, rows, y)
+        assert bound >= res.objective - 1e-12 * scale
+        assert bound == pytest.approx(res.objective + res.gap,
+                                      abs=1e-12 * scale)
+        assert res.gap <= 1e-9 * scale
+        if ref is not None:
+            assert res.objective >= ref.objective - 1e-12 * scale
+            assert res.objective <= ref.objective + ref.gap + 1e-12 * scale
+    elif res.status == INFEASIBLE:
+        y = res.dual
+        assert res.W is None and (y >= 0.0).all()
+        assert y @ _scales(rows) == pytest.approx(1.0, abs=1e-12)
+        assert res.certificate > 1e-9
+        assert -_dual_bound(np.zeros_like(C), rows, y) == pytest.approx(
+            res.certificate, rel=1e-9, abs=1e-15)
+        if ref is not None:
+            assert res.certificate <= ref.certificate + 1e-12
+
+
+def _random_blocks(rng, m, B):
+    """B random entries of three rows: a shared objective and row sets,
+    2 x 2 (m = 2) or block diagonal 3 x 3 (m = 3).  Each row's bound is
+    its value at a random trace-one W plus a random margin, so that some
+    entries are feasible and some are not."""
+    def herm():
+        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        A = X + X.conj().T
+        return A if m == 2 else _block(A, rng.normal())
+
+    C = herm()
+    row_sets = []
+    for _ in range(B):
+        X = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        W0 = X @ X.conj().T
+        if m == 3:
+            W0[:2, 2] = W0[2, :2] = 0.0
+        W0 /= np.trace(W0).real
+        row_sets.append([(A, float(np.trace(A @ W0).real
+                                   + rng.normal(scale=0.5)))
+                         for A in (herm() for _ in range(3))])
+    return C, row_sets
+
+
+class TestBlockExact:
+    """_block_sdps, the exact solver of the block relaxations, against the
+    barrier, its own certificates and the degenerate inputs: a singular
+    row Gram matrix, an objective flat on a face, ties, tau = 1 at m = 2,
+    and m = 1."""
+
+    def test_within_the_barrier_gap_on_the_evolved_grids(self):
         # Every grid relaxation of the tags of seeds 0-11 at M in {2, 3,
-        # 4, 8}, one group per tag, in one call per lift size.
+        # 4, 8}: the barrier's status, an objective no lower than the
+        # barrier's and no higher than the barrier's bound, and
+        # certificates that hold.
         reqs = _grid_requests((2, 3, 4, 8), range(12))
-        solo, pruned, groups = [], [], []
+        n = 0
         for m in (2, 3):
-            C, rows, labels = _stacked([r for r in reqs if len(r[0]) == m])
-            solo += solve_sdp_batch(C, rows)
-            pruned += solve_sdp_batch(C, rows, labels)
-            groups += [(m, g) for g in labels]
-        best = {}
-        for g, a, b in zip(groups, solo, pruned):
-            if b.status == DOMINATED:
-                assert a.status == OPTIMAL and b.W is None
-                assert b.objective + b.gap >= a.objective
-                assert b.objective <= a.objective + a.gap
-            else:
-                assert _result_repr(b) == _result_repr(a)
-            if a.status == OPTIMAL:
-                best[g] = max(best.get(g, -np.inf), a.objective)
-        # each group's maximum survives, and most of the rest do not
-        for g, top in best.items():
-            assert top == max(b.objective for h, b in zip(groups, pruned)
-                              if h == g and b.status == OPTIMAL)
-        n_dom = sum(b.status == DOMINATED for b in pruned)
-        assert n_dom > 0.5 * sum(a.status == OPTIMAL for a in solo)
-        assert len(best) > 40
+            C, rows = _stacked([r for r in reqs if len(r[0]) == m])
+            exact = solve_sdp_batch(C, rows)
+            for c, r, res, ref in zip(C, rows, exact,
+                                      convex._sdp_results(_sdp(C, rows))):
+                _check_exact(c, r, res, ref)
+            n += len(exact)
+            assert {OPTIMAL, INFEASIBLE} == {r.status for r in exact}
+        assert n > 4000
 
-    def test_no_groups_and_singletons_change_nothing(self):
-        # No groups, a label per entry, and labels of any hashable kind
-        # give every field of every entry bit for bit, as solo solves do.
-        C, rows, _groups = _stacked(_grid_requests((4,), (1,)))
-        C3, rows3, _singles = _relaxation_family(3, 7)
-        C, rows = C + [C3] * len(rows3), rows + rows3
-        plain = [_result_repr(r) for r in solve_sdp_batch(C, rows)]
-        assert plain == [_result_repr(solve_small_sdp(_problem(c, r)))
-                         for c, r in zip(C, rows)]
-        for groups in (list(range(len(rows))),
-                       [("tag", j) for j in range(len(rows))]):
-            assert [_result_repr(r) for r in
-                    solve_sdp_batch(C, rows, groups)] == plain
-        assert {OPTIMAL, INFEASIBLE} <= {r[0] for r in plain}
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_entries_match_the_barrier(self, m):
+        C, rows = _random_blocks(np.random.default_rng(40 + m), m, 300)
+        exact = solve_sdp_batch(C, rows)
+        for r, res, ref in zip(rows, exact,
+                               convex._sdp_results(_sdp(C, rows))):
+            _check_exact(C, r, res, ref)
+        statuses = [r.status for r in exact]
+        assert statuses.count(OPTIMAL) > 20 and statuses.count(INFEASIBLE) > 20
 
-    def test_a_group_ignores_its_call_mates(self):
-        # Tags' grids at M = 4 (block diagonal) and a family of full 3 x 3
-        # relaxations, each its own group: alone, and in one call with the
-        # others in both orders, every entry of a group is bit for bit the
-        # same.
+    def test_entries_ignore_their_call_mates(self):
+        # Tags' grids at M = 2 and M = 4 (block diagonal) and a family of
+        # full 3 x 3 relaxations: alone, and in one call with the others
+        # in both orders, every entry is bit for bit the same.
         reqs = _grid_requests((4,), (1, 2))[:4]
         C3, rows3, _singles = _relaxation_family(3, 7)
         reqs.append((C3, rows3))
-        alone = [[_result_repr(r) for r in
-                  solve_sdp_batch(C, rows, ["g"] * len(rows))]
+        alone = [[_result_repr(r) for r in solve_sdp_batch(C, rows)]
                  for C, rows in reqs]
-        assert any(DOMINATED in {r[0] for r in a} for a in alone)
+        assert alone[0] == [_result_repr(solve_small_sdp(_problem(C, r)))
+                            for C, r in zip(*_stacked(reqs[:1]))]
         for order in (reqs, reqs[::-1]):
-            C, rows, groups = _stacked(order)
             together = [_result_repr(r)
-                        for r in solve_sdp_batch(C, rows, groups)]
+                        for r in solve_sdp_batch(*_stacked(order))]
             ends = np.cumsum([len(rs) for _C, rs in order])
             got = [together[e - len(rs):e]
                    for (_C, rs), e in zip(order, ends)]
             assert got == (alone if order is reqs else alone[::-1])
+        reqs2 = _grid_requests((2,), (1,))[:3]
+        alone2 = [[_result_repr(r) for r in solve_sdp_batch(C, rows)]
+                  for C, rows in reqs2]
+        assert [_result_repr(r) for r in solve_sdp_batch(
+            *_stacked(reqs2))] == [r for a in alone2 for r in a]
 
-    def test_one_label_per_row_set(self):
-        C, row_sets, _singles = _relaxation_family(2, 7)
-        with pytest.raises(ValueError, match="6 group labels for 7 row sets"):
-            solve_sdp_batch(C, row_sets, [0] * 6)
-        with pytest.raises(ValueError, match="1 group labels for 0 row"):
-            solve_sdp_batch(C, [], [0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_parallel_rows_of_one_rank_one_matrix(self, m):
+        # Objective and rows all multiples of h h^H, as collinear channels
+        # make them: every row normal is on the cone's boundary and they
+        # are parallel, so each active set's Gram matrix A J A^T is
+        # singular.  In y = Tr(h h^H W), in [0, |h|^2], the entry is
+        # max y s.t. k_i y <= b_i.
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=2) + 1j * rng.normal(size=2)
+        H = np.outer(h, h.conj())
+        H = H if m == 2 else _block(H, 0.0)
+        top = np.vdot(h, h).real
+        cases = [((1.0, 0.4 * top), (-1.0, -0.1 * top), (2.0, 2.0 * top)),
+                 ((1.0, 2.0 * top), (-1.0, -0.3 * top), (0.5, 0.2 * top)),
+                 ((1.0, 0.2 * top), (-1.0, -0.3 * top), (1.0, top))]
+        rows = [[(k * H, b) for k, b in case] for case in cases]
+        got = solve_sdp_batch(H, rows)
+        for r, res in zip(rows, got):
+            _check_exact(H, r, res)
+        assert got[0].objective == pytest.approx(0.4 * top, rel=1e-12)
+        assert got[1].objective == pytest.approx(0.4 * top, rel=1e-12)
+        assert got[2].status == INFEASIBLE
+        # normalized by |h|^2, the rows read y <= 0.2 and y >= 0.3: the
+        # least largest violation is 0.05, at y = 0.25
+        assert got[2].certificate == pytest.approx(0.05, rel=1e-9)
+
+    def test_collinear_channels_at_m2(self):
+        # h0 = hs at M = 2, as TestCollinearChannels' draw (2, 1, 0, 0, 0)
+        # makes them: the evolved grid's relaxations.
+        params = SystemParams(M=2, K=1)
+        g = np.random.default_rng(1)
+        hs = g.normal(size=2) + 1j * g.normal(size=2)
+        hs /= np.linalg.norm(hs)
+        C, rows = next(evolved_steps((hs, 2.0 * hs, hs), params))
+        got = solve_sdp_batch(C, rows)
+        for r, res, ref in zip(rows, got, convex._sdp_results(_sdp(C, rows))):
+            _check_exact(C, r, res, ref)
+        assert OPTIMAL in {r.status for r in got}
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_objective_flat_on_a_face(self, m):
+        # C = A_0: the objective is constant on the face Tr(A_0 W) = b_0,
+        # so the stationary points there are not isolated (u = 0); the
+        # optimum is b_0 whenever the face meets the other rows.  C = 0 is
+        # flat everywhere.
+        rng = np.random.default_rng(11)
+        C, rows = _random_blocks(rng, m, 40)
+        flat = [(r[0][0], r) for r in rows]
+        got = solve_sdp_batch([A for A, _r in flat], rows)
+        ref = convex._sdp_results(_sdp([A for A, _r in flat], rows))
+        hits = 0
+        for (A, r), res, one in zip(flat, got, ref):
+            _check_exact(A, r, res, one)
+            if res.status == OPTIMAL and res.objective >= r[0][1] - 1e-12:
+                hits += 1
+                assert res.objective == pytest.approx(r[0][1], abs=1e-12)
+        assert hits > 5
+        zero = solve_sdp_batch(np.zeros_like(C), rows)
+        for r, res, one in zip(rows, zero, ref):
+            _check_exact(np.zeros_like(C), r, res)
+            assert res.status == one.status
+            if res.status == OPTIMAL:
+                assert res.objective == 0.0
+
+    def test_tied_candidates_pick_one_point(self):
+        # At m = 3 with C = diag(1, 1, 0) the objective is tau, 1 on the
+        # whole disc tau = 1 where no row binds: every candidate there ties.
+        # The first wins, the same alone and stacked.
+        rng = np.random.default_rng(12)
+        C = _block(np.eye(2), 0.0)
+        loose = [[(_block(A, 0.0), 10.0) for A in (
+            np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.eye(2))]]
+        _C, rows = _random_blocks(rng, 3, 20)
+        got = solve_sdp_batch(C, loose + rows)
+        assert got[0].status == OPTIMAL and got[0].objective == 1.0
+        assert got[0].W[2, 2] == 0.0
+        for r, res in zip(loose + rows, got):
+            _check_exact(C, r, res)
+        assert [_result_repr(r) for r in got] == [
+            _result_repr(solve_sdp_batch(C, [r])[0]) for r in loose + rows]
+
+    def test_m2_keeps_tau_one(self):
+        # At m = 2 the trace is 1: with rows that do not bind, the optimum
+        # is lambda_max(C) at its top eigenvector.
+        rng = np.random.default_rng(13)
+        C, rows = _random_blocks(rng, 2, 10)
+        loose = [[(A, abs(b) + 10.0 * np.linalg.norm(A)) for A, b in r]
+                 for r in rows]
+        vals, vecs = np.linalg.eigh(C)
+        for r, res in zip(loose, solve_sdp_batch(C, loose)):
+            _check_exact(C, r, res)
+            assert res.objective == pytest.approx(vals[-1], rel=1e-12)
+            assert res.W == pytest.approx(np.outer(vecs[:, -1],
+                                                   vecs[:, -1].conj()),
+                                          abs=1e-12)
+            assert res.dual.tolist() == [0.0, 0.0, 0.0] and res.gap < 1e-12
+
+    def test_m1_is_settled_at_one(self):
+        # At m = 1 the trace-one set is W = [[1]]: every row is settled,
+        # and a feasible entry ends there with no Newton step.
+        rows = [(np.eye(1), 2.0), (-np.eye(1), 0.0), (3.0 * np.eye(1), 3.0)]
+        res = solve_sdp_batch(np.array([[2.0 + 0j]]), [rows])[0]
+        assert res.status == OPTIMAL and res.newton_steps == 0
+        assert res.W.tolist() == [[1.0]] and res.objective == 2.0
 
 
 class TestLogdet:
@@ -1319,7 +1501,7 @@ class TestOracleDerivatives:
         rng = np.random.default_rng(84)
         for _ in range(3):
             f = _block_oracle(rng, 3)
-            y = 0.02 * rng.normal(size=(3, 4))
+            y = 0.02 * rng.normal(size=(3, 8))
             assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),

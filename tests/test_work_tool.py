@@ -33,9 +33,13 @@ def test_counts_two_solves_and_restores_the_library():
         statuses = sum(v for name, v in counts.items()
                        if name.startswith(f"status/{kernel}/"))
         assert counts[f"entries/{kernel}"] == statuses > 0
-        for phase in ("main", "phase-one"):
-            where = f"{kernel}/{phase}"
-            # every round steps one entry or more
-            assert 0 < counts[f"rounds/{where}"] <= counts[
-                f"entry-rounds/{where}"]
-            assert counts[f"value/{where}"] > 0
+    for phase in ("main", "phase-one"):
+        where = f"qcqp/{phase}"
+        # every round steps one entry or more
+        assert 0 < counts[f"rounds/{where}"] <= counts[
+            f"entry-rounds/{where}"]
+        assert counts[f"value/{where}"] > 0
+    # every relaxation is solved exactly, with no barrier round
+    assert not any(name.split("/")[1] == "sdp" for name in counts
+                   if name.split("/")[0] in ("rounds", "entry-rounds",
+                                             "value", "take"))

@@ -20,8 +20,12 @@ diff line by line:
 * ``status/<kernel>/<status>``: the statuses those entries ended with;
 * ``s/total``: the seconds of the whole run.
 
-``<kernel>`` is ``qcqp`` or ``sdp`` (full and block-diagonal oracles
-together) and ``<phase>`` is ``phase-one`` or ``main``.  The counters wrap
+``<kernel>`` is ``qcqp`` or ``sdp`` and ``<phase>`` is ``phase-one`` or
+``main``.  The SDP kernel solves the evolved design's block relaxations
+exactly, with no barrier round, so ``rounds/sdp/*``, ``entry-rounds/sdp/*``,
+``value/sdp/*`` and ``take/sdp/*`` count only the SDPs that still run the
+barrier: the penalty fallback's full-plane ones.  ``calls/sdp``,
+``entries/sdp``, ``status/sdp/*`` and ``s/sdp`` count every SDP.  The counters wrap
 ``backci.convex`` from outside, while the run lasts, so the library itself
 is unchanged and costs nothing when this script is not running.  A call
 made from inside a counted call of the same counter (``_PhaseOne.take``
@@ -56,7 +60,7 @@ from backci import beamforming, convex  # noqa: E402
 
 import workloads  # noqa: E402
 
-_KERNELS = {"_BallQcqp": "qcqp", "_Sdp": "sdp", "_BlockSdp": "sdp"}
+_KERNELS = {"_BallQcqp": "qcqp", "_Sdp": "sdp"}
 _ENTRY_POINTS = {"solve_ball_qcqps": "qcqp", "solve_sdp_batch": "sdp"}
 
 
