@@ -24,14 +24,17 @@ main stage runs.
 
 Every stage of both phases centres by one rule: until half the squared
 Newton decrement is at most _CENTRE * mu, and in the last two stages to
-the round-off floor.  How tightly the intermediate stages centre changes
-the work, not the final gap bound (Boyd & Vandenberghe, section 11.3), and
-phase one needs only a strictly feasible point.  Each stage after the
-first starts on the central path's tangent: its first line search tries t
-= _MU_FACTOR first, which from the last stage's centre is the path's
-first-order extrapolation to the new mu (the classic primal path-following
-predictor: Fiacco & McCormick, Nonlinear Programming: SUMT, 1968), where
-the full Newton step overshoots about tenfold.  Each point is evaluated
+the round-off floor, where a decrement below _STALL no longer halves in a
+step (near the centre Newton converges quadratically, so a step that gains
+more than halves it: Boyd & Vandenberghe, section 9.5).  How tightly the
+intermediate stages centre changes the work, not the final gap bound
+(Boyd & Vandenberghe, section 11.3), and phase one needs only a strictly
+feasible point.  Each stage after the first starts on the central path's
+tangent: its first line search tries t = _MU_FACTOR first, which from the
+last stage's centre is the path's first-order extrapolation to the new mu
+(the classic primal path-following predictor: Fiacco & McCormick,
+Nonlinear Programming: SUMT, 1968), where the full Newton step overshoots
+about tenfold.  Each point is evaluated
 once: the row values and cone parts that the line search computes at the
 trial it accepts (_Oracle.evaluate) are handed to the next Newton step
 (_Oracle.derivs), which adds only the gradient and Hessian.  Newton steps
@@ -55,7 +58,8 @@ SDP is the one the trace-one lift W = v v^H gives: maximize Tr(C W) subject
 to Tr W = 1, rows Tr(A W) <= b and W PSD.  Its oracle works in coordinates y
 of the unit-trace plane: the Hermitian matrix W has the coefficient vector
 w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
--log det W is its cone barrier.  Besides the cone, the two differ only in
+-log det W is its cone barrier, whose Hessian is one formula at every
+matrix size (_Sdp).  Besides the cone, the two differ only in
 the SDP's extra stop on the gap relative to its objective, which bounds the
 gap in original units.
 
@@ -114,7 +118,7 @@ _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
 _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
 _TOL = 1e-8             # duality-gap target, on the normalized problem
 _STALL = 1e-14          # last stage: a decrement this small that no longer
-                        # falls is at the round-off floor
+                        # halves is at the round-off floor
 _CENTRE = 0.125         # a stage is centred once dec / 2 <= _CENTRE * mu
 # At a point so centred the Newton decrement of c . x / mu + phi is at most
 # 1/2, and its gap is at most mu (nu + sqrt(nu) + 1/2) for a barrier of
@@ -171,26 +175,17 @@ def _logdet(W):
     positive definite.
 
     Every value comes from the matrix's own Cholesky factor, whatever else
-    is in the stack.  When one matrix refuses, the others are found by
-    their leading principal minors (Sylvester's criterion) and factored
-    apart.
+    is in the stack.  When one matrix refuses, each is factored alone.
     """
     try:
         L = np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         L = np.full_like(W, np.nan)
-        if len(W) > 1:
-            pd = np.flatnonzero(np.logical_and.reduce(
-                [np.linalg.det(W[:, :k, :k]).real > 0.0
-                 for k in range(1, W.shape[1] + 1)]))
+        for i in range(len(W)):
             try:
-                L[pd] = np.linalg.cholesky(W[pd])
-            except np.linalg.LinAlgError:    # a borderline one refuses too
-                for i in pd:
-                    try:
-                        L[i] = np.linalg.cholesky(W[i])
-                    except np.linalg.LinAlgError:
-                        pass
+                L[i] = np.linalg.cholesky(W[i])
+            except np.linalg.LinAlgError:
+                pass
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
 
 
@@ -276,14 +271,13 @@ class _Oracle:
         Px = np.matvec(self.P.reshape(B, k * n, n), x).reshape(B, k, n)
         return np.matvec(Px, x) + np.matvec(self.Q, x) - self.b, Px
 
-    def cone(self, x):
-        """The cone barrier at x, nan outside the cone."""
-        return self.cone_value(self.cone_parts(x))
-
     def evaluate(self, x, mu):
-        """value(x, mu), and what derivs needs of x: the tuple of the row
-        values and P_i x (rows) and, where some entry is inside its rows,
-        the cone's parts."""
+        """c . x + mu * phi(x), and what derivs needs of x: the tuple of the
+        row values and P_i x (rows) and, where some entry is inside its
+        rows, the cone's parts.  Outside the strict domain the value is inf
+        or nan, which no comparison holds with, and the logarithms warn
+        unless the caller silences them, as _barrier does.
+        """
         g, Px = self.rows(x)
         phi = -np.add.reduce(np.log(-g), axis=1)
         if self.cone_parts is None or not np.isfinite(phi).any():
@@ -291,14 +285,6 @@ class _Oracle:
         parts = self.cone_parts(x)
         phi = phi + self.cone_value(parts)
         return np.vecdot(self.c, x) + mu * phi, (g, Px, *parts)
-
-    def value(self, x, mu):
-        """c . x + mu * phi(x); inf or nan outside the strict domain.
-
-        Either way no comparison with it holds.  Outside the domain the
-        logarithms warn unless the caller silences it, as _barrier does.
-        """
-        return self.evaluate(x, mu)[0]
 
     def derivs(self, x, mu, at=None):
         """Value, gradient and Hessian of c . x + mu * phi(x) at x inside;
@@ -348,10 +334,9 @@ def _barrier(f, x, tol):
     Returns (x, status, mu, steps), one row or value per entry: mu of the
     stage it ended in, and steps the Newton steps it tried.
     """
-    # Trial points outside the domain make value() take logs of
-    # non-positive numbers, and far outside they overflow _logdet's
-    # minors; the nan or inf then fails the Armijo test.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    # Trial points outside the domain make evaluate() take logs of
+    # non-positive numbers; the nan or inf then fails the Armijo test.
+    with np.errstate(invalid="ignore", divide="ignore"):
         xl = np.array(x, dtype=float)       # the live entries' points
         B = len(xl)
         x, steps = np.empty_like(xl), np.zeros(B, dtype=int)
@@ -377,12 +362,15 @@ def _barrier(f, x, tol):
 
 
 def _centre(f, x, mu, tol):
-    """One barrier stage: centre each entry of x on f.value(., mu).
+    """One barrier stage: centre each entry of x on c . x + mu * phi(x).
 
     Damped Newton steps, each one _line_search, until half the squared
     Newton decrement is at most _CENTRE * mu; in the last two stages, where
-    the entry's n_par * mu * _MU_FACTOR reaches tol, to 1e-16, to a
-    gradient norm of tol, or until a decrement below _STALL stops falling.
+    the entry's n_par * mu * _MU_FACTOR reaches tol, to 1e-16, or until a
+    decrement below _STALL no longer halves in a step.  Near the centre
+    Newton converges quadratically, so a step that still gains more than
+    halves the decrement; one that does not is at the round-off floor
+    (Boyd & Vandenberghe, section 9.5).
     In every stage but the first (mu < 1), the first step starts its line
     search at t = _MU_FACTOR: from the last stage's centre the new Newton
     step is 1 / _MU_FACTOR times the central path's tangent step to the new
@@ -413,8 +401,7 @@ def _centre(f, x, mu, tol):
         dec = np.vecdot(grad, d)
         done = dec <= floor2
         if any_last:
-            done |= last & ((np.sqrt(np.vecdot(grad, grad)) <= tol)
-                            | ((dec >= prev) & (dec <= 2.0 * _STALL)))
+            done |= last & (dec >= 0.5 * prev) & (dec <= 2.0 * _STALL)
         if hit is not None:     # phase one's stop then ends them
             done |= hit
         n_done = np.count_nonzero(done)
@@ -826,40 +813,6 @@ def _trace_one(m: int) -> tuple:
     return parts
 
 
-_MAP_DIM = 3    # the cone Hessian is one map up to this matrix dimension,
-                # the largest lift of the evolved design that is not block
-                # diagonal: its penalty SDPs at M >= 3
-
-
-@lru_cache(maxsize=16)
-def _cone_map(m: int) -> tuple:
-    """The cone barrier's Hessian in the plane's coordinates as one linear
-    map of the products of x = svec(W^-1).
-
-    With X = W^-1 = sum_c x_c U_c, H_ab = Tr(X B_a X B_b) is the quadratic
-    form sum_(c <= d) x_c x_d G[ab, cd], G real.  Returns (pairs, G, full):
-    pairs the index pairs c <= d, G of shape (n (n+1) / 2, m^2 (m^2+1) / 2)
-    onto the entries a <= b of H (n = m^2 - 1), and full, for each entry of
-    H flattened, the one of G's outputs it reads.  G has about m^8 / 4
-    entries, so it is built only up to _MAP_DIM.
-    """
-    U = _herm_basis(m).reshape(m * m, m, m)
-    _wp, Z, UZ, _Wp = _trace_one(m)
-    n = Z.shape[1]
-    Bz = UZ.reshape(n, m, m)
-    T = np.einsum("cij,ajk,dkl,bli->cdab", U, Bz, U, Bz, optimize=True).real
-    c, d = np.triu_indices(m * m)
-    a, b = np.triu_indices(n)
-    G = np.ascontiguousarray(
-        (T[c, d] + np.where((c < d)[:, None, None], T[d, c], 0.0))[:, a, b].T)
-    full = np.empty((n, n), dtype=int)
-    full[a, b] = full[b, a] = np.arange(len(a))
-    parts = ((c, d), G, full.ravel())
-    for arr in (c, d, G, parts[2]):
-        arr.setflags(write=False)
-    return parts
-
-
 def _objectives(C, B) -> np.ndarray:
     """C as B objectives (B, m, m): one m x m objective shared, or one per
     entry; ValueError for any other count."""
@@ -902,13 +855,12 @@ class _Sdp(_Oracle):
     their scales.  On the plane a row reads (Z^T a) . y <= b - a . w_p, and
     _settle judges it by those two parts, in the units it arrived in, so at
     m = 1 (no y) every row is settled.  The PSD cone's barrier is
-    -log det W.  Its gradient is -Z^T x and
-    its Hessian H_ab = Tr(X B_a X B_b), with X = W^-1 and x = svec(X).  Up
-    to _MAP_DIM, H is one product of _cone_map's G with the products of x;
-    above, it is U K U^H, with U the basis matrix and K[(j,k),(p,q)] =
-    X_pj X_kq, Z folded into U.  Every product that involves the shared
-    plane runs row by row (np.matvec), so an entry's arithmetic does not
-    depend on what else is in the stack.
+    -log det W.  Its gradient is -Z^T x and its Hessian H_ab = Tr(X B_a X
+    B_b), with X = W^-1 and x = svec(X): at every m, H = U K U^H, with U
+    the basis matrix, Z folded in, and K[(j,k),(p,q)] = X_pj X_kq.  Every
+    product that involves the shared plane is each entry's own (np.matvec,
+    or one matmul per matrix of the stack), so an entry's arithmetic does
+    not depend on what else is in the stack.
     """
 
     _batched = _Oracle._batched | {"c_norm", "c_hat"}
@@ -960,17 +912,11 @@ class _Sdp(_Oracle):
         W, logdet = self.cone_parts(y) if parts is None else parts
         X = np.linalg.inv(W)
         x = svec(X)
-        m = self.m
-        if m <= _MAP_DIM:
-            (c, d), G, full = _cone_map(m)
-            H = np.matvec(G, x[:, c] * x[:, d])[:, full]
-        else:
-            B = len(W)
-            K = (X.swapaxes(1, 2)[:, :, None, :, None] * X[:, None, :, None, :]
-                 ).reshape(B, m * m, m * m)
-            H = (self.UZ @ K @ self.UZ.conj().T).real
-        n = self.Z.shape[1]
-        return -logdet, -np.matvec(self.Z.T, x), H.reshape(len(W), n, n)
+        B, m = len(W), self.m
+        K = (X.swapaxes(1, 2)[:, :, None, :, None] * X[:, None, :, None, :]
+             ).reshape(B, m * m, m * m)
+        H = (self.UZ @ K @ self.UZ.conj().T).real
+        return -logdet, -np.matvec(self.Z.T, x), H
 
     def stop(self, y, mu, tol, centred):
         """Also meets tol relative to the objective, in original units."""

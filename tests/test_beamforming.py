@@ -874,9 +874,7 @@ class TestBlockRelaxation:
         # statuses, and objectives to 1e-10 relative.  The block form is
         # solved exactly and the lift with round-off by the barrier, which
         # runs to a gap of 1e-12 here: at its _TOL of 1e-8 it misses the
-        # exact optimum by its gap, up to about 7e-9 relative, and on one
-        # of these entries it stalls in a stage, max_iter after 236 Newton
-        # steps, where at 1e-12 it takes 50.
+        # exact optimum by its gap, up to about 7e-9 relative.
         tags = []
         for m in (3, 4, 8):
             params = SystemParams(M=m)
@@ -905,6 +903,31 @@ class TestBlockRelaxation:
         for a, b in zip(got, want):
             if a.status == OPTIMAL:
                 assert a.objective == pytest.approx(b.objective, rel=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_lift_with_round_off_ends_its_last_stage(self, tol, monkeypatch):
+        # On these tags' lifts with round-off a last-stage Newton decrement
+        # can hold just above the 1e-16 floor and fall only in its last
+        # digits.  The stage must still end at the round-off floor, not
+        # spend its Newton budget (max_iter), within its gap of the block
+        # form's exact optimum.
+        tags = [(SystemParams(M=m), 8, 2) for m in (3, 4, 8)]
+        tags.append((SystemParams(M=8), 9, 0))
+        block, off = [], []
+        for params, seed, k in tags:
+            (C, row_sets), (C_off, off_sets) = _relaxations(
+                gen_channel_set(params, seed).tag_channels(k), params)
+            block += [(C, rows) for rows in row_sets]
+            off += [(C_off, rows) for rows in off_sets]
+        got = solve_sdp_batch([C for C, _r in block],
+                              [r for _C, r in block])
+        monkeypatch.setattr(convex, "_TOL", tol)
+        want = solve_sdp_batch([C for C, _r in off], [r for _C, r in off])
+        assert MAX_ITER not in {r.status for r in want}
+        assert [r.status for r in got] == [r.status for r in want]
+        for a, b in zip(got, want):
+            if a.status == OPTIMAL:
+                assert abs(a.objective - b.objective) <= b.gap
 
 
 def _trace(A, W):

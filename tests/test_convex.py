@@ -667,8 +667,7 @@ class TestEvaluatedOnce:
 
     def test_derivs_from_evaluate_equal_fresh_derivs(self):
         for f, x in self._oracles():
-            val, at = f.evaluate(x, 0.3)
-            assert val.tobytes() == f.value(x, 0.3).tobytes()
+            _val, at = f.evaluate(x, 0.3)
             for a, b in zip(f.derivs(x, 0.3, at), f.derivs(x, 0.3)):
                 assert a.tobytes() == b.tobytes()
 
@@ -1004,6 +1003,11 @@ def _block_oracle(rng, B):
     return _sdp(C, rows)
 
 
+def _cone(f, y):
+    """The oracle's cone barrier at y, nan outside the cone."""
+    return f.cone_value(f.cone_parts(y))
+
+
 def _plane_point(W):
     """y of the 3 x 3 unit-trace plane at W."""
     wp, Z, _UZ, _Wp = _trace_one(3)
@@ -1033,7 +1037,7 @@ class TestBlockCone:
             value, grad, H = f.cone_derivs(y)
             logdet = np.linalg.slogdet(W[:2, :2])[1] + math.log(W[2, 2].real)
             assert value[0] == pytest.approx(-logdet, rel=1e-12)
-            assert f.cone(y)[0] == value[0]
+            assert _cone(f, y)[0] == value[0]
             assert grad[0] == pytest.approx(
                 -f.Z.T @ svec(np.linalg.inv(W)), rel=1e-10, abs=1e-12)
             assert np.linalg.eigvalsh(H[0])[0] > 0.0
@@ -1046,10 +1050,10 @@ class TestBlockCone:
         for W in self._points(rng, 5):
             y = _plane_point(W)
             H = f.cone_derivs(y[None])[2][0]
-            fd = np.array([[(f.cone((y + E[i] + E[j])[None])
-                             - f.cone((y + E[i] - E[j])[None])
-                             - f.cone((y - E[i] + E[j])[None])
-                             + f.cone((y - E[i] - E[j])[None]))[0]
+            fd = np.array([[(_cone(f, (y + E[i] + E[j])[None])
+                             - _cone(f, (y + E[i] - E[j])[None])
+                             - _cone(f, (y - E[i] + E[j])[None])
+                             + _cone(f, (y - E[i] - E[j])[None]))[0]
                             / (4 * h * h) for j in range(8)]
                            for i in range(8)])
             assert H == pytest.approx(fd, rel=1e-5,
@@ -1066,7 +1070,7 @@ class TestBlockCone:
         assert np.trace(W).real == pytest.approx(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(f.cone(_plane_point(W)[None]))[0]
+            assert np.isnan(_cone(f, _plane_point(W)[None]))[0]
 
 
 class TestBlockSdp:
@@ -1371,10 +1375,9 @@ class TestBlockExact:
 class TestLogdet:
     def test_refused_matrix_leaves_the_others_alone(self, monkeypatch):
         # Two matrices that are not positive definite in a stack of six
-        # make the stacked Cholesky refuse.  They read nan, every other
-        # value is its matrix's own, bit for bit, and the positive
-        # definite ones are picked by their leading minors, with no
-        # eigenvalue pass.
+        # make the stacked Cholesky refuse.  Each is then factored alone:
+        # the two read nan, every other value is its matrix's own, bit for
+        # bit, and no eigenvalue pass runs.
         rng = np.random.default_rng(12)
         W = np.array([rand_herm_psd(rng, 3) + 0.1 * np.eye(3)
                       for _ in range(6)])
@@ -1454,13 +1457,16 @@ class TestOracleDerivatives:
 
     @staticmethod
     def _check(f, x, mu):
+        def value(x):
+            return f.evaluate(x, mu)[0]
+
         val, grad, H = f.derivs(x, mu)
         assert np.all(np.isfinite(val))
-        assert val == pytest.approx(f.value(x, mu), rel=1e-12, abs=1e-12)
+        assert val == pytest.approx(value(x), rel=1e-12, abs=1e-12)
         n = x.shape[1]
         h = 1e-5
         E = np.eye(n) * h
-        fd_grad = np.stack([(f.value(x + E[i], mu) - f.value(x - E[i], mu))
+        fd_grad = np.stack([(value(x + E[i]) - value(x - E[i]))
                             / (2 * h) for i in range(n)], axis=1)
         assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
         h = 1e-4
@@ -1468,10 +1474,10 @@ class TestOracleDerivatives:
         fd_hess = np.empty(H.shape)
         for i in range(n):
             for j in range(n):
-                fd_hess[:, i, j] = (f.value(x + E[i] + E[j], mu)
-                                    - f.value(x + E[i] - E[j], mu)
-                                    - f.value(x - E[i] + E[j], mu)
-                                    + f.value(x - E[i] - E[j], mu)
+                fd_hess[:, i, j] = (value(x + E[i] + E[j])
+                                    - value(x + E[i] - E[j])
+                                    - value(x - E[i] + E[j])
+                                    + value(x - E[i] - E[j])
                                     ) / (4 * h * h)
         for Hb, fd in zip(H, fd_hess):
             scale = max(1.0, float(np.max(np.abs(Hb))))
@@ -1492,7 +1498,8 @@ class TestOracleDerivatives:
         rng = np.random.default_rng(80 + m)
         for _ in range(3):
             f, y = _random_sdp_oracle(rng, m)
-            assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
+            assert np.all(f.rows(y)[0] < 0)
+            assert np.all(np.isfinite(_cone(f, y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
                         0.3)
@@ -1502,7 +1509,8 @@ class TestOracleDerivatives:
         for _ in range(3):
             f = _block_oracle(rng, 3)
             y = 0.02 * rng.normal(size=(3, 8))
-            assert np.all(f.rows(y)[0] < 0) and np.all(np.isfinite(f.cone(y)))
+            assert np.all(f.rows(y)[0] < 0)
+            assert np.all(np.isfinite(_cone(f, y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
                         0.3)

@@ -43,3 +43,20 @@ def test_counts_two_solves_and_restores_the_library():
     assert not any(name.split("/")[1] == "sdp" for name in counts
                    if name.split("/")[0] in ("rounds", "entry-rounds",
                                              "value", "take"))
+
+
+def test_fallback_counts_the_penalty_sdps_and_restores_purify(capsys):
+    purify = beamforming._purify
+    assert _work().main(["--workload", "solve", "--seed", "1", "--ops", "2",
+                         "--fallback"]) == 0
+    assert beamforming._purify is purify
+    counts = dict(line.split() for line in
+                  capsys.readouterr().out.splitlines())
+    counts = {name: float(v) for name, v in counts.items()}
+    statuses = sum(v for name, v in counts.items()
+                   if name.startswith("status/sdp/"))
+    assert counts["entries/sdp"] == statuses > 0
+    for phase in ("main", "phase-one"):
+        where = f"sdp/{phase}"
+        assert 0 < counts[f"rounds/{where}"] <= counts[
+            f"entry-rounds/{where}"]

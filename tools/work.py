@@ -1,17 +1,20 @@
 """Work counters of backci's barrier core on the benchmark's inputs.
 
-    python3 tools/work.py --workload solve --seed 1 --ops 40
+    python3 tools/work.py --workload solve --seed 1 --ops 40 [--fallback]
 
 Runs the first ``--ops`` operations of the benchmark's ``solve`` or
 ``sweep-sca`` workload, as ``bench/run.py`` runs them, and prints one
 ``name value`` line per counter, sorted, so that the outputs of two commits
-diff line by line:
+diff line by line.  ``--fallback`` runs them with ``beamforming._purify``
+switched off (restored afterwards), as ``tools/identity.py``'s ``fallback``
+family does, so that every examined grid point runs the penalty SCA and
+its barrier SDPs.  The counters are:
 
 * ``rounds/<kernel>/<phase>``: batched Newton rounds, one per
   ``_Oracle.derivs`` call;
 * ``entry-rounds/<kernel>/<phase>``: the entries stepped in those rounds;
 * ``value/<kernel>/<phase>``: line-search trials, one per evaluation of a
-  trial stack (``_Oracle.evaluate``, or ``value`` on an oracle without it);
+  trial stack (``_Oracle.evaluate``);
 * ``take/<kernel>/<phase>``: sub-oracles built (``take``);
 * ``calls/<kernel>``, ``entries/<kernel>`` and ``s/<kernel>``: calls of the
   kernel entry points ``solve_ball_qcqps`` (``qcqp``) and
@@ -24,8 +27,9 @@ diff line by line:
 ``main``.  The SDP kernel solves the evolved design's block relaxations
 exactly, with no barrier round, so ``rounds/sdp/*``, ``entry-rounds/sdp/*``,
 ``value/sdp/*`` and ``take/sdp/*`` count only the SDPs that still run the
-barrier: the penalty fallback's full-plane ones.  ``calls/sdp``,
-``entries/sdp``, ``status/sdp/*`` and ``s/sdp`` count every SDP.  The counters wrap
+barrier: the penalty fallback's full-plane ones, which only ``--fallback``
+reaches on these workloads.  ``calls/sdp``, ``entries/sdp``,
+``status/sdp/*`` and ``s/sdp`` count every SDP.  The counters wrap
 ``backci.convex`` from outside, while the run lasts, so the library itself
 is unchanged and costs nothing when this script is not running.  A call
 made from inside a counted call of the same counter (``_PhaseOne.take``
@@ -122,8 +126,7 @@ class Counters:
 
     def __enter__(self):
         self._method(convex._Oracle, "derivs", "rounds", rows=True)
-        trial = "evaluate" if "evaluate" in vars(convex._Oracle) else "value"
-        self._method(convex._Oracle, trial, "value")
+        self._method(convex._Oracle, "evaluate", "value")
         for cls in (convex._Oracle, convex._PhaseOne):
             self._method(cls, "take", "take")
         for name, kernel in _ENTRY_POINTS.items():
@@ -136,11 +139,15 @@ class Counters:
         self._undo.clear()
 
 
-def run(workload: str, seed: int, ops: int) -> dict:
-    """Counter name -> value over the first ops operations of a workload."""
+def run(workload: str, seed: int, ops: int, fallback: bool = False) -> dict:
+    """Counter name -> value over the first ops operations of a workload;
+    with fallback, _purify finds no rank-one point, so the penalty SCA
+    runs."""
     w = workloads.WORKLOADS[workload]
     workloads.tiny_solve()       # the benchmark's warm-up, not counted
     with tempfile.TemporaryDirectory() as tmpdir, Counters() as c:
+        if fallback:        # undone with the counters
+            c._patch(beamforming, "_purify", lambda *args: None)
         t0 = time.perf_counter()
         for inp in islice(w.inputs(seed), ops):
             w.run(inp, tmpdir)
@@ -157,9 +164,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--ops", type=int, default=40,
                     help="operations to run, from the workload's first")
+    ap.add_argument("--fallback", action="store_true",
+                    help="switch _purify off, so that the penalty SCA runs")
     args = ap.parse_args(argv)
-    for name, value in sorted(run(args.workload, args.seed,
-                                  args.ops).items()):
+    for name, value in sorted(run(args.workload, args.seed, args.ops,
+                                  args.fallback).items()):
         print(name, value)
     return 0
 
