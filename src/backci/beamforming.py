@@ -6,7 +6,7 @@ Four solvers share one solution type:
   keeping both detection divergences above their floors.  Its loop is
   the generator consensual_steps, which yields one QCQP per SCA step;
   lockstep runs many such generators together and solves each round's
-  QCQPs as one convex.solve_ball_qcqps batch per dimension.
+  QCQPs as one qcqp.solve_ball_qcqps batch per dimension.
   consensual_sca is lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
   enforcing that the direct link never hurts; its optimum is purified to
@@ -45,17 +45,19 @@ import numpy as np
 
 # solve_ball_qcqp stays importable from this module: bench/tracer.py
 # wraps it here.
-from .convex import (  # noqa: F401
+from .convex import (
     MAX_ITER,
     OPTIMAL,
-    QcqpProblem,
     SdpProblem,
     _herm_basis,
-    solve_ball_qcqp,
-    solve_ball_qcqps,
     solve_sdp_batch,
     solve_small_sdp,
     svec,
+)
+from .qcqp import (  # noqa: F401
+    QcqpProblem,
+    solve_ball_qcqp,
+    solve_ball_qcqps,
 )
 from .detection import DetectionStats, detection_stats, kld_threshold
 from .numerics import big_f, hermitian_eig
@@ -178,9 +180,9 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
     retry from the MMSE direction; v_init overrides both (the alternation
     of alternating_steps passes its incumbent).
 
-    Yields (QcqpProblem, v0), one SCA subproblem and its start, and takes
-    its QcqpResult back by send(); returns the BeamformerSolution.  Run it
-    with lockstep.
+    Yields each SCA subproblem, a QcqpProblem, and takes its QcqpResult
+    back by send(); returns the BeamformerSolution.  Run it with
+    lockstep.
     """
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
@@ -220,7 +222,7 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
     for init in inits:
         vbar = init / np.linalg.norm(init)
         prob, c1 = around(vbar)
-        res = yield prob, vbar
+        res = yield prob
         if res.status == OPTIMAL:
             break
         capped |= res.status == MAX_ITER
@@ -232,7 +234,7 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
     for it in range(params.L):
         if it:      # step 0 is the solve around the init above
             prob, c1 = around(vbar)
-            res = yield prob, vbar
+            res = yield prob
             if res.status != OPTIMAL:
                 break   # boundary case: keep the incumbent
         v = res.v / np.linalg.norm(res.v)
@@ -279,13 +281,13 @@ def _solve_sdp_requests(reqs) -> list:
 def lockstep(gens) -> list:
     """Run design generators together; their solutions, in order.
 
-    A generator yields either (QcqpProblem, v0), one QCQP and its start,
-    and takes back its QcqpResult (consensual_steps), or (C, row_sets), the
-    trace-one SDPs of objective C, one per row set, and takes back their
-    SdpResults (evolved_steps); alternating_steps yields what its inner
-    design yields.  Each round sends every pending generator its results,
-    then solves what they yield: the QCQPs as one solve_ball_qcqps batch
-    per dimension, and the SDPs, each entry with its own request's C, as
+    A generator yields either a QcqpProblem and takes back its QcqpResult
+    (consensual_steps), or (C, row_sets), the trace-one SDPs of objective
+    C, one per row set, and takes back their SdpResults (evolved_steps);
+    alternating_steps yields what its inner design yields.  Each round
+    sends every pending generator its results, then solves what they
+    yield: the QCQPs as one solve_ball_qcqps batch per dimension, and the
+    SDPs, each entry with its own request's C, as
     solve_sdp_batch calls of at most _SDP_STACK entries per matrix size,
     cut only between requests.  Both kernels are batch-invariant, so every
     generator gets the results it would get run alone, and its solution
@@ -305,14 +307,13 @@ def lockstep(gens) -> list:
     while asked:
         now, asked = asked, {}
         kinds = {}
-        for i, (first, *_rest) in now.items():
-            qcqp = isinstance(first, QcqpProblem)
-            size = first.dim() if qcqp else len(first)
+        for i, req in now.items():
+            qcqp = isinstance(req, QcqpProblem)
+            size = req.dim() if qcqp else len(req[0])
             kinds.setdefault((qcqp, size), []).append(i)
         for (qcqp, _size), idx in kinds.items():
             if qcqp:
-                results = solve_ball_qcqps([now[i][0] for i in idx],
-                                           [now[i][1] for i in idx])
+                results = solve_ball_qcqps([now[i] for i in idx])
             else:
                 results = _solve_sdp_requests([now[i] for i in idx])
             for i, res in zip(idx, results):

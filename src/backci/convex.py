@@ -1,98 +1,38 @@
-"""Small dense convex kernels: a unit-ball QCQP and a small SDP.
+"""Small dense convex kernels: a small SDP, and the helpers the QCQP kernel
+(the module qcqp) shares with it.
 
-Both kernels run one textbook log-barrier interior-point method (Boyd &
-Vandenberghe, Convex Optimization, sections 11.3-11.4), sized for this
-package (vector dimension <= 8, matrix dimension <= 8).  It works on an
-oracle for a batch of B independent problems
+`solve_sdp_batch(C, row_sets)` solves trace-one SDPs, the lifts W = v v^H
+of the evolved design: maximize Tr(C W) subject to Tr W = 1, rows
+Tr(A W) <= b and W PSD.  Those of three rows that are 2 x 2, or 3 x 3 and
+block diagonal, are solved exactly, as Lorentz-cone programs in four
+coordinates (_block_sdps, and the module lorentz).  The others run a
+log-barrier interior-point method (Boyd & Vandenberghe, Convex
+Optimization, sections 11.3-11.4) on an oracle in coordinates of the
+unit-trace plane, with -log det W as the cone's barrier (_Sdp): phase one,
+then the main stage, each a loop of mu stages (_solve, _barrier,
+_centre).  OPTIMAL, INFEASIBLE and NO_INTERIOR come only from a centre,
+and an entry still centring after a stage's _MAX_NEWTON Newton steps ends
+MAX_ITER.
 
-    minimize c_j . x  subject to  x^T P_ji x + q_ji . x < b_ji,  x in a cone,
+The QCQP kernel, qcqp.solve_ball_qcqps, solves the consensual SCA's
+subproblems through their Lagrange duals, by Newton's method with no
+barrier; it is its own module for memory, as lorentz is (where bytecode
+is not written, every start compiles the sources, and one module with
+both kernels peaked about 1 MB higher while compiling).  It shares this
+module's statuses, its one budget _MAX_NEWTON, _ARMIJO, the complex ->
+real embeddings, _cholesky, _solve_newton and _settle.
 
-with the batch on the leading axis of every array.  A
-driver, `_solve`, runs phase one and then the main stage.  Each is the
-stage loop `_barrier`: for mu = 1, 0.1, 0.01, ... until the gap bound
-n_par * mu meets its tolerance, `_centre` takes damped Newton steps on
-c_j . x + mu * phi_j(x), phi_j the log barrier of entry j's rows and cone.
-n_par is the row count plus 1 for the QCQP's unit ball, plus the matrix
-dimension for the SDP's PSD cone.  Phase one runs on a wrapper that adds a
-slack s, minimizing s subject to row_i(x) <= s; it stops once every row
-holds strictly, or once the gap bound of a centred point, _KAPPA * n_par *
-mu, certifies that they cannot all hold (INFEASIBLE).  When its gap
-reaches the tolerance with s still within it of 0, the rows can at best be
-met on the boundary, with no interior, and nothing certifies
-infeasibility: that entry ends NO_INTERIOR, with its certificate, and no
-main stage runs.
-
-Every stage of both phases centres by one rule: until half the squared
-Newton decrement is at most _CENTRE * mu, and in the last two stages to
-the round-off floor, where a decrement below _STALL no longer halves in a
-step (near the centre Newton converges quadratically, so a step that gains
-more than halves it: Boyd & Vandenberghe, section 9.5).  How tightly the
-intermediate stages centre changes the work, not the final gap bound
-(Boyd & Vandenberghe, section 11.3), and phase one needs only a strictly
-feasible point.  Each stage after the first starts on the central path's
-tangent: its first line search tries t = _MU_FACTOR first, which from the
-last stage's centre is the path's first-order extrapolation to the new mu
-(the classic primal path-following predictor: Fiacco & McCormick,
-Nonlinear Programming: SUMT, 1968), where the full Newton step overshoots
-about tenfold.  Each point is evaluated
-once: the row values and cone parts that the line search computes at the
-trial it accepts (_Oracle.evaluate) are handed to the next Newton step
-(_Oracle.derivs), which adds only the gradient and Hessian.  Newton steps
-are counted alike in both phases: every step tried, accepted or not.  A
-stage has a budget of _MAX_NEWTON of them; an entry still centring after
-them ends MAX_ITER, so OPTIMAL, INFEASIBLE and NO_INTERIOR come only from
-a centre.
-
-Every entry of one call has one row count, so the rows stack rectangularly
-(ValueError otherwise).  One rule, `_settle`, settles every row that x
-cannot move, 0 . x <= b, before any Newton step: a row whose x-part is
-negligible against its entry's row set.  When b >= 0 it becomes padding,
-0 . x < 1, whose barrier terms are exactly zero, and otherwise its entry is
-INFEASIBLE, with the row's normalized violation as certificate.  The SDP
-applies it on the unit-trace plane, so at m = 1, where the plane is the
-single point W = [[1]], every row is settled.
-
-There is one oracle per kernel.  The QCQP oracle works in the real embedding
-z = [Re v; Im v] of the complex vector v, with its unit ball as row 0.  The
-SDP is the one the trace-one lift W = v v^H gives: maximize Tr(C W) subject
-to Tr W = 1, rows Tr(A W) <= b and W PSD.  Its oracle works in coordinates y
-of the unit-trace plane: the Hermitian matrix W has the coefficient vector
-w = w_p + Z y in an orthonormal Hermitian basis (dimension M^2), and
--log det W is its cone barrier, whose Hessian is one formula at every
-matrix size (_Sdp).  Besides the cone, the two differ only in
-the SDP's extra stop on the gap relative to its objective, which bounds the
-gap in original units.
-
-The evolved design's relaxations are solved exactly instead, with no
-barrier (`_block_sdps`): SDPs of three rows that are 2 x 2, or 3 x 3 and
-block diagonal, diag(W_s, w_out) with W_s 2 x 2.  A 2 x 2 Hermitian W_s is
-PSD iff z = (tau, x) = (Tr W_s, W_11 - W_22, 2 Re W_12, 2 Im W_12) has
-|x| <= tau, a Lorentz cone (Ben-Tal & Nemirovski, Lectures on Modern
-Convex Optimization, 2001), and w_out = 1 - tau (tau = 1 at m = 2).  So
-each entry is a linear objective over that cone, tau <= 1 and three
-halfspaces, whose maximum lies at the apex, at the four halfspaces'
-vertex, or on the cone's surface where 1 to 3 of them bind; every such
-point lies on one of a fixed table of lines, found in closed form, so the
-enumeration is exact.  Its W is rank one where the cone binds, and the
-rows' multipliers certify its optimum, or its infeasibility.  The
-geometry is the module lorentz; `_block_sdps` builds its halfspaces from
-the rows and its SdpResults from the points it finds.
-
-`solve_ball_qcqps(problems, v0s)` solves QCQPs of one dimension, each
-from its own start v0, in one stacked barrier run; the consensual SCA's
-lockstep driver (beamforming.lockstep) sends it one batch per round.
-`solve_sdp_batch(C, row_sets)` solves SDPs of one size, each with its own
-row list and one shared objective C or its own, the block relaxations
-exactly and the others in one stacked barrier run; lockstep stacks
-several tags' relaxations that way.  Both kernels are batch-invariant: an
-entry's result does not depend on what else is in the stack, because no
-product mixes rows of the stack in one GEMM.  `solve_ball_qcqp` and
-`solve_small_sdp` solve one problem, as a batch of one.  Every barrier SDP
-starts from W = I / m; only the QCQP takes a start.
-
-Problems are normalized before solving (unit objective norm, per-constraint
-scale factors), which leaves the argmax unchanged and makes the barrier
-schedule meaningful across the wide dynamic range of channel realizations.
+Both kernels take one row count per call (ValueError otherwise), and
+settle every row that x cannot move before any Newton step (_settle): it
+becomes padding when it holds, and makes its entry INFEASIBLE, with a
+certificate, when it fails.  Both are batch-invariant: an entry's result
+does not depend on what else is in the stack, because no product mixes
+rows of the stack in one GEMM, so beamforming.lockstep stacks many tags'
+subproblems into one call.  `solve_small_sdp` and qcqp.solve_ball_qcqp
+solve one problem, as a batch of one.  Problems are normalized before
+solving (unit objective norm, per-row scales), which leaves the argmax
+unchanged and makes the tolerances meaningful across the wide dynamic
+range of channel realizations.
 """
 
 from __future__ import annotations
@@ -112,7 +52,7 @@ NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
 
 _MU_FACTOR = 0.1
-_MAX_NEWTON = 200       # Newton steps per barrier stage
+_MAX_NEWTON = 200       # Newton steps per barrier stage, and per QCQP
 _ARMIJO = 1e-4
 _FEAS_MARGIN = 1e-10    # strict-interior margin on normalized constraints
 _PHASE_ONE_TOL = 1e-10  # phase one gives up once its gap bound is this small
@@ -135,9 +75,10 @@ _KAPPA = 2.0
 # ---------------------------------------------------------------------------
 
 def embed_vector(c: np.ndarray) -> np.ndarray:
-    """Real embedding of a complex vector: Re(c^H v) = embed(c) . embed(v)."""
+    """Real embedding of a complex vector, or of each row of a stack:
+    Re(c^H v) = embed(c) . embed(v)."""
     c = np.asarray(c, dtype=complex)
-    return np.concatenate([c.real, c.imag])
+    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 def embed_hermitian(A: np.ndarray) -> np.ndarray:
@@ -170,15 +111,15 @@ def _solve_newton(H, g):
                                g[..., None])[..., 0]
 
 
-def _logdet(W):
-    """log det of each Hermitian matrix in the stack W, nan where one is not
-    positive definite.
+def _cholesky(W):
+    """The Cholesky factor of each Hermitian matrix in the stack W, nan
+    where one is not positive definite.
 
-    Every value comes from the matrix's own Cholesky factor, whatever else
-    is in the stack.  When one matrix refuses, each is factored alone.
+    Every factor is the matrix's own, whatever else is in the stack.  When
+    one matrix refuses, each is factored alone.
     """
     try:
-        L = np.linalg.cholesky(W)
+        return np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         L = np.full_like(W, np.nan)
         for i in range(len(W)):
@@ -186,6 +127,13 @@ def _logdet(W):
                 L[i] = np.linalg.cholesky(W[i])
             except np.linalg.LinAlgError:
                 pass
+        return L
+
+
+def _logdet(W):
+    """log det of each Hermitian matrix in the stack W, nan where one is not
+    positive definite (_cholesky)."""
+    L = _cholesky(W)
     return 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
 
 
@@ -228,14 +176,13 @@ def _settle(size, b, s):
 # ---------------------------------------------------------------------------
 
 class _Oracle:
-    """minimize c . x subject to x^T P_i x + Q_i . x < b_i, x inside a cone.
+    """minimize c . x subject to Q_i . x < b_i, x inside a cone.
 
-    A batch of B problems over x of one size n: c (B, n), the rows P
-    (B, k, n, n) (None for linear rows), Q (B, k, n) and b (B, k), with
-    slack (B, k) marking the rows phase one relaxes: every row that is
-    neither padding nor a cone written as a row.  The duality gap at a
-    mu-centre is at most n_par (B,) * mu.  A subclass with a cone that is
-    not a row supplies its barrier in three parts: cone_parts(x), what the
+    A batch of B problems over x of one size n: c (B, n), the rows Q
+    (B, k, n) and b (B, k), with slack (B, k) marking the rows phase one
+    relaxes: every row that is not padding.  The duality gap at a
+    mu-centre is at most n_par (B,) * mu.  A subclass supplies its cone's
+    barrier in three parts: cone_parts(x), what the
     other two need of x (a tuple of per-entry arrays); cone_value(parts),
     its value (nan outside the cone); and cone_derivs(x, parts), its value,
     gradient and Hessian in the leading coordinates of x, which derivs adds
@@ -248,66 +195,56 @@ class _Oracle:
     centres by the one rule of _centre.
     """
 
-    cone_parts = None     # no cone barrier beyond the rows
     cert = None
-    _batched = frozenset(("c", "P", "Q", "b", "slack", "n_par", "cert"))
+    _batched = frozenset(("c", "Q", "b", "slack", "n_par", "cert"))
 
-    def __init__(self, c, P, Q, b, slack, n_par):
-        self.c, self.P, self.Q, self.b = c, P, Q, b
+    def __init__(self, c, Q, b, slack, n_par):
+        self.c, self.Q, self.b = c, Q, b
         self.slack, self.n_par = slack, n_par
 
     def take(self, idx):
         f = object.__new__(type(self))
         batched = self._batched
-        f.__dict__ = {k: a[idx] if k in batched and a is not None else a
+        f.__dict__ = {k: a[idx] if k in batched else a
                       for k, a in self.__dict__.items()}
         return f
 
     def rows(self, x):
-        """Row values minus b (all < 0 inside), and P_i x (None if linear)."""
-        if self.P is None:
-            return np.matvec(self.Q, x) - self.b, None
-        B, k, n = self.Q.shape
-        Px = np.matvec(self.P.reshape(B, k * n, n), x).reshape(B, k, n)
-        return np.matvec(Px, x) + np.matvec(self.Q, x) - self.b, Px
+        """Row values minus b, all < 0 inside."""
+        return np.matvec(self.Q, x) - self.b
 
     def evaluate(self, x, mu):
         """c . x + mu * phi(x), and what derivs needs of x: the tuple of the
-        row values and P_i x (rows) and, where some entry is inside its
-        rows, the cone's parts.  Outside the strict domain the value is inf
-        or nan, which no comparison holds with, and the logarithms warn
-        unless the caller silences them, as _barrier does.
+        row values (rows) and, where some entry is inside its rows, the
+        cone's parts.  Outside the strict domain the value is inf or nan,
+        which no comparison holds with, and the logarithms warn unless the
+        caller silences them, as _barrier does.
         """
-        g, Px = self.rows(x)
+        g = self.rows(x)
         phi = -np.add.reduce(np.log(-g), axis=1)
-        if self.cone_parts is None or not np.isfinite(phi).any():
-            return np.vecdot(self.c, x) + mu * phi, (g, Px)
+        if not np.isfinite(phi).any():
+            return np.vecdot(self.c, x) + mu * phi, (g,)
         parts = self.cone_parts(x)
         phi = phi + self.cone_value(parts)
-        return np.vecdot(self.c, x) + mu * phi, (g, Px, *parts)
+        return np.vecdot(self.c, x) + mu * phi, (g, *parts)
 
     def derivs(self, x, mu, at=None):
         """Value, gradient and Hessian of c . x + mu * phi(x) at x inside;
         at, when given, is what evaluate found at x."""
         if at is None:
-            g, Px = self.rows(x)
-            parts = None
+            g, parts = self.rows(x), None
         else:
-            g, Px, *parts = at
-        G = self.Q if Px is None else self.Q + 2.0 * Px   # row gradients
+            g, *parts = at
+        G = self.Q          # the row gradients
         w = -1.0 / g
         GT = G.swapaxes(1, 2)
         phi = -np.add.reduce(np.log(-g), axis=1)
         grad = np.matvec(GT, w)
         H = (GT * (w ** 2)[:, None, :]) @ G
-        if self.P is not None:
-            Pw = np.vecmat(w, self.P.reshape(*w.shape, -1))
-            H = H + 2.0 * Pw.reshape(H.shape)
-        if self.cone_parts is not None:
-            cv, cg, cH = self.cone_derivs(x, parts)
-            nc = cg.shape[1]
-            phi, grad[:, :nc] = phi + cv, grad[:, :nc] + cg
-            H[:, :nc, :nc] += cH
+        cv, cg, cH = self.cone_derivs(x, parts)
+        nc = cg.shape[1]
+        phi, grad[:, :nc] = phi + cv, grad[:, :nc] + cg
+        H[:, :nc, :nc] += cH
         H *= mu
         return np.vecdot(self.c, x) + mu * phi, self.c + mu * grad, H
 
@@ -440,10 +377,8 @@ def _centre(f, x, mu, tol):
 
 
 def _take_rows(arrays, idx):
-    """Rows idx of each array of a tuple; None stays None."""
-    if arrays is None:
-        return None
-    return tuple(None if a is None else a[idx] for a in arrays)
+    """Rows idx of each array of a tuple, or None."""
+    return None if arrays is None else tuple(a[idx] for a in arrays)
 
 
 def _line_search(f, x, d, val, dec, mu):
@@ -469,14 +404,12 @@ def _line_search(f, x, d, val, dec, mu):
                     f.accepted = at
                     return xn, ~ok
                 x, left = x.copy(), np.arange(len(x))
-                acc = tuple(None if a is None else
-                            np.empty((len(x),) + a.shape[1:], a.dtype)
+                acc = tuple(np.empty((len(x),) + a.shape[1:], a.dtype)
                             for a in at)
             idx = left[ok]
             x[idx] = xn[ok]
             for into, a in zip(acc, at):
-                if a is not None:
-                    into[idx] = a[ok]
+                into[idx] = a[ok]
             rest = ~ok
             left = left[rest]
             if not left.size:
@@ -497,7 +430,7 @@ class _PhaseOne(_Oracle):
     """Phase one of oracle f on (x, s): minimize s subject to row_i(x) <= s.
 
     Only f's slack rows get the slack s: padding rows keep reading 0 < 1,
-    and f's cone, as a row or not, keeps its barrier.  An entry ends as soon
+    and f's cone keeps its barrier.  An entry ends as soon
     as every slack row of f holds by _FEAS_MARGIN, and reports INFEASIBLE
     once the gap bound of a point centred to _CENTRE, _KAPPA * n_par * mu,
     keeps the least achievable s above 1e-9; an uncentred point, or one
@@ -508,19 +441,13 @@ class _PhaseOne(_Oracle):
     """
 
     def __init__(self, f):
-        B, k, n = f.Q.shape
+        B, _k, n = f.Q.shape
         c = np.zeros((B, n + 1))
         c[:, -1] = 1.0
-        P = None
-        if f.P is not None:
-            P = np.zeros((B, k, n + 1, n + 1))
-            P[:, :, :-1, :-1] = f.P
         s_col = -f.slack[..., None].astype(float)
-        super().__init__(c, P, np.concatenate([f.Q, s_col], axis=2), f.b,
+        super().__init__(c, np.concatenate([f.Q, s_col], axis=2), f.b,
                          f.slack, f.n_par)
         self.f = f
-        if f.cone_parts is None:
-            self.cone_parts = None
 
     def take(self, idx):
         g = super().take(idx)
@@ -538,7 +465,7 @@ class _PhaseOne(_Oracle):
 
     def found(self, xs):
         return np.logical_and.reduce(
-            (self.f.rows(xs[:, :-1])[0] < -_FEAS_MARGIN) | ~self.slack,
+            (self.f.rows(xs[:, :-1]) < -_FEAS_MARGIN) | ~self.slack,
             axis=1)
 
     def stop(self, xs, mu, tol, centred):
@@ -552,11 +479,10 @@ class _PhaseOne(_Oracle):
 def _solve(f, x):
     """Phase one, then the barrier method, on batch oracle f from starts x.
 
-    Each start must lie strictly inside f's cone and non-slack rows (the
-    QCQP's ball).  An entry with a certificate from _settle (f.cert) ends
-    at once, INFEASIBLE; phase one runs for the others whose start misses
-    a row by _FEAS_MARGIN, and the main stage for all that then meet every
-    row.
+    Each start must lie strictly inside f's cone.  An entry with a
+    certificate from _settle (f.cert) ends at once, INFEASIBLE; phase one
+    runs for the others whose start misses a row by _FEAS_MARGIN, and the
+    main stage for all that then meet every row.
 
     Returns (x, status, cert, steps, mu) per entry.  status and steps are
     as _barrier gives them, phase one's steps counted in.  cert is f.cert
@@ -570,7 +496,7 @@ def _solve(f, x):
     status = np.where(ok, OPTIMAL, INFEASIBLE).astype(object)
     steps = np.zeros(B, dtype=int)
     mu = np.full(B, np.nan)
-    g = np.where(f.slack, f.rows(x)[0], -np.inf)
+    g = np.where(f.slack, f.rows(x), -np.inf)
     need = np.flatnonzero(ok & (g.max(axis=1, initial=-np.inf)
                                 >= -_FEAS_MARGIN))
     if need.size:
@@ -580,7 +506,7 @@ def _solve(f, x):
         xs, status[need], _mu, steps[need] = _barrier(
             _PhaseOne(fn), xs, _PHASE_ONE_TOL)
         x[need] = xs[:, :-1]
-        cert[need] = np.where(fn.slack, fn.rows(x[need])[0], -np.inf).max(
+        cert[need] = np.where(fn.slack, fn.rows(x[need]), -np.inf).max(
             axis=1)
     go = np.flatnonzero(status == OPTIMAL)
     if go.size:
@@ -588,130 +514,6 @@ def _solve(f, x):
             f if go.size == B else f.take(go), x[go], _TOL)
         steps[go] += main
     return x, status, cert, steps, mu
-
-
-# ---------------------------------------------------------------------------
-# Ball-constrained QCQP
-# ---------------------------------------------------------------------------
-
-@dataclass
-class QcqpProblem:
-    """maximize Re(c^H v) subject to quadratic constraints and a norm ball.
-
-    Each constraint is a triple (A, q, b) encoding
-
-        v^H A v + 2 Re(q^H v) <= b,
-
-    with A Hermitian PSD or None (no quadratic part) and q a complex vector
-    or None (no linear part).  The unit ball ||v||^2 <= 1 is always present
-    and makes the problem compact.
-    """
-
-    c: np.ndarray
-    quad_constraints: list
-
-    def dim(self) -> int:
-        return np.asarray(self.c).size
-
-
-@dataclass
-class QcqpResult:
-    v: Optional[np.ndarray]
-    status: str
-    objective: float = np.nan
-    certificate: float = np.nan   # max violation at the phase-one optimum
-    newton_steps: int = 0
-
-
-class _BallQcqp(_Oracle):
-    """QCQPs of one dimension in z = [Re v; Im v], normalized: min -c_hat . z.
-
-    Row 0 of each entry is the unit ball z . z < 1, which phase one keeps
-    as a barrier and _settle does not judge; row i > 0 is constraint i,
-    z^T At z + qr . z <= b, divided by its scale s_i.  Every entry has the same number of
-    constraints (ValueError naming the counts otherwise).
-    """
-
-    def __init__(self, problems):
-        n = 2 * problems[0].dim()
-        _one_row_count(len(p.quad_constraints) for p in problems)
-        self.c_norm, self.c_hat, rows = [], [], []
-        for p in problems:
-            cr = embed_vector(p.c)
-            c_norm = float(np.linalg.norm(cr))
-            self.c_norm.append(c_norm)
-            self.c_hat.append(cr / c_norm if c_norm > 0 else cr)
-            entry = [(np.eye(n), np.zeros(n), 1.0, 1.0)]
-            for A, q, bb in p.quad_constraints:
-                At = embed_hermitian(A) if A is not None else np.zeros((n, n))
-                qr = 2.0 * embed_vector(q) if q is not None else np.zeros(n)
-                s = abs(float(bb))
-                if A is not None:
-                    s = max(s, float(np.trace(np.asarray(A)).real))
-                s = max(s, float(np.linalg.norm(qr)), 1e-12)
-                entry.append((At, qr, float(bb), s))
-            rows.append(entry)
-        self.c_hat = np.array(self.c_hat)
-        P, Q, b, s = (np.array([[row[i] for row in entry] for entry in rows])
-                      for i in range(4))
-        settled, self.cert = _settle(np.maximum(
-            np.linalg.norm(Q[:, 1:], axis=-1),
-            np.linalg.norm(P[:, 1:], axis=(-2, -1))), b[:, 1:], s[:, 1:])
-        keep = np.ones(b.shape, dtype=bool)     # the ball stays
-        keep[:, 1:] = ~settled
-        slack = keep.copy()
-        slack[:, 0] = False
-        super().__init__(
-            -self.c_hat,
-            np.where(keep[..., None, None], P / s[..., None, None], 0.0),
-            np.where(keep[..., None], Q / s[..., None], 0.0),
-            np.where(keep, b / s, 1.0), slack, keep.sum(axis=1))
-
-
-def solve_ball_qcqp(p: QcqpProblem,
-                    v0: Optional[np.ndarray] = None) -> QcqpResult:
-    """Solve one unit-ball QCQP: solve_ball_qcqps on a batch of one."""
-    return solve_ball_qcqps([p], [v0])[0]
-
-
-def solve_ball_qcqps(problems: list, v0s: list) -> list:
-    """Solve unit-ball QCQPs of one dimension and one constraint count by
-    a log-barrier interior method, in one stacked run.
-
-    Every entry's result is what it gets solved alone: each entry takes
-    its own Newton steps and leaves the stack when it ends.
-
-    Args:
-        problems: The QcqpProblems, all of one dim() and constraint count
-            (ValueError, naming the counts, otherwise).
-        v0s: One start per problem (complex vector, or None for v = 0).
-            One near the ball's edge is first pulled in to half its
-            squared radius; phase one then pulls it inside any constraint
-            it breaks.
-
-    Returns:
-        One QcqpResult per problem, in input order, with status "optimal",
-        "infeasible" (certificate holds the max violation, in normalized
-        units, at the phase-one optimum), "no_interior" (phase one's gap
-        reached its tolerance with that violation within it of 0: no
-        strictly feasible point was found, and none was shown impossible)
-        or "max_iter" (a barrier stage still centring after _MAX_NEWTON
-        Newton steps).
-    """
-    f = _BallQcqp(problems)
-    z = np.array([np.zeros(f.c.shape[1]) if v0 is None else embed_vector(v0)
-                  for v0 in v0s])
-    zz = np.vecdot(z, z)
-    pull = zz >= 0.9
-    z[pull] *= np.sqrt(0.5 / zz[pull])[:, None]
-    z, status, cert, steps, mu = _solve(f, z)
-    return [QcqpResult(v=None, status=status[j], certificate=float(cert[j]),
-                       newton_steps=int(steps[j]))
-            if np.isnan(mu[j]) else
-            QcqpResult(v=unembed_vector(z[j]), status=status[j],
-                       objective=float(f.c_norm[j] * (f.c_hat[j] @ z[j])),
-                       newton_steps=int(steps[j]))
-            for j in range(len(problems))]
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +684,7 @@ class _Sdp(_Oracle):
                                      b - np.vecdot(a, self.wp), s)
         keep = ~settled
         a /= s[..., None]               # scaled before it is projected
-        super().__init__(-np.matvec(self.Z.T, self.c_hat), None,
+        super().__init__(-np.matvec(self.Z.T, self.c_hat),
                          np.where(keep[..., None], np.matvec(self.Z.T, a),
                                   0.0),
                          np.where(keep, b / s - np.vecdot(a, self.wp), 1.0),

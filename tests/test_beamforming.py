@@ -34,12 +34,12 @@ from backci.convex import (
     INFEASIBLE,
     MAX_ITER,
     OPTIMAL,
-    solve_ball_qcqp,
     solve_sdp_batch,
     solve_small_sdp,
 )
 from backci.detection import detection_stats, kld_threshold
 from backci.numerics import hermitian_eig
+from backci.qcqp import solve_ball_qcqp
 from backci.siso import snr_interval
 from oracles import (
     ci_inequality_margin,
@@ -88,10 +88,12 @@ class TestConsensualSca:
         assert sol.v is None and sol.snr == 0.0
 
     def test_first_solve_iteration_cap_reported(self, monkeypatch):
-        # Every QCQP ends max_iter, which certifies no infeasibility.
+        # Every QCQP ends max_iter, which certifies no infeasibility.  The
+        # matched filter of this tag breaks a row, so no start is optimal
+        # before its first Newton step.
         params = SystemParams(M=4, K=1)
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        sol = consensual_sca(tag0(params, 9), params)
+        sol = consensual_sca(tag0(params, 1), params)
         assert not sol.feasible and not sol.converged
 
     @pytest.mark.parametrize("seed", FEASIBLE_M2)
@@ -145,7 +147,7 @@ def _run_alone(chan, params):
     try:
         ask = next(gen)
         while True:
-            res = solve_ball_qcqp(*ask)
+            res = solve_ball_qcqp(ask)
             statuses.append(res.status)
             ask = gen.send(res)
     except StopIteration as stop:
@@ -187,9 +189,9 @@ class TestLockstep:
         return tags
 
     def test_every_field_matches_the_single_tag_run(self, monkeypatch):
-        # A budget of 7 Newton steps a barrier stage ends a few
-        # subproblems max_iter and leaves most optimal.
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 7)
+        # A budget of 9 Newton steps a QCQP ends a few subproblems
+        # max_iter and leaves most optimal.
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 9)
         cases = [(chan, SystemParams()) for chan in self.screened_tags()]
         for m in (1, 2, 4, 8):
             params = SystemParams(M=m)
@@ -200,9 +202,9 @@ class TestLockstep:
         sizes = []
         batch = beamforming.solve_ball_qcqps
 
-        def spied(problems, v0s):
+        def spied(problems):
             sizes.append(len(problems))
-            return batch(problems, v0s)
+            return batch(problems)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_ball_qcqps", spied)
@@ -299,9 +301,9 @@ class TestLockstep:
         calls = []
         qcqps = beamforming.solve_ball_qcqps
 
-        def spied(problems, v0s):
+        def spied(problems):
             calls.append(len(problems))
-            return qcqps(problems, v0s)
+            return qcqps(problems)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_ball_qcqps", spied)
@@ -1326,9 +1328,11 @@ class TestAlternatingMimo:
             == pytest.approx(1.0, abs=1e-6)
 
     def test_inner_iteration_cap_reported(self, monkeypatch):
+        # The first receive step's QCQPs all need more than one Newton
+        # step on this tag, so every one ends max_iter.
         params = SystemParams(M=2, Q=2, K=1)
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        sol = alternating_mimo(tag0(params, 9), params, "consensual")
+        sol = alternating_mimo(tag0(params, 29), params, "consensual")
         assert not sol.feasible and not sol.converged
 
     def test_failed_first_transmit_step_keeps_the_receive_step(

@@ -1,9 +1,10 @@
-"""Tests for the interior-point QCQP and SDP kernels.
+"""Tests for the dual QCQP kernel and the SDP kernels.
 
 Reference solutions come from closed forms (ball-constrained linear
 objective, spectral optimum), scipy's SLSQP run from multiple starts, a
-dense parameterized grid for 2x2 density matrices, and cvxpy when it is
-importable.  None of those share code with the solvers under test.
+dense parameterized grid for 2x2 density matrices, dense samples of the
+unit ball, and cvxpy when it is importable.  None of those share code with
+the solvers under test.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from backci import convex
+from backci import beamforming, convex, qcqp
 from backci.beamforming import _span_basis, divergence_floors, evolved_steps
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
@@ -23,20 +24,18 @@ from backci.convex import (
     MAX_ITER,
     NO_INTERIOR,
     OPTIMAL,
-    QcqpProblem,
     SdpProblem,
-    _BallQcqp,
     _PhaseOne,
     _Sdp,
     _trace_one,
     embed_hermitian,
     embed_vector,
-    solve_ball_qcqp,
     solve_sdp_batch,
     solve_small_sdp,
     svec,
     unembed_vector,
 )
+from backci.qcqp import QcqpProblem, solve_ball_qcqp
 from oracles import (
     brute_sdp_2x2,
     qcqp_max_violation,
@@ -167,45 +166,6 @@ class TestQcqpAgainstSlsqp:
             checked += 1
         assert checked >= 25
 
-    def test_warm_start_keeps_answer(self):
-        rng = np.random.default_rng(22)
-        c = rand_vec(rng, 4)
-        A = rand_herm_psd(rng, 4)
-        vt = rand_vec(rng, 4, 0.3)
-        b = float(np.vdot(vt, A @ vt).real + 0.4)
-        p = QcqpProblem(c=c, quad_constraints=[(A, None, b)])
-        cold = solve_ball_qcqp(p)
-        warm = solve_ball_qcqp(p, v0=cold.v)
-        assert warm.status == OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-
-
-class TestQcqpWarmStartInfeasible:
-    def test_v0_breaking_a_tightened_row(self):
-        # v0 is the optimum of the same problem with a looser row, so it
-        # violates the row here and phase one has to pull it back inside.
-        rng = np.random.default_rng(23)
-        checked = 0
-        for _ in range(10):
-            m = int(rng.integers(1, 5))
-            c = rand_vec(rng, m)
-            A = rand_herm_psd(rng, m)
-            q = rand_vec(rng, m, 0.3)
-            vt = rand_vec(rng, m, 0.3)
-            b = float(np.vdot(vt, A @ vt).real + 2 * np.vdot(q, vt).real)
-            loose = solve_ball_qcqp(QcqpProblem(
-                c=c, quad_constraints=[(A, q, b + 0.5)]))
-            assert loose.status == OPTIMAL
-            p = QcqpProblem(c=c, quad_constraints=[(A, q, b + 0.05)])
-            if qcqp_max_violation(p, loose.v) <= 0.0:
-                continue
-            cold = solve_ball_qcqp(p)
-            warm = solve_ball_qcqp(p, v0=loose.v)
-            assert cold.status == OPTIMAL and warm.status == OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-            checked += 1
-        assert checked >= 5
-
 
 class TestQcqpInfeasible:
     def test_halfspace_outside_ball(self):
@@ -292,34 +252,23 @@ class TestQcqpBatch:
         rng = np.random.default_rng(31)
         m = 3
         cases = []
-        for start in ("none", "inside", "edge", "outside_row"):
+        for slack in (0.05, 0.5, 0.01, 0.2):
             c = rand_vec(rng, m)
             A = rand_herm_psd(rng, m)
             q = rand_vec(rng, m, 0.3)
             vt = rand_vec(rng, m, 0.3)
             b = float(np.vdot(vt, A @ vt).real + 2 * np.vdot(q, vt).real)
-            rows = [(A, q, b + 0.05)]
-            if start == "none":
-                v0 = None
-            elif start == "edge":
-                v0 = rand_vec(rng, m)
-                v0 /= np.linalg.norm(v0)     # pulled in before phase one
-            elif start == "inside":
-                v0 = 0.2 * vt
-            else:
-                v0 = solve_ball_qcqp(QcqpProblem(
-                    c=c, quad_constraints=[(A, q, b + 0.5)])).v
-            cases.append((QcqpProblem(c=c, quad_constraints=rows), v0))
+            cases.append(QcqpProblem(c=c, quad_constraints=[(A, q,
+                                                             b + slack)]))
         # an infeasible entry and one settled before any Newton step
-        cases.append((QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
-            (None, np.array([1.0, 0.0, 0.0], dtype=complex), -3.0)]), None))
-        cases.append((QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
-            (None, None, -1.0)]), rand_vec(rng, m, 0.1)))
-        batch = convex.solve_ball_qcqps([p for p, _v0 in cases],
-                                        [v0 for _p, v0 in cases])
+        cases.append(QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, np.array([1.0, 0.0, 0.0], dtype=complex), -3.0)]))
+        cases.append(QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, None, -1.0)]))
+        batch = qcqp.solve_ball_qcqps(cases)
         statuses = set()
-        for (p, v0), res in zip(cases, batch):
-            alone = solve_ball_qcqp(p, v0=v0)
+        for p, res in zip(cases, batch):
+            alone = solve_ball_qcqp(p)
             assert res.status == alone.status
             statuses.add(res.status)
             assert (res.v is None) == (alone.v is None)
@@ -335,27 +284,206 @@ class TestQcqpBatch:
         one = QcqpProblem(c=c, quad_constraints=[(None, c, 2.0)])
         two = QcqpProblem(c=c, quad_constraints=[(None, c, 2.0)] * 2)
         with pytest.raises(ValueError, match="not 1 and 2"):
-            convex.solve_ball_qcqps([two, one, two], [None] * 3)
+            qcqp.solve_ball_qcqps([two, one, two])
 
-    def test_edge_start_is_pulled_in(self, monkeypatch):
-        # A start on the unit sphere is scaled to half the squared radius
-        # before phase one; one inside the ball is kept as it is.
-        starts = []
 
-        def spied(f, z):
-            starts.append(z.copy())
-            return solve(f, z)
 
-        solve = convex._solve
-        monkeypatch.setattr(convex, "_solve", spied)
-        c = np.array([1.0, 1j])
-        edge, inside = np.array([0.6, 0.8j]), np.array([0.3, 0.1])
-        convex.solve_ball_qcqps([QcqpProblem(c=c, quad_constraints=[])] * 3,
-                                [edge, inside, None])
-        (z,) = starts
-        assert np.vdot(z[0], z[0]) == pytest.approx(0.5, rel=1e-12)
-        assert np.array_equal(z[1], embed_vector(inside))
-        assert not z[2].any()
+def _qcqp_scales(p):
+    """Each constraint's scale, as the kernel divides it: max(|b|, Tr A,
+    2 ||q||)."""
+    return np.array([max(abs(b), 0.0 if A is None else np.trace(A).real,
+                         0.0 if q is None else 2.0 * np.linalg.norm(q))
+                     for A, q, b in p.quad_constraints])
+
+
+def _row_values(p, V):
+    """v^H A v + 2 Re(q^H v) - b of each constraint at each row of V."""
+    out = []
+    for A, q, b in p.quad_constraints:
+        val = np.full(len(V), -float(b))
+        if A is not None:
+            val += np.vecdot(V, V @ np.asarray(A).T).real
+        if q is not None:
+            val += 2.0 * (V @ np.conj(q)).real
+        out.append(val)
+    return np.array(out).T
+
+
+def _consensual_subproblems(ms, seeds):
+    """Every QCQP the consensual SCA solves on every tag of the draws
+    gen_channel_set(SystemParams(M=m), seed), with its result."""
+    out = []
+    solve = beamforming.solve_ball_qcqps
+
+    def spied(problems):
+        results = solve(problems)
+        out.extend(zip(problems, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamforming, "solve_ball_qcqps", spied)
+        for m in ms:
+            params = SystemParams(M=m)
+            for seed in seeds:
+                ch = gen_channel_set(params, seed)
+                beamforming.lockstep([
+                    beamforming.consensual_steps(ch.tag_channels(k), params)
+                    for k in range(params.K)])
+    return out
+
+
+def _random_qcqps(rng, count, slack=(0.05, 1.0)):
+    """Random QCQPs of dimension 1 to 4 with one to three rows, each met
+    with the given slack at a point inside the ball, or missed by it when
+    the slack is negative."""
+    problems = []
+    for _ in range(count):
+        m = int(rng.integers(1, 5))
+        vt = rand_vec(rng, m, 0.3)
+        cons = []
+        for _ in range(int(rng.integers(1, 4))):
+            A = rand_herm_psd(rng, m) if rng.random() < 0.7 else None
+            q = rand_vec(rng, m, 0.5)
+            val = 2.0 * np.vdot(q, vt).real
+            if A is not None:
+                val += np.vdot(vt, A @ vt).real
+            cons.append((A, q, float(val + rng.uniform(*slack))))
+        problems.append(QcqpProblem(c=rand_vec(rng, m),
+                                    quad_constraints=cons))
+    return problems
+
+
+class TestQcqpKkt:
+    """An optimal QCQP result is a KKT point of its normalized problem, with
+    its dual as the multipliers: the multipliers are >= 0, v meets every
+    row and complements them within 1e-8, and the Lagrangian is stationary
+    at v to 1e-10 of ||c||."""
+
+    @staticmethod
+    def _check(p, res):
+        assert res.status == OPTIMAL
+        y, v = res.dual, res.v
+        c_norm = np.linalg.norm(p.c)
+        s = _qcqp_scales(p)
+        slack = -_row_values(p, v[None])[0] / s
+        slack = np.concatenate([[1.0 - np.vdot(v, v).real], slack])
+        lam = y * np.concatenate([[1.0], s]) / c_norm
+        assert np.all(y >= 0.0)
+        assert slack.min() >= -1e-8
+        assert np.abs(lam * slack).max() <= 1e-8
+        grad = 2.0 * y[0] * v
+        for yi, (A, q, _b) in zip(y[1:], p.quad_constraints):
+            if A is not None:
+                grad = grad + 2.0 * yi * (A @ v)
+            if q is not None:
+                grad = grad + 2.0 * yi * q
+        assert np.linalg.norm(p.c - grad) <= 1e-10 * c_norm
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(41)
+        for p in _random_qcqps(rng, 40):
+            self._check(p, solve_ball_qcqp(p))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_consensual_subproblems(self, m):
+        solved = [(p, r) for p, r in _consensual_subproblems([m], range(8))
+                  if r.status == OPTIMAL]
+        assert len(solved) >= 5
+        for p, res in solved:
+            self._check(p, res)
+
+
+class TestQcqpInfeasibleFloor:
+    """An infeasible result's certificate is a floor under every point's
+    largest normalized violation: positive, and at most the least largest
+    violation of dense samples of the unit ball."""
+
+    @staticmethod
+    def _sampled_min_violation(p, rng):
+        m = p.dim()
+        V = rng.normal(size=(20000, m)) + 1j * rng.normal(size=(20000, m))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        V[10000:] *= rng.random(10000)[:, None] ** (1.0 / (2 * m))
+        return (_row_values(p, V) / _qcqp_scales(p)).max(axis=1).min()
+
+    def test_random_and_consensual_problems(self):
+        rng = np.random.default_rng(43)
+        problems = _random_qcqps(rng, 40, slack=(-1.5, 0.1)) + [
+            p for p, r in _consensual_subproblems([1, 2, 4], [0, 1, 2])
+            if r.status == INFEASIBLE]
+        checked = 0
+        for p in problems:
+            res = solve_ball_qcqp(p)
+            if res.status != INFEASIBLE:
+                continue
+            assert res.v is None and res.newton_steps > 0
+            assert 0.0 < res.certificate <= self._sampled_min_violation(p,
+                                                                        rng)
+            checked += 1
+        assert checked >= 15
+
+
+def _result_fields(r):
+    """Every field of a QcqpResult, floats in their exact repr and arrays
+    as bytes."""
+    return (r.status, r.newton_steps,
+            None if r.v is None else r.v.tobytes(),
+            None if r.dual is None else r.dual.tobytes(),
+            repr((r.objective, r.certificate)))
+
+
+class TestQcqpBatchInvariance:
+    """A stack mixing optimal, infeasible, settled and capped entries gives
+    every entry, byte for byte, what it gets alone, in either order."""
+
+    def test_both_orders_equal_single_solves(self, monkeypatch):
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 4)
+        rng = np.random.default_rng(47)
+        m = 3
+        problems = []
+        for slack in (0.3, 0.05, -0.2, -1.0, 0.5, 0.01, -0.05, 0.2):
+            A = rand_herm_psd(rng, m)
+            q = rand_vec(rng, m, 0.5)
+            vt = rand_vec(rng, m, 0.3)
+            b = float(np.vdot(vt, A @ vt).real + 2 * np.vdot(q, vt).real)
+            problems.append(QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+                (A, q, b + slack), (None, rand_vec(rng, m), 2.0)]))
+        problems.append(QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, None, -1.0), (None, rand_vec(rng, m), 1.0)]))
+        problems.append(QcqpProblem(c=rand_vec(rng, m), quad_constraints=[
+            (None, np.array([1.0, 0.0, 0.0], dtype=complex), -3.0),
+            (None, rand_vec(rng, m), 2.0)]))
+        alone = [_result_fields(solve_ball_qcqp(p)) for p in problems]
+        assert {a[0] for a in alone} == {OPTIMAL, INFEASIBLE, MAX_ITER}
+        assert any(a[0] == INFEASIBLE and a[1] == 0 for a in alone)
+        assert any(a[0] == INFEASIBLE and a[1] > 0 for a in alone)
+        forward = qcqp.solve_ball_qcqps(problems)
+        backward = qcqp.solve_ball_qcqps(problems[::-1])[::-1]
+        for a, f, b in zip(alone, forward, backward):
+            assert _result_fields(f) == a == _result_fields(b)
+
+
+class TestQcqpIterationCap:
+    """A budget of one Newton step ends every entry that needs more
+    max_iter, with no point and no certificate, never infeasible; one that
+    needs no more ends as it does with the full budget."""
+
+    def test_one_step(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        problems = (_random_qcqps(rng, 20) + _random_qcqps(rng, 20, slack=(
+            -1.5, -0.5)))
+        full = [solve_ball_qcqp(p) for p in problems]
+        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        kinds = set()
+        for p, res in zip(problems, full):
+            capped = solve_ball_qcqp(p)
+            if res.newton_steps <= 1:
+                assert _result_fields(capped) == _result_fields(res)
+                continue
+            kinds.add(res.status)
+            assert capped.status == MAX_ITER and capped.newton_steps == 1
+            assert capped.v is None and np.isnan(capped.certificate)
+        assert kinds == {OPTIMAL, INFEASIBLE}
 
 
 class TestSvecBasis:
@@ -496,18 +624,11 @@ class TestSdpDegenerate:
 
 
 class TestNewtonStepCount:
-    """newton_steps counts the Newton steps tried, accepted or not, in phase
-    one as in the main stage: one line search each, for a batch of one."""
+    """The barrier SDP's newton_steps counts the Newton steps tried,
+    accepted or not, in phase one as in the main stage: one line search
+    each, for a batch of one."""
 
     # Each problem breaks a row at the cold start, so phase one has to run.
-    # Re(v1) >= 0.5, then also Re(v1) <= -1.5 (beyond the unit ball).
-    HALF = (None, np.array([-0.5 + 0j, 0.0]), -0.5)
-    QCQPS = [
-        (QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[HALF]),
-         OPTIMAL),
-        (QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[
-            HALF, (None, np.array([1.0 + 0j, 0.0]), -3.0)]), INFEASIBLE),
-    ]
     # Tr W = 1 with W_00 >= 0.8, then also W_11 >= 0.8.
     E0, E1 = (np.diag(d).astype(complex) for d in ([1.0, 0.0], [0.0, 1.0]))
     SDPS = [
@@ -520,10 +641,8 @@ class TestNewtonStepCount:
 
     CASES = pytest.mark.parametrize(
         "solve, problem, status",
-        [(solve_ball_qcqp, p, st) for p, st in QCQPS]
-        + [(solve_small_sdp, p, st) for p, st in SDPS],
-        ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
-             "sdp-infeasible"])
+        [(solve_small_sdp, p, st) for p, st in SDPS],
+        ids=["sdp-feasible", "sdp-infeasible"])
 
     @staticmethod
     def _check(monkeypatch, solve, problem, status):
@@ -557,16 +676,13 @@ class TestNewtonStepCount:
 class TestStageBudget:
     """An entry still centring when its stage's _MAX_NEWTON Newton steps
     run out ends max_iter at that stage, in phase one and in the main
-    stage of both kernels: optimal and infeasible come only from a
+    stage of the barrier SDP: optimal and infeasible come only from a
     centre."""
 
     # Each breaks a row at the cold start (phase one), or meets every row
     # strictly there (main stage only); see TestNewtonStepCount.
-    PHASE_ONE = [p for p, _st in TestNewtonStepCount.QCQPS
-                 + TestNewtonStepCount.SDPS]
+    PHASE_ONE = [p for p, _st in TestNewtonStepCount.SDPS]
     MAIN = [
-        QcqpProblem(c=np.array([1.0 + 0j, 1.0]), quad_constraints=[
-            (None, np.array([-0.5 + 0j, 0.0]), 0.5)]),
         SdpProblem(C=TestNewtonStepCount.E1, dim=2,
                    eq_constraints=[(np.eye(2), 1.0)],
                    ineq_constraints=[(-TestNewtonStepCount.E0, -0.2)]),
@@ -575,14 +691,12 @@ class TestStageBudget:
     CASES = pytest.mark.parametrize(
         "phase_one, problem",
         [(True, p) for p in PHASE_ONE] + [(False, p) for p in MAIN],
-        ids=["p1-qcqp-feasible", "p1-qcqp-infeasible", "p1-sdp-feasible",
-             "p1-sdp-infeasible", "main-qcqp", "main-sdp"])
+        ids=["p1-sdp-feasible", "p1-sdp-infeasible", "main-sdp"])
 
     @staticmethod
     def _run(monkeypatch, problem, budget):
         """The result, and (phase one?, still centring?) of each stage."""
-        solve = (solve_ball_qcqp if isinstance(problem, QcqpProblem)
-                 else solve_small_sdp)
+        solve = solve_small_sdp
         assert solve(problem).status != MAX_ITER
         stages, centre = [], convex._centre
 
@@ -622,17 +736,16 @@ class TestPhaseOneStop:
 
     @staticmethod
     def _oracle():
-        # Re v_1 >= 3 misses the unit ball: at v = 0 the row is broken, so
-        # phase one has not found a feasible point there.
-        f = _PhaseOne(_BallQcqp([QcqpProblem(
-            c=np.array([1.0 + 0j, 0.0]),
-            quad_constraints=[(None, np.array([-0.5 + 0j, 0.0]), -3.0)])]))
-        assert not f.found(np.zeros((1, 5)))[0]
+        # W_00 >= 1.5 misses the plane Tr W = 1 of PSD W: at W = I / 2
+        # the row is broken, so phase one has not found a feasible point
+        # there.
+        f = _PhaseOne(_sdp(np.eye(2), [[(-np.diag([1.0, 0.0]), -1.5)]]))
+        assert not f.found(np.zeros((1, 4)))[0]
         return f
 
     def _status(self, s, centred):
         f = self._oracle()
-        xs = np.zeros((1, 5))
+        xs = np.zeros((1, 4))
         xs[0, -1] = s
         return f.stop(xs, self.MU, self.TOL, np.array([centred]))[0]
 
@@ -657,12 +770,11 @@ class TestEvaluatedOnce:
     @staticmethod
     def _oracles():
         rng = np.random.default_rng(90)
-        f, z = _random_qcqp_oracle(rng, 2)
         g, y = _random_sdp_oracle(rng, 2)
         h = _block_oracle(rng, 3)
         y3 = 0.02 * rng.normal(size=(3, 8))
         s = np.full((3, 1), 0.1)
-        return [(f, z), (g, y), (h, y3), (_PhaseOne(f), np.hstack([z, s])),
+        return [(g, y), (h, y3), (_PhaseOne(g), np.hstack([y, s])),
                 (_PhaseOne(h), np.hstack([y3, s]))]
 
     def test_derivs_from_evaluate_equal_fresh_derivs(self):
@@ -1412,16 +1524,16 @@ class TestSolveNewton:
         assert np.all(np.isfinite(d[1]))
 
 
-def _random_qcqp_oracle(rng, m):
-    """A batch of three QCQP oracles and a point strictly inside each.
+def _random_qcqp_dual(rng, m):
+    """The duals of a batch of three QCQPs (_BallDual), and multipliers
+    inside the domain of each.
 
     Each entry has two quadratic rows and one linear row.
     """
-    problems, points = [], []
+    problems = []
     for _ in range(3):
         c = rand_vec(rng, m)
         vt = rand_vec(rng, m, 0.3)
-        vt *= min(1.0, 0.7 / np.linalg.norm(vt))   # strictly inside the ball
         cons = []
         for with_a in (True, False, True):
             A = rand_herm_psd(rng, m) if with_a else None
@@ -1431,8 +1543,7 @@ def _random_qcqp_oracle(rng, m):
                 val += np.vdot(vt, A @ vt).real
             cons.append((A, q, float(val + 0.3)))
         problems.append(QcqpProblem(c=c, quad_constraints=cons))
-        points.append(embed_vector(vt))
-    return _BallQcqp(problems), np.array(points)
+    return qcqp._BallDual(problems), rng.uniform(0.2, 1.0, size=(3, 4))
 
 
 def _random_sdp_oracle(rng, m):
@@ -1457,10 +1568,11 @@ class TestOracleDerivatives:
 
     @staticmethod
     def _check(f, x, mu):
-        def value(x):
-            return f.evaluate(x, mu)[0]
+        TestOracleDerivatives._against_differences(
+            lambda x: f.evaluate(x, mu)[0], x, *f.derivs(x, mu))
 
-        val, grad, H = f.derivs(x, mu)
+    @staticmethod
+    def _against_differences(value, x, val, grad, H):
         assert np.all(np.isfinite(val))
         assert val == pytest.approx(value(x), rel=1e-12, abs=1e-12)
         n = x.shape[1]
@@ -1485,20 +1597,21 @@ class TestOracleDerivatives:
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_qcqp_oracle(self, m):
+        # The QCQP dual phi: its gradient is the slacks at z(lam), and its
+        # Hessian J^T H^-1 J / 2.
         rng = np.random.default_rng(70 + m)
         for _ in range(3):
-            f, z = _random_qcqp_oracle(rng, m)
-            assert np.all(f.rows(z)[0] < 0)   # row 0 is the ball
-            self._check(f, z, 0.3)
-            self._check(_PhaseOne(f), np.column_stack([z, np.full(3, 0.1)]),
-                        0.3)
+            f, lam = _random_qcqp_dual(rng, m)
+            phi, _size, z, H = f.point(lam)
+            self._against_differences(lambda x: f.point(x)[0], lam, phi,
+                                      *f.derivs(z, H))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_sdp_oracle(self, m):
         rng = np.random.default_rng(80 + m)
         for _ in range(3):
             f, y = _random_sdp_oracle(rng, m)
-            assert np.all(f.rows(y)[0] < 0)
+            assert np.all(f.rows(y) < 0)
             assert np.all(np.isfinite(_cone(f, y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
@@ -1509,7 +1622,7 @@ class TestOracleDerivatives:
         for _ in range(3):
             f = _block_oracle(rng, 3)
             y = 0.02 * rng.normal(size=(3, 8))
-            assert np.all(f.rows(y)[0] < 0)
+            assert np.all(f.rows(y) < 0)
             assert np.all(np.isfinite(_cone(f, y)))
             self._check(f, y, 0.3)
             self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),

@@ -7,6 +7,7 @@ monotonicity the scalar analysis guarantees; the CLI through subprocesses.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -344,7 +345,7 @@ class TestRunSweep:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = small_sweep(values=[0.6], trials=2, algorithms=["canceled_dli"])
         assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
         assert sizes == []
@@ -603,11 +604,12 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfgf)]) == 2
 
     def test_iteration_cap_is_not_infeasible(self, tmp_path, monkeypatch):
-        # Every kernel solve ends max_iter, so no tag is feasible; that is
-        # exit 3, not the infeasibility of exit 2.
+        # A consensual solve that ends max_iter certifies no infeasibility:
+        # that is exit 3, not the infeasibility of exit 2.  At M = 8 some
+        # QCQP of both runs needs more than one Newton step.
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
         cfgf = tmp_path / "cap.cfg"
-        cfgf.write_text("K = 2\nM = 2\nT = 5\nvalues = 0.2, 0.6\n"
+        cfgf.write_text("K = 2\nM = 8\nT = 5\nvalues = 0.2, 0.6\n"
                         "trials = 2\nalgorithms = consensual, evolved\n")
         assert cli.main(["solve", "--config", str(cfgf), "--seed", "1"]) == 3
         assert cli.main(["sweep", "--config", str(cfgf)]) == 3

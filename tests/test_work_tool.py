@@ -6,7 +6,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from backci import beamforming, convex
+from backci import beamforming, convex, qcqp
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "work.py"
 
@@ -21,7 +21,7 @@ def _work():
 def _wrapped():
     return (convex._Oracle.derivs, convex._Oracle.evaluate,
             convex._Oracle.take, convex._PhaseOne.take,
-            convex.solve_ball_qcqps, convex.solve_sdp_batch,
+            qcqp.solve_ball_qcqps, convex.solve_sdp_batch,
             beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch)
 
 
@@ -33,14 +33,11 @@ def test_counts_two_solves_and_restores_the_library():
         statuses = sum(v for name, v in counts.items()
                        if name.startswith(f"status/{kernel}/"))
         assert counts[f"entries/{kernel}"] == statuses > 0
-    for phase in ("main", "phase-one"):
-        where = f"qcqp/{phase}"
-        # every round steps one entry or more
-        assert 0 < counts[f"rounds/{where}"] <= counts[
-            f"entry-rounds/{where}"]
-        assert counts[f"value/{where}"] > 0
-    # every relaxation is solved exactly, with no barrier round
-    assert not any(name.split("/")[1] == "sdp" for name in counts
+    # every round steps one entry or more
+    assert 0 < counts["rounds/qcqp"] <= counts["newton/qcqp"]
+    # the QCQPs run no barrier, and every relaxation is solved exactly,
+    # with no barrier round either
+    assert not any(len(name.split("/")) == 3 for name in counts
                    if name.split("/")[0] in ("rounds", "entry-rounds",
                                              "value", "take"))
 

@@ -1,4 +1,4 @@
-"""Work counters of backci's barrier core on the benchmark's inputs.
+"""Work counters of backci's kernels on the benchmark's inputs.
 
     python3 tools/work.py --workload solve --seed 1 --ops 40 [--fallback]
 
@@ -10,27 +10,34 @@ switched off (restored afterwards), as ``tools/identity.py``'s ``fallback``
 family does, so that every examined grid point runs the penalty SCA and
 its barrier SDPs.  The counters are:
 
-* ``rounds/<kernel>/<phase>``: batched Newton rounds, one per
-  ``_Oracle.derivs`` call;
-* ``entry-rounds/<kernel>/<phase>``: the entries stepped in those rounds;
-* ``value/<kernel>/<phase>``: line-search trials, one per evaluation of a
-  trial stack (``_Oracle.evaluate``);
-* ``take/<kernel>/<phase>``: sub-oracles built (``take``);
 * ``calls/<kernel>``, ``entries/<kernel>`` and ``s/<kernel>``: calls of the
-  kernel entry points ``solve_ball_qcqps`` (``qcqp``) and
-  ``solve_sdp_batch`` (``sdp``), the entries they solved, and the seconds
-  spent in them;
+  kernel entry points ``qcqp.solve_ball_qcqps`` (``qcqp``) and
+  ``convex.solve_sdp_batch`` (``sdp``), the entries they solved, and the
+  seconds spent in them;
 * ``status/<kernel>/<status>``: the statuses those entries ended with;
+* ``newton/qcqp``: the Newton steps of the QCQP entries, the sum of their
+  ``newton_steps``;
+* ``rounds/qcqp``: the batched Newton rounds of the QCQP calls, the largest
+  ``newton_steps`` of each call summed over the calls (a call steps its
+  entries together until the last one ends);
+* ``rounds/sdp/<phase>``: batched barrier rounds, one per
+  ``_Oracle.derivs`` call;
+* ``entry-rounds/sdp/<phase>``: the entries stepped in those rounds;
+* ``value/sdp/<phase>``: line-search trials, one per evaluation of a trial
+  stack (``_Oracle.evaluate``);
+* ``take/sdp/<phase>``: sub-oracles built (``take``);
 * ``s/total``: the seconds of the whole run.
 
-``<kernel>`` is ``qcqp`` or ``sdp`` and ``<phase>`` is ``phase-one`` or
-``main``.  The SDP kernel solves the evolved design's block relaxations
-exactly, with no barrier round, so ``rounds/sdp/*``, ``entry-rounds/sdp/*``,
-``value/sdp/*`` and ``take/sdp/*`` count only the SDPs that still run the
-barrier: the penalty fallback's full-plane ones, which only ``--fallback``
-reaches on these workloads.  ``calls/sdp``, ``entries/sdp``,
-``status/sdp/*`` and ``s/sdp`` count every SDP.  The counters wrap
-``backci.convex`` from outside, while the run lasts, so the library itself
+``<phase>`` is ``phase-one`` or ``main``.  The QCQP kernel solves its
+duals by Newton's method, with no barrier, so its counters are read from
+the results its entry point returns.  The SDP kernel solves the evolved
+design's block relaxations exactly, with no barrier round, so
+``rounds/sdp/*``, ``entry-rounds/sdp/*``, ``value/sdp/*`` and
+``take/sdp/*`` count only the SDPs that still run the barrier: the penalty
+fallback's full-plane ones, which only ``--fallback`` reaches on these
+workloads.  ``calls/sdp``, ``entries/sdp``, ``status/sdp/*`` and
+``s/sdp`` count every SDP.  The counters wrap ``backci.convex`` and
+``backci.qcqp`` from outside, while the run lasts, so the library itself
 is unchanged and costs nothing when this script is not running.  A call
 made from inside a counted call of the same counter (``_PhaseOne.take``
 taking its inner oracle) is not counted again.
@@ -60,23 +67,24 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from backci import beamforming, convex  # noqa: E402
+from backci import beamforming, convex, qcqp  # noqa: E402
 
 import workloads  # noqa: E402
 
-_KERNELS = {"_BallQcqp": "qcqp", "_Sdp": "sdp"}
-_ENTRY_POINTS = {"solve_ball_qcqps": "qcqp", "solve_sdp_batch": "sdp"}
+_ENTRY_POINTS = {"solve_ball_qcqps": ("qcqp", qcqp),
+                 "solve_sdp_batch": ("sdp", convex)}
 
 
 def _where(oracle) -> str:
-    """<kernel>/<phase> of a barrier oracle."""
+    """sdp/<phase> of a barrier oracle: only the SDP kernel has one."""
     if isinstance(oracle, convex._PhaseOne):
-        return f"{_KERNELS[type(oracle.f).__name__]}/phase-one"
-    return f"{_KERNELS[type(oracle).__name__]}/main"
+        return "sdp/phase-one"
+    return "sdp/main"
 
 
 class Counters:
-    """Wraps the barrier core's methods and entry points, and undoes it."""
+    """Wraps the barrier core's methods and the kernels' entry points, and
+    undoes it."""
 
     def __init__(self):
         self.counts = Counter()
@@ -108,8 +116,8 @@ class Counters:
 
         self._patch(cls, name, counted)
 
-    def _entry_point(self, name, kernel):
-        inner = getattr(convex, name)
+    def _entry_point(self, name, kernel, home):
+        inner = getattr(home, name)
 
         def counted(*args, **kwargs):
             t0 = time.perf_counter()
@@ -118,9 +126,13 @@ class Counters:
             self.counts[f"calls/{kernel}"] += 1
             self.counts[f"entries/{kernel}"] += len(results)
             self.counts.update(f"status/{kernel}/{r.status}" for r in results)
+            if kernel == "qcqp" and results:
+                steps = [r.newton_steps for r in results]
+                self.counts["newton/qcqp"] += sum(steps)
+                self.counts["rounds/qcqp"] += max(steps)
             return results
 
-        for module in (convex, beamforming):
+        for module in (home, beamforming):
             if name in vars(module):
                 self._patch(module, name, counted)
 
@@ -129,8 +141,8 @@ class Counters:
         self._method(convex._Oracle, "evaluate", "value")
         for cls in (convex._Oracle, convex._PhaseOne):
             self._method(cls, "take", "take")
-        for name, kernel in _ENTRY_POINTS.items():
-            self._entry_point(name, kernel)
+        for name, (kernel, home) in _ENTRY_POINTS.items():
+            self._entry_point(name, kernel, home)
         return self
 
     def __exit__(self, *exc):
