@@ -624,11 +624,21 @@ class TestSdpDegenerate:
 
 
 class TestNewtonStepCount:
-    """The barrier SDP's newton_steps counts the Newton steps tried,
-    accepted or not, in phase one as in the main stage: one line search
-    each, for a batch of one."""
+    """newton_steps counts the Newton steps tried, accepted or not, for a
+    batch of one: one line search each, in the barrier SDP's phase one as
+    in its main stage, and one Newton system (with its line search) each
+    in the dual QCQP kernel."""
 
-    # Each problem breaks a row at the cold start, so phase one has to run.
+    # Each problem breaks a row at the cold start, so the QCQP's dual has
+    # to step and the SDP's phase one has to run.
+    # Re(v1) >= 0.5, then also Re(v1) <= 0.
+    HALF = (None, np.array([-0.5 + 0j, 0.0]), -0.5)
+    QCQPS = [
+        (QcqpProblem(c=np.array([-1.0 + 0j, 1.0]), quad_constraints=[HALF]),
+         OPTIMAL),
+        (QcqpProblem(c=np.array([-1.0 + 0j, 1.0]), quad_constraints=[
+            HALF, (None, np.array([1.0 + 0j, 0.0]), 0.0)]), INFEASIBLE),
+    ]
     # Tr W = 1 with W_00 >= 0.8, then also W_11 >= 0.8.
     E0, E1 = (np.diag(d).astype(complex) for d in ([1.0, 0.0], [0.0, 1.0]))
     SDPS = [
@@ -641,22 +651,27 @@ class TestNewtonStepCount:
 
     CASES = pytest.mark.parametrize(
         "solve, problem, status",
-        [(solve_small_sdp, p, st) for p, st in SDPS],
-        ids=["sdp-feasible", "sdp-infeasible"])
+        [(solve_ball_qcqp, p, st) for p, st in QCQPS]
+        + [(solve_small_sdp, p, st) for p, st in SDPS],
+        ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
+             "sdp-infeasible"])
 
     @staticmethod
     def _check(monkeypatch, solve, problem, status):
-        searches = []
-        line_search = convex._line_search
+        if solve is solve_ball_qcqp:
+            module, name = qcqp, "_solve_newton"
+        else:
+            module, name = convex, "_line_search"
+        searches, inner = [], getattr(module, name)
 
         def counted(f, *args):
-            searches.append(isinstance(f, _PhaseOne))
-            return line_search(f, *args)
+            searches.append(module is qcqp or isinstance(f, _PhaseOne))
+            return inner(f, *args)
 
-        monkeypatch.setattr(convex, "_line_search", counted)
+        monkeypatch.setattr(module, name, counted)
         res = solve(problem)
         assert res.status == status
-        assert any(searches)        # phase one took steps
+        assert any(searches)        # the dual, or phase one, took steps
         assert res.newton_steps == len(searches)
 
     @CASES
@@ -665,7 +680,8 @@ class TestNewtonStepCount:
 
     # A budget of one Newton step a stage leaves phase one's first stage
     # still centring, which ends it max_iter there, whatever the status
-    # a centre would have given.
+    # a centre would have given; the QCQP's dual, which needs more than one
+    # step on either problem, ends max_iter after its one step.
     @CASES
     def test_equals_line_searches_one_step_stages(self, monkeypatch, solve,
                                                   problem, status):
