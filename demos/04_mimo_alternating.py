@@ -7,7 +7,8 @@ problem gains a transmit vector.  Fixing either side reduces the problem
 to the single-transmit case on effective channels, so the solver simply
 alternates: solve for the receive vector, then for the transmit
 direction, seeding each inner solve with the incumbent so the SNR never
-drops.  This script runs the alternation on two 4x2 channel draws where
+drops.  Once the rounds settle, one trade round lets one side leave slack
+on the detection floors that the other side then spends.  This script runs the alternation on two 4x2 channel draws where
 the detection constraints pull the design away from the obvious
 singular-vector transmit choice, and checks the transmit side earns
 its keep.

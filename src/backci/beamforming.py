@@ -81,7 +81,7 @@ class BeamformerSolution:
     points (t = 0, solved in closed form, included) plus the SDP solves of
     the penalty fallback;
     alternating_mimo (alternating_steps), the completed alternation
-    rounds; the closed-form benchmark schemes, 0.
+    rounds, a trade round counted; the closed-form benchmark schemes, 0.
     """
 
     v: Optional[np.ndarray]
@@ -170,7 +170,8 @@ def _finalize(v, h0, h1, hs, params, d_min, e_min, mode) -> tuple:
     return v, stats, ok, snr
 
 
-def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
+def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
+                     margin: float = 0.0):
     """The consensual SCA as a generator of its subproblems.
 
     Maximizes gamma |v^H h1|^2 over unit-norm v subject to the with-DL
@@ -178,7 +179,8 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
     the incumbent) and the without-DL floor (same linearization applied to
     |v^H h_str|^2).  Initialized at the matched filter h1/||h1||, with one
     retry from the MMSE direction; v_init overrides both (the alternation
-    of alternating_steps passes its incumbent).
+    of alternating_steps passes its incumbent).  margin raises both
+    constraints' F - 1 by that fraction (alternating_steps' trades).
 
     Yields each SCA subproblem, a QcqpProblem, and takes its QcqpResult
     back by send(); returns the BeamformerSolution.  Run it with
@@ -212,8 +214,9 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None):
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
             (f_with * gamma * H0, -gamma * (H1 @ vbar),
-             -(f_with - 1.0) - gamma * c1),
-            (None, -gamma * (Hs @ vbar), -(f_without - 1.0) - gamma * cs1),
+             -(f_with - 1.0) * (1.0 + margin) - gamma * c1),
+            (None, -gamma * (Hs @ vbar),
+             -(f_without - 1.0) * (1.0 + margin) - gamma * cs1),
         ]
         return QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
                            quad_constraints=cons), c1
@@ -684,6 +687,9 @@ def _design_steps(chan, params, mode: str, incumbent=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+_TRADE_MAX = 0.1    # the largest floor raise of alternating_steps' trade
+
+
 def alternating_steps(chan, params, mode: str):
     """The block alternation of a MIMO link as a generator.
 
@@ -696,47 +702,89 @@ def alternating_steps(chan, params, mode: str):
     The incumbent seeds each consensual step, which keeps the SNR trace
     nondecreasing; a new block value is kept only if it does not lower the
     SNR.  Stops on relative SNR change below omega or after L rounds.
+
+    Exact block optima stall where the blocks price a floor they share
+    differently, so in consensual mode the first round that settles is
+    followed by one trade round: one block is re-solved with its floors
+    raised by a fraction delta (consensual_steps' margin), and the other
+    spends the slack.  delta runs from _TRADE_MAX down by factors of 10 to
+    omega, the transmit block leaving slack first at each; the first pair
+    that raises the SNR is kept, and with none the alternation ends.
+    Further trades keep gaining, but zigzag for up to L rounds.
     """
     G0, G1, Gs = _unpack(chan)
     gamma = params.gamma
     d_min, e_min, _fw, _fo = divergence_floors(params)
+
+    def receive(xt):        # the receive step's channels
+        return G0 @ xt, G1 @ xt, Gs @ xt
+
+    def transmit(v):        # the transmit step's
+        return G0.conj().T @ v, G1.conj().T @ v, Gs.conj().T @ v
+
+    def trade(v, xt, snr):
+        delta = _TRADE_MAX
+        while delta >= params.omega:
+            for leave, spend, a, b in ((transmit, receive, xt, v),
+                                       (receive, transmit, v, xt)):
+                sol_a = yield from consensual_steps(leave(b), params, a,
+                                                    delta)
+                if not sol_a.feasible:
+                    continue
+                sol_b = yield from consensual_steps(spend(sol_a.v), params,
+                                                    b)
+                if not sol_b.feasible:
+                    continue
+                vx = ((sol_b.v, sol_a.v) if leave is transmit
+                      else (sol_a.v, sol_b.v))
+                got = gamma * abs(np.vdot(vx[0], G1 @ vx[1])) ** 2
+                if got > snr:
+                    return (*vx, got)
+            delta *= 0.1
+        return None
 
     _u, _s, vh = np.linalg.svd(G1)
     xt = vh[0].conj()
     v = None
     snr_cur = -np.inf
     trace = []
-    converged = False
+    converged = stalled = traded = False
     rounds = 0
     for s_round in range(1, params.L + 1):
-        sol_v = yield from _design_steps((G0 @ xt, G1 @ xt, Gs @ xt),
-                                         params, mode, v)
-        if not sol_v.feasible:
-            if v is None:
-                return _infeasible(converged=sol_v.converged)
-            break
-        v_new = sol_v.v
-        snr_v = gamma * abs(np.vdot(v_new, G1 @ xt)) ** 2
-        if snr_v >= snr_cur:
-            v = v_new
-            snr_cur = snr_v
+        if stalled:
+            pair = yield from trade(v, xt, snr_cur)
+            if pair is None:
+                converged = True
+                break
+            v, xt, snr_cur = pair
+            traded = True
+        else:
+            sol_v = yield from _design_steps(receive(xt), params, mode, v)
+            if not sol_v.feasible:
+                if v is None:
+                    return _infeasible(converged=sol_v.converged)
+                break
+            snr_v = gamma * abs(np.vdot(sol_v.v, G1 @ xt)) ** 2
+            if snr_v >= snr_cur:
+                v = sol_v.v
+                snr_cur = snr_v
 
-        sol_x = yield from _design_steps(
-            (G0.conj().T @ v, G1.conj().T @ v, Gs.conj().T @ v), params,
-            mode, xt)
-        if not sol_x.feasible:
-            break
-        xt_new = sol_x.v
-        snr_x = gamma * abs(np.vdot(v, G1 @ xt_new)) ** 2
-        if snr_x >= snr_cur:
-            xt = xt_new
-            snr_cur = snr_x
+            sol_x = yield from _design_steps(transmit(v), params, mode, xt)
+            if not sol_x.feasible:
+                break
+            snr_x = gamma * abs(np.vdot(v, G1 @ sol_x.v)) ** 2
+            if snr_x >= snr_cur:
+                xt = sol_x.v
+                snr_cur = snr_x
 
         rounds = s_round
         trace.append(snr_cur)
-        if len(trace) >= 2 and _settled(trace[-1], trace[-2], params.omega):
+        settled = (len(trace) >= 2
+                   and _settled(trace[-1], trace[-2], params.omega))
+        if settled and (traded or mode != "consensual"):
             converged = True
             break
+        stalled = settled
 
     v, stats, ok, snr = _finalize(v, G0 @ xt, G1 @ xt, Gs @ xt, params,
                                   d_min, e_min, mode)

@@ -1,5 +1,5 @@
 """Small dense convex kernels: a small SDP, and the helpers the QCQP kernel
-(the module qcqp) shares with it.
+(the module qcqp, which describes it) shares with it.
 
 `solve_sdp_batch(C, row_sets)` solves trace-one SDPs, the lifts W = v v^H
 of the evolved design: maximize Tr(C W) subject to Tr W = 1, rows
@@ -13,14 +13,6 @@ then the main stage, each a loop of mu stages (_solve, _barrier,
 _centre).  OPTIMAL, INFEASIBLE and NO_INTERIOR come only from a centre,
 and an entry still centring after a stage's _MAX_NEWTON Newton steps ends
 MAX_ITER.
-
-The QCQP kernel, qcqp.solve_ball_qcqps, solves the consensual SCA's
-subproblems through their Lagrange duals, by Newton's method with no
-barrier; it is its own module for memory, as lorentz is (where bytecode
-is not written, every start compiles the sources, and one module with
-both kernels peaked about 1 MB higher while compiling).  It shares this
-module's statuses, its one budget _MAX_NEWTON, _ARMIJO, the complex ->
-real embeddings, _cholesky, _solve_newton and _settle.
 
 Both kernels take one row count per call (ValueError otherwise), and
 settle every row that x cannot move before any Newton step (_settle): it

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent import futures
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
 
@@ -357,9 +358,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
     chunks = [cells[i:i + _CHUNK] for i in range(0, len(cells), _CHUNK)]
     workers = min(workers, len(chunks))
     if workers > 1:
-        # imported here: concurrent.futures loads logging, about 0.6 MB
-        # that a single-worker sweep does not need
-        from concurrent import futures
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_chunk, chunks))
     else:

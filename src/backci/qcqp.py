@@ -8,11 +8,12 @@ by its scale, the dual of maximize c . z subject to z . z <= 1 and z^T P_i
 z + Q_i . z <= b_i (P_i PSD) is a smooth function phi of one multiplier
 per row, the ball's first (_BallDual), minimized over lam >= 0 by
 projected Newton (_dual_newton) from the ball-only optimum: no barrier
-stage and no phase one.  An entry ends OPTIMAL at a KKT point, to
-round-off; INFEASIBLE only with a certificate, phi < -1, which no
-feasible z allows by weak duality; and MAX_ITER after convex._MAX_NEWTON
-Newton steps.  The kernel is batch-invariant, as convex's is.  It is its
-own module for memory; see convex.
+stage and no phase one.  The kernel is batch-invariant, as convex's is.
+solve_ball_qcqps states what each status certifies.  It shares
+convex's statuses, its budget _MAX_NEWTON (read at call time, so a caller
+can lower it for both kernels) and its helpers, but is its own module for
+memory: where bytecode is not written, every start compiles the sources,
+and one module with both kernels peaked about 1 MB higher while compiling.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ class _BallDual:
 
 def _dual_newton(f, lam):
     """Projected Newton on the duals of _BallDual f from lam, lam_0 > 0
-    (Bertsekas, SIAM J. Control Optim. 20, 1982); (lam, z, phi, status,
-    steps) per entry.
+    (Bertsekas, SIAM J. Control Optim. 20, 1982); (lam, z, status, steps)
+    per entry.
 
     Live entries step together; each ends OPTIMAL when the natural residual
     max_i |min(lam_i - lo_i, slack_i)| is at most _KKT, or at most
@@ -206,7 +207,7 @@ def _dual_newton(f, lam):
     lo = np.zeros(k)
     lo[0] = _BALL_MIN
     phi, size, z, H = f.point(lam)
-    out = [lam.copy(), z.copy(), phi.copy(), np.full(B, None, dtype=object),
+    out = [lam.copy(), z.copy(), np.full(B, None, dtype=object),
            np.zeros(B, dtype=int)]
     act, prev = np.arange(B), np.full(B, np.inf)
     stuck = np.zeros(B, dtype=bool)
@@ -223,9 +224,9 @@ def _dual_newton(f, lam):
         end = np.not_equal(status, None)
         if end.any():
             idx = act[end]
-            for into, a in zip(out, (lam, z, phi, status)):
+            for into, a in zip(out, (lam, z, status)):
                 into[idx] = a[end]
-            out[4][idx] = step
+            out[3][idx] = step
             if end.all():
                 return tuple(out)
             keep = ~end
@@ -297,13 +298,11 @@ def solve_ball_qcqps(problems: list) -> list:
     go = np.flatnonzero(np.isnan(cert))
     if go.size:
         fg = f if go.size == B else f.take(go)
-        lam[go], z[go], phi, status[go], steps[go] = _dual_newton(fg,
-                                                                  lam[go])
+        lam[go], z[go], status[go], steps[go] = _dual_newton(fg, lam[go])
         out = np.flatnonzero(status[go] == INFEASIBLE)
         if out.size:
             mu = lam[go[out], 1:]
-            cert[go[out]] = np.maximum(fg.take(out).floor(mu),
-                                       -1.0 - phi[out]) / mu.sum(axis=1)
+            cert[go[out]] = fg.take(out).floor(mu) / mu.sum(axis=1)
     dual = lam * f.c_norm[:, None] / f.s
     opt = status == OPTIMAL
     return [QcqpResult(v=unembed_vector(z[j]) if opt[j] else None,

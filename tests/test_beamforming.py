@@ -1359,6 +1359,22 @@ class TestAlternatingMimo:
         _u, _s, vh = np.linalg.svd(G1)
         assert np.array_equal(sol.x, np.sqrt(params.sigma_s2) * vh[0].conj())
 
+    def test_trade_round_passes_the_block_stall(self):
+        # On this tag exact block optima stall at SNR 1.74604293: the
+        # receive and transmit steps price the without-DL floor at 0.19
+        # and 0.0018.  Slack moved to the receive step gets past both the
+        # stall and the 1.74604323 that a barrier's interior slack reached.
+        params = replace(SystemParams(K=3, Q=2, M=4), seed=1)
+        chans = gen_channel_set(params, np.random.SeedSequence((1, 0, 2)))
+        sol = alternating_mimo(chans.tag_channels(0), params, "consensual")
+        d_min, e_min, _fw, _fo = divergence_floors(params)
+        assert sol.feasible and sol.converged
+        assert sol.snr > 1.746087
+        assert sol.stats.kld_with >= d_min - 1e-6
+        assert sol.stats.kld_without >= e_min - 1e-6
+        tr = sol.objective_trace
+        assert all(b >= a for a, b in zip(tr, tr[1:]))
+
     @pytest.mark.parametrize("seed", (9, 17))
     def test_improves_on_initial_transmit_direction(self, seed):
         params = SystemParams(M=2, Q=2, K=1)

@@ -7,7 +7,6 @@ monotonicity the scalar analysis guarantees; the CLI through subprocesses.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -345,7 +344,7 @@ class TestRunSweep:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", Pool)
         cfg = small_sweep(values=[0.6], trials=2, algorithms=["canceled_dli"])
         assert run_sweep(cfg, workers=50) == run_sweep(cfg, workers=1)
         assert sizes == []
