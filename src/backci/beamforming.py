@@ -184,7 +184,10 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
 
     Yields each SCA subproblem, a QcqpProblem, and takes its QcqpResult
     back by send(); returns the BeamformerSolution.  Run it with
-    lockstep.
+    lockstep.  Each init's first subproblem starts its dual Newton from
+    the ball-only optimum; every later one starts from the previous step's
+    multipliers (its dual), as consecutive subproblems differ only by the
+    linearization point.
     """
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
@@ -202,14 +205,16 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     if lam < f_with - 1.0 - 1e-12:
         return _infeasible()
 
-    if v_init is not None:
-        inits = [np.asarray(v_init, dtype=complex)]
-    else:
-        inits = [h1 / np.linalg.norm(h1),
-                 mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)]
+    def inits():    # the MMSE direction is built only for the retry
+        if v_init is not None:
+            yield np.asarray(v_init, dtype=complex)
+            return
+        yield h1 / np.linalg.norm(h1)
+        yield mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
 
-    def around(vbar):
-        """The subproblem linearized at vbar, and vbar^H H1 vbar."""
+    def around(vbar, start=None):
+        """The subproblem linearized at vbar, its dual Newton started from
+        start, and vbar^H H1 vbar."""
         c1 = float(np.vdot(vbar, H1 @ vbar).real)
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
@@ -219,10 +224,10 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
              -(f_without - 1.0) * (1.0 + margin) - gamma * cs1),
         ]
         return QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
-                           quad_constraints=cons), c1
+                           quad_constraints=cons, start=start), c1
 
     capped = False
-    for init in inits:
+    for init in inits():
         vbar = init / np.linalg.norm(init)
         prob, c1 = around(vbar)
         res = yield prob
@@ -236,7 +241,7 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     converged = False
     for it in range(params.L):
         if it:      # step 0 is the solve around the init above
-            prob, c1 = around(vbar)
+            prob, c1 = around(vbar, res.dual)
             res = yield prob
             if res.status != OPTIMAL:
                 break   # boundary case: keep the incumbent

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
 
@@ -358,6 +357,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> List[SweepRecord]:
     chunks = [cells[i:i + _CHUNK] for i in range(0, len(cells), _CHUNK)]
     workers = min(workers, len(chunks))
     if workers > 1:
+        from concurrent import futures      # a serial run needs no pool
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_chunk, chunks))
     else:

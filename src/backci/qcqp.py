@@ -7,9 +7,10 @@ embedding z = [Re v; Im v], with a unit objective c and every row divided
 by its scale, the dual of maximize c . z subject to z . z <= 1 and z^T P_i
 z + Q_i . z <= b_i (P_i PSD) is a smooth function phi of one multiplier
 per row, the ball's first (_BallDual), minimized over lam >= 0 by
-projected Newton (_dual_newton) from the ball-only optimum: no barrier
-stage and no phase one.  The kernel is batch-invariant, as convex's is.
-solve_ball_qcqps states what each status certifies.  It shares
+projected Newton (_dual_newton) from the multipliers of an earlier solve
+where a problem gives them (its start), else from the ball-only optimum:
+no barrier stage and no phase one.  The kernel is batch-invariant, as
+convex's is.  solve_ball_qcqps states what each status certifies.  It shares
 convex's statuses, its budget _MAX_NEWTON (read at call time, so a caller
 can lower it for both kernels) and its helpers, but is its own module for
 memory: where bytecode is not written, every start compiles the sources,
@@ -57,11 +58,14 @@ class QcqpProblem:
 
     with A Hermitian PSD or None (no quadratic part) and q a complex vector
     or None (no linear part).  The unit ball ||v||^2 <= 1 is always present
-    and makes the problem compact.
+    and makes the problem compact.  start, if given, is where the dual
+    Newton starts: multipliers in the problem's own units, the ball's
+    first, as an earlier solve's QcqpResult.dual gives them.
     """
 
     c: np.ndarray
     quad_constraints: list
+    start: Optional[np.ndarray] = None
 
     def dim(self) -> int:
         return np.asarray(self.c).size
@@ -182,9 +186,10 @@ class _BallDual:
 
 
 def _dual_newton(f, lam):
-    """Projected Newton on the duals of _BallDual f from lam, lam_0 > 0
-    (Bertsekas, SIAM J. Control Optim. 20, 1982); (lam, z, status, steps)
-    per entry.
+    """Projected Newton on the duals of _BallDual f from lam, lam >= 0 and
+    lam_0 >= _BALL_MIN, else, where phi(lam) is inf, from the ball-only
+    optimum (Bertsekas, SIAM J. Control Optim. 20, 1982); (lam, z, status,
+    steps) per entry.
 
     Live entries step together; each ends OPTIMAL when the natural residual
     max_i |min(lam_i - lo_i, slack_i)| is at most _KKT, or at most
@@ -207,6 +212,12 @@ def _dual_newton(f, lam):
     lo = np.zeros(k)
     lo[0] = _BALL_MIN
     phi, size, z, H = f.point(lam)
+    cold = np.isinf(phi)
+    if cold.any():
+        lam[cold] = 0.0
+        lam[cold, 0] = _COLD
+        phi[cold], size[cold], z[cold], H[cold] = f.take(cold).point(
+            lam[cold])
     out = [lam.copy(), z.copy(), np.full(B, None, dtype=object),
            np.zeros(B, dtype=int)]
     act, prev = np.arange(B), np.full(B, np.inf)
@@ -270,13 +281,19 @@ def solve_ball_qcqp(p: QcqpProblem) -> QcqpResult:
 
 def solve_ball_qcqps(problems: list) -> list:
     """Solve unit-ball QCQPs of one dimension and one constraint count,
-    each through its dual (_BallDual, _dual_newton) from the ball-only
-    optimum, in one stacked run; every entry's result is what it gets
-    solved alone.
+    each through its dual (_BallDual, _dual_newton) in one stacked run;
+    every entry's result is what it gets solved alone.
+
+    An entry starts from its start, normalized as the dual is and with the
+    ball's multiplier raised to at least _BALL_MIN, else from the ball-only
+    optimum: where start is None, has a non-finite or negative value or a
+    ball multiplier that is not positive, or gives phi = inf.
 
     Args:
         problems: The QcqpProblems, all of one dim() and constraint count
-            (ValueError, naming the counts, otherwise).
+            (ValueError, naming the counts, otherwise), each start, if
+            any, one multiplier longer than the constraints (ValueError
+            otherwise).
 
     Returns:
         One QcqpResult per problem, in input order, with status "optimal"
@@ -291,7 +308,13 @@ def solve_ball_qcqps(problems: list) -> list:
     f = _BallDual(problems)
     B, k = f.b.shape
     lam = np.zeros((B, k))
-    lam[:, 0] = _COLD
+    for j, p in enumerate(problems):
+        if p.start is not None and f.c_norm[j] > 0:
+            lam[j] = np.reshape(p.start, k) * f.s[j] / f.c_norm[j]
+    bad = ~np.isfinite(lam).all(axis=1) | (lam < 0).any(axis=1) | (
+        lam[:, 0] <= 0)
+    lam[bad] = 0.0
+    lam[:, 0] = np.where(bad, _COLD, np.maximum(lam[:, 0], _BALL_MIN))
     status = np.full(B, INFEASIBLE, dtype=object)
     steps = np.zeros(B, dtype=int)
     cert, z = f.cert.copy(), np.zeros(f.c_hat.shape)

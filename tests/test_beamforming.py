@@ -138,6 +138,39 @@ class TestConsensualSca:
         assert b.kld_with == pytest.approx(a.kld_with, rel=1e-12)
         assert b.kld_without == pytest.approx(a.kld_without, rel=1e-12)
 
+    def test_each_step_starts_from_the_last_steps_dual(self, monkeypatch):
+        # At seed 1, M = 4, tag 3's matched filter start is infeasible, so
+        # its MMSE retry runs: the only init of the draw that needs the
+        # MMSE direction, which is built for it alone.
+        built = []
+        mmse = beamforming.mmse_beamformer
+
+        def counted(*args):
+            built.append(args)
+            return mmse(*args)
+
+        monkeypatch.setattr(beamforming, "mmse_beamformer", counted)
+        params = SystemParams(M=4)
+        chans = gen_channel_set(params, 1)
+        retries = warm = 0
+        for k in range(params.K):
+            gen = consensual_steps(chans.tag_channels(k), params)
+            last = None
+            try:
+                ask = next(gen)
+                while True:
+                    if last is None or last.status != OPTIMAL:
+                        assert ask.start is None    # an init's first solve
+                        retries += last is not None
+                    else:
+                        assert ask.start is last.dual
+                        warm += 1
+                    last = solve_ball_qcqp(ask)
+                    ask = gen.send(last)
+            except StopIteration:
+                pass
+        assert retries == len(built) == 1 and warm >= 5
+
 
 def _run_alone(chan, params):
     """consensual_steps driven by hand, one solve_ball_qcqp per yield:

@@ -486,6 +486,127 @@ class TestQcqpIterationCap:
         assert kinds == {OPTIMAL, INFEASIBLE}
 
 
+class TestQcqpWarmStart:
+    """A start (an earlier solve's dual) moves where the dual Newton begins,
+    not where it ends: the statuses and objectives are the cold solve's,
+    a start that is not a valid dual point gives the cold solve's bytes,
+    and mixed stacks stay batch-invariant."""
+
+    @staticmethod
+    def _cold(p):
+        return solve_ball_qcqp(replace(p, start=None))
+
+    def test_own_dual_ends_at_once(self):
+        rng = np.random.default_rng(59)
+        problems = _random_qcqps(rng, 20) + [
+            p for p, _r in _consensual_subproblems([2, 4], range(3))]
+        for p in problems:
+            cold = self._cold(p)
+            if cold.status != OPTIMAL:
+                continue
+            warm = solve_ball_qcqp(replace(p, start=cold.dual))
+            assert warm.status == OPTIMAL and warm.newton_steps <= 1
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_consensual_steps_match_cold(self, m):
+        # the consensual SCA hands every step but an init's first the
+        # previous step's dual, so these problems carry their starts
+        warm = [(p, r) for p, r in _consensual_subproblems([m], range(8))
+                if p.start is not None]
+        assert len(warm) >= 4
+        for p, res in warm:
+            cold = self._cold(p)
+            assert res.status == cold.status
+            if res.status == OPTIMAL:
+                assert res.objective == pytest.approx(cold.objective,
+                                                      rel=1e-9)
+                TestQcqpKkt._check(p, res)
+
+    @staticmethod
+    def _bad_starts(p, dual):
+        """Starts that are no dual point: a NaN, a negative row multiplier,
+        a zero ball multiplier, and rows so dear against the ball that H is
+        not positive definite beyond round-off."""
+        nan, neg, zero = dual.copy(), dual.copy(), dual.copy()
+        nan[1] = np.nan
+        neg[-1] = -1e-3
+        zero[0] = 0.0
+        dear = 1e10 * np.linalg.norm(p.c) / np.concatenate(
+            [[1.0], _qcqp_scales(p)])
+        dear[0] = 1e-12
+        return [nan, neg, zero, dear]
+
+    def test_bad_starts_give_the_cold_bytes(self):
+        rng = np.random.default_rng(61)
+        problems = _random_qcqps(rng, 10) + [
+            p for p, _r in _consensual_subproblems([4], range(2))]
+        for p in problems:
+            cold = self._cold(p)
+            starts = self._bad_starts(
+                p, np.full(len(p.quad_constraints) + 1, 0.5))
+            for start in starts:
+                got = solve_ball_qcqp(replace(p, start=start))
+                assert _result_fields(got) == _result_fields(cold)
+            # the dear start passes the value checks and fails on phi
+            f = qcqp._BallDual([p])
+            lam = starts[-1] * f.s / f.c_norm[:, None]
+            lam[:, 0] = qcqp._BALL_MIN
+            assert np.isinf(f.point(lam)[0])
+        # H indefinite outright: a row of negative curvature, which the
+        # cold start's H = I / 2 outweighs and a start of 1 does not
+        p = QcqpProblem(c=np.array([1.0, 1j]), quad_constraints=[
+            (-np.eye(2), None, 1.0)], start=np.array([0.5, 1.0]))
+        assert _result_fields(solve_ball_qcqp(p)) == _result_fields(
+            self._cold(p))
+
+    def test_start_of_another_length_is_refused(self):
+        c = np.array([1.0, 1j])
+        p = QcqpProblem(c=c, quad_constraints=[(None, c, 2.0)],
+                        start=np.array([0.5]))
+        with pytest.raises(ValueError, match="reshape"):
+            solve_ball_qcqp(p)
+
+    def test_mixed_batches_are_invariant(self):
+        subs = _consensual_subproblems([4], range(3))
+        problems = []
+        for i, (p, _r) in enumerate(subs[:12]):
+            cold = self._cold(p)
+            if i % 3 == 1:
+                p = replace(p, start=None)
+            elif i % 3 == 2 and cold.dual is not None:
+                p = replace(p, start=self._bad_starts(p, cold.dual)[i % 4])
+            problems.append(p)
+        assert {p.start is None for p in problems} == {True, False}
+        alone = [_result_fields(solve_ball_qcqp(p)) for p in problems]
+        forward = qcqp.solve_ball_qcqps(problems)
+        backward = qcqp.solve_ball_qcqps(problems[::-1])[::-1]
+        for a, f, b in zip(alone, forward, backward):
+            assert _result_fields(f) == a == _result_fields(b)
+
+    def test_warm_infeasible_certificate_is_a_floor(self):
+        # each optimal step's dual starts the same rows with their
+        # constants lowered, as when the floors rise between steps
+        rng = np.random.default_rng(67)
+        checked = 0
+        for p, res in _consensual_subproblems([2, 4], range(3)):
+            if res.status != OPTIMAL:
+                continue
+            for shift in (0.5, 2.0):
+                tight = replace(p, start=res.dual, quad_constraints=[
+                    (A, q, b - shift * abs(b))
+                    for A, q, b in p.quad_constraints])
+                got = solve_ball_qcqp(tight)
+                if got.status != INFEASIBLE:
+                    continue
+                assert got.v is None
+                assert 0.0 < got.certificate <= (
+                    TestQcqpInfeasibleFloor._sampled_min_violation(tight,
+                                                                   rng))
+                checked += 1
+        assert checked >= 15
+
+
 class TestSvecBasis:
     def test_roundtrip_and_isometry(self):
         rng = np.random.default_rng(31)

@@ -57,3 +57,10 @@ def test_fallback_counts_the_penalty_sdps_and_restores_purify(capsys):
         where = f"sdp/{phase}"
         assert 0 < counts[f"rounds/{where}"] <= counts[
             f"entry-rounds/{where}"]
+
+
+def test_warm_entries_are_counted_on_the_sweep():
+    # every SCA step after an init's first arrives with the previous
+    # step's dual as its start
+    counts = _work().run("sweep-sca", 1, 2)
+    assert 0 < counts["warm/qcqp"] <= counts["entries/qcqp"]

@@ -15,6 +15,8 @@ its barrier SDPs.  The counters are:
   ``convex.solve_sdp_batch`` (``sdp``), the entries they solved, and the
   seconds spent in them;
 * ``status/<kernel>/<status>``: the statuses those entries ended with;
+* ``warm/qcqp``: the QCQP entries that arrived with a ``start``, the
+  multipliers of an earlier solve;
 * ``newton/qcqp``: the Newton steps of the QCQP entries, the sum of their
   ``newton_steps``;
 * ``rounds/qcqp``: the batched Newton rounds of the QCQP calls, the largest
@@ -127,6 +129,8 @@ class Counters:
             self.counts[f"entries/{kernel}"] += len(results)
             self.counts.update(f"status/{kernel}/{r.status}" for r in results)
             if kernel == "qcqp" and results:
+                self.counts["warm/qcqp"] += sum(p.start is not None
+                                                for p in args[0])
                 steps = [r.newton_steps for r in results]
                 self.counts["newton/qcqp"] += sum(steps)
                 self.counts["rounds/qcqp"] += max(steps)
