@@ -10,7 +10,8 @@ Subpackage map:
     numerics     Lambert W0, the threshold map F, small Hermitian eig.
     detection    Variances, KLDs, detection-error-probability bounds, oracle.
     channel     Rician link synthesis, cascades, serialization.
-    convex      Log-barrier QCQP and SDP kernels used by the solvers.
+    qcqp        The consensual SCA's unit-ball QCQP kernel, by dual Newton.
+    convex      The evolved design's exact SDP kernel, and shared helpers.
     lorentz     The evolved relaxations as 4-variable Lorentz-cone programs.
     beamforming  Consensual SCA, evolved SDP, MMSE benchmark, alternating MIMO.
     siso        Closed-form CI region and CI angle for the single-antenna case.

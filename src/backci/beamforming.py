@@ -73,13 +73,13 @@ class BeamformerSolution:
     ||x||^2 = sigma_s2 (MIMO only, else None).  snr is gamma * |v^H h1|^2
     in linear units.  objective_trace records the per-iteration surrogate
     objective (empty for a purified evolved point); rank_residual is
-    lambda2/lambda1 of the final lifted matrix (evolved mode only: 0 for
-    a purified point, whose lift is v v^H).  stats carries the detection
-    divergences at the returned point, recomputed independently of the
-    solver.  iterations counts, per design: consensual_sca, the SCA
-    subproblems solved from the accepted start; evolved_sdp, the grid
-    points (t = 0, solved in closed form, included) plus the SDP solves of
-    the penalty fallback;
+    lambda2/lambda1 of the final lift's block W_s on the channels' span
+    (evolved mode only: 0 for a purified point, whose lift is v v^H).
+    stats carries the detection divergences at the returned point,
+    recomputed independently of the solver.  iterations counts, per
+    design: consensual_sca, the SCA subproblems solved from the accepted
+    start; evolved_sdp, the grid points (t = 0, solved in closed form,
+    included) plus the SDP solves of the penalty fallback;
     alternating_mimo (alternating_steps), the completed alternation
     rounds, a trade round counted; the closed-form benchmark schemes, 0.
     """
@@ -399,38 +399,41 @@ def _purify(W, H1, rows):
 _PEN_CYCLE = 4       # solves per extrapolation cycle of the penalty SCA
 
 
-def _first_anchor(W):
-    """The penalty SCA's first anchor: W's dominant unit eigenvector, or,
-    for a block-diagonal W = diag(W_s, w_out), as the relaxation's optimum
-    is at M >= 3, the unit vector (sqrt(lambda_1) u_1, sqrt(w_out)) from
-    W_s's top eigenpair.
+def _block_rank_one(W):
+    """The rank-one point of a lift W and how far W is from rank one.
 
-    The outside coordinate only carries norm, so when W_s is rank one that
-    vector's lift has W's blocks, and so its objective and rows.  An
-    eigenvector of a block-diagonal W lies in one block, and the penalty
-    subproblems anchored there stay block diagonal: the penalty SCA could
-    never put norm in both.
+    W is W_s (m <= 2) or has the blocks W_s and w_out = W[2, 2] (m = 3), as
+    the evolved design's lifts do.  Returns the unit v = (sqrt(lambda_1)
+    u_1, sqrt(w_out)) / norm from W_s's top eigenpair, and W_s's rank
+    residual lambda_2 / lambda_1 (recover_rank_one).  The design sees v only
+    through v^H g0, v^H gs and ||v|| (_span_basis), so when W_s is rank one
+    v v^H has W's blocks, and so its objective and rows.
     """
-    if len(W) != 3 or W[:2, 2].any():
-        return recover_rank_one(W)[0]
-    vals, vecs = hermitian_eig(W[:2, :2])
-    u = np.append(np.sqrt(max(vals[0], 0.0)) * vecs[:, 0],
-                  np.sqrt(max(W[2, 2].real, 0.0)))
-    return u / np.linalg.norm(u)
+    Ws = W[:2, :2]
+    u, residual = recover_rank_one(Ws)
+    lam1 = max(float(np.vdot(u, Ws @ u).real), 0.0)
+    w_out = np.maximum(W.diagonal()[2:].real, 0.0)      # empty at m <= 2
+    v = np.append(np.sqrt(lam1) * u, np.sqrt(w_out))
+    return v / np.linalg.norm(v), residual
 
 
 def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     """Inner SCA on the penalized lifted problem at one grid point.
 
-    The anchor of each convex subproblem is the dominant eigenvector of the
-    current iterate, the first one _first_anchor's.  Because the linearized
-    penalty is a global underestimator for ANY unit anchor, the anchor may
-    be extrapolated along the iterates' drift without losing monotonicity,
-    provided the step is kept only when the true penalized objective
-    improves.  With the plain anchor the drift contracts at a rate near
-    1 - 1/chi_rel and would burn the whole iteration budget; extrapolation
-    collapses it in a handful of solves while converging to the same fixed
-    point.  Every solve starts from W = I / m, like every SDP.  Every
+    The lift is W_s at m <= 2 and block diagonal, diag(W_s, w_out), at
+    m = 3 (evolved_steps), and the penalty is on W_s's rank alone: the
+    objective is gamma Tr(H1 W) - chi (Tr W_s - lambda_max(W_s)).  Each
+    convex subproblem linearizes lambda_max(W_s) at a unit anchor a, the
+    dominant eigenvector of the current iterate's W_s; with Tr W = 1 its
+    objective is gamma H1 + chi diag(a a^H, 1) (gamma H1 + chi a a^H at
+    m <= 2), block diagonal like its rows, so the kernel solves it exactly
+    (convex._block_sdps).  Because the linearized penalty is a global
+    underestimator for ANY unit anchor, the anchor may be extrapolated
+    along the iterates' drift without losing monotonicity, provided the
+    step is kept only when the true penalized objective improves.  With
+    the plain anchor the drift contracts at a rate near 1 - 1/chi_rel and
+    would burn the whole iteration budget; extrapolation collapses it in a
+    handful of solves while converging to the same fixed point.  Every
     subproblem has the relaxation's rows, so the relaxation's W is the
     incumbent until a solve is accepted.  It has converged when the
     penalized objective climbs by less than omega (relative) over the last
@@ -438,8 +441,9 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
 
     Returns (W, trace, converged, n_solves).
     """
-    prob = SdpProblem(C=H1, dim=len(H1), ineq_constraints=rows,
-                      eq_constraints=[(np.eye(len(H1)), 1.0)])
+    m = len(H1)
+    prob = SdpProblem(C=H1, dim=m, ineq_constraints=rows,
+                      eq_constraints=[(np.eye(m), 1.0)])
     trace = []
     pen_cur = None
     delta_last = None   # last anchor move, phase-aligned
@@ -451,16 +455,19 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
     def solve(anchor):
         """(result, penalized objective) at anchor, or (None, None)."""
         nonlocal n_solve
-        prob.C = gamma * H1 + chi * np.outer(anchor, anchor.conj())
+        lin = np.eye(m, dtype=complex)
+        lin[:2, :2] = np.outer(anchor, anchor.conj())
+        prob.C = gamma * H1 + chi * lin
         res = solve_small_sdp(prob)
         n_solve += 1
         if res.status != OPTIMAL:
             return None, None
-        lam_top = float(np.linalg.eigvalsh(res.W)[-1])
+        Ws = res.W[:2, :2]
+        lam_top = float(np.linalg.eigvalsh(Ws)[-1])
         return res, (gamma * float(np.trace(H1 @ res.W).real)
-                     - chi * (1.0 - lam_top))
+                     - chi * (float(np.trace(Ws).real) - lam_top))
 
-    u = _first_anchor(W)
+    u = recover_rank_one(W[:2, :2])[0]
     overshot = False    # the last extrapolation did not improve
     for j in range(max_iter):
         res = None
@@ -478,7 +485,7 @@ def _penalized_sca(rows, H1, gamma, chi, W, max_iter, omega):
                 break
         W = res.W
         trace.append(pen)
-        v_new, _ = recover_rank_one(W)
+        v_new, _ = recover_rank_one(W[:2, :2])
         # align the global phase before differencing successive anchors
         ph = np.vdot(u, v_new)
         if abs(ph) > 1e-15:
@@ -589,7 +596,7 @@ def evolved_steps(chan, params):
                 rows, H1, gamma, chi, W_rel, params.J, params.omega)
             n_solves += n_solve
             pen_capped |= not converged_t
-            v, residual = recover_rank_one(W)
+            v, residual = _block_rank_one(W)
             v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
                                           d_min, e_min, "evolved")
             if not ok:
@@ -598,8 +605,7 @@ def evolved_steps(chan, params):
         best_snr = max(best_snr, snr)
 
     total_iter = len(grid) + n_solves
-    converged = not (pen_capped
-                     or any(res.status == MAX_ITER for res in results))
+    converged = not pen_capped
     if not achieved:
         return _infeasible(iterations=total_iter, converged=converged)
     best_snr = max(a[0] for a in achieved)
@@ -627,12 +633,13 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     (facial reduction).  It is a candidate like a purified point, kept if
     it meets the without-DL floor and _finalize verifies it, and it still
     counts in iterations, so a grid of T points counts T.  A one-point
-    grid (M = 1, or a direct link too weak for the grid) goes to the
-    kernel whole.  The relaxations of the other grid points are one
-    solve_sdp_batch request, which lockstep may stack with other tags'
-    (greedy_select does).  The lift is built on the basis U of _span_basis,
-    the channels' span plus, at M >= 3, one direction outside it that
-    carries the norm v may leave there; it is exact.  The channels'
+    grid (M = 1, where the lift is 1 x 1 and the kernel settles every row,
+    or a direct link too weak for the grid) goes to the kernel whole.  The
+    relaxations of the other grid points are one solve_sdp_batch request,
+    which lockstep may stack with other tags' (greedy_select does).  The
+    lift is built on the basis U of _span_basis, the channels' span plus,
+    at M >= 3, one direction outside it that carries the norm v may leave
+    there; it is exact.  The channels'
     components on that direction are set to the exact 0 they are up to
     round-off, so at M >= 3 each relaxation is block diagonal, diag(W_s,
     w_out) with W_s the 2 x 2 lift on the span, and the kernel solves it
@@ -643,22 +650,21 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     It is built from the channels divided by ||h1||, with gamma times
     ||h1||^2: the grid's and the kernels' floors are absolute, and so the
     answer stays put when every channel scales by s and sigma_w2 by s^2.
-    A relaxation that ends max_iter (the barrier's iteration cap, reached
-    only by a relaxation the exact solver does not take) drops its grid
-    point and marks the result not converged; one that ends infeasible or
-    with no interior drops it alone.  Grid points are examined by falling
+    A relaxation that ends infeasible or with no interior drops its grid
+    point.  Grid points are examined by falling
     bound until no remaining bound can beat the best SNR found.  At each,
     _purify reduces the relaxation's optimum to a rank-one v v^H at the
     same objective, so v is optimal for that t; it is kept if _finalize
     verifies it, with rank_residual 0.  Where no
     reduction exists, or v does not verify, the penalized trace-one SDP is
-    solved by SCA from the relaxation's point (the rank penalty is
-    linearized through the dominant eigenvector; the first anchor of a
-    block-diagonal point joins its blocks, _first_anchor), once, at the
-    weight chi * gamma * lambda_max(H1); its dominant eigenvector is kept
-    if _finalize verifies it, else the grid point is dropped, and
-    rank_residual reports how far from rank one it ended.  The best t by
-    recovered objective wins, smallest t on ties.
+    solved by SCA from the relaxation's point, once, at the weight chi *
+    gamma * lambda_max(H1) (_penalized_sca): it penalizes the rank of W_s
+    alone, linearized through W_s's dominant eigenvector, so every
+    subproblem is block diagonal and solved exactly.  The unit
+    v' = (sqrt(lambda_1) u_1, sqrt(w_out)) / norm from the end point's W_s
+    (_block_rank_one) is kept if _finalize verifies it, else the grid point
+    is dropped, and rank_residual reports W_s's lambda_2 / lambda_1.  The
+    best t by recovered objective wins, smallest t on ties.
     """
     return lockstep([evolved_steps(chan, params)])[0]
 

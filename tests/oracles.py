@@ -200,6 +200,64 @@ def slsqp_qcqp_oracle(c, constraints, ball_radius, starts):
     return best
 
 
+def slsqp_sphere_oracle(C, rows, starts, tol=1e-9):
+    """Reference maximum of v^H C v over unit v subject to v^H A v <= b for
+    each (A, b) in rows, by scipy SLSQP from several start points, in the
+    real coordinates (Re v, Im v) with analytic gradients.
+
+    The problem is not convex, so the starts should spread over the sphere.
+    A local optimum counts only when it is a unit vector and meets every
+    row to tol, both relative to the row's scale max(|b|, ||A||_F).
+    Returns the best (objective, v) found, (-inf, None) when none counts.
+    """
+    from scipy.optimize import minimize
+
+    C = np.asarray(C, dtype=complex)
+    m = len(C)
+
+    def split(z):
+        return z[:m] + 1j * z[m:]
+
+    def form(X):
+        """v^H X v and its gradient in z."""
+        def f(z):
+            return float(np.vdot(split(z), X @ split(z)).real)
+
+        def g(z):
+            w = 2.0 * (X @ split(z))
+            return np.concatenate([w.real, w.imag])
+        return f, g
+
+    fc, gc = form(C)
+    scale = max(float(np.linalg.norm(C)), 1e-300)
+    cons = [{"type": "eq", "fun": lambda z: float(z @ z) - 1.0,
+             "jac": lambda z: 2.0 * z}]
+    scaled = []
+    for A, b in rows:
+        A = np.asarray(A, dtype=complex)
+        s = max(abs(float(b)), float(np.linalg.norm(A)), 1e-12)
+        fa, ga = form(A)
+        scaled.append((fa, b, s))
+        cons.append({"type": "ineq",
+                     "fun": lambda z, fa=fa, b=b, s=s: (b - fa(z)) / s,
+                     "jac": lambda z, ga=ga, s=s: -ga(z) / s})
+    best = (-np.inf, None)
+    for v0 in starts:
+        v0 = np.asarray(v0, dtype=complex)
+        v0 = v0 / np.linalg.norm(v0)
+        res = minimize(lambda z: -fc(z) / scale, np.concatenate(
+            [v0.real, v0.imag]), jac=lambda z: -gc(z) / scale,
+            method="SLSQP", constraints=cons,
+            options={"ftol": 1e-15, "maxiter": 1000})
+        z = res.x
+        if abs(float(z @ z) - 1.0) > tol or any(
+                fa(z) - b > tol * s for fa, b, s in scaled):
+            continue
+        if fc(z) > best[0]:
+            best = (fc(z), split(z))
+    return best
+
+
 def qcqp_max_violation(p, v) -> float:
     """Largest normalized constraint violation of v (negative if interior).
 

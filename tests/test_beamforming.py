@@ -45,6 +45,7 @@ from oracles import (
     ci_inequality_margin,
     collinear_x_range,
     constrained_snr_oracle,
+    slsqp_sphere_oracle,
 )
 
 # Channel-realization seeds whose first tag gives a feasible instance at the
@@ -56,6 +57,13 @@ FEASIBLE_M4 = (1, 5, 9, 10, 17)
 
 def tag0(params, seed):
     return gen_channel_set(params, seed).tag_channels(0)
+
+
+def _block3(Ws, w_out):
+    """diag(Ws, w_out), 3 x 3."""
+    W = np.zeros((3, 3), dtype=complex)
+    W[:2, :2], W[2, 2] = Ws, w_out
+    return W
 
 
 def trivial_params(**kw):
@@ -450,22 +458,22 @@ class TestEvolvedSdp:
         # iterations: the T grid points plus the penalty solves
         assert sol.iterations == params.T + calls["single"]
 
-    def test_relaxation_iteration_cap_reported(self, monkeypatch):
-        # The relaxations are solved exactly, with no Newton step to cap,
-        # so the kernel's results are patched: one grid point ending
-        # max_iter drops that point and marks the result not converged.
+    def test_relaxation_without_optimum_drops_its_point(self, monkeypatch):
+        # The relaxations are solved exactly, so the kernel's results are
+        # patched: one grid point ending with no optimum (no_interior)
+        # drops that point alone, and the rest of the grid still answers.
         params = SystemParams(M=4, K=1, T=20)
         chan = tag0(params, 9)
         plain = evolved_sdp(chan, params)
 
-        def capped(C, row_sets):
+        def dropped(C, row_sets):
             results = solve_sdp_batch(C, row_sets)
-            results[3] = convex.SdpResult(W=None, status=MAX_ITER)
+            results[3] = convex.SdpResult(W=None, status=convex.NO_INTERIOR)
             return results
 
-        monkeypatch.setattr(beamforming, "solve_sdp_batch", capped)
+        monkeypatch.setattr(beamforming, "solve_sdp_batch", dropped)
         sol = evolved_sdp(chan, params)
-        assert plain.converged and not sol.converged
+        assert plain.converged and sol.converged
         assert sol.feasible and sol.snr <= plain.snr
 
     def test_capped_first_penalty_solve_keeps_the_incumbent(self, monkeypatch):
@@ -492,10 +500,11 @@ class TestEvolvedSdp:
         assert sol.snr >= (1.0 - 1e-6) * uncapped.snr
 
     def test_one_penalty_run_per_grid_point(self, monkeypatch):
-        # Blurring the penalty stage's W toward I/m keeps its dominant
-        # eigenvector but leaves it far from rank one.  That v is still
-        # verified and kept, and no grid point is rerun at a larger weight.
-        # Purification is switched off so that the penalty fallback runs.
+        # Blurring the penalty stage's W_s toward Tr(W_s) I/2 keeps its
+        # dominant eigenvector, its trace and w_out, but leaves it far from
+        # rank one.  That v is still verified and kept, and no grid point
+        # is rerun at a larger weight.  Purification is switched off so
+        # that the penalty fallback runs.
         monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
         params = SystemParams(M=4, K=1)
         chan = tag0(params, 9)
@@ -509,8 +518,10 @@ class TestEvolvedSdp:
         def blurred(*args):
             calls.append(args)
             W, *rest = penalized_sca(*args)
-            m = W.shape[0]
-            return (0.9 * W + 0.1 * np.eye(m) / m, *rest)
+            W = W.copy()
+            Ws = W[:2, :2]
+            W[:2, :2] = 0.9 * Ws + 0.05 * np.trace(Ws) * np.eye(2)
+            return (W, *rest)
 
         monkeypatch.setattr(beamforming, "_penalized_sca", blurred)
         sol = evolved_sdp(chan, params)
@@ -570,6 +581,52 @@ class TestEvolvedSdp:
         assert sol.feasible and sol.converged
         assert sol.iterations > params.T
         assert sol.snr == pytest.approx(purified.snr, rel=1e-5)
+
+    def test_penalty_subproblems_are_block_diagonal(self, monkeypatch):
+        # With purification switched off at M = 4, every penalty
+        # subproblem is diag(W_s, w_out) in objective and rows, so the
+        # kernel solves it exactly, with no Newton step.
+        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        single = beamforming.solve_small_sdp
+        calls = []
+
+        def recorded(p):
+            res = single(p)
+            calls.append((p.C.copy(), [A for A, _b in p.ineq_constraints],
+                          res))
+            return res
+
+        monkeypatch.setattr(beamforming, "solve_small_sdp", recorded)
+        params = SystemParams(M=4, K=1)
+        for seed in (1, 5):
+            assert evolved_sdp(tag0(params, seed), params).feasible
+        assert len(calls) > 10
+        for C, mats, res in calls:
+            assert C.shape == (3, 3)
+            for X in [C] + mats:
+                assert not X[:2, 2].any() and not X[2, :2].any()
+            assert res.status == OPTIMAL and res.newton_steps == 0
+
+    def test_rank_two_point_recovers_a_point_that_meets_the_rows(self):
+        # A relaxation point whose W_s is rank two: the penalty SCA from it
+        # ends with W_s rank one, and the v recovered from W_s's top
+        # eigenpair and w_out has a lift that meets the rows.  The rows
+        # are W_00 <= 0.6 and W_11 >= 0.1, with 0 <= 1 as the third.
+        E0, E1 = (_block3(np.diag(d), 0.0) for d in ([1.0, 0.0],
+                                                     [0.0, 1.0]))
+        rows = [(E0, 0.6), (-E1, -0.1), (np.zeros((3, 3)), 1.0)]
+        H1 = _block3(np.array([[1.0, 0.2], [0.2, 0.5]]), 0.0)
+        W = _block3(np.diag([0.5, 0.3]), 0.2)
+        assert np.linalg.eigvalsh(W[:2, :2])[0] > 0.1
+        W_end, trace, converged, _n = beamforming._penalized_sca(
+            rows, H1, 1.0, 1.0, W, 100, 1e-9)
+        v, residual = beamforming._block_rank_one(W_end)
+        assert converged and trace and residual < 1e-9
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        for A, b in rows:
+            assert np.vdot(v, A @ v).real <= b + 1e-9
+        assert np.vdot(v, H1 @ v).real == pytest.approx(
+            np.trace(H1 @ W_end).real, abs=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
     @pytest.mark.parametrize("seed", [1, 9, 10])
@@ -801,38 +858,68 @@ class TestSpanReduction:
     # against about 18 in C^3.
     PADDED = [(0.5, 0, 0), (0.5, 1, 0), (0.5, 9, 0),
               (0.2, 0, 1), (0.8, 0, 1), (0.8, 1, 0), (0.5, 1, 3)]
+    # Their SNRs with the lift on the whole of C^3 (no basis), its 3 x 3
+    # relaxations solved to a gap of 1e-12 by the log-barrier SDP method
+    # the package had before its exact kernel, which shares no code with it.
+    FULL_C3 = {(0.5, 1, 0): 18.3139289922896, (0.5, 9, 0): 7.91365860602065,
+               (0.2, 0, 1): 18.3501911139328, (0.8, 0, 1): 18.0440806000990,
+               (0.8, 1, 0): 17.8667729667978, (0.5, 1, 3): 18.3139289922864}
 
     @pytest.mark.parametrize("sigma_s2, seed, k", PADDED)
-    def test_zero_padded_m3_matches_m3(self, sigma_s2, seed, k, monkeypatch):
-        # The reference lifts the whole of C^3, with no basis to reduce to,
-        # so its relaxations are not block diagonal and go to the barrier;
-        # the padded run's are solved exactly.  At the barrier's _TOL the
-        # two differ by up to 2.8e-9 relative, scaling with _TOL: the
-        # barrier's optimum lies below the bound by its gap, and _purify's
-        # top eigenvector of the barrier's interior, nearly rank-one W
-        # can end above it, outside the rows by as much.  So the reference
-        # runs to a gap of 1e-12.
+    def test_zero_padded_m3_matches_m3(self, sigma_s2, seed, k):
+        # Zero padding to M = 8, behind a random unitary, leaves the answer
+        # at M = 3, and both are the answer on the whole of C^3 (FULL_C3).
+        # At the first grid point t where the design's v meets the rows,
+        # SLSQP over every unit v of C^3, from spread starts, finds none
+        # better, so neither the span basis nor its outside direction
+        # loses anything there.
         params = SystemParams(M=3, sigma_s2=sigma_s2)
         chan = gen_channel_set(params, seed).tag_channels(k)
-        with monkeypatch.context() as mp:
-            mp.setattr(beamforming, "_span_basis",
-                       lambda h0, hs: np.eye(len(h0)))
-            mp.setattr(convex, "_TOL", 1e-12)
-            plain = evolved_sdp(chan, params)
+        plain = evolved_sdp(chan, params)
         Q = _unitary(8, seed)
         padded = evolved_sdp(tuple(Q @ np.concatenate([h, np.zeros(5)])
                                    for h in chan), replace(params, M=8))
         assert padded.feasible == plain.feasible == ((seed, k) != (0, 0))
         assert padded.snr == pytest.approx(plain.snr, rel=1e-9)
-        if padded.feasible:
-            assert np.linalg.norm(padded.v) == pytest.approx(1.0, abs=1e-12)
+        if not padded.feasible:
+            return
+        assert np.linalg.norm(padded.v) == pytest.approx(1.0, abs=1e-12)
+        assert plain.snr == pytest.approx(self.FULL_C3[sigma_s2, seed, k],
+                                          rel=1e-9)
+        C, rows = _first_grid_point(plain.v, chan, params)
+        rng = np.random.default_rng(seed)
+        starts = [plain.v, chan[1]] + [rng.normal(size=3)
+                                       + 1j * rng.normal(size=3)
+                                       for _ in range(10)]
+        ref, _v = slsqp_sphere_oracle(C, rows, starts)
+        assert ref == pytest.approx(plain.snr, rel=1e-8)
+
+
+def _first_grid_point(v, chan, params):
+    """The first of evolved_sdp's grid relaxations whose rows v meets, to
+    1e-7 of each row's scale, lifted in the whole of C^M with no basis, as
+    (C, rows): the channels divided by ||h1||, gamma times ||h1||^2, and
+    the grid of T points over [0, ||h0||^2 / ||h1||^2]."""
+    h0, h1, hs = chan
+    s = np.linalg.norm(h1)
+    g0, g1, gs = (h / s for h in chan)
+    gamma = params.gamma * s * s
+    floor = divergence_floors(params)[3] - 1.0
+    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+    for t in np.linspace(0.0, np.vdot(g0, g0).real, params.T):
+        rows = [(-H1 + (1.0 + gamma * t) * Hs, -t), (-gamma * Hs, -floor),
+                (H0, t)]
+        if all(np.vdot(v, A @ v).real - b
+               <= 1e-7 * max(abs(b), np.linalg.norm(A)) for A, b in rows):
+            return gamma * H1, rows
+    raise AssertionError("v meets no grid point's rows")
 
 
 def _relaxations(chan, params):
     """The grid relaxations evolved_steps sends to the kernel for chan, as
-    (C, row_sets) twice: in the block form it sends, and as they read with
-    the round-off left in the component outside the channels' span.  None
-    when it sends none."""
+    (C, row_sets), rebuilt here from the span basis with the round-off in
+    the component outside the channels' span set to 0, and checked to be
+    the bytes the design sends.  None when it sends none."""
     try:
         C, row_sets = next(evolved_steps(chan, params))
     except StopIteration:
@@ -843,19 +930,14 @@ def _relaxations(chan, params):
     gamma = params.gamma * (s * s)
     floor = divergence_floors(params)[3] - 1.0
     ts = [rows[2][1] for rows in row_sets]      # each entry's (H0, t)
-
-    def lift(g0, g1, gs):
-        H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
-        return gamma * H1, [[(-H1 + (1.0 + gamma * t) * Hs, -t),
-                             (-gamma * Hs, -floor), (H0, t)] for t in ts]
-
-    gs_off = [U.conj().T @ (h / s) for h in (h0, h1, hs)]
-    gs_block = [g.copy() for g in gs_off]
-    for g in gs_block:
+    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
+    for g in (g0, g1, gs):
         g[2:] = 0.0
-    block = lift(*gs_block)
+    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+    block = gamma * H1, [[(-H1 + (1.0 + gamma * t) * Hs, -t),
+                          (-gamma * Hs, -floor), (H0, t)] for t in ts]
     assert _lift_bytes(*block) == _lift_bytes(C, row_sets)
-    return block, lift(*gs_off)
+    return block
 
 
 def _lift_bytes(C, row_sets):
@@ -865,8 +947,7 @@ def _lift_bytes(C, row_sets):
 
 class TestBlockRelaxation:
     """At M >= 3 the evolved relaxations are block diagonal, diag(W_s,
-    w_out), and the kernel solves them on that block: the same SDPs as the
-    3 x 3 lift with the round-off left outside the span."""
+    w_out), and the kernel solves them on that block."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
     def test_lift_leaves_the_outside_direction_empty(self, m):
@@ -877,92 +958,13 @@ class TestBlockRelaxation:
                 req = _relaxations(ch.tag_channels(k), params)
                 if req is None:
                     continue
-                (C, row_sets), _off = req
+                C, row_sets = req
                 mats = [C] + [A for rows in row_sets for A, _b in rows]
                 last = [np.concatenate([X[-1], X[:, -1]]) for X in mats]
                 if m == 2:
                     assert all(v.any() for v in last[:2])
                 else:
                     assert not np.any(last)
-
-    def test_first_anchor_joins_the_blocks(self):
-        # W = diag(a a^H, 0.4): each eigenvector of W lies in one block,
-        # while the penalty's first anchor has W's blocks in its lift.
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a *= np.sqrt(0.6) / np.linalg.norm(a)
-        W = np.zeros((3, 3), dtype=complex)
-        W[:2, :2], W[2, 2] = np.outer(a, a.conj()), 0.4
-        u = beamforming._first_anchor(W)
-        lift = np.outer(u, u.conj())
-        assert lift[:2, :2] == pytest.approx(W[:2, :2], abs=1e-12)
-        assert lift[2, 2] == pytest.approx(0.4, abs=1e-12)
-        v, _residual = recover_rank_one(W)
-        assert abs(v[2]) == pytest.approx(0.0, abs=1e-12)
-        W[0, 2] = W[2, 0] = 1e-3     # coupled: the dominant eigenvector
-        assert beamforming._first_anchor(W).tobytes() == (
-            recover_rank_one(W)[0].tobytes())
-
-    def test_block_form_matches_the_lift_with_round_off(self, monkeypatch):
-        # Every grid relaxation of the tags of seeds 0-11 at M in {3, 4,
-        # 8}, a tag with hs parallel to h0 and one with h0 = 0: the same
-        # statuses, and objectives to 1e-10 relative.  The block form is
-        # solved exactly and the lift with round-off by the barrier, which
-        # runs to a gap of 1e-12 here: at its _TOL of 1e-8 it misses the
-        # exact optimum by its gap, up to about 7e-9 relative.
-        tags = []
-        for m in (3, 4, 8):
-            params = SystemParams(M=m)
-            tags += [(gen_channel_set(params, seed).tag_channels(k), params)
-                     for seed in range(12) for k in range(params.K)]
-        params = SystemParams(M=4, K=1)
-        h0, _h1, hs = tag0(params, 1)
-        for h0_, hs_ in ((h0, 3.0 * h0), (np.zeros(4, dtype=complex), hs)):
-            tags.append(((h0_, h0_ + hs_, hs_), params))
-        block, off = [], []
-        for chan, params in tags:
-            req = _relaxations(chan, params)
-            if req is not None:
-                block += [(req[0][0], rows) for rows in req[0][1]]
-                off += [(req[1][0], rows) for rows in req[1][1]]
-        assert len(off) > 4000
-        assert not convex._block_diagonal(
-            convex.svec(convex._objectives([C for C, _r in off], len(off))),
-            convex._stack_rows([r for _C, r in off], 3)[0]).all()
-        got = solve_sdp_batch([C for C, _r in block],
-                              [r for _C, r in block])
-        monkeypatch.setattr(convex, "_TOL", 1e-12)
-        want = solve_sdp_batch([C for C, _r in off], [r for _C, r in off])
-        assert [r.status for r in got] == [r.status for r in want]
-        assert {OPTIMAL, INFEASIBLE} <= {r.status for r in got}
-        for a, b in zip(got, want):
-            if a.status == OPTIMAL:
-                assert a.objective == pytest.approx(b.objective, rel=1e-10)
-
-    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
-    def test_lift_with_round_off_ends_its_last_stage(self, tol, monkeypatch):
-        # On these tags' lifts with round-off a last-stage Newton decrement
-        # can hold just above the 1e-16 floor and fall only in its last
-        # digits.  The stage must still end at the round-off floor, not
-        # spend its Newton budget (max_iter), within its gap of the block
-        # form's exact optimum.
-        tags = [(SystemParams(M=m), 8, 2) for m in (3, 4, 8)]
-        tags.append((SystemParams(M=8), 9, 0))
-        block, off = [], []
-        for params, seed, k in tags:
-            (C, row_sets), (C_off, off_sets) = _relaxations(
-                gen_channel_set(params, seed).tag_channels(k), params)
-            block += [(C, rows) for rows in row_sets]
-            off += [(C_off, rows) for rows in off_sets]
-        got = solve_sdp_batch([C for C, _r in block],
-                              [r for _C, r in block])
-        monkeypatch.setattr(convex, "_TOL", tol)
-        want = solve_sdp_batch([C for C, _r in off], [r for _C, r in off])
-        assert MAX_ITER not in {r.status for r in want}
-        assert [r.status for r in got] == [r.status for r in want]
-        for a, b in zip(got, want):
-            if a.status == OPTIMAL:
-                assert abs(a.objective - b.objective) <= b.gap
 
 
 def _trace(A, W):

@@ -1,4 +1,4 @@
-"""Tests for the dual QCQP kernel and the SDP kernels.
+"""Tests for the dual QCQP kernel and the exact SDP kernel.
 
 Reference solutions come from closed forms (ball-constrained linear
 objective, spectral optimum), scipy's SLSQP run from multiple starts, a
@@ -10,7 +10,6 @@ the solvers under test.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +21,8 @@ from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
     MAX_ITER,
-    NO_INTERIOR,
     OPTIMAL,
     SdpProblem,
-    _PhaseOne,
-    _Sdp,
-    _trace_one,
     embed_hermitian,
     embed_vector,
     solve_sdp_batch,
@@ -235,9 +230,11 @@ class TestSettleRule:
     @pytest.mark.parametrize("k", [1.0, 1e-13, 1e-14, 1e-20])
     def test_small_rows_of_one_scale_are_kept(self, k):
         # max W_00 s.t. k W_00 <= 0.25 k, and max Re v_0 s.t. k |v_0|^2 <=
-        # 0.25 k: 0.25 and 0.5 at every k.
+        # 0.25 k: 0.25 and 0.5 at every k.  The SDP's other two rows are
+        # the vacuous 0 <= k, of the same scale.
         E = np.diag([1.0, 0.0]).astype(complex)
-        sdp = solve_small_sdp(_problem(E, [(k * E, 0.25 * k)]))
+        sdp = solve_small_sdp(_problem(E, [(k * E, 0.25 * k)]
+                                       + [(0.0 * E, k)] * 2))
         qcqp = solve_ball_qcqp(QcqpProblem(
             c=np.array([1.0 + 0j, 0j]), quad_constraints=[(k * E, None,
                                                            0.25 * k)]))
@@ -620,6 +617,20 @@ class TestSvecBasis:
                 np.trace(A @ B).real, rel=1e-10)
 
 
+def _problem(C, rows):
+    """The trace-one SdpProblem of objective C and rows."""
+    m = len(C)
+    return SdpProblem(C=C, dim=m, eq_constraints=[(np.eye(m), 1.0)],
+                      ineq_constraints=rows)
+
+
+def _three(rows, m):
+    """rows padded to three with the vacuous row Tr(0 W) <= 1, which the
+    kernel settles: the row count of its exact block form."""
+    return list(rows) + [(np.zeros((m, m), dtype=complex), 1.0)] * (
+        3 - len(rows))
+
+
 class TestSdpSpectral:
     def test_lambda_max_no_inequalities(self):
         # max Tr(C W), Tr W = 1, W PSD has value lambda_max(C).
@@ -646,6 +657,30 @@ class TestSdpSpectral:
         lam_max = np.linalg.eigvalsh(C)[-1]
         assert lam_max - res.objective <= res.gap + 1e-12
 
+    def test_rowless_entry_is_lambda_max_at_its_eigenvector(self):
+        # The benchmark's warm-up entry, 4 x 4 with no row: lambda_max(C)
+        # at C's top eigenvector, gap 0, no multiplier and no Newton step,
+        # bit for bit alone and in a stack.
+        C = np.diag(np.arange(1.0, 5.0)).astype(complex)
+        res = solve_small_sdp(_problem(C, []))
+        assert res.status == OPTIMAL and res.newton_steps == 0
+        assert res.objective == 4.0 and res.gap == 0.0
+        assert res.dual.shape == (0,)
+        e = np.zeros(4)
+        e[3] = 1.0
+        assert np.abs(res.W - np.outer(e, e)).max() == 0.0
+        rng = np.random.default_rng(43)
+        Cs = [C] + [rand_herm_psd(rng, 4) for _ in range(4)]
+        got = solve_sdp_batch(Cs, [[] for _ in Cs])
+        assert _result_repr(got[0]) == _result_repr(res)
+        for c, r in zip(Cs, got):
+            vals, vecs = np.linalg.eigh(c)
+            assert r.objective == pytest.approx(vals[-1], rel=1e-12)
+            assert np.trace(c @ r.W).real == pytest.approx(vals[-1],
+                                                           rel=1e-12)
+            assert abs(np.vdot(vecs[:, -1], r.W @ vecs[:, -1])) == (
+                pytest.approx(1.0, abs=1e-12))
+
 
 class TestSdpBruteForce:
     def test_2x2_with_inequality(self):
@@ -657,7 +692,7 @@ class TestSdpBruteForce:
             p = SdpProblem(
                 C=C, dim=2,
                 eq_constraints=[(np.eye(2, dtype=complex), 1.0)],
-                ineq_constraints=[(A1, b1)])
+                ineq_constraints=_three([(A1, b1)], 2))
             res = solve_small_sdp(p)
             ref_obj, _ = brute_sdp_2x2(C, [(A1, b1)])
             if res.status == INFEASIBLE:
@@ -674,7 +709,7 @@ class TestSdpBruteForce:
         p = SdpProblem(
             C=C, dim=2,
             eq_constraints=[(np.eye(2, dtype=complex), 1.0)],
-            ineq_constraints=[(A1, 0.6)])
+            ineq_constraints=_three([(A1, 0.6)], 2))
         res = solve_small_sdp(p)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.6, abs=1e-6)
@@ -706,7 +741,7 @@ class TestSdpDegenerate:
         p = SdpProblem(
             C=np.eye(2, dtype=complex), dim=2,
             eq_constraints=[(np.eye(2, dtype=complex), 1.0)],
-            ineq_constraints=[(np.eye(2, dtype=complex), 0.5)])
+            ineq_constraints=_three([(np.eye(2, dtype=complex), 0.5)], 2))
         res = solve_small_sdp(p)
         assert res.status == INFEASIBLE
         # Violation 0.5 normalized by ||svec(I)|| = sqrt(2).
@@ -717,9 +752,9 @@ class TestSdpDegenerate:
     def test_settled_before_any_newton_step(self, m):
         # Tr(I W) <= 0.5 is constant on the plane Tr W = 1, which at m = 1
         # is the single point W = [[1]]: the row fails by 0.5 before any
-        # Newton step, normalized by its scale ||svec(I)|| = sqrt(m).
+        # solve, normalized by its scale ||svec(I)|| = sqrt(m).
         res = solve_small_sdp(_problem(np.eye(m, dtype=complex),
-                                       [(np.eye(m), 0.5)]))
+                                       _three([(np.eye(m), 0.5)], m)))
         assert res.status == INFEASIBLE and res.W is None
         assert res.newton_steps == 0
         assert res.certificate == 0.5 / math.sqrt(m)
@@ -744,15 +779,58 @@ class TestSdpDegenerate:
                                        eq_constraints=eqs))
 
 
+class TestSdpRefusal:
+    """An entry the kernel has no exact form for, one with rows W can move
+    that is not three rows on a 2 x 2 or block-diagonal 3 x 3 lift, is
+    refused with ValueError, naming it, its size and its row count, before
+    any entry of the call is solved."""
+
+    @staticmethod
+    def _entries(m, k, rng):
+        C = rand_herm_psd(rng, m)
+        return C, [[(rand_herm_psd(rng, m), 1.0) for _ in range(k)]
+                   for _ in range(3)]
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (2, 2), (4, 3), (3, 1)],
+                             ids=["full-3x3", "two-rows-2x2", "4x4",
+                                  "one-row-3x3"])
+    def test_refused_before_any_solve(self, monkeypatch, m, k):
+        def solved(*args):
+            raise AssertionError("an entry was solved")
+
+        monkeypatch.setattr(convex, "_block_sdps", solved)
+        monkeypatch.setattr(convex, "_row_free", solved)
+        C, row_sets = self._entries(m, k, np.random.default_rng(44))
+        with pytest.raises(ValueError,
+                           match=f"entry 0 is a {m} x {m} SDP of {k} rows"):
+            solve_sdp_batch(C, row_sets)
+
+    def test_one_non_block_entry_refuses_the_call(self, monkeypatch):
+        # Block relaxations of one tag with one entry coupled outside the
+        # block: the call names that entry, and solves none.
+        reqs = _grid_requests((4,), (1,))
+        C, row_sets = reqs[0]
+        row_sets = [list(rows) for rows in row_sets[:6]]
+        A, b = row_sets[4][1]
+        A = A.copy()
+        A[0, 2] = A[2, 0] = 1e-3
+        row_sets[4][1] = (A, b)
+
+        def solved(*args):
+            raise AssertionError("an entry was solved")
+
+        monkeypatch.setattr(convex, "_block_sdps", solved)
+        with pytest.raises(ValueError, match="entry 4 is a 3 x 3 SDP of 3"):
+            solve_sdp_batch(C, row_sets)
+
+
 class TestNewtonStepCount:
     """newton_steps counts the Newton steps tried, accepted or not, for a
-    batch of one: one line search each, in the barrier SDP's phase one as
-    in its main stage, and one Newton system (with its line search) each
-    in the dual QCQP kernel."""
+    batch of one: one Newton system (with its line search) each in the
+    dual QCQP kernel."""
 
-    # Each problem breaks a row at the cold start, so the QCQP's dual has
-    # to step and the SDP's phase one has to run.
-    # Re(v1) >= 0.5, then also Re(v1) <= 0.
+    # Each problem breaks a row at the ball-only optimum, so the dual has
+    # to step.  Re(v1) >= 0.5, then also Re(v1) <= 0.
     HALF = (None, np.array([-0.5 + 0j, 0.0]), -0.5)
     QCQPS = [
         (QcqpProblem(c=np.array([-1.0 + 0j, 1.0]), quad_constraints=[HALF]),
@@ -760,232 +838,59 @@ class TestNewtonStepCount:
         (QcqpProblem(c=np.array([-1.0 + 0j, 1.0]), quad_constraints=[
             HALF, (None, np.array([1.0 + 0j, 0.0]), 0.0)]), INFEASIBLE),
     ]
-    # Tr W = 1 with W_00 >= 0.8, then also W_11 >= 0.8.
-    E0, E1 = (np.diag(d).astype(complex) for d in ([1.0, 0.0], [0.0, 1.0]))
-    SDPS = [
-        (SdpProblem(C=E1, dim=2, eq_constraints=[(np.eye(2), 1.0)],
-                    ineq_constraints=[(-E0, -0.8)]), OPTIMAL),
-        (SdpProblem(C=E1, dim=2, eq_constraints=[(np.eye(2), 1.0)],
-                    ineq_constraints=[(-E0, -0.8), (-E1, -0.8)]),
-         INFEASIBLE),
-    ]
 
     CASES = pytest.mark.parametrize(
-        "solve, problem, status",
-        [(solve_ball_qcqp, p, st) for p, st in QCQPS]
-        + [(solve_small_sdp, p, st) for p, st in SDPS],
-        ids=["qcqp-feasible", "qcqp-infeasible", "sdp-feasible",
-             "sdp-infeasible"])
+        "problem, status", QCQPS, ids=["qcqp-feasible", "qcqp-infeasible"])
 
     @staticmethod
-    def _check(monkeypatch, solve, problem, status):
-        if solve is solve_ball_qcqp:
-            module, name = qcqp, "_solve_newton"
-        else:
-            module, name = convex, "_line_search"
-        searches, inner = [], getattr(module, name)
+    def _check(monkeypatch, problem, status):
+        searches, inner = [], qcqp._solve_newton
 
-        def counted(f, *args):
-            searches.append(module is qcqp or isinstance(f, _PhaseOne))
-            return inner(f, *args)
+        def counted(*args):
+            searches.append(True)
+            return inner(*args)
 
-        monkeypatch.setattr(module, name, counted)
-        res = solve(problem)
+        monkeypatch.setattr(qcqp, "_solve_newton", counted)
+        res = solve_ball_qcqp(problem)
         assert res.status == status
-        assert any(searches)        # the dual, or phase one, took steps
+        assert searches             # the dual took steps
         assert res.newton_steps == len(searches)
 
     @CASES
-    def test_equals_line_searches(self, monkeypatch, solve, problem, status):
-        self._check(monkeypatch, solve, problem, status)
+    def test_equals_line_searches(self, monkeypatch, problem, status):
+        self._check(monkeypatch, problem, status)
 
-    # A budget of one Newton step a stage leaves phase one's first stage
-    # still centring, which ends it max_iter there, whatever the status
-    # a centre would have given; the QCQP's dual, which needs more than one
-    # step on either problem, ends max_iter after its one step.
+    # The QCQP's dual, which needs more than one step on either problem,
+    # ends max_iter after its one step.
     @CASES
-    def test_equals_line_searches_one_step_stages(self, monkeypatch, solve,
-                                                  problem, status):
+    def test_equals_line_searches_one_step_stages(self, monkeypatch, problem,
+                                                  status):
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        self._check(monkeypatch, solve, problem, MAX_ITER)
+        self._check(monkeypatch, problem, MAX_ITER)
 
 
-class TestStageBudget:
-    """An entry still centring when its stage's _MAX_NEWTON Newton steps
-    run out ends max_iter at that stage, in phase one and in the main
-    stage of the barrier SDP: optimal and infeasible come only from a
-    centre."""
-
-    # Each breaks a row at the cold start (phase one), or meets every row
-    # strictly there (main stage only); see TestNewtonStepCount.
-    PHASE_ONE = [p for p, _st in TestNewtonStepCount.SDPS]
-    MAIN = [
-        SdpProblem(C=TestNewtonStepCount.E1, dim=2,
-                   eq_constraints=[(np.eye(2), 1.0)],
-                   ineq_constraints=[(-TestNewtonStepCount.E0, -0.2)]),
-    ]
-
-    CASES = pytest.mark.parametrize(
-        "phase_one, problem",
-        [(True, p) for p in PHASE_ONE] + [(False, p) for p in MAIN],
-        ids=["p1-sdp-feasible", "p1-sdp-infeasible", "main-sdp"])
-
-    @staticmethod
-    def _run(monkeypatch, problem, budget):
-        """The result, and (phase one?, still centring?) of each stage."""
-        solve = solve_small_sdp
-        assert solve(problem).status != MAX_ITER
-        stages, centre = [], convex._centre
-
-        def spied(f, x, mu, tol):
-            x, steps, capped, centred = centre(f, x, mu, tol)
-            stages.append((isinstance(f, _PhaseOne), bool(capped[0])))
-            return x, steps, capped, centred
-
-        monkeypatch.setattr(convex, "_MAX_NEWTON", budget)
-        monkeypatch.setattr(convex, "_centre", spied)
-        return solve(problem), stages
-
-    @CASES
-    def test_still_centring_ends_max_iter(self, monkeypatch, phase_one,
-                                          problem):
-        # One step leaves the first stage, of the phase the problem starts
-        # in, still centring: the run ends there.
-        res, stages = self._run(monkeypatch, problem, 1)
-        assert res.status == MAX_ITER and res.newton_steps == 1
-        assert stages == [(phase_one, True)]
-
-    @CASES
-    @pytest.mark.parametrize("budget", [2, 3, 5])
-    def test_max_iter_only_at_a_capped_stage(self, monkeypatch, phase_one,
-                                             problem, budget):
-        res, stages = self._run(monkeypatch, problem, budget)
-        assert not any(capped for _p1, capped in stages[:-1])
-        assert (res.status == MAX_ITER) == stages[-1][1]
-
-
-class TestPhaseOneStop:
-    """Phase one says infeasible only with a bound that holds at its point:
-    a centred one, whose gap is at most _KAPPA n_par mu, with the slack s
-    above that bound by 1e-9."""
-
-    MU, TOL = 1e-2, convex._PHASE_ONE_TOL
-
-    @staticmethod
-    def _oracle():
-        # W_00 >= 1.5 misses the plane Tr W = 1 of PSD W: at W = I / 2
-        # the row is broken, so phase one has not found a feasible point
-        # there.
-        f = _PhaseOne(_sdp(np.eye(2), [[(-np.diag([1.0, 0.0]), -1.5)]]))
-        assert not f.found(np.zeros((1, 4)))[0]
-        return f
-
-    def _status(self, s, centred):
-        f = self._oracle()
-        xs = np.zeros((1, 4))
-        xs[0, -1] = s
-        return f.stop(xs, self.MU, self.TOL, np.array([centred]))[0]
-
-    def test_centred_within_the_kappa_bound_goes_on(self):
-        gap = self._oracle().n_par[0] * self.MU
-        s = 1.5 * gap + 1e-9        # n_par mu < s - 1e-9 < _KAPPA n_par mu
-        assert gap < s - 1e-9 < convex._KAPPA * gap
-        assert self._status(s, True) is None
-
-    def test_uncentred_is_never_infeasible(self):
-        assert self._status(10.0, False) is None
-
-    def test_centred_above_the_kappa_bound_is_infeasible(self):
-        assert self._status(10.0, True) == INFEASIBLE
-
-
-class TestEvaluatedOnce:
-    """A Newton step reuses what the line search evaluated at the point it
-    accepted, and the stage predictor starts each later stage's first line
-    search at t = _MU_FACTOR."""
-
-    @staticmethod
-    def _oracles():
-        rng = np.random.default_rng(90)
-        g, y = _random_sdp_oracle(rng, 2)
-        h = _block_oracle(rng, 3)
-        y3 = 0.02 * rng.normal(size=(3, 8))
-        s = np.full((3, 1), 0.1)
-        return [(g, y), (h, y3), (_PhaseOne(g), np.hstack([y, s])),
-                (_PhaseOne(h), np.hstack([y3, s]))]
-
-    def test_derivs_from_evaluate_equal_fresh_derivs(self):
-        for f, x in self._oracles():
-            _val, at = f.evaluate(x, 0.3)
-            for a, b in zip(f.derivs(x, 0.3, at), f.derivs(x, 0.3)):
-                assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("full", [True, False], ids=["fast", "masked"])
-    def test_line_search_hands_over_its_evaluations(self, full):
-        # A hundredth of each Newton step, which every entry accepts at
-        # t = 1 (fast), or with one entry's step stretched far out of the
-        # domain, so that it backtracks alone (masked).
-        for f, x in self._oracles():
-            mu = 0.3
-            val, grad, H = f.derivs(x, mu)
-            d = 0.01 * convex._solve_newton(H, grad)
-            dec = np.vecdot(grad, d)
-            if not full:
-                d[0] *= 1e4
-            with np.errstate(invalid="ignore", divide="ignore"):
-                xn, failed = convex._line_search(f, x, d, val, dec, mu)
-            at = f.accepted
-            assert not failed.any()
-            want = f.evaluate(xn, mu)[1]
-            assert len(at) == len(want)
-            for a, b in zip(at, want):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.tobytes() == b.tobytes()
-
-    def test_later_stages_start_at_the_tangent(self, monkeypatch):
-        C, row_sets, _singles = _relaxation_family(4, 7)
-        line_search, centre = convex._line_search, convex._centre
-        firsts = []
-
-        def spied_centre(f, x, mu, tol):
-            firsts.append(None)
-            return centre(f, x, mu, tol)
-
-        def spied(f, x, d, val, dec, mu):
-            if firsts[-1] is None:      # the stage's first line search
-                _v, grad, H = f.derivs(x, mu)
-                d_newton = convex._solve_newton(H, grad)
-                firsts[-1] = (mu, np.allclose(d, d_newton),
-                              np.allclose(d, convex._MU_FACTOR * d_newton))
-            return line_search(f, x, d, val, dec, mu)
-
-        monkeypatch.setattr(convex, "_centre", spied_centre)
-        monkeypatch.setattr(convex, "_line_search", spied)
-        solve_sdp_batch(C, row_sets)
-        stages = [s for s in firsts if s is not None]
-        assert any(mu == 1.0 for mu, _n, _t in stages)
-        assert any(mu < 1.0 for mu, _n, _t in stages)
-        for mu, newton, tangent in stages:
-            assert (newton, tangent) == ((True, False) if mu == 1.0
-                                         else (False, True))
-
-
-def _problem(C, rows):
-    """The trace-one SdpProblem of objective C and rows."""
-    m = len(C)
-    return SdpProblem(C=C, dim=m, eq_constraints=[(np.eye(m), 1.0)],
-                      ineq_constraints=rows)
+def _design_lift(params, seed):
+    """Tag 0 of realization seed as the evolved design lifts it: the
+    channels divided by ||h1|| in the coordinates of its span basis, with
+    the round-off outside the span set to 0 as evolved_steps sets it, so
+    the lift is 2 x 2 at M = 2, block diagonal 3 x 3 at M >= 3, and 1 x 1
+    at M = 1.  Returns (H0, H1, Hs, gamma), gamma times ||h1||^2."""
+    h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
+    U = _span_basis(h0, hs)
+    s = np.linalg.norm(h1)
+    g = [U.conj().T @ (h / s) for h in (h0, h1, hs)]
+    for x in g:
+        x[2:] = 0.0
+    H0, H1, Hs = (np.outer(x, x.conj()) for x in g)
+    return H0, H1, Hs, params.gamma * s * s
 
 
 def _family_rows(params, seed, B):
     """The evolved relaxation SDPs of tag 0 of realization seed at B values
     of t in [0, 1.5 lambda_max(H0)] (0.8 lambda_max(H0) when B = 1), as
-    (C, row_sets): their shared objective and their rows."""
-    gamma = params.gamma
+    (C, row_sets): their shared objective and their rows (_design_lift)."""
     f_without = divergence_floors(params)[3]
-    h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
-    H0, H1, Hs = (np.outer(h, h.conj()) for h in (h0, h1, hs))
+    H0, H1, Hs, gamma = _design_lift(params, seed)
     t_hi = float(np.linalg.eigvalsh(H0)[-1])
     ts = (np.linspace(0.0, 1.5 * t_hi, B) if B > 1
           else np.array([0.8 * t_hi]))
@@ -1013,12 +918,6 @@ def _relaxation_family(M, B):
     raise AssertionError("no mixed relaxation family")
 
 
-def _sdp(C, row_sets):
-    """The barrier's SDP oracle for objective C and row_sets."""
-    C = convex._objectives(C, len(row_sets))
-    return _Sdp(svec(C), *convex._stack_rows(row_sets, C.shape[-1]))
-
-
 def _result_bytes(r):
     """What an SdpResult says, as exact bytes."""
     return (r.status, r.newton_steps,
@@ -1042,13 +941,8 @@ class TestSdpBatch:
         batch = solve_sdp_batch(C, row_sets)
         assert len(batch) == B
         for one, res in zip(singles, batch):
-            assert res.status == one.status
-            if M <= 4:      # bit for bit; M = 8 to the tolerance below
-                assert _result_bytes(res) == _result_bytes(one)
-            if res.status == OPTIMAL:
-                assert res.objective == pytest.approx(one.objective,
-                                                      rel=1e-7, abs=1e-12)
-            else:
+            assert _result_repr(res) == _result_repr(one)
+            if res.status != OPTIMAL:
                 assert res.W is None
                 assert res.certificate > 0.0
 
@@ -1079,12 +973,12 @@ class TestSdpBatch:
                 assert b.objective == pytest.approx(a.objective, rel=1e-7)
 
     def test_constant_rows(self):
-        # A vacuous row (A = 0, b >= 0) is dropped, and an impossible one
-        # (A = 0, b < 0) settles entry 4 before the barrier; every entry
-        # still matches its single solve.
+        # A vacuous row (A = 0, b >= 0) in place of each entry's last row
+        # is dropped, and an impossible one (A = 0, b < 0) settles entry 4
+        # before any solve; every entry still matches its single solve.
         C, row_sets, _singles = _relaxation_family(2, 7)
         zero = np.zeros((2, 2), dtype=complex)
-        row_sets = [rows + [(zero, -1.0 if j == 4 else 1.0)]
+        row_sets = [rows[:2] + [(zero, -1.0 if j == 4 else 1.0)]
                     for j, rows in enumerate(row_sets)]
         batch = solve_sdp_batch(C, row_sets)
         for rows, res in zip(row_sets, batch):
@@ -1106,12 +1000,13 @@ class TestSdpBatch:
     def test_row_constant_only_on_the_plane_is_settled(self):
         # Tr(2 I W) <= 3 is not small, but on the plane Tr W = 1 it reads
         # 2 <= 3: it is settled as a vacuous row is, and Tr(I W) <= 0.5
-        # makes its entry infeasible before any Newton step.
+        # makes its entry infeasible before any solve.  The row stands in
+        # for entry 1's last row, and a vacuous one for the others'.
         C, row_sets, _singles = _relaxation_family(2, 7)
         eye = np.eye(2, dtype=complex)
 
         def with_row(row):
-            rows = [r + [row if j == 1 else (np.zeros((2, 2)), 1.0)]
+            rows = [r[:2] + [row if j == 1 else (np.zeros((2, 2)), 1.0)]
                     for j, r in enumerate(row_sets)]
             return [_result_repr(r) for r in solve_sdp_batch(C, rows)]
 
@@ -1137,98 +1032,52 @@ class TestSdpBatch:
                            match="objective is 3 x 3, the rows are 2 x 2"):
             solve_sdp_batch(np.eye(3, dtype=complex), row_sets)
 
-    def test_line_search_failure_ends_only_its_entry(self, monkeypatch):
-        # One entry's last line search, in its last stage, is made to fail
-        # in a call that steps other entries too.  That ends the target's
-        # stage alone: every other entry must end as in the run without the
-        # failure.
-        C, row_sets, _singles = _relaxation_family(4, 7)
-        keys = _sdp(C, row_sets).b   # the barrier's rows of each entry
-        line_search = convex._line_search
-        calls, fail = [], {}
-
-        def spied(f, x, d, val, dec, mu):
-            who = [int(np.flatnonzero((keys == row).all(axis=1))[0])
-                   for row in f.b]
-            xn, failed = line_search(f, x, d, val, dec, mu)
-            if len(calls) == fail.get("call"):
-                hit = np.equal(who, fail["entry"])
-                xn[hit] = x[hit]
-                failed = failed | hit
-            calls.append(who)
-            return xn, failed
-
-        monkeypatch.setattr(convex, "_line_search", spied)
-        clean = solve_sdp_batch(C, row_sets)
-        last = {j: i for i, who in enumerate(calls) for j in who}
-        target = max(last, key=lambda j: len(calls[last[j]]))
-        assert len(calls[last[target]]) > 1
-        fail.update(call=last[target], entry=target)
-        calls.clear()
-        batch = solve_sdp_batch(C, row_sets)
-        assert target in calls[fail["call"]]
-        for j, (a, b) in enumerate(zip(clean, batch)):
-            if j != target:
-                assert _result_bytes(b) == _result_bytes(a)
-                assert repr((b.objective, b.certificate)) == repr(
-                    (a.objective, a.certificate))
-
-    def test_iteration_cap_reported(self, monkeypatch):
-        C, row_sets, _singles = _relaxation_family(4, 7)
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
-        batch = solve_sdp_batch(C, row_sets)
-        assert MAX_ITER in {r.status for r in batch}
-        assert OPTIMAL not in {r.status for r in batch}
-
     def test_empty_batch(self):
         assert solve_sdp_batch(np.eye(2, dtype=complex), []) == []
 
 
 def _face_rows(params, seed):
     """The evolved relaxation of tag 0 of realization seed at t = 0, in the
-    design's units (its span basis, channels divided by ||h1||), as
-    (C, rows, zf): with zf whether the zero-forcing receiver, the optimum
-    on the face W g0 = 0 that Tr(H0 W) <= 0 leaves, meets the without-DL
-    floor."""
-    h0, h1, hs = gen_channel_set(params, seed).tag_channels(0)
-    U = _span_basis(h0, hs)
-    s = np.linalg.norm(h1)
-    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
-    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
-    gamma = params.gamma * s * s
+    design's units (_design_lift), as (C, rows, zf, floor): zf is the
+    objective of the zero-forcing receiver, gamma ||P gs||^2 with P the
+    projector off g0, the optimum on the face W g0 = 0 that Tr(H0 W) <= 0
+    leaves, and floor the without-DL floor's gamma ||gs||^2 bound."""
+    H0, H1, Hs, gamma = _design_lift(params, seed)
     floor = divergence_floors(params)[3] - 1.0
-    pgs = gs - g0 * (np.vdot(g0, gs) / np.vdot(g0, g0))
+    pgs = np.trace(Hs).real - np.trace(H0 @ Hs).real / np.trace(H0).real
     return (gamma * H1, [(-H1 + Hs, 0.0), (-gamma * Hs, -floor), (H0, 0.0)],
-            gamma * np.vdot(pgs, pgs).real >= floor)
+            gamma * pgs, floor)
 
 
 class TestNoInterior:
     """Rows that only a face of the cone meets have no strictly feasible
-    point, so phase one cannot end OPTIMAL; nor may it say INFEASIBLE
-    without a certificate."""
+    point.  The exact kernel still ends on the face: OPTIMAL where the
+    zero-forcing receiver meets the without-DL floor, with W within
+    lorentz.FEAS of every row and the receiver's objective; INFEASIBLE, with
+    a certificate, where not even the face meets the rows."""
 
     def test_face_of_the_t0_relaxation(self):
         # The tags whose backscatter link alone reaches the without-DL
         # floor; the design screens out the others before any SDP.
         params = SystemParams(K=1, M=4)
         floor = divergence_floors(params)[3] - 1.0
-        C, row_sets, zf = [], [], []
+        faces = []
         for seed in range(30):
             hs = gen_channel_set(params, seed).tag_channels(0)[2]
-            if params.gamma * np.vdot(hs, hs).real < floor:
-                continue
-            c, rows, ok = _face_rows(params, seed)
-            C.append(c)
-            row_sets.append(rows)
-            zf.append(ok)
-        assert 0 < sum(zf) < len(zf)
-        for res, ok in zip(solve_sdp_batch(C, row_sets), zf):
-            assert res.W is None and res.newton_steps > 0
-            if ok:      # the face is met: no interior, no certificate
-                assert res.status == NO_INTERIOR
-                assert 0.0 < res.certificate < 1e-10
+            if params.gamma * np.vdot(hs, hs).real >= floor:
+                faces.append(_face_rows(params, seed))
+        met = [zf >= floor for _C, _rows, zf, floor in faces]
+        assert 0 < sum(met) < len(met)
+        got = solve_sdp_batch([f[0] for f in faces], [f[1] for f in faces])
+        for (C, rows, zf, _floor), ok, res in zip(faces, met, got):
+            assert res.newton_steps == 0
+            if ok:      # the face is met
+                assert res.status == OPTIMAL
+                assert res.objective == pytest.approx(zf, rel=1e-6)
+                for (A, b), s in zip(rows, _scales(rows)):
+                    assert np.trace(A @ res.W).real - b <= 1e-9 * s
             else:       # not even the face is: a real certificate
-                assert res.status == INFEASIBLE
+                assert res.status == INFEASIBLE and res.W is None
                 assert res.certificate > 1e-4
 
 
@@ -1239,123 +1088,33 @@ def _block(Ws, w_out):
     return W
 
 
-def _block_oracle(rng, B):
-    """The barrier's SDP oracle for B entries with a random block-diagonal
-    objective and two block-diagonal rows each, each row held with margin
-    0.5 at W = I / 3."""
-    C = _block(rand_herm_psd(rng, 2), rng.normal())
-    rows = []
-    for _ in range(B):
-        mats = [_block(rand_herm_psd(rng, 2), rng.uniform(0.0, 1.0))
-                for _ in range(2)]
-        rows.append([(A, float(np.trace(A).real / 3 + 0.5)) for A in mats])
-    return _sdp(C, rows)
-
-
-def _cone(f, y):
-    """The oracle's cone barrier at y, nan outside the cone."""
-    return f.cone_value(f.cone_parts(y))
-
-
-def _plane_point(W):
-    """y of the 3 x 3 unit-trace plane at W."""
-    wp, Z, _UZ, _Wp = _trace_one(3)
-    return Z.T @ (svec(W) - wp)
-
-
-class TestBlockCone:
-    """The barrier's cone, -log det W, at W = diag(W_s, w_out) of trace one,
-    where it is -log det W_s - log w_out."""
-
-    @staticmethod
-    def _points(rng, n):
-        for _ in range(n):
-            X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            W = _block(X @ X.conj().T + 0.05 * np.eye(2),
-                       rng.uniform(0.05, 2.0))
-            yield W / np.trace(W).real
-
-    def test_value_and_gradient(self):
-        # Against slogdet of each block and the inverse: the gradient of
-        # -log det W in the plane is -Z^T svec(W^-1).
-        rng = np.random.default_rng(31)
-        f = _block_oracle(rng, 1)
-        for W in self._points(rng, 20):
-            y = _plane_point(W)[None]
-            assert f.matrix(y)[0] == pytest.approx(W, abs=1e-15)
-            value, grad, H = f.cone_derivs(y)
-            logdet = np.linalg.slogdet(W[:2, :2])[1] + math.log(W[2, 2].real)
-            assert value[0] == pytest.approx(-logdet, rel=1e-12)
-            assert _cone(f, y)[0] == value[0]
-            assert grad[0] == pytest.approx(
-                -f.Z.T @ svec(np.linalg.inv(W)), rel=1e-10, abs=1e-12)
-            assert np.linalg.eigvalsh(H[0])[0] > 0.0
-
-    def test_hessian_against_finite_differences(self):
-        rng = np.random.default_rng(32)
-        f = _block_oracle(rng, 1)
-        h = 1e-4
-        E = np.eye(8) * h
-        for W in self._points(rng, 5):
-            y = _plane_point(W)
-            H = f.cone_derivs(y[None])[2][0]
-            fd = np.array([[(_cone(f, (y + E[i] + E[j])[None])
-                             - _cone(f, (y + E[i] - E[j])[None])
-                             - _cone(f, (y - E[i] + E[j])[None])
-                             + _cone(f, (y - E[i] - E[j])[None]))[0]
-                            / (4 * h * h) for j in range(8)]
-                           for i in range(8)])
-            assert H == pytest.approx(fd, rel=1e-5,
-                                      abs=1e-5 * np.abs(H).max())
-
-    @pytest.mark.parametrize("Ws, w_out", [
-        (-np.eye(2), 3.0),                  # det W_s > 0, not definite
-        (np.diag([0.5, 0.0]), 0.5),         # W_s singular
-        (0.6 * np.eye(2), -0.2),            # w_out < 0
-        (0.5 * np.eye(2), 0.0)])            # w_out = 0
-    def test_nan_outside_the_cone(self, Ws, w_out):
-        f = _block_oracle(np.random.default_rng(33), 1)
-        W = _block(Ws, w_out)
-        assert np.trace(W).real == pytest.approx(1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.isnan(_cone(f, _plane_point(W)[None]))[0]
-
-
 class TestBlockSdp:
     """solve_sdp_batch solves block-diagonal 3 x 3 entries of three rows
-    exactly (_block_sdps) and every other entry by the barrier, each kind
-    as its own stack."""
+    exactly (_block_sdps), each entry as its own call would."""
 
     def test_mixed_call_matches_solo_calls(self):
-        # Evolved relaxations at M = 4 (block diagonal) and relaxations in
-        # the full C^3 (not), interleaved in one call: every entry is bit
-        # for bit its own call's.
+        # Evolved relaxations of tags at M = 4 and M = 3, each with its own
+        # objective, interleaved in one call: every entry is bit for bit
+        # its own call's, exact, and rank one where it is optimal.
         params = SystemParams(K=1, M=4)
-        block, full = [], []
+        first, second = [], []
         for seed in (1, 5):
             chan = gen_channel_set(params, seed).tag_channels(0)
             C, row_sets = next(evolved_steps(chan, params))
-            block += [(C, rows) for rows in row_sets[6::12]]
+            first += [(C, rows) for rows in row_sets[6::12]]
             C, row_sets = _family_rows(replace(params, M=3), seed, 8)
-            full += [(C, rows) for rows in row_sets]
-        entries = [e for pair in zip(block, full) for e in pair]
-        kinds = convex._block_diagonal(
-            svec(convex._objectives([C for C, _rows in entries],
-                                    len(entries))),
-            convex._stack_rows([rows for _C, rows in entries], 3)[0])
-        assert list(kinds) == [True, False] * len(block)
+            second += [(C, rows) for rows in row_sets]
+        entries = [e for pair in zip(first, second) for e in pair]
         batch = solve_sdp_batch([C for C, _rows in entries],
                                 [rows for _C, rows in entries])
         solo = [solve_small_sdp(_problem(C, rows)) for C, rows in entries]
         assert [_result_repr(r) for r in batch] == [
             _result_repr(r) for r in solo]
-        assert {OPTIMAL, INFEASIBLE} <= {r.status for r in batch[::2]}
-        for r in batch[::2]:
+        assert {OPTIMAL, INFEASIBLE} <= {r.status for r in batch}
+        for r in batch:
             assert r.newton_steps == 0
             if r.W is not None:     # exact, and rank one: the cone binds
                 assert np.linalg.eigvalsh(r.W)[-2] <= 1e-15
-        assert all(r.newton_steps > 0 for r in batch[1::2])
 
 
 def _grid_requests(ms, seeds):
@@ -1397,13 +1156,13 @@ def _dual_bound(C, rows, y):
             + float(np.linalg.eigvalsh(D)[-1]))
 
 
-def _check_exact(C, rows, res, ref=None):
-    """An exact result against its certificates and, when given, the
-    barrier's result ref of the same entry."""
+def _check_exact(C, rows, res):
+    """An exact result against its own certificates: an optimal W that
+    meets the rows, with multipliers whose Lagrange bound is within 1e-9
+    of its objective, or multipliers that bound every W's largest
+    normalized violation from below by the certificate."""
     C = np.asarray(C)
     scale = max(1.0, abs(res.objective)) if res.status == OPTIMAL else 1.0
-    if ref is not None:
-        assert res.status == ref.status
     if res.status == OPTIMAL:
         W = res.W
         assert np.trace(W).real == pytest.approx(1.0, abs=1e-12)
@@ -1419,9 +1178,6 @@ def _check_exact(C, rows, res, ref=None):
         assert bound == pytest.approx(res.objective + res.gap,
                                       abs=1e-12 * scale)
         assert res.gap <= 1e-9 * scale
-        if ref is not None:
-            assert res.objective >= ref.objective - 1e-12 * scale
-            assert res.objective <= ref.objective + ref.gap + 1e-12 * scale
     elif res.status == INFEASIBLE:
         y = res.dual
         assert res.W is None and (y >= 0.0).all()
@@ -1429,8 +1185,6 @@ def _check_exact(C, rows, res, ref=None):
         assert res.certificate > 1e-9
         assert -_dual_bound(np.zeros_like(C), rows, y) == pytest.approx(
             res.certificate, rel=1e-9, abs=1e-15)
-        if ref is not None:
-            assert res.certificate <= ref.certificate + 1e-12
 
 
 def _random_blocks(rng, m, B):
@@ -1458,45 +1212,63 @@ def _random_blocks(rng, m, B):
 
 
 class TestBlockExact:
-    """_block_sdps, the exact solver of the block relaxations, against the
-    barrier, its own certificates and the degenerate inputs: a singular
-    row Gram matrix, an objective flat on a face, ties, tau = 1 at m = 2,
-    and m = 1."""
+    """_block_sdps, the exact solver of the block relaxations, against its
+    own certificates, a dense grid at m = 2, and the degenerate inputs: a
+    singular row Gram matrix, an objective flat on a face, ties, tau = 1
+    at m = 2, and m = 1."""
 
-    def test_within_the_barrier_gap_on_the_evolved_grids(self):
+    def test_certified_on_the_evolved_grids(self):
         # Every grid relaxation of the tags of seeds 0-11 at M in {2, 3,
-        # 4, 8}: the barrier's status, an objective no lower than the
-        # barrier's and no higher than the barrier's bound, and
-        # certificates that hold.
+        # 4, 8}: a W that meets the rows at a certified optimum, or an
+        # infeasibility certificate that holds.
         reqs = _grid_requests((2, 3, 4, 8), range(12))
         n = 0
         for m in (2, 3):
             C, rows = _stacked([r for r in reqs if len(r[0]) == m])
             exact = solve_sdp_batch(C, rows)
-            for c, r, res, ref in zip(C, rows, exact,
-                                      convex._sdp_results(_sdp(C, rows))):
-                _check_exact(c, r, res, ref)
+            for c, r, res in zip(C, rows, exact):
+                _check_exact(c, r, res)
             n += len(exact)
             assert {OPTIMAL, INFEASIBLE} == {r.status for r in exact}
         assert n > 4000
 
+    def test_m2_grid_entries_beat_the_brute_grid(self):
+        # A sample of the M = 2 grid relaxations against a dense grid over
+        # the 2 x 2 density matrices, which shares no code with the kernel:
+        # where the kernel says optimal the grid finds a feasible W and none
+        # better, and where it says infeasible the grid finds none.  The
+        # grid only bounds from below: a thin feasible set near a rank-one
+        # optimum holds few grid points, and its best missed this sample's
+        # optima by up to 7% (the dual certificate bounds from above).
+        C, rows = _stacked(_grid_requests((2,), range(4)))
+        got = solve_sdp_batch(C, rows)
+        sample = [j for st in (OPTIMAL, INFEASIBLE)
+                  for j in [i for i, r in enumerate(got)
+                            if r.status == st][::40][:4]]
+        assert len(sample) == 8
+        for j in sample:
+            ref, _pt = brute_sdp_2x2(C[j], rows[j])
+            if got[j].status == INFEASIBLE:
+                assert ref is None
+            else:
+                assert ref is not None
+                assert ref <= got[j].objective + 1e-9 * abs(got[j].objective)
+
     @pytest.mark.parametrize("m", [2, 3])
-    def test_random_entries_match_the_barrier(self, m):
+    def test_random_entries_are_certified(self, m):
         C, rows = _random_blocks(np.random.default_rng(40 + m), m, 300)
         exact = solve_sdp_batch(C, rows)
-        for r, res, ref in zip(rows, exact,
-                               convex._sdp_results(_sdp(C, rows))):
-            _check_exact(C, r, res, ref)
+        for r, res in zip(rows, exact):
+            _check_exact(C, r, res)
         statuses = [r.status for r in exact]
         assert statuses.count(OPTIMAL) > 20 and statuses.count(INFEASIBLE) > 20
 
     def test_entries_ignore_their_call_mates(self):
-        # Tags' grids at M = 2 and M = 4 (block diagonal) and a family of
-        # full 3 x 3 relaxations: alone, and in one call with the others
-        # in both orders, every entry is bit for bit the same.
+        # Tags' grids at M = 3 and M = 4 (block diagonal): alone, and in
+        # one call with the others in both orders, every entry is bit for
+        # bit the same; likewise at M = 2.
         reqs = _grid_requests((4,), (1, 2))[:4]
-        C3, rows3, _singles = _relaxation_family(3, 7)
-        reqs.append((C3, rows3))
+        reqs.append(_family_rows(SystemParams(K=1, M=3), 0, 7))
         alone = [[_result_repr(r) for r in solve_sdp_batch(C, rows)]
                  for C, rows in reqs]
         assert alone[0] == [_result_repr(solve_small_sdp(_problem(C, r)))
@@ -1549,8 +1321,8 @@ class TestBlockExact:
         hs /= np.linalg.norm(hs)
         C, rows = next(evolved_steps((hs, 2.0 * hs, hs), params))
         got = solve_sdp_batch(C, rows)
-        for r, res, ref in zip(rows, got, convex._sdp_results(_sdp(C, rows))):
-            _check_exact(C, r, res, ref)
+        for r, res in zip(rows, got):
+            _check_exact(C, r, res)
         assert OPTIMAL in {r.status for r in got}
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -1558,21 +1330,20 @@ class TestBlockExact:
         # C = A_0: the objective is constant on the face Tr(A_0 W) = b_0,
         # so the stationary points there are not isolated (u = 0); the
         # optimum is b_0 whenever the face meets the other rows.  C = 0 is
-        # flat everywhere.
+        # flat everywhere, and leaves each entry's status as it was.
         rng = np.random.default_rng(11)
         C, rows = _random_blocks(rng, m, 40)
         flat = [(r[0][0], r) for r in rows]
         got = solve_sdp_batch([A for A, _r in flat], rows)
-        ref = convex._sdp_results(_sdp([A for A, _r in flat], rows))
         hits = 0
-        for (A, r), res, one in zip(flat, got, ref):
-            _check_exact(A, r, res, one)
+        for (A, r), res in zip(flat, got):
+            _check_exact(A, r, res)
             if res.status == OPTIMAL and res.objective >= r[0][1] - 1e-12:
                 hits += 1
                 assert res.objective == pytest.approx(r[0][1], abs=1e-12)
         assert hits > 5
         zero = solve_sdp_batch(np.zeros_like(C), rows)
-        for r, res, one in zip(rows, zero, ref):
+        for r, res, one in zip(rows, zero, got):
             _check_exact(np.zeros_like(C), r, res)
             assert res.status == one.status
             if res.status == OPTIMAL:
@@ -1621,30 +1392,6 @@ class TestBlockExact:
         assert res.W.tolist() == [[1.0]] and res.objective == 2.0
 
 
-class TestLogdet:
-    def test_refused_matrix_leaves_the_others_alone(self, monkeypatch):
-        # Two matrices that are not positive definite in a stack of six
-        # make the stacked Cholesky refuse.  Each is then factored alone:
-        # the two read nan, every other value is its matrix's own, bit for
-        # bit, and no eigenvalue pass runs.
-        rng = np.random.default_rng(12)
-        W = np.array([rand_herm_psd(rng, 3) + 0.1 * np.eye(3)
-                      for _ in range(6)])
-        W[2] = np.diag([1.0, -1e-3, 2.0])
-        W[4][0, 0] = -W[4][0, 0]
-
-        def no_eigvalsh(*args):
-            raise AssertionError("eigenvalue pass")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        got = convex._logdet(W)
-        assert np.isnan(got[[2, 4]]).all()
-        for i in (0, 1, 3, 5):
-            assert got[i].tobytes() == convex._logdet(W[i:i + 1])[0].tobytes()
-            assert got[i] == pytest.approx(np.linalg.slogdet(W[i])[1],
-                                           rel=1e-12)
-
-
 class TestSolveNewton:
     def test_singular_entry_leaves_the_others_alone(self):
         # One zero Hessian in a stack of three: it alone gets the ridge,
@@ -1683,30 +1430,11 @@ def _random_qcqp_dual(rng, m):
     return qcqp._BallDual(problems), rng.uniform(0.2, 1.0, size=(3, 4))
 
 
-def _random_sdp_oracle(rng, m):
-    """A batch of three SDP oracles and a point inside each one's domain.
-
-    The entries share C and have two rows each.
-    """
-    C = rand_herm_psd(rng, m)
-    rows = []
-    for _ in range(3):
-        mats = [rand_herm_psd(rng, m) for _ in range(2)]
-        rows.append([(A, float(np.trace(A).real / m + 0.2)) for A in mats])
-    f = _sdp(C, rows)
-    return f, 0.02 * rng.normal(size=(3, f.Z.shape[1]))
-
-
 class TestOracleDerivatives:
     """Oracle gradients and Hessians against central differences of value.
 
     Each oracle holds a batch of three entries, each with its own rows.
     """
-
-    @staticmethod
-    def _check(f, x, mu):
-        TestOracleDerivatives._against_differences(
-            lambda x: f.evaluate(x, mu)[0], x, *f.derivs(x, mu))
 
     @staticmethod
     def _against_differences(value, x, val, grad, H):
@@ -1743,36 +1471,14 @@ class TestOracleDerivatives:
             self._against_differences(lambda x: f.point(x)[0], lam, phi,
                                       *f.derivs(z, H))
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_sdp_oracle(self, m):
-        rng = np.random.default_rng(80 + m)
-        for _ in range(3):
-            f, y = _random_sdp_oracle(rng, m)
-            assert np.all(f.rows(y) < 0)
-            assert np.all(np.isfinite(_cone(f, y)))
-            self._check(f, y, 0.3)
-            self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
-                        0.3)
-
-    def test_block_sdp_oracle(self):
-        rng = np.random.default_rng(84)
-        for _ in range(3):
-            f = _block_oracle(rng, 3)
-            y = 0.02 * rng.normal(size=(3, 8))
-            assert np.all(f.rows(y) < 0)
-            assert np.all(np.isfinite(_cone(f, y)))
-            self._check(f, y, 0.3)
-            self._check(_PhaseOne(f), np.column_stack([y, np.full(3, 0.1)]),
-                        0.3)
-
 
 class TestSdpAgainstCvxpy:
     def test_random_batch(self):
         cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(61)
         checked = 0
+        m = 2
         for _ in range(6):
-            m = int(rng.integers(2, 4))
             C = rand_herm_psd(rng, m) - 0.4 * np.eye(m)
             ineqs = []
             for _ in range(int(rng.integers(1, 3))):
@@ -1781,7 +1487,7 @@ class TestSdpAgainstCvxpy:
                 ineqs.append((A, b))
             p = SdpProblem(C=C, dim=m,
                            eq_constraints=[(np.eye(m, dtype=complex), 1.0)],
-                           ineq_constraints=ineqs)
+                           ineq_constraints=_three(ineqs, m))
             res = solve_small_sdp(p)
 
             W = cp.Variable((m, m), hermitian=True)

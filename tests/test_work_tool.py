@@ -19,9 +19,7 @@ def _work():
 
 
 def _wrapped():
-    return (convex._Oracle.derivs, convex._Oracle.evaluate,
-            convex._Oracle.take, convex._PhaseOne.take,
-            qcqp.solve_ball_qcqps, convex.solve_sdp_batch,
+    return (qcqp.solve_ball_qcqps, convex.solve_sdp_batch,
             beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch)
 
 
@@ -35,15 +33,26 @@ def test_counts_two_solves_and_restores_the_library():
         assert counts[f"entries/{kernel}"] == statuses > 0
     # every round steps one entry or more
     assert 0 < counts["rounds/qcqp"] <= counts["newton/qcqp"]
-    # the QCQPs run no barrier, and every relaxation is solved exactly,
-    # with no barrier round either
-    assert not any(len(name.split("/")) == 3 for name in counts
-                   if name.split("/")[0] in ("rounds", "entry-rounds",
-                                             "value", "take"))
+    # the SDP kernel has no rounds to count
+    assert not any(name.endswith("/sdp") for name in counts
+                   if name.split("/")[0] in ("rounds", "newton"))
 
 
-def test_fallback_counts_the_penalty_sdps_and_restores_purify(capsys):
+def test_fallback_counts_the_penalty_sdps_and_restores_purify(
+        capsys, monkeypatch):
+    # Every penalty subproblem is one exact entry of its own call, on top
+    # of the relaxation entries the run without the fallback solves.
     purify = beamforming._purify
+    plain = _work().run("solve", 1, 2)
+    single = beamforming.solve_small_sdp
+    penalty = []
+
+    def counted(p):
+        res = single(p)
+        penalty.append(res.newton_steps)
+        return res
+
+    monkeypatch.setattr(beamforming, "solve_small_sdp", counted)
     assert _work().main(["--workload", "solve", "--seed", "1", "--ops", "2",
                          "--fallback"]) == 0
     assert beamforming._purify is purify
@@ -53,10 +62,9 @@ def test_fallback_counts_the_penalty_sdps_and_restores_purify(capsys):
     statuses = sum(v for name, v in counts.items()
                    if name.startswith("status/sdp/"))
     assert counts["entries/sdp"] == statuses > 0
-    for phase in ("main", "phase-one"):
-        where = f"sdp/{phase}"
-        assert 0 < counts[f"rounds/{where}"] <= counts[
-            f"entry-rounds/{where}"]
+    assert penalty and not any(penalty)
+    assert counts["entries/sdp"] == plain["entries/sdp"] + len(penalty)
+    assert counts["calls/sdp"] == plain["calls/sdp"] + len(penalty)
 
 
 def test_warm_entries_are_counted_on_the_sweep():

@@ -7,8 +7,9 @@ Runs the first ``--ops`` operations of the benchmark's ``solve`` or
 ``name value`` line per counter, sorted, so that the outputs of two commits
 diff line by line.  ``--fallback`` runs them with ``beamforming._purify``
 switched off (restored afterwards), as ``tools/identity.py``'s ``fallback``
-family does, so that every examined grid point runs the penalty SCA and
-its barrier SDPs.  The counters are:
+family does, so that every examined grid point runs the penalty SCA, whose
+subproblems the SDP kernel solves exactly, one entry per call.  The
+counters are:
 
 * ``calls/<kernel>``, ``entries/<kernel>`` and ``s/<kernel>``: calls of the
   kernel entry points ``qcqp.solve_ball_qcqps`` (``qcqp``) and
@@ -22,27 +23,14 @@ its barrier SDPs.  The counters are:
 * ``rounds/qcqp``: the batched Newton rounds of the QCQP calls, the largest
   ``newton_steps`` of each call summed over the calls (a call steps its
   entries together until the last one ends);
-* ``rounds/sdp/<phase>``: batched barrier rounds, one per
-  ``_Oracle.derivs`` call;
-* ``entry-rounds/sdp/<phase>``: the entries stepped in those rounds;
-* ``value/sdp/<phase>``: line-search trials, one per evaluation of a trial
-  stack (``_Oracle.evaluate``);
-* ``take/sdp/<phase>``: sub-oracles built (``take``);
 * ``s/total``: the seconds of the whole run.
 
-``<phase>`` is ``phase-one`` or ``main``.  The QCQP kernel solves its
-duals by Newton's method, with no barrier, so its counters are read from
-the results its entry point returns.  The SDP kernel solves the evolved
-design's block relaxations exactly, with no barrier round, so
-``rounds/sdp/*``, ``entry-rounds/sdp/*``, ``value/sdp/*`` and
-``take/sdp/*`` count only the SDPs that still run the barrier: the penalty
-fallback's full-plane ones, which only ``--fallback`` reaches on these
-workloads.  ``calls/sdp``, ``entries/sdp``, ``status/sdp/*`` and
-``s/sdp`` count every SDP.  The counters wrap ``backci.convex`` and
+The SDP kernel solves every entry exactly, with no Newton step, so it has
+no round counters.  ``calls/sdp`` and ``entries/sdp`` count the penalty
+SCA's subproblems too: ``convex.solve_small_sdp`` is a call of
+``solve_sdp_batch`` on one entry.  The counters wrap ``backci.convex`` and
 ``backci.qcqp`` from outside, while the run lasts, so the library itself
-is unchanged and costs nothing when this script is not running.  A call
-made from inside a counted call of the same counter (``_PhaseOne.take``
-taking its inner oracle) is not counted again.
+is unchanged and costs nothing when this script is not running.
 
 Inputs come from ``bench/workloads.py``, imported only, and the package is
 imported from this checkout's ``src/``.  BLAS is pinned to one thread
@@ -77,46 +65,17 @@ _ENTRY_POINTS = {"solve_ball_qcqps": ("qcqp", qcqp),
                  "solve_sdp_batch": ("sdp", convex)}
 
 
-def _where(oracle) -> str:
-    """sdp/<phase> of a barrier oracle: only the SDP kernel has one."""
-    if isinstance(oracle, convex._PhaseOne):
-        return "sdp/phase-one"
-    return "sdp/main"
-
-
 class Counters:
-    """Wraps the barrier core's methods and the kernels' entry points, and
-    undoes it."""
+    """Wraps the kernels' entry points, and undoes it."""
 
     def __init__(self):
         self.counts = Counter()
         self.seconds = Counter()
-        self._inside = set()
         self._undo = []
 
     def _patch(self, owner, name, wrapper):
         self._undo.append((owner, name, owner.__dict__[name]))
         setattr(owner, name, functools.wraps(owner.__dict__[name])(wrapper))
-
-    def _method(self, cls, name, counter, rows=False):
-        """Count cls.name per <kernel>/<phase>, outermost calls only; with
-        rows, also the entries of its first argument."""
-        inner = cls.__dict__[name]
-
-        def counted(oracle, *args, **kwargs):
-            if counter in self._inside:
-                return inner(oracle, *args, **kwargs)
-            where = _where(oracle)
-            self.counts[f"{counter}/{where}"] += 1
-            if rows:
-                self.counts[f"entry-{counter}/{where}"] += len(args[0])
-            self._inside.add(counter)
-            try:
-                return inner(oracle, *args, **kwargs)
-            finally:
-                self._inside.discard(counter)
-
-        self._patch(cls, name, counted)
 
     def _entry_point(self, name, kernel, home):
         inner = getattr(home, name)
@@ -141,10 +100,6 @@ class Counters:
                 self._patch(module, name, counted)
 
     def __enter__(self):
-        self._method(convex._Oracle, "derivs", "rounds", rows=True)
-        self._method(convex._Oracle, "evaluate", "value")
-        for cls in (convex._Oracle, convex._PhaseOne):
-            self._method(cls, "take", "take")
         for name, (kernel, home) in _ENTRY_POINTS.items():
             self._entry_point(name, kernel, home)
         return self
