@@ -11,8 +11,8 @@ Subpackage map:
     detection    Variances, KLDs, detection-error-probability bounds, oracle.
     channel     Rician link synthesis, cascades, serialization.
     qcqp        The consensual SCA's unit-ball QCQP kernel, by dual Newton.
-    convex      The evolved design's exact SDP kernel, and shared helpers.
-    lorentz     The evolved relaxations as 4-variable Lorentz-cone programs.
+    convex      The designs' exact SDP kernel, and shared helpers.
+    lorentz     The designs' block lifts as 4-variable Lorentz-cone programs.
     beamforming  Consensual SCA, evolved SDP, MMSE benchmark, alternating MIMO.
     siso        Closed-form CI region and CI angle for the single-antenna case.
     selection   Greedy and random tag selection.

@@ -3,11 +3,13 @@
 Four solvers share one solution type:
 
 * consensual_sca: successive convex approximation on the receive vector,
-  keeping both detection divergences above their floors.  Its loop is
-  the generator consensual_steps, which yields one QCQP per SCA step;
-  lockstep runs many such generators together and solves each round's
-  QCQPs as one qcqp.solve_ball_qcqps batch per dimension.
-  consensual_sca is lockstep on one generator.
+  keeping both detection divergences above their floors, started at the
+  problem's exact lift.  Its loop is the generator consensual_steps,
+  which yields the lift as a one-entry SDP request, then one QCQP per SCA
+  step; lockstep runs many such generators together and solves each
+  round's QCQPs as one qcqp.solve_ball_qcqps batch per dimension, and its
+  SDPs as stacked convex.solve_sdp_batch calls.  consensual_sca is
+  lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
   enforcing that the direct link never hurts; its optimum is purified to
   rank one, with a rank-one penalty SCA as the fallback.  The grid point
@@ -32,8 +34,9 @@ single-transmit case and M x Q matrices for the MIMO case.
 
 One failure rule holds for the SCA, penalty and alternation loops: a loop
 reports infeasible only when it holds no feasible incumbent, a point
-verified feasible so far.  Any other failed step, an iteration cap or
-round-off, ends the loop at the incumbent with converged=False.
+verified feasible so far (the consensual SCA's first is its lift's
+point), or with a certificate.  Any other failed step, an iteration cap
+or round-off, ends the loop at the incumbent with converged=False.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 # solve_ball_qcqp stays importable from this module: bench/tracer.py
 # wraps it here.
 from .convex import (
+    INFEASIBLE,
     MAX_ITER,
     OPTIMAL,
     SdpProblem,
@@ -140,6 +144,28 @@ def _span_basis(h0, hs):
     return np.linalg.svd(np.column_stack([h0, hs]))[0][:, :min(m, 3)]
 
 
+def _span_lift(h0, h1, hs, gamma) -> tuple:
+    """(U, g0, g1, gs, gamma'): the channels on the basis U of _span_basis,
+    divided by s = ||h1||, and gamma' = gamma s^2, so that gamma' |v'^H g|^2
+    is gamma |v^H h|^2 at v = U v'.
+
+    The floors of both designs are absolute, so the lifts built on these
+    stay put when every channel scales by s and sigma_w2 by s^2.  At
+    M >= 3, U's last column is outside span(h0, hs), so the channels'
+    components there are round-off; they are set to exactly 0, which makes
+    every lift built on them block diagonal, diag(W_s, w_out)
+    (convex._block_sdps).
+    """
+    U = _span_basis(h0, hs)
+    s = float(np.linalg.norm(h1)) or 1.0
+    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
+    if len(g0) == 3 and (abs(g0[2]) + abs(gs[2]) <= 1e-12 * (
+            np.linalg.norm(g0) + np.linalg.norm(gs))):
+        for g in (g0, g1, gs):
+            g[2] = 0.0
+    return U, g0, g1, gs, gamma * (s * s)
+
+
 def _no_dl_floor_unreachable(gamma, hs, f_without) -> bool:
     """Whether no v meets the without-DL floor: gamma ||hs||^2 < F - 1."""
     return gamma * float(np.vdot(hs, hs).real) < f_without - 1.0 - 1e-12
@@ -177,17 +203,28 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     Maximizes gamma |v^H h1|^2 over unit-norm v subject to the with-DL
     variance-ratio constraint (convexified by linearizing |v^H h1|^2 around
     the incumbent) and the without-DL floor (same linearization applied to
-    |v^H h_str|^2).  Initialized at the matched filter h1/||h1||, with one
-    retry from the MMSE direction; v_init overrides both (the alternation
-    of alternating_steps passes its incumbent).  margin raises both
-    constraints' F - 1 by that fraction (alternating_steps' trades).
+    |v^H h_str|^2).  margin raises both constraints' F - 1 by that fraction
+    (alternating_steps' trades).
 
-    Yields each SCA subproblem, a QcqpProblem, and takes its QcqpResult
-    back by send(); returns the BeamformerSolution.  Run it with
-    lockstep.  Each init's first subproblem starts its dual Newton from
+    Without v_init, it first yields the problem's exact lift, (C, [rows]):
+    max gamma' Tr(G1 W) s.t. Tr W = 1, gamma' Tr((G1 - F_with G0) W) >=
+    F_with - 1, gamma' Tr(Gs W) >= F_without - 1, W PSD, on _span_lift's
+    channels, padded with the vacuous row 0 <= 1.  Trace plus two rows has
+    a rank-one optimum (Huang and Palomar, IEEE TSP 58(2), 2010), so the
+    lift is exact.  INFEASIBLE: its certificate proves no unit v meets
+    both floors, and no QCQP runs.  OPTIMAL: the SCA starts at its
+    rank-one point U v' (_block_rank_one).  NO_INTERIOR certifies nothing:
+    the SCA starts at the matched filter h1/||h1||, with one retry from
+    the MMSE direction.  v_init (alternating_steps' incumbent) replaces
+    the lift and the starts.
+
+    Then yields each SCA subproblem, a QcqpProblem, and takes its
+    QcqpResult back by send(); returns the BeamformerSolution.  Run it with
+    lockstep.  Each start's first subproblem starts its dual Newton from
     the ball-only optimum; every later one starts from the previous step's
     multipliers (its dual), as consecutive subproblems differ only by the
-    linearization point.
+    linearization point.  If no start's first subproblem ends OPTIMAL,
+    the lift's point, if any, goes to _finalize with converged=False.
     """
     h0, h1, hs = _unpack(chan)
     gamma = params.gamma
@@ -204,10 +241,25 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     lam = np.linalg.eigvalsh(gamma * (H1 - f_with * H0))[-1]
     if lam < f_with - 1.0 - 1e-12:
         return _infeasible()
+    floor_w = (f_with - 1.0) * (1.0 + margin)
+    floor_o = (f_without - 1.0) * (1.0 + margin)
+
+    lift_v = None       # the lift's rank-one point, where it has one
+    if v_init is None:
+        U, g0, g1, gs, gam = _span_lift(h0, h1, hs, gamma)
+        G0, G1, Gs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+        (lift,) = yield gam * G1, [[(-gam * (G1 - f_with * G0), -floor_w),
+                                    (-gam * Gs, -floor_o),
+                                    (np.zeros_like(G1), 1.0)]]
+        if lift.status == INFEASIBLE:
+            return _infeasible()
+        if lift.status == OPTIMAL:
+            lift_v = U @ _block_rank_one(lift.W)[0]
+    v0 = lift_v if v_init is None else v_init
 
     def inits():    # the MMSE direction is built only for the retry
-        if v_init is not None:
-            yield np.asarray(v_init, dtype=complex)
+        if v0 is not None:
+            yield np.asarray(v0, dtype=complex)
             return
         yield h1 / np.linalg.norm(h1)
         yield mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
@@ -219,9 +271,8 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
         cs1 = float(np.vdot(vbar, Hs @ vbar).real)
         cons = [
             (f_with * gamma * H0, -gamma * (H1 @ vbar),
-             -(f_with - 1.0) * (1.0 + margin) - gamma * c1),
-            (None, -gamma * (Hs @ vbar),
-             -(f_without - 1.0) * (1.0 + margin) - gamma * cs1),
+             -floor_w - gamma * c1),
+            (None, -gamma * (Hs @ vbar), -floor_o - gamma * cs1),
         ]
         return QcqpProblem(c=2.0 * gamma * (H1 @ vbar),
                            quad_constraints=cons, start=start), c1
@@ -235,7 +286,8 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
             break
         capped |= res.status == MAX_ITER
     else:
-        return _infeasible(converged=not capped)
+        if lift_v is None:
+            return _infeasible(converged=not capped)
 
     trace = []
     converged = False
@@ -243,8 +295,8 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
         if it:      # step 0 is the solve around the init above
             prob, c1 = around(vbar, res.dual)
             res = yield prob
-            if res.status != OPTIMAL:
-                break   # boundary case: keep the incumbent
+        if res.status != OPTIMAL:
+            break   # keep the incumbent: at step 0, the lift's point
         v = res.v / np.linalg.norm(res.v)
         mu = 2.0 * float(np.vdot(vbar, H1 @ v).real) - c1
         trace.append(gamma * mu)
@@ -290,8 +342,9 @@ def lockstep(gens) -> list:
     """Run design generators together; their solutions, in order.
 
     A generator yields either a QcqpProblem and takes back its QcqpResult
-    (consensual_steps), or (C, row_sets), the trace-one SDPs of objective
-    C, one per row set, and takes back their SdpResults (evolved_steps);
+    (consensual_steps' SCA steps), or (C, row_sets), the trace-one SDPs of
+    objective C, one per row set, and takes back their SdpResults
+    (evolved_steps' relaxations, consensual_steps' lift);
     alternating_steps yields what its inner design yields.  Each round
     sends every pending generator its results, then solves what they
     yield: the QCQPs as one solve_ball_qcqps batch per dimension, and the
@@ -403,9 +456,9 @@ def _block_rank_one(W):
     """The rank-one point of a lift W and how far W is from rank one.
 
     W is W_s (m <= 2) or has the blocks W_s and w_out = W[2, 2] (m = 3), as
-    the evolved design's lifts do.  Returns the unit v = (sqrt(lambda_1)
+    both designs' lifts do.  Returns the unit v = (sqrt(lambda_1)
     u_1, sqrt(w_out)) / norm from W_s's top eigenpair, and W_s's rank
-    residual lambda_2 / lambda_1 (recover_rank_one).  The design sees v only
+    residual lambda_2 / lambda_1 (recover_rank_one).  A design sees v only
     through v^H g0, v^H gs and ||v|| (_span_basis), so when W_s is rank one
     v v^H has W's blocks, and so its objective and rows.
     """
@@ -520,18 +573,8 @@ def evolved_steps(chan, params):
     if _no_dl_floor_unreachable(gamma, hs, f_without):
         return _infeasible()
 
-    U = _span_basis(h0, hs)
-    s = float(np.linalg.norm(h1)) or 1.0
-    g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
-    if len(g0) == 3 and (abs(g0[2]) + abs(gs[2]) <= 1e-12 * (
-            np.linalg.norm(g0) + np.linalg.norm(gs))):
-        # U's last column is outside span(h0, hs), as _span_basis builds
-        # it, so the channels' components there are round-off.  Exactly 0,
-        # they make every relaxation block diagonal (convex._block_sdps).
-        for g in (g0, g1, gs):
-            g[2] = 0.0
+    U, g0, g1, gs, gamma = _span_lift(h0, h1, hs, gamma)
     H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
-    gamma *= s * s
     # H0 and H1 are rank one: H0's spectrum is {0, ||g0||^2} (just
     # ||g0||^2 when m = 1), and lambda_max(H1) = ||g1||^2.
     t_hi = float(np.vdot(g0, g0).real)
@@ -637,22 +680,17 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     or a direct link too weak for the grid) goes to the kernel whole.  The
     relaxations of the other grid points are one solve_sdp_batch request,
     which lockstep may stack with other tags' (greedy_select does).  The
-    lift is built on the basis U of _span_basis, the channels' span plus,
-    at M >= 3, one direction outside it that carries the norm v may leave
-    there; it is exact.  The channels'
-    components on that direction are set to the exact 0 they are up to
-    round-off, so at M >= 3 each relaxation is block diagonal, diag(W_s,
-    w_out) with W_s the 2 x 2 lift on the span, and the kernel solves it
-    exactly in that form (convex._block_sdps), as it does every 2 x 2 lift
-    at M = 2: where the cone binds its W is rank one, v' = (u, sqrt(w_out))
+    lift is built on _span_lift's channels: the span of h0 and hs plus, at
+    M >= 3, one direction outside it that carries the norm v may leave
+    there.  It is exact, and at M >= 3 each relaxation is block diagonal,
+    diag(W_s, w_out) with W_s the 2 x 2 lift on the span, which the kernel
+    solves exactly (convex._block_sdps), as it does every 2 x 2 lift at
+    M = 2: where the cone binds its W is rank one, v' = (u, sqrt(w_out))
     with u u^H = W_s.  Each v' found is mapped back as v = U v' and
-    verified by _finalize on the full channels.
-    It is built from the channels divided by ||h1||, with gamma times
-    ||h1||^2: the grid's and the kernels' floors are absolute, and so the
-    answer stays put when every channel scales by s and sigma_w2 by s^2.
-    A relaxation that ends infeasible or with no interior drops its grid
-    point.  Grid points are examined by falling
-    bound until no remaining bound can beat the best SNR found.  At each,
+    verified by _finalize on the full channels.  A relaxation that ends
+    infeasible or with no interior drops its grid point.  Grid points are
+    examined by falling bound until no remaining bound can beat the best
+    SNR found.  At each,
     _purify reduces the relaxation's optimum to a rank-one v v^H at the
     same objective, so v is optimal for that t; it is kept if _finalize
     verifies it, with rank_residual 0.  Where no

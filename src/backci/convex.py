@@ -1,9 +1,9 @@
-"""Small dense convex kernels: the evolved design's trace-one SDPs, solved
+"""Small dense convex kernels: the designs' trace-one SDPs, solved
 exactly, and the helpers the QCQP kernel (the module qcqp, which describes
 it) shares with them.
 
 `solve_sdp_batch(C, row_sets)` solves trace-one SDPs, the lifts W = v v^H
-of the evolved design: maximize Tr(C W) subject to Tr W = 1, rows
+of both designs: maximize Tr(C W) subject to Tr W = 1, rows
 Tr(A W) <= b and W PSD.  It takes two kinds of entry, and solves both
 exactly, with no Newton step:
 
@@ -14,9 +14,11 @@ exactly, with no Newton step:
   trace-one set is the point W = [[1]] (_row_free).  Unless a row fails,
   the optimum is lambda_max(C) at C's top eigenvector.
 
-Any other entry is refused with ValueError before any solve.  The evolved
-design sends only these kinds: its relaxations and its rank-one penalty
-subproblems are block diagonal on the span basis, and M = 1 lifts are 1 x 1.
+Any other entry is refused with ValueError before any solve.  The designs
+send only these kinds: the evolved design's relaxations and rank-one
+penalty subproblems, and the consensual design's lift (two rows and the
+vacuous 0 <= 1), are block diagonal on the span basis, and M = 1 lifts
+are 1 x 1.
 
 Both kernels take one row count per call (ValueError otherwise), and
 settle every row that x cannot move before solving (_settle): it
@@ -361,8 +363,8 @@ def solve_sdp_batch(C, row_sets: list) -> list:
 
     Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
     row_sets[j], W PSD.  Entries of three rows whose objective and rows are
-    2 x 2, or 3 x 3 and block diagonal, diag(W_s, w_out), as the evolved
-    design's relaxations and penalty subproblems are, are solved in closed
+    2 x 2, or 3 x 3 and block diagonal, diag(W_s, w_out), as the designs'
+    lifts are, are solved in closed
     form (_block_sdps): a Lorentz-cone program in 4 variables, whose optimal
     W is rank one where the cone binds.  Entries with no row, or at m = 1,
     have no row W can move, and end at lambda_max(C) unless a row fails

@@ -1,5 +1,5 @@
-"""The evolved design's block relaxations as Lorentz-cone programs in four
-real coordinates, solved exactly by enumeration.
+"""The designs' block lifts as Lorentz-cone programs in four real
+coordinates, solved exactly by enumeration.
 
 A 2 x 2 Hermitian W_s = [[tau + x_1, x_2 + i x_3], [x_2 - i x_3, tau - x_1]] / 2
 is PSD iff |x| <= tau (Ben-Tal & Nemirovski, Lectures on Modern Convex

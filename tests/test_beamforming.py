@@ -10,6 +10,7 @@ those share code with the solvers.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,13 +34,15 @@ from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
     MAX_ITER,
+    NO_INTERIOR,
     OPTIMAL,
+    SdpResult,
     solve_sdp_batch,
     solve_small_sdp,
 )
 from backci.detection import detection_stats, kld_threshold
 from backci.numerics import hermitian_eig
-from backci.qcqp import solve_ball_qcqp
+from backci.qcqp import QcqpResult, solve_ball_qcqp
 from backci.siso import snr_interval
 from oracles import (
     ci_inequality_margin,
@@ -71,6 +74,17 @@ def trivial_params(**kw):
     return SystemParams(K=1, xi_max=1.0, zeta_max=1.0, **kw)
 
 
+_NO_LIFT = SdpResult(W=None, status=NO_INTERIOR)
+
+
+def no_interior_lifts(mp):
+    """Patch every SDP beamforming solves to end NO_INTERIOR, with no
+    point: a consensual lift that certifies nothing, so the SCA runs from
+    its matched-filter and MMSE starts."""
+    mp.setattr(beamforming, "solve_sdp_batch",
+               lambda C, row_sets: [_NO_LIFT] * len(row_sets))
+
+
 class TestConsensualSca:
     def test_no_direct_link_reduces_to_matched_filter(self):
         rng = np.random.default_rng(3)
@@ -98,9 +112,12 @@ class TestConsensualSca:
     def test_first_solve_iteration_cap_reported(self, monkeypatch):
         # Every QCQP ends max_iter, which certifies no infeasibility.  The
         # matched filter of this tag breaks a row, so no start is optimal
-        # before its first Newton step.
+        # before its first Newton step.  With no lift point to fall back
+        # on (test_capped_first_step_keeps_the_lift_point), the solve
+        # holds no incumbent.
         params = SystemParams(M=4, K=1)
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        no_interior_lifts(monkeypatch)
         sol = consensual_sca(tag0(params, 1), params)
         assert not sol.feasible and not sol.converged
 
@@ -149,7 +166,9 @@ class TestConsensualSca:
     def test_each_step_starts_from_the_last_steps_dual(self, monkeypatch):
         # At seed 1, M = 4, tag 3's matched filter start is infeasible, so
         # its MMSE retry runs: the only init of the draw that needs the
-        # MMSE direction, which is built for it alone.
+        # MMSE direction, which is built for it alone.  Each tag's first
+        # request is its lift, answered here with no point, so that the
+        # SCA runs from those starts.
         built = []
         mmse = beamforming.mmse_beamformer
 
@@ -165,7 +184,9 @@ class TestConsensualSca:
             gen = consensual_steps(chans.tag_channels(k), params)
             last = None
             try:
-                ask = next(gen)
+                _C, row_sets = next(gen)    # the lift: one 3-row entry
+                assert len(row_sets) == 1 and len(row_sets[0]) == 3
+                ask = gen.send([_NO_LIFT])
                 while True:
                     if last is None or last.status != OPTIMAL:
                         assert ask.start is None    # an init's first solve
@@ -181,18 +202,23 @@ class TestConsensualSca:
 
 
 def _run_alone(chan, params):
-    """consensual_steps driven by hand, one solve_ball_qcqp per yield:
-    the statuses of its subproblems and its solution."""
+    """consensual_steps driven by hand, one kernel call per yield: its
+    lift's SdpResult (None if it sends none), the statuses of its QCQP
+    subproblems and its solution."""
     gen = consensual_steps(chan, params)
-    statuses = []
+    lift, statuses = None, []
     try:
         ask = next(gen)
         while True:
-            res = solve_ball_qcqp(ask)
-            statuses.append(res.status)
+            if isinstance(ask, tuple):      # the lift
+                res = beamforming.solve_sdp_batch(*ask)
+                (lift,) = res
+            else:
+                res = solve_ball_qcqp(ask)
+                statuses.append(res.status)
             ask = gen.send(res)
     except StopIteration as stop:
-        return statuses, stop.value
+        return lift, statuses, stop.value
 
 
 def _same_solution(a, b):
@@ -231,7 +257,9 @@ class TestLockstep:
 
     def test_every_field_matches_the_single_tag_run(self, monkeypatch):
         # A budget of 9 Newton steps a QCQP ends a few subproblems
-        # max_iter and leaves most optimal.
+        # max_iter and leaves most optimal.  The cases run twice: with
+        # their exact lifts, and with every lift answered with no point,
+        # which runs the SCA from its matched-filter and MMSE starts.
         monkeypatch.setattr(convex, "_MAX_NEWTON", 9)
         cases = [(chan, SystemParams()) for chan in self.screened_tags()]
         for m in (1, 2, 4, 8):
@@ -240,26 +268,32 @@ class TestLockstep:
                 ch = gen_channel_set(params, seed)
                 cases += [(ch.tag_channels(k), params)
                           for k in range(params.K)]
-        sizes = []
         batch = beamforming.solve_ball_qcqps
 
         def spied(problems):
             sizes.append(len(problems))
             return batch(problems)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(beamforming, "solve_ball_qcqps", spied)
-            together = lockstep([consensual_steps(chan, params)
-                                 for chan, params in cases])
-        alone = [_run_alone(chan, params) for chan, params in cases]
-        for (chan, params), sol, (statuses, by_hand) in zip(cases, together,
-                                                            alone):
-            _same_solution(sol, consensual_sca(chan, params))
-            _same_solution(sol, by_hand)
-        statuses = [st for st, _sol in alone]
-        # each subproblem solved once, most of them in shared batches
-        assert sum(sizes) == sum(map(len, statuses))
-        assert len(sizes) < sum(sizes) / 2
+        statuses = []
+        for no_interior in (False, True):
+            sizes = []
+            with monkeypatch.context() as mp:
+                if no_interior:
+                    no_interior_lifts(mp)
+                with monkeypatch.context() as spy:
+                    spy.setattr(beamforming, "solve_ball_qcqps", spied)
+                    together = lockstep([consensual_steps(chan, params)
+                                         for chan, params in cases])
+                alone = [_run_alone(chan, params) for chan, params in cases]
+                for (chan, params), sol, (_lift, _st, by_hand) in zip(
+                        cases, together, alone):
+                    _same_solution(sol, consensual_sca(chan, params))
+                    _same_solution(sol, by_hand)
+            run = [st for _lift, st, _sol in alone]
+            # each subproblem solved once, most of them in shared batches
+            assert sum(sizes) == sum(map(len, run))
+            assert len(sizes) < sum(sizes) / 2
+            statuses += run
         assert not any(statuses[:4])    # the screens solve nothing
         assert any(st[0] == INFEASIBLE and st[1] == OPTIMAL
                    for st in statuses if len(st) > 1)   # MMSE retry
@@ -273,7 +307,8 @@ class TestLockstep:
         # _SDP_STACK entries per lift size, cut only between tags, and
         # every solution is field for field the one its tag gets alone:
         # from evolved_sdp, and from the generator driven by hand with one
-        # call on its own objective.
+        # call on its own objective.  The consensual lifts, one entry each,
+        # come after every relaxation of their size in the same round.
         monkeypatch.setattr(beamforming, "_SDP_STACK", 150)
         cases = []
         for m in (2, 4):
@@ -298,27 +333,42 @@ class TestLockstep:
                                 + [consensual_steps(chan, params)
                                    for chan, params in cases])
         grids = {2: [], 3: []}      # each tag's grid size, per lift size
+        objectives = {2: [], 3: []}     # and its objective's bytes
         for (chan, params), sol in zip(cases, together):
             by_hand = evolved_steps(chan, params)
             try:
                 C, row_sets = next(by_hand)
                 grids[len(C)].append(len(row_sets))
+                objectives[len(C)].append(C.tobytes())
                 by_hand.send(solve_sdp_batch(C, row_sets))
             except StopIteration as stop:
                 by_hand = stop.value
             for alone in (evolved_sdp(chan, params), by_hand):
                 _same_solution(sol, alone)
                 assert sol.rank_residual == alone.rank_residual
+        lifts = {2: [], 3: []}      # each lift's objective, per lift size
         for (chan, params), sol in zip(cases, together[len(cases):]):
             _same_solution(sol, consensual_sca(chan, params))
+            try:
+                C, _row_sets = next(consensual_steps(chan, params))
+                lifts[len(C)].append(C.tobytes())
+            except StopIteration:
+                pass        # screened: no lift
         assert sum(grids[2]) > 150 and sum(grids[3]) > 150
+        assert lifts[2] and lifts[3]
         want = []
         for m, sizes in grids.items():
             per_call = 150 // sizes[0]      # whole grids, all of one size
             assert set(sizes) == {sizes[0]} and per_call >= 2
             for s in range(0, len(sizes), per_call):
-                tags = len(sizes[s:s + per_call])
-                want.append((m, tags * sizes[0], tags))
+                tags = set(objectives[m][s:s + per_call])
+                want.append((m, len(tags) * sizes[0], len(tags)))
+            # The lifts fill the last call of their size.  A tag's lift
+            # has its relaxations' objective, gamma' G1 on the same span
+            # lift, so it counts as a new tag only if they are elsewhere.
+            _m, n, _t = want[-1]
+            assert n + len(lifts[m]) <= 150
+            want[-1] = (m, n + len(lifts[m]), len(tags | set(lifts[m])))
         assert calls == want
 
     def test_mixed_designs_match_their_runs_alone(self, monkeypatch):
@@ -371,6 +421,206 @@ class TestLockstep:
         with pytest.raises(ValueError, match="non-finite"):
             lockstep([consensual_steps(good, params),
                       consensual_steps(bad, params)])
+
+
+def _consensual_lift(chan, params):
+    """The lift consensual_steps sends first for chan, as (C, row_sets),
+    rebuilt here from the span basis, with the round-off outside the
+    channels' span set to 0, and checked to be the bytes the design sends.
+    None when the screens end the solve before it."""
+    try:
+        C, row_sets = next(consensual_steps(chan, params))
+    except StopIteration:
+        return None
+    h0, h1, hs = chan
+    U = beamforming._span_basis(h0, hs)
+    s = np.linalg.norm(h1)
+    gamma = params.gamma * (s * s)
+    _d, _e, f_with, f_without = divergence_floors(params)
+    G0, G1, Gs = (np.outer(g, g.conj()) for g in (
+        np.where(np.arange(len(U.T)) < 2, U.conj().T @ (h / s), 0.0)
+        for h in (h0, h1, hs)))
+    lift = gamma * G1, [[(-gamma * (G1 - f_with * G0), -(f_with - 1.0)),
+                         (-gamma * Gs, -(f_without - 1.0)),
+                         (np.zeros_like(G1), 1.0)]]
+    assert _lift_bytes(*lift) == _lift_bytes(C, row_sets)
+    return lift
+
+
+
+class TestConsensualLift:
+    """consensual_steps first solves its exact lift: trace plus the two
+    floors' rows, which has a rank-one optimum, so its objective is the
+    problem's optimum and its certificate proves infeasibility."""
+
+    # draws with a tag whose lift is infeasible though the closed-form
+    # screens pass it: (M, sigma_s2, seed)
+    INFEASIBLE_DRAWS = [(2, 0.8, 15), (4, 0.2, 19), (4, 0.4, 15),
+                        (8, 0.4, 17)]
+
+    def test_infeasible_lift_certificate_is_a_floor(self):
+        # The certificate is a floor under every W's largest normalized
+        # violation, so under that of v v^H for every unit v of the lift,
+        # sampled densely; such a tag ends infeasible with no QCQP.
+        rng = np.random.default_rng(71)
+        checked = 0
+        for m, sigma_s2, seed in self.INFEASIBLE_DRAWS:
+            params = SystemParams(M=m, sigma_s2=sigma_s2)
+            ch = gen_channel_set(params, seed)
+            for k in range(params.K):
+                lift, qcqps, sol = _run_alone(ch.tag_channels(k), params)
+                if lift is None or lift.status != INFEASIBLE:
+                    continue
+                assert not sol.feasible and sol.converged and not qcqps
+                C, (rows,) = _consensual_lift(ch.tag_channels(k), params)
+                n = len(C)
+                V = rng.normal(size=(20000, n)) + 1j * rng.normal(
+                    size=(20000, n))
+                V /= np.linalg.norm(V, axis=1)[:, None]
+                viol = np.max([(np.vecdot(V, V @ A.T).real - b)
+                               / max(abs(b), np.linalg.norm(A))
+                               for A, b in rows], axis=0)
+                assert 0.0 < lift.certificate <= viol.min()
+                checked += 1
+        assert checked >= len(self.INFEASIBLE_DRAWS)
+
+    def test_probe_tag_is_feasible(self, monkeypatch):
+        # The matched-filter and MMSE starts' first inner approximations
+        # are empty on this tag, so those starts alone end infeasible; the
+        # lift's point meets both floors.
+        params = SystemParams(M=4)
+        chan = gen_channel_set(params, 25).tag_channels(1)
+        sol = consensual_sca(chan, params)
+        assert sol.feasible and sol.converged
+        assert sol.snr == pytest.approx(4.04516239996760, rel=1e-6)
+        assert round(sol.snr, 5) == 4.04516
+        no_interior_lifts(monkeypatch)
+        assert not consensual_sca(chan, params).feasible
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_snr_reaches_the_lift_optimum(self, m):
+        # The lift's objective + gap bounds every unit v's SNR, and the
+        # SCA from the lift's point ends within 1e-6 of it (up to 1e-12
+        # of round-off above it).
+        params = SystemParams(M=m)
+        feasible = 0
+        for seed in range(20):
+            ch = gen_channel_set(params, seed)
+            for k in range(params.K):
+                lift, _st, sol = _run_alone(ch.tag_channels(k), params)
+                if not sol.feasible:
+                    continue
+                feasible += 1
+                assert lift.status == OPTIMAL and lift.gap >= 0.0
+                bound = lift.objective + lift.gap
+                assert sol.snr <= bound * (1.0 + 1e-12)
+                assert sol.snr == pytest.approx(lift.objective, rel=1e-6)
+        assert feasible >= 5
+
+    def test_capped_first_step_keeps_the_lift_point(self, monkeypatch):
+        # Every QCQP ends max_iter, so no SCA step is taken: the lift's
+        # rank-one point is the incumbent, verified, and the solve goes
+        # back unconverged, not infeasible.
+        params = SystemParams(M=4, K=1)
+        chan = tag0(params, 1)
+        lift, _st, _sol = _run_alone(chan, params)
+        assert lift.status == OPTIMAL
+        monkeypatch.setattr(beamforming, "solve_ball_qcqps", lambda ps: [
+            QcqpResult(v=None, status=MAX_ITER) for _p in ps])
+        sol = consensual_sca(chan, params)
+        assert sol.feasible and not sol.converged
+        assert sol.iterations == 0 and sol.objective_trace == []
+        v = beamforming._span_basis(chan[0], chan[2]) @ \
+            beamforming._block_rank_one(lift.W)[0]
+        assert sol.v.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        assert sol.snr == pytest.approx(lift.objective, rel=1e-6)
+
+    def test_no_interior_lift_runs_the_matched_filter_and_mmse_starts(
+            self, monkeypatch):
+        # Tag 3 of seed 1 at M = 4: its matched-filter start's first
+        # subproblem is infeasible, so the MMSE start follows.  With its
+        # exact lift, the one start is the lift's point.
+        params = SystemParams(M=4)
+        h0, h1, hs = chan = gen_channel_set(params, 1).tag_channels(3)
+        starts = []
+        batch = beamforming.solve_ball_qcqps
+
+        def spied(problems):
+            starts.extend(p.c for p in problems if p.start is None)
+            return batch(problems)
+
+        def c_at(v):    # the objective of the subproblem at the start v
+            v = v / np.linalg.norm(v)
+            return 2.0 * params.gamma * (np.outer(h1, h1.conj()) @ v)
+
+        lift, _st, _sol = _run_alone(chan, params)
+        monkeypatch.setattr(beamforming, "solve_ball_qcqps", spied)
+        exact = consensual_sca(chan, params)
+        no_interior_lifts(monkeypatch)
+        today = consensual_sca(chan, params)
+        assert exact.feasible and today.feasible
+        v_lift = beamforming._span_basis(h0, hs) @ \
+            beamforming._block_rank_one(lift.W)[0]
+        mmse = mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
+        assert len(starts) == 3
+        for c, v in zip(starts, (v_lift, h1, mmse)):
+            assert np.linalg.norm(c - c_at(v)) <= 1e-12 * np.linalg.norm(c)
+
+    def test_stacked_with_relaxations_is_bit_identical(self, monkeypatch):
+        # Consensual lifts and evolved relaxations of one lift size share
+        # solve_sdp_batch calls; every generator receives the results,
+        # and ends at the solution, it gets run alone.
+        cases = []
+        for m in (2, 4, 8):
+            params = SystemParams(M=m, T=30)
+            ch = gen_channel_set(params, 1)
+            cases += [(design, ch.tag_channels(k), params)
+                      for k in range(params.K)
+                      for design in (consensual_steps, evolved_steps)]
+        mixed = []
+        batch = beamforming.solve_sdp_batch
+
+        def spied(C, row_sets):
+            # a lift's objective is one entry's; a relaxation grid's is
+            # shared by its entries
+            uses = Counter(map(id, C)).values()
+            mixed.append(1 in uses and max(uses) > 1)
+            return batch(C, row_sets)
+
+        def run(gens):
+            got = [[] for _g in gens]
+            sols = lockstep([_recorded(g, r) for g, r in zip(gens, got)])
+            return got, sols
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "solve_sdp_batch", spied)
+            got, together = run([d(c, p) for d, c, p in cases])
+        assert any(mixed)
+        for (design, chan, params), res, sol in zip(cases, got, together):
+            (res_alone,), (alone,) = run([design(chan, params)])
+            assert list(map(_fields, res)) == list(map(_fields, res_alone))
+            _same_solution(sol, alone)
+            assert sol.rank_residual == alone.rank_residual
+
+
+def _recorded(gen, got):
+    """gen, with every result sent to it appended to got."""
+    res = None
+    try:
+        while True:
+            res = yield gen.send(res)
+            got.append(res)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _fields(results):
+    """Every field of each kernel result of a list (an SDP request's) or
+    of one QcqpResult: arrays as bytes, floats in their exact repr."""
+    if not isinstance(results, list):
+        results = [results]
+    return [tuple(x.tobytes() if isinstance(x, np.ndarray) else repr(x)
+                  for x in vars(r).values()) for r in results]
 
 
 class TestEvolvedSdp:
@@ -1365,8 +1615,12 @@ class TestAlternatingMimo:
     def test_inner_iteration_cap_reported(self, monkeypatch):
         # The first receive step's QCQPs all need more than one Newton
         # step on this tag, so every one ends max_iter.
+        # The lifts are answered with no point, so that no lift point
+        # stands in as the incumbent (test_capped_first_step_keeps_the_
+        # lift_point).
         params = SystemParams(M=2, Q=2, K=1)
         monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        no_interior_lifts(monkeypatch)
         sol = alternating_mimo(tag0(params, 29), params, "consensual")
         assert not sol.feasible and not sol.converged
 

@@ -21,8 +21,10 @@ from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
     INFEASIBLE,
     MAX_ITER,
+    NO_INTERIOR,
     OPTIMAL,
     SdpProblem,
+    SdpResult,
     embed_hermitian,
     embed_vector,
     solve_sdp_batch,
@@ -329,6 +331,28 @@ def _consensual_subproblems(ms, seeds):
     return out
 
 
+def _matched_filter_subproblems(ms, seeds):
+    """The consensual SCA's first QCQP, linearized at the matched filter,
+    on every tag of the draws gen_channel_set(SystemParams(M=m), seed) that
+    the closed-form screens pass: each tag's lift is answered with no
+    point, which starts the SCA there."""
+    out = []
+    for m in ms:
+        params = SystemParams(M=m)
+        for seed in seeds:
+            ch = gen_channel_set(params, seed)
+            for k in range(params.K):
+                gen = beamforming.consensual_steps(ch.tag_channels(k),
+                                                   params)
+                try:
+                    next(gen)
+                except StopIteration:
+                    continue
+                out.append(gen.send([SdpResult(W=None,
+                                               status=NO_INTERIOR)]))
+    return out
+
+
 def _random_qcqps(rng, count, slack=(0.05, 1.0)):
     """Random QCQPs of dimension 1 to 4 with one to three rows, each met
     with the given slack at a point inside the ball, or missed by it when
@@ -405,9 +429,8 @@ class TestQcqpInfeasibleFloor:
 
     def test_random_and_consensual_problems(self):
         rng = np.random.default_rng(43)
-        problems = _random_qcqps(rng, 40, slack=(-1.5, 0.1)) + [
-            p for p, r in _consensual_subproblems([1, 2, 4], [0, 1, 2])
-            if r.status == INFEASIBLE]
+        problems = (_random_qcqps(rng, 40, slack=(-1.5, 0.1))
+                    + _matched_filter_subproblems([1, 2, 4], [0, 1, 2]))
         checked = 0
         for p in problems:
             res = solve_ball_qcqp(p)

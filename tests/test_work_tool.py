@@ -72,3 +72,12 @@ def test_warm_entries_are_counted_on_the_sweep():
     # step's dual as its start
     counts = _work().run("sweep-sca", 1, 2)
     assert 0 < counts["warm/qcqp"] <= counts["entries/qcqp"]
+
+
+def test_sweep_counts_the_consensual_lifts():
+    # each consensual solve the screens pass sends its lift, one SDP entry
+    counts = _work().run("sweep-sca", 1, 2)
+    statuses = sum(v for name, v in counts.items()
+                   if name.startswith("status/sdp/"))
+    assert counts["calls/sdp"] > 0
+    assert counts["entries/sdp"] == statuses

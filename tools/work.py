@@ -26,8 +26,10 @@ counters are:
 * ``s/total``: the seconds of the whole run.
 
 The SDP kernel solves every entry exactly, with no Newton step, so it has
-no round counters.  ``calls/sdp`` and ``entries/sdp`` count the penalty
-SCA's subproblems too: ``convex.solve_small_sdp`` is a call of
+no round counters.  ``calls/sdp`` and ``entries/sdp`` count the
+consensual design's lifts, one entry per solve that its closed-form
+screens pass (the only SDPs of ``sweep-sca``), and the penalty SCA's
+subproblems too: ``convex.solve_small_sdp`` is a call of
 ``solve_sdp_batch`` on one entry.  The counters wrap ``backci.convex`` and
 ``backci.qcqp`` from outside, while the run lasts, so the library itself
 is unchanged and costs nothing when this script is not running.
