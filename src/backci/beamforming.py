@@ -41,6 +41,7 @@ or round-off, ends the loop at the incumbent with converged=False.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -104,13 +105,18 @@ def divergence_floors(params) -> tuple:
 
     D_min / E_min are the divergence floors for the with-DL and without-DL
     tests; F_* are the corresponding variance-ratio thresholds obtained by
-    inverting ln(x) + 1/x = floor/N + 1 on the upper branch.
+    inverting ln(x) + 1/x = floor/N + 1 on the upper branch.  Computed
+    once per (xi_max, zeta_max, N): params is mutable, so the values, not
+    the object, are the key.
     """
-    d_min = kld_threshold(params.xi_max)
-    e_min = kld_threshold(params.zeta_max)
-    f_with = big_f(d_min / params.N + 1.0)
-    f_without = big_f(e_min / params.N + 1.0)
-    return d_min, e_min, f_with, f_without
+    return _floors(params.xi_max, params.zeta_max, params.N)
+
+
+@functools.lru_cache(maxsize=256)
+def _floors(xi_max: float, zeta_max: float, n: int) -> tuple:
+    d_min = kld_threshold(xi_max)
+    e_min = kld_threshold(zeta_max)
+    return d_min, e_min, big_f(d_min / n + 1.0), big_f(e_min / n + 1.0)
 
 
 def _unpack(chan):
@@ -712,17 +718,31 @@ def mmse_beamformer(h_sr: np.ndarray, h_str: np.ndarray, sigma_s2: float,
     """MMSE receive filter treating the direct link as interference.
 
     v* = normalize((h_sr h_sr^H + h_str h_str^H + (sigma_w2/sigma_s2) I)^{-1}
-    h_str).  Always well defined for sigma_w2 > 0.
+    h_str).  Always well defined for sigma_w2 > 0.  With a leading tag
+    axis, h_sr and h_str of shape (K, M), the K filters come from one
+    solve on the stack of K matrices.
     """
     h_sr = np.asarray(h_sr, dtype=complex)
     h_str = np.asarray(h_str, dtype=complex)
-    if float(np.vdot(h_str, h_str).real) == 0.0:
+    if (np.vecdot(h_str, h_str).real == 0.0).any():
         raise ValueError("backscatter channel must be nonzero")
-    m = h_str.size
-    A = (np.outer(h_sr, h_sr.conj()) + np.outer(h_str, h_str.conj())
+    m = h_str.shape[-1]
+    A = (_outer(h_sr) + _outer(h_str)
          + (sigma_w2 / sigma_s2) * np.eye(m))
-    v = np.linalg.solve(A, h_str)
-    return v / np.linalg.norm(v)
+    return _unit_rows(np.linalg.solve(A, h_str[..., None])[..., 0])
+
+
+def _outer(h):
+    """h h^H, for one vector or a stack of them."""
+    return h[..., :, None] * h.conj()[..., None, :]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """v over its norm along the last axis, each row's norm rounded as
+    np.linalg.norm rounds it: the square root of the real parts' dot
+    product plus the imaginary parts' (its axis= form sums otherwise)."""
+    sq = np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)
+    return v / np.sqrt(sq)[..., None]
 
 
 def _design_steps(chan, params, mode: str, incumbent=None):

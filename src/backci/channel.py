@@ -12,7 +12,9 @@ forward and backward hops scaled by the in-tag attenuation alpha.
 
 Randomness is counter-based and splittable: every link of every tag draws
 from its own Philox stream keyed by (caller entropy, tag, link), so trials
-are order-independent and safe to generate from parallel workers.
+are order-independent and safe to generate from parallel workers.  A
+stream takes two draws, its geometry and its normals, and the links of
+one kind, all K tags' at once, are built in one array expression.
 """
 
 from __future__ import annotations
@@ -160,33 +162,44 @@ def gen_rician_vector(d: float, theta: float, M: int, kappa: float,
         kappa: Rician factor, >= 0; the kappa -> inf limit is the pure
             steering vector scaled by sqrt(d^-rho).
         rho: Path-loss exponent, > 0.
-        rng: Source of the scattered component.
+        rng: Source of the scattered component: M real parts, then M
+            imaginary parts.
     """
     if d <= 0 or rho <= 0:
         raise ValueError("d and rho must be positive")
     if M < 1 or kappa < 0:
         raise ValueError("M >= 1 and kappa >= 0 required")
-    m = np.arange(M)
-    los = np.exp(-1j * np.pi * m * np.sin(theta))
-    scat = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0)
-    scale = np.sqrt(d ** (-rho))
+    return _rician(np.sqrt(d ** (-rho)), theta, kappa,
+                   rng.standard_normal(2 * M).reshape(2, M))
+
+
+def _rician(scale, theta, kappa: float, normals: np.ndarray) -> np.ndarray:
+    """Rician vectors of length M from their normals, shape (..., 2, M):
+    real parts, then imaginary parts.  scale, sqrt(d^-rho), and theta are
+    scalars or arrays that broadcast against the vectors' leading axes
+    with a trailing axis of 1."""
+    M = normals.shape[-1]
+    los = np.exp(-1j * np.pi * np.arange(M) * np.sin(theta))
+    scat = (normals[..., 0, :] + 1j * normals[..., 1, :]) / np.sqrt(2.0)
     return scale * (np.sqrt(kappa / (kappa + 1.0)) * los
                     + np.sqrt(1.0 / (kappa + 1.0)) * scat)
 
 
 def cascade(h_st, h_tr: np.ndarray, alpha: float) -> np.ndarray:
-    """Backscatter-link channel through one tag.
+    """Backscatter-link channel through one tag, or a stack of tags.
 
     SIMO (scalar h_st): alpha * h_st * h_tr, a length-M vector.
     MIMO (length-Q h_st): alpha * outer(h_tr, conj(h_st)), an (M, Q) array.
+    With a leading tag axis on both, h_st of shape (K,) or (K, Q) and h_tr
+    of shape (K, M), it returns the K tags' cascades stacked.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     h_tr = np.asarray(h_tr, dtype=complex)
     h_st = np.asarray(h_st, dtype=complex)
-    if h_st.ndim == 0:
-        return alpha * complex(h_st) * h_tr
-    return alpha * np.outer(h_tr, h_st.conj())
+    if h_st.ndim < h_tr.ndim:
+        return (alpha * h_st)[..., None] * h_tr
+    return alpha * (h_tr[..., :, None] * h_st.conj()[..., None, :])
 
 
 def _entropy_tuple(rng) -> tuple:
@@ -198,21 +211,41 @@ def _entropy_tuple(rng) -> tuple:
     return (int(rng),)
 
 
-def _link_stream(base: tuple, tag: int, link: int) -> np.random.Generator:
-    key = base + (tag, link)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+def _links(base: tuple, tags, link: int, fixed_d: Optional[float],
+           shape: tuple, params: SystemParams) -> tuple:
+    """Draw one link per tag index, each from its own keyed Philox stream.
 
-
-def _draw_geometry(stream: np.random.Generator,
-                   fixed_d: Optional[float]) -> tuple[float, float]:
-    d = fixed_d if fixed_d is not None else float(
-        stream.uniform(DIST_RANGE[0], DIST_RANGE[1]))
-    theta = float(stream.uniform(-np.pi / 2.0, np.pi / 2.0))
-    return d, theta
+    A stream draws the geometry first, one uniform u for the distance
+    unless fixed_d pins it and one for the angle, each mapped to lo +
+    (hi - lo) u as Generator.uniform maps it; then the normals of its
+    entries' real and imaginary parts, row by row for a link of shape
+    (Q, M).  Returns the distances and the links, shape (len(tags),) +
+    shape, built in one array expression.
+    """
+    lo, hi = DIST_RANGE
+    dists, thetas, normals = [], [], []
+    for tag in tags:
+        stream = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(base + (tag, link))))
+        u = stream.random(1 if fixed_d is not None else 2).tolist()
+        dists.append(fixed_d if fixed_d is not None else lo + (hi - lo) * u[0])
+        thetas.append(-np.pi / 2.0 + np.pi * u[-1])
+        normals.append(stream.standard_normal(2 * math.prod(shape)))
+    # d ** -rho per link: np.power on an array rounds differently
+    axes = (len(tags),) + (1,) * len(shape)
+    scale = np.sqrt([d ** (-params.rho) for d in dists]).reshape(axes)
+    normals = np.reshape(normals, (len(tags),) + shape[:-1] + (2, shape[-1]))
+    return dists, _rician(scale, np.reshape(thetas, axes), params.kappa,
+                          normals)
 
 
 def gen_channel_set(params: SystemParams, rng) -> ChannelRealization:
     """Draw all links for one realization.
+
+    Every link keeps its own Philox stream keyed by (entropy, tag, link).
+    Each stream takes two draws, its geometry and its normals, and the K
+    tags' links of one kind are built together; the MIMO source link's Q
+    rows share one stream, one geometry and one draw of normals.
 
     Args:
         params: System configuration.
@@ -225,42 +258,21 @@ def gen_channel_set(params: SystemParams, rng) -> ChannelRealization:
     """
     base = _entropy_tuple(rng)
     K, M, Q = params.K, params.M, params.Q
-
-    sr_stream = _link_stream(base, 0, _LINK_SR)
-    d_sr, th_sr = _draw_geometry(sr_stream, params.d_sr)
-    if Q == 1:
-        h_sr = gen_rician_vector(d_sr, th_sr, M, params.kappa, params.rho,
-                                 sr_stream)
-    else:
-        h_sr = np.stack([
-            gen_rician_vector(d_sr, th_sr, M, params.kappa, params.rho,
-                              sr_stream)
-            for _ in range(Q)
-        ])
-
-    h_st = np.zeros((K,) if Q == 1 else (K, Q), dtype=complex)
-    h_tr = np.zeros((K, M), dtype=complex)
+    tags = range(1, K + 1)
+    (d_sr,), (h_sr,) = _links(base, (0,), _LINK_SR, params.d_sr,
+                              (M,) if Q == 1 else (Q, M), params)
+    d_st, h_st = _links(base, tags, _LINK_ST, params.d_st, (Q,), params)
+    d_tr, h_tr = _links(base, tags, _LINK_TR, params.d_tr, (M,), params)
     dists = {"sr": d_sr}
     for k in range(K):
-        st_stream = _link_stream(base, k + 1, _LINK_ST)
-        d_st, th_st = _draw_geometry(st_stream, params.d_st)
-        st_vec = gen_rician_vector(d_st, th_st, Q, params.kappa, params.rho,
-                                   st_stream)
-        h_st[k] = st_vec[0] if Q == 1 else st_vec
-
-        tr_stream = _link_stream(base, k + 1, _LINK_TR)
-        d_tr, th_tr = _draw_geometry(tr_stream, params.d_tr)
-        h_tr[k] = gen_rician_vector(d_tr, th_tr, M, params.kappa, params.rho,
-                                    tr_stream)
-        dists[f"st_{k}"] = d_st
-        dists[f"tr_{k}"] = d_tr
-
-    return _assemble(h_sr, h_st, h_tr, params.alpha, dists)
+        dists[f"st_{k}"] = d_st[k]
+        dists[f"tr_{k}"] = d_tr[k]
+    return _assemble(h_sr, h_st[:, 0] if Q == 1 else h_st, h_tr,
+                     params.alpha, dists)
 
 
 def _assemble(h_sr, h_st, h_tr, alpha, dists=None) -> ChannelRealization:
-    K, M = h_tr.shape
-    h_str = np.stack([cascade(h_st[k], h_tr[k], alpha) for k in range(K)])
+    h_str = cascade(h_st, h_tr, alpha)
     # MIMO: h0 is the (M, Q) source-side composite
     h0 = h_sr if h_st.ndim == 1 else h_sr.conj().T
     h1 = h_str + h0[None]

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .beamforming import lockstep
 from .channel import SystemParams, gen_channel_set
 from .detection import dep_lower_bound, kld_threshold
 from .harness import (
@@ -25,6 +26,7 @@ from .harness import (
     sweep_from_config,
 )
 from .numerics import big_f, lambert_w0
+from .selection import _best_of, tag_steps
 from .siso import ci_angle
 
 EXIT_OK = 0
@@ -92,11 +94,14 @@ def cmd_solve(args) -> int:
     print(f"realization seed={params.seed} K={params.K} M={params.M} "
           f"Q={params.Q} gamma={params.gamma:.6g}")
 
-    from .selection import greedy_select
     any_feasible = False
     nonconverged = False
-    for mode in ("consensual", "evolved"):
-        res = greedy_select(chans, params, mode)
+    modes = ("consensual", "evolved")
+    # both designs' tags run in one lockstep, so their SDPs share calls
+    sols = lockstep([gen for mode in modes
+                     for gen in tag_steps(chans, params, mode)])
+    for i, mode in enumerate(modes):
+        res = _best_of(sols[i * params.K:(i + 1) * params.K])
         nonconverged |= not res.converged
         if res.best is None:
             print(f"{mode:10s}  infeasible on all {params.K} tags"

@@ -48,18 +48,21 @@ class DetectionStats:
 
 
 def hypothesis_variances(v: np.ndarray, h0: np.ndarray, h1: np.ndarray,
-                         sigma_s2: float, sigma_w2: float) -> tuple[float, float]:
+                         sigma_s2: float, sigma_w2: float) -> tuple:
     """Per-sample variances of the combined signal under both hypotheses.
 
     Args:
-        v: Receive beamformer (any norm; the norm term is kept explicit).
-        h0: Channel under H0 (tag silent).
-        h1: Channel under H1 (tag reflecting).
+        v: Receive beamformer (any norm; the norm term is kept explicit),
+            shape (M,), or (K, M) for K tags at once.
+        h0: Channel under H0 (tag silent), v's shape.
+        h1: Channel under H1 (tag reflecting), v's shape.
         sigma_s2: Transmit power (watts).
         sigma_w2: Noise power (watts).
 
     Returns:
-        (delta0, delta1) with delta_i = |v^H h_i|^2 sigma_s2 + sigma_w2 ||v||^2.
+        (delta0, delta1) with delta_i = |v^H h_i|^2 sigma_s2
+        + sigma_w2 ||v||^2: floats for one tag, lists of K floats for a
+        stack.
     """
     v = np.asarray(v, dtype=complex)
     h0 = np.asarray(h0, dtype=complex)
@@ -68,10 +71,24 @@ def hypothesis_variances(v: np.ndarray, h0: np.ndarray, h1: np.ndarray,
         raise ValueError(f"dimension mismatch: {v.shape}, {h0.shape}, {h1.shape}")
     if sigma_s2 <= 0 or sigma_w2 <= 0:
         raise ValueError("powers must be positive")
-    nv2 = float(np.vdot(v, v).real)
-    d0 = abs(np.vdot(v, h0)) ** 2 * sigma_s2 + sigma_w2 * nv2
-    d1 = abs(np.vdot(v, h1)) ** 2 * sigma_s2 + sigma_w2 * nv2
-    return float(d0), float(d1)
+    # A stack's products come from np.vecdot, which conjugates v and rounds
+    # as np.vdot does; the rest is per-tag scalar math, as np.abs and ** on
+    # arrays round otherwise.
+    dot = np.vdot if v.ndim == 1 else np.vecdot
+    nv2 = dot(v, v).real.tolist()
+    p0 = dot(v, h0).tolist()
+    p1 = dot(v, h1).tolist()
+    if v.ndim == 1:
+        return (_variance(p0, nv2, sigma_s2, sigma_w2),
+                _variance(p1, nv2, sigma_s2, sigma_w2))
+    return ([_variance(p, n, sigma_s2, sigma_w2) for p, n in zip(p0, nv2)],
+            [_variance(p, n, sigma_s2, sigma_w2) for p, n in zip(p1, nv2)])
+
+
+def _variance(p: complex, nv2: float, sigma_s2: float,
+              sigma_w2: float) -> float:
+    """|p|^2 sigma_s2 + sigma_w2 nv2, for p = v^H h and nv2 = ||v||^2."""
+    return abs(p) ** 2 * sigma_s2 + sigma_w2 * nv2
 
 
 def kld(delta_num: float, delta_den: float, n: int) -> float:
@@ -165,15 +182,25 @@ def dep_oracle(delta0: float, delta1: float, n: int) -> float:
 
 def detection_stats(v: np.ndarray, h0: np.ndarray, h1: np.ndarray,
                     h1_bar: np.ndarray, sigma_s2: float, sigma_w2: float,
-                    n: int) -> DetectionStats:
+                    n: int):
     """Full detection summary for a beamformer against one tag's channels.
 
     h1_bar is the backscatter-only channel; the no-DL hypothesis pair is
-    (0, h1_bar), so delta0_bar is the pure noise floor.
+    (0, h1_bar), so delta0_bar is the pure noise floor.  With a leading
+    tag axis, v and the channels of shape (K, M), the products of all K
+    tags are formed together and a list of K DetectionStats is returned.
     """
     d0, d1 = hypothesis_variances(v, h0, h1, sigma_s2, sigma_w2)
     zeros = np.zeros_like(np.asarray(h0))
     d0b, d1b = hypothesis_variances(v, zeros, h1_bar, sigma_s2, sigma_w2)
+    if isinstance(d0, float):
+        return _summary(d0, d1, d0b, d1b, n)
+    return [_summary(*deltas, n) for deltas in zip(d0, d1, d0b, d1b)]
+
+
+def _summary(d0: float, d1: float, d0b: float, d1b: float,
+             n: int) -> DetectionStats:
+    """One tag's DetectionStats from its four variances, in scalar math."""
     k_with = kld(d1, d0, n)
     k_without = kld(d1b, d0b, n)
     return DetectionStats(
@@ -187,4 +214,3 @@ def detection_stats(v: np.ndarray, h0: np.ndarray, h1: np.ndarray,
         dep_bound_with=dep_lower_bound(k_with),
         dep_bound_without=dep_lower_bound(k_without),
     )
-

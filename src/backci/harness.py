@@ -5,8 +5,10 @@ deterministic seed tree, runs each requested algorithm, and emits one CSV
 row per algorithm.  Cells run in chunks of 8, serially or one chunk per
 pool task; every design solve of a chunk, consensual, evolved and the
 random baseline's, at any Q, goes through one beamforming.lockstep call,
-whose rounds are batched kernel calls.  Rows are sorted before writing,
-so output bytes do not depend on worker scheduling.
+whose rounds are batched kernel calls.  The closed-form benchmark
+schemes evaluate a cell's K tags at once (run_benchmark).  Rows are
+sorted before writing, so output bytes do not depend on worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional, get_type_hints
 
 import numpy as np
 
-from .beamforming import _FEAS_TOL, BeamformerSolution, \
+from .beamforming import _FEAS_TOL, BeamformerSolution, _unit_rows, \
     divergence_floors, lockstep, mmse_beamformer
 from .channel import DIST_RANGE, SystemParams, gen_channel_set
 from .detection import detection_stats, kld_threshold
@@ -199,38 +201,37 @@ def run_benchmark(chans, params, scheme: str) -> SelectionResult:
     Under both, a tag is feasible when the no-DL KLD through its filter
     clears E_min to the tolerance the designs verify with.  A tag with no
     backscatter channel (alpha = 0) is infeasible under both, with no
-    filter.
+    filter.  The tags with one are evaluated together: their filters and
+    the filters' products with the channels as arrays over the tags, and
+    each tag's objective and detection statistics from those in scalar
+    math.
     """
     if scheme not in ("harmful_dli", "canceled_dli"):
         raise ValueError(f"unknown benchmark scheme {scheme!r}")
-    gamma = params.gamma
+    if chans.h_str.ndim > 2:
+        raise ValueError("benchmark schemes are single-transmit only")
     _d, e_min, _fw, _fo = divergence_floors(params)
-    zeros = np.zeros_like(chans.h0)
-    per_tag = []
-    for k in range(params.K):
-        h0, h1, hs = chans.tag_channels(k)
-        if hs.ndim > 1:
-            raise ValueError("benchmark schemes are single-transmit only")
-        if not hs.any():
-            per_tag.append(BeamformerSolution(v=None, snr=0.0,
-                                              feasible=False, iterations=0))
-            continue
-        if scheme == "harmful_dli":
-            v = mmse_beamformer(h0, hs, params.sigma_s2, params.sigma_w2)
-            sig = params.sigma_s2 * abs(np.vdot(v, hs)) ** 2
-            intf = params.sigma_s2 * abs(np.vdot(v, h0)) ** 2
-            objective = sig / (intf + params.sigma_w2)
-            stats = detection_stats(v, h0, h1, hs, params.sigma_s2,
-                                    params.sigma_w2, params.N)
-        else:
-            v = hs / np.linalg.norm(hs)
-            objective = gamma * float(np.vdot(hs, hs).real)
-            stats = detection_stats(v, zeros, hs, hs, params.sigma_s2,
-                                    params.sigma_w2, params.N)
-        feasible = stats.kld_without >= e_min - _FEAS_TOL
-        per_tag.append(BeamformerSolution(v=v, snr=float(objective),
-                                          feasible=bool(feasible),
-                                          iterations=0, stats=stats))
+    s2, w2 = params.sigma_s2, params.sigma_w2
+    live = np.flatnonzero(chans.h_str.any(axis=-1)).tolist()
+    per_tag = [BeamformerSolution(v=None, snr=0.0, feasible=False,
+                                  iterations=0) for _k in range(params.K)]
+    hs = chans.h_str[live]
+    if scheme == "harmful_dli":
+        h0 = np.broadcast_to(chans.h0, hs.shape)
+        v = mmse_beamformer(h0, hs, s2, w2)
+        # scalar math per tag: np.abs and ** on arrays round otherwise
+        snr = [s2 * abs(a) ** 2 / (s2 * abs(b) ** 2 + w2) for a, b in
+               zip(np.vecdot(v, hs).tolist(), np.vecdot(v, h0).tolist())]
+        stats = detection_stats(v, h0, chans.h1[live], hs, s2, w2, params.N)
+    else:
+        v = _unit_rows(hs)
+        snr = (params.gamma * np.vecdot(hs, hs).real).tolist()
+        stats = detection_stats(v, np.zeros_like(hs), hs, hs, s2, w2,
+                                params.N)
+    for k, v_k, snr_k, st in zip(live, v, snr, stats):
+        per_tag[k] = BeamformerSolution(
+            v=v_k, snr=snr_k, feasible=st.kld_without >= e_min - _FEAS_TOL,
+            iterations=0, stats=st)
     return _best_of(per_tag)
 
 

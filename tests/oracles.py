@@ -468,3 +468,53 @@ def collinear_x_range(c, hs_norm2, sigma_s2, sigma_w2, n_samples, d_floor,
     else:
         hi = min(hi, 2.0 * c.real / (gamma * b)) if c.real > 0 else 0.0
     return lo, hi
+
+
+def benchmark_scheme_oracle(h0, h1, hs, sigma_s2, sigma_w2, n_samples,
+                            zeta_max, scheme, tol=1e-6):
+    """One tag's closed-form benchmark scheme, computed alone.
+
+    The per-tag form of harness.run_benchmark, written out with np.outer,
+    np.linalg.solve, np.linalg.norm, np.vdot and math, one tag at a time:
+    harmful_dli takes the MMSE filter
+    (h0 h0^H + hs hs^H + (sigma_w2/sigma_s2) I)^-1 hs, normalized, and its
+    output SINR; canceled_dli the matched filter hs/||hs|| and
+    gamma ||hs||^2.  The variances are |v^H h|^2 sigma_s2 + sigma_w2 ||v||^2
+    with and without h0, and the tag is feasible when the no-DL KLD clears
+    -ln(1 - (1 - zeta_max)^2) - tol.
+
+    Returns None for a zero hs, else (v, snr, feasible, stats): stats is
+    (delta0, delta1, delta0_bar, delta1_bar, kld_with, kld_without,
+    delta_kld, dep_bound_with, dep_bound_without).
+    """
+    if not hs.any():
+        return None
+    if scheme == "harmful_dli":
+        A = (np.outer(h0, h0.conj()) + np.outer(hs, hs.conj())
+             + (sigma_w2 / sigma_s2) * np.eye(hs.size))
+        v = np.linalg.solve(A, hs)
+        v = v / np.linalg.norm(v)
+        snr = (sigma_s2 * abs(np.vdot(v, hs)) ** 2
+               / (sigma_s2 * abs(np.vdot(v, h0)) ** 2 + sigma_w2))
+    else:
+        v = hs / np.linalg.norm(hs)
+        snr = sigma_s2 / sigma_w2 * float(np.vdot(hs, hs).real)
+        h0 = np.zeros_like(h0)
+        h1 = hs
+    nv2 = float(np.vdot(v, v).real)
+
+    def delta(h):
+        return abs(np.vdot(v, h)) ** 2 * sigma_s2 + sigma_w2 * nv2
+
+    def kld(num, den):
+        r = num / den
+        return n_samples * (math.log(r) + 1.0 / r - 1.0)
+
+    d0, d1 = delta(h0), delta(h1)
+    d0b, d1b = delta(np.zeros_like(h0)), delta(hs)
+    k_with, k_without = kld(d1, d0), kld(d1b, d0b)
+    e_min = -math.log1p(-((1.0 - zeta_max) ** 2))
+    stats = (d0, d1, d0b, d1b, k_with, k_without, k_with - k_without,
+             1.0 - math.sqrt(-math.expm1(-k_with)),
+             1.0 - math.sqrt(-math.expm1(-k_without)))
+    return v, float(snr), k_without >= e_min - tol, tuple(map(float, stats))

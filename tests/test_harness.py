@@ -12,7 +12,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -21,7 +21,7 @@ import pytest
 import backci
 from backci import cli, convex, harness
 from backci.beamforming import consensual_sca, divergence_floors
-from backci.channel import SystemParams, gen_channel_set
+from backci.channel import SystemParams, from_text, gen_channel_set, to_text
 from backci.detection import detection_stats
 from backci.harness import (
     ALGORITHMS,
@@ -37,6 +37,7 @@ from backci.harness import (
     write_csv,
 )
 from backci.selection import greedy_select, random_select
+from oracles import benchmark_scheme_oracle
 
 
 def small_sweep(**kw):
@@ -203,6 +204,35 @@ class TestRunBenchmark:
         chq = gen_channel_set(pq, 0)
         with pytest.raises(ValueError):
             run_benchmark(chq, pq, "harmful_dli")
+
+    @pytest.mark.parametrize("scheme", ["harmful_dli", "canceled_dli"])
+    def test_matches_the_per_tag_reference_bit_for_bit(self, scheme):
+        # 50 realizations at M = 4, 1 and 8; in every fifth one tag's
+        # backscatter channel is zeroed, so the stack skips a tag.
+        zeroed = 0
+        for trial in range(50):
+            params = SystemParams(M=(4, 1, 8)[trial % 3])
+            ch = gen_channel_set(params, np.random.SeedSequence(
+                (4, 0, trial)))
+            if trial % 5 == 0:
+                h_st = ch.h_st.copy()
+                h_st[trial % params.K] = 0.0
+                ch = from_text(to_text(replace(ch, h_st=h_st)))
+            res = run_benchmark(ch, params, scheme)
+            for k, sol in enumerate(res.per_tag):
+                want = benchmark_scheme_oracle(
+                    ch.h0, ch.h1[k], ch.h_str[k], params.sigma_s2,
+                    params.sigma_w2, params.N, params.zeta_max, scheme)
+                if want is None:
+                    zeroed += 1
+                    assert sol.v is None and sol.stats is None
+                    assert sol.snr == 0.0 and not sol.feasible
+                    continue
+                v, snr, feasible, stats = want
+                assert sol.v.tobytes() == v.tobytes()
+                assert sol.snr == snr and sol.feasible == feasible
+                assert astuple(sol.stats) == stats
+        assert zeroed == 10
 
 
 def cell_by_cell_csv(cfg):
@@ -534,6 +564,34 @@ class TestCli:
         proc = self.run_cli("solve", "--seed", "1")
         assert proc.returncode == 0
         assert "consensual" in proc.stdout and "tag" in proc.stdout
+
+    def test_solve_runs_both_designs_in_one_lockstep(self, capsys,
+                                                      monkeypatch):
+        # One lockstep call takes both designs' tags, so the consensual
+        # lifts share the evolved relaxations' SDP calls; the lines are
+        # those of each design's tags run by a lockstep of their own, as
+        # greedy_select runs them.
+        run, calls = cli.lockstep, []
+
+        def counted(gens):
+            calls.append(len(gens))
+            return run(gens)
+
+        monkeypatch.setattr(cli, "lockstep", counted)
+        assert cli.main(["solve", "--seed", "1"]) == 0
+        together = capsys.readouterr().out
+        assert calls == [2 * SystemParams().K]
+
+        def per_design(gens):
+            half = len(gens) // 2
+            return run(gens[:half]) + run(gens[half:])
+
+        monkeypatch.setattr(cli, "lockstep", per_design)
+        assert cli.main(["solve", "--seed", "1"]) == 0
+        alone = capsys.readouterr().out
+        assert together == alone
+        assert [line.split()[0] for line in alone.splitlines()] == [
+            "realization", "consensual", "evolved"]
 
     def test_sweep_writes_csv(self, tmp_path):
         cfgf = tmp_path / "s.cfg"

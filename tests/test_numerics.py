@@ -98,6 +98,20 @@ class TestLambertW0:
             "0.2876820724517809", "0.2876820724517809",
             "1.2838362842023656", "1.2838362842023656"]
 
+    def test_divergence_floors_follow_the_params_values(self):
+        # The floors are cached on the tolerances' values, not on the
+        # mutable params object: editing a field on the same object moves
+        # them, and an equal fresh object reads the same values.
+        params = SystemParams()
+        before = divergence_floors(params)
+        params.zeta_max = 0.1
+        after = divergence_floors(params)
+        assert after[0] == before[0] and after[2] == before[2]
+        assert after[1] > before[1] and after[3] > before[3]
+        assert after == divergence_floors(SystemParams(zeta_max=0.1))
+        params.N = 20
+        assert divergence_floors(params)[3] != after[3]
+
     def test_residual_contract_grid(self):
         for x in [-INV_E + 1e-10, -0.3, -0.1, -1e-8, 1e-8, 0.5, 2.7, 10.0,
                   1e3, 1e8, 1e156, 1e200, 1e300]:

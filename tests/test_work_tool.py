@@ -6,7 +6,9 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from backci import beamforming, convex, qcqp
+import pytest
+
+from backci import beamforming, channel, convex, harness, qcqp
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "work.py"
 
@@ -20,7 +22,9 @@ def _work():
 
 def _wrapped():
     return (qcqp.solve_ball_qcqps, convex.solve_sdp_batch,
-            beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch)
+            beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch,
+            harness.gen_channel_set, channel.gen_channel_set,
+            harness.run_benchmark, harness.write_csv)
 
 
 def test_counts_two_solves_and_restores_the_library():
@@ -81,3 +85,17 @@ def test_sweep_counts_the_consensual_lifts():
                    if name.startswith("status/sdp/"))
     assert counts["calls/sdp"] > 0
     assert counts["entries/sdp"] == statuses
+
+
+def test_sweep_times_the_layers_outside_the_kernels():
+    # every wrapper is undone, and s/outside is what the kernels leave of
+    # s/total (each printed to 3 decimals)
+    before = _wrapped()
+    counts = _work().run("sweep-sca", 1, 2)
+    assert all(a is b for a, b in zip(before, _wrapped()))
+    layers = [counts[f"s/{layer}"] for layer in ("channels", "benchmark",
+                                                  "csv")]
+    assert min(layers) >= 0 and counts["s/channels"] > 0
+    assert sum(layers) <= counts["s/outside"] + 2e-3
+    assert counts["s/outside"] == pytest.approx(
+        counts["s/total"] - counts["s/qcqp"] - counts["s/sdp"], abs=2e-3)

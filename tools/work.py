@@ -23,7 +23,13 @@ counters are:
 * ``rounds/qcqp``: the batched Newton rounds of the QCQP calls, the largest
   ``newton_steps`` of each call summed over the calls (a call steps its
   entries together until the last one ends);
-* ``s/total``: the seconds of the whole run.
+* ``s/channels``, ``s/benchmark`` and ``s/csv``: the seconds spent
+  outside the kernels in ``channel.gen_channel_set`` (where ``harness``
+  and ``channel`` bind it), ``harness.run_benchmark`` (both closed-form
+  schemes) and ``harness.write_csv``;
+* ``s/total``: the seconds of the operations, their inputs drawn
+  beforehand, and ``s/outside``, those of them outside the two kernels,
+  ``s/total`` minus ``s/qcqp`` and ``s/sdp``.
 
 The SDP kernel solves every entry exactly, with no Newton step, so it has
 no round counters.  ``calls/sdp`` and ``entries/sdp`` count the
@@ -59,12 +65,17 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from backci import beamforming, convex, qcqp  # noqa: E402
+from backci import beamforming, channel, convex, harness, qcqp  # noqa: E402
 
 import workloads  # noqa: E402
 
 _ENTRY_POINTS = {"solve_ball_qcqps": ("qcqp", qcqp),
                  "solve_sdp_batch": ("sdp", convex)}
+# (namespace, name, counter) of the layers timed outside the kernels
+_LAYERS = ((harness, "gen_channel_set", "s/channels"),
+           (channel, "gen_channel_set", "s/channels"),
+           (harness, "run_benchmark", "s/benchmark"),
+           (harness, "write_csv", "s/csv"))
 
 
 class Counters:
@@ -101,9 +112,23 @@ class Counters:
             if name in vars(module):
                 self._patch(module, name, counted)
 
+    def _timed(self, owner, name, counter):
+        inner = getattr(owner, name)
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self.seconds[counter] += time.perf_counter() - t0
+
+        self._patch(owner, name, timed)
+
     def __enter__(self):
         for name, (kernel, home) in _ENTRY_POINTS.items():
             self._entry_point(name, kernel, home)
+        for owner, name, counter in _LAYERS:
+            self._timed(owner, name, counter)
         return self
 
     def __exit__(self, *exc):
@@ -118,13 +143,18 @@ def run(workload: str, seed: int, ops: int, fallback: bool = False) -> dict:
     runs."""
     w = workloads.WORKLOADS[workload]
     workloads.tiny_solve()       # the benchmark's warm-up, not counted
+    # drawn before the clock starts: choosing the solve workload's
+    # realizations is no part of an operation
+    inputs = list(islice(w.inputs(seed), ops))
     with tempfile.TemporaryDirectory() as tmpdir, Counters() as c:
         if fallback:        # undone with the counters
             c._patch(beamforming, "_purify", lambda *args: None)
         t0 = time.perf_counter()
-        for inp in islice(w.inputs(seed), ops):
+        for inp in inputs:
             w.run(inp, tmpdir)
         c.seconds["s/total"] = time.perf_counter() - t0
+    c.seconds["s/outside"] = c.seconds["s/total"] - sum(
+        c.seconds[f"s/{kernel}"] for kernel, _home in _ENTRY_POINTS.values())
     out = dict(c.counts)
     out.update({k: round(v, 3) for k, v in c.seconds.items()})
     return out
