@@ -11,9 +11,10 @@ Four solvers share one solution type:
   SDPs as stacked convex.solve_sdp_batch calls.  consensual_sca is
   lockstep on one generator.
 * evolved_sdp: lifted semidefinite relaxation over a scalar auxiliary grid,
-  enforcing that the direct link never hurts; its optimum is purified to
-  rank one, with a rank-one penalty SCA as the fallback.  The grid point
-  t = 0 is solved in closed form, by the zero-forcing receiver.  Its
+  enforcing that the direct link never hurts; v is the kernel's rank-one
+  point of the relaxation, or else comes from a rank-one penalty SCA.  The
+  grid point t = 0 is solved in closed form, by the zero-forcing receiver.
+  Its
   generator, evolved_steps, yields the other grid points' relaxations as
   one request: 2 x 2 lifts at M = 2, and at M >= 3 3 x 3 lifts that are
   block diagonal, a 2 x 2 block on the channels' span plus the norm
@@ -54,10 +55,8 @@ from .convex import (
     MAX_ITER,
     OPTIMAL,
     SdpProblem,
-    _herm_basis,
     solve_sdp_batch,
     solve_small_sdp,
-    svec,
 )
 from .qcqp import (  # noqa: F401
     QcqpProblem,
@@ -77,9 +76,10 @@ class BeamformerSolution:
     v is the unit-norm receive vector; x the transmit vector with
     ||x||^2 = sigma_s2 (MIMO only, else None).  snr is gamma * |v^H h1|^2
     in linear units.  objective_trace records the per-iteration surrogate
-    objective (empty for a purified evolved point); rank_residual is
-    lambda2/lambda1 of the final lift's block W_s on the channels' span
-    (evolved mode only: 0 for a purified point, whose lift is v v^H).
+    objective (empty for an evolved relaxation's rank-one point);
+    rank_residual is lambda2/lambda1 of the final lift's block W_s on the
+    channels' span (evolved mode only: 0 for a relaxation's rank-one point,
+    whose lift is v v^H).
     stats carries the detection divergences at the returned point,
     recomputed independently of the solver.  iterations counts, per
     design: consensual_sca, the SCA subproblems solved from the accepted
@@ -404,55 +404,7 @@ def recover_rank_one(W: np.ndarray) -> tuple:
     return v, float(max(vals[1], 0.0) / lam1)
 
 
-_RANK_TOL = 1e-7     # eigenvalues below this times lambda1 count as zero
-_BIND_TOL = 1e-7     # a row binds when its normalized slack is below this
-
-
-def _purify(W, H1, rows):
-    """A unit v with v v^H as good as W in the relaxation, or None.
-
-    W is a point of max Tr(H1 W) s.t. Tr W = 1, Tr(A W) <= b for (A, b) in
-    rows, W PSD.  Rank reduction (Huang and Palomar, IEEE TSP 58(2), 2010):
-    with W = V S V^H over its r top eigenpairs, a Hermitian r x r D with
-    Tr(V^H F V D) = 0 for F in {I, H1, the binding rows} keeps the trace,
-    the objective and those rows fixed along W + a V D V^H.  Each step goes
-    along D or -D until S + a D turns singular, which drops the rank, or
-    until a slack row binds, which then joins the fixed maps; a direction
-    that drops the rank is preferred.  Such a D exists while the fixed
-    maps, counted independently, are fewer than r^2; when none does, the
-    result is None.
-    """
-    for _ in range(len(W) + len(rows)):   # a step drops the rank or binds
-        vals, vecs = hermitian_eig(W)
-        r = int(np.count_nonzero(vals > _RANK_TOL * vals[0]))
-        if r == 1:
-            return vecs[:, 0]
-        V, S = vecs[:, :r], vals[:r]
-        slack = [b - np.trace(A @ W).real for A, b in rows]
-        free = [s >= _BIND_TOL * max(abs(b), np.linalg.norm(A), 1e-12)
-                for s, (A, b) in zip(slack, rows)]
-        fixed = np.array([svec(V.conj().T @ F @ V) for F in
-                          [np.eye(len(W)), H1]
-                          + [A for (A, _b), f in zip(rows, free) if not f]])
-        fixed /= np.maximum(np.linalg.norm(fixed, axis=1, keepdims=True),
-                            1e-300)
-        _u, sv, vt = np.linalg.svd(fixed)
-        null = vt[int(np.count_nonzero(sv > 1e-9 * sv[0])):]
-        if not len(null):
-            return None
-        D = (null[0] @ _herm_basis(r)).reshape(r, r)
-        G = V @ D @ V.conj().T
-        rate = [np.trace(A @ G).real for A, _b in rows]
-        lam = np.linalg.eigvalsh(D / np.sqrt(np.outer(S, S)))
-        steps = []
-        for sign, a_psd in ((1.0, -1.0 / lam[0]), (-1.0, 1.0 / lam[-1])):
-            a_row = min((s / (sign * g) for s, g, f in zip(slack, rate, free)
-                         if f and sign * g > 0), default=np.inf)
-            steps.append((a_row < a_psd, sign * min(a_psd, a_row)))
-        a = min(steps, key=lambda s: s[0])[1]
-        W = (V * S) @ V.conj().T + a * G
-        W = 0.5 * (W + W.conj().T)
-    return None
+_RANK_TOL = 1e-7     # a lift with lambda2/lambda1 at most this is rank one
 
 
 _PEN_CYCLE = 4       # solves per extrapolation cycle of the penalty SCA
@@ -607,9 +559,9 @@ def evolved_steps(chan, params):
 
     # Relaxation pass: without the rank restriction, the optimum at each
     # grid point upper-bounds whatever rank-one point exists there, and its
-    # solution is what purification or the penalty stage starts from.
-    # Purification and the penalty stage are skipped at the points whose
-    # bound cannot beat the best SNR found.  The grid points share the
+    # solution is the rank-one point, or where the penalty stage starts.
+    # Both are skipped at the points whose bound cannot beat the best SNR
+    # found.  The grid points share the
     # matrices of their last two rows.
     no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
     row_sets = [[
@@ -632,7 +584,9 @@ def evolved_steps(chan, params):
             break   # sorted by bound: none of the rest can win
         exact = v is not None
         if not exact:
-            v = _purify(W_rel, H1, rows)
+            v, residual = _block_rank_one(W_rel)
+            if residual > _RANK_TOL:
+                v = None
         ok = v is not None
         if ok:
             v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
@@ -679,15 +633,15 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     only the face W h0 = 0, which has no interior, and the relaxation's
     optimum on it is rank one, the zero-forcing receiver v = P hs /
     ||P hs|| with P the projector off h0 and bound gamma ||P hs||^2
-    (facial reduction).  It is a candidate like a purified point, kept if
-    it meets the without-DL floor and _finalize verifies it, and it still
-    counts in iterations, so a grid of T points counts T.  A one-point
-    grid (M = 1, where the lift is 1 x 1 and the kernel settles every row,
-    or a direct link too weak for the grid) goes to the kernel whole.  The
-    relaxations of the other grid points are one solve_sdp_batch request,
-    which lockstep may stack with other tags' (greedy_select does).  The
-    lift is built on _span_lift's channels: the span of h0 and hs plus, at
-    M >= 3, one direction outside it that carries the norm v may leave
+    (facial reduction).  It is a candidate like a relaxation's rank-one
+    point, kept if it meets the without-DL floor and _finalize verifies it,
+    and it still counts in iterations, so a grid of T points counts T.  A
+    one-point grid (M = 1, where the lift is 1 x 1 and the kernel settles
+    every row, or a direct link too weak for the grid) goes to the kernel
+    whole.  The relaxations of the other grid points are one solve_sdp_batch
+    request, which lockstep may stack with other tags' (greedy_select does).
+    The lift is built on _span_lift's channels: the span of h0 and hs plus,
+    at M >= 3, one direction outside it that carries the norm v may leave
     there.  It is exact, and at M >= 3 each relaxation is block diagonal,
     diag(W_s, w_out) with W_s the 2 x 2 lift on the span, which the kernel
     solves exactly (convex._block_sdps), as it does every 2 x 2 lift at
@@ -696,14 +650,16 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     verified by _finalize on the full channels.  A relaxation that ends
     infeasible or with no interior drops its grid point.  Grid points are
     examined by falling bound until no remaining bound can beat the best
-    SNR found.  At each,
-    _purify reduces the relaxation's optimum to a rank-one v v^H at the
-    same objective, so v is optimal for that t; it is kept if _finalize
-    verifies it, with rank_residual 0.  Where no
-    reduction exists, or v does not verify, the penalized trace-one SDP is
-    solved by SCA from the relaxation's point, once, at the weight chi *
-    gamma * lambda_max(H1) (_penalized_sca): it penalizes the rank of W_s
-    alone, linearized through W_s's dominant eigenvector, so every
+    SNR found.  At each, the kernel's optimum is rank one where it lies on
+    the cone's surface or at its apex (lorentz.lift), and then v from
+    _block_rank_one, with W_s's rank residual at most _RANK_TOL, is optimal
+    for that t; it is kept if _finalize verifies it, with rank_residual 0.
+    The kernel's only other optimum is the vertex of three rows and the
+    trace inside the cone, where no rank-one point keeps the objective and
+    the rows.  There, or where v does not verify, the penalized trace-one
+    SDP is solved by SCA from the relaxation's point, once, at the weight
+    chi * gamma * lambda_max(H1) (_penalized_sca): it penalizes the rank of
+    W_s alone, linearized through W_s's dominant eigenvector, so every
     subproblem is block diagonal and solved exactly.  The unit
     v' = (sqrt(lambda_1) u_1, sqrt(w_out)) / norm from the end point's W_s
     (_block_rank_one) is kept if _finalize verifies it, else the grid point

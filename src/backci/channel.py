@@ -54,7 +54,8 @@ class SystemParams:
         kappa: Rician factor, >= 0.
         rho: Path-loss exponent, > 0.
         chi: Rank-one penalty multiplier of the evolved solver's penalty
-            fallback, which runs only where purification fails; its
+            fallback, which runs only where the relaxation's point is
+            not rank one or does not verify; its
             weight is chi * gamma * lambda_max(H1).
         T: Grid points for the evolved solver's auxiliary variable
             (endpoints included).

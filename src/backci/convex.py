@@ -1,6 +1,5 @@
-"""Small dense convex kernels: the designs' trace-one SDPs, solved
-exactly, and the helpers the QCQP kernel (the module qcqp, which describes
-it) shares with them.
+"""The designs' trace-one SDPs, solved exactly, and the statuses and row
+helpers the QCQP kernel (the module qcqp, which describes it) shares.
 
 `solve_sdp_batch(C, row_sets)` solves trace-one SDPs, the lifts W = v v^H
 of both designs: maximize Tr(C W) subject to Tr W = 1, rows
@@ -9,7 +8,9 @@ exactly, with no Newton step:
 
 * three rows on a 2 x 2 lift, or on a 3 x 3 one that is block diagonal,
   diag(W_s, w_out), with its objective: Lorentz-cone programs in four
-  coordinates (_block_sdps, and the module lorentz);
+  coordinates, read straight from the matrices' block entries
+  (_block_sdps, and the module lorentz).  Where the cone binds, the
+  optimal W is rank one, v v^H, the point the designs recover v from;
 * entries with no row W can move: no row at all, or m = 1, where the
   trace-one set is the point W = [[1]] (_row_free).  Unless a row fails,
   the optimum is lambda_max(C) at C's top eigenvector.
@@ -36,7 +37,6 @@ wide dynamic range of channel realizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,69 +47,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
-
-_MAX_NEWTON = 200       # Newton steps per QCQP (qcqp)
-_ARMIJO = 1e-4
-
-
-# ---------------------------------------------------------------------------
-# Complex -> real embeddings
-# ---------------------------------------------------------------------------
-
-def embed_vector(c: np.ndarray) -> np.ndarray:
-    """Real embedding of a complex vector, or of each row of a stack:
-    Re(c^H v) = embed(c) . embed(v)."""
-    c = np.asarray(c, dtype=complex)
-    return np.concatenate([c.real, c.imag], axis=-1)
-
-
-def embed_hermitian(A: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding with v^H A v = z^T embed(A) z."""
-    A = np.asarray(A, dtype=complex)
-    return np.block([[A.real, -A.imag], [A.imag, A.real]])
-
-
-def unembed_vector(z: np.ndarray) -> np.ndarray:
-    m = z.size // 2
-    return z[:m] + 1j * z[m:]
-
-
-def _solve_newton(H, g):
-    """H^-1 g, one per entry: minus the Newton step.
-
-    An entry whose H is singular gets a ridge of 1e-12 of its mean
-    diagonal.  Every other entry's step is its own solve, whatever else is
-    in the stack.
-    """
-    try:
-        return np.linalg.solve(H, g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(H) > 1:
-            return np.concatenate([_solve_newton(H[i:i + 1], g[i:i + 1])
-                                   for i in range(len(H))])
-        n = H.shape[-1]
-        reg = 1e-12 * (np.abs(np.trace(H, axis1=1, axis2=2)) / n + 1.0)
-        return np.linalg.solve(H + reg[:, None, None] * np.eye(n),
-                               g[..., None])[..., 0]
-
-
-def _cholesky(W):
-    """The Cholesky factor of each Hermitian matrix in the stack W, nan
-    where one is not positive definite.
-
-    Every factor is the matrix's own, whatever else is in the stack.  When
-    one matrix refuses, each is factored alone.
-    """
-    try:
-        return np.linalg.cholesky(W)
-    except np.linalg.LinAlgError:
-        L = np.full_like(W, np.nan)
-        for i in range(len(W)):
-            try:
-                L[i] = np.linalg.cholesky(W[i])
-            except np.linalg.LinAlgError:
-                pass
-        return L
 
 
 def _one_row_count(counts):
@@ -186,44 +123,6 @@ class SdpResult:
     dual: Optional[np.ndarray] = None   # the rows' multipliers (_block_sdps)
 
 
-@lru_cache(maxsize=16)
-def _herm_basis(m: int) -> np.ndarray:
-    """Orthonormal basis of m x m Hermitian matrices as an (m^2, m^2) matrix.
-
-    Row a is basis matrix B_a flattened row-major, so svec(A) = Re Tr(B_a A)
-    and its inverse, w -> sum_a w_a B_a, are products with it.  B_0 ...
-    B_m-1 are the diagonal units E_ii; then each pair i < j, in row-major
-    order, has (E_ij + E_ji) / sqrt 2 and i (E_ij - E_ji) / sqrt 2.
-    """
-    i, j = np.triu_indices(m, 1)
-    re = m + 2 * np.arange(len(i))
-    im = re + 1
-    d = np.arange(m)
-    U = np.zeros((m * m, m, m), dtype=complex)
-    U[d, d, d] = 1.0
-    s = 1.0 / np.sqrt(2.0)
-    U[re, i, j] = U[re, j, i] = s
-    U[im, i, j], U[im, j, i] = 1j * s, -1j * s
-    U = U.reshape(m * m, m * m)
-    U.setflags(write=False)
-    return U
-
-
-def svec(A: np.ndarray) -> np.ndarray:
-    """Coefficients of Hermitian A in the orthonormal basis, Re Tr(B_a A):
-    a real vector, or one row per matrix of a stack (..., m, m).  Each row
-    is its matrix's own product with the basis (np.matvec), made contiguous
-    so that np.vecdot on it sums as np.linalg.norm does.
-    """
-    A = np.asarray(A, dtype=complex)
-    m = A.shape[-1]
-    A = A.swapaxes(-1, -2).reshape(A.shape[:-2] + (m * m,))
-    return np.ascontiguousarray(np.matvec(_herm_basis(m), A).real)
-
-
-_BLOCK = 5      # at m = 3, B_0 ... B_4 span the matrices diag(W_s, w_out)
-
-
 def _objectives(C, B) -> np.ndarray:
     """C as B objectives (B, m, m): one m x m objective shared, or one per
     entry; ValueError for any other count."""
@@ -235,9 +134,9 @@ def _objectives(C, B) -> np.ndarray:
 
 
 def _stack_rows(row_sets, m) -> tuple:
-    """Every entry's rows (A, b), Tr(A W) <= b, as stacks: a = svec(A)
-    (B, k, m^2) and b (B, k).  ValueError when the row counts differ, or
-    when a row's matrix is not m x m, the objective's size."""
+    """Every entry's rows (A, b), Tr(A W) <= b, as stacks: A (B, k, m, m)
+    and b (B, k).  ValueError when the row counts differ, or when a row's
+    matrix is not m x m, the objective's size."""
     B = len(row_sets)
     k = _one_row_count(map(len, row_sets))
     A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
@@ -245,30 +144,40 @@ def _stack_rows(row_sets, m) -> tuple:
         raise ValueError(f"the objective is {m} x {m}, the rows are "
                          + " x ".join(map(str, A.shape[2:])))
     b = np.array([[b for _a, b in e] for e in row_sets], dtype=float)
-    return svec(A.reshape(B, k, m, m)), b.reshape(B, k)
+    return A.reshape(B, k, m, m), b.reshape(B, k)
 
 
-def _block_diagonal(c, a) -> np.ndarray:
+def _scales(A, b) -> np.ndarray:
+    """Each row's scale, max(|b|, ||A||_F, 1e-12): A (B, k, m, m)."""
+    return np.maximum(np.maximum(np.abs(b), np.linalg.norm(A, axis=(2, 3))),
+                      1e-12)
+
+
+def _block_diagonal(C, A) -> np.ndarray:
     """Which entries _block_sdps solves: three rows, and a 2 x 2 objective,
-    or a 3 x 3 one that with the rows is block diagonal, diag(W_s, w_out),
-    with no coordinate on B_5 ... B_8, the basis matrices of the entries
-    (0, 2) and (1, 2).  c = svec(C) (B, m^2) and a (B, k, m^2)."""
-    if a.shape[1] != 3 or c.shape[-1] not in (4, 9):
-        return np.zeros(len(c), dtype=bool)
-    return ~(c[:, _BLOCK:].any(axis=1) | a[..., _BLOCK:].any(axis=(1, 2)))
+    or a 3 x 3 one that with the rows is block diagonal, diag(W_s, w_out):
+    its entries (0, 2), (1, 2), (2, 0) and (2, 1) exactly 0.  C (B, m, m)
+    and A (B, k, m, m)."""
+    m = C.shape[-1]
+    if A.shape[1] != 3 or m not in (2, 3):
+        return np.zeros(len(C), dtype=bool)
+    if m == 2:
+        return np.ones(len(C), dtype=bool)
+    i, j = [0, 1, 2, 2], [2, 2, 0, 1]
+    return ~(C[:, i, j].any(axis=1) | A[:, :, i, j].any(axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
 # The block relaxations, exactly (lorentz)
 # ---------------------------------------------------------------------------
 
-def _block_sdps(c, a, b, m) -> list:
+def _block_sdps(C, A, b, m) -> list:
     """The SdpResults of trace-one SDPs of three rows whose objective and
     rows are 2 x 2 (m = 2), or block diagonal, diag(W_s, w_out) with W_s
     2 x 2 (m = 3), found exactly by the module lorentz.
 
     In z = (tau, x) (lorentz.coordinates), with w_out = 1 - tau, each row is
-    a halfspace, normalized by its scale max(|b|, ||a||) and settled by
+    a halfspace, normalized by its scale (_scales) and settled by
     _settle on what z can move, and tau <= 1 is a fourth.  An entry for which
     lorentz.maximize finds a point ends OPTIMAL, with W exact (lorentz.lift:
     rank one where the cone binds) and dual the rows' multipliers y >= 0
@@ -280,10 +189,10 @@ def _block_sdps(c, a, b, m) -> list:
     certificate when it exceeds lorentz.FEAS, NO_INTERIOR with phase one's
     optimum otherwise.
     """
-    B = len(c)
-    cz, c0 = lorentz.coordinates(c, m)
-    az, a0 = lorentz.coordinates(a, m)
-    s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))), 1e-12)
+    B = len(C)
+    cz, c0 = lorentz.coordinates(C, m)
+    az, a0 = lorentz.coordinates(A, m)
+    s = _scales(A, b)
     moves = az[1:] if m == 2 else az
     settled, cert = _settle(np.sqrt(lorentz.dot(moves, moves)),
                             b - a0 - (az[0] if m == 2 else 0.0), s)
@@ -319,20 +228,20 @@ def _block_sdps(c, a, b, m) -> list:
                                               dual, has)]
 
 
-def _row_free(C, a, b) -> list:
+def _row_free(C, A, b) -> list:
     """The SdpResults of entries whose rows W cannot move: entries with no
     row, or at m = 1, where Tr W = 1 leaves the one point W = [[1]].
 
-    Each row is settled (_settle) on its value at W = I / m, with the scale
-    _block_sdps gives it, so a row that fails makes its entry INFEASIBLE
+    Each row is settled (_settle) on its value at W = I / m, Re Tr(A) / m,
+    with its scale (_scales), so a row that fails makes its entry INFEASIBLE
     with that certificate.  Every other entry ends OPTIMAL at lambda_max(C),
     with W = u u^H for C's top unit eigenvector u, gap 0 and dual 0: with
     no multiplier, the Lagrange bound is lambda_max(C) itself.
     """
     k, m = b.shape[1], C.shape[-1]
-    s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.vecdot(a, a))), 1e-12)
-    _settled, cert = _settle(np.zeros_like(b),
-                             b - np.vecdot(a, svec(np.eye(m)) / m), s)
+    _settled, cert = _settle(
+        np.zeros_like(b), b - np.trace(A, axis1=2, axis2=3).real / m,
+        _scales(A, b))
     vals, vecs = np.linalg.eigh(C)
     u = vecs[..., -1]
     W = u[:, :, None] * u[:, None, :].conj()
@@ -402,15 +311,14 @@ def solve_sdp_batch(C, row_sets: list) -> list:
         return []
     C = _objectives(C, len(row_sets))
     m = C.shape[-1]
-    c = svec(C)
-    a, b = _stack_rows(row_sets, m)
+    A, b = _stack_rows(row_sets, m)
     k = b.shape[1]
     if m == 1 or not k:
-        return _row_free(C, a, b)
-    block = _block_diagonal(c, a)
+        return _row_free(C, A, b)
+    block = _block_diagonal(C, A)
     if not block.all():
         raise ValueError(
             f"entry {int(np.argmin(block))} is a {m} x {m} SDP of {k} rows: "
             "the kernel takes three rows on a 2 x 2 or block-diagonal 3 x 3 "
             "lift, or rows W cannot move (none, or m = 1)")
-    return _block_sdps(c, a, b, m)
+    return _block_sdps(C, A, b, m)

@@ -15,7 +15,11 @@ Each such point lies on one line of a fixed table (_table), which meets the
 cone in closed form (_meet), so the enumeration is exact.  Phase one, the
 least largest row violation over the trace-one set, peaks the same way on
 lines of its own.  convex._block_sdps builds the halfspaces from an SDP's
-rows and turns the points found here into SdpResults.
+rows, reading each matrix's four block entries (coordinates), and turns
+the points found here into SdpResults.  An optimum on the cone's surface
+or at the apex lifts to a rank-one W = v v^H (lift); the only other
+optimum, the vertex of the three rows and the trace inside the cone, lifts
+to a W_s of rank two, which the evolved design hands to its penalty SCA.
 
 Every array holds the 4 coordinates on its leading axis and the entries
 next, and every product is a sum over one axis in numpy's own loops, so no
@@ -24,7 +28,6 @@ entry's arithmetic depends on what else is in the stack.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -37,20 +40,19 @@ _J = np.array([-1.0, 1.0, 1.0, 1.0]).reshape(4, 1, 1)   # z^T J z = |x|^2 - tau^
 _LINES = 1000   # entry-lines solved at once (_lines), which bounds memory
 
 
-def coordinates(v, m):
+def coordinates(X, m):
     """Tr(X W) = coef . z + const for W = W_s (m = 2) or diag(W_s, 1 - tau)
     (m = 3), W_s = [[tau + x_1, x_2 + i x_3], [x_2 - i x_3, tau - x_1]] / 2.
 
-    v (..., m^2) is svec(X) (only its coordinates on B_0 ... B_4 are read, so
-    X must be block diagonal at m = 3).  Returns coef (4, ...), the
-    coordinates z = (tau, x) first, and const (...).
+    X (..., m, m) is Hermitian, and block diagonal at m = 3 (only X00, X11,
+    X01 and X22 are read).  Returns coef (4, ...), the coordinates
+    z = (tau, x) first, and const (...): X22 at m = 3, else 0.
     """
-    re = 2 if m == 2 else 3
-    const = np.zeros(v.shape[:-1]) if m == 2 else v[..., 2]
-    half = math.sqrt(0.5)
-    return np.array([0.5 * (v[..., 0] + v[..., 1]) - const,
-                     0.5 * (v[..., 0] - v[..., 1]),
-                     half * v[..., re], half * v[..., re + 1]]), const
+    d0, d1 = X[..., 0, 0].real, X[..., 1, 1].real
+    off = X[..., 0, 1]
+    const = np.zeros(d0.shape) if m == 2 else X[..., 2, 2].real
+    return np.array([0.5 * (d0 + d1) - const, 0.5 * (d0 - d1),
+                     off.real, off.imag]), const
 
 
 def dot(u, v):

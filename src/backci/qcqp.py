@@ -11,10 +11,11 @@ projected Newton (_dual_newton) from the multipliers of an earlier solve
 where a problem gives them (its start), else from the ball-only optimum:
 no barrier stage and no phase one.  The kernel is batch-invariant, as
 convex's is.  solve_ball_qcqps states what each status certifies.  It shares
-convex's statuses, its budget _MAX_NEWTON (read at call time, so a caller
-can lower it for both kernels) and its helpers, but is its own module for
-memory: where bytecode is not written, every start compiles the sources,
-and one module with both kernels peaked about 1 MB higher while compiling.
+convex's statuses and its row helpers (_settle, _one_row_count); its Newton
+budget _MAX_NEWTON is read at call time, so a caller can lower it.  It is
+its own module for memory: where bytecode is not written, every start
+compiles the sources, and one module with both kernels peaked about 1 MB
+higher while compiling.
 """
 
 from __future__ import annotations
@@ -24,21 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import convex
-from .convex import (
-    _ARMIJO,
-    INFEASIBLE,
-    MAX_ITER,
-    OPTIMAL,
-    _cholesky,
-    _one_row_count,
-    _settle,
-    _solve_newton,
-    embed_hermitian,
-    embed_vector,
-    unembed_vector,
-)
+from .convex import INFEASIBLE, MAX_ITER, OPTIMAL, _one_row_count, _settle
 
+_MAX_NEWTON = 200   # Newton steps per QCQP
+_ARMIJO = 1e-4
 _COLD = 0.5         # the ball's multiplier at the ball-only optimum
 _BALL_MIN = 1e-8    # the ball's multiplier's floor (_dual_newton)
 _BALL_KEEP = 0.1    # the least fraction of itself it keeps in one step
@@ -79,6 +69,62 @@ class QcqpResult:
     certificate: float = np.nan   # floor under the max normalized violation
     newton_steps: int = 0
     dual: Optional[np.ndarray] = None   # multipliers: the ball's, then rows'
+
+
+def embed_vector(c: np.ndarray) -> np.ndarray:
+    """Real embedding of a complex vector, or of each row of a stack:
+    Re(c^H v) = embed(c) . embed(v)."""
+    c = np.asarray(c, dtype=complex)
+    return np.concatenate([c.real, c.imag], axis=-1)
+
+
+def embed_hermitian(A: np.ndarray) -> np.ndarray:
+    """Real symmetric embedding with v^H A v = z^T embed(A) z."""
+    A = np.asarray(A, dtype=complex)
+    return np.block([[A.real, -A.imag], [A.imag, A.real]])
+
+
+def unembed_vector(z: np.ndarray) -> np.ndarray:
+    m = z.size // 2
+    return z[:m] + 1j * z[m:]
+
+
+def _solve_newton(H, g):
+    """H^-1 g, one per entry: minus the Newton step.
+
+    An entry whose H is singular gets a ridge of 1e-12 of its mean
+    diagonal.  Every other entry's step is its own solve, whatever else is
+    in the stack.
+    """
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(H) > 1:
+            return np.concatenate([_solve_newton(H[i:i + 1], g[i:i + 1])
+                                   for i in range(len(H))])
+        n = H.shape[-1]
+        reg = 1e-12 * (np.abs(np.trace(H, axis1=1, axis2=2)) / n + 1.0)
+        return np.linalg.solve(H + reg[:, None, None] * np.eye(n),
+                               g[..., None])[..., 0]
+
+
+def _cholesky(W):
+    """The Cholesky factor of each Hermitian matrix in the stack W, nan
+    where one is not positive definite.
+
+    Every factor is the matrix's own, whatever else is in the stack.  When
+    one matrix refuses, each is factored alone.
+    """
+    try:
+        return np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        L = np.full_like(W, np.nan)
+        for i in range(len(W)):
+            try:
+                L[i] = np.linalg.cholesky(W[i])
+            except np.linalg.LinAlgError:
+                pass
+        return L
 
 
 class _BallDual:
@@ -195,7 +241,7 @@ def _dual_newton(f, lam):
     max_i |min(lam_i - lo_i, slack_i)| is at most _KKT, or at most
     _KKT_STALL and no longer halving (Newton converges quadratically);
     INFEASIBLE when phi < -1 beyond its round-off (weak duality, as c_hat .
-    z <= 1 on the ball); MAX_ITER after convex._MAX_NEWTON steps, or with
+    z <= 1 on the ball); MAX_ITER after _MAX_NEWTON steps, or with
     no step found.  lo is 0 but _BALL_MIN for the ball: where it binds
     nothing and no row's curvature stands in, z maximizes c_hat . z -
     _BALL_MIN (1 - z . z) instead, as H would vanish.  Steps are Newton's
@@ -223,7 +269,7 @@ def _dual_newton(f, lam):
     act, prev = np.arange(B), np.full(B, np.inf)
     stuck = np.zeros(B, dtype=bool)
     eps, diag = np.finfo(float).eps, np.arange(k)
-    for step in range(convex._MAX_NEWTON + 1):
+    for step in range(_MAX_NEWTON + 1):
         g, hess = f.derivs(z, H)
         res = np.abs(np.minimum(lam - lo, g)).max(axis=1)
         # H's condition number is at most lam.sum() / lam_0
@@ -231,7 +277,7 @@ def _dual_newton(f, lam):
         status = np.where(
             (res <= _KKT) | ((res <= _KKT_STALL) & (res > 0.5 * prev)),
             OPTIMAL, np.where(certain, INFEASIBLE, np.where(
-                stuck | (step == convex._MAX_NEWTON), MAX_ITER, None)))
+                stuck | (step == _MAX_NEWTON), MAX_ITER, None)))
         end = np.not_equal(status, None)
         if end.any():
             idx = act[end]
@@ -301,7 +347,7 @@ def solve_ball_qcqps(problems: list) -> list:
         "infeasible" (certificate a floor under every point's largest
         normalized violation: that of a settled row, or the least over the
         ball of sum_{i>0} lam_i (row_i - b_i) / sum_{i>0} lam_i for the
-        multipliers that show it) or "max_iter" (convex._MAX_NEWTON steps
+        multipliers that show it) or "max_iter" (_MAX_NEWTON steps
         spent, or no step found).  dual holds the multipliers in the
         problem's own units, the ball's first, wherever Newton ran.
     """

@@ -296,24 +296,6 @@ def sdp_max_violation(p, W) -> float:
     return max(worst, -float(np.linalg.eigvalsh(W)[0]))
 
 
-def smat(w, m: int) -> np.ndarray:
-    """The m x m Hermitian matrix with coefficients w in convex's basis.
-
-    The inverse of convex.svec, built entry by entry from the basis order
-    it documents: the diagonal units first, then for each pair i < j, in
-    row-major order, (E_ij + E_ji) / sqrt 2 and i (E_ij - E_ji) / sqrt 2.
-    """
-    w = np.asarray(w, dtype=float)
-    A = np.diag(w[:m]).astype(complex)
-    s, k = 1.0 / math.sqrt(2.0), m
-    for i in range(m):
-        for j in range(i + 1, m):
-            A[i, j] = s * w[k] + 1j * s * w[k + 1]
-            A[j, i] = s * w[k] - 1j * s * w[k + 1]
-            k += 2
-    return A
-
-
 def brute_sdp_2x2(C, ineqs, n=120):
     """Dense grid maximization of Tr(C W) over 2x2 density matrices.
 

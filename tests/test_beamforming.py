@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from backci import beamforming, convex
+from backci import beamforming, convex, qcqp
 from backci.beamforming import (
     alternating_mimo,
     alternating_steps,
@@ -41,7 +41,6 @@ from backci.convex import (
     solve_small_sdp,
 )
 from backci.detection import detection_stats, kld_threshold
-from backci.numerics import hermitian_eig
 from backci.qcqp import QcqpResult, solve_ball_qcqp
 from backci.siso import snr_interval
 from oracles import (
@@ -116,7 +115,7 @@ class TestConsensualSca:
         # on (test_capped_first_step_keeps_the_lift_point), the solve
         # holds no incumbent.
         params = SystemParams(M=4, K=1)
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 1)
         no_interior_lifts(monkeypatch)
         sol = consensual_sca(tag0(params, 1), params)
         assert not sol.feasible and not sol.converged
@@ -260,7 +259,7 @@ class TestLockstep:
         # max_iter and leaves most optimal.  The cases run twice: with
         # their exact lifts, and with every lift answered with no point,
         # which runs the SCA from its matched-filter and MMSE starts.
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 9)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 9)
         cases = [(chan, SystemParams()) for chan in self.screened_tags()]
         for m in (1, 2, 4, 8):
             params = SystemParams(M=m)
@@ -730,9 +729,9 @@ class TestEvolvedSdp:
         # Every penalty subproblem has the relaxation's rows, so a capped
         # first solve leaves the relaxation's point as the incumbent: the
         # grid point stays, and the result says it did not converge.
-        # Purification recovers seed 9 with no penalty solve, so it is
+        # Seed 9's relaxation points are rank one, so the rank test is
         # switched off here to run the penalty fallback.
-        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         params = SystemParams(M=4, K=1)
         chan = tag0(params, 9)
         uncapped = evolved_sdp(chan, params)
@@ -753,9 +752,9 @@ class TestEvolvedSdp:
         # Blurring the penalty stage's W_s toward Tr(W_s) I/2 keeps its
         # dominant eigenvector, its trace and w_out, but leaves it far from
         # rank one.  That v is still verified and kept, and no grid point
-        # is rerun at a larger weight.  Purification is switched off so
+        # is rerun at a larger weight.  The rank test is switched off so
         # that the penalty fallback runs.
-        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         params = SystemParams(M=4, K=1)
         chan = tag0(params, 9)
         plain = evolved_sdp(chan, params)
@@ -821,22 +820,23 @@ class TestEvolvedSdp:
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_M4_T100))
     def test_penalty_fallback_keeps_quality(self, seed, monkeypatch):
-        # With purification switched off every examined grid point runs the
-        # penalty SCA, which must reach the purified SNR to its tolerance.
+        # With no relaxation point accepted as rank one, every examined
+        # grid point runs the penalty SCA, which must reach the rank-one
+        # point's SNR to its tolerance.
         params = SystemParams(M=4, K=1)
         chan = tag0(params, seed)
-        purified = evolved_sdp(chan, params)
-        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        plain = evolved_sdp(chan, params)
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         sol = evolved_sdp(chan, params)
         assert sol.feasible and sol.converged
         assert sol.iterations > params.T
-        assert sol.snr == pytest.approx(purified.snr, rel=1e-5)
+        assert sol.snr == pytest.approx(plain.snr, rel=1e-5)
 
     def test_penalty_subproblems_are_block_diagonal(self, monkeypatch):
-        # With purification switched off at M = 4, every penalty
-        # subproblem is diag(W_s, w_out) in objective and rows, so the
-        # kernel solves it exactly, with no Newton step.
-        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        # With no relaxation point accepted as rank one, at M = 4, every
+        # penalty subproblem is diag(W_s, w_out) in objective and rows, so
+        # the kernel solves it exactly, with no Newton step.
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         single = beamforming.solve_small_sdp
         calls = []
 
@@ -933,9 +933,9 @@ class TestPrunedGrid:
     """evolved_steps prunes its grid by bound: it examines the points by
     falling relaxation bound, and drops the rest once none of them can
     beat the best SNR found.  When the top candidates fail verification,
-    the points below them are examined in turn, purified or solved by the
-    penalty SCA, and the solution is the one the whole grid gives, from
-    one kernel call of every point but t = 0."""
+    the points below them are examined in turn, at the kernel's rank-one
+    point or by the penalty SCA, and the solution is the one the whole
+    grid gives, from one kernel call of every point but t = 0."""
 
     CASES = pytest.mark.parametrize("seed, k", [(0, 1), (1, 0), (2, 4)])
 
@@ -970,17 +970,17 @@ class TestPrunedGrid:
         return seen
 
     @CASES
-    @pytest.mark.parametrize("purify", [True, False])
+    @pytest.mark.parametrize("rank_one", [True, False])
     def test_rejected_top_candidates_solve_the_dropped_points(
-            self, monkeypatch, seed, k, purify):
+            self, monkeypatch, seed, k, rank_one):
         # Every point within 3% of the solution's SNR is rejected, so the
         # points whose bounds fall below the plain run's SNR, which that
-        # run dropped, are examined; with purification off, through the
-        # penalty fallback.
+        # run dropped, are examined; with no point accepted as rank one,
+        # through the penalty fallback.
         params = SystemParams(M=4, T=20, J=10)
         chan = gen_channel_set(params, seed).tag_channels(k)
-        if not purify:
-            monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        if not rank_one:
+            monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         best = evolved_sdp(chan, params).snr
         seen = self._reject_above(monkeypatch, 0.97 * best)
         sol, calls = self._run(monkeypatch, chan, params)
@@ -996,7 +996,7 @@ class TestPrunedGrid:
     @CASES
     def test_penalty_fallback_matches_the_unpruned_grid(self, monkeypatch,
                                                         seed, k):
-        monkeypatch.setattr(beamforming, "_purify", lambda *args: None)
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
         params = SystemParams(M=4, T=20, J=10)
         chan = gen_channel_set(params, seed).tag_channels(k)
         sol, calls = self._run(monkeypatch, chan, params)
@@ -1217,66 +1217,94 @@ class TestBlockRelaxation:
                     assert not np.any(last)
 
 
-def _trace(A, W):
-    return float(np.trace(A @ W).real)
+class TestRankOneRecovery:
+    """evolved_steps keeps the kernel's rank-one point of a relaxation, and
+    sends any other optimum to the penalty SCA."""
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_optimal_lifts_are_rank_one(self, monkeypatch, m):
+        # Every OPTIMAL evolved relaxation and consensual lift of seeds
+        # 0-19 is the kernel's rank-one point: on the cone's surface, or at
+        # its apex.
+        batch = beamforming.solve_sdp_batch
+        got = {"consensual": [], "evolved": []}
 
-class TestPurify:
-    """beamforming._purify on constructed points of a trace-one relaxation."""
+        params = SystemParams(M=m)
+        for seed in range(20):
+            ch = gen_channel_set(params, seed)
+            for mode, steps in (("consensual", consensual_steps),
+                                ("evolved", evolved_steps)):
+                def recorded(C, row_sets, into=got[mode]):
+                    results = batch(C, row_sets)
+                    into.extend(r.W for r in results
+                                if r.status == OPTIMAL)
+                    return results
+
+                monkeypatch.setattr(beamforming, "solve_sdp_batch", recorded)
+                lockstep([steps(ch.tag_channels(k), params)
+                          for k in range(params.K)])
+        for mode, Ws in got.items():
+            assert Ws, mode
+            worst = max(beamforming._block_rank_one(W)[1] for W in Ws)
+            assert worst <= 1e-12, mode
 
     @staticmethod
-    def _instance(seed, eigs, n_rows):
-        """W = V diag(eigs) V^H with orthonormal V, H1 = h1 h1^H, and
-        n_rows random Hermitian row matrices, all at M = 4."""
-        rng = np.random.default_rng(seed)
+    def _vertex_relaxation():
+        """An M = 2 relaxation whose optimum is the vertex of its three
+        rows and the trace, inside the cone: W_s = [[1 + p_1, p_2 + i p_3],
+        [p_2 - i p_3, 1 - p_1]] / 2 at |p| = 0.3, rank two.  In z = (1, x)
+        each row is n_i . x <= n_i . p, and the objective is the normals'
+        sum, so p is the one maximizer.  (The evolved design's own rows
+        never give such an optimum: it needs the objective's x-part in the
+        span of the rows', which makes their normals coplanar.)"""
+        rng = np.random.default_rng(7)
+        p = rng.normal(size=3)
+        p *= 0.3 / np.linalg.norm(p)
+        n = rng.normal(size=(3, 3))
 
-        def cplx(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        def mat(x):     # Tr(mat(x) W) = x . x_W at tau = 1
+            return np.array([[x[0], x[1] + 1j * x[2]],
+                             [x[1] - 1j * x[2], -x[0]]])
 
-        V, _r = np.linalg.qr(cplx(4, len(eigs)))
-        W = (V * np.asarray(eigs)) @ V.conj().T
-        h1 = cplx(4)
-        rows = [A + A.conj().T for A in (cplx(4, 4) for _ in range(n_rows))]
-        return W, np.outer(h1, h1.conj()), rows
+        rows = [(mat(ni), float(ni @ p)) for ni in n]
+        Ws = 0.5 * (np.eye(2) + mat(p))
+        return mat(n.sum(axis=0)), rows, Ws
 
-    @staticmethod
-    def _check(v, W, H1, rows):
-        """v is unit, keeps Tr(H1 .) and breaks no row; the row gaps."""
-        assert v is not None
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        P = np.outer(v, v.conj())
-        assert _trace(H1, P) == pytest.approx(_trace(H1, W), rel=1e-10)
-        gaps = [_trace(A, P) - b for A, b in rows]
-        assert max(gaps) <= 1e-10
-        return gaps
+    def test_interior_vertex_runs_the_penalty(self, monkeypatch):
+        C, rows, Ws = self._vertex_relaxation()
+        (res,) = solve_sdp_batch(C, [rows])
+        assert res.status == OPTIMAL
+        assert np.abs(res.W - Ws).max() <= 1e-12
+        assert beamforming._block_rank_one(res.W)[1] > 0.5
+        # Every evolved relaxation answered with that optimum: the
+        # relaxation's point is not rank one, so each examined grid point
+        # runs the penalty SCA from it, and the v of W_s's top eigenpair
+        # is never verified.
+        monkeypatch.setattr(beamforming, "solve_sdp_batch",
+                            lambda C, row_sets: [res] * len(row_sets))
+        penalized_sca = beamforming._penalized_sca
+        finalize = beamforming._finalize
+        starts, verified = [], []
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_rank_two_with_one_binding_row(self, seed):
-        W, H1, (A1, A2) = self._instance(seed, [0.6, 0.4], 2)
-        rows = [(A1, _trace(A1, W)), (A2, _trace(A2, W) + 2.0)]
-        gaps = self._check(beamforming._purify(W, H1, rows), W, H1, rows)
-        assert abs(gaps[0]) <= 1e-10
+        def spied(rows, H1, gamma, chi, W, *args):
+            starts.append(W)
+            return penalized_sca(rows, H1, gamma, chi, W, *args)
 
-    def test_slack_row_binds_on_the_way(self):
-        # No row binds at W; a step of seed 1 runs into one of the two slack
-        # rows, which then stays fixed while the rank drops.
-        W, H1, (A1, A2) = self._instance(1, [0.6, 0.4], 2)
-        rows = [(A1, _trace(A1, W) + 0.01), (A2, _trace(A2, W) + 0.01)]
-        gaps = self._check(beamforming._purify(W, H1, rows), W, H1, rows)
-        assert min(abs(g) for g in gaps) <= 1e-10
+        def seen(v, *args):
+            verified.append(v)
+            return finalize(v, *args)
 
-    def test_two_binding_rows_at_rank_two_leave_no_direction(self):
-        # I, H1 and two rows fix four maps, as many as the 2 x 2 Hermitian
-        # directions.
-        W, H1, (A1, A2) = self._instance(1, [0.6, 0.4], 2)
-        rows = [(A1, _trace(A1, W)), (A2, _trace(A2, W))]
-        assert beamforming._purify(W, H1, rows) is None
-
-    def test_rank_one_to_threshold_takes_no_step(self):
-        W, H1, (A1,) = self._instance(2, [1.0 / (1.0 + 1e-9),
-                                          1e-9 / (1.0 + 1e-9)], 1)
-        v = beamforming._purify(W, H1, [(A1, _trace(A1, W))])
-        assert np.array_equal(v, hermitian_eig(W)[1][:, 0])
+        monkeypatch.setattr(beamforming, "_penalized_sca", spied)
+        monkeypatch.setattr(beamforming, "_finalize", seen)
+        params = SystemParams(M=2, K=1, T=3, J=20)
+        chan = tag0(params, 1)
+        sol = evolved_sdp(chan, params)
+        assert starts and all(W is res.W for W in starts)
+        assert sol.iterations > params.T
+        top = beamforming._span_basis(chan[0], chan[2]) @ (
+            beamforming._block_rank_one(res.W)[0])
+        assert verified and not any(np.array_equal(v, top)
+                                    for v in verified)
 
 
 # h0 = c hs: a unit direction of C^M, the squared norm of hs, and c.
@@ -1619,7 +1647,7 @@ class TestAlternatingMimo:
         # stands in as the incumbent (test_capped_first_step_keeps_the_
         # lift_point).
         params = SystemParams(M=2, Q=2, K=1)
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 1)
         no_interior_lifts(monkeypatch)
         sol = alternating_mimo(tag0(params, 29), params, "consensual")
         assert not sol.feasible and not sol.converged

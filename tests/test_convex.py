@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from backci import beamforming, convex, qcqp
+from backci import beamforming, convex, lorentz, qcqp
 from backci.beamforming import _span_basis, divergence_floors, evolved_steps
 from backci.channel import SystemParams, gen_channel_set
 from backci.convex import (
@@ -25,20 +25,21 @@ from backci.convex import (
     OPTIMAL,
     SdpProblem,
     SdpResult,
-    embed_hermitian,
-    embed_vector,
     solve_sdp_batch,
     solve_small_sdp,
-    svec,
+)
+from backci.qcqp import (
+    QcqpProblem,
+    embed_hermitian,
+    embed_vector,
+    solve_ball_qcqp,
     unembed_vector,
 )
-from backci.qcqp import QcqpProblem, solve_ball_qcqp
 from oracles import (
     brute_sdp_2x2,
     qcqp_max_violation,
     sdp_max_violation,
     slsqp_qcqp_oracle,
-    smat,
 )
 
 
@@ -457,7 +458,7 @@ class TestQcqpBatchInvariance:
     every entry, byte for byte, what it gets alone, in either order."""
 
     def test_both_orders_equal_single_solves(self, monkeypatch):
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 4)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 4)
         rng = np.random.default_rng(47)
         m = 3
         problems = []
@@ -493,7 +494,7 @@ class TestQcqpIterationCap:
         problems = (_random_qcqps(rng, 20) + _random_qcqps(rng, 20, slack=(
             -1.5, -0.5)))
         full = [solve_ball_qcqp(p) for p in problems]
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 1)
         kinds = set()
         for p, res in zip(problems, full):
             capped = solve_ball_qcqp(p)
@@ -627,17 +628,43 @@ class TestQcqpWarmStart:
         assert checked >= 15
 
 
-class TestSvecBasis:
-    def test_roundtrip_and_isometry(self):
-        rng = np.random.default_rng(31)
-        for m in (1, 2, 3, 4):
-            A = rand_herm_psd(rng, m) - 0.3 * np.eye(m)
-            w = svec(A)
-            assert w.shape == (m * m,)
-            assert np.allclose(smat(w, m), A, atol=1e-12)
-            B = rand_herm_psd(rng, m)
-            assert svec(A) @ svec(B) == pytest.approx(
-                np.trace(A @ B).real, rel=1e-10)
+class TestLorentzCoordinates:
+    """lorentz.coordinates reads z's coefficients from the matrix entries:
+    coef . z + const is Tr(X W) at W = W_s, or diag(W_s, 1 - tau) at m = 3,
+    for every z in the trace-one set."""
+
+    @staticmethod
+    def _lift(z, m):
+        tau, x1, x2, x3 = z
+        Ws = 0.5 * np.array([[tau + x1, x2 + 1j * x3],
+                             [x2 - 1j * x3, tau - x1]])
+        if m == 2:
+            return Ws
+        W = np.zeros((3, 3), dtype=complex)
+        W[:2, :2] = Ws
+        W[2, 2] = 1.0 - tau
+        return W
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_exact_on_the_trace_one_set(self, m):
+        rng = np.random.default_rng(32)
+        X = np.array([rand_herm_psd(rng, m) - 0.5 * np.eye(m)
+                      for _ in range(50)])
+        if m == 3:
+            X[:, :2, 2] = X[:, 2, :2] = 0.0
+        coef, const = lorentz.coordinates(X, m)
+        assert coef.shape == (4, 50) and const.shape == (50,)
+        for j in range(50):
+            x = rng.normal(size=3)
+            tau = 1.0 if m == 2 else rng.uniform()
+            x *= tau * rng.uniform() ** (1 / 3) / np.linalg.norm(x)
+            if j % 5 == 0:      # on the cone's surface
+                x *= tau / np.linalg.norm(x)
+            z = np.concatenate([[tau], x])
+            want = np.trace(X[j] @ self._lift(z, m)).real
+            got = coef[:, j] @ z + const[j]
+            assert abs(got - want) <= 1e-13 * max(
+                1.0, np.abs(X[j]).sum())
 
 
 def _problem(C, rows):
@@ -767,7 +794,7 @@ class TestSdpDegenerate:
             ineq_constraints=_three([(np.eye(2, dtype=complex), 0.5)], 2))
         res = solve_small_sdp(p)
         assert res.status == INFEASIBLE
-        # Violation 0.5 normalized by ||svec(I)|| = sqrt(2).
+        # Violation 0.5 normalized by ||I||_F = sqrt(2).
         assert res.certificate == pytest.approx(0.5 / math.sqrt(2.0),
                                                 abs=1e-12)
 
@@ -775,7 +802,7 @@ class TestSdpDegenerate:
     def test_settled_before_any_newton_step(self, m):
         # Tr(I W) <= 0.5 is constant on the plane Tr W = 1, which at m = 1
         # is the single point W = [[1]]: the row fails by 0.5 before any
-        # solve, normalized by its scale ||svec(I)|| = sqrt(m).
+        # solve, normalized by its scale ||I||_F = sqrt(m).
         res = solve_small_sdp(_problem(np.eye(m, dtype=complex),
                                        _three([(np.eye(m), 0.5)], m)))
         assert res.status == INFEASIBLE and res.W is None
@@ -846,6 +873,26 @@ class TestSdpRefusal:
         with pytest.raises(ValueError, match="entry 4 is a 3 x 3 SDP of 3"):
             solve_sdp_batch(C, row_sets)
 
+    @pytest.mark.parametrize("at", [(1, 2), (2, 0)],
+                             ids=["entry-1-2", "entry-2-0"])
+    def test_one_off_block_entry_in_a_row_refuses_the_call(self,
+                                                            monkeypatch, at):
+        # A single nonzero entry outside diag(W_s, w_out), its mirror left
+        # 0, in one row of one entry.
+        C, row_sets = _grid_requests((4,), (1,))[0]
+        row_sets = [list(rows) for rows in row_sets[:6]]
+        A, b = row_sets[2][0]
+        A = A.copy()
+        A[at] = 1e-3
+        row_sets[2][0] = (A, b)
+
+        def solved(*args):
+            raise AssertionError("an entry was solved")
+
+        monkeypatch.setattr(convex, "_block_sdps", solved)
+        with pytest.raises(ValueError, match="entry 2 is a 3 x 3 SDP of 3"):
+            solve_sdp_batch(C, row_sets)
+
 
 class TestNewtonStepCount:
     """newton_steps counts the Newton steps tried, accepted or not, for a
@@ -888,7 +935,7 @@ class TestNewtonStepCount:
     @CASES
     def test_equals_line_searches_one_step_stages(self, monkeypatch, problem,
                                                   status):
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 1)
         self._check(monkeypatch, problem, MAX_ITER)
 
 
@@ -1165,9 +1212,9 @@ def _stacked(reqs):
 
 
 def _scales(rows):
-    """Each row's scale, max(|b|, ||svec(A)||, 1e-12), as the kernels
+    """Each row's scale, max(|b|, ||A||_F, 1e-12), as the kernels
     normalize it."""
-    return np.array([max(abs(b), np.linalg.norm(svec(A)), 1e-12)
+    return np.array([max(abs(b), np.linalg.norm(A), 1e-12)
                      for A, b in rows])
 
 
@@ -1424,9 +1471,9 @@ class TestSolveNewton:
         H = X @ X.swapaxes(1, 2) + np.eye(5)
         H[1] = 0.0
         g = rng.normal(size=(3, 5))
-        d = convex._solve_newton(H, g)
+        d = qcqp._solve_newton(H, g)
         for i in range(3):
-            solo = convex._solve_newton(H[i:i + 1], g[i:i + 1])
+            solo = qcqp._solve_newton(H[i:i + 1], g[i:i + 1])
             assert d[i].tobytes() == solo[0].tobytes()
         assert np.all(np.isfinite(d[1]))
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import backci
-from backci import cli, convex, harness
+from backci import cli, harness, qcqp
 from backci.beamforming import consensual_sca, divergence_floors
 from backci.channel import SystemParams, from_text, gen_channel_set, to_text
 from backci.detection import detection_stats
@@ -665,7 +665,7 @@ class TestCli:
         # A consensual solve that ends max_iter certifies no infeasibility:
         # that is exit 3, not the infeasibility of exit 2.  At M = 8 some
         # QCQP of both runs needs more than one Newton step.
-        monkeypatch.setattr(convex, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(qcqp, "_MAX_NEWTON", 1)
         cfgf = tmp_path / "cap.cfg"
         cfgf.write_text("K = 2\nM = 8\nT = 5\nvalues = 0.2, 0.6\n"
                         "trials = 2\nalgorithms = consensual, evolved\n")

@@ -42,11 +42,11 @@ def test_counts_two_solves_and_restores_the_library():
                    if name.split("/")[0] in ("rounds", "newton"))
 
 
-def test_fallback_counts_the_penalty_sdps_and_restores_purify(
+def test_fallback_counts_the_penalty_sdps_and_restores_the_rank_tolerance(
         capsys, monkeypatch):
     # Every penalty subproblem is one exact entry of its own call, on top
     # of the relaxation entries the run without the fallback solves.
-    purify = beamforming._purify
+    rank_tol = beamforming._RANK_TOL
     plain = _work().run("solve", 1, 2)
     single = beamforming.solve_small_sdp
     penalty = []
@@ -59,7 +59,7 @@ def test_fallback_counts_the_penalty_sdps_and_restores_purify(
     monkeypatch.setattr(beamforming, "solve_small_sdp", counted)
     assert _work().main(["--workload", "solve", "--seed", "1", "--ops", "2",
                          "--fallback"]) == 0
-    assert beamforming._purify is purify
+    assert beamforming._RANK_TOL == rank_tol > 0
     counts = dict(line.split() for line in
                   capsys.readouterr().out.splitlines())
     counts = {name: float(v) for name, v in counts.items()}

@@ -21,8 +21,9 @@ Prints one ``name sha256`` line per output:
 * ``solve-m3/s1/r<i>``: the same at M = 3, where ``_span_basis`` is square
   and the direction outside the span still exists;
 * ``fallback/s1/r<i>``: as ``solve``, for realizations 0-7 of seed 1, with
-  ``beamforming._purify`` switched off (restored afterwards), so that every
-  examined grid point runs the penalty SCA; no other family reaches it;
+  ``beamforming._RANK_TOL`` set to -1 (restored afterwards), so that no
+  relaxation point counts as rank one and every examined grid point runs
+  the penalty SCA; no other family reaches it;
 * ``sweep-m/s<seed>/w<workers>``: the CSV of a ``consensual`` and
   ``random_sel`` sweep over M in {1, 2, 4, 8} at Q = 1, 3 trials, seeds 1
   and 2, run at 1 and at 2 workers; its chunks mix QCQP dimensions, and
@@ -158,12 +159,12 @@ def solve_m3(tmpdir):
 
 
 def fallback(tmpdir):
-    purify = beamforming._purify
-    beamforming._purify = lambda *args: None
+    rank_tol = beamforming._RANK_TOL
+    beamforming._RANK_TOL = -1.0
     try:
         yield from _solve_lines(tmpdir, "fallback", (1,), 8)
     finally:
-        beamforming._purify = purify
+        beamforming._RANK_TOL = rank_tol
 
 
 def _sweep(tmpdir, family, var, algorithms, values, trials, base,

@@ -5,9 +5,10 @@
 Runs the first ``--ops`` operations of the benchmark's ``solve`` or
 ``sweep-sca`` workload, as ``bench/run.py`` runs them, and prints one
 ``name value`` line per counter, sorted, so that the outputs of two commits
-diff line by line.  ``--fallback`` runs them with ``beamforming._purify``
-switched off (restored afterwards), as ``tools/identity.py``'s ``fallback``
-family does, so that every examined grid point runs the penalty SCA, whose
+diff line by line.  ``--fallback`` runs them with ``beamforming._RANK_TOL``
+set to -1 (restored afterwards), as ``tools/identity.py``'s ``fallback``
+family does, so that no relaxation point counts as rank one and every
+examined grid point runs the penalty SCA, whose
 subproblems the SDP kernel solves exactly, one entry per call.  The
 counters are:
 
@@ -139,8 +140,8 @@ class Counters:
 
 def run(workload: str, seed: int, ops: int, fallback: bool = False) -> dict:
     """Counter name -> value over the first ops operations of a workload;
-    with fallback, _purify finds no rank-one point, so the penalty SCA
-    runs."""
+    with fallback, beamforming._RANK_TOL is -1, so no relaxation point
+    counts as rank one and the penalty SCA runs."""
     w = workloads.WORKLOADS[workload]
     workloads.tiny_solve()       # the benchmark's warm-up, not counted
     # drawn before the clock starts: choosing the solve workload's
@@ -148,7 +149,8 @@ def run(workload: str, seed: int, ops: int, fallback: bool = False) -> dict:
     inputs = list(islice(w.inputs(seed), ops))
     with tempfile.TemporaryDirectory() as tmpdir, Counters() as c:
         if fallback:        # undone with the counters
-            c._patch(beamforming, "_purify", lambda *args: None)
+            c._undo.append((beamforming, "_RANK_TOL", beamforming._RANK_TOL))
+            beamforming._RANK_TOL = -1.0
         t0 = time.perf_counter()
         for inp in inputs:
             w.run(inp, tmpdir)
@@ -168,7 +170,8 @@ def main(argv=None) -> int:
     ap.add_argument("--ops", type=int, default=40,
                     help="operations to run, from the workload's first")
     ap.add_argument("--fallback", action="store_true",
-                    help="switch _purify off, so that the penalty SCA runs")
+                    help="accept no relaxation point as rank one, so that "
+                         "the penalty SCA runs")
     args = ap.parse_args(argv)
     for name, value in sorted(run(args.workload, args.seed, args.ops,
                                   args.fallback).items()):
