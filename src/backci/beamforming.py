@@ -14,20 +14,23 @@ Four solvers share one solution type:
   enforcing that the direct link never hurts; v is the kernel's rank-one
   point of the relaxation, or else comes from a rank-one penalty SCA.  The
   grid point t = 0 is solved in closed form, by the zero-forcing receiver.
-  Its
-  generator, evolved_steps, yields the other grid points' relaxations as
-  one request: 2 x 2 lifts at M = 2, and at M >= 3 3 x 3 lifts that are
-  block diagonal, a 2 x 2 block on the channels' span plus the norm
-  outside it, which the SDP kernel solves exactly, in closed form;
-  lockstep stacks the requests of many tags into convex.solve_sdp_batch
-  calls of at most _SDP_STACK entries, cut between requests.
-  evolved_sdp is lockstep on one generator.
+  Its generator, evolved_steps, yields the other grid points' relaxations
+  as one request, built by broadcasting over the grid: 2 x 2 lifts at
+  M = 2, and at M >= 3 3 x 3 lifts that are block diagonal, a 2 x 2 block
+  on the channels' span plus the norm outside it, which the SDP kernel
+  solves exactly, in closed form; lockstep stacks the requests of many
+  tags into convex.solve_sdp_batch calls of at most _SDP_STACK entries,
+  cut between requests.  evolved_sdp is lockstep on one generator.
 * mmse_beamformer: closed-form interference-suppressing benchmark.
 * alternating_mimo: block alternation between receive and transmit vectors,
   running the generators above on effective single-input channels by yield
   from in its own, alternating_steps; it is lockstep on one generator.
 
 Every tag solve in the library runs a generator under lockstep.
+
+An SDP request is a stack (C, A, b): one m x m objective C, and the rows
+Tr(A[j, i] W) <= b[j, i] of each of its n entries, A of shape (n, k, m, m)
+and b (n, k), the form solve_sdp_batch takes.
 
 Per-tag channels are passed as a triple (h0, h1, h_str): the direct-only
 channel, the combined channel and the backscatter channel, vectors for the
@@ -212,8 +215,9 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     |v^H h_str|^2).  margin raises both constraints' F - 1 by that fraction
     (alternating_steps' trades).
 
-    Without v_init, it first yields the problem's exact lift, (C, [rows]):
-    max gamma' Tr(G1 W) s.t. Tr W = 1, gamma' Tr((G1 - F_with G0) W) >=
+    Without v_init, it first yields the problem's exact lift as a stack of
+    one entry, (C, A, b) with A (1, 3, m, m) and b (1, 3): max
+    gamma' Tr(G1 W) s.t. Tr W = 1, gamma' Tr((G1 - F_with G0) W) >=
     F_with - 1, gamma' Tr(Gs W) >= F_without - 1, W PSD, on _span_lift's
     channels, padded with the vacuous row 0 <= 1.  Trace plus two rows has
     a rank-one optimum (Huang and Palomar, IEEE TSP 58(2), 2010), so the
@@ -254,9 +258,9 @@ def consensual_steps(chan, params, v_init: Optional[np.ndarray] = None,
     if v_init is None:
         U, g0, g1, gs, gam = _span_lift(h0, h1, hs, gamma)
         G0, G1, Gs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
-        (lift,) = yield gam * G1, [[(-gam * (G1 - f_with * G0), -floor_w),
-                                    (-gam * Gs, -floor_o),
-                                    (np.zeros_like(G1), 1.0)]]
+        A = np.array([[-gam * (G1 - f_with * G0), -gam * Gs,
+                       np.zeros_like(G1)]])
+        (lift,) = yield gam * G1, A, np.array([[-floor_w, -floor_o, 1.0]])
         if lift.status == INFEASIBLE:
             return _infeasible()
         if lift.status == OPTIMAL:
@@ -324,23 +328,27 @@ _SDP_STACK = 200    # most SDP entries in one solve_sdp_batch call of lockstep:
 
 
 def _solve_sdp_requests(reqs) -> list:
-    """The SdpResults of each SDP request, all of one matrix size, from
-    solve_sdp_batch calls of at most _SDP_STACK entries, cut only between
-    requests (a longer request is a call of its own)."""
+    """The SdpResults of each SDP request (C, A, b), all of one matrix size,
+    from solve_sdp_batch calls of at most _SDP_STACK entries, cut only
+    between requests (a longer request is a call of its own).  A call
+    concatenates its requests' stacks, each C repeated over its entries."""
     calls, n = [[]], 0
     for req in reqs:
-        if n and n + len(req[1]) > _SDP_STACK:
+        if n and n + len(req[2]) > _SDP_STACK:
             calls.append([])
             n = 0
         calls[-1].append(req)
-        n += len(req[1])
+        n += len(req[2])
     out = []
     for call in calls:
-        flat = solve_sdp_batch([c for c, row_sets in call for _r in row_sets],
-                               [r for _c, row_sets in call for r in row_sets])
-        for _c, row_sets in call:
-            out.append(flat[:len(row_sets)])
-            flat = flat[len(row_sets):]
+        flat = solve_sdp_batch(
+            np.repeat([C for C, _A, _b in call],
+                      [len(b) for _C, _A, b in call], axis=0),
+            np.concatenate([A for _C, A, _b in call]),
+            np.concatenate([b for _C, _A, b in call]))
+        for _C, _A, b in call:
+            out.append(flat[:len(b)])
+            flat = flat[len(b):]
     return out
 
 
@@ -348,13 +356,14 @@ def lockstep(gens) -> list:
     """Run design generators together; their solutions, in order.
 
     A generator yields either a QcqpProblem and takes back its QcqpResult
-    (consensual_steps' SCA steps), or (C, row_sets), the trace-one SDPs of
-    objective C, one per row set, and takes back their SdpResults
-    (evolved_steps' relaxations, consensual_steps' lift);
+    (consensual_steps' SCA steps), or (C, A, b), a stack of trace-one SDPs
+    of objective C (m, m), with rows A (n, k, m, m) and bounds b (n, k),
+    and takes back their n SdpResults (evolved_steps' relaxations,
+    consensual_steps' lift);
     alternating_steps yields what its inner design yields.  Each round
     sends every pending generator its results, then solves what they
     yield: the QCQPs as one solve_ball_qcqps batch per dimension, and the
-    SDPs, each entry with its own request's C, as
+    SDP stacks, concatenated with each entry's own request's C, as
     solve_sdp_batch calls of at most _SDP_STACK entries per matrix size,
     cut only between requests.  Both kernels are batch-invariant, so every
     generator gets the results it would get run alone, and its solution
@@ -518,9 +527,11 @@ def evolved_steps(chan, params):
     """The lifted design as a generator: its set-up, one request for its
     relaxation batch, then its finish.
 
-    Yields (C, row_sets), the relaxations of every grid point but t = 0
-    (which it solves in closed form) with their shared objective C, and
-    takes their SdpResults back by send(); returns the BeamformerSolution.
+    Yields (C, A, b), the relaxations of every grid point but t = 0 (which
+    it solves in closed form) as one stack, with their shared objective C:
+    rows A (n, 3, m, m) and bounds b (n, 3), one entry per grid point, built
+    by broadcasting over the grid.  It takes their SdpResults back by
+    send(); returns the BeamformerSolution.
     Run it with lockstep, which stacks the relaxations of many tags into
     shared solve_sdp_batch calls; evolved_sdp runs it alone.  What it
     solves is evolved_sdp's docstring.
@@ -540,8 +551,9 @@ def evolved_steps(chan, params):
     grid = np.linspace(t_lo, t_hi, params.T if t_hi - t_lo >= 1e-15 else 1)
     chi = params.chi * gamma * float(np.vdot(g1, g1).real)
 
-    # relax holds (bound, t, W, rows, v): the relaxation optimum at t, and
-    # v where the bound is attained in closed form (W and rows are None).
+    # relax holds (bound, t, W, j, v): the relaxation optimum at t, entry j
+    # of the stack, and v where the bound is attained in closed form (W and
+    # j are None).
     relax = []
     kernel_grid = grid
     if len(grid) > 1:
@@ -561,42 +573,55 @@ def evolved_steps(chan, params):
     # grid point upper-bounds whatever rank-one point exists there, and its
     # solution is the rank-one point, or where the penalty stage starts.
     # Both are skipped at the points whose bound cannot beat the best SNR
-    # found.  The grid points share the
-    # matrices of their last two rows.
-    no_dl = (-gamma * Hs, -(f_without - 1.0))     # without-DL floor
-    row_sets = [[
-        (-H1 + (1.0 + gamma * t) * Hs, -t),       # DL-gain floor via t
-        no_dl,
-        (H0, t),                                  # t dominates the DLI
-    ] for t in kernel_grid]
-    results = yield gamma * H1, row_sets
-    relax += [(float(res.objective), float(t), res.W, rows, None)
-              for t, rows, res in zip(kernel_grid, row_sets, results)
+    # found.  The grid points share the matrices of their last two rows,
+    # and the first is affine in t.
+    A = np.empty((len(kernel_grid), 3) + H1.shape, dtype=complex)
+    A[:, 0] = -H1 + (1.0 + gamma * kernel_grid)[:, None, None] * Hs
+    A[:, 1] = -gamma * Hs       # the without-DL floor
+    A[:, 2] = H0                # t dominates the DLI
+    b = np.empty((len(kernel_grid), 3))
+    b[:, 0], b[:, 1], b[:, 2] = -kernel_grid, -(f_without - 1.0), kernel_grid
+    results = yield gamma * H1, A, b
+    relax += [(float(res.objective), float(t), res.W, j, None)
+              for j, (t, res) in enumerate(zip(kernel_grid, results))
               if res.status == OPTIMAL]
 
+    def rank_one(W):
+        """_finalize's (v, stats, ok, snr) at W's rank-one point; not ok,
+        with v None, when W_s's rank residual exceeds _RANK_TOL."""
+        v, residual = _block_rank_one(W)
+        if residual > _RANK_TOL:
+            return None, None, False, None
+        return _finalize(U @ v, h0, h1, hs, params, d_min, e_min, "evolved")
+
     # Candidates by falling bound until none left can beat the best SNR
-    # found; achieved holds (snr, t, v, residual, trace, stats).
+    # found; achieved holds (snr, t, v, residual, trace, stats).  Where no
+    # t-dependent row binds, a plateau of t shares one W bit for bit, so
+    # each distinct W's rank-one point is verified once (verified, on W's
+    # bytes); a point that fails still runs the penalty at its own rows.
     achieved = []
+    verified = {}
     best_snr = -np.inf
     n_solves, pen_capped = 0, False
-    for ub, t, W_rel, rows, v in sorted(relax, key=lambda e: -e[0]):
+    for ub, t, W_rel, j, v in sorted(relax, key=lambda e: -e[0]):
         if ub < best_snr - 1e-9:
             break   # sorted by bound: none of the rest can win
         exact = v is not None
-        if not exact:
-            v, residual = _block_rank_one(W_rel)
-            if residual > _RANK_TOL:
-                v = None
-        ok = v is not None
-        if ok:
+        if exact:
             v, stats, ok, snr = _finalize(U @ v, h0, h1, hs, params,
                                           d_min, e_min, "evolved")
-            residual, trace_t = 0.0, []
+        else:
+            key = W_rel.tobytes()
+            if key not in verified:
+                verified[key] = rank_one(W_rel)
+            v, stats, ok, snr = verified[key]
+        residual, trace_t = 0.0, []
         if not ok:
             if exact:   # the closed form has no fallback
                 continue
             W, trace_t, converged_t, n_solve = _penalized_sca(
-                rows, H1, gamma, chi, W_rel, params.J, params.omega)
+                list(zip(A[j], b[j])), H1, gamma, chi, W_rel, params.J,
+                params.omega)
             n_solves += n_solve
             pen_capped |= not converged_t
             v, residual = _block_rank_one(W)
@@ -638,8 +663,9 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     and it still counts in iterations, so a grid of T points counts T.  A
     one-point grid (M = 1, where the lift is 1 x 1 and the kernel settles
     every row, or a direct link too weak for the grid) goes to the kernel
-    whole.  The relaxations of the other grid points are one solve_sdp_batch
-    request, which lockstep may stack with other tags' (greedy_select does).
+    whole.  The relaxations of the other grid points are one request, a
+    stack built by broadcasting over the grid, which lockstep may stack
+    with other tags' (greedy_select does).
     The lift is built on _span_lift's channels: the span of h0 and hs plus,
     at M >= 3, one direction outside it that carries the norm v may leave
     there.  It is exact, and at M >= 3 each relaxation is block diagonal,
@@ -654,6 +680,10 @@ def evolved_sdp(chan, params) -> BeamformerSolution:
     the cone's surface or at its apex (lorentz.lift), and then v from
     _block_rank_one, with W_s's rank residual at most _RANK_TOL, is optimal
     for that t; it is kept if _finalize verifies it, with rank_residual 0.
+    Grid points on a plateau of t, where no t-dependent row binds, share
+    the kernel's W bit for bit, so each distinct W is recovered and
+    verified once and its verdict reused; a verdict that fails still sends
+    each of those grid points to the penalty SCA at its own rows.
     The kernel's only other optimum is the vertex of three rows and the
     trace inside the cone, where no rank-one point keeps the objective and
     the rows.  There, or where v does not verify, the penalized trace-one

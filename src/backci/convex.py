@@ -1,10 +1,11 @@
 """The designs' trace-one SDPs, solved exactly, and the statuses and row
-helpers the QCQP kernel (the module qcqp, which describes it) shares.
+helper the QCQP kernel (the module qcqp, which describes it) shares.
 
-`solve_sdp_batch(C, row_sets)` solves trace-one SDPs, the lifts W = v v^H
-of both designs: maximize Tr(C W) subject to Tr W = 1, rows
-Tr(A W) <= b and W PSD.  It takes two kinds of entry, and solves both
-exactly, with no Newton step:
+`solve_sdp_batch(C, A, b)` solves a stack of trace-one SDPs, the lifts
+W = v v^H of both designs: entry j maximizes Tr(C_j W) subject to
+Tr W = 1, rows Tr(A[j, i] W) <= b[j, i] and W PSD, with A an array
+(B, k, m, m), b (B, k) and C one (m, m) objective or one per entry.  It
+takes two kinds of entry, and solves both exactly, with no Newton step:
 
 * three rows on a 2 x 2 lift, or on a 3 x 3 one that is block diagonal,
   diag(W_s, w_out), with its objective: Lorentz-cone programs in four
@@ -21,14 +22,16 @@ penalty subproblems, and the consensual design's lift (two rows and the
 vacuous 0 <= 1), are block diagonal on the span basis, and M = 1 lifts
 are 1 x 1.
 
-Both kernels take one row count per call (ValueError otherwise), and
-settle every row that x cannot move before solving (_settle): it
+Both kernels take one row count per call (the SDP's by its stack's
+shape, the QCQP's with ValueError otherwise), and settle every row that
+x cannot move before solving (_settle): it
 becomes padding when it holds, and makes its entry INFEASIBLE, with a
 certificate, when it fails.  Both are batch-invariant: an entry's result
 does not depend on what else is in the stack, because no product mixes
 rows of the stack in one GEMM, so beamforming.lockstep stacks many tags'
 subproblems into one call.  `solve_small_sdp` and qcqp.solve_ball_qcqp
-solve one problem, as a batch of one.  Problems are normalized before
+solve one problem, as a batch of one; solve_small_sdp takes its rows as a
+list of (A, b) pairs, an SdpProblem.  Problems are normalized before
 solving (per-row scales, and the QCQP's objective to unit norm), which
 leaves the argmax unchanged and makes the tolerances meaningful across the
 wide dynamic range of channel realizations.
@@ -47,15 +50,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NO_INTERIOR = "no_interior"
 MAX_ITER = "max_iter"
-
-
-def _one_row_count(counts):
-    """The row count all entries share; ValueError names the counts."""
-    counts = sorted(set(counts))
-    if len(counts) > 1:
-        raise ValueError("a call takes one row count, not "
-                         + " and ".join(map(str, counts)))
-    return counts[0]
 
 
 def _settle(size, b, s):
@@ -128,23 +122,9 @@ def _objectives(C, B) -> np.ndarray:
     entry; ValueError for any other count."""
     C = np.asarray(C, dtype=complex)
     if C.ndim == 3 and len(C) not in (1, B):
-        raise ValueError(f"{len(C)} objectives for {B} row sets: give "
-                         f"one, or one per row set")
+        raise ValueError(f"{len(C)} objectives for {B} entries: give "
+                         f"one, or one per entry")
     return np.broadcast_to(C, (B,) + C.shape[-2:])
-
-
-def _stack_rows(row_sets, m) -> tuple:
-    """Every entry's rows (A, b), Tr(A W) <= b, as stacks: A (B, k, m, m)
-    and b (B, k).  ValueError when the row counts differ, or when a row's
-    matrix is not m x m, the objective's size."""
-    B = len(row_sets)
-    k = _one_row_count(map(len, row_sets))
-    A = np.array([[a for a, _b in e] for e in row_sets], dtype=complex)
-    if k and A.shape[2:] != (m, m):
-        raise ValueError(f"the objective is {m} x {m}, the rows are "
-                         + " x ".join(map(str, A.shape[2:])))
-    b = np.array([[b for _a, b in e] for e in row_sets], dtype=float)
-    return A.reshape(B, k, m, m), b.reshape(B, k)
 
 
 def _scales(A, b) -> np.ndarray:
@@ -252,7 +232,8 @@ def _row_free(C, A, b) -> list:
 
 
 def solve_small_sdp(p: SdpProblem) -> SdpResult:
-    """Solve one trace-one SDP: solve_sdp_batch on a batch of one.
+    """Solve one trace-one SDP: solve_sdp_batch on a batch of one, its list
+    of (A, b) rows as the stack A (1, k, m, m) and b (1, k).
 
     Args:
         p: Problem data (objective maximized).
@@ -263,35 +244,37 @@ def solve_small_sdp(p: SdpProblem) -> SdpResult:
     Raises:
         ValueError: for a problem solve_sdp_batch does not take.
     """
-    return solve_sdp_batch(p.C, [p.ineq_constraints])[0]
+    m = p.dim
+    rows = p.ineq_constraints
+    A = np.array([a for a, _b in rows] or np.zeros((0, m, m)), dtype=complex)
+    b = np.array([b for _a, b in rows], dtype=float)
+    return solve_sdp_batch(p.C, A[None], b[None])[0]
 
 
-def solve_sdp_batch(C, row_sets: list) -> list:
-    """Solve trace-one SDPs of one size, one per row set, in one stacked
+def solve_sdp_batch(C, A, b) -> list:
+    """Solve trace-one SDPs of one size and one row count, stacked, in one
     run, exactly and with no Newton step.
 
-    Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A W) <= b for each (A, b) in
-    row_sets[j], W PSD.  Entries of three rows whose objective and rows are
+    Entry j is max Tr(C_j W) s.t. Tr W = 1, Tr(A[j, i] W) <= b[j, i] for
+    each row i, W PSD.  Entries of three rows whose objective and rows are
     2 x 2, or 3 x 3 and block diagonal, diag(W_s, w_out), as the designs'
-    lifts are, are solved in closed
-    form (_block_sdps): a Lorentz-cone program in 4 variables, whose optimal
-    W is rank one where the cone binds.  Entries with no row, or at m = 1,
-    have no row W can move, and end at lambda_max(C) unless a row fails
-    (_row_free).  Rows W cannot move are settled first (_settle).  The
-    kernel is batch-invariant: each entry's SdpResult is bit for bit what
-    solve_small_sdp gives for it, whatever else is in the stack.  So
-    several tags' SDPs, each with its own objective, can share one call
-    (beamforming.lockstep).
+    lifts are, are solved in closed form (_block_sdps): a Lorentz-cone
+    program in 4 variables, whose optimal W is rank one where the cone
+    binds.  Entries with no row, or at m = 1, have no row W can move, and
+    end at lambda_max(C) unless a row fails (_row_free).  Rows W cannot
+    move are settled first (_settle).  The kernel is batch-invariant: each
+    entry's SdpResult is bit for bit what solve_small_sdp gives for it,
+    whatever else is in the stack.  So several tags' SDPs, each with its
+    own objective, can share one call (beamforming.lockstep).
 
     Args:
         C: The m x m Hermitian objective every entry shares, or one per
-            entry: an array (B, m, m) or a list of B such matrices (a list
-            of one is shared).
-        row_sets: One list of (A, b) rows per entry, A m x m, all of one
-            length.
+            entry: an array (B, m, m) (or (1, m, m), shared).
+        A: The rows' matrices, an array (B, k, m, m).
+        b: Their bounds, an array (B, k).
 
     Returns:
-        The SdpResult of each row set, in input order, with status
+        The SdpResult of each entry, in input order, with status
         "optimal", "infeasible" (certificate holds a floor under every W's
         largest normalized row violation) or "no_interior" (phase one's
         optimum misses every row by less than lorentz.FEAS, as on a face of
@@ -301,18 +284,25 @@ def solve_sdp_batch(C, row_sets: list) -> list:
         newton_steps is always 0.
 
     Raises:
-        ValueError: when the objectives number neither 1 nor
-            len(row_sets), the rows' matrices are not C's size, the row
-            sets' lengths differ, or an entry is of neither kind above (the
-            message names the entry, its size and its row count), before
-            any entry is solved.
+        ValueError: when A and b are not stacks (B, k, m, m) and (B, k),
+            the objectives number neither 1 nor B, the rows' matrices are
+            not C's size, or an entry is of neither kind above (the message
+            names the entry, its size and its row count), before any entry
+            is solved.
     """
-    if not row_sets:
+    A = np.ascontiguousarray(A, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=float)
+    if A.ndim != 4 or b.shape != A.shape[:2]:
+        raise ValueError(f"rows of shape {A.shape} and bounds of shape "
+                         f"{b.shape}: give A (B, k, m, m) and b (B, k)")
+    B, k = b.shape
+    if not B:
         return []
-    C = _objectives(C, len(row_sets))
+    C = _objectives(C, B)
     m = C.shape[-1]
-    A, b = _stack_rows(row_sets, m)
-    k = b.shape[1]
+    if A.shape[2:] != (m, m):
+        raise ValueError(f"the objective is {m} x {m}, the rows are "
+                         + " x ".join(map(str, A.shape[2:])))
     if m == 1 or not k:
         return _row_free(C, A, b)
     block = _block_diagonal(C, A)

@@ -11,7 +11,7 @@ projected Newton (_dual_newton) from the multipliers of an earlier solve
 where a problem gives them (its start), else from the ball-only optimum:
 no barrier stage and no phase one.  The kernel is batch-invariant, as
 convex's is.  solve_ball_qcqps states what each status certifies.  It shares
-convex's statuses and its row helpers (_settle, _one_row_count); its Newton
+convex's statuses and its row helper _settle; its Newton
 budget _MAX_NEWTON is read at call time, so a caller can lower it.  It is
 its own module for memory: where bytecode is not written, every start
 compiles the sources, and one module with both kernels peaked about 1 MB
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import INFEASIBLE, MAX_ITER, OPTIMAL, _one_row_count, _settle
+from .convex import INFEASIBLE, MAX_ITER, OPTIMAL, _settle
 
 _MAX_NEWTON = 200   # Newton steps per QCQP
 _ARMIJO = 1e-4
@@ -36,6 +36,15 @@ _KKT = 1e-12        # natural residual of an optimal multiplier vector
 _KKT_STALL = 1e-8   # a residual this small that no longer halves is at the
                     # round-off floor
 _DAMP = 1e-4        # Newton's damping, per unit residual and mean curvature
+
+
+def _one_row_count(counts):
+    """The row count all problems share; ValueError names the counts."""
+    counts = sorted(set(counts))
+    if len(counts) > 1:
+        raise ValueError("a call takes one row count, not "
+                         + " and ".join(map(str, counts)))
+    return counts[0]
 
 
 @dataclass

@@ -4,7 +4,11 @@ Every oracle here deliberately avoids the code paths of the package under
 test: Lambert W and the threshold map are solved by bisection, cubic
 eigenvalues by the trigonometric closed form, Gamma CDFs by adaptive
 quadrature, and small optimization problems by dense grid search.  Expected
-values frozen into the tests were computed with these functions.
+values frozen into the tests were computed with these functions.  Two
+kinds of helper do use the package: sdp_stack and sdp_rows convert between
+lists of (A, b) rows and the SDP kernel's stacks, and
+evolved_every_candidate is the evolved design's candidate walk without its
+once-per-W verification, the reference that walk is compared against.
 """
 
 from __future__ import annotations
@@ -500,3 +504,101 @@ def benchmark_scheme_oracle(h0, h1, hs, sigma_s2, sigma_w2, n_samples,
              1.0 - math.sqrt(-math.expm1(-k_with)),
              1.0 - math.sqrt(-math.expm1(-k_without)))
     return v, float(snr), k_without >= e_min - tol, tuple(map(float, stats))
+
+
+def sdp_stack(row_sets):
+    """Row sets, each a list of (A, b) rows of one length, as the SDP
+    kernel's stack: A (B, k, m, m) and b (B, k)."""
+    return (np.array([[a for a, _b in rows] for rows in row_sets],
+                     dtype=complex),
+            np.array([[b for _a, b in rows] for rows in row_sets],
+                     dtype=float))
+
+
+def sdp_rows(A, b):
+    """The stack A (B, k, m, m), b (B, k) as B lists of (A, b) rows."""
+    return [list(zip(a, bj)) for a, bj in zip(A, b)]
+
+
+def evolved_every_candidate(chan, params):
+    """evolved_sdp's BeamformerSolution from the walk that verifies every
+    examined candidate: _block_rank_one and _finalize run on each grid point
+    examined, whether or not an earlier one had the same relaxation optimum
+    W, and the penalty SCA runs at each one they do not verify.  The
+    relaxations are built one grid point t at a time and solved in one
+    kernel call.  The package's helpers are read from the module at call
+    time, so a test's patches (_RANK_TOL, spies) apply here too."""
+    from backci import beamforming as bf
+    from backci.convex import OPTIMAL, solve_sdp_batch
+
+    h0, h1, hs = bf._unpack(chan)
+    gamma = params.gamma
+    d_min, e_min, _f_with, f_without = bf.divergence_floors(params)
+    if bf._no_dl_floor_unreachable(gamma, hs, f_without):
+        return bf._infeasible()
+    U, g0, g1, gs, gamma = bf._span_lift(h0, h1, hs, gamma)
+    H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
+    t_hi = float(np.vdot(g0, g0).real)
+    t_lo = t_hi if U.shape[1] == 1 else 0.0
+    grid = np.linspace(t_lo, t_hi, params.T if t_hi - t_lo >= 1e-15 else 1)
+    chi = params.chi * gamma * float(np.vdot(g1, g1).real)
+    relax = []      # (bound, t, W, rows, v), as evolved_steps
+    kernel_grid = grid
+    if len(grid) > 1:
+        kernel_grid = grid[1:]
+        pgs = gs - g0 * (np.vdot(g0, gs) / t_hi)
+        if pgs.any() and not bf._no_dl_floor_unreachable(gamma, pgs,
+                                                         f_without):
+            relax.append((gamma * float(np.vdot(pgs, pgs).real), 0.0, None,
+                          None, pgs / np.linalg.norm(pgs)))
+    row_sets = [[(-H1 + (1.0 + gamma * t) * Hs, -t),
+                 (-gamma * Hs, -(f_without - 1.0)),
+                 (H0, t)] for t in kernel_grid]
+    results = solve_sdp_batch(gamma * H1, *sdp_stack(row_sets))
+    relax += [(float(res.objective), float(t), res.W, rows, None)
+              for t, rows, res in zip(kernel_grid, row_sets, results)
+              if res.status == OPTIMAL]
+
+    achieved = []
+    best_snr = -np.inf
+    n_solves, pen_capped = 0, False
+    for ub, t, W_rel, rows, v in sorted(relax, key=lambda e: -e[0]):
+        if ub < best_snr - 1e-9:
+            break
+        exact = v is not None
+        if not exact:
+            v, residual = bf._block_rank_one(W_rel)
+            if residual > bf._RANK_TOL:
+                v = None
+        ok = v is not None
+        if ok:
+            v, stats, ok, snr = bf._finalize(U @ v, h0, h1, hs, params,
+                                             d_min, e_min, "evolved")
+            residual, trace_t = 0.0, []
+        if not ok:
+            if exact:
+                continue
+            W, trace_t, converged_t, n_solve = bf._penalized_sca(
+                rows, H1, gamma, chi, W_rel, params.J, params.omega)
+            n_solves += n_solve
+            pen_capped |= not converged_t
+            v, residual = bf._block_rank_one(W)
+            v, stats, ok, snr = bf._finalize(U @ v, h0, h1, hs, params,
+                                             d_min, e_min, "evolved")
+            if not ok:
+                continue
+        achieved.append((snr, t, v, residual, trace_t, stats))
+        best_snr = max(best_snr, snr)
+
+    total_iter = len(grid) + n_solves
+    if not achieved:
+        return bf._infeasible(iterations=total_iter,
+                              converged=not pen_capped)
+    best_snr = max(a[0] for a in achieved)
+    snr, _t, v, residual, trace_t, stats = min(
+        (a for a in achieved if a[0] >= best_snr - 1e-9), key=lambda a: a[1])
+    return bf.BeamformerSolution(v=v, snr=snr, feasible=True,
+                                 iterations=total_iter,
+                                 objective_trace=trace_t,
+                                 rank_residual=residual, stats=stats,
+                                 converged=not pen_capped)

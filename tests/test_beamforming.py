@@ -10,7 +10,6 @@ those share code with the solvers.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +46,8 @@ from oracles import (
     ci_inequality_margin,
     collinear_x_range,
     constrained_snr_oracle,
+    evolved_every_candidate,
+    sdp_stack,
     slsqp_sphere_oracle,
 )
 
@@ -81,7 +82,7 @@ def no_interior_lifts(mp):
     point: a consensual lift that certifies nothing, so the SCA runs from
     its matched-filter and MMSE starts."""
     mp.setattr(beamforming, "solve_sdp_batch",
-               lambda C, row_sets: [_NO_LIFT] * len(row_sets))
+               lambda C, A, b: [_NO_LIFT] * len(b))
 
 
 class TestConsensualSca:
@@ -183,8 +184,8 @@ class TestConsensualSca:
             gen = consensual_steps(chans.tag_channels(k), params)
             last = None
             try:
-                _C, row_sets = next(gen)    # the lift: one 3-row entry
-                assert len(row_sets) == 1 and len(row_sets[0]) == 3
+                _C, A, b = next(gen)    # the lift: one 3-row entry
+                assert A.shape[:2] == b.shape == (1, 3)
                 ask = gen.send([_NO_LIFT])
                 while True:
                     if last is None or last.status != OPTIMAL:
@@ -319,11 +320,11 @@ class TestLockstep:
         calls = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets):
+        def spied(C, A, b):
             # each tag has its own objective, so they count the tags
-            calls.append((len(C[0]), len(row_sets),
+            calls.append((len(C[0]), len(b),
                           len({c.tobytes() for c in C})))
-            return batch(C, row_sets)
+            return batch(C, A, b)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
@@ -336,10 +337,10 @@ class TestLockstep:
         for (chan, params), sol in zip(cases, together):
             by_hand = evolved_steps(chan, params)
             try:
-                C, row_sets = next(by_hand)
-                grids[len(C)].append(len(row_sets))
+                C, A, b = next(by_hand)
+                grids[len(C)].append(len(b))
                 objectives[len(C)].append(C.tobytes())
-                by_hand.send(solve_sdp_batch(C, row_sets))
+                by_hand.send(solve_sdp_batch(C, A, b))
             except StopIteration as stop:
                 by_hand = stop.value
             for alone in (evolved_sdp(chan, params), by_hand):
@@ -349,7 +350,7 @@ class TestLockstep:
         for (chan, params), sol in zip(cases, together[len(cases):]):
             _same_solution(sol, consensual_sca(chan, params))
             try:
-                C, _row_sets = next(consensual_steps(chan, params))
+                C, _A, _b = next(consensual_steps(chan, params))
                 lifts[len(C)].append(C.tobytes())
             except StopIteration:
                 pass        # screened: no lift
@@ -425,10 +426,11 @@ class TestLockstep:
 def _consensual_lift(chan, params):
     """The lift consensual_steps sends first for chan, as (C, row_sets),
     rebuilt here from the span basis, with the round-off outside the
-    channels' span set to 0, and checked to be the bytes the design sends.
-    None when the screens end the solve before it."""
+    channels' span set to 0, and checked to be the bytes of the one-entry
+    stack the design sends.  None when the screens end the solve before
+    it."""
     try:
-        C, row_sets = next(consensual_steps(chan, params))
+        C, A, b = next(consensual_steps(chan, params))
     except StopIteration:
         return None
     h0, h1, hs = chan
@@ -442,7 +444,7 @@ def _consensual_lift(chan, params):
     lift = gamma * G1, [[(-gamma * (G1 - f_with * G0), -(f_with - 1.0)),
                          (-gamma * Gs, -(f_without - 1.0)),
                          (np.zeros_like(G1), 1.0)]]
-    assert _lift_bytes(*lift) == _lift_bytes(C, row_sets)
+    assert _lift_bytes(lift[0], *sdp_stack(lift[1])) == _lift_bytes(C, A, b)
     return lift
 
 
@@ -579,12 +581,12 @@ class TestConsensualLift:
         mixed = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets):
-            # a lift's objective is one entry's; a relaxation grid's is
-            # shared by its entries
-            uses = Counter(map(id, C)).values()
-            mixed.append(1 in uses and max(uses) > 1)
-            return batch(C, row_sets)
+        def spied(C, A, b):
+            # a lift's third row is the vacuous 0 <= 1; a relaxation's is
+            # Tr(H0 W) <= t
+            lift = (b[:, 2] == 1.0) & ~A[:, 2].any(axis=(1, 2))
+            mixed.append(lift.any() and not lift.all())
+            return batch(C, A, b)
 
         def run(gens):
             got = [[] for _g in gens]
@@ -689,10 +691,10 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         calls = {"batch": 0, "entries": 0, "single": 0}
 
-        def batch(C, row_sets):
+        def batch(C, A, b):
             calls["batch"] += 1
-            calls["entries"] += len(row_sets)
-            return solve_sdp_batch(C, row_sets)
+            calls["entries"] += len(b)
+            return solve_sdp_batch(C, A, b)
 
         def single(*args, **kwargs):
             calls["single"] += 1
@@ -715,8 +717,8 @@ class TestEvolvedSdp:
         chan = tag0(params, 9)
         plain = evolved_sdp(chan, params)
 
-        def dropped(C, row_sets):
-            results = solve_sdp_batch(C, row_sets)
+        def dropped(C, A, b):
+            results = solve_sdp_batch(C, A, b)
             results[3] = convex.SdpResult(W=None, status=convex.NO_INTERIOR)
             return results
 
@@ -789,8 +791,8 @@ class TestEvolvedSdp:
         params = SystemParams(M=4, K=1)
         bounds = []
 
-        def batch(C, row_sets):
-            results = solve_sdp_batch(C, row_sets)
+        def batch(C, A, b):
+            results = solve_sdp_batch(C, A, b)
             bounds.extend(r.objective for r in results
                           if r.status == convex.OPTIMAL)
             return results
@@ -922,8 +924,8 @@ def _unpruned(chan, params):
     solve_sdp_batch call."""
     gen = evolved_steps(chan, params)
     try:
-        C, row_sets = next(gen)
-        gen.send(solve_sdp_batch(C, row_sets))
+        C, A, b = next(gen)
+        gen.send(solve_sdp_batch(C, A, b))
     except StopIteration as stop:
         return stop.value
     raise AssertionError("a second request")
@@ -945,9 +947,9 @@ class TestPrunedGrid:
         calls = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets):
-            calls.append(len(row_sets))
-            return batch(C, row_sets)
+        def spied(C, A, b):
+            calls.append(len(b))
+            return batch(C, A, b)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)
@@ -1007,6 +1009,86 @@ class TestPrunedGrid:
         assert calls == [params.T - 1]
 
 
+class TestVerifiedOnce:
+    """evolved_steps verifies each distinct relaxation optimum W once:
+    candidates on a plateau of t, where no t-dependent row binds, share W
+    bit for bit, and the walk reuses its rank-one point's verdict.  The
+    solution is the one the walk that verifies every candidate gives
+    (oracles.evolved_every_candidate)."""
+
+    # Tags 1 and 4 of realization 2 at the paper's settings: 25 and 29
+    # examined candidates, all with one W.
+    CASES = pytest.mark.parametrize("k", [1, 4])
+
+    @staticmethod
+    def _spied(monkeypatch, solve, chan, params):
+        """solve's solution, the bytes of each W _block_rank_one saw, the
+        _finalize calls, and each penalty SCA's (start W, rows) bytes."""
+        rank_one, finalize = beamforming._block_rank_one, beamforming._finalize
+        penalized = beamforming._penalized_sca
+        seen = {"rank": [], "finalize": 0, "penalty": []}
+
+        def rank(W):
+            seen["rank"].append(W.tobytes())
+            return rank_one(W)
+
+        def final(*args):
+            seen["finalize"] += 1
+            return finalize(*args)
+
+        def penalty(rows, H1, gamma, chi, W, *args):
+            seen["penalty"].append((W.tobytes(), _lift_bytes(H1, *sdp_stack(
+                [rows]))))
+            return penalized(rows, H1, gamma, chi, W, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "_block_rank_one", rank)
+            mp.setattr(beamforming, "_finalize", final)
+            mp.setattr(beamforming, "_penalized_sca", penalty)
+            sol = solve(chan, params)
+        return sol, seen
+
+    @staticmethod
+    def _same(sol, ref):
+        _same_solution(sol, ref)
+        assert sol.rank_residual == ref.rank_residual
+
+    @CASES
+    def test_each_distinct_optimum_is_verified_once(self, monkeypatch, k):
+        params = SystemParams()
+        chan = gen_channel_set(params, 2).tag_channels(k)
+        sol, once = self._spied(monkeypatch, evolved_sdp, chan, params)
+        ref, every = self._spied(monkeypatch, evolved_every_candidate, chan,
+                                 params)
+        distinct = set(every["rank"])
+        assert len(every["rank"]) >= 25 and len(distinct) == 1
+        assert sorted(once["rank"]) == sorted(distinct)
+        dup = len(every["rank"]) - len(distinct)
+        assert once["finalize"] == every["finalize"] - dup
+        assert not once["penalty"] and not every["penalty"]
+        assert sol.feasible
+        self._same(sol, ref)
+
+    @CASES
+    def test_a_failed_verification_still_runs_each_points_penalty(
+            self, monkeypatch, k):
+        # No point counts as rank one: the cached verdict fails, and each
+        # examined grid point runs the penalty SCA at its own rows, as the
+        # walk that verifies every candidate does.
+        monkeypatch.setattr(beamforming, "_RANK_TOL", -1.0)
+        params = SystemParams(J=20)
+        chan = gen_channel_set(params, 2).tag_channels(k)
+        sol, once = self._spied(monkeypatch, evolved_sdp, chan, params)
+        ref, every = self._spied(monkeypatch, evolved_every_candidate, chan,
+                                 params)
+        assert len(every["penalty"]) > 1
+        assert once["penalty"] == every["penalty"]
+        rows = [r for _W, r in once["penalty"]]
+        assert len({repr(r) for r in rows}) == len(rows)
+        assert sol.iterations > params.T
+        self._same(sol, ref)
+
+
 class TestZeroForcing:
     """At the grid point t = 0 the relaxation's only face is W h0 = 0, on
     which the optimum is the zero-forcing receiver v = P hs / ||P hs||: the
@@ -1064,9 +1146,9 @@ class TestZeroForcing:
         h0, _h1, hs = tag0(params, 9)
         entries = []
 
-        def batch(C, row_sets):
-            entries.append(len(row_sets))
-            return solve_sdp_batch(C, row_sets)
+        def batch(C, A, b):
+            entries.append(len(b))
+            return solve_sdp_batch(C, A, b)
 
         monkeypatch.setattr(beamforming, "solve_sdp_batch", batch)
         sol = evolved_sdp((r * h0, r * h0 + hs, hs), params)
@@ -1167,11 +1249,13 @@ def _first_grid_point(v, chan, params):
 
 def _relaxations(chan, params):
     """The grid relaxations evolved_steps sends to the kernel for chan, as
-    (C, row_sets), rebuilt here from the span basis with the round-off in
-    the component outside the channels' span set to 0, and checked to be
-    the bytes the design sends.  None when it sends none."""
+    its stack (C, A, b), rebuilt here one grid point t > 0 at a time from
+    the span basis, with the round-off in the component outside the
+    channels' span set to 0, and checked to be, A and b byte for byte, the
+    stack the design builds by broadcasting over the grid.  None when it
+    sends none."""
     try:
-        C, row_sets = next(evolved_steps(chan, params))
+        C, A, b = next(evolved_steps(chan, params))
     except StopIteration:
         return None
     h0, h1, hs = chan
@@ -1179,20 +1263,21 @@ def _relaxations(chan, params):
     s = np.linalg.norm(h1)
     gamma = params.gamma * (s * s)
     floor = divergence_floors(params)[3] - 1.0
-    ts = [rows[2][1] for rows in row_sets]      # each entry's (H0, t)
     g0, g1, gs = (U.conj().T @ (h / s) for h in (h0, h1, hs))
     for g in (g0, g1, gs):
         g[2:] = 0.0
     H0, H1, Hs = (np.outer(g, g.conj()) for g in (g0, g1, gs))
-    block = gamma * H1, [[(-H1 + (1.0 + gamma * t) * Hs, -t),
-                          (-gamma * Hs, -floor), (H0, t)] for t in ts]
-    assert _lift_bytes(*block) == _lift_bytes(C, row_sets)
+    ts = np.linspace(0.0, float(np.vdot(g0, g0).real), params.T)[1:]
+    block = gamma * H1, *sdp_stack(
+        [[(-H1 + (1.0 + gamma * t) * Hs, -t), (-gamma * Hs, -floor),
+          (H0, t)] for t in ts])
+    assert _lift_bytes(*block) == _lift_bytes(C, A, b)
     return block
 
 
-def _lift_bytes(C, row_sets):
-    return [C.tobytes()] + [A.tobytes() + repr(b).encode()
-                            for rows in row_sets for A, b in rows]
+def _lift_bytes(C, A, b):
+    """A stack's objective, rows and bounds, with their shapes, as bytes."""
+    return [(X.shape, X.dtype, X.tobytes()) for X in (C, A, b)]
 
 
 class TestBlockRelaxation:
@@ -1208,8 +1293,8 @@ class TestBlockRelaxation:
                 req = _relaxations(ch.tag_channels(k), params)
                 if req is None:
                     continue
-                C, row_sets = req
-                mats = [C] + [A for rows in row_sets for A, _b in rows]
+                C, A, _b = req
+                mats = [C, *A.reshape((-1,) + C.shape)]
                 last = [np.concatenate([X[-1], X[:, -1]]) for X in mats]
                 if m == 2:
                     assert all(v.any() for v in last[:2])
@@ -1234,8 +1319,8 @@ class TestRankOneRecovery:
             ch = gen_channel_set(params, seed)
             for mode, steps in (("consensual", consensual_steps),
                                 ("evolved", evolved_steps)):
-                def recorded(C, row_sets, into=got[mode]):
-                    results = batch(C, row_sets)
+                def recorded(C, A, b, into=got[mode]):
+                    results = batch(C, A, b)
                     into.extend(r.W for r in results
                                 if r.status == OPTIMAL)
                     return results
@@ -1272,7 +1357,7 @@ class TestRankOneRecovery:
 
     def test_interior_vertex_runs_the_penalty(self, monkeypatch):
         C, rows, Ws = self._vertex_relaxation()
-        (res,) = solve_sdp_batch(C, [rows])
+        (res,) = solve_sdp_batch(C, *sdp_stack([rows]))
         assert res.status == OPTIMAL
         assert np.abs(res.W - Ws).max() <= 1e-12
         assert beamforming._block_rank_one(res.W)[1] > 0.5
@@ -1281,7 +1366,7 @@ class TestRankOneRecovery:
         # runs the penalty SCA from it, and the v of W_s's top eigenpair
         # is never verified.
         monkeypatch.setattr(beamforming, "solve_sdp_batch",
-                            lambda C, row_sets: [res] * len(row_sets))
+                            lambda C, A, b: [res] * len(b))
         penalized_sca = beamforming._penalized_sca
         finalize = beamforming._finalize
         starts, verified = [], []

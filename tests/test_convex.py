@@ -39,6 +39,8 @@ from oracles import (
     brute_sdp_2x2,
     qcqp_max_violation,
     sdp_max_violation,
+    sdp_rows,
+    sdp_stack,
     slsqp_qcqp_oracle,
 )
 
@@ -721,7 +723,8 @@ class TestSdpSpectral:
         assert np.abs(res.W - np.outer(e, e)).max() == 0.0
         rng = np.random.default_rng(43)
         Cs = [C] + [rand_herm_psd(rng, 4) for _ in range(4)]
-        got = solve_sdp_batch(Cs, [[] for _ in Cs])
+        got = solve_sdp_batch(np.array(Cs), np.zeros((len(Cs), 0, 4, 4)),
+                              np.zeros((len(Cs), 0)))
         assert _result_repr(got[0]) == _result_repr(res)
         for c, r in zip(Cs, got):
             vals, vecs = np.linalg.eigh(c)
@@ -853,7 +856,7 @@ class TestSdpRefusal:
         C, row_sets = self._entries(m, k, np.random.default_rng(44))
         with pytest.raises(ValueError,
                            match=f"entry 0 is a {m} x {m} SDP of {k} rows"):
-            solve_sdp_batch(C, row_sets)
+            solve_sdp_batch(C, *sdp_stack(row_sets))
 
     def test_one_non_block_entry_refuses_the_call(self, monkeypatch):
         # Block relaxations of one tag with one entry coupled outside the
@@ -871,7 +874,7 @@ class TestSdpRefusal:
 
         monkeypatch.setattr(convex, "_block_sdps", solved)
         with pytest.raises(ValueError, match="entry 4 is a 3 x 3 SDP of 3"):
-            solve_sdp_batch(C, row_sets)
+            solve_sdp_batch(C, *sdp_stack(row_sets))
 
     @pytest.mark.parametrize("at", [(1, 2), (2, 0)],
                              ids=["entry-1-2", "entry-2-0"])
@@ -891,7 +894,7 @@ class TestSdpRefusal:
 
         monkeypatch.setattr(convex, "_block_sdps", solved)
         with pytest.raises(ValueError, match="entry 2 is a 3 x 3 SDP of 3"):
-            solve_sdp_batch(C, row_sets)
+            solve_sdp_batch(C, *sdp_stack(row_sets))
 
 
 class TestNewtonStepCount:
@@ -1008,7 +1011,7 @@ class TestSdpBatch:
     @pytest.mark.parametrize("B", [1, 7, 100])
     def test_matches_single_solves(self, M, B):
         C, row_sets, singles = _relaxation_family(M, B)
-        batch = solve_sdp_batch(C, row_sets)
+        batch = solve_sdp_batch(C, *sdp_stack(row_sets))
         assert len(batch) == B
         for one, res in zip(singles, batch):
             assert _result_repr(res) == _result_repr(one)
@@ -1024,19 +1027,19 @@ class TestSdpBatch:
         params = SystemParams(K=1, M=M)
         families = [_family_rows(params, seed, 25) for seed in range(4)]
         per_tag = [_result_repr(r) for C, rows in families
-                   for r in solve_sdp_batch(C, rows)]
+                   for r in solve_sdp_batch(C, *sdp_stack(rows))]
         Cs = [C for C, rows in families for _rows in rows]
         rows = [r for _C, rs in families for r in rs]
         for objectives in (Cs, np.array(Cs)):
             assert [_result_repr(r) for r in
-                    solve_sdp_batch(objectives, rows)] == per_tag
+                    solve_sdp_batch(objectives, *sdp_stack(rows))] == per_tag
         assert len({c.tobytes() for c in Cs}) == len(families)
         assert {OPTIMAL, INFEASIBLE} <= {r[0] for r in per_tag}
 
     def test_order_follows_input(self):
         C, row_sets, _singles = _relaxation_family(4, 7)
-        fwd = solve_sdp_batch(C, row_sets)
-        rev = solve_sdp_batch(C, row_sets[::-1])[::-1]
+        fwd = solve_sdp_batch(C, *sdp_stack(row_sets))
+        rev = solve_sdp_batch(C, *sdp_stack(row_sets[::-1]))[::-1]
         assert [r.status for r in fwd] == [r.status for r in rev]
         for a, b in zip(fwd, rev):
             if a.status == OPTIMAL:
@@ -1050,7 +1053,7 @@ class TestSdpBatch:
         zero = np.zeros((2, 2), dtype=complex)
         row_sets = [rows[:2] + [(zero, -1.0 if j == 4 else 1.0)]
                     for j, rows in enumerate(row_sets)]
-        batch = solve_sdp_batch(C, row_sets)
+        batch = solve_sdp_batch(C, *sdp_stack(row_sets))
         for rows, res in zip(row_sets, batch):
             one = solve_small_sdp(_problem(C, rows))
             assert res.status == one.status
@@ -1061,11 +1064,13 @@ class TestSdpBatch:
         assert batch[4].certificate == pytest.approx(1.0)
 
     def test_rows_of_different_counts(self):
-        # One call takes one row count; a ragged stack is refused.
+        # One call takes one row count: rows of three matrices with two
+        # bounds each are refused.
         C, row_sets, _singles = _relaxation_family(2, 7)
-        row_sets[5] = row_sets[5][:2]
-        with pytest.raises(ValueError, match="not 2 and 3"):
-            solve_sdp_batch(C, row_sets)
+        A, b = sdp_stack(row_sets)
+        with pytest.raises(ValueError, match=r"rows of shape \(7, 3, 2, 2\) "
+                           r"and bounds of shape \(7, 2\)"):
+            solve_sdp_batch(C, A, b[:, :2])
 
     def test_row_constant_only_on_the_plane_is_settled(self):
         # Tr(2 I W) <= 3 is not small, but on the plane Tr W = 1 it reads
@@ -1078,7 +1083,8 @@ class TestSdpBatch:
         def with_row(row):
             rows = [r[:2] + [row if j == 1 else (np.zeros((2, 2)), 1.0)]
                     for j, r in enumerate(row_sets)]
-            return [_result_repr(r) for r in solve_sdp_batch(C, rows)]
+            return [_result_repr(r)
+                    for r in solve_sdp_batch(C, *sdp_stack(rows))]
 
         vacuous = with_row((np.zeros((2, 2)), 1.0))
         assert vacuous[1][0] == OPTIMAL
@@ -1090,20 +1096,22 @@ class TestSdpBatch:
 
     def test_objective_count_must_be_one_or_one_per_row_set(self):
         C, row_sets, _singles = _relaxation_family(2, 7)
-        shared = [_result_repr(r) for r in solve_sdp_batch(C, row_sets)]
+        shared = [_result_repr(r)
+                  for r in solve_sdp_batch(C, *sdp_stack(row_sets))]
         assert [_result_repr(r)
-                for r in solve_sdp_batch([C], row_sets)] == shared
-        with pytest.raises(ValueError, match="2 objectives for 7 row sets"):
-            solve_sdp_batch([C, C], row_sets)
+                for r in solve_sdp_batch([C], *sdp_stack(row_sets))] == shared
+        with pytest.raises(ValueError, match="2 objectives for 7 entries"):
+            solve_sdp_batch([C, C], *sdp_stack(row_sets))
 
     def test_objective_size_must_be_the_rows(self):
         _C, row_sets, _singles = _relaxation_family(2, 7)
         with pytest.raises(ValueError,
                            match="objective is 3 x 3, the rows are 2 x 2"):
-            solve_sdp_batch(np.eye(3, dtype=complex), row_sets)
+            solve_sdp_batch(np.eye(3, dtype=complex), *sdp_stack(row_sets))
 
     def test_empty_batch(self):
-        assert solve_sdp_batch(np.eye(2, dtype=complex), []) == []
+        assert solve_sdp_batch(np.eye(2, dtype=complex),
+                               np.zeros((0, 3, 2, 2)), np.zeros((0, 3))) == []
 
 
 def _face_rows(params, seed):
@@ -1138,7 +1146,8 @@ class TestNoInterior:
                 faces.append(_face_rows(params, seed))
         met = [zf >= floor for _C, _rows, zf, floor in faces]
         assert 0 < sum(met) < len(met)
-        got = solve_sdp_batch([f[0] for f in faces], [f[1] for f in faces])
+        got = solve_sdp_batch([f[0] for f in faces],
+                              *sdp_stack([f[1] for f in faces]))
         for (C, rows, zf, _floor), ok, res in zip(faces, met, got):
             assert res.newton_steps == 0
             if ok:      # the face is met
@@ -1170,13 +1179,14 @@ class TestBlockSdp:
         first, second = [], []
         for seed in (1, 5):
             chan = gen_channel_set(params, seed).tag_channels(0)
-            C, row_sets = next(evolved_steps(chan, params))
+            C, A, b = next(evolved_steps(chan, params))
+            row_sets = sdp_rows(A, b)
             first += [(C, rows) for rows in row_sets[6::12]]
             C, row_sets = _family_rows(replace(params, M=3), seed, 8)
             second += [(C, rows) for rows in row_sets]
         entries = [e for pair in zip(first, second) for e in pair]
         batch = solve_sdp_batch([C for C, _rows in entries],
-                                [rows for _C, rows in entries])
+                                *sdp_stack([rows for _C, rows in entries]))
         solo = [solve_small_sdp(_problem(C, rows)) for C, rows in entries]
         assert [_result_repr(r) for r in batch] == [
             _result_repr(r) for r in solo]
@@ -1190,7 +1200,8 @@ class TestBlockSdp:
 def _grid_requests(ms, seeds):
     """The grid relaxations evolved_steps sends to the kernel, one
     (C, row_sets) per tag it does not screen out, over the realizations
-    seeds at each M in ms (K = 5, T = 100)."""
+    seeds at each M in ms (K = 5, T = 100), its stack read back as lists
+    of (A, b) rows."""
     reqs = []
     for m in ms:
         params = SystemParams(M=m)
@@ -1198,8 +1209,8 @@ def _grid_requests(ms, seeds):
             ch = gen_channel_set(params, seed)
             for k in range(params.K):
                 try:
-                    reqs.append(next(evolved_steps(ch.tag_channels(k),
-                                                   params)))
+                    C, A, b = next(evolved_steps(ch.tag_channels(k), params))
+                    reqs.append((C, sdp_rows(A, b)))
                 except StopIteration:
                     pass
     return reqs
@@ -1295,7 +1306,7 @@ class TestBlockExact:
         n = 0
         for m in (2, 3):
             C, rows = _stacked([r for r in reqs if len(r[0]) == m])
-            exact = solve_sdp_batch(C, rows)
+            exact = solve_sdp_batch(C, *sdp_stack(rows))
             for c, r, res in zip(C, rows, exact):
                 _check_exact(c, r, res)
             n += len(exact)
@@ -1311,7 +1322,7 @@ class TestBlockExact:
         # optimum holds few grid points, and its best missed this sample's
         # optima by up to 7% (the dual certificate bounds from above).
         C, rows = _stacked(_grid_requests((2,), range(4)))
-        got = solve_sdp_batch(C, rows)
+        got = solve_sdp_batch(C, *sdp_stack(rows))
         sample = [j for st in (OPTIMAL, INFEASIBLE)
                   for j in [i for i, r in enumerate(got)
                             if r.status == st][::40][:4]]
@@ -1327,7 +1338,7 @@ class TestBlockExact:
     @pytest.mark.parametrize("m", [2, 3])
     def test_random_entries_are_certified(self, m):
         C, rows = _random_blocks(np.random.default_rng(40 + m), m, 300)
-        exact = solve_sdp_batch(C, rows)
+        exact = solve_sdp_batch(C, *sdp_stack(rows))
         for r, res in zip(rows, exact):
             _check_exact(C, r, res)
         statuses = [r.status for r in exact]
@@ -1339,22 +1350,26 @@ class TestBlockExact:
         # bit the same; likewise at M = 2.
         reqs = _grid_requests((4,), (1, 2))[:4]
         reqs.append(_family_rows(SystemParams(K=1, M=3), 0, 7))
-        alone = [[_result_repr(r) for r in solve_sdp_batch(C, rows)]
+        alone = [[_result_repr(r)
+                  for r in solve_sdp_batch(C, *sdp_stack(rows))]
                  for C, rows in reqs]
         assert alone[0] == [_result_repr(solve_small_sdp(_problem(C, r)))
                             for C, r in zip(*_stacked(reqs[:1]))]
         for order in (reqs, reqs[::-1]):
+            C, rows = _stacked(order)
             together = [_result_repr(r)
-                        for r in solve_sdp_batch(*_stacked(order))]
+                        for r in solve_sdp_batch(C, *sdp_stack(rows))]
             ends = np.cumsum([len(rs) for _C, rs in order])
             got = [together[e - len(rs):e]
                    for (_C, rs), e in zip(order, ends)]
             assert got == (alone if order is reqs else alone[::-1])
         reqs2 = _grid_requests((2,), (1,))[:3]
-        alone2 = [[_result_repr(r) for r in solve_sdp_batch(C, rows)]
+        alone2 = [[_result_repr(r)
+                   for r in solve_sdp_batch(C, *sdp_stack(rows))]
                   for C, rows in reqs2]
+        C, rows = _stacked(reqs2)
         assert [_result_repr(r) for r in solve_sdp_batch(
-            *_stacked(reqs2))] == [r for a in alone2 for r in a]
+            C, *sdp_stack(rows))] == [r for a in alone2 for r in a]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_parallel_rows_of_one_rank_one_matrix(self, m):
@@ -1372,7 +1387,7 @@ class TestBlockExact:
                  ((1.0, 2.0 * top), (-1.0, -0.3 * top), (0.5, 0.2 * top)),
                  ((1.0, 0.2 * top), (-1.0, -0.3 * top), (1.0, top))]
         rows = [[(k * H, b) for k, b in case] for case in cases]
-        got = solve_sdp_batch(H, rows)
+        got = solve_sdp_batch(H, *sdp_stack(rows))
         for r, res in zip(rows, got):
             _check_exact(H, r, res)
         assert got[0].objective == pytest.approx(0.4 * top, rel=1e-12)
@@ -1389,8 +1404,9 @@ class TestBlockExact:
         g = np.random.default_rng(1)
         hs = g.normal(size=2) + 1j * g.normal(size=2)
         hs /= np.linalg.norm(hs)
-        C, rows = next(evolved_steps((hs, 2.0 * hs, hs), params))
-        got = solve_sdp_batch(C, rows)
+        C, A, b = next(evolved_steps((hs, 2.0 * hs, hs), params))
+        rows = sdp_rows(A, b)
+        got = solve_sdp_batch(C, *sdp_stack(rows))
         for r, res in zip(rows, got):
             _check_exact(C, r, res)
         assert OPTIMAL in {r.status for r in got}
@@ -1404,7 +1420,7 @@ class TestBlockExact:
         rng = np.random.default_rng(11)
         C, rows = _random_blocks(rng, m, 40)
         flat = [(r[0][0], r) for r in rows]
-        got = solve_sdp_batch([A for A, _r in flat], rows)
+        got = solve_sdp_batch([A for A, _r in flat], *sdp_stack(rows))
         hits = 0
         for (A, r), res in zip(flat, got):
             _check_exact(A, r, res)
@@ -1412,7 +1428,7 @@ class TestBlockExact:
                 hits += 1
                 assert res.objective == pytest.approx(r[0][1], abs=1e-12)
         assert hits > 5
-        zero = solve_sdp_batch(np.zeros_like(C), rows)
+        zero = solve_sdp_batch(np.zeros_like(C), *sdp_stack(rows))
         for r, res, one in zip(rows, zero, got):
             _check_exact(np.zeros_like(C), r, res)
             assert res.status == one.status
@@ -1429,13 +1445,14 @@ class TestBlockExact:
             np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
             np.eye(2))]]
         _C, rows = _random_blocks(rng, 3, 20)
-        got = solve_sdp_batch(C, loose + rows)
+        got = solve_sdp_batch(C, *sdp_stack(loose + rows))
         assert got[0].status == OPTIMAL and got[0].objective == 1.0
         assert got[0].W[2, 2] == 0.0
         for r, res in zip(loose + rows, got):
             _check_exact(C, r, res)
         assert [_result_repr(r) for r in got] == [
-            _result_repr(solve_sdp_batch(C, [r])[0]) for r in loose + rows]
+            _result_repr(solve_sdp_batch(C, *sdp_stack([r]))[0])
+            for r in loose + rows]
 
     def test_m2_keeps_tau_one(self):
         # At m = 2 the trace is 1: with rows that do not bind, the optimum
@@ -1445,7 +1462,7 @@ class TestBlockExact:
         loose = [[(A, abs(b) + 10.0 * np.linalg.norm(A)) for A, b in r]
                  for r in rows]
         vals, vecs = np.linalg.eigh(C)
-        for r, res in zip(loose, solve_sdp_batch(C, loose)):
+        for r, res in zip(loose, solve_sdp_batch(C, *sdp_stack(loose))):
             _check_exact(C, r, res)
             assert res.objective == pytest.approx(vals[-1], rel=1e-12)
             assert res.W == pytest.approx(np.outer(vecs[:, -1],
@@ -1457,7 +1474,7 @@ class TestBlockExact:
         # At m = 1 the trace-one set is W = [[1]]: every row is settled,
         # and a feasible entry ends there with no Newton step.
         rows = [(np.eye(1), 2.0), (-np.eye(1), 0.0), (3.0 * np.eye(1), 3.0)]
-        res = solve_sdp_batch(np.array([[2.0 + 0j]]), [rows])[0]
+        res = solve_sdp_batch(np.array([[2.0 + 0j]]), *sdp_stack([rows]))[0]
         assert res.status == OPTIMAL and res.newton_steps == 0
         assert res.W.tolist() == [[1.0]] and res.objective == 2.0
 

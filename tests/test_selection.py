@@ -78,9 +78,9 @@ class TestGreedySelect:
         sizes = []
         batch = beamforming.solve_sdp_batch
 
-        def spied(C, row_sets):
-            sizes.append(len(row_sets))
-            return batch(C, row_sets)
+        def spied(C, A, b):
+            sizes.append(len(b))
+            return batch(C, A, b)
 
         with monkeypatch.context() as mp:
             mp.setattr(beamforming, "solve_sdp_batch", spied)

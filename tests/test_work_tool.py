@@ -24,7 +24,8 @@ def _wrapped():
     return (qcqp.solve_ball_qcqps, convex.solve_sdp_batch,
             beamforming.solve_ball_qcqps, beamforming.solve_sdp_batch,
             harness.gen_channel_set, channel.gen_channel_set,
-            harness.run_benchmark, harness.write_csv)
+            harness.run_benchmark, harness.write_csv,
+            beamforming._block_rank_one)
 
 
 def test_counts_two_solves_and_restores_the_library():
@@ -40,6 +41,22 @@ def test_counts_two_solves_and_restores_the_library():
     # the SDP kernel has no rounds to count
     assert not any(name.endswith("/sdp") for name in counts
                    if name.split("/")[0] in ("rounds", "newton"))
+
+
+def test_counts_each_rank_one_recovery(monkeypatch):
+    # calls/rank_one counts beamforming._block_rank_one's calls, which
+    # the spy here counts too: one per optimal consensual lift and one per
+    # distinct evolved relaxation optimum a tag's walk examines.
+    recovery, seen = beamforming._block_rank_one, []
+
+    def spied(W):
+        seen.append(W.tobytes())
+        return recovery(W)
+
+    monkeypatch.setattr(beamforming, "_block_rank_one", spied)
+    counts = _work().run("solve", 1, 2)
+    assert beamforming._block_rank_one is spied
+    assert counts["calls/rank_one"] == len(seen) > 0
 
 
 def test_fallback_counts_the_penalty_sdps_and_restores_the_rank_tolerance(

@@ -14,8 +14,13 @@ counters are:
 
 * ``calls/<kernel>``, ``entries/<kernel>`` and ``s/<kernel>``: calls of the
   kernel entry points ``qcqp.solve_ball_qcqps`` (``qcqp``) and
-  ``convex.solve_sdp_batch`` (``sdp``), the entries they solved, and the
+  ``convex.solve_sdp_batch`` (``sdp``, which takes a stack ``(C, A, b)``
+  and returns one result per entry), the entries they solved, and the
   seconds spent in them;
+* ``calls/rank_one``: calls of ``beamforming._block_rank_one``, the
+  rank-one recovery from a lift: once per consensual lift that ends
+  optimal, once per distinct relaxation optimum the evolved design
+  examines, and once per penalty SCA's end point;
 * ``status/<kernel>/<status>``: the statuses those entries ended with;
 * ``warm/qcqp``: the QCQP entries that arrived with a ``start``, the
   multipliers of an earlier solve;
@@ -113,6 +118,15 @@ class Counters:
             if name in vars(module):
                 self._patch(module, name, counted)
 
+    def _counted(self, owner, name, counter):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.counts[counter] += 1
+            return inner(*args, **kwargs)
+
+        self._patch(owner, name, counted)
+
     def _timed(self, owner, name, counter):
         inner = getattr(owner, name)
 
@@ -130,6 +144,7 @@ class Counters:
             self._entry_point(name, kernel, home)
         for owner, name, counter in _LAYERS:
             self._timed(owner, name, counter)
+        self._counted(beamforming, "_block_rank_one", "calls/rank_one")
         return self
 
     def __exit__(self, *exc):
